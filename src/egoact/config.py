@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, fields
 from .dataio import read_json
 from .descriptors import CuboidParams, HofParams
 from .errors import ConfigError, ValidationError
+from .flow import check_params
 from .kernels import KERNEL_KINDS
 from .synth import SynthConfig
 
@@ -25,8 +26,10 @@ class FlowSection:
     iterations: int = 100
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.iterations < 1:
-            raise ConfigError("flow.alpha must be positive and flow.iterations >= 1")
+        try:
+            check_params(self.alpha, self.iterations)
+        except ValidationError as exc:
+            raise ConfigError(f"flow: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,7 @@ import numpy as np
 
 from .dataio import DescriptorSet, FrameSequence
 from .errors import ValidationError
-from .flow import (
-    DEFAULT_ALPHA,
-    DEFAULT_ITERATIONS,
-    FlowDerivatives,
-    FlowField,
-    flow_derivatives,
-    sequence_flows,
-)
+from .flow import FlowDerivatives, FlowField, flow_derivatives
 from .linalg import matrix_log
 
 HOF_TYPE = "hof"
@@ -119,17 +112,6 @@ def hof_from_flows(flows, params: HofParams) -> DescriptorSet:
     return DescriptorSet(HOF_TYPE, params.dim, np.asarray(vectors))
 
 
-def hof_descriptors(seq: FrameSequence, params: HofParams,
-                    flow_alpha: float = DEFAULT_ALPHA,
-                    flow_iterations: int = DEFAULT_ITERATIONS) -> DescriptorSet:
-    if seq.frame_count < params.window_len:
-        raise ValidationError(
-            f"video has {seq.frame_count} frames but the window needs {params.window_len}"
-        )
-    flows = sequence_flows(seq.frames, alpha=flow_alpha, iterations=flow_iterations)
-    return hof_from_flows(flows, params)
-
-
 # ---------------------------------------------------------------------------
 # Log-covariance of per-pixel kinematic features
 
@@ -213,18 +195,6 @@ def logc_from_flows(seq: FrameSequence, flows, window_len: int = 16, stride: int
         pooled = np.concatenate(per_pair[t0 : t0 + window_len - 1], axis=0)
         vectors.append(logc_window_descriptor(pooled))
     return DescriptorSet(LOGC_TYPE, LOGC_DIM, np.asarray(vectors))
-
-
-def logc_descriptors(seq: FrameSequence, window_len: int = 16, stride: int = 8,
-                     pixel_step: int = 2,
-                     flow_alpha: float = DEFAULT_ALPHA,
-                     flow_iterations: int = DEFAULT_ITERATIONS) -> DescriptorSet:
-    if seq.frame_count < window_len:
-        raise ValidationError(
-            f"video has {seq.frame_count} frames but the window needs {window_len}"
-        )
-    flows = sequence_flows(seq.frames, alpha=flow_alpha, iterations=flow_iterations)
-    return logc_from_flows(seq, flows, window_len=window_len, stride=stride, pixel_step=pixel_step)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: the SVM oracle is
 projected gradient ascent with an exact simplex-free projection, and the
 eigen checks go through numpy's LAPACK wrappers rather than the package's
-Jacobi solver.
+Jacobi solver. The flow oracle is the straightforward one-pair-at-a-time
+Horn-Schunck sweep, against which the blocked solver must match byte for
+byte.
 """
 
 import numpy as np
@@ -79,3 +81,49 @@ def random_svm_problem(rng, max_size=8):
 
 def min_eigenvalue(matrix) -> float:
     return float(np.linalg.eigvalsh(np.asarray(matrix, dtype=np.float64))[0])
+
+
+def _neighbor_sums(field):
+    out = np.zeros_like(field)
+    out[:-1, :] += field[1:, :]
+    out[1:, :] += field[:-1, :]
+    out[:, :-1] += field[:, 1:]
+    out[:, 1:] += field[:, :-1]
+    return out
+
+
+def _neighbor_counts(shape):
+    counts = np.full(shape, 4.0)
+    counts[0, :] -= 1.0
+    counts[-1, :] -= 1.0
+    counts[:, 0] -= 1.0
+    counts[:, -1] -= 1.0
+    return counts
+
+
+def reference_flow(prev, nxt, alpha=10.0, iterations=100):
+    """Horn-Schunck flow of one frame pair, one sweep of fresh temporaries at a time.
+
+    Returns (u, v). This is the per-pair solver the package shipped before
+    flow was solved in blocks of pairs.
+    """
+    prev = np.asarray(prev).astype(np.float64)
+    nxt = np.asarray(nxt).astype(np.float64)
+    mean = (prev + nxt) / 2.0
+    iy, ix = np.gradient(mean)
+    it = nxt - prev
+    a2 = alpha * alpha
+    deg = _neighbor_counts(prev.shape)
+    diag_u = ix * ix + a2 * deg
+    diag_v = iy * iy + a2 * deg
+    cross = ix * iy
+    det = diag_u * diag_v - cross * cross
+
+    u = np.zeros_like(prev)
+    v = np.zeros_like(prev)
+    for _ in range(iterations):
+        rhs_u = a2 * _neighbor_sums(u) - ix * it
+        rhs_v = a2 * _neighbor_sums(v) - iy * it
+        u = (diag_v * rhs_u - cross * rhs_v) / det
+        v = (diag_u * rhs_v - cross * rhs_u) / det
+    return u, v

@@ -175,6 +175,17 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert "typo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flow", [{"iterations": 2.5}, {"alpha": float("nan")}])
+def test_bad_flow_config_exits_1_before_extraction(tmp_path, capsys, flow):
+    cfg = tmp_path / "bad.json"
+    write_json(cfg, {"flow": flow})
+    code = main(["extract", "--config", str(cfg), "--data", str(tmp_path / "d"),
+                 "--out", str(tmp_path / "desc")])
+    assert code == 1
+    assert "flow" in capsys.readouterr().err
+    assert not (tmp_path / "desc").exists()
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code = main(["inspect", str(tmp_path / "nope.json")])
     assert code == 2

@@ -1,6 +1,6 @@
 import pytest
 
-from egoact.config import RunConfig
+from egoact.config import FlowSection, RunConfig
 from egoact.dataio import write_json
 from egoact.errors import ConfigError
 
@@ -68,3 +68,26 @@ def test_validation_inside_nested_dataclass():
         RunConfig.from_dict({"hof": {"grid_size": 0}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"synth": {"class_count": 1}})
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), True])
+def test_flow_alpha_must_be_finite_number(alpha):
+    with pytest.raises(ConfigError):
+        FlowSection(alpha=alpha)
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"flow": {"alpha": alpha}})
+
+
+@pytest.mark.parametrize("iterations", [2.5, True, "100"])
+def test_flow_iterations_must_be_integer(iterations):
+    with pytest.raises(ConfigError):
+        FlowSection(iterations=iterations)
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"flow": {"iterations": iterations}})
+
+
+def test_flow_nan_alpha_rejected_when_loading_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"format_version": 1, "flow": {"alpha": NaN}}')
+    with pytest.raises(ConfigError):
+        RunConfig.load(path)

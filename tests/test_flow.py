@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from oracles import reference_flow
 
+from egoact import flow as flow_module
 from egoact.errors import ValidationError
 from egoact.flow import FlowField, dense_flow, flow_derivatives, flow_energy, sequence_flows
+from egoact.synth import SynthConfig, synthesize_video
 
 
 def smooth_texture(height, width, seed=0, sigma=2.0):
@@ -80,6 +83,43 @@ def test_bad_params_rejected():
         dense_flow(frame, frame, iterations=0)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), -1.0, True, "10"])
+def test_non_finite_or_non_numeric_alpha_rejected(alpha):
+    frames = np.zeros((3, 8, 8))
+    with pytest.raises(ValidationError):
+        sequence_flows(frames, alpha=alpha)
+    with pytest.raises(ValidationError):
+        dense_flow(frames[0], frames[1], alpha=alpha)
+
+
+@pytest.mark.parametrize("iterations", [2.5, 3.0, True, "5"])
+def test_non_integer_iterations_rejected(iterations):
+    frames = np.zeros((3, 8, 8))
+    with pytest.raises(ValidationError):
+        sequence_flows(frames, iterations=iterations)
+    with pytest.raises(ValidationError):
+        dense_flow(frames[0], frames[1], iterations=iterations)
+
+
+def test_numpy_scalar_params_accepted():
+    frames = np.random.default_rng(4).random((3, 8, 8))
+    flows = sequence_flows(frames, alpha=np.float64(10.0), iterations=np.int64(5))
+    assert flows[0].u.tobytes() == sequence_flows(frames, alpha=10.0, iterations=5)[0].u.tobytes()
+
+
+def test_params_checked_once_per_call(monkeypatch):
+    calls = []
+    real = flow_module.check_params
+    monkeypatch.setattr(flow_module, "check_params", lambda *a: calls.append(a) or real(*a))
+    sequence_flows(np.zeros((6, 8, 8)), iterations=2)
+    assert len(calls) == 1
+
+
+def test_frames_smaller_than_two_pixels_rejected():
+    with pytest.raises(ValidationError):
+        sequence_flows(np.zeros((3, 1, 8)))
+
+
 def rotation_flow(omega=0.1, size=32):
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
     xc = yc = (size - 1) / 2.0
@@ -123,3 +163,66 @@ def test_sequence_flows_counts():
     assert len(flows) == 4
     with pytest.raises(ValidationError):
         sequence_flows(frames[:1])
+
+
+# ---------------------------------------------------------------------------
+# byte identity with the one-pair-at-a-time oracle
+
+def assert_matches_oracle(frames, alpha=10.0, iterations=100):
+    flows = sequence_flows(frames, alpha=alpha, iterations=iterations)
+    assert len(flows) == frames.shape[0] - 1
+    for i, flow in enumerate(flows):
+        u, v = reference_flow(frames[i], frames[i + 1], alpha=alpha, iterations=iterations)
+        assert flow.u.tobytes() == u.tobytes(), f"u differs at pair {i}"
+        assert flow.v.tobytes() == v.tobytes(), f"v differs at pair {i}"
+
+
+def block_size(height, width):
+    return max(1, flow_module.BLOCK_PIXELS // (height * width))
+
+
+@pytest.mark.parametrize("size", [32, 64])
+def test_synth_video_matches_oracle(size):
+    cfg = SynthConfig(width=size, height=size)
+    frames = synthesize_video(cfg, 1, 0).frames
+    # 23 pairs: the last block is a partial one at both sizes
+    assert (frames.shape[0] - 1) % block_size(size, size) != 0
+    assert_matches_oracle(frames)
+
+
+def test_two_frame_volume_matches_oracle():
+    frames = np.random.default_rng(5).integers(0, 256, size=(2, 32, 32)).astype(np.uint8)
+    assert_matches_oracle(frames)
+
+
+def test_odd_non_square_frames_match_oracle():
+    frames = np.random.default_rng(6).random((7, 9, 13)) * 255.0
+    assert_matches_oracle(frames, iterations=30)
+
+
+def test_pair_count_not_multiple_of_block_matches_oracle():
+    k = block_size(16, 16)
+    frames = np.random.default_rng(7).integers(0, 256, size=(2 * k + 3, 16, 16)).astype(np.uint8)
+    assert_matches_oracle(frames, iterations=20)
+
+
+def test_frame_larger_than_block_budget_matches_oracle():
+    width = 128
+    height = flow_module.BLOCK_PIXELS // width + 1
+    assert block_size(height, width) == 1
+    frames = np.random.default_rng(8).integers(0, 256, size=(3, height, width)).astype(np.uint8)
+    assert_matches_oracle(frames, iterations=8)
+
+
+@pytest.mark.parametrize("alpha, iterations", [(2.5, 37), (40.0, 3), (1, 1)])
+def test_non_default_params_match_oracle(alpha, iterations):
+    frames = synthesize_video(SynthConfig(), 0, 1).frames[:6]
+    assert_matches_oracle(frames, alpha=alpha, iterations=iterations)
+
+
+def test_dense_flow_is_one_pair_of_sequence_flows():
+    frames = synthesize_video(SynthConfig(), 2, 0).frames
+    pair = dense_flow(frames[3], frames[4], iterations=25)
+    [expected] = sequence_flows(frames[3:5], iterations=25)
+    assert pair.u.tobytes() == expected.u.tobytes()
+    assert pair.v.tobytes() == expected.v.tobytes()
