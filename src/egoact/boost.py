@@ -172,11 +172,6 @@ def boost_train(bank: KernelBank, y, trials: int, c_reg: float, seed,
     return BoostedModel(kept, n, len(bank))
 
 
-def boost_predict(model: BoostedModel, k_rows) -> float:
-    """Weighted-vote score for one item; k_rows is (M, L_train)."""
-    return float(boost_predict_many(model, np.asarray(k_rows, dtype=np.float64)[:, None, :])[0])
-
-
 def boost_predict_many(model: BoostedModel, k_rows) -> np.ndarray:
     """Scores for (M, n_items, L_train) stacked kernel rows."""
     k_rows = np.asarray(k_rows, dtype=np.float64)

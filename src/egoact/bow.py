@@ -100,15 +100,6 @@ def kmeans(descriptors, word_count: int, seed: int, max_iters: int = DEFAULT_MAX
     return codebook
 
 
-def quantize(vector, codebook: Codebook) -> int:
-    """Index of the nearest centroid (Euclidean); ties pick the lowest index."""
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.shape != (codebook.dim,):
-        raise ValidationError(f"descriptor has dim {vector.shape}, codebook expects {codebook.dim}")
-    diffs = codebook.centroids - vector[None, :]
-    return int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))
-
-
 def quantize_batch(vectors: np.ndarray, codebook: Codebook) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != codebook.dim:

@@ -20,8 +20,8 @@ from . import bow, dataio
 from .config import RunConfig
 from .descriptors import CUBOID_TYPE, HOF_TYPE, LOGC_TYPE
 from .errors import ConfigError, ConvergenceError, FormatError, ValidationError
-from .evaluation import METHODS, extract_dataset_descriptors, run_experiment
-from .modelio import train_model, write_model
+from .evaluation import extract_dataset_descriptors, run_experiment
+from .modelio import METHODS, model_from_doc, train_model, write_model
 from .synth import generate_synthetic_dataset
 
 DESCRIPTOR_SIDECAR = "descriptors.json"
@@ -178,20 +178,12 @@ def _inspect_json(path, doc) -> None:
         sizes = dict(zip(doc["block_order"], doc["block_sizes"]))
         print(f"histograms: {len(doc['histograms'])} videos, blocks {sizes}")
     elif kind == "model":
-        print(f"model: method={doc['method']}, classes={doc['classes']}")
-        print(f"  kernels: {[s.get('label') or s['kind'] for s in doc['specs']]}")
-        for name, payload in zip(doc["classes"], doc["binary_models"]):
-            if doc["method"] == "simple_mkl":
-                weights = payload["weights"]
-                text = " ".join(f"{w:.3f}" for w in weights)
-                print(f"  class {name}: kernel weights [{text}] sum={sum(weights):.3f}")
-            elif doc["method"] == "boost_mkl":
-                trials = payload["trials"]
-                pairs = ", ".join(f"k{t['kernel_index']}:w={t['weight']:.3f}" for t in trials)
-                print(f"  class {name}: {len(trials)} trials ({pairs})")
-            else:
-                n_sv = sum(1 for a in payload["alpha"] if a > 0)
-                print(f"  class {name}: {n_sv} support vectors, bias {payload['bias']:.4f}")
+        model = model_from_doc(doc, path)
+        print(f"model: method={model.method}, classes={model.classes}")
+        print(f"  kernels: {[s.label or s.kind for s in model.specs]}")
+        describe = METHODS[model.method].describe
+        for name, payload in zip(model.classes, model.binary_models):
+            print(f"  class {name}: {describe(payload)}")
     elif kind == "eval_report":
         print(f"report: method={doc['method']} kernel={doc['kernel']} "
               f"features={doc['features']}")

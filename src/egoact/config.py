@@ -113,6 +113,8 @@ class SplitSection:
     def __post_init__(self):
         if self.mode not in ("per_class_counts", "half_half"):
             raise ConfigError("split.mode must be per_class_counts or half_half")
+        if self.mode == "per_class_counts" and (self.train_n < 1 or self.test_n < 1):
+            raise ConfigError("per_class_counts needs split.train_n and split.test_n >= 1")
         if self.repeats < 1:
             raise ConfigError("split.repeats must be at least 1")
 

@@ -15,45 +15,25 @@ reports byte-identical for any worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import boost as boost_mod
-from . import bow, kernels, mkl, svm
-from .config import RunConfig
+from . import bow, svm
+from .config import RunConfig, SplitSection
 from .dataio import DatasetManifest, read_frame_sequence, write_json
 from .descriptors import (
     cuboid_descriptors,
     hof_from_flows,
     logc_from_flows,
 )
-from .errors import ConfigError, ValidationError
+from .errors import PipelineError, ValidationError
 from .flow import sequence_flows
-
-METHODS = ("single_kernel", "multichannel", "simple_mkl", "boost_mkl")
-FEATURE_TYPES = bow.BLOCK_ORDER
+from .modelio import fit, method_entry, normalize_features, stack_histograms
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    mode: str = "per_class_counts"   # or "half_half"
-    train_n: int = 9
-    test_n: int = 3
-    repeats: int = 100
-    base_seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("per_class_counts", "half_half"):
-            raise ValidationError(f"unknown split mode {self.mode!r}")
-        if self.mode == "per_class_counts" and (self.train_n < 1 or self.test_n < 1):
-            raise ValidationError("per_class_counts needs positive train_n and test_n")
-        if self.repeats < 1:
-            raise ValidationError("repeats must be at least 1")
-
-
-def random_split(manifest: DatasetManifest, spec: SplitSpec, repeat_index: int):
+def random_split(manifest: DatasetManifest, spec: SplitSection, repeat_index: int):
     """Per-class random partition; seeded by base_seed XOR repeat_index."""
     rng = np.random.default_rng(spec.base_seed ^ repeat_index)
     train_ids, test_ids = [], []
@@ -126,77 +106,12 @@ def extract_dataset_descriptors(manifest: DatasetManifest, data_dir, features,
 
 
 # ---------------------------------------------------------------------------
-# kernel bank assembly
-
-def _normalize_features(features):
-    features = tuple(f for f in FEATURE_TYPES if f in set(features))
-    if not features:
-        raise ConfigError("at least one of hof, logc, cuboid must be selected")
-    return features
-
-
-def _materialize_spec(kind, cfg: RunConfig, train_vectors, layout, block=None, label=""):
-    channels = ()
-    if kind in kernels.CHANNEL_KINDS:
-        if block is None:
-            channels = tuple((off, ln) for _, off, ln in layout)
-        else:
-            channels = ((0, block[1]),)
-    sigma = None
-    if kind == kernels.GAUSSIAN:
-        sigma = cfg.kernels.gaussian_sigma
-        if sigma is None:
-            sigma = kernels.median_heuristic_sigma(train_vectors, block=block)
-    exponents = ()
-    if kind == kernels.JPL_INT and cfg.kernels.jpl_exponents:
-        exponents = tuple(cfg.kernels.jpl_exponents)
-        if len(exponents) != len(channels):
-            raise ConfigError(
-                f"jpl_exponents has {len(exponents)} entries for {len(channels)} channels"
-            )
-    return kernels.KernelSpec(
-        kind, sigma=sigma, channels=channels, exponents=exponents, block=block, label=label
-    )
-
-
-def build_bank_specs(method, kernel_kind, features, layout, cfg: RunConfig, train_vectors):
-    """Kernel specs for one repeat; Gaussian widths come from the train split.
-
-    single_kernel and multichannel use one kernel over the concatenated
-    histogram; the multi-kernel methods get one kernel per feature block.
-    """
-    if kernel_kind not in kernels.KERNEL_KINDS:
-        raise ConfigError(f"unknown kernel kind {kernel_kind!r}")
-    if method in ("single_kernel", "multichannel"):
-        if method == "multichannel" and kernel_kind not in kernels.CHANNEL_KINDS:
-            raise ConfigError("multichannel needs a dc_int or jpl_int kernel")
-        return [_materialize_spec(kernel_kind, cfg, train_vectors, layout, label=kernel_kind)]
-    specs = []
-    for name, offset, length in layout:
-        specs.append(
-            _materialize_spec(
-                kernel_kind, cfg, train_vectors, layout,
-                block=(offset, length), label=f"{kernel_kind}:{name}",
-            )
-        )
-    return specs
-
-
-# ---------------------------------------------------------------------------
 # one repeat
 
-def _codebook_seed(base_seed: int, repeat_index: int, feature_index: int):
-    return np.random.SeedSequence(entropy=base_seed, spawn_key=(repeat_index, 1, feature_index))
-
-
-def _boost_seed(base_seed: int, repeat_index: int, class_index: int):
-    return np.random.SeedSequence(entropy=base_seed, spawn_key=(repeat_index, 2, class_index))
-
-
 def run_repeat(manifest: DatasetManifest, descriptor_cache, cfg: RunConfig, method: str,
-               kernel_kind: str, features, split: SplitSpec, repeat_index: int):
+               kernel_kind: str, features, split: SplitSection, repeat_index: int):
     """One split-train-predict cycle; returns (accuracy, confusion counts)."""
-    features = _normalize_features(features)
+    features = normalize_features(features)
     train_ids, test_ids = random_split(manifest, split, repeat_index)
     label_of = {v.video_id: v.class_index for v in manifest.videos}
 
@@ -214,66 +129,24 @@ def run_repeat(manifest: DatasetManifest, descriptor_cache, cfg: RunConfig, meth
         pooled = np.vstack(pools)
         words = min(cfg.bow.words, pooled.shape[0]) if cfg.bow.adaptive_words else cfg.bow.words
         codebooks[feature] = bow.kmeans(
-            pooled, words, _codebook_seed(split.base_seed, repeat_index, fi),
+            pooled, words,
+            np.random.SeedSequence(entropy=split.base_seed, spawn_key=(repeat_index, 1, fi)),
             max_iters=cfg.bow.max_iters,
         )
 
-    def histogram(vid):
-        sets = {f: descriptor_cache[vid][f] for f in features}
-        return bow.encode_video(vid, sets, codebooks)
+    def histograms(ids):
+        return [bow.encode_video(vid, {f: descriptor_cache[vid][f] for f in features}, codebooks)
+                for vid in ids]
 
-    train_hists = [histogram(vid) for vid in train_ids]
-    test_hists = [histogram(vid) for vid in test_ids]
-    layout = [
-        (name, offset, length)
-        for (name, _), (offset, length) in zip(train_hists[0].blocks, train_hists[0].layout())
-    ]
-    train_x = np.stack([h.concat() for h in train_hists])
-    test_x = np.stack([h.concat() for h in test_hists])
-
-    specs = build_bank_specs(method, kernel_kind, features, layout, cfg, train_x)
-    grams, scales = [], []
-    for spec in specs:
-        gram, scale = kernels.trace_normalize(kernels.gram_matrix(train_x, spec))
-        grams.append(gram)
-        scales.append(scale)
-    bank = kernels.KernelBank(specs, grams)
-    test_rows = np.stack(
-        [kernels.kernel_rows(spec, test_x, train_x) * scale for spec, scale in zip(specs, scales)]
-    )
-
+    train_x, layout = stack_histograms(histograms(train_ids))
+    test_x = np.stack([h.concat() for h in histograms(test_ids)])
     y_train = np.array([label_of[vid] for vid in train_ids])
     y_test = np.array([label_of[vid] for vid in test_ids])
     classes = manifest.classes
 
-    if method in ("single_kernel", "multichannel"):
-        def trainer(y_pm, _k):
-            return svm.smo_train(bank.grams[0], y_pm, cfg.svm.c_reg, tol=cfg.svm.tol)
-        ova = svm.ova_train(y_train, classes, trainer)
-        scores = np.stack([svm.decision_many(m, test_rows[0]) for m in ova.models], axis=1)
-    elif method == "simple_mkl":
-        params = mkl.MklParams(
-            c_reg=cfg.svm.c_reg, svm_tol=cfg.svm.tol,
-            weight_tol=cfg.mkl.weight_tol, objective_tol=cfg.mkl.objective_tol,
-            max_outer=cfg.mkl.max_outer,
-        )
-        def trainer(y_pm, _k):
-            return mkl.simple_mkl_train(bank, y_pm, params)
-        ova = svm.ova_train(y_train, classes, trainer)
-        scores = np.stack([mkl.mkl_predict_many(m, test_rows) for m in ova.models], axis=1)
-    elif method == "boost_mkl":
-        def trainer(y_pm, k):
-            return boost_mod.boost_train(
-                bank, y_pm, cfg.boost.trials, cfg.svm.c_reg,
-                np.random.default_rng(_boost_seed(split.base_seed, repeat_index, k)),
-                svm_tol=cfg.svm.tol,
-            )
-        ova = svm.ova_train(y_train, classes, trainer)
-        scores = np.stack([boost_mod.boost_predict_many(m, test_rows) for m in ova.models], axis=1)
-    else:
-        raise ConfigError(f"unknown method {method!r}, expected one of {METHODS}")
-
-    predicted = svm.ova_predict_scores(scores)
+    model = fit(method, train_x, y_train, classes, layout, cfg, kernel_kind,
+                split.base_seed, (repeat_index, 2))
+    predicted = svm.ova_predict_scores(model.score_matrix(test_x))
     confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
     for true_k, pred_k in zip(y_test, predicted):
         confusion[true_k, pred_k] += 1
@@ -314,11 +187,7 @@ class EvalReport:
             "kernel": self.kernel,
             "features": self.features,
             "classes": self.classes,
-            "split": {
-                "mode": self.split.mode, "train_n": self.split.train_n,
-                "test_n": self.split.test_n, "repeats": self.split.repeats,
-                "base_seed": self.split.base_seed,
-            },
+            "split": asdict(self.split),
             "mean_accuracy": self.mean_accuracy,
             "per_repeat_accuracy": self.per_repeat_accuracy,
             "confusion": self.confusion.tolist(),
@@ -353,14 +222,13 @@ def run_experiment(manifest: DatasetManifest, data_dir, cfg: RunConfig, method: 
                    base_seed: int | None = None, workers: int = 1,
                    descriptor_cache=None, progress=None) -> EvalReport:
     """The full protocol; descriptor extraction may be shared via the cache."""
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}, expected one of {METHODS}")
-    features = _normalize_features(features if features is not None else cfg.features)
+    method_entry(method)
+    features = normalize_features(features if features is not None else cfg.features)
     kernel_kind = kernel_kind or cfg.kernels.kind
-    split = SplitSpec(
-        mode=cfg.split.mode, train_n=cfg.split.train_n, test_n=cfg.split.test_n,
-        repeats=repeats if repeats is not None else cfg.split.repeats,
-        base_seed=base_seed if base_seed is not None else cfg.split.base_seed,
+    split = replace(
+        cfg.split,
+        repeats=cfg.split.repeats if repeats is None else repeats,
+        base_seed=cfg.split.base_seed if base_seed is None else base_seed,
     )
     if descriptor_cache is None:
         descriptor_cache = extract_dataset_descriptors(
@@ -373,8 +241,11 @@ def run_experiment(manifest: DatasetManifest, data_dir, cfg: RunConfig, method: 
                 manifest, descriptor_cache, cfg, method, kernel_kind, features,
                 split, repeat_index,
             )
-        except Exception as exc:
+        except PipelineError as exc:
             raise type(exc)(f"repeat {repeat_index}: {exc}") from exc
+        except Exception as exc:
+            exc.add_note(f"in repeat {repeat_index}")
+            raise
 
     indices = range(split.repeats)
     if workers > 1:

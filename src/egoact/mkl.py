@@ -10,41 +10,24 @@ decreases that keep the weights nonnegative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import MklSection
 from .errors import ValidationError
 from .kernels import KernelBank, check_simplex, combine, combine_rows
-from .svm import BinarySvmModel, decision, decision_many, smo_train
+from .svm import BinarySvmModel, decision_many, smo_train
 
-
-@dataclass(frozen=True)
-class MklParams:
-    c_reg: float = 10.0
-    svm_tol: float = 1e-3
-    weight_tol: float = 1e-4       # stop when max |delta c| falls below
-    objective_tol: float = 1e-4    # ... or the relative objective change does
-    max_outer: int = 200
-    max_line_search: int = 30
-
-    def __post_init__(self):
-        if min(self.c_reg, self.svm_tol, self.weight_tol, self.objective_tol) <= 0:
-            raise ValidationError("MKL parameters must be positive")
-        if self.max_outer < 1 or self.max_line_search < 1:
-            raise ValidationError("MKL iteration limits must be at least 1")
+MAX_LINE_SEARCH = 30   # step halvings tried per outer iteration
 
 
 class MklModel:
     """Learned kernel weights plus the SVM trained on the combined kernel."""
 
-    __slots__ = ("weights", "svm", "specs", "converged", "objective_history")
+    __slots__ = ("weights", "svm", "converged", "objective_history")
 
-    def __init__(self, weights, svm: BinarySvmModel, specs, converged: bool,
-                 objective_history=None):
+    def __init__(self, weights, svm: BinarySvmModel, converged: bool, objective_history=None):
         self.weights = check_simplex(weights, len(weights))
         self.svm = svm
-        self.specs = list(specs)
         self.converged = bool(converged)
         self.objective_history = objective_history if objective_history is not None else []
 
@@ -56,11 +39,10 @@ class MklModel:
         }
 
     @staticmethod
-    def from_dict(doc: dict, specs=()) -> "MklModel":
+    def from_dict(doc: dict) -> "MklModel":
         return MklModel(
             np.asarray(doc["weights"], dtype=np.float64),
             BinarySvmModel.from_dict(doc["svm"]),
-            specs,
             doc.get("converged", True),
         )
 
@@ -82,14 +64,18 @@ def _descent_direction(weights: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return direction
 
 
-def simple_mkl_train(bank: KernelBank, y, params: MklParams = MklParams()) -> MklModel:
-    """Jointly optimize simplex kernel weights and the SVM on their combination."""
+def simple_mkl_train(bank: KernelBank, y, c_reg: float, params: MklSection = MklSection(),
+                     svm_tol: float = 1e-3) -> MklModel:
+    """Jointly optimize simplex kernel weights and the SVM on their combination;
+    ``params`` holds the stopping tolerances and the outer iteration cap."""
+    if c_reg <= 0 or svm_tol <= 0:
+        raise ValidationError("c_reg and svm_tol must be positive")
     m = len(bank)
     y = np.asarray(y, dtype=np.float64)
     matrices = bank.matrices()
     weights = np.full(m, 1.0 / m)
 
-    svm = smo_train(combine(bank, weights), y, params.c_reg, tol=params.svm_tol)
+    svm = smo_train(combine(bank, weights), y, c_reg, tol=svm_tol)
     objective = svm.objective
     history = [objective]
     converged = False
@@ -104,10 +90,10 @@ def simple_mkl_train(bank: KernelBank, y, params: MklParams = MklParams()) -> Mk
         negative = direction < 0.0
         step = float(np.min(-weights[negative] / direction[negative]))
         accepted = None
-        for _ in range(params.max_line_search):
+        for _ in range(MAX_LINE_SEARCH):
             trial = np.maximum(weights + step * direction, 0.0)
             trial /= trial.sum()
-            trial_svm = smo_train(combine(bank, trial), y, params.c_reg, tol=params.svm_tol)
+            trial_svm = smo_train(combine(bank, trial), y, c_reg, tol=svm_tol)
             if trial_svm.objective < objective:
                 accepted = (trial, trial_svm)
                 break
@@ -126,17 +112,7 @@ def simple_mkl_train(bank: KernelBank, y, params: MklParams = MklParams()) -> Mk
             converged = True
             break
 
-    return MklModel(weights, svm, bank.specs, converged, history)
-
-
-def mkl_predict(model: MklModel, k_rows) -> float:
-    """Decision value from per-kernel rows of kernel values to the training set."""
-    k_rows = np.asarray(k_rows, dtype=np.float64)
-    if k_rows.ndim != 2 or k_rows.shape[0] != model.weights.size:
-        raise ValidationError(
-            f"need {model.weights.size} kernel rows, got shape {k_rows.shape}"
-        )
-    return decision(model.svm, combine_rows(k_rows, model.weights))
+    return MklModel(weights, svm, converged, history)
 
 
 def mkl_predict_many(model: MklModel, k_rows) -> np.ndarray:

@@ -1,5 +1,8 @@
-"""Trained one-vs-all models: training on full datasets, scoring new
-histograms, and the JSON model file format.
+"""The method registry, fitting one-vs-all models, scoring new histograms,
+and the JSON model file format.
+
+Every method is defined once, in ``METHODS``. ``fit`` is the one training
+path, shared by ``train_model`` and the evaluation protocol.
 
 The model file inlines everything prediction needs: kernel specs with
 materialized parameters, per-kernel trace scales, the training histogram
@@ -8,21 +11,93 @@ vectors, and one binary payload per class (plain SVM, MKL, or boosted).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from . import boost as boost_mod
-from . import kernels, mkl, svm
+from . import bow, kernels, mkl, svm
 from .config import RunConfig
 from .dataio import DatasetManifest, read_json, write_json
 from .errors import ConfigError, FormatError, ValidationError
-from .evaluation import METHODS, build_bank_specs, _normalize_features
 
-_BINARY_CODECS = {
-    "single_kernel": (svm.BinarySvmModel, "svm"),
-    "multichannel": (svm.BinarySvmModel, "svm"),
-    "simple_mkl": (mkl.MklModel, "mkl"),
-    "boost_mkl": (boost_mod.BoostedModel, "boost"),
+
+@dataclass(frozen=True)
+class Method:
+    """One classification method. ``train`` and ``score`` look their solvers
+    up on the solver modules at call time, so wrappers installed there see
+    every call."""
+
+    per_block: bool      # one kernel per feature block, else one over the whole vector
+    kinds: tuple         # accepted kernel kinds
+    codec: type          # binary payload class (to_dict / from_dict)
+    train: Callable      # (bank, y_pm, cfg, seed_sequence) -> payload
+    score: Callable      # (payload, kernel rows (M, n, L)) -> (n,) scores
+    check: Callable      # (payload, train_count, kernel_count); raises FormatError
+    describe: Callable   # payload -> one line for ``egoact inspect``
+
+
+def _check_svm(model, train_count, kernel_count):
+    if model.size != train_count:
+        raise FormatError(f"SVM has {model.size} coefficients for {train_count} training vectors")
+
+
+def _check_mkl(model, train_count, kernel_count):
+    if model.weights.size != kernel_count:
+        raise FormatError(f"MKL model has {model.weights.size} weights for {kernel_count} kernels")
+    _check_svm(model.svm, train_count, kernel_count)
+
+
+def _check_boost(model, train_count, kernel_count):
+    if (model.train_size, model.kernel_count) != (train_count, kernel_count):
+        raise FormatError(f"boosted model is for {model.train_size} vectors and "
+                          f"{model.kernel_count} kernels, not {train_count} and {kernel_count}")
+    for trial in model.trials:
+        idx = trial.train_indices
+        if (not 0 <= trial.kernel_index < kernel_count or idx.shape != (trial.svm.size,)
+                or idx.min(initial=0) < 0 or idx.max(initial=0) >= train_count):
+            raise FormatError("boosting trial refers to a kernel or training vector outside the model")
+
+
+def _describe_mkl(model) -> str:
+    weights = model.weights.tolist()
+    text = " ".join(f"{w:.3f}" for w in weights)
+    return f"kernel weights [{text}] sum={sum(weights):.3f}"
+
+
+_SVM = dict(
+    codec=svm.BinarySvmModel, check=_check_svm,
+    train=lambda bank, y, cfg, seed: svm.smo_train(bank.grams[0], y, cfg.svm.c_reg, tol=cfg.svm.tol),
+    score=lambda model, rows: svm.decision_many(model, rows[0]),
+    describe=lambda model: f"{int((model.alpha > 0).sum())} support vectors, bias {model.bias:.4f}",
+)
+
+METHODS = {
+    "single_kernel": Method(per_block=False, kinds=kernels.KERNEL_KINDS, **_SVM),
+    "multichannel": Method(per_block=False, kinds=kernels.CHANNEL_KINDS, **_SVM),
+    "simple_mkl": Method(
+        per_block=True, kinds=kernels.KERNEL_KINDS, codec=mkl.MklModel, check=_check_mkl,
+        train=lambda bank, y, cfg, seed: mkl.simple_mkl_train(
+            bank, y, cfg.svm.c_reg, cfg.mkl, svm_tol=cfg.svm.tol),
+        score=lambda model, rows: mkl.mkl_predict_many(model, rows),
+        describe=_describe_mkl,
+    ),
+    "boost_mkl": Method(
+        per_block=True, kinds=kernels.KERNEL_KINDS, codec=boost_mod.BoostedModel, check=_check_boost,
+        train=lambda bank, y, cfg, seed: boost_mod.boost_train(
+            bank, y, cfg.boost.trials, cfg.svm.c_reg, seed, svm_tol=cfg.svm.tol),
+        score=lambda model, rows: boost_mod.boost_predict_many(model, rows),
+        describe=lambda model: f"{len(model.trials)} trials (" + ", ".join(
+            f"k{t.kernel_index}:w={t.weight:.3f}" for t in model.trials) + ")",
+    ),
 }
+
+
+def method_entry(name: str) -> Method:
+    if name not in METHODS:
+        raise ConfigError(f"unknown method {name!r}, expected one of {tuple(METHODS)}")
+    return METHODS[name]
 
 
 class TrainedModel:
@@ -31,8 +106,6 @@ class TrainedModel:
     __slots__ = ("method", "classes", "specs", "scales", "train_vectors", "binary_models")
 
     def __init__(self, method, classes, specs, scales, train_vectors, binary_models):
-        if method not in METHODS:
-            raise ValidationError(f"unknown method {method!r}")
         self.method = method
         self.classes = list(classes)
         self.specs = list(specs)
@@ -40,26 +113,12 @@ class TrainedModel:
         self.train_vectors = np.asarray(train_vectors, dtype=np.float64)
         self.binary_models = list(binary_models)
 
-    def kernel_rows_for(self, vectors) -> np.ndarray:
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        return np.stack(
-            [
-                kernels.kernel_rows(spec, vectors, self.train_vectors) * scale
-                for spec, scale in zip(self.specs, self.scales)
-            ]
-        )
-
     def score_matrix(self, vectors) -> np.ndarray:
-        rows = self.kernel_rows_for(vectors)
-        columns = []
-        for model in self.binary_models:
-            if self.method in ("single_kernel", "multichannel"):
-                columns.append(svm.decision_many(model, rows[0]))
-            elif self.method == "simple_mkl":
-                columns.append(mkl.mkl_predict_many(model, rows))
-            else:
-                columns.append(boost_mod.boost_predict_many(model, rows))
-        return np.stack(columns, axis=1)
+        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+        rows = np.stack([kernels.kernel_rows(spec, vectors, self.train_vectors) * scale
+                         for spec, scale in zip(self.specs, self.scales)])
+        score = METHODS[self.method].score
+        return np.stack([score(model, rows) for model in self.binary_models], axis=1)
 
     def predict(self, vectors) -> np.ndarray:
         return svm.ova_predict_scores(self.score_matrix(vectors))
@@ -77,15 +136,34 @@ class TrainedModel:
 
     @staticmethod
     def from_dict(doc: dict) -> "TrainedModel":
-        method = doc["method"]
-        if method not in _BINARY_CODECS:
-            raise FormatError(f"model file has unknown method {method!r}")
-        cls, _ = _BINARY_CODECS[method]
-        binaries = [cls.from_dict(b) for b in doc["binary_models"]]
+        """Decode a model document; FormatError when its parts disagree in size."""
+        method = method_entry(doc["method"])
         specs = [kernels.KernelSpec.from_dict(s) for s in doc["specs"]]
-        return TrainedModel(
-            method, doc["classes"], specs, doc["scales"], doc["train_vectors"], binaries
+        model = TrainedModel(
+            doc["method"], doc["classes"], specs, doc["scales"], doc["train_vectors"],
+            [method.codec.from_dict(b) for b in doc["binary_models"]],
         )
+        vectors = model.train_vectors
+        if vectors.ndim != 2 or not len(vectors) or not specs:
+            raise FormatError("model needs a nonempty (count, dim) train_vectors and kernel specs")
+        if len(model.scales) != len(specs):
+            raise FormatError(f"model has {len(model.scales)} scales for {len(specs)} kernels")
+        if len(model.binary_models) != len(model.classes):
+            raise FormatError(f"model has {len(model.binary_models)} binary models "
+                              f"for {len(model.classes)} classes")
+        for payload in model.binary_models:
+            method.check(payload, len(vectors), len(specs))
+        return model
+
+
+def model_from_doc(doc: dict, source) -> TrainedModel:
+    """Decode the model document read from ``source``; every defect is a FormatError."""
+    if doc.get("kind") != "model":
+        raise FormatError(f"{source}: not a model file")
+    try:
+        return TrainedModel.from_dict(doc)
+    except (KeyError, TypeError, ValueError, ValidationError, FormatError) as exc:
+        raise FormatError(f"{source}: malformed model file ({exc})") from exc
 
 
 def write_model(model: TrainedModel, path) -> None:
@@ -93,58 +171,90 @@ def write_model(model: TrainedModel, path) -> None:
 
 
 def read_model(path) -> TrainedModel:
-    doc = read_json(path)
-    if doc.get("kind") != "model":
-        raise FormatError(f"{path}: not a model file")
-    try:
-        return TrainedModel.from_dict(doc)
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed model file ({exc})") from exc
+    return model_from_doc(read_json(path), path)
 
 
-def train_model(manifest: DatasetManifest, histograms, cfg: RunConfig, method: str,
-                kernel_kind: str | None = None, seed: int = 0) -> TrainedModel:
-    """Train one model on every video in the manifest (no held-out split)."""
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}, expected one of {METHODS}")
-    kernel_kind = kernel_kind or cfg.kernels.kind
-    by_id = {h.video_id: h for h in histograms}
-    missing = [v.video_id for v in manifest.videos if v.video_id not in by_id]
-    if missing:
-        raise ValidationError(f"histograms missing for videos: {missing[:5]}")
-    hists = [by_id[v.video_id] for v in manifest.videos]
-    labels = np.array([v.class_index for v in manifest.videos])
+# ---------------------------------------------------------------------------
+# kernel bank assembly and fitting
 
-    features = _normalize_features(hists[0].block_order())
-    layout = [
-        (name, offset, length)
-        for (name, _), (offset, length) in zip(hists[0].blocks, hists[0].layout())
-    ]
-    vectors = np.stack([h.concat() for h in hists])
+def normalize_features(features):
+    features = tuple(f for f in bow.BLOCK_ORDER if f in set(features))
+    if not features:
+        raise ConfigError("at least one of hof, logc, cuboid must be selected")
+    return features
 
-    specs = build_bank_specs(method, kernel_kind, features, layout, cfg, vectors)
+
+def stack_histograms(histograms):
+    """(count, dim) concatenated vectors and the (name, offset, length) block layout."""
+    layout = [(name, offset, length) for (name, _), (offset, length)
+              in zip(histograms[0].blocks, histograms[0].layout())]
+    return np.stack([h.concat() for h in histograms]), layout
+
+
+def build_bank_specs(method, kernel_kind, layout, cfg: RunConfig, train_vectors):
+    """Kernel specs for one training set: one per feature block for a per-block
+    method, else one over the whole vector. Gaussian widths come from the set."""
+    entry = method_entry(method)
+    if kernel_kind not in kernels.KERNEL_KINDS:
+        raise ConfigError(f"unknown kernel kind {kernel_kind!r}")
+    if kernel_kind not in entry.kinds:
+        raise ConfigError(f"{method} needs a {' or '.join(entry.kinds)} kernel")
+    targets = [(None, kernel_kind)]
+    if entry.per_block:
+        targets = [((offset, length), f"{kernel_kind}:{name}") for name, offset, length in layout]
+    specs = []
+    for block, label in targets:
+        channels = ()
+        if kernel_kind in kernels.CHANNEL_KINDS:
+            channels = ((0, block[1]),) if block else tuple((off, ln) for _, off, ln in layout)
+        sigma = None
+        if kernel_kind == kernels.GAUSSIAN:
+            sigma = cfg.kernels.gaussian_sigma
+            if sigma is None:
+                sigma = kernels.median_heuristic_sigma(train_vectors, block=block)
+        exponents = ()
+        if kernel_kind == kernels.JPL_INT and cfg.kernels.jpl_exponents:
+            exponents = tuple(cfg.kernels.jpl_exponents)
+            if len(exponents) != len(channels):
+                raise ConfigError(
+                    f"jpl_exponents has {len(exponents)} entries for {len(channels)} channels"
+                )
+        specs.append(kernels.KernelSpec(kernel_kind, sigma=sigma, channels=channels,
+                                        exponents=exponents, block=block, label=label))
+    return specs
+
+
+def fit(method, vectors, labels, classes, layout, cfg: RunConfig, kernel_kind,
+        seed, spawn_prefix) -> TrainedModel:
+    """Build the trace-normalized kernel bank over ``vectors`` and train one
+    binary model per class.
+
+    Class k's binary problem gets ``SeedSequence(seed, spawn_key=(*spawn_prefix, k))``;
+    only boosting draws from it.
+    """
+    specs = build_bank_specs(method, kernel_kind, layout, cfg, vectors)
     grams, scales = [], []
     for spec in specs:
         gram, scale = kernels.trace_normalize(kernels.gram_matrix(vectors, spec))
         grams.append(gram)
         scales.append(scale)
     bank = kernels.KernelBank(specs, grams)
+    train = METHODS[method].train
+    ova = svm.ova_train(labels, classes, lambda y_pm, k: train(
+        bank, y_pm, cfg, np.random.SeedSequence(entropy=seed, spawn_key=(*spawn_prefix, k))))
+    return TrainedModel(method, classes, specs, scales, vectors, ova.models)
 
-    if method in ("single_kernel", "multichannel"):
-        def trainer(y_pm, _k):
-            return svm.smo_train(bank.grams[0], y_pm, cfg.svm.c_reg, tol=cfg.svm.tol)
-    elif method == "simple_mkl":
-        params = mkl.MklParams(
-            c_reg=cfg.svm.c_reg, svm_tol=cfg.svm.tol, weight_tol=cfg.mkl.weight_tol,
-            objective_tol=cfg.mkl.objective_tol, max_outer=cfg.mkl.max_outer,
-        )
-        def trainer(y_pm, _k):
-            return mkl.simple_mkl_train(bank, y_pm, params)
-    else:
-        def trainer(y_pm, k):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-            return boost_mod.boost_train(bank, y_pm, cfg.boost.trials, cfg.svm.c_reg, rng,
-                                         svm_tol=cfg.svm.tol)
 
-    ova = svm.ova_train(labels, manifest.classes, trainer)
-    return TrainedModel(method, manifest.classes, specs, scales, vectors, ova.models)
+def train_model(manifest: DatasetManifest, histograms, cfg: RunConfig, method: str,
+                kernel_kind: str | None = None, seed: int = 0) -> TrainedModel:
+    """Train one model on every video in the manifest (no held-out split)."""
+    by_id = {h.video_id: h for h in histograms}
+    missing = [v.video_id for v in manifest.videos if v.video_id not in by_id]
+    if missing:
+        raise ValidationError(f"histograms missing for videos: {missing[:5]}")
+    hists = [by_id[v.video_id] for v in manifest.videos]
+    normalize_features(hists[0].block_order())
+    vectors, layout = stack_histograms(hists)
+    labels = np.array([v.class_index for v in manifest.videos])
+    return fit(method, vectors, labels, manifest.classes, layout, cfg,
+               kernel_kind or cfg.kernels.kind, seed, ())

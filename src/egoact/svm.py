@@ -31,6 +31,8 @@ class BinarySvmModel:
         self.bias = float(bias)
         self.c_reg = float(c_reg)
         self.box = np.asarray(box, dtype=np.float64)
+        if self.alpha.ndim != 1 or not self.alpha.shape == self.labels.shape == self.box.shape:
+            raise ValidationError("alpha, labels and box must be vectors of one length")
         self.converged = bool(converged)
         self.iterations = int(iterations)
         self.objective = float(objective)
@@ -220,24 +222,12 @@ def _solve_bias(alpha, y, grad, box) -> float:
     return float((hi + lo) / 2.0)
 
 
-def decision(model: BinarySvmModel, k_row) -> float:
-    """f(x) = sum_i alpha_i y_i K(x, x_i) + b for one query row."""
-    k_row = np.asarray(k_row, dtype=np.float64)
-    if k_row.shape != (model.size,):
-        raise ValidationError(f"kernel row has length {k_row.shape}, expected {model.size}")
-    return float(k_row @ (model.alpha * model.labels) + model.bias)
-
-
 def decision_many(model: BinarySvmModel, k_rows) -> np.ndarray:
+    """f(x) = sum_i alpha_i y_i K(x, x_i) + b for each (n, L) query row."""
     k_rows = np.asarray(k_rows, dtype=np.float64)
     if k_rows.ndim != 2 or k_rows.shape[1] != model.size:
         raise ValidationError(f"kernel rows must be (n, {model.size})")
     return k_rows @ (model.alpha * model.labels) + model.bias
-
-
-def predict_label(score: float) -> int:
-    """Sign of the decision value with the 0 -> +1 convention."""
-    return 1 if score >= 0.0 else -1
 
 
 def kkt_residuals(model: BinarySvmModel, gram, y) -> np.ndarray:

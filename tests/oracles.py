@@ -5,7 +5,8 @@ projected gradient ascent with an exact simplex-free projection, and the
 eigen checks go through numpy's LAPACK wrappers rather than the package's
 Jacobi solver. The flow oracle is the straightforward one-pair-at-a-time
 Horn-Schunck sweep, against which the blocked solver must match byte for
-byte.
+byte. The quantizer measures each centroid by direct differences instead
+of the expanded squared-distance form that ``bow.quantize_batch`` uses.
 """
 
 import numpy as np
@@ -77,6 +78,12 @@ def random_svm_problem(rng, max_size=8):
     kernel = points @ points.T + 0.1 * np.eye(n)
     c = float(rng.choice([0.5, 1.0, 10.0]))
     return kernel, y, c
+
+
+def quantize(vector, codebook) -> int:
+    """Index of the nearest centroid (Euclidean); ties pick the lowest index."""
+    diffs = codebook.centroids - np.asarray(vector, dtype=np.float64)[None, :]
+    return int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))
 
 
 def min_eigenvalue(matrix) -> float:

@@ -29,7 +29,7 @@ from egoact.kernels import (
     gram_matrix,
 )
 from egoact.linalg import jacobi_eigh, matrix_exp, matrix_log
-from egoact.mkl import MklParams, simple_mkl_train
+from egoact.mkl import simple_mkl_train
 from egoact.svm import decision_many, kkt_residuals, smo_train
 from egoact.synth import generate_synthetic_dataset
 from oracles import random_svm_problem, svm_dual_oracle, svm_dual_value
@@ -127,7 +127,7 @@ def test_criterion_02_simple_mkl_selects_informative_kernel():
     assert accuracies[0] >= 0.95, "construction: informative kernel must train well"
     assert max(accuracies[1:]) <= 0.60, "construction: noise kernels must not"
 
-    model = simple_mkl_train(KernelBank(specs, grams), y, MklParams(c_reg=1.0))
+    model = simple_mkl_train(KernelBank(specs, grams), y, 1.0)
     elapsed = time.monotonic() - started
     assert model.weights[0] >= 0.7
     assert model.weights.min() >= -1e-9

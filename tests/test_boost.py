@@ -4,7 +4,6 @@ import pytest
 from egoact.boost import (
     BoostedModel,
     WeakClassifier,
-    boost_predict,
     boost_predict_many,
     boost_train,
     predict_labels,
@@ -149,14 +148,14 @@ def _manual_model(weights, votes_per_trial, n_train=4, kernels=2):
 
 def test_unanimous_votes_sum_weights():
     model = _manual_model([0.5, 1.5, 2.0], [1.0, 1.0, 1.0])
-    rows = np.zeros((2, 4))
-    assert boost_predict(model, rows) == pytest.approx(4.0)
+    rows = np.zeros((2, 3, 4))
+    assert np.allclose(boost_predict_many(model, rows), 4.0, rtol=0, atol=1e-12)
 
 
 def test_heavier_trial_wins_disagreement():
     model = _manual_model([2.0, 0.75], [1.0, -1.0])
-    rows = np.zeros((2, 4))
-    score = boost_predict(model, rows)
+    rows = np.zeros((2, 1, 4))
+    score = boost_predict_many(model, rows)[0]
     assert score == pytest.approx(2.0 - 0.75)
     assert predict_labels([score])[0] == 1
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from egoact.bow import encode_video, kmeans, kmeans_with_history, quantize, quantize_batch
+from egoact.bow import encode_video, kmeans, kmeans_with_history, quantize_batch
 from egoact.dataio import Codebook, DescriptorSet
 from egoact.errors import ConfigError, ValidationError
+from oracles import quantize
 
 
 def two_clouds(rng, n=60, distance=100.0, radius=1.0):
@@ -63,14 +64,14 @@ def test_kmeans_accepts_descriptor_set():
 
 def test_quantize_exact_centroid():
     codebook = Codebook("hof", np.arange(20.0).reshape(5, 4))
-    assert quantize(codebook.centroids[3], codebook) == 3
+    assert quantize_batch(codebook.centroids[3:4], codebook).tolist() == [3]
 
 
 def test_quantize_tie_breaks_low():
     centroids = np.array([[0.0], [2.0], [5.0], [0.0], [2.0]])
     codebook = Codebook("hof", centroids)
-    assert quantize(np.array([1.0]), codebook) == 0   # tie between 0 and 1
-    assert quantize(np.array([2.0]), codebook) == 1   # tie between 1 and 4
+    # ties between 0 and 1 for the first query, 1 and 4 for the second
+    assert quantize_batch(np.array([[1.0], [2.0]]), codebook).tolist() == [0, 1]
 
 
 def test_quantize_matches_brute_force():
@@ -79,15 +80,13 @@ def test_quantize_matches_brute_force():
     queries = rng.normal(size=(1000, 6))
     batch = quantize_batch(queries, codebook)
     for query, got in zip(queries, batch):
-        dists = [np.dot(query - c, query - c) for c in codebook.centroids]
-        assert got == int(np.argmin(dists))
-        assert quantize(query, codebook) == got
+        assert got == quantize(query, codebook)
 
 
 def test_quantize_dim_mismatch():
     codebook = Codebook("hof", np.zeros((2, 3)))
     with pytest.raises(ValidationError):
-        quantize(np.zeros(4), codebook)
+        quantize_batch(np.zeros((1, 4)), codebook)
 
 
 def _codebooks():

@@ -202,6 +202,27 @@ def test_corrupt_artifact_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+MODEL_DEFECTS = {
+    "no_specs": lambda doc: doc.pop("specs"),
+    "svm_payloads_under_simple_mkl": lambda doc: doc.update(
+        binary_models=[b["svm"] for b in doc["binary_models"]]),
+    "unknown_method": lambda doc: doc.update(method="polynomial_svm"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))
+def test_inspect_malformed_model_exits_2(pipeline, tmp_path, capsys, defect):
+    doc = json.loads(pipeline["model"].read_text())
+    MODEL_DEFECTS[defect](doc)
+    path = tmp_path / "model.json"
+    write_json(path, doc)
+    assert main(["inspect", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "malformed model file" in captured.err
+
+
 def test_convergence_error_exits_3(tmp_path, capsys, monkeypatch):
     import egoact.cli as cli_mod
     from egoact.errors import ConvergenceError

@@ -91,3 +91,12 @@ def test_flow_nan_alpha_rejected_when_loading_file(tmp_path):
     path.write_text('{"format_version": 1, "flow": {"alpha": NaN}}')
     with pytest.raises(ConfigError):
         RunConfig.load(path)
+
+
+@pytest.mark.parametrize("split", [{"train_n": 0}, {"test_n": 0}])
+def test_split_counts_rejected_when_loading_file(tmp_path, split):
+    path = tmp_path / "cfg.json"
+    write_json(path, {"split": split})
+    with pytest.raises(ConfigError, match="train_n"):
+        RunConfig.load(path)
+    assert RunConfig.from_dict({"split": {"mode": "half_half", **split}}).split.mode == "half_half"

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from egoact.config import RunConfig
+from egoact.config import RunConfig, SplitSection
 from egoact.dataio import DatasetManifest, DescriptorSet, VideoEntry
 from egoact.errors import ConfigError, ValidationError
 from egoact.evaluation import (
     EvalReport,
-    SplitSpec,
     per_class_accuracy_stddev,
     pair_confusion,
     random_split,
@@ -49,7 +48,7 @@ def small_config(words=4, repeats=3):
 
 def test_split_covers_class_exactly():
     manifest = toy_manifest(classes=2, per_class=5)
-    spec = SplitSpec(mode="per_class_counts", train_n=3, test_n=2, base_seed=1)
+    spec = SplitSection(mode="per_class_counts", train_n=3, test_n=2, base_seed=1)
     train, test = random_split(manifest, spec, 0)
     assert len(train) == 6 and len(test) == 4
     assert not set(train) & set(test)
@@ -59,21 +58,21 @@ def test_split_covers_class_exactly():
 
 def test_split_deterministic_and_seed_sensitive():
     manifest = toy_manifest()
-    spec = SplitSpec(train_n=2, test_n=2, base_seed=9)
+    spec = SplitSection(train_n=2, test_n=2, base_seed=9)
     assert random_split(manifest, spec, 3) == random_split(manifest, spec, 3)
     assert random_split(manifest, spec, 3) != random_split(manifest, spec, 4)
 
 
 def test_half_half_rounds_toward_training():
     manifest = toy_manifest(classes=2, per_class=5)
-    spec = SplitSpec(mode="half_half", base_seed=0)
+    spec = SplitSection(mode="half_half", base_seed=0)
     train, test = random_split(manifest, spec, 0)
     assert len(train) == 6 and len(test) == 4  # 3 train / 2 test per class
 
 
 def test_split_class_too_small():
     manifest = toy_manifest(classes=2, per_class=3)
-    spec = SplitSpec(train_n=3, test_n=1)
+    spec = SplitSection(train_n=3, test_n=1)
     with pytest.raises(ValidationError):
         random_split(manifest, spec, 0)
 
@@ -122,7 +121,7 @@ def test_single_repeat_equals_manual_run(tmp_path):
     report = run_experiment(manifest, tmp_path, cfg, "single_kernel", kernel_kind="h_int",
                             features=("hof",), repeats=1, base_seed=5,
                             descriptor_cache=cache)
-    split = SplitSpec(mode="per_class_counts", train_n=2, test_n=2, repeats=1, base_seed=5)
+    split = SplitSection(mode="per_class_counts", train_n=2, test_n=2, repeats=1, base_seed=5)
     accuracy, confusion = run_repeat(manifest, cache, cfg, "single_kernel", "h_int",
                                      ("hof",), split, 0)
     assert report.per_repeat_accuracy == [accuracy * 100.0]
@@ -206,9 +205,23 @@ def test_errors_carry_repeat_index(tmp_path):
                        features=("hof",), repeats=1, descriptor_cache=cache)
 
 
+def test_foreign_errors_keep_their_type_and_note_the_repeat(tmp_path, monkeypatch):
+    import egoact.evaluation as evaluation
+
+    def failing_repeat(*args):
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    monkeypatch.setattr(evaluation, "run_repeat", failing_repeat)
+    manifest = toy_manifest()
+    with pytest.raises(UnicodeDecodeError) as info:
+        run_experiment(manifest, tmp_path, small_config(), "single_kernel", kernel_kind="h_int",
+                       features=("hof",), repeats=1, descriptor_cache=constant_descriptor_cache(manifest))
+    assert info.value.__notes__ == ["in repeat 0"]
+
+
 def test_pair_confusion_helper():
     manifest = toy_manifest()
-    split = SplitSpec(train_n=2, test_n=2, repeats=1, base_seed=0)
+    split = SplitSection(train_n=2, test_n=2, repeats=1, base_seed=0)
     counts = np.array([[10, 0, 0, 0], [0, 10, 0, 0], [0, 0, 5, 5], [0, 0, 5, 5]])
     report = EvalReport("single_kernel", "h_int", ["hof"], manifest.classes, split,
                         [0.75], counts, {})

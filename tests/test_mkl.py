@@ -3,8 +3,9 @@ import pytest
 
 from egoact.errors import ValidationError
 from egoact.kernels import GAUSSIAN, KernelBank, KernelSpec, gram_matrix
-from egoact.mkl import MklModel, MklParams, mkl_predict, mkl_predict_many, simple_mkl_train
-from egoact.svm import decision, decision_many, ova_predict_scores, ova_train, smo_train
+from egoact.config import MklSection
+from egoact.mkl import MklModel, mkl_predict_many, simple_mkl_train
+from egoact.svm import decision_many, ova_predict_scores, ova_train, smo_train
 
 
 def informative_and_noise_bank(seed=7, n=48, sigma=8.0):
@@ -33,9 +34,8 @@ def single_kernel_bank(seed=0, n=20):
 
 def test_single_kernel_bank_reduces_to_plain_svm():
     bank, y, _ = single_kernel_bank()
-    params = MklParams(c_reg=5.0)
-    model = simple_mkl_train(bank, y, params)
-    plain = smo_train(bank.grams[0], y, 5.0, tol=params.svm_tol)
+    model = simple_mkl_train(bank, y, 5.0)
+    plain = smo_train(bank.grams[0], y, 5.0, tol=1e-3)
     assert np.array_equal(model.weights, [1.0])
     assert np.array_equal(model.svm.alpha, plain.alpha)
     assert model.svm.bias == plain.bias
@@ -48,9 +48,8 @@ def test_identical_kernels_keep_single_kernel_objective():
         [bank.specs[0], bank.specs[0]],
         [bank.grams[0], bank.grams[0]],
     )
-    params = MklParams(c_reg=5.0)
-    model = simple_mkl_train(twin, y, params)
-    single = simple_mkl_train(bank, y, params)
+    model = simple_mkl_train(twin, y, 5.0)
+    single = simple_mkl_train(bank, y, 5.0)
     assert abs(model.svm.objective - single.svm.objective) <= 1e-9
     assert abs(model.weights.sum() - 1.0) <= 1e-9
 
@@ -66,7 +65,7 @@ def test_informative_kernel_wins():
     assert accuracies[0] >= 0.95
     assert max(accuracies[1:]) <= 0.60
 
-    model = simple_mkl_train(bank, y, MklParams(c_reg=1.0))
+    model = simple_mkl_train(bank, y, 1.0)
     assert model.weights[0] >= 0.7
     assert model.weights.min() >= -1e-9
     assert abs(model.weights.sum() - 1.0) <= 1e-9
@@ -83,10 +82,11 @@ def test_predict_one_hot_weights_match_single_kernel():
     other = KernelSpec(GAUSSIAN, sigma=0.5)
     two = KernelBank([spec, other], [bank.grams[0], gram_matrix(points, other)])
     svm_model = smo_train(bank.grams[0], y, 5.0)
-    model = MklModel([1.0, 0.0], svm_model, two.specs, True)
-    row0 = bank.grams[0].matrix[3]
-    row1 = two.grams[1].matrix[3]
-    assert mkl_predict(model, np.stack([row0, row1])) == decision(svm_model, row0)
+    model = MklModel([1.0, 0.0], svm_model, True)
+    row0 = bank.grams[0].matrix[3:5]
+    row1 = two.grams[1].matrix[3:5]
+    assert np.array_equal(mkl_predict_many(model, np.stack([row0, row1])),
+                          decision_many(svm_model, row0))
 
 
 def test_score_linear_in_weights():
@@ -95,39 +95,39 @@ def test_score_linear_in_weights():
     bank2 = KernelBank([bank.specs[0], spec_b],
                        [bank.grams[0], gram_matrix(points, spec_b)])
     svm_model = smo_train(bank.grams[0], y, 5.0)
-    rows = np.stack([bank2.grams[0].matrix[4], bank2.grams[1].matrix[4]])
+    rows = np.stack([bank2.grams[0].matrix[4:6], bank2.grams[1].matrix[4:6]])
     w1 = np.array([0.8, 0.2])
     w2 = np.array([0.3, 0.7])
     mid = 0.5 * w1 + 0.5 * w2
-    s1 = mkl_predict(MklModel(w1, svm_model, bank2.specs, True), rows)
-    s2 = mkl_predict(MklModel(w2, svm_model, bank2.specs, True), rows)
-    s_mid = mkl_predict(MklModel(mid, svm_model, bank2.specs, True), rows)
-    assert s_mid == pytest.approx(0.5 * s1 + 0.5 * s2, abs=1e-12)
+    s1 = mkl_predict_many(MklModel(w1, svm_model, True), rows)
+    s2 = mkl_predict_many(MklModel(w2, svm_model, True), rows)
+    s_mid = mkl_predict_many(MklModel(mid, svm_model, True), rows)
+    assert np.allclose(s_mid, 0.5 * s1 + 0.5 * s2, rtol=0, atol=1e-12)
 
 
 def test_predict_matches_naive_resummation():
     bank, y = informative_and_noise_bank(seed=9, n=16)
-    model = simple_mkl_train(bank, y, MklParams(c_reg=1.0))
+    model = simple_mkl_train(bank, y, 1.0)
     rows = np.stack([g.matrix[2] for g in bank.grams])
     combined = sum(w * row for w, row in zip(model.weights, rows))
     manual = sum(
         a * yi * k for a, yi, k in zip(model.svm.alpha, model.svm.labels, combined)
     ) + model.svm.bias
-    assert mkl_predict(model, rows) == pytest.approx(manual, abs=1e-12)
+    assert mkl_predict_many(model, rows[:, None, :])[0] == pytest.approx(manual, abs=1e-12)
 
 
 def test_predict_validates_shapes():
     bank, y, _ = single_kernel_bank(seed=8)
-    model = simple_mkl_train(bank, y, MklParams(c_reg=5.0))
+    model = simple_mkl_train(bank, y, 5.0)
     with pytest.raises(ValidationError):
-        mkl_predict(model, np.zeros((2, bank.size)))
+        mkl_predict_many(model, np.zeros((2, bank.size)))
     with pytest.raises(ValidationError):
         mkl_predict_many(model, np.zeros((2, 3, bank.size)))
 
 
 def test_weights_stay_on_simplex():
     bank, y = informative_and_noise_bank(seed=11, n=24)
-    model = simple_mkl_train(bank, y, MklParams(c_reg=2.0))
+    model = simple_mkl_train(bank, y, 2.0)
     assert model.weights.min() >= -1e-9
     assert abs(model.weights.sum() - 1.0) <= 1e-9
 
@@ -140,12 +140,12 @@ def test_multiclass_single_kernel_mkl_equals_svm():
     spec = KernelSpec(GAUSSIAN, sigma=2.0)
     gram = gram_matrix(points, spec)
     bank = KernelBank([spec], [gram])
-    params = MklParams(c_reg=10.0)
+    params = MklSection()
 
     ova_mkl = ova_train(labels, ["a", "b", "c"],
-                        lambda y_pm, k: simple_mkl_train(bank, y_pm, params))
+                        lambda y_pm, k: simple_mkl_train(bank, y_pm, 10.0, params, svm_tol=1e-3))
     ova_svm = ova_train(labels, ["a", "b", "c"],
-                        lambda y_pm, k: smo_train(gram, y_pm, 10.0, tol=params.svm_tol))
+                        lambda y_pm, k: smo_train(gram, y_pm, 10.0, tol=1e-3))
     rows = gram.matrix[None]
     mkl_scores = np.stack([mkl_predict_many(m, rows) for m in ova_mkl.models], axis=1)
     svm_scores = np.stack([decision_many(m, gram.matrix) for m in ova_svm.models], axis=1)

@@ -1,10 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 from egoact.config import RunConfig
-from egoact.dataio import DatasetManifest, VideoEntry, VideoHistogram
+from egoact.dataio import DatasetManifest, VideoEntry, VideoHistogram, write_json
 from egoact.errors import FormatError, ValidationError
-from egoact.modelio import read_model, train_model, write_model
+from egoact.modelio import TrainedModel, read_model, train_model, write_model
 
 
 def toy_histogram_dataset(classes=3, per_class=4, words=4, seed=0):
@@ -94,3 +96,56 @@ def test_model_file_is_self_contained(tmp_path):
     assert doc.classes == manifest.classes
     assert doc.train_vectors.shape[0] == len(hists)
     assert len(doc.specs) == 2  # one kernel per feature block
+
+
+@pytest.fixture(scope="module")
+def model_docs():
+    """One trained model document per payload kind over the 12-vector toy set."""
+    manifest, hists = toy_histogram_dataset()
+    cfg = RunConfig(features=("hof", "cuboid"))
+    return {method: train_model(manifest, hists, cfg, method, seed=1).to_dict()
+            for method in ("single_kernel", "simple_mkl", "boost_mkl")}
+
+
+def _svm_payloads(doc):
+    return [b.get("svm", b) for b in doc["binary_models"]]
+
+
+def _truncate_svms(doc, count):
+    for payload in _svm_payloads(doc):
+        for key in ("alpha", "labels", "box"):
+            payload[key] = payload[key][:count]
+
+
+def _first_trial(doc):
+    return doc["binary_models"][0]["trials"][0]
+
+
+SHAPE_DEFECTS = {
+    "alpha_shorter_than_labels": ("single_kernel", lambda d: d["binary_models"][0].update(
+        alpha=d["binary_models"][0]["alpha"][:3])),
+    "svm_of_3_for_12_vectors": ("single_kernel", lambda d: _truncate_svms(d, 3)),
+    "mkl_svm_of_3_for_12_vectors": ("simple_mkl", lambda d: _truncate_svms(d, 3)),
+    "scale_per_kernel": ("single_kernel", lambda d: d["scales"].append(1.0)),
+    "binary_model_per_class": ("simple_mkl", lambda d: d["binary_models"].pop()),
+    "mkl_weight_per_kernel": ("simple_mkl", lambda d: d["binary_models"][0].update(
+        weights=[0.5, 0.25, 0.25])),
+    "boost_kernel_index": ("boost_mkl", lambda d: _first_trial(d).update(kernel_index=2)),
+    "boost_train_index": ("boost_mkl", lambda d: _first_trial(d)["train_indices"].__setitem__(0, 12)),
+    "boost_train_index_count": ("boost_mkl", lambda d: _first_trial(d)["train_indices"].pop()),
+    "boost_train_size": ("boost_mkl", lambda d: d["binary_models"][0].update(train_size=11)),
+    "boost_kernel_count": ("boost_mkl", lambda d: d["binary_models"][0].update(kernel_count=3)),
+    "empty_train_vectors": ("single_kernel", lambda d: d.update(train_vectors=[])),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SHAPE_DEFECTS))
+def test_model_shape_defects_fail_at_load(tmp_path, model_docs, defect):
+    method, mutate = SHAPE_DEFECTS[defect]
+    doc = copy.deepcopy(model_docs[method])
+    TrainedModel.from_dict(copy.deepcopy(doc))   # the intact document loads
+    mutate(doc)
+    path = tmp_path / "model.json"
+    write_json(path, doc)
+    with pytest.raises(FormatError, match="malformed model file"):
+        read_model(path)

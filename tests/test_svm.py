@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from egoact.boost import predict_labels
 from egoact.errors import ValidationError
 from egoact.svm import (
     BinarySvmModel,
-    decision,
     decision_many,
     kkt_residuals,
     ova_predict_scores,
     ova_train,
-    predict_label,
     smo_train,
 )
 from oracles import random_svm_problem, svm_dual_oracle, svm_dual_value
@@ -22,7 +21,7 @@ def test_symmetric_pair():
     assert np.allclose(model.alpha, [0.5, 0.5], atol=1e-9)
     assert model.bias == pytest.approx(0.0, abs=1e-9)
     # the midpoint (the origin) sits exactly on the boundary
-    assert decision(model, np.array([0.0, 0.0])) == pytest.approx(0.0, abs=1e-9)
+    assert decision_many(model, np.zeros((1, 2)))[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_matches_brute_force_oracle():
@@ -54,7 +53,8 @@ def test_duplicating_points_keeps_decision_function():
 def test_decision_with_zero_alphas_is_bias():
     model = BinarySvmModel(np.zeros(3), np.array([1.0, -1.0, 1.0]), bias=0.25,
                            c_reg=1.0, box=np.ones(3))
-    assert decision(model, np.array([5.0, 6.0, 7.0])) == 0.25
+    assert np.array_equal(decision_many(model, np.array([[5.0, 6.0, 7.0], [1.0, 0.0, 2.0]])),
+                          [0.25, 0.25])
 
 
 def test_free_support_vectors_sit_on_margin():
@@ -72,9 +72,10 @@ def test_decision_matches_naive_resummation():
     rng = np.random.default_rng(4)
     kernel, y, c_reg = random_svm_problem(rng)
     model = smo_train(kernel, y, c_reg)
-    for row in kernel:
+    scores = decision_many(model, kernel)
+    for row, score in zip(kernel, scores):
         manual = sum(a * yi * k for a, yi, k in zip(model.alpha, model.labels, row))
-        assert decision(model, row) == pytest.approx(manual + model.bias, abs=1e-12)
+        assert score == pytest.approx(manual + model.bias, abs=1e-12)
 
 
 def test_equality_constraint_and_box():
@@ -121,12 +122,11 @@ def test_validation_errors():
         smo_train(gram, np.array([1.0, -1.0, 1.0]), 0.0)    # bad C
     model = smo_train(gram, np.array([1.0, -1.0, 1.0]), 1.0)
     with pytest.raises(ValidationError):
-        decision(model, np.zeros(4))
+        decision_many(model, np.zeros((1, 4)))
 
 
 def test_predict_label_zero_goes_positive():
-    assert predict_label(0.0) == 1
-    assert predict_label(-1e-12) == -1
+    assert predict_labels([0.0, -1e-12]).tolist() == [1, -1]
 
 
 def _clusters(rng, centers, per=8, spread=0.3):
