@@ -72,7 +72,7 @@ def cmd_extract(args) -> int:
     manifest = _load_manifest_dir(args.data)
     cache = extract_dataset_descriptors(
         manifest, args.data, features, cfg, workers=args.workers,
-        progress=_progress(sys.stderr) if args.workers == 1 else None,
+        progress=_progress(sys.stderr),
     )
     out_dir = Path(args.out)
     listing = {}
@@ -155,7 +155,7 @@ def cmd_evaluate(args) -> int:
         manifest, args.data, cfg, _resolve_method(args.method),
         kernel_kind=args.kernel, features=features, repeats=args.repeats,
         base_seed=args.seed, workers=args.workers,
-        progress=_progress(sys.stderr) if args.workers == 1 else None,
+        progress=_progress(sys.stderr),
     )
     report.write(args.out)
     if args.csv:
@@ -165,38 +165,50 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _inspect_json(path, doc) -> None:
-    kind = doc.get("kind", "?")
+# JSON artifact kind -> the name error messages give it
+JSON_KINDS = {"dataset_manifest": "manifest", "histograms": "histograms", "model": "model",
+              "eval_report": "eval report", "descriptors": "descriptors"}
+
+
+def _json_summary(path, doc, kind) -> list:
     if kind == "dataset_manifest":
         counts = {}
         for v in doc["videos"]:
             counts[v["class_index"]] = counts.get(v["class_index"], 0) + 1
-        print(f"manifest: {len(doc['classes'])} classes, {len(doc['videos'])} videos")
-        for k, name in enumerate(doc["classes"]):
-            print(f"  [{k}] {name}: {counts.get(k, 0)} videos")
-    elif kind == "histograms":
+        return [f"manifest: {len(doc['classes'])} classes, {len(doc['videos'])} videos",
+                *(f"  [{k}] {name}: {counts.get(k, 0)} videos"
+                  for k, name in enumerate(doc["classes"]))]
+    if kind == "histograms":
         sizes = dict(zip(doc["block_order"], doc["block_sizes"]))
-        print(f"histograms: {len(doc['histograms'])} videos, blocks {sizes}")
-    elif kind == "model":
+        return [f"histograms: {len(doc['histograms'])} videos, blocks {sizes}"]
+    if kind == "model":
         model = model_from_doc(doc, path)
-        print(f"model: method={model.method}, classes={model.classes}")
-        print(f"  kernels: {[s.label or s.kind for s in model.specs]}")
         describe = METHODS[model.method].describe
-        for name, payload in zip(model.classes, model.binary_models):
-            print(f"  class {name}: {describe(payload)}")
-    elif kind == "eval_report":
-        print(f"report: method={doc['method']} kernel={doc['kernel']} "
-              f"features={doc['features']}")
-        print(f"  mean accuracy {doc['mean_accuracy']:.2f}% over "
-              f"{len(doc['per_repeat_accuracy'])} repeats; "
-              f"per-class stddev {doc['per_class_stddev']:.2f}")
-        print("  confusion (% rows):")
-        for name, row in zip(doc["classes"], doc["confusion"]):
-            print(f"    {name}: " + " ".join(f"{v:5.1f}" for v in row))
-    elif kind == "descriptors":
-        print(f"descriptors: {len(doc['videos'])} videos, dims {doc['dims']}")
-    else:
+        return [f"model: method={model.method}, classes={model.classes}",
+                f"  kernels: {[s.label or s.kind for s in model.specs]}",
+                *(f"  class {name}: {describe(payload)}"
+                  for name, payload in zip(model.classes, model.binary_models))]
+    if kind == "eval_report":
+        return [f"report: method={doc['method']} kernel={doc['kernel']} features={doc['features']}",
+                f"  mean accuracy {doc['mean_accuracy']:.2f}% over "
+                f"{len(doc['per_repeat_accuracy'])} repeats; "
+                f"per-class stddev {doc['per_class_stddev']:.2f}",
+                "  confusion (% rows):",
+                *(f"    {name}: " + " ".join(f"{v:5.1f}" for v in row)
+                  for name, row in zip(doc["classes"], doc["confusion"]))]
+    return [f"descriptors: {len(doc['videos'])} videos, dims {doc['dims']}"]
+
+
+def _inspect_json(path, doc) -> None:
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in JSON_KINDS:
         print(json.dumps(doc, indent=2))
+        return
+    try:   # the summary is built in full first, so a defect prints nothing
+        lines = _json_summary(path, doc, kind)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed {JSON_KINDS[kind]} file ({exc})") from exc
+    print("\n".join(lines))
 
 
 def cmd_inspect(args) -> int:

@@ -14,7 +14,7 @@ reports byte-identical for any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -63,6 +63,27 @@ def per_class_accuracy_stddev(confusion) -> float:
     return float(np.std(np.diag(confusion)))
 
 
+def ordered_map(fn, items, workers: int = 1, progress=None) -> list:
+    """``[fn(item) for item in items]`` on up to ``workers`` threads, inline
+    on the calling thread at ``workers <= 1``. ``progress(done, total)`` runs
+    after each item; with threads, the first failure in item order is raised
+    once every item has finished."""
+    items = list(items)
+    if workers <= 1:
+        results = []
+        for item in items:
+            results.append(fn(item))
+            if progress:
+                progress(len(results), len(items))
+        return results
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+        for done, _ in enumerate(as_completed(futures), 1):
+            if progress:
+                progress(done, len(items))
+        return [future.result() for future in futures]
+
+
 # ---------------------------------------------------------------------------
 # descriptor extraction
 
@@ -93,15 +114,7 @@ def extract_dataset_descriptors(manifest: DatasetManifest, data_dir, features,
         seq = read_frame_sequence(data_dir / entry.path)
         return extract_video_descriptors(seq, features, cfg)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, manifest.videos))
-    else:
-        results = []
-        for i, entry in enumerate(manifest.videos):
-            results.append(job(entry))
-            if progress:
-                progress(i + 1, len(manifest.videos))
+    results = ordered_map(job, manifest.videos, workers, progress)
     return {entry.video_id: sets for entry, sets in zip(manifest.videos, results)}
 
 
@@ -247,17 +260,7 @@ def run_experiment(manifest: DatasetManifest, data_dir, cfg: RunConfig, method: 
             exc.add_note(f"in repeat {repeat_index}")
             raise
 
-    indices = range(split.repeats)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, indices))
-    else:
-        results = []
-        for i in indices:
-            results.append(one(i))
-            if progress:
-                progress(i + 1, split.repeats)
-
+    results = ordered_map(one, range(split.repeats), workers, progress)
     accuracies = [acc for acc, _ in results]
     counts = np.sum([conf for _, conf in results], axis=0)
     echo = cfg.to_dict()

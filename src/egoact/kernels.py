@@ -99,33 +99,33 @@ def _view(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
     return x[..., offset : offset + length]
 
 
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Kernel value between two histogram vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValidationError(f"vector shapes differ: {x.shape} vs {y.shape}")
-    x = _view(spec, x)
-    y = _view(spec, y)
+def _kernel_block(spec: KernelSpec, queries: np.ndarray, references: np.ndarray) -> np.ndarray:
+    """(n, m) kernel values between two (count, dim) float64 arrays, in one
+    array pass; the block view, sign and channel checks run once."""
+    if queries.ndim != 2 or references.ndim != 2 or queries.shape[1] != references.shape[1]:
+        raise ValidationError(f"vector shapes differ: {queries.shape[1:]} vs {references.shape[1:]}")
+    q = _view(spec, queries)
+    r = _view(spec, references)
 
     if spec.kind == GAUSSIAN:
         if spec.sigma is None:
             raise ValidationError("gaussian spec has no sigma (materialize it first)")
-        diff = x - y
-        return float(np.exp(-np.dot(diff, diff) / (2.0 * spec.sigma * spec.sigma)))
+        diff = q[:, None, :] - r[None, :, :]
+        sq = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+        return np.exp(-sq / (2.0 * spec.sigma * spec.sigma))
 
-    if x.size and (x.min() < 0.0 or y.min() < 0.0):
+    if q.min(initial=0.0) < 0.0 or r.min(initial=0.0) < 0.0:
         raise ValidationError("intersection kernels need nonnegative entries")
-    mins = np.minimum(x, y)
+    mins = np.minimum(q[:, None], r[None])
     if spec.kind == H_INT:
-        return float(mins.sum())
+        return mins.sum(axis=-1)
 
-    _check_channels(spec.channels, x.size)
-    block_sums = np.array([mins[o : o + n].sum() for o, n in spec.channels])
+    _check_channels(spec.channels, q.shape[1])
+    block_sums = np.stack([mins[..., o : o + n].sum(axis=-1) for o, n in spec.channels], axis=-1)
     if spec.kind == DC_INT:
-        return float(block_sums.mean())
+        return block_sums.mean(axis=-1)
     exponents = spec.exponents or (1.0 / len(spec.channels),) * len(spec.channels)
-    return float(np.prod((block_sums + JPL_DELTA) ** np.asarray(exponents)))
+    return np.prod((block_sums + JPL_DELTA) ** np.asarray(exponents), axis=-1)
 
 
 class GramMatrix:
@@ -159,30 +159,22 @@ def data_fingerprint(vectors: np.ndarray) -> str:
 
 
 def gram_matrix(vectors, spec: KernelSpec) -> GramMatrix:
-    """Pairwise kernel matrix; only the upper triangle is computed, so
-    symmetry is exact by construction."""
+    """Pairwise kernel matrix; the upper triangle is mirrored onto the lower,
+    so symmetry is exact by construction."""
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] < 1:
         raise ValidationError("need a nonempty (count, dim) array of vectors")
-    n = vectors.shape[0]
-    matrix = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            value = kernel_eval(spec, vectors[i], vectors[j])
-            matrix[i, j] = value
-            matrix[j, i] = value
+    matrix = _kernel_block(spec, vectors, vectors)
+    lower = np.tril_indices(vectors.shape[0], k=-1)
+    matrix[lower] = matrix.T[lower]
     return GramMatrix(matrix, spec, data_fingerprint(vectors))
 
 
 def kernel_rows(spec: KernelSpec, queries, references) -> np.ndarray:
     """(n_queries, n_references) kernel values; used for test-time scoring."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    references = np.asarray(references, dtype=np.float64)
-    out = np.empty((queries.shape[0], references.shape[0]))
-    for i, q in enumerate(queries):
-        for j, r in enumerate(references):
-            out[i, j] = kernel_eval(spec, q, r)
-    return out
+    references = np.atleast_2d(np.asarray(references, dtype=np.float64))
+    return _kernel_block(spec, queries, references)
 
 
 class KernelBank:
@@ -220,6 +212,8 @@ def check_simplex(weights, count: int, tol: float = 1e-9) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (count,):
         raise ValidationError(f"expected {count} weights, got shape {weights.shape}")
+    if not np.all(np.isfinite(weights)):
+        raise ValidationError(f"kernel weights must be finite, got {weights.tolist()}")
     if weights.min(initial=0.0) < -tol:
         raise ValidationError(f"kernel weights must be nonnegative, got min {weights.min()}")
     if abs(weights.sum() - 1.0) > tol:
@@ -265,13 +259,9 @@ def median_heuristic_sigma(vectors, block=None) -> float:
     n = vectors.shape[0]
     if n < 2:
         return 1.0
-    d2 = _pairwise_sq(vectors)
+    sq = np.sum(vectors * vectors, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * vectors @ vectors.T, 0.0)
     dists = np.sqrt(d2[np.triu_indices(n, k=1)])
     median = float(np.median(dists))
     return median if median > 0.0 else 1.0
 
-
-def _pairwise_sq(x: np.ndarray) -> np.ndarray:
-    sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * x @ x.T
-    return np.maximum(d2, 0.0)

@@ -1,8 +1,9 @@
-"""Symmetric eigendecomposition by cyclic Jacobi rotations, plus matrix log/exp.
+"""Matrix logarithm and exponential of symmetric matrices.
 
-The solver is aimed at the small dense matrices this pipeline produces
-(12x12 feature covariances, Gram matrices over a few dozen videos), where
-Jacobi's accuracy on symmetric input is more valuable than raw speed.
+Both maps take the eigenpairs ``(w, V)`` from LAPACK's symmetric solver
+(``np.linalg.eigh``), apply the scalar function to ``w`` and rebuild
+``(V * f(w)) @ V.T``, averaged with its transpose so the result is exactly
+symmetric.
 """
 
 from __future__ import annotations
@@ -12,113 +13,50 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, ValidationError
 
 SYMMETRY_RTOL = 1e-9
-OFFDIAG_RTOL = 1e-12
 
 
 def check_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
-    """Return ``a`` as float64 after verifying it is square and symmetric."""
+    """Return ``a`` as float64 after verifying it is square, finite and symmetric."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("matrix entries must be finite")
     scale = np.linalg.norm(a)
     if scale > 0.0 and np.linalg.norm(a - a.T) > rtol * scale:
         raise ValidationError("matrix is not symmetric within tolerance")
     return a
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    upper = a[np.triu_indices_from(a, k=1)]
-    return float(np.sqrt(2.0 * np.dot(upper, upper)))
+def _eigh(a: np.ndarray):
+    """Ascending eigenvalues and matching eigenvector columns of a checked matrix."""
+    a = check_symmetric(a)
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigendecomposition failed ({exc})") from exc
 
 
-def jacobi_eigh(a: np.ndarray, rel_tol: float = OFFDIAG_RTOL, max_sweeps: int = 64):
-    """Eigendecomposition of a symmetric matrix via cyclic Jacobi sweeps.
-
-    Sweeps over the upper triangle, rotating away one off-diagonal entry at
-    a time, until the off-diagonal Frobenius norm falls below
-    ``rel_tol * ||a||_F``.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors in matching columns, so ``a == V @ diag(w) @ V.T``.
-    """
-    a = check_symmetric(a).copy()
-    n = a.shape[0]
-    vecs = np.eye(n)
-    norm = np.linalg.norm(a)
-    if n == 1 or norm == 0.0:
-        return np.diag(a).copy(), vecs
-    threshold = rel_tol * norm
-
-    converged = False
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= threshold:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # Stable rotation choice: the smaller root keeps |t| <= 1.
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-
-                vec_p = vecs[:, p].copy()
-                vec_q = vecs[:, q].copy()
-                vecs[:, p] = c * vec_p - s * vec_q
-                vecs[:, q] = s * vec_p + c * vec_q
-    else:
-        converged = _offdiag_norm(a) <= threshold
-
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge in {max_sweeps} sweeps "
-            f"(off-diagonal norm {_offdiag_norm(a):.3e}, target {threshold:.3e})"
-        )
-
-    evals = np.diag(a).copy()
-    order = np.argsort(evals, kind="stable")
-    return evals[order], vecs[:, order]
-
-
-def _spectral_map(a: np.ndarray, fn) -> np.ndarray:
-    evals, vecs = jacobi_eigh(a)
-    mapped = (vecs * fn(evals)) @ vecs.T
+def _rebuild(mapped_evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    mapped = (vecs * mapped_evals) @ vecs.T
     return (mapped + mapped.T) / 2.0
 
 
 def matrix_log(c: np.ndarray) -> np.ndarray:
     """Principal logarithm of a symmetric positive-definite matrix.
 
-    Raises ``ValidationError`` on asymmetric input and ``DomainError`` when
-    the smallest eigenvalue is not strictly positive.
+    Raises ``ValidationError`` on asymmetric or non-finite input and
+    ``DomainError`` when the smallest eigenvalue is not strictly positive.
     """
-    c = check_symmetric(c)
-    evals, vecs = jacobi_eigh(c)
+    evals, vecs = _eigh(c)
     if evals[0] <= 0.0:
         raise DomainError(
             f"matrix logarithm needs a positive spectrum, min eigenvalue {evals[0]:.3e}"
         )
-    mapped = (vecs * np.log(evals)) @ vecs.T
-    return (mapped + mapped.T) / 2.0
+    return _rebuild(np.log(evals), vecs)
 
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:
     """Exponential of a symmetric matrix via the same eigendecomposition."""
-    return _spectral_map(check_symmetric(a), np.exp)
+    evals, vecs = _eigh(a)
+    return _rebuild(np.exp(evals), vecs)

@@ -11,6 +11,7 @@ vectors, and one binary payload per class (plain SVM, MKL, or boosted).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -136,7 +137,12 @@ class TrainedModel:
 
     @staticmethod
     def from_dict(doc: dict) -> "TrainedModel":
-        """Decode a model document; FormatError when its parts disagree in size."""
+        """Decode a model document; FormatError when it holds a NaN or an
+        infinity anywhere, or when its parts disagree in size."""
+        try:
+            json.dumps(doc, allow_nan=False)
+        except ValueError:
+            raise FormatError("model holds a non-finite number (NaN or infinity)") from None
         method = method_entry(doc["method"])
         specs = [kernels.KernelSpec.from_dict(s) for s in doc["specs"]]
         model = TrainedModel(
@@ -240,9 +246,9 @@ def fit(method, vectors, labels, classes, layout, cfg: RunConfig, kernel_kind,
         scales.append(scale)
     bank = kernels.KernelBank(specs, grams)
     train = METHODS[method].train
-    ova = svm.ova_train(labels, classes, lambda y_pm, k: train(
+    models = svm.ova_train(labels, classes, lambda y_pm, k: train(
         bank, y_pm, cfg, np.random.SeedSequence(entropy=seed, spawn_key=(*spawn_prefix, k))))
-    return TrainedModel(method, classes, specs, scales, vectors, ova.models)
+    return TrainedModel(method, classes, specs, scales, vectors, models)
 
 
 def train_model(manifest: DatasetManifest, histograms, cfg: RunConfig, method: str,

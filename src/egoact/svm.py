@@ -247,22 +247,9 @@ def kkt_residuals(model: BinarySvmModel, gram, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # one-vs-all multiclass
 
-class OneVsAllModel:
-    """One binary model per class; prediction is the argmax of real scores."""
-
-    __slots__ = ("classes", "models")
-
-    def __init__(self, classes, models):
-        classes = list(classes)
-        models = list(models)
-        if len(classes) != len(models):
-            raise ValidationError("need one binary model per class")
-        self.classes = classes
-        self.models = models
-
-
-def ova_train(class_indices, classes, trainer) -> OneVsAllModel:
-    """Train class-k-versus-rest models with ``trainer(y_pm, class_index)``.
+def ova_train(class_indices, classes, trainer) -> list:
+    """Train class-k-versus-rest models with ``trainer(y_pm, class_index)``;
+    returns them in class order.
 
     Every class listed in ``classes`` must appear in the training labels.
     """
@@ -273,11 +260,7 @@ def ova_train(class_indices, classes, trainer) -> OneVsAllModel:
     missing = [name for k, name in enumerate(classes) if k not in present]
     if missing:
         raise ValidationError(f"classes absent from training data: {missing}")
-    models = []
-    for k in range(len(classes)):
-        y_pm = np.where(class_indices == k, 1.0, -1.0)
-        models.append(trainer(y_pm, k))
-    return OneVsAllModel(classes, models)
+    return [trainer(np.where(class_indices == k, 1.0, -1.0), k) for k in range(len(classes))]
 
 
 def ova_predict_scores(scores: np.ndarray) -> np.ndarray:

@@ -2,14 +2,17 @@
 
 These deliberately avoid the code paths they check: the SVM oracle is
 projected gradient ascent with an exact simplex-free projection, and the
-eigen checks go through numpy's LAPACK wrappers rather than the package's
-Jacobi solver. The flow oracle is the straightforward one-pair-at-a-time
+kernel oracle evaluates one pair of vectors at a time with 1-D numpy
+calls, where the package computes whole blocks of pairs in one broadcast
+pass. The flow oracle is the straightforward one-pair-at-a-time
 Horn-Schunck sweep, against which the blocked solver must match byte for
 byte. The quantizer measures each centroid by direct differences instead
 of the expanded squared-distance form that ``bow.quantize_batch`` uses.
 """
 
 import numpy as np
+
+from egoact.kernels import DC_INT, GAUSSIAN, H_INT, JPL_DELTA
 
 
 def project_box_equality(a0, y, box):
@@ -84,6 +87,31 @@ def quantize(vector, codebook) -> int:
     """Index of the nearest centroid (Euclidean); ties pick the lowest index."""
     diffs = codebook.centroids - np.asarray(vector, dtype=np.float64)[None, :]
     return int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))
+
+
+def kernel_eval(spec, x, y) -> float:
+    """Kernel value between two histogram vectors, one pair at a time.
+
+    This is the per-pair evaluation the package shipped before kernel rows
+    and Gram matrices were computed as one array pass.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if spec.block is not None:
+        offset, length = spec.block
+        x = x[offset : offset + length]
+        y = y[offset : offset + length]
+    if spec.kind == GAUSSIAN:
+        diff = x - y
+        return float(np.exp(-np.dot(diff, diff) / (2.0 * spec.sigma * spec.sigma)))
+    mins = np.minimum(x, y)
+    if spec.kind == H_INT:
+        return float(mins.sum())
+    block_sums = np.array([mins[o : o + n].sum() for o, n in spec.channels])
+    if spec.kind == DC_INT:
+        return float(block_sums.mean())
+    exponents = spec.exponents or (1.0 / len(spec.channels),) * len(spec.channels)
+    return float(np.prod((block_sums + JPL_DELTA) ** np.asarray(exponents)))
 
 
 def min_eigenvalue(matrix) -> float:

@@ -223,6 +223,55 @@ def test_inspect_malformed_model_exits_2(pipeline, tmp_path, capsys, defect):
     assert "malformed model file" in captured.err
 
 
+REPORT = {"kind": "eval_report", "method": "simple_mkl", "kernel": "h_int",
+          "features": ["hof"], "classes": ["a", "b"], "mean_accuracy": 75.0,
+          "per_repeat_accuracy": [75.0], "per_class_stddev": 5.0,
+          "confusion": [[80.0, 20.0], [30.0, 70.0]]}
+
+JSON_DEFECTS = {
+    "manifest_without_videos": ("manifest", {"kind": "dataset_manifest", "classes": ["a"]}),
+    "manifest_video_not_an_object": ("manifest", {"kind": "dataset_manifest", "classes": ["a"],
+                                                  "videos": ["c00_v00"]}),
+    "histograms_kind_only": ("histograms", {"kind": "histograms"}),
+    "histograms_sizes_not_a_list": ("histograms", {"kind": "histograms", "block_order": ["hof"],
+                                                   "block_sizes": 4, "histograms": []}),
+    "report_method_only": ("eval report", {"kind": "eval_report", "method": "x"}),
+    "report_accuracy_as_text": ("eval report", {**REPORT, "mean_accuracy": "high"}),
+    "descriptors_without_dims": ("descriptors", {"kind": "descriptors", "videos": {}}),
+    "descriptors_videos_as_count": ("descriptors", {"kind": "descriptors", "videos": 3,
+                                                    "dims": {}}),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(JSON_DEFECTS))
+def test_inspect_malformed_json_artifact_exits_2(tmp_path, capsys, defect):
+    name, doc = JSON_DEFECTS[defect]
+    path = tmp_path / "artifact.json"
+    write_json(path, doc)
+    assert main(["inspect", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: malformed {name} file (")
+    assert captured.err.count("\n") == 1
+
+
+def test_inspect_intact_report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    write_json(path, REPORT)
+    assert main(["inspect", str(path)]) == 0
+    assert "mean accuracy 75.00% over 1 repeats" in capsys.readouterr().out
+
+
+def test_progress_prints_for_any_worker_count(pipeline, tmp_path, capsys):
+    assert main(["extract", "--config", pipeline["cfg"], "--data", str(pipeline["data"]),
+                 "--features", "cuboid", "--workers", "2", "--out", str(tmp_path / "desc")]) == 0
+    assert capsys.readouterr().err.splitlines() == [f"progress: {i}/8" for i in range(1, 9)]
+    assert main(["evaluate", "--config", pipeline["cfg"], "--data", str(pipeline["data"]),
+                 "--method", "single", "--kernel", "h_int", "--features", "cuboid",
+                 "--repeats", "2", "--workers", "2", "--out", str(tmp_path / "r.json")]) == 0
+    assert capsys.readouterr().err.splitlines() == ["progress: 1/2", "progress: 2/2"]
+
+
 def test_convergence_error_exits_3(tmp_path, capsys, monkeypatch):
     import egoact.cli as cli_mod
     from egoact.errors import ConvergenceError

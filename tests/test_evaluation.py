@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from egoact.dataio import DatasetManifest, DescriptorSet, VideoEntry
 from egoact.errors import ConfigError, ValidationError
 from egoact.evaluation import (
     EvalReport,
+    ordered_map,
     per_class_accuracy_stddev,
     pair_confusion,
     random_split,
@@ -217,6 +220,32 @@ def test_foreign_errors_keep_their_type_and_note_the_repeat(tmp_path, monkeypatc
         run_experiment(manifest, tmp_path, small_config(), "single_kernel", kernel_kind="h_int",
                        features=("hof",), repeats=1, descriptor_cache=constant_descriptor_cache(manifest))
     assert info.value.__notes__ == ["in repeat 0"]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_ordered_map_keeps_item_order_and_reports_each_item(workers):
+    calls, threads = [], set()
+
+    def square(x):
+        threads.add(threading.get_ident())
+        return x * x
+
+    results = ordered_map(square, range(7), workers, lambda done, total: calls.append((done, total)))
+    assert results == [x * x for x in range(7)]
+    assert calls == [(done, 7) for done in range(1, 8)]
+    if workers == 1:
+        assert threads == {threading.get_ident()}   # inline: spans nest on one thread
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ordered_map_raises_the_first_failure_in_item_order(workers):
+    def check(x):
+        if x in (2, 4):
+            raise ValueError(f"item {x}")
+        return x
+
+    with pytest.raises(ValueError, match="item 2"):
+        ordered_map(check, range(6), workers)
 
 
 def test_pair_confusion_helper():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from egoact.errors import DomainError, ValidationError
-from egoact.linalg import jacobi_eigh, matrix_exp, matrix_log
+from egoact.errors import ConvergenceError, DomainError, ValidationError
+from egoact.linalg import check_symmetric, matrix_exp, matrix_log
 
 
 def random_spd(rng, n=12, cond_spread=2.0):
@@ -46,9 +46,7 @@ def test_rejects_asymmetric_input():
     with pytest.raises(ValidationError):
         matrix_log(bad)
     with pytest.raises(ValidationError):
-        jacobi_eigh(bad)
-    with pytest.raises(ValidationError):
-        jacobi_eigh(np.zeros((2, 3)))
+        check_symmetric(np.zeros((2, 3)))
 
 
 def test_rejects_non_positive_spectrum():
@@ -58,26 +56,28 @@ def test_rejects_non_positive_spectrum():
         matrix_log(np.diag([1.0, -2.0]))
 
 
-def test_jacobi_matches_lapack_eigenvalues():
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_input(value):
+    bad = np.eye(3)
+    bad[1, 2] = bad[2, 1] = value
+    for fn in (matrix_log, matrix_exp):
+        with pytest.raises(ValidationError, match="finite"):
+            fn(bad)
+
+
+def test_lapack_failure_is_a_convergence_error(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        matrix_log(np.eye(3))
+
+
+def test_log_matches_lapack_spectrum():
     rng = np.random.default_rng(3)
     for n in (1, 2, 5, 12):
-        sym = rng.normal(size=(n, n))
-        sym = (sym + sym.T) / 2.0
-        evals, vecs = jacobi_eigh(sym)
-        assert np.allclose(evals, np.linalg.eigvalsh(sym), atol=1e-10)
-        assert np.allclose(vecs @ vecs.T, np.eye(n), atol=1e-12)
-        assert np.allclose((vecs * evals) @ vecs.T, sym, atol=1e-10)
-
-
-def test_jacobi_zero_matrix():
-    evals, vecs = jacobi_eigh(np.zeros((4, 4)))
-    assert np.array_equal(evals, np.zeros(4))
-    assert np.array_equal(vecs, np.eye(4))
-
-
-def test_jacobi_offdiagonal_threshold():
-    rng = np.random.default_rng(9)
-    spd = random_spd(rng, n=8)
-    evals, vecs = jacobi_eigh(spd)
-    residual = (vecs * evals) @ vecs.T - spd
-    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(spd)
+        spd = random_spd(rng, n=n)
+        log = matrix_log(spd)
+        assert np.array_equal(log, log.T)
+        assert np.allclose(np.linalg.eigvalsh(log), np.log(np.linalg.eigvalsh(spd)), atol=1e-10)

@@ -147,7 +147,7 @@ def test_multiclass_single_kernel_mkl_equals_svm():
     ova_svm = ova_train(labels, ["a", "b", "c"],
                         lambda y_pm, k: smo_train(gram, y_pm, 10.0, tol=1e-3))
     rows = gram.matrix[None]
-    mkl_scores = np.stack([mkl_predict_many(m, rows) for m in ova_mkl.models], axis=1)
-    svm_scores = np.stack([decision_many(m, gram.matrix) for m in ova_svm.models], axis=1)
+    mkl_scores = np.stack([mkl_predict_many(m, rows) for m in ova_mkl], axis=1)
+    svm_scores = np.stack([decision_many(m, gram.matrix) for m in ova_svm], axis=1)
     assert np.array_equal(mkl_scores, svm_scores)
     assert np.array_equal(ova_predict_scores(mkl_scores), labels)

@@ -121,6 +121,8 @@ def _first_trial(doc):
     return doc["binary_models"][0]["trials"][0]
 
 
+NAN, INF = float("nan"), float("inf")
+
 SHAPE_DEFECTS = {
     "alpha_shorter_than_labels": ("single_kernel", lambda d: d["binary_models"][0].update(
         alpha=d["binary_models"][0]["alpha"][:3])),
@@ -136,6 +138,17 @@ SHAPE_DEFECTS = {
     "boost_train_size": ("boost_mkl", lambda d: d["binary_models"][0].update(train_size=11)),
     "boost_kernel_count": ("boost_mkl", lambda d: d["binary_models"][0].update(kernel_count=3)),
     "empty_train_vectors": ("single_kernel", lambda d: d.update(train_vectors=[])),
+    "nan_train_vector": ("single_kernel", lambda d: d["train_vectors"][0].__setitem__(0, NAN)),
+    "inf_scale": ("single_kernel", lambda d: d["scales"].__setitem__(0, INF)),
+    "nan_alpha": ("single_kernel", lambda d: d["binary_models"][0]["alpha"].__setitem__(0, NAN)),
+    "nan_bias": ("single_kernel", lambda d: d["binary_models"][1].update(bias=NAN)),
+    "inf_box": ("single_kernel", lambda d: d["binary_models"][0]["box"].__setitem__(0, INF)),
+    "nan_mkl_scale_and_alpha": ("simple_mkl", lambda d: (
+        d["scales"].__setitem__(0, NAN), _svm_payloads(d)[0]["alpha"].__setitem__(0, NAN))),
+    "nan_mkl_weight": ("simple_mkl", lambda d: d["binary_models"][0]["weights"].__setitem__(0, NAN)),
+    "nan_boost_weight": ("boost_mkl", lambda d: _first_trial(d).update(weight=NAN)),
+    "inf_boost_error": ("boost_mkl", lambda d: _first_trial(d).update(error=INF)),
+    "nan_boost_trial_bias": ("boost_mkl", lambda d: _first_trial(d)["svm"].update(bias=NAN)),
 }
 
 

@@ -147,7 +147,7 @@ def test_ova_two_class_agrees_with_binary_sign():
     points, labels = _clusters(rng, [np.array([0.0, 0.0]), np.array([3.0, 0.0])])
     gram = _gaussian_gram(points, points)
     ova = ova_train(labels, ["a", "b"], lambda y_pm, k: smo_train(gram, y_pm, 10.0))
-    scores = np.stack([decision_many(m, gram) for m in ova.models], axis=1)
+    scores = np.stack([decision_many(m, gram) for m in ova], axis=1)
     predicted = ova_predict_scores(scores)
     binary = smo_train(gram, np.where(labels == 0, 1.0, -1.0), 10.0)
     signs = decision_many(binary, gram) >= 0
@@ -160,7 +160,7 @@ def test_ova_three_separated_clusters():
     points, labels = _clusters(rng, centers)
     gram = _gaussian_gram(points, points)
     ova = ova_train(labels, ["a", "b", "c"], lambda y_pm, k: smo_train(gram, y_pm, 10.0))
-    scores = np.stack([decision_many(m, gram) for m in ova.models], axis=1)
+    scores = np.stack([decision_many(m, gram) for m in ova], axis=1)
     assert np.array_equal(ova_predict_scores(scores), labels)
 
 

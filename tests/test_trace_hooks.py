@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from egoact.config import RunConfig
+from egoact.synth import SynthConfig
 from egoact.dataio import DatasetManifest, DescriptorSet, VideoEntry, VideoHistogram
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -82,3 +83,24 @@ def test_traced_train_and_evaluate_record_every_layer(tmp_path, method, kernel, 
             span = span.parent
         assert span.name == "evaluation.repeat"
     assert not hasattr(modules["svm"].smo_train, "__wrapped__")   # patches are undone
+
+
+def test_traced_extraction_records_flow_logc_and_matrix_log():
+    tracing = load_tracing()
+    modules = {name: importlib.import_module(f"egoact.{name}") for name in MODULES}
+    cfg = RunConfig(features=("hof", "logc")).replace_section("flow", iterations=5)
+    seq = modules["synth"].synthesize_video(SynthConfig(width=16, height=16, frame_count=18), 0, 0)
+
+    tracer = tracing.Tracer()
+    with tracer.installed(modules):
+        sets = modules["evaluation"].extract_video_descriptors(seq, ("hof", "logc"), cfg)
+    by_name = {}
+    for span in tracer.spans:
+        by_name.setdefault(span.name, []).append(span)
+    assert {"evaluation.extract_video", "flow.sequence", "descriptors.hof",
+            "descriptors.logc", "linalg.matrix_log"} <= set(by_name)
+    assert sets["logc"].count >= 1
+    assert len(by_name["linalg.matrix_log"]) == sets["logc"].count   # one log per window
+    assert all(span.parent.name == "descriptors.logc" for span in by_name["linalg.matrix_log"])
+    assert by_name["flow.sequence"][0].parent.name == "evaluation.extract_video"
+    assert not hasattr(modules["descriptors"].matrix_log, "__wrapped__")
