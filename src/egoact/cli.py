@@ -71,8 +71,7 @@ def cmd_extract(args) -> int:
     features = _parse_features(args.features) if args.features else cfg.features
     manifest = _load_manifest_dir(args.data)
     cache = extract_dataset_descriptors(
-        manifest, args.data, features, cfg, workers=args.workers,
-        progress=_progress(sys.stderr),
+        manifest, args.data, features, cfg, progress=_progress(sys.stderr),
     )
     out_dir = Path(args.out)
     listing = {}
@@ -96,14 +95,17 @@ def cmd_extract(args) -> int:
 
 def _read_descriptor_dir(desc_dir):
     desc_dir = Path(desc_dir)
-    doc = dataio.read_json(desc_dir / DESCRIPTOR_SIDECAR)
-    features = [str(f) for f in doc["features"]]
-    cache = {}
-    for vid, files in doc["videos"].items():
-        cache[vid] = {
-            dtype: dataio.read_descriptor_set(desc_dir / name, descriptor_type=dtype)
-            for dtype, name in files.items()
-        }
+    path = desc_dir / DESCRIPTOR_SIDECAR
+    doc = dataio.read_json(path)
+    try:
+        features = [str(f) for f in doc["features"]]
+        listing = {vid: {dtype: desc_dir / name for dtype, name in files.items()}
+                   for vid, files in doc["videos"].items()}
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: malformed descriptors file ({exc})") from exc
+    cache = {vid: {dtype: dataio.read_descriptor_set(p, descriptor_type=dtype)
+                   for dtype, p in files.items()}
+             for vid, files in listing.items()}
     return features, cache
 
 
@@ -254,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, seed=False)
     p.add_argument("--data", required=True, help="dataset directory with manifest.json")
     p.add_argument("--features", help="comma list from hof,logc,cuboid")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="output descriptor directory")
     p.set_defaults(func=cmd_extract)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 
 from .dataio import read_json
-from .descriptors import CuboidParams, HofParams
+from .descriptors import CuboidParams, HofParams, LogcParams
 from .errors import ConfigError, ValidationError
 from .flow import check_params
 from .kernels import KERNEL_KINDS
@@ -30,17 +30,6 @@ class FlowSection:
             check_params(self.alpha, self.iterations)
         except ValidationError as exc:
             raise ConfigError(f"flow: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class LogcSection:
-    window_len: int = 16
-    stride: int = 8
-    pixel_step: int = 2
-
-    def __post_init__(self):
-        if self.window_len < 2 or self.stride < 1 or self.pixel_step < 1:
-            raise ConfigError("logc needs window_len >= 2, stride >= 1, pixel_step >= 1")
 
 
 @dataclass(frozen=True)
@@ -123,7 +112,7 @@ _SECTIONS = {
     "synth": SynthConfig,
     "flow": FlowSection,
     "hof": HofParams,
-    "logc": LogcSection,
+    "logc": LogcParams,
     "cuboid": CuboidParams,
     "bow": BowSection,
     "kernels": KernelsSection,
@@ -140,7 +129,7 @@ class RunConfig:
     synth: SynthConfig = SynthConfig()
     flow: FlowSection = FlowSection()
     hof: HofParams = HofParams()
-    logc: LogcSection = LogcSection()
+    logc: LogcParams = LogcParams()
     cuboid: CuboidParams = CuboidParams()
     bow: BowSection = BowSection()
     kernels: KernelsSection = KernelsSection()

@@ -2,8 +2,9 @@
 
 All three extractors emit one descriptor per sliding temporal window (or
 per detected interest point for cuboids), collected into a DescriptorSet
-per video. Flow-based extractors can reuse precomputed per-pair flow
-fields so a video's flow is only estimated once.
+per video. hof and logc take a video's flow whole, as the
+``(pairs, 2, H, W)`` array (u, v per frame pair) from
+``flow.sequence_flows``, so it is estimated once and never split per pair.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 
 from .dataio import DescriptorSet, FrameSequence
 from .errors import ValidationError
-from .flow import FlowDerivatives, FlowField, flow_derivatives
 from .linalg import matrix_log
 
 HOF_TYPE = "hof"
@@ -31,10 +31,6 @@ def _round_half_up(x: float) -> int:
 
 
 def _window_starts(frame_count: int, window_len: int, stride: int):
-    if window_len < 2:
-        raise ValidationError("window_len must be at least 2")
-    if stride < 1:
-        raise ValidationError("stride must be at least 1")
     if frame_count < window_len:
         raise ValidationError(
             f"video has {frame_count} frames but the window needs {window_len}"
@@ -79,23 +75,20 @@ def _cell_indices(length: int, cells: int) -> np.ndarray:
 
 
 def hof_window_histogram(flows, params: HofParams, normalize: bool = True) -> np.ndarray:
-    """Accumulate one s*s*8 histogram from the flow fields of one window.
+    """Accumulate one s*s*8 histogram from the ``(k, 2, H, W)`` flows of one window.
 
     Flow vectors with magnitude >= min_magnitude are added to their
-    orientation bin weighted by magnitude; the full histogram is then
-    L1-normalized (all-zero histograms stay zero).
+    orientation bin weighted by magnitude, in flow-major, row-major order;
+    the full histogram is then L1-normalized (all-zero histograms stay zero).
     """
     s = params.grid_size
-    hist = np.zeros((s, s, ORIENTATION_BINS))
-    for flow in flows:
-        h, w = flow.shape
-        mag = np.hypot(flow.u, flow.v)
-        weights = np.where(mag >= params.min_magnitude, mag, 0.0)
-        bins = _orientation_bins(flow.u, flow.v)
-        rows = np.broadcast_to(_cell_indices(h, s)[:, None], (h, w))
-        cols = np.broadcast_to(_cell_indices(w, s)[None, :], (h, w))
-        np.add.at(hist, (rows.ravel(), cols.ravel(), bins.ravel()), weights.ravel())
-    flat = hist.ravel()
+    _, _, h, w = flows.shape
+    u, v = flows[:, 0], flows[:, 1]
+    mag = np.hypot(u, v)
+    weights = np.where(mag >= params.min_magnitude, mag, 0.0)
+    cells = _cell_indices(h, s)[:, None] * s + _cell_indices(w, s)[None, :]
+    index = cells * ORIENTATION_BINS + _orientation_bins(u, v)
+    flat = np.bincount(index.ravel(), weights.ravel(), minlength=s * s * ORIENTATION_BINS)
     total = flat.sum()
     if normalize and total > 0.0:
         flat = flat / total
@@ -103,11 +96,10 @@ def hof_window_histogram(flows, params: HofParams, normalize: bool = True) -> np
 
 
 def hof_from_flows(flows, params: HofParams) -> DescriptorSet:
-    """HOF descriptors over sliding windows of precomputed pairwise flows."""
-    frame_count = len(flows) + 1
+    """HOF descriptors over sliding windows of a video's ``(pairs, 2, H, W)`` flows."""
     vectors = [
         hof_window_histogram(flows[t0 : t0 + params.window_len - 1], params)
-        for t0 in _window_starts(frame_count, params.window_len, params.stride)
+        for t0 in _window_starts(len(flows) + 1, params.window_len, params.stride)
     ]
     return DescriptorSet(HOF_TYPE, params.dim, np.asarray(vectors))
 
@@ -115,23 +107,49 @@ def hof_from_flows(flows, params: HofParams) -> DescriptorSet:
 # ---------------------------------------------------------------------------
 # Log-covariance of per-pixel kinematic features
 
-def kinematic_features(deriv: FlowDerivatives, flow: FlowField) -> np.ndarray:
-    """Per-pixel 12-vector of flow kinematics, shape (h, w, 12).
+@dataclass(frozen=True)
+class LogcParams:
+    window_len: int = 16          # frames per descriptor window
+    stride: int = 8
+    pixel_step: int = 2           # every n-th pixel of each pair's row-major grid is sampled
+
+    def __post_init__(self):
+        if self.window_len < 2:
+            raise ValidationError("window_len must be at least 2")
+        if self.stride < 1:
+            raise ValidationError("stride must be at least 1")
+        if self.pixel_step < 1:
+            raise ValidationError("pixel_step must be at least 1")
+
+
+def kinematic_features(flows, frames) -> np.ndarray:
+    """Per-pixel 12-vectors of flow kinematics, shape (pairs, h, w, 12), from
+    the ``(pairs, 2, h, w)`` flows of a ``(pairs + 1, h, w)`` volume.
 
     Component order: u, v, I_t, u_x, u_y, v_x, v_y, divergence, vorticity,
     Frobenius norm of the flow gradient, Frobenius norm of the strain-rate
     tensor (symmetric part of the gradient), and the shear term u_y + v_x.
+    Spatial derivatives are central differences in the interior and
+    one-sided at the borders (exact for fields linear in x and y); I_t is
+    next frame minus previous frame.
     """
-    if deriv.u_x.shape != flow.shape:
-        raise ValidationError("derivatives and flow must share one shape")
-    u_x, u_y, v_x, v_y = deriv.u_x, deriv.u_y, deriv.v_x, deriv.v_y
+    flows = np.asarray(flows, dtype=np.float64)
+    frames = np.asarray(frames, dtype=np.float64)
+    if flows.ndim != 4 or flows.shape[1] != 2 or frames.shape != (len(flows) + 1, *flows.shape[2:]):
+        raise ValidationError(
+            f"need (pairs, 2, h, w) flows of a (pairs + 1, h, w) volume, "
+            f"got {flows.shape} and {frames.shape}"
+        )
+    d_y, d_x = np.gradient(flows, axis=(2, 3))
+    u_x, u_y, v_x, v_y = d_x[:, 0], d_y[:, 0], d_x[:, 1], d_y[:, 1]
     div = u_x + v_y
     vort = v_x - u_y
     shear = u_y + v_x
     grad_norm = np.sqrt(u_x**2 + u_y**2 + v_x**2 + v_y**2)
     strain_norm = np.sqrt(u_x**2 + v_y**2 + 0.5 * shear**2)
+    i_t = frames[1:] - frames[:-1]
     return np.stack(
-        [flow.u, flow.v, deriv.i_t, u_x, u_y, v_x, v_y, div, vort, grad_norm, strain_norm, shear],
+        [flows[:, 0], flows[:, 1], i_t, u_x, u_y, v_x, v_y, div, vort, grad_norm, strain_norm, shear],
         axis=-1,
     )
 
@@ -175,25 +193,18 @@ def logc_window_descriptor(samples: np.ndarray) -> np.ndarray:
     return vectorize_symmetric(matrix_log(cov))
 
 
-def logc_from_flows(seq: FrameSequence, flows, window_len: int = 16, stride: int = 8,
-                    pixel_step: int = 2) -> DescriptorSet:
-    """Log-covariance descriptors using precomputed pairwise flow fields."""
-    if pixel_step < 1:
-        raise ValidationError("pixel_step must be at least 1")
-    frames = seq.frames.astype(np.float64)
-    if len(flows) != seq.frame_count - 1:
-        raise ValidationError("need one flow field per consecutive frame pair")
-
-    per_pair = []
-    for i, flow in enumerate(flows):
-        deriv = flow_derivatives(flow, frames[i], frames[i + 1])
-        feats = kinematic_features(deriv, flow).reshape(-1, KINEMATIC_DIM)
-        per_pair.append(feats[::pixel_step])
-
-    vectors = []
-    for t0 in _window_starts(seq.frame_count, window_len, stride):
-        pooled = np.concatenate(per_pair[t0 : t0 + window_len - 1], axis=0)
-        vectors.append(logc_window_descriptor(pooled))
+def logc_from_flows(frames, flows, params: LogcParams) -> DescriptorSet:
+    """Log-covariance descriptors of a ``(t, h, w)`` volume from its
+    ``(t - 1, 2, h, w)`` flows: each window pools the sampled pixels of its
+    pairs, in pair order."""
+    starts = _window_starts(len(frames), params.window_len, params.stride)
+    feats = kinematic_features(flows, frames)
+    feats = feats.reshape(len(feats), -1, KINEMATIC_DIM)[:, :: params.pixel_step]
+    vectors = [
+        logc_window_descriptor(
+            np.ascontiguousarray(feats[t0 : t0 + params.window_len - 1]).reshape(-1, KINEMATIC_DIM))
+        for t0 in starts
+    ]
     return DescriptorSet(LOGC_TYPE, LOGC_DIM, np.asarray(vectors))
 
 

@@ -96,10 +96,7 @@ def extract_video_descriptors(seq, features, cfg: RunConfig):
     if "hof" in features:
         out["hof"] = hof_from_flows(flows, cfg.hof)
     if "logc" in features:
-        out["logc"] = logc_from_flows(
-            seq, flows, window_len=cfg.logc.window_len,
-            stride=cfg.logc.stride, pixel_step=cfg.logc.pixel_step,
-        )
+        out["logc"] = logc_from_flows(seq.frames, flows, cfg.logc)
     if "cuboid" in features:
         out["cuboid"] = cuboid_descriptors(seq, cfg.cuboid)
     return out

@@ -11,6 +11,10 @@ For this energy the sweep decreases E monotonically, which the test
 suite checks. There is no image pyramid, so displacements should stay
 within a few pixels per frame.
 
+The flow of a video is one ``(pairs, 2, H, W)`` float64 array, ``[:, 0]``
+the +x (right) component u and ``[:, 1]`` the +y (down) component v, in
+pixels per frame; the descriptors consume it whole.
+
 A video's frame pairs are solved in blocks of k consecutive pairs, k
 chosen so that a block holds about ``BLOCK_PIXELS`` pixels and its
 working set stays in cache. One sweep updates the whole block: u and v
@@ -36,49 +40,6 @@ from .errors import ValidationError
 DEFAULT_ALPHA = 10.0
 DEFAULT_ITERATIONS = 100
 BLOCK_PIXELS = 16384   # frame-pair pixels solved together in one block
-
-
-class FlowField:
-    """Per-pixel displacement in pixels/frame; u is +x (right), v is +y (down)."""
-
-    __slots__ = ("u", "v")
-
-    def __init__(self, u, v):
-        u = np.asarray(u, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        if u.ndim != 2 or u.shape != v.shape:
-            raise ValidationError(f"u and v must be matching 2-d grids, got {u.shape} and {v.shape}")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise ValidationError("flow values must be finite")
-        self.u = u
-        self.v = v
-
-    @property
-    def shape(self):
-        return self.u.shape
-
-
-class FlowDerivatives:
-    """Spatial flow derivatives plus the temporal intensity gradient."""
-
-    __slots__ = ("u_x", "u_y", "v_x", "v_y", "i_t")
-
-    def __init__(self, u_x, u_y, v_x, v_y, i_t):
-        arrays = [np.asarray(a, dtype=np.float64) for a in (u_x, u_y, v_x, v_y, i_t)]
-        shape = arrays[0].shape
-        for a in arrays:
-            if a.shape != shape:
-                raise ValidationError("derivative grids must share one shape")
-            if not np.all(np.isfinite(a)):
-                raise ValidationError("derivatives must be finite")
-        self.u_x, self.u_y, self.v_x, self.v_y, self.i_t = arrays
-
-
-def _as_float_frame(frame) -> np.ndarray:
-    frame = np.asarray(frame)
-    if frame.ndim != 2:
-        raise ValidationError(f"expected a 2-d frame, got {frame.ndim}-d")
-    return frame.astype(np.float64)
 
 
 def check_params(alpha, iterations) -> None:
@@ -108,7 +69,7 @@ def _neighbor_counts(shape) -> np.ndarray:
 
 
 def _solve_block(prev: np.ndarray, nxt: np.ndarray, alpha, iterations: int) -> np.ndarray:
-    """Flows of the k frame pairs (prev[j], nxt[j]) as one (2, k, H, W) array of (u, v).
+    """Flows of the k frame pairs (prev[j], nxt[j]) as a (k, 2, H, W) view of (u, v).
 
     Every grid is stored flat with a zero row and a zero column after each
     frame, so a pixel's four neighbours are fixed offsets into one buffer and
@@ -158,57 +119,31 @@ def _solve_block(prev: np.ndarray, nxt: np.ndarray, alpha, iterations: int) -> n
         uv /= det
         grid[..., h, :] = 0.0
         grid[..., w] = 0.0
-    return grid[..., :h, :w].copy()
+    return grid[..., :h, :w].swapaxes(0, 1)
 
 
-def dense_flow(prev, nxt, alpha: float = DEFAULT_ALPHA, iterations: int = DEFAULT_ITERATIONS) -> FlowField:
-    """Estimate the dense flow carrying ``prev`` onto ``nxt``.
-
-    alpha weights the smoothness term (larger is smoother), iterations is
-    the fixed sweep count. Deterministic: same inputs give bit-identical
-    output. A one-pair call of ``sequence_flows``.
-    """
-    prev = _as_float_frame(prev)
-    nxt = _as_float_frame(nxt)
-    if prev.shape != nxt.shape:
-        raise ValidationError(f"frame sizes differ: {prev.shape} vs {nxt.shape}")
-    return sequence_flows(np.stack([prev, nxt]), alpha=alpha, iterations=iterations)[0]
-
-
-def flow_energy(flow: FlowField, prev, nxt, alpha: float = DEFAULT_ALPHA) -> float:
-    """Value of the objective that dense_flow iterates down."""
-    prev = _as_float_frame(prev)
-    nxt = _as_float_frame(nxt)
-    if prev.shape != flow.shape:
+def flow_energy(flow, prev, nxt, alpha: float = DEFAULT_ALPHA) -> float:
+    """Value of the objective that ``sequence_flows`` iterates down, for one
+    pair's flow ``(2, H, W)`` = (u, v) carrying ``prev`` onto ``nxt``."""
+    flow = np.asarray(flow, dtype=np.float64)
+    prev = np.asarray(prev, dtype=np.float64)
+    nxt = np.asarray(nxt, dtype=np.float64)
+    if prev.ndim != 2 or nxt.shape != prev.shape or flow.shape != (2, *prev.shape):
         raise ValidationError("flow and frames must share one shape")
     ix, iy, it = _intensity_gradients(prev, nxt)
-    data = ix * flow.u + iy * flow.v + it
-    smooth = 0.0
-    for grid in (flow.u, flow.v):
-        smooth += np.sum(np.diff(grid, axis=0) ** 2) + np.sum(np.diff(grid, axis=1) ** 2)
+    data = ix * flow[0] + iy * flow[1] + it
+    smooth = np.sum(np.diff(flow, axis=1) ** 2) + np.sum(np.diff(flow, axis=2) ** 2)
     return float(np.sum(data * data) + alpha * alpha * smooth)
 
 
-def flow_derivatives(flow: FlowField, prev, nxt) -> FlowDerivatives:
-    """Spatial derivatives of the flow plus I_t = next - prev.
-
-    Central differences in the interior, one-sided at the borders; exact
-    for fields that are linear in x and y.
-    """
-    prev = _as_float_frame(prev)
-    nxt = _as_float_frame(nxt)
-    if prev.shape != nxt.shape or prev.shape != flow.shape:
-        raise ValidationError("flow and frames must share one shape")
-    u_y, u_x = np.gradient(flow.u)
-    v_y, v_x = np.gradient(flow.v)
-    return FlowDerivatives(u_x, u_y, v_x, v_y, nxt - prev)
-
-
 def sequence_flows(frames: np.ndarray, alpha: float = DEFAULT_ALPHA,
-                   iterations: int = DEFAULT_ITERATIONS):
-    """Flow fields between each consecutive frame pair of a video volume.
+                   iterations: int = DEFAULT_ITERATIONS) -> np.ndarray:
+    """Flows between the consecutive frames of a ``(t, y, x)`` volume.
 
-    Returns one FlowField per pair, solved in blocks of consecutive pairs.
+    Returns one ``(t - 1, 2, y, x)`` float64 array: ``[i, 0]`` is u and
+    ``[i, 1]`` is v of the pair (frames[i], frames[i + 1]), solved in
+    blocks of consecutive pairs. Deterministic: same inputs give
+    bit-identical output.
     """
     frames = np.asarray(frames)
     if frames.ndim != 3 or frames.shape[0] < 2:
@@ -217,11 +152,12 @@ def sequence_flows(frames: np.ndarray, alpha: float = DEFAULT_ALPHA,
         raise ValidationError(f"frames must be at least 2x2 pixels, got {frames.shape[1:]}")
     check_params(alpha, iterations)
     frames = frames.astype(np.float64)
-    pairs = frames.shape[0] - 1
+    prev, nxt = frames[:-1], frames[1:]
     block = max(1, BLOCK_PIXELS // (frames.shape[1] * frames.shape[2]))
-    flows = []
-    for start in range(0, pairs, block):
-        stop = min(start + block, pairs)
-        uv = _solve_block(frames[start:stop], frames[start + 1 : stop + 1], alpha, iterations)
-        flows.extend(FlowField(u, v) for u, v in zip(uv[0], uv[1]))
+    flows = np.concatenate([
+        _solve_block(prev[start : start + block], nxt[start : start + block], alpha, iterations)
+        for start in range(0, len(prev), block)
+    ])
+    if not np.all(np.isfinite(flows)):
+        raise ValidationError("flow values must be finite")
     return flows

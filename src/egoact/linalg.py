@@ -1,9 +1,9 @@
-"""Matrix logarithm and exponential of symmetric matrices.
+"""Matrix logarithm of symmetric positive-definite matrices.
 
-Both maps take the eigenpairs ``(w, V)`` from LAPACK's symmetric solver
-(``np.linalg.eigh``), apply the scalar function to ``w`` and rebuild
-``(V * f(w)) @ V.T``, averaged with its transpose so the result is exactly
-symmetric.
+``matrix_log`` takes the eigenpairs ``(w, V)`` from LAPACK's symmetric
+solver (``np.linalg.eigh``), maps ``w`` to ``log(w)`` and rebuilds
+``(V * log(w)) @ V.T``, averaged with its transpose so the result is
+exactly symmetric.
 """
 
 from __future__ import annotations
@@ -28,35 +28,20 @@ def check_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     return a
 
 
-def _eigh(a: np.ndarray):
-    """Ascending eigenvalues and matching eigenvector columns of a checked matrix."""
-    a = check_symmetric(a)
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"symmetric eigendecomposition failed ({exc})") from exc
-
-
-def _rebuild(mapped_evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    mapped = (vecs * mapped_evals) @ vecs.T
-    return (mapped + mapped.T) / 2.0
-
-
 def matrix_log(c: np.ndarray) -> np.ndarray:
     """Principal logarithm of a symmetric positive-definite matrix.
 
     Raises ``ValidationError`` on asymmetric or non-finite input and
     ``DomainError`` when the smallest eigenvalue is not strictly positive.
     """
-    evals, vecs = _eigh(c)
+    c = check_symmetric(c)
+    try:
+        evals, vecs = np.linalg.eigh(c)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigendecomposition failed ({exc})") from exc
     if evals[0] <= 0.0:
         raise DomainError(
             f"matrix logarithm needs a positive spectrum, min eigenvalue {evals[0]:.3e}"
         )
-    return _rebuild(np.log(evals), vecs)
-
-
-def matrix_exp(a: np.ndarray) -> np.ndarray:
-    """Exponential of a symmetric matrix via the same eigendecomposition."""
-    evals, vecs = _eigh(a)
-    return _rebuild(np.exp(evals), vecs)
+    mapped = (vecs * np.log(evals)) @ vecs.T
+    return (mapped + mapped.T) / 2.0

@@ -6,12 +6,17 @@ kernel oracle evaluates one pair of vectors at a time with 1-D numpy
 calls, where the package computes whole blocks of pairs in one broadcast
 pass. The flow oracle is the straightforward one-pair-at-a-time
 Horn-Schunck sweep, against which the blocked solver must match byte for
-byte. The quantizer measures each centroid by direct differences instead
-of the expanded squared-distance form that ``bow.quantize_batch`` uses.
+byte. The hof and logc oracles build descriptors from a list of per-pair
+``(u, v)`` flows, one pair at a time, where the package takes a video's
+flow as one array; they too must match byte for byte. The quantizer
+measures each centroid by direct differences instead of the expanded
+squared-distance form that ``bow.quantize_batch`` uses. ``matrix_exp`` is
+the inverse the matrix-log tests round-trip through.
 """
 
 import numpy as np
 
+from egoact.descriptors import KINEMATIC_DIM, ORIENTATION_BINS, logc_window_descriptor
 from egoact.kernels import DC_INT, GAUSSIAN, H_INT, JPL_DELTA
 
 
@@ -162,3 +167,69 @@ def reference_flow(prev, nxt, alpha=10.0, iterations=100):
         u = (diag_v * rhs_u - cross * rhs_v) / det
         v = (diag_u * rhs_v - cross * rhs_u) / det
     return u, v
+
+
+def reference_hof(flows, params):
+    """HOF vectors of a video from its flows, a list of (u, v) pairs.
+
+    This is the per-pair accumulation the package shipped before a video's
+    flow became one array: ``np.add.at`` into each window's histogram, one
+    pair after the other.
+    """
+    s = params.grid_size
+    vectors = []
+    for t0 in range(0, len(flows) + 2 - params.window_len, params.stride):
+        hist = np.zeros((s, s, ORIENTATION_BINS))
+        for u, v in flows[t0 : t0 + params.window_len - 1]:
+            h, w = u.shape
+            mag = np.hypot(u, v)
+            weights = np.where(mag >= params.min_magnitude, mag, 0.0)
+            degrees = np.degrees(np.arctan2(v, u))
+            bins = (np.floor((degrees + 22.5) / 45.0).astype(np.int64)) % ORIENTATION_BINS
+            rows = np.minimum((np.arange(h) * s) // h, s - 1)
+            cols = np.minimum((np.arange(w) * s) // w, s - 1)
+            rows = np.broadcast_to(rows[:, None], (h, w))
+            cols = np.broadcast_to(cols[None, :], (h, w))
+            np.add.at(hist, (rows.ravel(), cols.ravel(), bins.ravel()), weights.ravel())
+        flat = hist.ravel()
+        total = flat.sum()
+        vectors.append(flat / total if total > 0.0 else flat)
+    return np.asarray(vectors)
+
+
+def reference_logc(frames, flows, params):
+    """logc vectors of a (t, h, w) volume from its flows, a list of (u, v) pairs.
+
+    This is the per-pair code the package shipped before a video's flow
+    became one array: kinematic features pair by pair, each subsampled,
+    concatenated per window.
+    """
+    frames = np.asarray(frames).astype(np.float64)
+    per_pair = []
+    for i, (u, v) in enumerate(flows):
+        u_y, u_x = np.gradient(u)
+        v_y, v_x = np.gradient(v)
+        div = u_x + v_y
+        vort = v_x - u_y
+        shear = u_y + v_x
+        grad_norm = np.sqrt(u_x**2 + u_y**2 + v_x**2 + v_y**2)
+        strain_norm = np.sqrt(u_x**2 + v_y**2 + 0.5 * shear**2)
+        feats = np.stack(
+            [u, v, frames[i + 1] - frames[i], u_x, u_y, v_x, v_y, div, vort,
+             grad_norm, strain_norm, shear],
+            axis=-1,
+        )
+        per_pair.append(feats.reshape(-1, KINEMATIC_DIM)[:: params.pixel_step])
+    vectors = []
+    for t0 in range(0, len(frames) + 1 - params.window_len, params.stride):
+        pooled = np.concatenate(per_pair[t0 : t0 + params.window_len - 1], axis=0)
+        vectors.append(logc_window_descriptor(pooled))
+    return np.asarray(vectors)
+
+
+def matrix_exp(a):
+    """Exponential of a symmetric matrix, rebuilt from its ``eigh`` eigenpairs
+    like ``linalg.matrix_log``."""
+    evals, vecs = np.linalg.eigh(np.asarray(a, dtype=np.float64))
+    mapped = (vecs * np.exp(evals)) @ vecs.T
+    return (mapped + mapped.T) / 2.0

@@ -17,7 +17,6 @@ from egoact.config import RunConfig
 from egoact.dataio import DatasetManifest, VideoEntry, write_json
 from egoact.descriptors import HofParams, hof_window_histogram, kinematic_features
 from egoact.evaluation import extract_dataset_descriptors, pair_confusion, run_experiment
-from egoact.flow import FlowField, flow_derivatives
 from egoact.kernels import (
     DC_INT,
     GAUSSIAN,
@@ -28,11 +27,11 @@ from egoact.kernels import (
     combine,
     gram_matrix,
 )
-from egoact.linalg import matrix_exp, matrix_log
+from egoact.linalg import matrix_log
 from egoact.mkl import simple_mkl_train
 from egoact.svm import decision_many, kkt_residuals, smo_train
 from egoact.synth import generate_synthetic_dataset
-from oracles import random_svm_problem, svm_dual_oracle, svm_dual_value
+from oracles import matrix_exp, random_svm_problem, svm_dual_oracle, svm_dual_value
 
 
 def report(number, text):
@@ -200,9 +199,9 @@ def test_criterion_05_kinematic_correctness():
     omega = 0.1
     ys, xs = np.mgrid[0:32, 0:32].astype(np.float64)
     center = 15.5
-    flow = FlowField(-omega * (ys - center), omega * (xs - center))
-    zero = np.zeros((32, 32))
-    feats = kinematic_features(flow_derivatives(flow, zero, zero), flow)
+    flows = np.stack([-omega * (ys - center), omega * (xs - center)])[None]
+    zero = np.zeros((2, 32, 32))
+    feats = kinematic_features(flows, zero)[0]
     interior = (slice(1, -1), slice(1, -1))
     div = feats[..., 7][interior]
     vort = feats[..., 8][interior]
@@ -218,9 +217,9 @@ def test_criterion_05_kinematic_correctness():
 def test_criterion_06_hof_rotation_equivariance():
     rng = np.random.default_rng(3)
     params = HofParams(grid_size=4, window_len=4, stride=4, min_magnitude=0.0)
-    flows = [FlowField(rng.normal(size=(32, 32)), rng.normal(size=(32, 32)))
-             for _ in range(3)]
-    rotated = [FlowField(-f.v, f.u) for f in flows]
+    flows = np.stack([np.stack([rng.normal(size=(32, 32)), rng.normal(size=(32, 32))])
+                      for _ in range(3)])
+    rotated = np.stack([-flows[:, 1], flows[:, 0]], axis=1)
     base = hof_window_histogram(flows, params, normalize=False).reshape(4, 4, 8)
     turned = hof_window_histogram(rotated, params, normalize=False).reshape(4, 4, 8)
     assert np.array_equal(turned, np.roll(base, 2, axis=2))

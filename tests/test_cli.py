@@ -262,9 +262,42 @@ def test_inspect_intact_report(tmp_path, capsys):
     assert "mean accuracy 75.00% over 1 repeats" in capsys.readouterr().out
 
 
+LISTING_DEFECTS = {
+    "without_features": {"kind": "descriptors", "videos": {}},
+    "without_videos": {"kind": "descriptors", "features": ["hof"]},
+    "entry_not_an_object": {"kind": "descriptors", "features": ["hof"], "videos": {"a": 5}},
+}
+
+
+@pytest.mark.parametrize("command", ["codebook", "encode"])
+@pytest.mark.parametrize("defect", sorted(LISTING_DEFECTS))
+def test_malformed_descriptor_listing_exits_2(tmp_path, capsys, command, defect):
+    desc = tmp_path / "desc"
+    path = desc / "descriptors.json"
+    write_json(path, LISTING_DEFECTS[defect])
+    argv = {"codebook": ["codebook", "--descriptors", str(desc), "--type", "hof",
+                         "--out", str(tmp_path / "hof.cbk")],
+            "encode": ["encode", "--descriptors", str(desc), "--codebooks", str(tmp_path),
+                       "--out", str(tmp_path / "hists.json")]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: malformed descriptors file (")
+    assert captured.err.count("\n") == 1
+
+
+def test_extract_workers_flag_is_a_usage_error(pipeline, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", "--config", pipeline["cfg"], "--data", str(pipeline["data"]),
+              "--features", "cuboid", "--workers", "2", "--out", str(tmp_path / "desc")])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "desc").exists()
+
+
 def test_progress_prints_for_any_worker_count(pipeline, tmp_path, capsys):
     assert main(["extract", "--config", pipeline["cfg"], "--data", str(pipeline["data"]),
-                 "--features", "cuboid", "--workers", "2", "--out", str(tmp_path / "desc")]) == 0
+                 "--features", "cuboid", "--out", str(tmp_path / "desc")]) == 0
     assert capsys.readouterr().err.splitlines() == [f"progress: {i}/8" for i in range(1, 9)]
     assert main(["evaluate", "--config", pipeline["cfg"], "--data", str(pipeline["data"]),
                  "--method", "single", "--kernel", "h_int", "--features", "cuboid",

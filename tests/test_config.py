@@ -67,6 +67,8 @@ def test_validation_inside_nested_dataclass():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"hof": {"grid_size": 0}})
     with pytest.raises(ConfigError):
+        RunConfig.from_dict({"logc": {"pixel_step": 0}})
+    with pytest.raises(ConfigError):
         RunConfig.from_dict({"synth": {"class_count": 1}})
 
 

@@ -1,9 +1,12 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from oracles import reference_hof, reference_logc
 
-from egoact.dataio import FrameSequence
 from egoact.descriptors import (
     HofParams,
+    LogcParams,
     covariance_descriptor,
     hof_from_flows,
     hof_window_histogram,
@@ -14,18 +17,25 @@ from egoact.descriptors import (
     vectorize_symmetric,
 )
 from egoact.errors import ValidationError
-from egoact.flow import FlowField, flow_derivatives
+from egoact.flow import sequence_flows
+from egoact.synth import SynthConfig, synthesize_video
 
 
 def constant_flow(u, v, shape=(16, 16)):
-    return FlowField(np.full(shape, float(u)), np.full(shape, float(v)))
+    return np.stack([np.full(shape, float(u)), np.full(shape, float(v))])
 
 
 def random_flows(rng, count=3, shape=(16, 16), scale=1.0):
-    return [
-        FlowField(scale * rng.normal(size=shape), scale * rng.normal(size=shape))
+    return np.stack([
+        np.stack([scale * rng.normal(size=shape), scale * rng.normal(size=shape)])
         for _ in range(count)
-    ]
+    ])
+
+
+def features_of(flows):
+    """Kinematic features of flows over a volume of all-zero frames."""
+    flows = np.asarray(flows)
+    return kinematic_features(flows, np.zeros((len(flows) + 1, *flows.shape[2:])))
 
 
 # ---------------------------------------------------------------------------
@@ -33,15 +43,15 @@ def random_flows(rng, count=3, shape=(16, 16), scale=1.0):
 
 def test_uniform_rightward_flow_lands_in_bin_zero():
     params = HofParams(grid_size=2, window_len=4, stride=4, min_magnitude=0.0)
-    hist = hof_window_histogram([constant_flow(1.0, 0.0)] * 3, params)
+    hist = hof_window_histogram(np.stack([constant_flow(1.0, 0.0)] * 3), params)
     cells = hist.reshape(2, 2, 8)
     assert np.allclose(cells[:, :, 0], 0.25)
     assert np.abs(cells[:, :, 1:]).max() == 0.0
     assert hist.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def rotate90(flow):
-    return FlowField(-flow.v, flow.u)
+def rotate90(flows):
+    return np.stack([-flows[:, 1], flows[:, 0]], axis=1)
 
 
 @pytest.mark.parametrize("quarter_turns", [1, 2, 3])
@@ -51,7 +61,7 @@ def test_hof_cyclic_shift_under_rotation(quarter_turns):
     flows = random_flows(rng)
     rotated = flows
     for _ in range(quarter_turns):
-        rotated = [rotate90(f) for f in rotated]
+        rotated = rotate90(rotated)
     # raw accumulations shift exactly; the normalized ones only differ by
     # the summation order inside the L1 total
     base = hof_window_histogram(flows, params, normalize=False).reshape(3, 3, 8)
@@ -64,7 +74,7 @@ def test_hof_cyclic_shift_under_rotation(quarter_turns):
 
 def test_zero_motion_with_threshold_gives_zero_descriptor():
     params = HofParams(grid_size=2, window_len=4, stride=4, min_magnitude=0.05)
-    hist = hof_window_histogram([constant_flow(0.0, 0.0)] * 3, params)
+    hist = hof_window_histogram(np.stack([constant_flow(0.0, 0.0)] * 3), params)
     assert np.abs(hist).max() == 0.0
 
 
@@ -92,17 +102,14 @@ def test_hof_window_layout():
 # ---------------------------------------------------------------------------
 # kinematic features
 
-def rotation_setup(omega=0.1, size=32):
+def rotation_flow(omega=0.1, size=32):
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
     center = (size - 1) / 2.0
-    flow = FlowField(-omega * (ys - center), omega * (xs - center))
-    zero = np.zeros((size, size))
-    return flow, flow_derivatives(flow, zero, zero)
+    return np.stack([-omega * (ys - center), omega * (xs - center)])
 
 
 def test_kinematics_on_rotation_field():
-    flow, deriv = rotation_setup(omega=0.1)
-    feats = kinematic_features(deriv, flow)
+    feats = features_of([rotation_flow(omega=0.1)])[0]
     div, vort = feats[..., 7], feats[..., 8]
     grad_norm, strain_norm, shear = feats[..., 9], feats[..., 10], feats[..., 11]
     assert np.allclose(div, 0.0, atol=1e-13)
@@ -116,9 +123,7 @@ def test_kinematics_on_expansion_field():
     size = 16
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
     center = (size - 1) / 2.0
-    flow = FlowField(xs - center, ys - center)
-    zero = np.zeros((size, size))
-    feats = kinematic_features(flow_derivatives(flow, zero, zero), flow)
+    feats = features_of([np.stack([xs - center, ys - center])])[0]
     assert np.allclose(feats[..., 7], 2.0, atol=1e-13)              # divergence
     assert np.allclose(feats[..., 8], 0.0, atol=1e-13)              # vorticity
     assert np.allclose(feats[..., 9], np.sqrt(2.0), atol=1e-13)     # gradient norm
@@ -128,7 +133,7 @@ def test_kinematics_zero_flow():
     flow = constant_flow(0.0, 0.0, shape=(8, 8))
     prev = np.zeros((8, 8))
     nxt = np.full((8, 8), 3.0)
-    feats = kinematic_features(flow_derivatives(flow, prev, nxt), flow)
+    feats = kinematic_features(flow[None], np.stack([prev, nxt]))[0]
     assert np.abs(np.delete(feats, 2, axis=-1)).max() == 0.0
     assert np.array_equal(feats[..., 2], np.full((8, 8), 3.0))
 
@@ -138,9 +143,7 @@ def test_strain_vorticity_gradient_identity():
     for _ in range(10):
         u = rng.normal(size=(12, 12))
         v = rng.normal(size=(12, 12))
-        flow = FlowField(u, v)
-        zero = np.zeros((12, 12))
-        feats = kinematic_features(flow_derivatives(flow, zero, zero), flow)
+        feats = features_of([np.stack([u, v])])[0]
         grad_norm, strain_norm, vort = feats[..., 9], feats[..., 10], feats[..., 8]
         assert np.allclose(strain_norm**2 + vort**2 / 2.0, grad_norm**2, atol=1e-12)
 
@@ -199,13 +202,12 @@ def test_logc_identical_windows_match():
     rng = np.random.default_rng(9)
     block = rng.integers(0, 255, size=(8, 16, 16)).astype(np.uint8)
     frames = np.concatenate([block, block, block], axis=0)  # period = stride = 8
-    seq = FrameSequence(frames)
     base = [
-        FlowField(rng.normal(size=(16, 16)), rng.normal(size=(16, 16)))
+        np.stack([rng.normal(size=(16, 16)), rng.normal(size=(16, 16))])
         for _ in range(8)
     ]
-    flows = (base * 3)[: seq.frame_count - 1]  # periodic like the frames
-    dset = logc_from_flows(seq, flows, window_len=16, stride=8)
+    flows = np.stack((base * 3)[: len(frames) - 1])  # periodic like the frames
+    dset = logc_from_flows(frames, flows, LogcParams(window_len=16, stride=8))
     assert dset.count == 2
     assert np.allclose(dset.vectors[0], dset.vectors[1], atol=1e-12)
 
@@ -213,3 +215,41 @@ def test_logc_identical_windows_match():
 def test_regularization_floor():
     reg = regularize_covariance(np.zeros((12, 12)))
     assert np.allclose(reg, 1e-10 * np.eye(12))
+
+
+# ---------------------------------------------------------------------------
+# byte identity with the per-pair oracles
+
+@lru_cache(maxsize=None)
+def synth_flows(width, height):
+    frames = synthesize_video(SynthConfig(width=width, height=height), 1, 0).frames
+    return frames, sequence_flows(frames)
+
+
+# (width, height, hof params, logc params)
+ORACLE_CASES = {
+    "32x32_defaults": (32, 32, HofParams(), LogcParams()),
+    "64x64_defaults": (64, 64, HofParams(), LogcParams()),
+    "grid3_no_threshold_step3": (32, 32, HofParams(grid_size=3, min_magnitude=0.0),
+                                 LogcParams(pixel_step=3)),
+    "two_frame_windows": (32, 32, HofParams(window_len=2, stride=1),
+                          LogcParams(window_len=2, stride=1)),
+    "20x13_grid1_step3": (20, 13, HofParams(grid_size=1, min_magnitude=0.5),
+                          LogcParams(pixel_step=3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_hof_matches_per_pair_oracle(case):
+    width, height, params, _ = ORACLE_CASES[case]
+    _, flows = synth_flows(width, height)
+    expected = reference_hof([(u, v) for u, v in flows], params)
+    assert hof_from_flows(flows, params).vectors.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_logc_matches_per_pair_oracle(case):
+    width, height, _, params = ORACLE_CASES[case]
+    frames, flows = synth_flows(width, height)
+    expected = reference_logc(frames, [(u, v) for u, v in flows], params)
+    assert logc_from_flows(frames, flows, params).vectors.tobytes() == expected.tobytes()

@@ -4,7 +4,8 @@ from oracles import reference_flow
 
 from egoact import flow as flow_module
 from egoact.errors import ValidationError
-from egoact.flow import FlowField, dense_flow, flow_derivatives, flow_energy, sequence_flows
+from egoact.descriptors import kinematic_features
+from egoact.flow import flow_energy, sequence_flows
 from egoact.synth import SynthConfig, synthesize_video
 
 
@@ -21,6 +22,11 @@ def smooth_texture(height, width, seed=0, sigma=2.0):
     return 40.0 + 170.0 * noise
 
 
+def pair_flow(prev, nxt, **params):
+    """The (2, H, W) flow of one frame pair."""
+    return sequence_flows(np.stack([prev, nxt]), **params)[0]
+
+
 def shifted_pair(shift=1, seed=3):
     tex = smooth_texture(40, 48, seed=seed)
     prev = tex[:, shift:-shift]
@@ -30,40 +36,40 @@ def shifted_pair(shift=1, seed=3):
 
 def test_identical_frames_zero_flow():
     frame = smooth_texture(20, 20)
-    flow = dense_flow(frame, frame)
-    assert np.abs(flow.u).max() <= 1e-6
-    assert np.abs(flow.v).max() <= 1e-6
+    u, v = pair_flow(frame, frame)
+    assert np.abs(u).max() <= 1e-6
+    assert np.abs(v).max() <= 1e-6
 
 
 def test_one_pixel_shift_recovered():
     prev, nxt = shifted_pair(1)
-    flow = dense_flow(prev, nxt)
+    u, v = pair_flow(prev, nxt)
     interior = (slice(4, -4), slice(4, -4))
-    assert 0.7 <= flow.u[interior].mean() <= 1.3
-    assert np.abs(flow.v[interior]).mean() <= 0.3
+    assert 0.7 <= u[interior].mean() <= 1.3
+    assert np.abs(v[interior]).mean() <= 0.3
 
 
 def test_doubling_alpha_keeps_flow_sign():
     prev, nxt = shifted_pair(1)
     interior = (slice(4, -4), slice(4, -4))
-    mean_base = dense_flow(prev, nxt, alpha=10.0).u[interior].mean()
-    mean_double = dense_flow(prev, nxt, alpha=20.0).u[interior].mean()
+    mean_base = pair_flow(prev, nxt, alpha=10.0)[0][interior].mean()
+    mean_double = pair_flow(prev, nxt, alpha=20.0)[0][interior].mean()
     assert np.sign(mean_base) == np.sign(mean_double) == 1.0
 
 
 def test_intensity_offset_invariance():
     prev, nxt = shifted_pair(1)
-    base = dense_flow(prev, nxt, iterations=40)
-    offset = dense_flow(prev + 30.0, nxt + 30.0, iterations=40)
+    base = pair_flow(prev, nxt, iterations=40)
+    offset = pair_flow(prev + 30.0, nxt + 30.0, iterations=40)
     # identical up to rounding noise in the (value + offset) differences
-    assert np.allclose(base.u, offset.u, atol=1e-9)
-    assert np.allclose(base.v, offset.v, atol=1e-9)
+    assert np.allclose(base[0], offset[0], atol=1e-9)
+    assert np.allclose(base[1], offset[1], atol=1e-9)
 
 
 def test_energy_non_increasing():
     prev, nxt = shifted_pair(1, seed=5)
     energies = [
-        flow_energy(dense_flow(prev, nxt, alpha=8.0, iterations=k), prev, nxt, alpha=8.0)
+        flow_energy(pair_flow(prev, nxt, alpha=8.0, iterations=k), prev, nxt, alpha=8.0)
         for k in range(1, 14)
     ]
     for before, after in zip(energies, energies[1:]):
@@ -72,15 +78,17 @@ def test_energy_non_increasing():
 
 def test_mismatched_sizes_rejected():
     with pytest.raises(ValidationError):
-        dense_flow(np.zeros((4, 4)), np.zeros((4, 5)))
+        flow_energy(np.zeros((2, 4, 4)), np.zeros((4, 4)), np.zeros((4, 5)))
+    with pytest.raises(ValidationError):
+        kinematic_features(np.zeros((1, 2, 4, 4)), np.zeros((2, 4, 5)))
 
 
 def test_bad_params_rejected():
     frame = np.zeros((8, 8))
     with pytest.raises(ValidationError):
-        dense_flow(frame, frame, alpha=0.0)
+        pair_flow(frame, frame, alpha=0.0)
     with pytest.raises(ValidationError):
-        dense_flow(frame, frame, iterations=0)
+        pair_flow(frame, frame, iterations=0)
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), -1.0, True, "10"])
@@ -89,7 +97,7 @@ def test_non_finite_or_non_numeric_alpha_rejected(alpha):
     with pytest.raises(ValidationError):
         sequence_flows(frames, alpha=alpha)
     with pytest.raises(ValidationError):
-        dense_flow(frames[0], frames[1], alpha=alpha)
+        pair_flow(frames[0], frames[1], alpha=alpha)
 
 
 @pytest.mark.parametrize("iterations", [2.5, 3.0, True, "5"])
@@ -98,13 +106,13 @@ def test_non_integer_iterations_rejected(iterations):
     with pytest.raises(ValidationError):
         sequence_flows(frames, iterations=iterations)
     with pytest.raises(ValidationError):
-        dense_flow(frames[0], frames[1], iterations=iterations)
+        pair_flow(frames[0], frames[1], iterations=iterations)
 
 
 def test_numpy_scalar_params_accepted():
     frames = np.random.default_rng(4).random((3, 8, 8))
     flows = sequence_flows(frames, alpha=np.float64(10.0), iterations=np.int64(5))
-    assert flows[0].u.tobytes() == sequence_flows(frames, alpha=10.0, iterations=5)[0].u.tobytes()
+    assert flows.tobytes() == sequence_flows(frames, alpha=10.0, iterations=5).tobytes()
 
 
 def test_params_checked_once_per_call(monkeypatch):
@@ -120,40 +128,52 @@ def test_frames_smaller_than_two_pixels_rejected():
         sequence_flows(np.zeros((3, 1, 8)))
 
 
+def test_non_finite_frames_rejected():
+    frames = np.zeros((3, 8, 8))
+    frames[1, 2, 3] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        sequence_flows(frames)
+
+
 def rotation_flow(omega=0.1, size=32):
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
     xc = yc = (size - 1) / 2.0
-    return FlowField(-omega * (ys - yc), omega * (xs - xc))
+    return np.stack([-omega * (ys - yc), omega * (xs - xc)])
+
+
+def derivatives(flow, prev, nxt):
+    """u_x, u_y, v_x, v_y and I_t of one pair's (2, H, W) flow, from its kinematic features."""
+    feats = kinematic_features(flow[None], np.stack([prev, nxt]))[0]
+    return feats[..., 3], feats[..., 4], feats[..., 5], feats[..., 6], feats[..., 2]
 
 
 def test_derivatives_of_constant_flow_are_zero():
-    flow = FlowField(np.full((10, 12), 1.7), np.full((10, 12), -0.4))
+    flow = np.stack([np.full((10, 12), 1.7), np.full((10, 12), -0.4)])
     frame = np.zeros((10, 12))
-    deriv = flow_derivatives(flow, frame, frame)
-    for grid in (deriv.u_x, deriv.u_y, deriv.v_x, deriv.v_y):
+    u_x, u_y, v_x, v_y, _ = derivatives(flow, frame, frame)
+    for grid in (u_x, u_y, v_x, v_y):
         assert np.abs(grid).max() == 0.0
 
 
 def test_rotation_field_derivatives_exact():
     omega = 0.1
     flow = rotation_flow(omega)
-    frame = np.zeros(flow.shape)
-    deriv = flow_derivatives(flow, frame, frame)
+    frame = np.zeros(flow.shape[1:])
+    u_x, u_y, v_x, v_y, _ = derivatives(flow, frame, frame)
     # linear fields are exact under central and one-sided differences
-    assert np.allclose(deriv.u_y, -omega, atol=1e-14)
-    assert np.allclose(deriv.v_x, omega, atol=1e-14)
-    assert np.allclose(deriv.u_x + deriv.v_y, 0.0, atol=1e-14)          # divergence
-    assert np.allclose(deriv.v_x - deriv.u_y, 2 * omega, atol=1e-14)    # vorticity
+    assert np.allclose(u_y, -omega, atol=1e-14)
+    assert np.allclose(v_x, omega, atol=1e-14)
+    assert np.allclose(u_x + v_y, 0.0, atol=1e-14)          # divergence
+    assert np.allclose(v_x - u_y, 2 * omega, atol=1e-14)    # vorticity
 
 
 def test_temporal_gradient_is_frame_difference():
     rng = np.random.default_rng(1)
     prev = rng.random((6, 7))
     nxt = rng.random((6, 7))
-    flow = FlowField(np.zeros((6, 7)), np.zeros((6, 7)))
-    deriv = flow_derivatives(flow, prev, nxt)
-    assert np.array_equal(deriv.i_t, nxt - prev)
-    assert np.abs(flow_derivatives(flow, prev, prev).i_t).max() == 0.0
+    flow = np.zeros((2, 6, 7))
+    assert np.array_equal(derivatives(flow, prev, nxt)[4], nxt - prev)
+    assert np.abs(derivatives(flow, prev, prev)[4]).max() == 0.0
 
 
 def test_sequence_flows_counts():
@@ -171,10 +191,11 @@ def test_sequence_flows_counts():
 def assert_matches_oracle(frames, alpha=10.0, iterations=100):
     flows = sequence_flows(frames, alpha=alpha, iterations=iterations)
     assert len(flows) == frames.shape[0] - 1
+    assert flows.shape == (frames.shape[0] - 1, 2, *frames.shape[1:])
     for i, flow in enumerate(flows):
         u, v = reference_flow(frames[i], frames[i + 1], alpha=alpha, iterations=iterations)
-        assert flow.u.tobytes() == u.tobytes(), f"u differs at pair {i}"
-        assert flow.v.tobytes() == v.tobytes(), f"v differs at pair {i}"
+        assert flow[0].tobytes() == u.tobytes(), f"u differs at pair {i}"
+        assert flow[1].tobytes() == v.tobytes(), f"v differs at pair {i}"
 
 
 def block_size(height, width):
@@ -221,8 +242,9 @@ def test_non_default_params_match_oracle(alpha, iterations):
 
 
 def test_dense_flow_is_one_pair_of_sequence_flows():
+    """The flow of one frame pair alone equals that pair's flow in the whole video."""
     frames = synthesize_video(SynthConfig(), 2, 0).frames
-    pair = dense_flow(frames[3], frames[4], iterations=25)
-    [expected] = sequence_flows(frames[3:5], iterations=25)
-    assert pair.u.tobytes() == expected.u.tobytes()
-    assert pair.v.tobytes() == expected.v.tobytes()
+    pair = pair_flow(frames[3], frames[4], iterations=25)
+    expected = sequence_flows(frames, iterations=25)[3]
+    assert pair[0].tobytes() == expected[0].tobytes()
+    assert pair[1].tobytes() == expected[1].tobytes()

@@ -3,7 +3,7 @@ import pytest
 
 from egoact.dataio import read_frame_sequence, read_manifest
 from egoact.errors import ValidationError
-from egoact.flow import dense_flow, sequence_flows
+from egoact.flow import sequence_flows
 from egoact.synth import (
     SynthConfig,
     class_signature,
@@ -42,9 +42,9 @@ def test_class0_is_rightward_pan_at_two_pixels():
     interior = (slice(4, -4), slice(4, -4))
     means_u, means_v = [], []
     for t in (6, 12, 18):
-        flow = dense_flow(seq.frames[t], seq.frames[t + 1])
-        means_u.append(flow.u[interior].mean())
-        means_v.append(flow.v[interior].mean())
+        u, v = sequence_flows(seq.frames[t : t + 2])[0]
+        means_u.append(u[interior].mean())
+        means_v.append(v[interior].mean())
     mean_u = float(np.mean(means_u))
     mean_v = float(np.mean(means_v))
     assert abs(mean_u - 2.0) <= 0.5   # within 25 percent of 2 px/frame
@@ -56,9 +56,9 @@ def test_static_class_without_noise_is_motionless():
     assert class_signature(4) == ("static", "none")
     seq = synthesize_video(cfg, 4, 0)
     assert np.array_equal(seq.frames[0], seq.frames[-1])  # literally static
-    for flow in sequence_flows(seq.frames[:4]):
-        assert np.abs(flow.u).max() <= 1e-9
-        assert np.abs(flow.v).max() <= 1e-9
+    for u, v in sequence_flows(seq.frames[:4]):
+        assert np.abs(u).max() <= 1e-9
+        assert np.abs(v).max() <= 1e-9
 
 
 def test_manifest_and_files_written(tmp_path):
