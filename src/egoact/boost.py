@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_positive
 from .kernels import KernelBank
 from .svm import BinarySvmModel, smo_train
 
@@ -121,10 +121,9 @@ def boost_train(bank: KernelBank, y, trials: int, c_reg: float, seed,
     with the trials collected so far. The kept error is clamped away from
     {0, 0.5} before computing the trial weight and the probability update.
     """
-    if trials < 1:
-        raise ValidationError("trial count must be at least 1")
-    if c_reg <= 0:
-        raise ValidationError("c_reg must be positive")
+    check_positive("trials", trials, count=True)
+    check_positive("c_reg", c_reg)
+    check_positive("svm_tol", svm_tol)
     y = np.asarray(y, dtype=np.float64)
     n = bank.size
     if y.shape != (n,):

@@ -2,6 +2,11 @@
 
 One codebook is trained per descriptor type; a video is encoded as the
 concatenation of its per-type word histograms in a fixed block order.
+
+Squared distances use the expanded form |p|^2 + |c|^2 - (2p).c. The
+points' squared norms and ``2.0 * points`` are computed once per call and
+reused by every k-means++ step and Lloyd iteration, which leaves each
+distance's bytes unchanged.
 """
 
 from __future__ import annotations
@@ -9,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataio import Codebook, DescriptorSet, VideoHistogram
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_positive
 
 BLOCK_ORDER = ("hof", "logc", "cuboid")
 
@@ -26,20 +31,24 @@ def _as_points(descriptors) -> np.ndarray:
     return points
 
 
-def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(points * points, axis=1)[:, None]
-        + np.sum(centroids * centroids, axis=1)[None, :]
-        - 2.0 * points @ centroids.T
-    )
+def _sq_norms(points: np.ndarray) -> np.ndarray:
+    return np.sum(points * points, axis=1)
+
+
+def _sq_distances(point_norms: np.ndarray, doubled_points: np.ndarray,
+                  centroids: np.ndarray) -> np.ndarray:
+    """Squared distances from the points, given as their squared norms and
+    ``2.0 * points``, to each centroid."""
+    d2 = point_norms[:, None] + _sq_norms(centroids)[None, :] - doubled_points @ centroids.T
     return np.maximum(d2, 0.0)
 
 
-def _plusplus_init(points: np.ndarray, word_count: int, rng: np.random.Generator) -> np.ndarray:
+def _plusplus_init(points: np.ndarray, point_norms: np.ndarray, doubled_points: np.ndarray,
+                   word_count: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centroids = np.empty((word_count, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    closest = _sq_distances(points, centroids[:1]).ravel()
+    closest = _sq_distances(point_norms, doubled_points, centroids[:1]).ravel()
     for k in range(1, word_count):
         total = closest.sum()
         if total > 0.0:
@@ -49,7 +58,8 @@ def _plusplus_init(points: np.ndarray, word_count: int, rng: np.random.Generator
         else:
             idx = int(rng.integers(n))
         centroids[k] = points[idx]
-        np.minimum(closest, _sq_distances(points, centroids[k : k + 1]).ravel(), out=closest)
+        np.minimum(closest, _sq_distances(point_norms, doubled_points, centroids[k : k + 1]).ravel(),
+                   out=closest)
     return centroids
 
 
@@ -64,26 +74,26 @@ def kmeans_with_history(descriptors, word_count: int, seed: int,
     points = _as_points(descriptors)
     dtype = descriptors.descriptor_type if isinstance(descriptors, DescriptorSet) else ""
     n = points.shape[0]
-    if word_count < 1:
-        raise ValidationError("word_count must be at least 1")
+    check_positive("word_count", word_count, count=True)
+    check_positive("max_iters", max_iters, count=True)
     if n < word_count:
         raise ValidationError(f"{n} descriptors cannot fill {word_count} words")
-    if max_iters < 1:
-        raise ValidationError("max_iters must be at least 1")
 
     rng = np.random.default_rng(seed)
-    centroids = _plusplus_init(points, word_count, rng)
+    point_norms = _sq_norms(points)
+    doubled_points = 2.0 * points
+    centroids = _plusplus_init(points, point_norms, doubled_points, word_count, rng)
     assignment = None
     inertia_history = []
     for _ in range(max_iters):
-        d2 = _sq_distances(points, centroids)
+        d2 = _sq_distances(point_norms, doubled_points, centroids)
         new_assignment = np.argmin(d2, axis=1)
-        inertia_history.append(float(d2[np.arange(n), new_assignment].sum()))
+        point_cost = d2[np.arange(n), new_assignment]
+        inertia_history.append(float(point_cost.sum()))
         if assignment is not None and np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
 
-        point_cost = d2[np.arange(n), assignment].copy()
         for k in range(word_count):
             members = assignment == k
             if members.any():
@@ -106,7 +116,7 @@ def quantize_batch(vectors: np.ndarray, codebook: Codebook) -> np.ndarray:
         raise ValidationError(f"descriptors must be (count, {codebook.dim})")
     if vectors.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    return np.argmin(_sq_distances(vectors, codebook.centroids), axis=1)
+    return np.argmin(_sq_distances(_sq_norms(vectors), 2.0 * vectors, codebook.centroids), axis=1)
 
 
 def encode_video(video_id: str, sets, codebooks) -> VideoHistogram:

@@ -12,12 +12,22 @@ from dataclasses import asdict, dataclass, fields
 
 from .dataio import read_json
 from .descriptors import CuboidParams, HofParams, LogcParams
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_positive
 from .flow import check_params
 from .kernels import KERNEL_KINDS
 from .synth import SynthConfig
 
 FEATURE_NAMES = ("hof", "logc", "cuboid")
+
+
+def _check(count: bool = False, **values) -> None:
+    """Raise ConfigError unless every value is a finite positive number or,
+    with ``count``, an integer >= 1."""
+    for name, value in values.items():
+        try:
+            check_positive(name, value, count)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -41,8 +51,7 @@ class BowSection:
     adaptive_words: bool = False   # shrink words to the pool size instead of erroring
 
     def __post_init__(self):
-        if self.words < 1 or self.max_iters < 1:
-            raise ConfigError("bow.words and bow.max_iters must be at least 1")
+        _check(count=True, words=self.words, max_iters=self.max_iters)
 
 
 @dataclass(frozen=True)
@@ -54,11 +63,11 @@ class KernelsSection:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ConfigError(f"kernels.kind must be one of {KERNEL_KINDS}")
-        if self.gaussian_sigma is not None and self.gaussian_sigma <= 0:
-            raise ConfigError("kernels.gaussian_sigma must be positive")
+        if self.gaussian_sigma is not None:
+            _check(gaussian_sigma=self.gaussian_sigma)
         object.__setattr__(self, "jpl_exponents", tuple(self.jpl_exponents))
-        if any(b <= 0 for b in self.jpl_exponents):
-            raise ConfigError("kernels.jpl_exponents must be positive")
+        for b in self.jpl_exponents:
+            _check(jpl_exponents=b)
 
 
 @dataclass(frozen=True)
@@ -67,8 +76,7 @@ class SvmSection:
     tol: float = 1e-3
 
     def __post_init__(self):
-        if self.c_reg <= 0 or self.tol <= 0:
-            raise ConfigError("svm.c_reg and svm.tol must be positive")
+        _check(c_reg=self.c_reg, tol=self.tol)
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,8 @@ class MklSection:
     max_outer: int = 200
 
     def __post_init__(self):
-        if self.weight_tol <= 0 or self.objective_tol <= 0 or self.max_outer < 1:
-            raise ConfigError("mkl tolerances must be positive and max_outer >= 1")
+        _check(weight_tol=self.weight_tol, objective_tol=self.objective_tol)
+        _check(count=True, max_outer=self.max_outer)
 
 
 @dataclass(frozen=True)
@@ -87,8 +95,7 @@ class BoostSection:
     trials: int = 10
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("boost.trials must be at least 1")
+        _check(count=True, trials=self.trials)
 
 
 @dataclass(frozen=True)
@@ -102,10 +109,12 @@ class SplitSection:
     def __post_init__(self):
         if self.mode not in ("per_class_counts", "half_half"):
             raise ConfigError("split.mode must be per_class_counts or half_half")
-        if self.mode == "per_class_counts" and (self.train_n < 1 or self.test_n < 1):
-            raise ConfigError("per_class_counts needs split.train_n and split.test_n >= 1")
-        if self.repeats < 1:
-            raise ConfigError("split.repeats must be at least 1")
+        if self.mode == "per_class_counts":
+            try:
+                _check(count=True, train_n=self.train_n, test_n=self.test_n)
+            except ConfigError as exc:
+                raise ConfigError(f"per_class_counts needs split.train_n and split.test_n: {exc}") from None
+        _check(count=True, repeats=self.repeats)
 
 
 _SECTIONS = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import DescriptorSet, FrameSequence
-from .errors import ValidationError
+from .errors import ValidationError, check_positive
 from .linalg import matrix_log
 
 HOF_TYPE = "hof"
@@ -49,12 +49,10 @@ class HofParams:
     min_magnitude: float = 0.05   # px/frame; weaker vectors are ignored
 
     def __post_init__(self):
-        if self.grid_size < 1:
-            raise ValidationError("grid_size must be at least 1")
+        for name in ("grid_size", "window_len", "stride"):
+            check_positive(name, getattr(self, name), count=True)
         if self.window_len < 2:
             raise ValidationError("window_len must be at least 2")
-        if self.stride < 1:
-            raise ValidationError("stride must be at least 1")
         if self.min_magnitude < 0:
             raise ValidationError("min_magnitude must be nonnegative")
 
@@ -114,12 +112,10 @@ class LogcParams:
     pixel_step: int = 2           # every n-th pixel of each pair's row-major grid is sampled
 
     def __post_init__(self):
+        for name in ("window_len", "stride", "pixel_step"):
+            check_positive(name, getattr(self, name), count=True)
         if self.window_len < 2:
             raise ValidationError("window_len must be at least 2")
-        if self.stride < 1:
-            raise ValidationError("stride must be at least 1")
-        if self.pixel_step < 1:
-            raise ValidationError("pixel_step must be at least 1")
 
 
 def kinematic_features(flows, frames) -> np.ndarray:
@@ -219,12 +215,11 @@ class CuboidParams:
     max_points: int = 12          # strongest detections kept per video
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.tau <= 0:
-            raise ValidationError("sigma and tau must be positive")
+        check_positive("sigma", self.sigma)
+        check_positive("tau", self.tau)
+        check_positive("max_points", self.max_points, count=True)
         if self.threshold < 0:
             raise ValidationError("threshold must be nonnegative")
-        if self.max_points < 1:
-            raise ValidationError("max_points must be at least 1")
 
     @property
     def side_xy(self) -> int:

@@ -1,9 +1,13 @@
-"""Exception types shared across the pipeline.
+"""Exception types shared across the pipeline, and the parameter check
+that raises them.
 
 The CLI maps these onto exit codes: validation and configuration
 problems exit 1, file format and I/O problems exit 2, solver
 non-convergence exits 3.
 """
+
+import math
+import numbers
 
 
 class PipelineError(Exception):
@@ -32,3 +36,14 @@ class CorruptionError(FormatError):
 
 class ConvergenceError(PipelineError):
     """An iterative solver exhausted its iteration budget."""
+
+
+def check_positive(name: str, value, count: bool = False) -> None:
+    """Raise ValidationError unless ``value`` is a finite positive number or,
+    with ``count``, an integer >= 1; a bool is neither."""
+    if count:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value <= 0):
+        raise ValidationError(f"{name} must be a finite positive number, got {value!r}")

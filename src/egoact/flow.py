@@ -30,12 +30,9 @@ the block size; the tests check this against a per-pair oracle.
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_positive
 
 DEFAULT_ALPHA = 10.0
 DEFAULT_ITERATIONS = 100
@@ -44,11 +41,8 @@ BLOCK_PIXELS = 16384   # frame-pair pixels solved together in one block
 
 def check_params(alpha, iterations) -> None:
     """Raise ValidationError unless alpha is a finite positive number and iterations an integer >= 1."""
-    if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
-            or not math.isfinite(alpha) or alpha <= 0):
-        raise ValidationError(f"alpha must be a finite positive number, got {alpha!r}")
-    if isinstance(iterations, bool) or not isinstance(iterations, numbers.Integral) or iterations < 1:
-        raise ValidationError(f"iterations must be an integer >= 1, got {iterations!r}")
+    check_positive("alpha", alpha)
+    check_positive("iterations", iterations, count=True)
 
 
 def _intensity_gradients(prev: np.ndarray, nxt: np.ndarray):

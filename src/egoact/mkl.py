@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import MklSection
-from .errors import ValidationError
+from .errors import ValidationError, check_positive
 from .kernels import KernelBank, check_simplex, combine, combine_rows
 from .svm import BinarySvmModel, decision_many, smo_train
 
@@ -68,8 +68,8 @@ def simple_mkl_train(bank: KernelBank, y, c_reg: float, params: MklSection = Mkl
                      svm_tol: float = 1e-3) -> MklModel:
     """Jointly optimize simplex kernel weights and the SVM on their combination;
     ``params`` holds the stopping tolerances and the outer iteration cap."""
-    if c_reg <= 0 or svm_tol <= 0:
-        raise ValidationError("c_reg and svm_tol must be positive")
+    check_positive("c_reg", c_reg)
+    check_positive("svm_tol", svm_tol)
     m = len(bank)
     y = np.asarray(y, dtype=np.float64)
     matrices = bank.matrices()

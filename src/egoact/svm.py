@@ -9,23 +9,29 @@ The solver maximizes the usual dual
 picking the maximal violating pair each step and stopping once the KKT
 violation gap falls below ``tol``. Per-item boxes C_i support weighted
 training (C_i = C * L * w_i for a probability vector w).
+
+A step changes only the pair (i, j), so the working-set masks are kept
+across steps and only their entries i and j are updated; the masked
+scores go into buffers allocated once, and an all-infinite buffer means
+no candidate is left. The pair update runs on Python floats, IEEE
+doubles like numpy's scalars, so the solution keeps its bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, check_positive
 
 
 class BinarySvmModel:
     """Dual solution of one binary problem over a fixed Gram matrix."""
 
     __slots__ = ("alpha", "labels", "bias", "c_reg", "box", "converged",
-                 "iterations", "objective", "objective_history")
+                 "iterations", "objective")
 
     def __init__(self, alpha, labels, bias, c_reg, box, converged=True,
-                 iterations=0, objective=0.0, objective_history=None):
+                 iterations=0, objective=0.0):
         self.alpha = np.asarray(alpha, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.float64)
         self.bias = float(bias)
@@ -36,7 +42,6 @@ class BinarySvmModel:
         self.converged = bool(converged)
         self.iterations = int(iterations)
         self.objective = float(objective)
-        self.objective_history = objective_history if objective_history is not None else []
 
     @property
     def size(self) -> int:
@@ -86,7 +91,7 @@ def dual_objective(alpha, y, kernel) -> float:
 
 
 def smo_train(gram, y, c_reg: float, tol: float = 1e-3, sample_weights=None,
-              max_iter: int | None = None, track_objective: bool = False) -> BinarySvmModel:
+              max_iter: int | None = None) -> BinarySvmModel:
     """Solve the dual on a precomputed kernel matrix.
 
     ``gram`` may be a GramMatrix or a plain square ndarray. When
@@ -97,18 +102,20 @@ def smo_train(gram, y, c_reg: float, tol: float = 1e-3, sample_weights=None,
     kernel = np.asarray(getattr(gram, "matrix", gram), dtype=np.float64)
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
         raise ValidationError(f"kernel matrix must be square, got {kernel.shape}")
+    if not np.isfinite(kernel).all():
+        raise ValidationError("kernel matrix must be finite")
     y = _check_binary_labels(y)
     n = y.size
     if kernel.shape[0] != n:
         raise ValidationError(f"kernel size {kernel.shape[0]} != label count {n}")
-    if c_reg <= 0:
-        raise ValidationError("c_reg must be positive")
+    check_positive("c_reg", c_reg)
+    check_positive("tol", tol)
 
     if sample_weights is None:
         box = np.full(n, c_reg)
     else:
         weights = np.asarray(sample_weights, dtype=np.float64)
-        if weights.shape != (n,) or weights.min() < 0:
+        if weights.shape != (n,) or not (weights >= 0).all():
             raise ValidationError("sample_weights must be nonnegative, one per item")
         box = c_reg * n * weights
 
@@ -116,107 +123,111 @@ def smo_train(gram, y, c_reg: float, tol: float = 1e-3, sample_weights=None,
         max_iter = 100_000 + 200 * n
 
     q = np.outer(y, y) * kernel
-    alpha = np.zeros(n)
+    q_rows = np.ascontiguousarray(q.T)   # q_rows[i] is column i of q
+    neg_y = -y
     grad = -np.ones(n)  # gradient of the minimization form 1/2 aQa - sum a
-    history = [0.0] if track_objective else None
+    alpha = [0.0] * n
+    box_l = box.tolist()
+    positive = (y > 0).tolist()
+    diag = kernel.diagonal().tolist()
+    up = (y > 0) & (box > 0)   # items whose alpha_i y_i may still grow
+    low = (y < 0) & (box > 0)  # items whose alpha_i y_i may still shrink
+    neg_yg, up_score, low_score = np.empty(n), np.full(n, -np.inf), np.full(n, np.inf)
 
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        neg_yg = -y * grad
-        up = ((y > 0) & (alpha < box)) | ((y < 0) & (alpha > 0))
-        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < box))
-        if not up.any() or not low.any():
-            converged = True
-            iterations -= 1
-            break
-        i = int(np.argmax(np.where(up, neg_yg, -np.inf)))
-        j = int(np.argmin(np.where(low, neg_yg, np.inf)))
-        if neg_yg[i] - neg_yg[j] <= tol:
+        np.multiply(neg_y, grad, out=neg_yg)
+        np.copyto(up_score, neg_yg, where=up)
+        np.copyto(low_score, neg_yg, where=low)
+        i = int(up_score.argmax())
+        j = int(low_score.argmin())
+        top, bottom = up_score.item(i), low_score.item(j)
+        if top == -np.inf or bottom == np.inf or top - bottom <= tol:
             converged = True
             iterations -= 1
             break
 
-        old_i, old_j = alpha[i], alpha[j]
-        ci, cj = box[i], box[j]
-        quad = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
+        old_i, old_j = ai, aj = alpha[i], alpha[j]
+        gi, gj = grad.item(i), grad.item(j)
+        ci, cj = box_l[i], box_l[j]
+        quad = diag[i] + diag[j] - 2.0 * kernel.item(i, j)
         if quad <= 0.0:
             quad = 1e-12
-        if y[i] != y[j]:
-            delta = (-grad[i] - grad[j]) / quad
-            diff = alpha[i] - alpha[j]
-            alpha[i] += delta
-            alpha[j] += delta
+        if positive[i] != positive[j]:
+            delta = (-gi - gj) / quad
+            diff = ai - aj
+            ai += delta
+            aj += delta
             if diff > 0.0:
-                if alpha[j] < 0.0:
-                    alpha[j] = 0.0
-                    alpha[i] = diff
+                if aj < 0.0:
+                    aj = 0.0
+                    ai = diff
             else:
-                if alpha[i] < 0.0:
-                    alpha[i] = 0.0
-                    alpha[j] = -diff
+                if ai < 0.0:
+                    ai = 0.0
+                    aj = -diff
             if diff > ci - cj:
-                if alpha[i] > ci:
-                    alpha[i] = ci
-                    alpha[j] = ci - diff
+                if ai > ci:
+                    ai = ci
+                    aj = ci - diff
             else:
-                if alpha[j] > cj:
-                    alpha[j] = cj
-                    alpha[i] = cj + diff
+                if aj > cj:
+                    aj = cj
+                    ai = cj + diff
         else:
-            delta = (grad[i] - grad[j]) / quad
-            total = alpha[i] + alpha[j]
-            alpha[i] -= delta
-            alpha[j] += delta
+            delta = (gi - gj) / quad
+            total = ai + aj
+            ai -= delta
+            aj += delta
             if total > ci:
-                if alpha[i] > ci:
-                    alpha[i] = ci
-                    alpha[j] = total - ci
+                if ai > ci:
+                    ai = ci
+                    aj = total - ci
             else:
-                if alpha[j] < 0.0:
-                    alpha[j] = 0.0
-                    alpha[i] = total
+                if aj < 0.0:
+                    aj = 0.0
+                    ai = total
             if total > cj:
-                if alpha[j] > cj:
-                    alpha[j] = cj
-                    alpha[i] = total - cj
+                if aj > cj:
+                    aj = cj
+                    ai = total - cj
             else:
-                if alpha[i] < 0.0:
-                    alpha[i] = 0.0
-                    alpha[j] = total
-        grad += q[:, i] * (alpha[i] - old_i) + q[:, j] * (alpha[j] - old_j)
-        if track_objective:
-            history.append(dual_objective(alpha, y, kernel))
+                if ai < 0.0:
+                    ai = 0.0
+                    aj = total
+        alpha[i], alpha[j] = ai, aj
+        grad += q_rows[i] * (ai - old_i) + q_rows[j] * (aj - old_j)
+        for k, a, c in ((i, ai, ci), (j, aj, cj)):
+            grows, shrinks = (a < c, a > 0.0) if positive[k] else (a > 0.0, a < c)
+            up[k], low[k] = grows, shrinks
+            if not grows:
+                up_score[k] = -np.inf
+            if not shrinks:
+                low_score[k] = np.inf
 
+    alpha = np.array(alpha, dtype=np.float64)
+    neg_yg = neg_y * grad
     if not converged:
-        neg_yg = -y * grad
-        up = ((y > 0) & (alpha < box)) | ((y < 0) & (alpha > 0))
-        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < box))
         gap = float(np.max(np.where(up, neg_yg, -np.inf)) - np.min(np.where(low, neg_yg, np.inf)))
         raise ConvergenceError(
             f"SMO did not converge in {max_iter} iterations "
             f"(n={n}, tol={tol}, violation gap={gap:.3e})"
         )
 
-    bias = _solve_bias(alpha, y, grad, box)
-    model = BinarySvmModel(
-        alpha, y, bias, c_reg, box,
+    return BinarySvmModel(
+        alpha, y, _solve_bias(alpha, neg_yg, box, up, low), c_reg, box,
         converged=True, iterations=iterations,
         objective=dual_objective(alpha, y, kernel),
-        objective_history=history,
     )
-    return model
 
 
-def _solve_bias(alpha, y, grad, box) -> float:
+def _solve_bias(alpha, neg_yg, box, up, low) -> float:
     # f(x_i) = sum_j a_j y_j K_ij + b and grad_i = y_i f0(x_i) - 1, so for a
     # free vector b = y_i - f0(x_i) = -y_i * grad_i ... averaged for stability.
     free = (alpha > 1e-12) & (alpha < box - 1e-12)
-    neg_yg = -y * grad
     if free.any():
         return float(np.mean(neg_yg[free]))
-    up = ((y > 0) & (alpha < box)) | ((y < 0) & (alpha > 0))
-    low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < box))
     hi = np.max(np.where(up, neg_yg, -np.inf)) if up.any() else 0.0
     lo = np.min(np.where(low, neg_yg, np.inf)) if low.any() else 0.0
     return float((hi + lo) / 2.0)

@@ -11,7 +11,10 @@ byte. The hof and logc oracles build descriptors from a list of per-pair
 flow as one array; they too must match byte for byte. The quantizer
 measures each centroid by direct differences instead of the expanded
 squared-distance form that ``bow.quantize_batch`` uses. ``matrix_exp`` is
-the inverse the matrix-log tests round-trip through.
+the inverse the matrix-log tests round-trip through. ``reference_smo`` and
+``reference_kmeans`` are the SMO and k-means loops the package shipped
+before their inner loops were trimmed to fewer numpy calls; the package
+must match them byte for byte.
 """
 
 import numpy as np
@@ -233,3 +236,168 @@ def matrix_exp(a):
     evals, vecs = np.linalg.eigh(np.asarray(a, dtype=np.float64))
     mapped = (vecs * np.exp(evals)) @ vecs.T
     return (mapped + mapped.T) / 2.0
+
+
+def reference_smo(kernel, y, c_reg, tol=1e-3, sample_weights=None, max_iter=None):
+    """Maximal-violating-pair SMO, rebuilding both working-set masks each step.
+
+    Returns ``(alpha, bias, iterations, objective, history)`` where
+    ``history`` is the dual objective after every step (starting at 0.0),
+    or raises ``RuntimeError`` with the violation gap when ``max_iter``
+    steps do not close it.
+    """
+    kernel = np.asarray(kernel, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = y.size
+    if sample_weights is None:
+        box = np.full(n, c_reg)
+    else:
+        box = c_reg * n * np.asarray(sample_weights, dtype=np.float64)
+    if max_iter is None:
+        max_iter = 100_000 + 200 * n
+
+    def objective_of(alpha):
+        ay = alpha * y
+        return float(alpha.sum() - 0.5 * ay @ kernel @ ay)
+
+    q = np.outer(y, y) * kernel
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    history = [0.0]
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        neg_yg = -y * grad
+        up = ((y > 0) & (alpha < box)) | ((y < 0) & (alpha > 0))
+        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < box))
+        if not up.any() or not low.any():
+            converged = True
+            iterations -= 1
+            break
+        i = int(np.argmax(np.where(up, neg_yg, -np.inf)))
+        j = int(np.argmin(np.where(low, neg_yg, np.inf)))
+        if neg_yg[i] - neg_yg[j] <= tol:
+            converged = True
+            iterations -= 1
+            break
+
+        old_i, old_j = alpha[i], alpha[j]
+        ci, cj = box[i], box[j]
+        quad = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
+        if quad <= 0.0:
+            quad = 1e-12
+        if y[i] != y[j]:
+            delta = (-grad[i] - grad[j]) / quad
+            diff = alpha[i] - alpha[j]
+            alpha[i] += delta
+            alpha[j] += delta
+            if diff > 0.0:
+                if alpha[j] < 0.0:
+                    alpha[j] = 0.0
+                    alpha[i] = diff
+            else:
+                if alpha[i] < 0.0:
+                    alpha[i] = 0.0
+                    alpha[j] = -diff
+            if diff > ci - cj:
+                if alpha[i] > ci:
+                    alpha[i] = ci
+                    alpha[j] = ci - diff
+            else:
+                if alpha[j] > cj:
+                    alpha[j] = cj
+                    alpha[i] = cj + diff
+        else:
+            delta = (grad[i] - grad[j]) / quad
+            total = alpha[i] + alpha[j]
+            alpha[i] -= delta
+            alpha[j] += delta
+            if total > ci:
+                if alpha[i] > ci:
+                    alpha[i] = ci
+                    alpha[j] = total - ci
+            else:
+                if alpha[j] < 0.0:
+                    alpha[j] = 0.0
+                    alpha[i] = total
+            if total > cj:
+                if alpha[j] > cj:
+                    alpha[j] = cj
+                    alpha[i] = total - cj
+            else:
+                if alpha[i] < 0.0:
+                    alpha[i] = 0.0
+                    alpha[j] = total
+        grad += q[:, i] * (alpha[i] - old_i) + q[:, j] * (alpha[j] - old_j)
+        history.append(objective_of(alpha))
+
+    neg_yg = -y * grad
+    up = ((y > 0) & (alpha < box)) | ((y < 0) & (alpha > 0))
+    low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < box))
+    if not converged:
+        gap = float(np.max(np.where(up, neg_yg, -np.inf)) - np.min(np.where(low, neg_yg, np.inf)))
+        raise RuntimeError(f"violation gap={gap:.3e}")
+
+    free = (alpha > 1e-12) & (alpha < box - 1e-12)
+    if free.any():
+        bias = float(np.mean(neg_yg[free]))
+    else:
+        hi = np.max(np.where(up, neg_yg, -np.inf)) if up.any() else 0.0
+        lo = np.min(np.where(low, neg_yg, np.inf)) if low.any() else 0.0
+        bias = float((hi + lo) / 2.0)
+    return alpha, bias, iterations, objective_of(alpha), history
+
+
+def _reference_sq_distances(points, centroids):
+    d2 = (
+        np.sum(points * points, axis=1)[:, None]
+        + np.sum(centroids * centroids, axis=1)[None, :]
+        - 2.0 * points @ centroids.T
+    )
+    return np.maximum(d2, 0.0)
+
+
+def reference_kmeans(points, word_count, seed, max_iters=100):
+    """k-means++ seeding then Lloyd's iterations, recomputing every point's
+    squared norm at each distance evaluation; returns (centroids, inertia history)."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((word_count, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    closest = _reference_sq_distances(points, centroids[:1]).ravel()
+    for k in range(1, word_count):
+        total = closest.sum()
+        if total > 0.0:
+            target = rng.random() * total
+            idx = int(np.searchsorted(np.cumsum(closest), target, side="right"))
+            idx = min(idx, n - 1)
+        else:
+            idx = int(rng.integers(n))
+        centroids[k] = points[idx]
+        np.minimum(closest, _reference_sq_distances(points, centroids[k : k + 1]).ravel(), out=closest)
+
+    assignment = None
+    inertia_history = []
+    for _ in range(max_iters):
+        d2 = _reference_sq_distances(points, centroids)
+        new_assignment = np.argmin(d2, axis=1)
+        inertia_history.append(float(d2[np.arange(n), new_assignment].sum()))
+        if assignment is not None and np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        point_cost = d2[np.arange(n), assignment].copy()
+        for k in range(word_count):
+            members = assignment == k
+            if members.any():
+                centroids[k] = points[members].mean(axis=0)
+            else:
+                worst = int(np.argmax(point_cost))
+                centroids[k] = points[worst]
+                point_cost[worst] = -1.0
+    return centroids, inertia_history
+
+
+def reference_quantize_batch(vectors, codebook):
+    """Nearest word per row by the expanded squared distance, all norms recomputed."""
+    return np.argmin(_reference_sq_distances(np.asarray(vectors, dtype=np.float64), codebook.centroids), axis=1)

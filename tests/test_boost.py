@@ -194,6 +194,17 @@ def test_unwinnable_problem_raises():
         boost_train(bank, y, trials=2, c_reg=1.0, seed=0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"trials": 2.5}, {"trials": True}, {"c_reg": float("nan")},
+    {"c_reg": float("inf")}, {"svm_tol": float("nan")},
+])
+def test_non_finite_parameters_rejected(kwargs):
+    bank, y = separable_bank()
+    args = {"trials": 2, "c_reg": 10.0, "seed": 1, **kwargs}
+    with pytest.raises(ValidationError):
+        boost_train(bank, y, **args)
+
+
 def test_predict_validates_row_shapes():
     bank, y = separable_bank(seed=19)
     model = boost_train(bank, y, trials=2, c_reg=10.0, seed=1)

@@ -4,7 +4,7 @@ import pytest
 from egoact.bow import encode_video, kmeans, kmeans_with_history, quantize_batch
 from egoact.dataio import Codebook, DescriptorSet
 from egoact.errors import ConfigError, ValidationError
-from oracles import quantize
+from oracles import quantize, reference_kmeans, reference_quantize_batch
 
 
 def two_clouds(rng, n=60, distance=100.0, radius=1.0):
@@ -148,3 +148,38 @@ def test_empty_cluster_reseeded():
     assert (0.0, 0.0) in centroid_set
     assert (10.0, 0.0) in centroid_set
     assert (0.0, 10.0) in centroid_set
+
+
+def cuboid_like_pool(seed, count=300, dim=6171, distinct=None):
+    """Descriptor pools as wide as the default cuboid descriptors, lying near
+    an 8-dimensional subspace so that Lloyd's iterations have work to do;
+    with ``distinct``, only that many different rows, repeated."""
+    rng = np.random.default_rng(seed)
+    rows = distinct or count
+    points = rng.normal(size=(rows, 8)) @ rng.normal(size=(8, dim)) + 0.5 * rng.normal(size=(rows, dim))
+    return points[rng.integers(0, rows, count)] if distinct else points
+
+
+@pytest.mark.parametrize("seed, words, max_iters, distinct", [
+    (0, 16, 100, None),
+    (1, 5, 100, None),
+    (2, 16, 2, None),       # cut off by max_iters
+    (3, 16, 20, 12),        # fewer distinct rows than words: empty clusters get reseeded
+])
+def test_kmeans_matches_reference_bytes(seed, words, max_iters, distinct):
+    points = cuboid_like_pool(seed, distinct=distinct)
+    codebook, history = kmeans_with_history(points, words, seed=seed, max_iters=max_iters)
+    centroids, reference_history = reference_kmeans(points, words, seed, max_iters)
+    assert codebook.centroids.tobytes() == centroids.tobytes()
+    assert np.array(history).tobytes() == np.array(reference_history).tobytes()
+    queries = cuboid_like_pool(seed + 10, count=50)
+    assert (quantize_batch(queries, codebook).tobytes()
+            == reference_quantize_batch(queries, codebook).tobytes())
+
+
+@pytest.mark.parametrize("kwargs", [{"word_count": 2.5}, {"word_count": True},
+                                    {"max_iters": 0}, {"max_iters": 1.5}])
+def test_kmeans_counts_must_be_integers(kwargs):
+    args = {"word_count": 2, "seed": 0, **kwargs}
+    with pytest.raises(ValidationError):
+        kmeans_with_history(np.zeros((5, 2)), **args)

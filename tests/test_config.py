@@ -102,3 +102,31 @@ def test_split_counts_rejected_when_loading_file(tmp_path, split):
     with pytest.raises(ConfigError, match="train_n"):
         RunConfig.load(path)
     assert RunConfig.from_dict({"split": {"mode": "half_half", **split}}).split.mode == "half_half"
+
+
+@pytest.mark.parametrize("doc", [
+    {"hof": {"grid_size": 2.5}}, {"hof": {"window_len": 2.5}}, {"hof": {"stride": True}},
+    {"logc": {"window_len": 2.5}}, {"logc": {"stride": 1.5}}, {"logc": {"pixel_step": 2.0}},
+    {"cuboid": {"max_points": 2.5}},
+    {"bow": {"words": 2.5}}, {"bow": {"max_iters": 1.5}},
+    {"boost": {"trials": 2.5}}, {"boost": {"trials": True}},
+    {"split": {"repeats": 1.5}}, {"split": {"train_n": 2.5}}, {"split": {"test_n": 1.5}},
+    {"mkl": {"max_outer": 2.5}},
+])
+def test_count_fields_must_be_integers(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    write_json(path, doc)
+    with pytest.raises(ConfigError):
+        RunConfig.load(path)
+
+
+@pytest.mark.parametrize("section, field", [
+    ("svm", "c_reg"), ("svm", "tol"), ("mkl", "weight_tol"), ("mkl", "objective_tol"),
+    ("kernels", "gaussian_sigma"), ("cuboid", "sigma"),
+])
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_solver_reals_must_be_finite(tmp_path, section, field, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"format_version": 1, "{section}": {{"{field}": {value}}}}}')
+    with pytest.raises(ConfigError, match=field):
+        RunConfig.load(path)

@@ -125,6 +125,14 @@ def test_predict_validates_shapes():
         mkl_predict_many(model, np.zeros((2, 3, bank.size)))
 
 
+@pytest.mark.parametrize("c_reg, svm_tol", [(float("nan"), 1e-3), (1.0, float("nan")),
+                                            (float("inf"), 1e-3), (1.0, 0.0)])
+def test_non_finite_parameters_rejected(c_reg, svm_tol):
+    bank, y, _ = single_kernel_bank()
+    with pytest.raises(ValidationError):
+        simple_mkl_train(bank, y, c_reg, svm_tol=svm_tol)
+
+
 def test_weights_stay_on_simplex():
     bank, y = informative_and_noise_bank(seed=11, n=24)
     model = simple_mkl_train(bank, y, 2.0)

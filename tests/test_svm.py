@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from egoact.boost import predict_labels
-from egoact.errors import ValidationError
+from egoact.errors import ConvergenceError, ValidationError
+from egoact.kernels import H_INT, KernelSpec, gram_matrix, trace_normalize
 from egoact.svm import (
     BinarySvmModel,
     decision_many,
@@ -11,7 +12,7 @@ from egoact.svm import (
     ova_train,
     smo_train,
 )
-from oracles import random_svm_problem, svm_dual_oracle, svm_dual_value
+from oracles import random_svm_problem, reference_smo, svm_dual_oracle, svm_dual_value
 
 
 def test_symmetric_pair():
@@ -91,8 +92,9 @@ def test_equality_constraint_and_box():
 def test_objective_is_monotone():
     rng = np.random.default_rng(6)
     kernel, y, c_reg = random_svm_problem(rng)
-    model = smo_train(kernel, y, c_reg, tol=1e-8, track_objective=True)
-    history = model.objective_history
+    model = smo_train(kernel, y, c_reg, tol=1e-8)
+    alpha, _, _, _, history = reference_smo(kernel, y, c_reg, tol=1e-8)
+    assert model.alpha.tobytes() == alpha.tobytes()
     assert len(history) >= 2
     for before, after in zip(history, history[1:]):
         assert after >= before - 1e-12
@@ -108,6 +110,72 @@ def test_weighted_boxes():
     assert (model.alpha <= model.box + 1e-12).all()
     with pytest.raises(ValidationError):
         smo_train(kernel, y, 2.0, sample_weights=-weights)
+
+
+def intersection_problem(seed, n=96, dim=48):
+    """A trace-normalized histogram-intersection Gram matrix with both labels."""
+    rng = np.random.default_rng(seed)
+    hist = rng.random((n, dim))
+    hist /= hist.sum(axis=1, keepdims=True)
+    gram, _ = trace_normalize(gram_matrix(hist, KernelSpec(H_INT)))
+    y = np.where(rng.random(n) < 0.3, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    return gram.matrix, y, rng
+
+
+def smo_cases():
+    for seed, c_reg in ((0, 1.0), (1, 10.0), (2, 100.0)):
+        kernel, y, _ = intersection_problem(seed)
+        yield pytest.param(kernel, y, c_reg, {}, id=f"intersection-C{c_reg:g}")
+    kernel, y, rng = intersection_problem(3)
+    weights = rng.random(y.size) * (rng.random(y.size) < 0.8)   # some items weigh nothing
+    yield pytest.param(kernel, y, 10.0, {"sample_weights": weights / weights.sum()},
+                       id="weighted-boxes")
+    kernel, y, rng = intersection_problem(4)
+    idx = rng.integers(0, y.size, y.size)                        # a boosting-style multiset
+    yield pytest.param(kernel[np.ix_(idx, idx)], y[idx], 10.0, {}, id="resampled-multiset")
+    yield pytest.param(np.array([[1.0, 0.25], [0.25, 0.5]]), np.array([1.0, -1.0]), 1.0, {},
+                       id="two-items")
+    kernel, y, rng = intersection_problem(5, n=40)
+    yield pytest.param(kernel + 0.01 * rng.random(kernel.shape), y, 10.0, {"tol": 1e-5},
+                       id="asymmetric")
+
+
+@pytest.mark.parametrize("kernel, y, c_reg, kwargs", smo_cases())
+def test_smo_matches_reference_bytes(kernel, y, c_reg, kwargs):
+    model = smo_train(kernel, y, c_reg, **kwargs)
+    alpha, bias, iterations, objective, _ = reference_smo(kernel, y, c_reg, **kwargs)
+    assert iterations > 0
+    assert model.alpha.tobytes() == alpha.tobytes()
+    assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
+    assert model.iterations == iterations
+    assert np.float64(model.objective).tobytes() == np.float64(objective).tobytes()
+
+
+def test_smo_cut_off_reports_the_reference_gap():
+    kernel, y, _ = intersection_problem(1)
+    with pytest.raises(RuntimeError) as reference:
+        reference_smo(kernel, y, 100.0, max_iter=25)
+    with pytest.raises(ConvergenceError) as package:
+        smo_train(kernel, y, 100.0, max_iter=25)
+    assert str(reference.value) in str(package.value)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"c_reg": float("nan")}, {"c_reg": float("inf")}, {"c_reg": True}, {"c_reg": "1"},
+    {"c_reg": 1.0, "tol": float("nan")}, {"c_reg": 1.0, "tol": 0.0},
+    {"c_reg": 1.0, "sample_weights": np.array([0.5, float("nan"), 0.5])},
+])
+def test_non_finite_parameters_rejected(kwargs):
+    with pytest.raises(ValidationError):
+        smo_train(np.eye(3), np.array([1.0, -1.0, 1.0]), **kwargs)
+
+
+def test_non_finite_kernel_rejected():
+    kernel = np.eye(3)
+    kernel[0, 2] = np.nan
+    with pytest.raises(ValidationError):
+        smo_train(kernel, np.array([1.0, -1.0, 1.0]), 1.0)
 
 
 def test_validation_errors():
