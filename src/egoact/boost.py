@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError, check_positive
-from .kernels import KernelBank
+from .kernels import check_bank
 from .svm import BinarySvmModel, smo_train
 
 ERROR_CLAMP = 1e-10
@@ -110,9 +110,9 @@ def reweight_probabilities(p: np.ndarray, correct: np.ndarray, weight: float) ->
     return p / p.sum()
 
 
-def boost_train(bank: KernelBank, y, trials: int, c_reg: float, seed,
+def boost_train(bank: np.ndarray, y, trials: int, c_reg: float, seed,
                 svm_tol: float = 1e-3) -> BoostedModel:
-    """Run the boosting trials over the bank's kernels.
+    """Run the boosting trials over the kernels of the (M, n, n) ``bank``.
 
     Per trial: resample L items from P_t, train a weak SVM per kernel on
     the resampled multiset, score each candidate's P_t-weighted error over
@@ -121,18 +121,16 @@ def boost_train(bank: KernelBank, y, trials: int, c_reg: float, seed,
     with the trials collected so far. The kept error is clamped away from
     {0, 0.5} before computing the trial weight and the probability update.
     """
+    bank = check_bank(bank, y)
     check_positive("trials", trials, count=True)
     check_positive("c_reg", c_reg)
     check_positive("svm_tol", svm_tol)
     y = np.asarray(y, dtype=np.float64)
-    n = bank.size
-    if y.shape != (n,):
-        raise ValidationError(f"labels must match bank size {n}")
+    n = len(y)
     if not ((y > 0).any() and (y < 0).any()):
         raise ValidationError("training data must contain both classes")
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    matrices = bank.matrices()
     p = np.full(n, 1.0 / n)
     kept = []
 
@@ -145,9 +143,8 @@ def boost_train(bank: KernelBank, y, trials: int, c_reg: float, seed,
                 continue
             candidates = []
             for m in range(len(bank)):
-                sub_gram = matrices[m][np.ix_(idx, idx)]
-                weak = smo_train(sub_gram, y_sub, c_reg, tol=svm_tol)
-                votes = _weak_votes(weak, matrices[m][:, idx])
+                weak = smo_train(bank[m][np.ix_(idx, idx)], y_sub, c_reg, tol=svm_tol)
+                votes = _weak_votes(weak, bank[m][:, idx])
                 error = float(p[votes != y].sum())
                 candidates.append((error, m, weak, votes))
             best_error, best_m, best_weak, best_votes = min(candidates, key=lambda c: (c[0], c[1]))
@@ -186,15 +183,3 @@ def boost_predict_many(model: BoostedModel, k_rows) -> np.ndarray:
         rows = k_rows[trial.kernel_index][:, trial.train_indices]
         scores += trial.weight * _weak_votes(trial.svm, rows)
     return scores
-
-
-def predict_labels(scores) -> np.ndarray:
-    scores = np.asarray(scores, dtype=np.float64)
-    return np.where(scores >= 0.0, 1, -1)
-
-
-def training_error_bound(model: BoostedModel) -> float:
-    """Classical AdaBoost bound: prod_t 2 sqrt(e_t (1 - e_t))."""
-    return float(
-        np.prod([2.0 * np.sqrt(t.error * (1.0 - t.error)) for t in model.trials])
-    )

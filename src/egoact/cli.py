@@ -19,7 +19,7 @@ import numpy as np
 from . import bow, dataio
 from .config import RunConfig
 from .descriptors import CUBOID_TYPE, HOF_TYPE, LOGC_TYPE
-from .errors import ConfigError, ConvergenceError, FormatError, ValidationError
+from .errors import ConfigError, ConvergenceError, FormatError, ValidationError, check_positive
 from .evaluation import extract_dataset_descriptors, run_experiment
 from .modelio import METHODS, model_from_doc, train_model, write_model
 from .synth import generate_synthetic_dataset
@@ -304,6 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "seed" in vars(args):
+            check_positive("--seed", args.seed, count=True, zero=True)
         return args.func(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,12 +20,12 @@ from .synth import SynthConfig
 FEATURE_NAMES = ("hof", "logc", "cuboid")
 
 
-def _check(count: bool = False, **values) -> None:
+def _check(count: bool = False, zero: bool = False, **values) -> None:
     """Raise ConfigError unless every value is a finite positive number or,
-    with ``count``, an integer >= 1."""
+    with ``count``, an integer >= 1; ``zero`` admits 0 as well."""
     for name, value in values.items():
         try:
-            check_positive(name, value, count)
+            check_positive(name, value, count, zero)
         except ValidationError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -52,6 +52,8 @@ class BowSection:
 
     def __post_init__(self):
         _check(count=True, words=self.words, max_iters=self.max_iters)
+        if not isinstance(self.adaptive_words, bool):
+            raise ConfigError(f"adaptive_words must be true or false, got {self.adaptive_words!r}")
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,7 @@ class SplitSection:
             except ConfigError as exc:
                 raise ConfigError(f"per_class_counts needs split.train_n and split.test_n: {exc}") from None
         _check(count=True, repeats=self.repeats)
+        _check(count=True, zero=True, base_seed=self.base_seed)
 
 
 _SECTIONS = {

@@ -53,8 +53,7 @@ class HofParams:
             check_positive(name, getattr(self, name), count=True)
         if self.window_len < 2:
             raise ValidationError("window_len must be at least 2")
-        if self.min_magnitude < 0:
-            raise ValidationError("min_magnitude must be nonnegative")
+        check_positive("min_magnitude", self.min_magnitude, zero=True)
 
     @property
     def dim(self) -> int:
@@ -218,8 +217,8 @@ class CuboidParams:
         check_positive("sigma", self.sigma)
         check_positive("tau", self.tau)
         check_positive("max_points", self.max_points, count=True)
-        if self.threshold < 0:
-            raise ValidationError("threshold must be nonnegative")
+        if self.threshold != np.inf:   # an infinite threshold detects nothing
+            check_positive("threshold", self.threshold, zero=True)
 
     @property
     def side_xy(self) -> int:

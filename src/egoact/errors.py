@@ -38,12 +38,14 @@ class ConvergenceError(PipelineError):
     """An iterative solver exhausted its iteration budget."""
 
 
-def check_positive(name: str, value, count: bool = False) -> None:
+def check_positive(name: str, value, count: bool = False, zero: bool = False) -> None:
     """Raise ValidationError unless ``value`` is a finite positive number or,
-    with ``count``, an integer >= 1; a bool is neither."""
+    with ``count``, an integer >= 1; ``zero`` admits 0 as well. A bool is
+    neither."""
     if count:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-    elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value <= 0):
-        raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
+        kind, ok = f"an integer >= {0 if zero else 1}", isinstance(value, numbers.Integral)
+    else:
+        kind = f"a finite {'nonnegative' if zero else 'positive'} number"
+        ok = isinstance(value, numbers.Real) and math.isfinite(value)
+    if isinstance(value, bool) or not ok or value < 0 or (value == 0 and not zero):
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")

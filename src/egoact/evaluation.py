@@ -217,16 +217,6 @@ class EvalReport:
         atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def pair_confusion(report: EvalReport, class_a: int, class_b: int) -> float:
-    """Accuracy restricted to two classes: of their test mass, the share
-    that stayed on the correct side of the pair."""
-    c = report.confusion
-    within = c[class_a, class_a] + c[class_b, class_b]
-    crossed = c[class_a, class_b] + c[class_b, class_a]
-    total = within + crossed
-    return float(within / total * 100.0) if total > 0 else 100.0
-
-
 def run_experiment(manifest: DatasetManifest, data_dir, cfg: RunConfig, method: str,
                    kernel_kind: str | None = None, features=None, repeats: int | None = None,
                    base_seed: int | None = None, workers: int = 1,

@@ -116,20 +116,6 @@ def _solve_block(prev: np.ndarray, nxt: np.ndarray, alpha, iterations: int) -> n
     return grid[..., :h, :w].swapaxes(0, 1)
 
 
-def flow_energy(flow, prev, nxt, alpha: float = DEFAULT_ALPHA) -> float:
-    """Value of the objective that ``sequence_flows`` iterates down, for one
-    pair's flow ``(2, H, W)`` = (u, v) carrying ``prev`` onto ``nxt``."""
-    flow = np.asarray(flow, dtype=np.float64)
-    prev = np.asarray(prev, dtype=np.float64)
-    nxt = np.asarray(nxt, dtype=np.float64)
-    if prev.ndim != 2 or nxt.shape != prev.shape or flow.shape != (2, *prev.shape):
-        raise ValidationError("flow and frames must share one shape")
-    ix, iy, it = _intensity_gradients(prev, nxt)
-    data = ix * flow[0] + iy * flow[1] + it
-    smooth = np.sum(np.diff(flow, axis=1) ** 2) + np.sum(np.diff(flow, axis=2) ** 2)
-    return float(np.sum(data * data) + alpha * alpha * smooth)
-
-
 def sequence_flows(frames: np.ndarray, alpha: float = DEFAULT_ALPHA,
                    iterations: int = DEFAULT_ITERATIONS) -> np.ndarray:
     """Flows between the consecutive frames of a ``(t, y, x)`` volume.

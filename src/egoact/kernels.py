@@ -2,6 +2,9 @@
 multi-channel intersection variants, plus Gram-matrix assembly and
 convex kernel combination.
 
+A bank is one float ``(M, n, n)`` array: slice m is kernel m's Gram
+matrix over the same n training vectors.
+
 Channel-aware kinds treat a histogram as a sequence of per-descriptor-type
 blocks. ``dc_int`` averages the per-block intersections; ``jpl_int`` takes
 the product of per-block intersections, each raised to a positive exponent.
@@ -11,7 +14,6 @@ one kernel sees only one feature's histogram.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,37 +130,7 @@ def _kernel_block(spec: KernelSpec, queries: np.ndarray, references: np.ndarray)
     return np.prod((block_sums + JPL_DELTA) ** np.asarray(exponents), axis=-1)
 
 
-class GramMatrix:
-    """Symmetric kernel matrix over one dataset, tagged with a data fingerprint."""
-
-    __slots__ = ("matrix", "spec", "fingerprint")
-
-    def __init__(self, matrix, spec, fingerprint: str):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValidationError(f"Gram matrix must be square, got {matrix.shape}")
-        if not np.all(np.isfinite(matrix)):
-            raise ValidationError("Gram matrix entries must be finite")
-        if np.abs(matrix - matrix.T).max(initial=0.0) > 1e-12:
-            raise ValidationError("Gram matrix must be symmetric")
-        self.matrix = matrix
-        self.spec = spec
-        self.fingerprint = fingerprint
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-
-def data_fingerprint(vectors: np.ndarray) -> str:
-    digest = hashlib.sha256()
-    arr = np.ascontiguousarray(vectors, dtype=np.float64)
-    digest.update(str(arr.shape).encode())
-    digest.update(arr.tobytes())
-    return digest.hexdigest()[:16]
-
-
-def gram_matrix(vectors, spec: KernelSpec) -> GramMatrix:
+def gram_matrix(vectors, spec: KernelSpec) -> np.ndarray:
     """Pairwise kernel matrix; the upper triangle is mirrored onto the lower,
     so symmetry is exact by construction."""
     vectors = np.asarray(vectors, dtype=np.float64)
@@ -167,7 +139,7 @@ def gram_matrix(vectors, spec: KernelSpec) -> GramMatrix:
     matrix = _kernel_block(spec, vectors, vectors)
     lower = np.tril_indices(vectors.shape[0], k=-1)
     matrix[lower] = matrix.T[lower]
-    return GramMatrix(matrix, spec, data_fingerprint(vectors))
+    return matrix
 
 
 def kernel_rows(spec: KernelSpec, queries, references) -> np.ndarray:
@@ -175,37 +147,6 @@ def kernel_rows(spec: KernelSpec, queries, references) -> np.ndarray:
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     references = np.atleast_2d(np.asarray(references, dtype=np.float64))
     return _kernel_block(spec, queries, references)
-
-
-class KernelBank:
-    """An ordered list of (spec, gram) pairs over one dataset."""
-
-    __slots__ = ("specs", "grams")
-
-    def __init__(self, specs, grams):
-        specs = list(specs)
-        grams = list(grams)
-        if not grams or len(specs) != len(grams):
-            raise ValidationError("bank needs matching, nonempty spec and gram lists")
-        size = grams[0].size
-        fingerprint = grams[0].fingerprint
-        for g in grams:
-            if g.size != size:
-                raise ValidationError("bank Gram matrices must share one size")
-            if g.fingerprint != fingerprint:
-                raise ValidationError("bank Gram matrices must come from the same data")
-        self.specs = specs
-        self.grams = grams
-
-    def __len__(self):
-        return len(self.grams)
-
-    @property
-    def size(self) -> int:
-        return self.grams[0].size
-
-    def matrices(self) -> np.ndarray:
-        return np.stack([g.matrix for g in self.grams])
 
 
 def check_simplex(weights, count: int, tol: float = 1e-9) -> np.ndarray:
@@ -221,13 +162,23 @@ def check_simplex(weights, count: int, tol: float = 1e-9) -> np.ndarray:
     return weights
 
 
-def combine(bank: KernelBank, weights) -> GramMatrix:
+def check_bank(bank, y) -> np.ndarray:
+    """Raise ValidationError unless ``bank`` is a float (M, n, n) array with
+    M >= 1 and n = len(y); the trainers' one check on their kernel bank."""
+    bank, labels = np.asarray(bank), np.shape(y)
+    if bank.dtype.kind != "f" or bank.ndim != 3 or not len(bank) or bank.shape[1:] != labels * 2:
+        raise ValidationError(f"kernel bank must be a float (M, n, n) array with M >= 1 for labels of "
+                              f"shape {labels}, got a {bank.dtype} array of shape {bank.shape}")
+    return bank
+
+
+def combine(bank: np.ndarray, weights) -> np.ndarray:
     """Entry-wise convex combination of the bank's Gram matrices."""
     weights = check_simplex(weights, len(bank))
-    combined = np.zeros((bank.size, bank.size))
-    for w, gram in zip(weights, bank.grams):
-        combined += w * gram.matrix
-    return GramMatrix(combined, None, bank.grams[0].fingerprint)
+    combined = np.zeros(bank.shape[1:])
+    for w, gram in zip(weights, bank):
+        combined += w * gram
+    return combined
 
 
 def combine_rows(rows: np.ndarray, weights) -> np.ndarray:
@@ -237,17 +188,17 @@ def combine_rows(rows: np.ndarray, weights) -> np.ndarray:
     return np.tensordot(weights, rows, axes=(0, 0))
 
 
-def trace_normalize(gram: GramMatrix):
+def trace_normalize(gram: np.ndarray):
     """Scale a Gram matrix so its trace equals its size; returns (gram, scale).
 
     Applied before multi-kernel training so weights are comparable across
     kernel kinds; the same scale must be applied to test-time kernel rows.
     """
-    trace = float(np.trace(gram.matrix))
+    trace = float(np.trace(gram))
     if trace <= 0.0:
         return gram, 1.0
-    scale = gram.size / trace
-    return GramMatrix(gram.matrix * scale, gram.spec, gram.fingerprint), scale
+    scale = len(gram) / trace
+    return gram * scale, scale
 
 
 def median_heuristic_sigma(vectors, block=None) -> float:

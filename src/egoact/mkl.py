@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import MklSection
 from .errors import ValidationError, check_positive
-from .kernels import KernelBank, check_simplex, combine, combine_rows
+from .kernels import check_bank, check_simplex, combine, combine_rows
 from .svm import BinarySvmModel, decision_many, smo_train
 
 MAX_LINE_SEARCH = 30   # step halvings tried per outer iteration
@@ -47,9 +47,9 @@ class MklModel:
         )
 
 
-def _weight_gradient(bank_matrices: np.ndarray, svm: BinarySvmModel) -> np.ndarray:
+def _weight_gradient(bank: np.ndarray, svm: BinarySvmModel) -> np.ndarray:
     ay = svm.alpha * svm.labels
-    return -0.5 * np.einsum("i,mij,j->m", ay, bank_matrices, ay)
+    return -0.5 * np.einsum("i,mij,j->m", ay, bank, ay)
 
 
 def _descent_direction(weights: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -64,15 +64,16 @@ def _descent_direction(weights: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return direction
 
 
-def simple_mkl_train(bank: KernelBank, y, c_reg: float, params: MklSection = MklSection(),
+def simple_mkl_train(bank: np.ndarray, y, c_reg: float, params: MklSection = MklSection(),
                      svm_tol: float = 1e-3) -> MklModel:
-    """Jointly optimize simplex kernel weights and the SVM on their combination;
-    ``params`` holds the stopping tolerances and the outer iteration cap."""
+    """Jointly optimize simplex kernel weights over the (M, n, n) ``bank`` and
+    the SVM on their combination; ``params`` holds the stopping tolerances
+    and the outer iteration cap."""
+    bank = check_bank(bank, y)
     check_positive("c_reg", c_reg)
     check_positive("svm_tol", svm_tol)
     m = len(bank)
     y = np.asarray(y, dtype=np.float64)
-    matrices = bank.matrices()
     weights = np.full(m, 1.0 / m)
 
     svm = smo_train(combine(bank, weights), y, c_reg, tol=svm_tol)
@@ -81,7 +82,7 @@ def simple_mkl_train(bank: KernelBank, y, c_reg: float, params: MklSection = Mkl
     converged = False
 
     for _ in range(params.max_outer):
-        grad = _weight_gradient(matrices, svm)
+        grad = _weight_gradient(bank, svm)
         direction = _descent_direction(weights, grad)
         if np.max(np.abs(direction)) <= 1e-14:
             converged = True

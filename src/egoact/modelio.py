@@ -33,7 +33,7 @@ class Method:
     per_block: bool      # one kernel per feature block, else one over the whole vector
     kinds: tuple         # accepted kernel kinds
     codec: type          # binary payload class (to_dict / from_dict)
-    train: Callable      # (bank, y_pm, cfg, seed_sequence) -> payload
+    train: Callable      # ((M, n, n) bank, y_pm, cfg, seed_sequence) -> payload
     score: Callable      # (payload, kernel rows (M, n, L)) -> (n,) scores
     check: Callable      # (payload, train_count, kernel_count); raises FormatError
     describe: Callable   # payload -> one line for ``egoact inspect``
@@ -69,7 +69,7 @@ def _describe_mkl(model) -> str:
 
 _SVM = dict(
     codec=svm.BinarySvmModel, check=_check_svm,
-    train=lambda bank, y, cfg, seed: svm.smo_train(bank.grams[0], y, cfg.svm.c_reg, tol=cfg.svm.tol),
+    train=lambda bank, y, cfg, seed: svm.smo_train(bank[0], y, cfg.svm.c_reg, tol=cfg.svm.tol),
     score=lambda model, rows: svm.decision_many(model, rows[0]),
     describe=lambda model: f"{int((model.alpha > 0).sum())} support vectors, bias {model.bias:.4f}",
 )
@@ -239,12 +239,9 @@ def fit(method, vectors, labels, classes, layout, cfg: RunConfig, kernel_kind,
     only boosting draws from it.
     """
     specs = build_bank_specs(method, kernel_kind, layout, cfg, vectors)
-    grams, scales = [], []
-    for spec in specs:
-        gram, scale = kernels.trace_normalize(kernels.gram_matrix(vectors, spec))
-        grams.append(gram)
-        scales.append(scale)
-    bank = kernels.KernelBank(specs, grams)
+    grams, scales = zip(*(kernels.trace_normalize(kernels.gram_matrix(vectors, spec))
+                          for spec in specs))
+    bank = np.stack(grams)
     train = METHODS[method].train
     models = svm.ova_train(labels, classes, lambda y_pm, k: train(
         bank, y_pm, cfg, np.random.SeedSequence(entropy=seed, spawn_key=(*spawn_prefix, k))))

@@ -94,12 +94,11 @@ def smo_train(gram, y, c_reg: float, tol: float = 1e-3, sample_weights=None,
               max_iter: int | None = None) -> BinarySvmModel:
     """Solve the dual on a precomputed kernel matrix.
 
-    ``gram`` may be a GramMatrix or a plain square ndarray. When
-    ``sample_weights`` (a probability vector) is given, item i's box
+    When ``sample_weights`` (a probability vector) is given, item i's box
     becomes c_reg * L * w_i. Raises ConvergenceError if the violation gap
     has not closed after the iteration cap.
     """
-    kernel = np.asarray(getattr(gram, "matrix", gram), dtype=np.float64)
+    kernel = np.asarray(gram, dtype=np.float64)
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
         raise ValidationError(f"kernel matrix must be square, got {kernel.shape}")
     if not np.isfinite(kernel).all():
@@ -239,20 +238,6 @@ def decision_many(model: BinarySvmModel, k_rows) -> np.ndarray:
     if k_rows.ndim != 2 or k_rows.shape[1] != model.size:
         raise ValidationError(f"kernel rows must be (n, {model.size})")
     return k_rows @ (model.alpha * model.labels) + model.bias
-
-
-def kkt_residuals(model: BinarySvmModel, gram, y) -> np.ndarray:
-    """Per-item violation of the KKT margin conditions (0 when satisfied)."""
-    kernel = np.asarray(getattr(gram, "matrix", gram), dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    margins = y * (kernel @ (model.alpha * model.labels) + model.bias)
-    slack = 1e-9 * np.maximum(model.box, 1.0)
-    at_zero = model.alpha <= slack
-    at_box = model.alpha >= model.box - slack
-    resid = np.abs(margins - 1.0)
-    resid[at_zero] = np.maximum(0.0, 1.0 - margins[at_zero])
-    resid[at_box] = np.maximum(0.0, margins[at_box] - 1.0)
-    return resid
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import DatasetManifest, FrameSequence, VideoEntry, write_frame_sequence, write_manifest
-from .errors import ValidationError
+from .errors import ValidationError, check_positive
 
 PAN_SPEED = 2.0          # px/frame
 BOB_AMPLITUDE = 3.0      # px
@@ -78,6 +78,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("class_count", "videos_per_class", "width", "height", "frame_count"):
+            check_positive(name, getattr(self, name), count=True)
+        check_positive("noise_sigma", self.noise_sigma, zero=True)
+        check_positive("seed", self.seed, count=True, zero=True)
         if self.class_count < 2:
             raise ValidationError("class_count must be at least 2")
         if self.videos_per_class < 4:
@@ -86,8 +90,6 @@ class SynthConfig:
             raise ValidationError("frames must be at least 8x8")
         if self.frame_count < 2:
             raise ValidationError("frame_count must be at least 2")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be nonnegative")
 
 
 def class_signature(class_index: int):

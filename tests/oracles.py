@@ -14,7 +14,9 @@ squared-distance form that ``bow.quantize_batch`` uses. ``matrix_exp`` is
 the inverse the matrix-log tests round-trip through. ``reference_smo`` and
 ``reference_kmeans`` are the SMO and k-means loops the package shipped
 before their inner loops were trimmed to fewer numpy calls; the package
-must match them byte for byte.
+must match them byte for byte. ``flow_energy``, ``kkt_residuals``,
+``predict_labels``, ``training_error_bound`` and ``pair_confusion`` are
+the measures the tests and acceptance criteria score results by.
 """
 
 import numpy as np
@@ -401,3 +403,47 @@ def reference_kmeans(points, word_count, seed, max_iters=100):
 def reference_quantize_batch(vectors, codebook):
     """Nearest word per row by the expanded squared distance, all norms recomputed."""
     return np.argmin(_reference_sq_distances(np.asarray(vectors, dtype=np.float64), codebook.centroids), axis=1)
+
+
+def flow_energy(flow, prev, nxt, alpha=10.0) -> float:
+    """Value of the Horn-Schunck objective for one pair's flow ``(2, H, W)``
+    = (u, v) carrying ``prev`` onto ``nxt``."""
+    prev = np.asarray(prev, dtype=np.float64)
+    nxt = np.asarray(nxt, dtype=np.float64)
+    iy, ix = np.gradient((prev + nxt) / 2.0)
+    data = ix * flow[0] + iy * flow[1] + (nxt - prev)
+    smooth = np.sum(np.diff(flow, axis=1) ** 2) + np.sum(np.diff(flow, axis=2) ** 2)
+    return float(np.sum(data * data) + alpha * alpha * smooth)
+
+
+def kkt_residuals(model, kernel, y) -> np.ndarray:
+    """Per-item violation of the KKT margin conditions (0 when satisfied)."""
+    y = np.asarray(y, dtype=np.float64)
+    margins = y * (np.asarray(kernel) @ (model.alpha * model.labels) + model.bias)
+    slack = 1e-9 * np.maximum(model.box, 1.0)
+    at_zero = model.alpha <= slack
+    at_box = model.alpha >= model.box - slack
+    resid = np.abs(margins - 1.0)
+    resid[at_zero] = np.maximum(0.0, 1.0 - margins[at_zero])
+    resid[at_box] = np.maximum(0.0, margins[at_box] - 1.0)
+    return resid
+
+
+def predict_labels(scores) -> np.ndarray:
+    """+1 for a nonnegative score, else -1."""
+    return np.where(np.asarray(scores, dtype=np.float64) >= 0.0, 1, -1)
+
+
+def training_error_bound(model) -> float:
+    """Classical AdaBoost bound of a boosted model: prod_t 2 sqrt(e_t (1 - e_t))."""
+    return float(np.prod([2.0 * np.sqrt(t.error * (1.0 - t.error)) for t in model.trials]))
+
+
+def pair_confusion(report, class_a, class_b) -> float:
+    """Accuracy restricted to two classes: of their test mass, the share
+    that stayed on the correct side of the pair."""
+    c = report.confusion
+    within = c[class_a, class_a] + c[class_b, class_b]
+    crossed = c[class_a, class_b] + c[class_b, class_a]
+    total = within + crossed
+    return float(within / total * 100.0) if total > 0 else 100.0

@@ -11,27 +11,35 @@ import numpy as np
 import pytest
 
 import egoact.boost as boost_mod
-from egoact.boost import boost_predict_many, boost_train, predict_labels, training_error_bound
+from egoact.boost import boost_predict_many, boost_train
 from egoact.cli import main
 from egoact.config import RunConfig
 from egoact.dataio import DatasetManifest, VideoEntry, write_json
 from egoact.descriptors import HofParams, hof_window_histogram, kinematic_features
-from egoact.evaluation import extract_dataset_descriptors, pair_confusion, run_experiment
+from egoact.evaluation import extract_dataset_descriptors, run_experiment
 from egoact.kernels import (
     DC_INT,
     GAUSSIAN,
     H_INT,
     JPL_INT,
-    KernelBank,
     KernelSpec,
     combine,
     gram_matrix,
 )
 from egoact.linalg import matrix_log
 from egoact.mkl import simple_mkl_train
-from egoact.svm import decision_many, kkt_residuals, smo_train
+from egoact.svm import decision_many, smo_train
 from egoact.synth import generate_synthetic_dataset
-from oracles import matrix_exp, random_svm_problem, svm_dual_oracle, svm_dual_value
+from oracles import (
+    kkt_residuals,
+    matrix_exp,
+    pair_confusion,
+    predict_labels,
+    random_svm_problem,
+    svm_dual_oracle,
+    svm_dual_value,
+    training_error_bound,
+)
 
 
 def report(number, text):
@@ -60,7 +68,7 @@ def experiment_reports(dataset):
 
     def checked_boost_train(bank, y, trials, c_reg, seed, **kwargs):
         model = original(bank, y, trials, c_reg, seed, **kwargs)
-        scores = boost_predict_many(model, bank.matrices())
+        scores = boost_predict_many(model, bank)
         training_error = float((predict_labels(scores) != np.asarray(y)).mean())
         assert training_error <= training_error_bound(model) + 1e-12
         bound_checks["count"] += 1
@@ -122,11 +130,11 @@ def test_criterion_02_simple_mkl_selects_informative_kernel():
     accuracies = []
     for gram in grams:
         plain = smo_train(gram, y, 1.0)
-        accuracies.append(float(((decision_many(plain, gram.matrix) >= 0) == (y > 0)).mean()))
+        accuracies.append(float(((decision_many(plain, gram) >= 0) == (y > 0)).mean()))
     assert accuracies[0] >= 0.95, "construction: informative kernel must train well"
     assert max(accuracies[1:]) <= 0.60, "construction: noise kernels must not"
 
-    model = simple_mkl_train(KernelBank(specs, grams), y, 1.0)
+    model = simple_mkl_train(np.stack(grams), y, 1.0)
     elapsed = time.monotonic() - started
     assert model.weights[0] >= 0.7
     assert model.weights.min() >= -1e-9
@@ -146,12 +154,12 @@ def test_criterion_03_boosting_bound_and_separable_convergence(experiment_report
     good = y[:, None] * 2.0 + 0.2 * rng.normal(size=(n, 1))
     full = np.hstack([good, rng.normal(size=(n, 2))])
     specs = [KernelSpec(GAUSSIAN, sigma=4.0, block=(k, 1)) for k in range(3)]
-    bank = KernelBank(specs, [gram_matrix(full, s) for s in specs])
+    bank = np.stack([gram_matrix(full, s) for s in specs])
 
     checked = 0
     for seed in range(6):
         model = boost_train(bank, y, trials=10, c_reg=10.0, seed=seed)
-        scores = boost_predict_many(model, bank.matrices())
+        scores = boost_predict_many(model, bank)
         error = float((predict_labels(scores) != y).mean())
         assert error <= training_error_bound(model) + 1e-12
         checked += 1
@@ -164,9 +172,9 @@ def test_criterion_03_boosting_bound_and_separable_convergence(experiment_report
             noisy_y[0] = -noisy_y[0]
         noisy = np.hstack([noisy_y[:, None] * 0.5 + rng.normal(size=(n, 1)),
                            rng.normal(size=(n, 2))])
-        noisy_bank = KernelBank(specs, [gram_matrix(noisy, s) for s in specs])
+        noisy_bank = np.stack([gram_matrix(noisy, s) for s in specs])
         model = boost_train(noisy_bank, noisy_y, trials=8, c_reg=1.0, seed=seed)
-        scores = boost_predict_many(model, noisy_bank.matrices())
+        scores = boost_predict_many(model, noisy_bank)
         error = float((predict_labels(scores) != noisy_y).mean())
         assert error <= training_error_bound(model) + 1e-12
         checked += 1
@@ -241,14 +249,14 @@ def test_criterion_07_gram_matrices_are_psd(dataset):
         histograms = raw / raw.sum(axis=1, keepdims=True)
         grams = [gram_matrix(histograms, spec) for spec in specs]
         for gram in grams:
-            evals = np.linalg.eigvalsh(gram.matrix)
+            evals = np.linalg.eigvalsh(gram)
             worst = min(worst, float(evals[0]))
             assert evals[0] >= -1e-8
-        bank = KernelBank(specs, grams)
+        bank = np.stack(grams)
         for _ in range(3):
             weights = rng.random(len(specs))
             weights /= weights.sum()
-            evals = np.linalg.eigvalsh(combine(bank, weights).matrix)
+            evals = np.linalg.eigvalsh(combine(bank, weights))
             worst = min(worst, float(evals[0]))
             assert evals[0] >= -1e-8
     report(7, f"gaussian/h_int/dc_int/jpl_int Grams and convex combinations PSD, "

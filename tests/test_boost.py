@@ -6,14 +6,13 @@ from egoact.boost import (
     WeakClassifier,
     boost_predict_many,
     boost_train,
-    predict_labels,
     resample,
     reweight_probabilities,
-    training_error_bound,
 )
 from egoact.errors import ValidationError
-from egoact.kernels import GAUSSIAN, H_INT, KernelBank, KernelSpec, gram_matrix
+from egoact.kernels import GAUSSIAN, H_INT, KernelSpec, gram_matrix
 from egoact.svm import BinarySvmModel
+from oracles import predict_labels, training_error_bound
 
 
 def test_resample_degenerate_distribution():
@@ -69,8 +68,7 @@ def separable_bank(seed=0, n=24):
     full = np.hstack([good, noise])
     specs = [KernelSpec(GAUSSIAN, sigma=4.0, block=(0, 1)),
              KernelSpec(GAUSSIAN, sigma=4.0, block=(1, 1))]
-    grams = [gram_matrix(full, s) for s in specs]
-    return KernelBank(specs, grams), y
+    return np.stack([gram_matrix(full, s) for s in specs]), y
 
 
 def test_single_trial_is_best_weak_classifier():
@@ -78,9 +76,8 @@ def test_single_trial_is_best_weak_classifier():
     model = boost_train(bank, y, trials=1, c_reg=10.0, seed=3)
     assert len(model.trials) == 1
     trial = model.trials[0]
-    rows = bank.matrices()
-    scores = boost_predict_many(model, rows)
-    weak_scores = rows[trial.kernel_index][:, trial.train_indices] @ (
+    scores = boost_predict_many(model, bank)
+    weak_scores = bank[trial.kernel_index][:, trial.train_indices] @ (
         trial.svm.alpha * trial.svm.labels
     ) + trial.svm.bias
     assert np.array_equal(predict_labels(scores), predict_labels(weak_scores))
@@ -106,9 +103,9 @@ def test_training_error_bound_holds():
                         rng.normal(size=(n, 1))])
     specs = [KernelSpec(GAUSSIAN, sigma=2.0, block=(0, 1)),
              KernelSpec(GAUSSIAN, sigma=2.0, block=(1, 1))]
-    bank = KernelBank(specs, [gram_matrix(points, s) for s in specs])
+    bank = np.stack([gram_matrix(points, s) for s in specs])
     model = boost_train(bank, y, trials=8, c_reg=1.0, seed=2)
-    scores = boost_predict_many(model, bank.matrices())
+    scores = boost_predict_many(model, bank)
     training_error = float((predict_labels(scores) != y).mean())
     assert training_error <= training_error_bound(model) + 1e-12
 
@@ -118,7 +115,7 @@ def test_training_error_reaches_zero_and_is_monotone_in_trials():
     errors = []
     for trials in (1, 2, 4, 6):
         model = boost_train(bank, y, trials=trials, c_reg=10.0, seed=21)
-        scores = boost_predict_many(model, bank.matrices())
+        scores = boost_predict_many(model, bank)
         errors.append(float((predict_labels(scores) != y).mean()))
     assert errors[-1] == 0.0
     for before, after in zip(errors, errors[1:]):
@@ -163,10 +160,10 @@ def test_heavier_trial_wins_disagreement():
 def test_predict_matches_naive_resummation():
     bank, y = separable_bank(seed=17)
     model = boost_train(bank, y, trials=3, c_reg=10.0, seed=5)
-    rows = bank.matrices()[:, 6, :][:, None, :]
+    rows = bank[:, 6, :][:, None, :]
     manual = 0.0
     for trial in model.trials:
-        row = bank.matrices()[trial.kernel_index, 6, trial.train_indices]
+        row = bank[trial.kernel_index, 6, trial.train_indices]
         weak = float(row @ (trial.svm.alpha * trial.svm.labels) + trial.svm.bias)
         manual += trial.weight * (1.0 if weak >= 0 else -1.0)
     assert boost_predict_many(model, rows)[0] == pytest.approx(manual, abs=1e-12)
@@ -188,8 +185,7 @@ def test_unwinnable_problem_raises():
     n = 8
     y = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
     spec = KernelSpec(H_INT)
-    gram = gram_matrix(np.full((n, 2), 0.5), spec)
-    bank = KernelBank([spec], [gram])
+    bank = gram_matrix(np.full((n, 2), 0.5), spec)[None]
     with pytest.raises(ValidationError):
         boost_train(bank, y, trials=2, c_reg=1.0, seed=0)
 
@@ -205,10 +201,23 @@ def test_non_finite_parameters_rejected(kwargs):
         boost_train(bank, y, **args)
 
 
+@pytest.mark.parametrize("reshape", [
+    lambda bank: bank[0],                  # 2-D: one Gram, not a bank
+    lambda bank: bank[:0],                 # no kernels
+    lambda bank: bank[:, :-1, :-1],        # n differs from the label count
+    lambda bank: bank[:, :, :-1],          # not square
+    lambda bank: bank.astype(np.int64),    # not float
+])
+def test_bank_shape_rejected(reshape):
+    bank, y = separable_bank()
+    with pytest.raises(ValidationError, match="kernel bank"):
+        boost_train(reshape(bank), y, trials=2, c_reg=10.0, seed=1)
+
+
 def test_predict_validates_row_shapes():
     bank, y = separable_bank(seed=19)
     model = boost_train(bank, y, trials=2, c_reg=10.0, seed=1)
     with pytest.raises(ValidationError):
-        boost_predict_many(model, np.zeros((1, 2, bank.size)))   # missing kernel rows
+        boost_predict_many(model, np.zeros((1, 2, len(y))))   # missing kernel rows
     with pytest.raises(ValidationError):
-        boost_predict_many(model, np.zeros((2, 2, bank.size + 1)))
+        boost_predict_many(model, np.zeros((2, 2, len(y) + 1)))

@@ -186,6 +186,33 @@ def test_bad_flow_config_exits_1_before_extraction(tmp_path, capsys, flow):
     assert not (tmp_path / "desc").exists()
 
 
+@pytest.mark.parametrize("doc", [
+    {"synth": {"width": 16.5}}, {"synth": {"noise_sigma": float("nan")}},
+    {"synth": {"seed": -1}}, {"split": {"base_seed": 1.5}},
+    {"hof": {"min_magnitude": float("nan")}}, {"cuboid": {"threshold": float("nan")}},
+    {"bow": {"adaptive_words": "no"}},
+])
+def test_bad_config_value_exits_1_with_one_line(tmp_path, capsys, doc):
+    cfg = tmp_path / "bad.json"
+    write_json(cfg, doc)
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad config section")
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["synth"], ["codebook", "--descriptors", "desc", "--type", "hof"],
+    ["train", "--manifest", "m.json", "--histograms", "h.json", "--method", "single"],
+    ["evaluate", "--data", "data", "--method", "single"],
+])
+def test_negative_seed_flag_exits_1_with_one_line(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([*command, "--seed", "-3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --seed must be an integer >= 0, got -3"]
+    assert not out.exists()
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code = main(["inspect", str(tmp_path / "nope.json")])
     assert code == 2

@@ -112,6 +112,8 @@ def test_split_counts_rejected_when_loading_file(tmp_path, split):
     {"boost": {"trials": 2.5}}, {"boost": {"trials": True}},
     {"split": {"repeats": 1.5}}, {"split": {"train_n": 2.5}}, {"split": {"test_n": 1.5}},
     {"mkl": {"max_outer": 2.5}},
+    {"synth": {"width": 16.5}}, {"synth": {"seed": 1.5}},
+    {"split": {"base_seed": 1.5}},
 ])
 def test_count_fields_must_be_integers(tmp_path, doc):
     path = tmp_path / "cfg.json"
@@ -123,10 +125,31 @@ def test_count_fields_must_be_integers(tmp_path, doc):
 @pytest.mark.parametrize("section, field", [
     ("svm", "c_reg"), ("svm", "tol"), ("mkl", "weight_tol"), ("mkl", "objective_tol"),
     ("kernels", "gaussian_sigma"), ("cuboid", "sigma"),
+    ("hof", "min_magnitude"), ("synth", "noise_sigma"),
 ])
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
 def test_solver_reals_must_be_finite(tmp_path, section, field, value):
     path = tmp_path / "cfg.json"
     path.write_text(f'{{"format_version": 1, "{section}": {{"{field}": {value}}}}}')
+    with pytest.raises(ConfigError, match=field):
+        RunConfig.load(path)
+
+
+def test_cuboid_threshold_rejects_nan_but_not_infinity(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"format_version": 1, "cuboid": {"threshold": NaN}}')
+    with pytest.raises(ConfigError, match="threshold"):
+        RunConfig.load(path)
+    # an infinite threshold stays a valid way to detect nothing
+    assert RunConfig.from_dict({"cuboid": {"threshold": float("inf")}}).cuboid.threshold == float("inf")
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("synth", "seed", -1), ("split", "base_seed", -1),
+    ("bow", "adaptive_words", "no"), ("bow", "adaptive_words", 1),
+])
+def test_seeds_nonnegative_and_flags_bool_at_load(tmp_path, section, field, value):
+    path = tmp_path / "cfg.json"
+    write_json(path, {section: {field: value}})
     with pytest.raises(ConfigError, match=field):
         RunConfig.load(path)

@@ -10,11 +10,11 @@ from egoact.evaluation import (
     EvalReport,
     ordered_map,
     per_class_accuracy_stddev,
-    pair_confusion,
     random_split,
     run_experiment,
     run_repeat,
 )
+from oracles import pair_confusion
 
 HOF_DIM = 4 * 4 * 8
 

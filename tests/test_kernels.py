@@ -7,7 +7,6 @@ from egoact.kernels import (
     H_INT,
     DC_INT,
     JPL_INT,
-    KernelBank,
     KernelSpec,
     combine,
     combine_rows,
@@ -115,19 +114,19 @@ def test_block_restriction():
 def test_gram_single_video():
     spec = KernelSpec(H_INT)
     gram = gram_matrix(np.array([[0.25, 0.75]]), spec)
-    assert gram.matrix.shape == (1, 1)
-    assert gram.matrix[0, 0] == pytest.approx(1.0)
+    assert gram.shape == (1, 1)
+    assert gram[0, 0] == pytest.approx(1.0)
 
 
 def test_gram_exact_symmetry_and_diagonals():
     rng = np.random.default_rng(2)
     hists = random_histograms(rng, 8)
     gauss = gram_matrix(hists, KernelSpec(GAUSSIAN, sigma=0.5))
-    assert np.array_equal(gauss.matrix, gauss.matrix.T)
-    assert np.array_equal(np.diag(gauss.matrix), np.ones(8))
+    assert np.array_equal(gauss, gauss.T)
+    assert np.array_equal(np.diag(gauss), np.ones(8))
     inter = gram_matrix(hists, KernelSpec(H_INT))
-    assert np.array_equal(inter.matrix, inter.matrix.T)
-    assert np.allclose(np.diag(inter.matrix), hists.sum(axis=1), atol=1e-12)
+    assert np.array_equal(inter, inter.T)
+    assert np.allclose(np.diag(inter), hists.sum(axis=1), atol=1e-12)
 
 
 @pytest.mark.parametrize("spec", [
@@ -139,7 +138,7 @@ def test_gram_exact_symmetry_and_diagonals():
 def test_gram_matrices_are_psd(spec):
     rng = np.random.default_rng(3)
     gram = gram_matrix(random_histograms(rng, 10), spec)
-    assert np.linalg.eigvalsh(gram.matrix)[0] >= -1e-8
+    assert np.linalg.eigvalsh(gram)[0] >= -1e-8
 
 
 def test_combine_one_hot_returns_member():
@@ -147,9 +146,9 @@ def test_combine_one_hot_returns_member():
     hists = random_histograms(rng, 6)
     specs = [KernelSpec(H_INT), KernelSpec(GAUSSIAN, sigma=1.0)]
     grams = [gram_matrix(hists, s) for s in specs]
-    bank = KernelBank(specs, grams)
+    bank = np.stack(grams)
     combined = combine(bank, [0.0, 1.0])
-    assert np.array_equal(combined.matrix, grams[1].matrix)
+    assert np.array_equal(combined, grams[1])
 
 
 def test_combine_identical_matrices_idempotent():
@@ -157,9 +156,9 @@ def test_combine_identical_matrices_idempotent():
     hists = random_histograms(rng, 5)
     spec = KernelSpec(H_INT)
     grams = [gram_matrix(hists, spec), gram_matrix(hists, spec)]
-    bank = KernelBank([spec, spec], grams)
+    bank = np.stack(grams)
     combined = combine(bank, [0.5, 0.5])
-    assert np.allclose(combined.matrix, grams[0].matrix, atol=1e-15)
+    assert np.allclose(combined, grams[0], atol=1e-15)
 
 
 def test_combine_matches_naive_loop():
@@ -169,18 +168,18 @@ def test_combine_matches_naive_loop():
              KernelSpec(DC_INT, channels=TWO_BLOCKS)]
     grams = [gram_matrix(hists, s) for s in specs]
     weights = np.array([0.2, 0.5, 0.3])
-    combined = combine(KernelBank(specs, grams), weights)
+    combined = combine(np.stack(grams), weights)
     for i in range(7):
         for j in range(7):
-            manual = sum(w * g.matrix[i, j] for w, g in zip(weights, grams))
-            assert abs(combined.matrix[i, j] - manual) <= 1e-14
+            manual = sum(w * g[i, j] for w, g in zip(weights, grams))
+            assert abs(combined[i, j] - manual) <= 1e-14
 
 
 def test_combine_validates_weights():
     rng = np.random.default_rng(7)
     hists = random_histograms(rng, 4)
     spec = KernelSpec(H_INT)
-    bank = KernelBank([spec, spec], [gram_matrix(hists, spec), gram_matrix(hists, spec)])
+    bank = np.stack([gram_matrix(hists, spec), gram_matrix(hists, spec)])
     with pytest.raises(ValidationError):
         combine(bank, [0.7, 0.7])
     with pytest.raises(ValidationError):
@@ -194,28 +193,19 @@ def test_convex_combination_stays_psd():
     hists = random_histograms(rng, 10)
     specs = [KernelSpec(H_INT), KernelSpec(GAUSSIAN, sigma=0.5),
              KernelSpec(JPL_INT, channels=TWO_BLOCKS)]
-    bank = KernelBank(specs, [gram_matrix(hists, s) for s in specs])
+    bank = np.stack([gram_matrix(hists, s) for s in specs])
     for _ in range(5):
         weights = rng.random(3)
         weights /= weights.sum()
-        assert np.linalg.eigvalsh(combine(bank, weights).matrix)[0] >= -1e-8
-
-
-def test_bank_rejects_mismatched_data():
-    rng = np.random.default_rng(9)
-    spec = KernelSpec(H_INT)
-    a = gram_matrix(random_histograms(rng, 5), spec)
-    b = gram_matrix(random_histograms(rng, 5), spec)
-    with pytest.raises(ValidationError):
-        KernelBank([spec, spec], [a, b])
+        assert np.linalg.eigvalsh(combine(bank, weights))[0] >= -1e-8
 
 
 def test_trace_normalize():
     rng = np.random.default_rng(10)
     gram = gram_matrix(random_histograms(rng, 6), KernelSpec(H_INT))
     normalized, scale = trace_normalize(gram)
-    assert np.trace(normalized.matrix) == pytest.approx(6.0, rel=1e-12)
-    assert np.allclose(normalized.matrix, gram.matrix * scale)
+    assert np.trace(normalized) == pytest.approx(6.0, rel=1e-12)
+    assert np.allclose(normalized, gram * scale)
 
 
 def test_combine_rows_and_kernel_rows():
@@ -270,7 +260,7 @@ def test_block_kernels_match_the_pairwise_oracle_bytes(spec, n, m):
     rows = kernel_rows(spec, queries, references)
     expected = np.array([[kernel_eval(spec, q, r) for r in references] for q in queries])
     assert rows.tobytes() == expected.tobytes()
-    gram = gram_matrix(queries, spec).matrix
+    gram = gram_matrix(queries, spec)
     upper = np.array([[kernel_eval(spec, queries[min(i, j)], queries[max(i, j)])
                        for j in range(n)] for i in range(n)])
     assert gram.tobytes() == upper.tobytes()

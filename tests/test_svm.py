@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
-from egoact.boost import predict_labels
 from egoact.errors import ConvergenceError, ValidationError
 from egoact.kernels import H_INT, KernelSpec, gram_matrix, trace_normalize
 from egoact.svm import (
     BinarySvmModel,
     decision_many,
-    kkt_residuals,
     ova_predict_scores,
     ova_train,
     smo_train,
 )
-from oracles import random_svm_problem, reference_smo, svm_dual_oracle, svm_dual_value
+from oracles import (
+    kkt_residuals,
+    predict_labels,
+    random_svm_problem,
+    reference_smo,
+    svm_dual_oracle,
+    svm_dual_value,
+)
 
 
 def test_symmetric_pair():
@@ -120,7 +125,7 @@ def intersection_problem(seed, n=96, dim=48):
     gram, _ = trace_normalize(gram_matrix(hist, KernelSpec(H_INT)))
     y = np.where(rng.random(n) < 0.3, 1.0, -1.0)
     y[:2] = (1.0, -1.0)
-    return gram.matrix, y, rng
+    return gram, y, rng
 
 
 def smo_cases():
