@@ -101,7 +101,7 @@ def _read_descriptor_dir(desc_dir):
         features = [str(f) for f in doc["features"]]
         listing = {vid: {dtype: desc_dir / name for dtype, name in files.items()}
                    for vid, files in doc["videos"].items()}
-    except (AttributeError, KeyError, TypeError) as exc:
+    except dataio.MALFORMED as exc:
         raise FormatError(f"{path}: malformed descriptors file ({exc})") from exc
     cache = {vid: {dtype: dataio.read_descriptor_set(p, descriptor_type=dtype)
                    for dtype, p in files.items()}
@@ -208,7 +208,7 @@ def _inspect_json(path, doc) -> None:
         return
     try:   # the summary is built in full first, so a defect prints nothing
         lines = _json_summary(path, doc, kind)
-    except (KeyError, TypeError, ValueError) as exc:
+    except dataio.MALFORMED as exc:
         raise FormatError(f"{path}: malformed {JSON_KINDS[kind]} file ({exc})") from exc
     print("\n".join(lines))
 
@@ -306,6 +306,8 @@ def main(argv=None) -> int:
     try:
         if "seed" in vars(args):
             check_positive("--seed", args.seed, count=True, zero=True)
+        if "workers" in vars(args):
+            check_positive("--workers", args.workers, count=True)
         return args.func(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError, ValidationError
+from .errors import CorruptionError, FormatError, ValidationError, check_positive
 
 FORMAT_VERSION = 1
 
@@ -37,6 +37,9 @@ _FSQ_HEADER = struct.Struct("<4sIII")
 _ARRAY_HEADER = struct.Struct("<4sII")
 
 _F64LE = np.dtype("<f8")
+
+# what decoding a document with a missing, mistyped or inconsistent field raises
+MALFORMED = (AttributeError, LookupError, TypeError, ValueError, ArithmeticError, ValidationError)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +76,7 @@ def read_json(path) -> dict:
         raw = handle.read()
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:   # bad UTF-8 or JSON, over-long integers, deep nesting
         raise FormatError(f"{path}: not a JSON artifact ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise FormatError(f"{path}: missing or unsupported format_version")
@@ -313,6 +316,14 @@ def _read_exact(path) -> bytes:
         return handle.read()
 
 
+def _decoded(path, build, *args):
+    """``build(*args)``, reporting a value it rejects as a defect of the file at ``path``."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def write_frame_sequence(seq: FrameSequence, path) -> None:
     header = _FSQ_HEADER.pack(FSQ_MAGIC, seq.width, seq.height, seq.frame_count)
     atomic_write_bytes(path, header + seq.frames.tobytes())
@@ -326,14 +337,14 @@ def read_frame_sequence(path) -> FrameSequence:
     if magic != FSQ_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {FSQ_MAGIC!r}")
     if width == 0 or height == 0 or count == 0:
-        raise ValidationError(f"{path}: zero dimension in header")
+        raise FormatError(f"{path}: zero dimension in header")
     expected = _FSQ_HEADER.size + width * height * count
     if len(raw) != expected:
         raise CorruptionError(
             f"{path}: payload length {len(raw)} does not match header (expected {expected})"
         )
     frames = np.frombuffer(raw, dtype=np.uint8, offset=_FSQ_HEADER.size)
-    return FrameSequence(frames.reshape(count, height, width))
+    return _decoded(path, FrameSequence, frames.reshape(count, height, width))
 
 
 def _write_float_array(magic: bytes, dim: int, rows: np.ndarray, path) -> None:
@@ -350,7 +361,7 @@ def _read_float_array(magic: bytes, path):
     if got != magic:
         raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
     if dim == 0:
-        raise ValidationError(f"{path}: zero dimension in header")
+        raise FormatError(f"{path}: zero dimension in header")
     expected = _ARRAY_HEADER.size + dim * count * 8
     if len(raw) != expected:
         raise CorruptionError(
@@ -366,7 +377,7 @@ def write_descriptor_set(dset: DescriptorSet, path) -> None:
 
 def read_descriptor_set(path, descriptor_type: str = "") -> DescriptorSet:
     dim, vectors = _read_float_array(DSC_MAGIC, path)
-    return DescriptorSet(descriptor_type, dim, vectors)
+    return _decoded(path, DescriptorSet, descriptor_type, dim, vectors)
 
 
 def write_codebook(codebook: Codebook, path) -> None:
@@ -374,10 +385,8 @@ def write_codebook(codebook: Codebook, path) -> None:
 
 
 def read_codebook(path, descriptor_type: str = "") -> Codebook:
-    dim, centroids = _read_float_array(CBK_MAGIC, path)
-    if centroids.shape[0] < 1:
-        raise ValidationError(f"{path}: a codebook needs at least one word")
-    return Codebook(descriptor_type, centroids)
+    _, centroids = _read_float_array(CBK_MAGIC, path)
+    return _decoded(path, Codebook, descriptor_type, centroids)
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +409,12 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
 def read_manifest(path) -> DatasetManifest:
     doc = read_json(path)
     try:
-        videos = [
-            VideoEntry(str(v["video_id"]), int(v["class_index"]), str(v["path"]))
-            for v in doc["videos"]
-        ]
+        videos = []
+        for v in doc["videos"]:
+            check_positive("class_index", v["class_index"], count=True, zero=True)
+            videos.append(VideoEntry(str(v["video_id"]), v["class_index"], str(v["path"])))
         return DatasetManifest(doc["classes"], videos)
-    except (KeyError, TypeError) as exc:
+    except MALFORMED as exc:
         raise FormatError(f"{path}: malformed manifest ({exc})") from exc
 
 
@@ -436,10 +445,16 @@ def read_histograms(path):
     doc = read_json(path)
     try:
         order = [str(n) for n in doc["block_order"]]
+        sizes = doc["block_sizes"]
+        if len(sizes) != len(order) or len(set(order)) != len(order):
+            raise ValueError(f"block names {order} do not match block sizes {sizes}")
         out = []
         for entry in doc["histograms"]:
             blocks = [(name, np.asarray(entry["blocks"][name], dtype=np.float64)) for name in order]
+            for (name, counts), size in zip(blocks, sizes):
+                if counts.shape != (size,):
+                    raise ValueError(f"block {name!r} has shape {counts.shape}, not ({size!r},)")
             out.append(VideoHistogram(str(entry["video_id"]), blocks))
         return out
-    except (KeyError, TypeError) as exc:
+    except MALFORMED as exc:
         raise FormatError(f"{path}: malformed histogram collection ({exc})") from exc

@@ -117,9 +117,14 @@ class LogcParams:
             raise ValidationError("window_len must be at least 2")
 
 
-def kinematic_features(flows, frames) -> np.ndarray:
-    """Per-pixel 12-vectors of flow kinematics, shape (pairs, h, w, 12), from
-    the ``(pairs, 2, h, w)`` flows of a ``(pairs + 1, h, w)`` volume.
+def kinematic_features(flows, frames, pixel_step: int = 1) -> np.ndarray:
+    """Per-pixel 12-vectors of flow kinematics from the ``(pairs, 2, h, w)``
+    flows of a ``(pairs + 1, h, w)`` volume.
+
+    Returns ``(pairs, h, w, 12)`` at ``pixel_step`` 1. Otherwise only every
+    ``pixel_step``-th pixel of each pair's row-major grid is kept, as one
+    contiguous ``(pairs, n, 12)`` array; the derivatives still come from the
+    full grid, and the values equal the full-grid features' sampled rows.
 
     Component order: u, v, I_t, u_x, u_y, v_x, v_y, divergence, vorticity,
     Frobenius norm of the flow gradient, Frobenius norm of the strain-rate
@@ -135,18 +140,27 @@ def kinematic_features(flows, frames) -> np.ndarray:
             f"need (pairs, 2, h, w) flows of a (pairs + 1, h, w) volume, "
             f"got {flows.shape} and {frames.shape}"
         )
+    check_positive("pixel_step", pixel_step, count=True)
+    pairs, _, h, w = flows.shape
+
+    def sampled(grids):
+        return grids.reshape(*grids.shape[:-2], h * w)[..., ::pixel_step]
+
+    # built component-major, so that each component is written contiguously
+    feats = np.empty((KINEMATIC_DIM, pairs, -(-h * w // pixel_step)))
+    feats[:2] = sampled(flows).swapaxes(0, 1)
+    np.subtract(sampled(frames[1:]), sampled(frames[:-1]), out=feats[2])
     d_y, d_x = np.gradient(flows, axis=(2, 3))
-    u_x, u_y, v_x, v_y = d_x[:, 0], d_y[:, 0], d_x[:, 1], d_y[:, 1]
-    div = u_x + v_y
-    vort = v_x - u_y
-    shear = u_y + v_x
-    grad_norm = np.sqrt(u_x**2 + u_y**2 + v_x**2 + v_y**2)
-    strain_norm = np.sqrt(u_x**2 + v_y**2 + 0.5 * shear**2)
-    i_t = frames[1:] - frames[:-1]
-    return np.stack(
-        [flows[:, 0], flows[:, 1], i_t, u_x, u_y, v_x, v_y, div, vort, grad_norm, strain_norm, shear],
-        axis=-1,
-    )
+    feats[3:7:2] = sampled(d_x).swapaxes(0, 1)
+    feats[4:7:2] = sampled(d_y).swapaxes(0, 1)
+    u_x, u_y, v_x, v_y = feats[3:7]
+    np.add(u_x, v_y, out=feats[7])
+    np.subtract(v_x, u_y, out=feats[8])
+    shear = np.add(u_y, v_x, out=feats[11])
+    feats[9] = np.sqrt(u_x**2 + u_y**2 + v_x**2 + v_y**2)
+    feats[10] = np.sqrt(u_x**2 + v_y**2 + 0.5 * shear**2)
+    feats = np.ascontiguousarray(np.moveaxis(feats, 0, -1))
+    return feats.reshape(pairs, h, w, KINEMATIC_DIM) if pixel_step == 1 else feats
 
 
 def covariance_descriptor(samples: np.ndarray) -> np.ndarray:
@@ -193,11 +207,9 @@ def logc_from_flows(frames, flows, params: LogcParams) -> DescriptorSet:
     ``(t - 1, 2, h, w)`` flows: each window pools the sampled pixels of its
     pairs, in pair order."""
     starts = _window_starts(len(frames), params.window_len, params.stride)
-    feats = kinematic_features(flows, frames)
-    feats = feats.reshape(len(feats), -1, KINEMATIC_DIM)[:, :: params.pixel_step]
+    feats = kinematic_features(flows, frames, params.pixel_step).reshape(len(flows), -1, KINEMATIC_DIM)
     vectors = [
-        logc_window_descriptor(
-            np.ascontiguousarray(feats[t0 : t0 + params.window_len - 1]).reshape(-1, KINEMATIC_DIM))
+        logc_window_descriptor(feats[t0 : t0 + params.window_len - 1].reshape(-1, KINEMATIC_DIM))
         for t0 in starts
     ]
     return DescriptorSet(LOGC_TYPE, LOGC_DIM, np.asarray(vectors))

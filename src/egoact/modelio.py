@@ -20,7 +20,7 @@ import numpy as np
 from . import boost as boost_mod
 from . import bow, kernels, mkl, svm
 from .config import RunConfig
-from .dataio import DatasetManifest, read_json, write_json
+from .dataio import MALFORMED, DatasetManifest, read_json, write_json
 from .errors import ConfigError, FormatError, ValidationError
 
 
@@ -168,7 +168,7 @@ def model_from_doc(doc: dict, source) -> TrainedModel:
         raise FormatError(f"{source}: not a model file")
     try:
         return TrainedModel.from_dict(doc)
-    except (KeyError, TypeError, ValueError, ValidationError, FormatError) as exc:
+    except (*MALFORMED, FormatError) as exc:
         raise FormatError(f"{source}: malformed model file ({exc})") from exc
 
 

@@ -7,7 +7,8 @@ calls, where the package computes whole blocks of pairs in one broadcast
 pass. The flow oracle is the straightforward one-pair-at-a-time
 Horn-Schunck sweep, against which the blocked solver must match byte for
 byte. The hof and logc oracles build descriptors from a list of per-pair
-``(u, v)`` flows, one pair at a time, where the package takes a video's
+``(u, v)`` flows, one pair at a time (``reference_kinematics`` is the
+logc oracle's per-pair feature grid), where the package takes a video's
 flow as one array; they too must match byte for byte. The quantizer
 measures each centroid by direct differences instead of the expanded
 squared-distance form that ``bow.quantize_batch`` uses. ``matrix_exp`` is
@@ -202,6 +203,21 @@ def reference_hof(flows, params):
     return np.asarray(vectors)
 
 
+def reference_kinematics(u, v, prev, nxt):
+    """The (h, w, 12) kinematic features of one pair's flow, computed on full grids."""
+    u_y, u_x = np.gradient(u)
+    v_y, v_x = np.gradient(v)
+    div = u_x + v_y
+    vort = v_x - u_y
+    shear = u_y + v_x
+    grad_norm = np.sqrt(u_x**2 + u_y**2 + v_x**2 + v_y**2)
+    strain_norm = np.sqrt(u_x**2 + v_y**2 + 0.5 * shear**2)
+    return np.stack(
+        [u, v, nxt - prev, u_x, u_y, v_x, v_y, div, vort, grad_norm, strain_norm, shear],
+        axis=-1,
+    )
+
+
 def reference_logc(frames, flows, params):
     """logc vectors of a (t, h, w) volume from its flows, a list of (u, v) pairs.
 
@@ -212,18 +228,7 @@ def reference_logc(frames, flows, params):
     frames = np.asarray(frames).astype(np.float64)
     per_pair = []
     for i, (u, v) in enumerate(flows):
-        u_y, u_x = np.gradient(u)
-        v_y, v_x = np.gradient(v)
-        div = u_x + v_y
-        vort = v_x - u_y
-        shear = u_y + v_x
-        grad_norm = np.sqrt(u_x**2 + u_y**2 + v_x**2 + v_y**2)
-        strain_norm = np.sqrt(u_x**2 + v_y**2 + 0.5 * shear**2)
-        feats = np.stack(
-            [u, v, frames[i + 1] - frames[i], u_x, u_y, v_x, v_y, div, vort,
-             grad_norm, strain_norm, shear],
-            axis=-1,
-        )
+        feats = reference_kinematics(u, v, frames[i], frames[i + 1])
         per_pair.append(feats.reshape(-1, KINEMATIC_DIM)[:: params.pixel_step])
     vectors = []
     for t0 in range(0, len(frames) + 1 - params.window_len, params.stride):

@@ -213,6 +213,45 @@ def test_negative_seed_flag_exits_1_with_one_line(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_flag_exits_1_with_one_line(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    assert main(["evaluate", "--data", str(tmp_path / "data"), "--method", "single",
+                 "--workers", workers, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --workers must be an integer >= 1, got {workers}"]
+    assert not out.exists()
+
+
+# (file, edit of its document) for `egoact train`
+TRAIN_INPUT_DEFECTS = {
+    "histogram_block_text": ("histograms", lambda doc: doc["histograms"][0]["blocks"].update(hof="x")),
+    "histogram_block_scalar": ("histograms", lambda doc: doc["histograms"][0]["blocks"].update(hof=0)),
+    "histogram_block_names_repeat": ("histograms", lambda doc: doc["block_order"].__setitem__(1, "hof")),
+    "manifest_class_index_text": ("manifest", lambda doc: doc["videos"][0].update(class_index="x")),
+    "manifest_class_index_fraction": ("manifest", lambda doc: doc["videos"][0].update(class_index=0.5)),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(TRAIN_INPUT_DEFECTS))
+def test_malformed_train_input_exits_2_with_one_line(pipeline, tmp_path, capsys, defect):
+    which, edit = TRAIN_INPUT_DEFECTS[defect]
+    paths = {"manifest": pipeline["data"] / "manifest.json", "histograms": pipeline["hists"]}
+    doc = json.loads(paths[which].read_text())
+    edit(doc)
+    paths[which] = tmp_path / f"{which}.json"
+    write_json(paths[which], doc)
+    out = tmp_path / "model.json"
+    assert main(["train", "--config", pipeline["cfg"], "--manifest", str(paths["manifest"]),
+                 "--histograms", str(paths["histograms"]), "--method", "single",
+                 "--kernel", "h_int", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {paths[which]}: malformed ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code = main(["inspect", str(tmp_path / "nope.json")])
     assert code == 2

@@ -45,7 +45,7 @@ def test_fsq_bad_magic(tmp_path):
 def test_fsq_zero_dimension(tmp_path):
     path = tmp_path / "dims.fsq"
     path.write_bytes(struct.pack("<4sIII", b"FSQ1", 0, 4, 2))
-    with pytest.raises(ValidationError):
+    with pytest.raises(FormatError):
         dataio.read_frame_sequence(path)
 
 
@@ -85,7 +85,7 @@ def test_dsc_size_mismatch(tmp_path):
 def test_cbk_zero_dim(tmp_path):
     path = tmp_path / "bad.cbk"
     path.write_bytes(struct.pack("<4sII", b"CBK1", 0, 1))
-    with pytest.raises(ValidationError):
+    with pytest.raises(FormatError):
         dataio.read_codebook(path)
 
 

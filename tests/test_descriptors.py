@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from oracles import reference_hof, reference_logc
+from oracles import reference_hof, reference_kinematics, reference_logc
 
 from egoact.descriptors import (
     HofParams,
@@ -146,6 +146,30 @@ def test_strain_vorticity_gradient_identity():
         feats = features_of([np.stack([u, v])])[0]
         grad_norm, strain_norm, vort = feats[..., 9], feats[..., 10], feats[..., 8]
         assert np.allclose(strain_norm**2 + vort**2 / 2.0, grad_norm**2, atol=1e-12)
+
+
+@pytest.mark.parametrize("height, width", [(13, 20), (9, 9)])
+@pytest.mark.parametrize("pixel_step", [1, 2, 3])
+def test_sampled_kinematics_are_the_sampled_full_grid(height, width, pixel_step):
+    rng = np.random.default_rng(height * width + pixel_step)
+    flows = random_flows(rng, count=4, shape=(height, width))
+    frames = rng.random((5, height, width)) * 255.0
+    full = np.stack([reference_kinematics(u, v, frames[i], frames[i + 1])
+                     for i, (u, v) in enumerate(flows)])
+    assert kinematic_features(flows, frames).tobytes() == full.tobytes()
+    sampled = kinematic_features(flows, frames, pixel_step)
+    expected = full.reshape(4, height * width, 12)[:, ::pixel_step]
+    if pixel_step == 1:
+        expected = full
+    assert sampled.shape == expected.shape and sampled.flags.c_contiguous
+    assert sampled.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_kinematics_pixel_step_must_be_a_count():
+    flows = np.zeros((1, 2, 4, 4))
+    for step in (0, 1.5, True):
+        with pytest.raises(ValidationError):
+            kinematic_features(flows, np.zeros((2, 4, 4)), step)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,24 @@ def test_frame_larger_than_block_budget_matches_oracle():
     assert_matches_oracle(frames, iterations=8)
 
 
+@pytest.mark.parametrize("width", range(7, 15))   # row = width + 1 takes every value mod 8
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_every_row_alignment_and_block_split_matches_oracle(monkeypatch, width, blocks):
+    height, pairs = 6, 5
+    k = {1: pairs, 2: 3, 3: 2}[blocks]   # 5 pairs as 5, 3 + 2 or 2 + 2 + 1
+    monkeypatch.setattr(flow_module, "BLOCK_PIXELS", k * height * width)
+    assert block_size(height, width) == k and -(-pairs // k) == blocks
+    frames = np.random.default_rng(width).integers(0, 256, size=(pairs + 1, height, width))
+    assert_matches_oracle(frames.astype(np.uint8), iterations=12)
+
+
+def test_aligned_buffers_start_on_64_bytes():
+    for shape in [(1,), (7,), (2, 33), (3, 5, 9)]:
+        buffer = flow_module._aligned(shape, 1.5)
+        assert buffer.shape == shape and buffer.ctypes.data % 64 == 0
+        assert (buffer == 1.5).all()
+
+
 @pytest.mark.parametrize("alpha, iterations", [(2.5, 37), (40.0, 3), (1, 1)])
 def test_non_default_params_match_oracle(alpha, iterations):
     frames = synthesize_video(SynthConfig(), 0, 1).frames[:6]

@@ -149,6 +149,7 @@ SHAPE_DEFECTS = {
     "nan_boost_weight": ("boost_mkl", lambda d: _first_trial(d).update(weight=NAN)),
     "inf_boost_error": ("boost_mkl", lambda d: _first_trial(d).update(error=INF)),
     "nan_boost_trial_bias": ("boost_mkl", lambda d: _first_trial(d)["svm"].update(bias=NAN)),
+    "spec_block_of_one": ("simple_mkl", lambda d: d["specs"][0].update(block=[4])),
 }
 
 

@@ -1,0 +1,243 @@
+"""Fuzz the artifact readers with damaged bytes and mistyped fields.
+
+Every input must give a valid object or a FormatError (CorruptionError is
+one); through ``egoact inspect`` that is exit 0, or exit 2 with one error
+line, and never a traceback.
+"""
+
+import copy
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from egoact import dataio
+from egoact.cli import _read_descriptor_dir, main
+from egoact.config import RunConfig, SplitSection
+from egoact.errors import FormatError
+from egoact.evaluation import EvalReport
+from egoact.modelio import TrainedModel, read_model, train_model, write_model
+
+FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def toy_dataset():
+    rng = np.random.default_rng(0)
+    entries, hists = [], []
+    for k in range(2):
+        for v in range(3):
+            vid = f"c{k}v{v}"
+            entries.append(dataio.VideoEntry(vid, k, f"{vid}.fsq"))
+            hof = rng.random(4) + np.eye(4)[k]
+            cuboid = rng.random(3)
+            hists.append(dataio.VideoHistogram(vid, [("hof", hof / hof.sum()),
+                                                     ("cuboid", cuboid / cuboid.sum())]))
+    return dataio.DatasetManifest(["left", "right"], entries), hists
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """The bytes of one valid artifact of each kind, by file name."""
+    root = tmp_path_factory.mktemp("valid")
+    rng = np.random.default_rng(1)
+    manifest, hists = toy_dataset()
+    dataio.write_frame_sequence(dataio.FrameSequence(rng.integers(0, 256, (3, 4, 5))),
+                                root / "v.fsq")
+    dataio.write_descriptor_set(dataio.DescriptorSet("hof", 3, rng.random((4, 3))), root / "v.dsc")
+    dataio.write_codebook(dataio.Codebook("hof", rng.random((2, 3))), root / "v.cbk")
+    dataio.write_manifest(manifest, root / "manifest.json")
+    dataio.write_histograms(hists, root / "histograms.json")
+    cfg = RunConfig(features=("hof", "cuboid"))
+    for method in ("simple_mkl", "boost_mkl"):
+        write_model(train_model(manifest, hists, cfg, method, seed=0), root / f"{method}.json")
+    EvalReport("simple_mkl", "h_int", ["hof"], ["left", "right"], SplitSection(),
+               [0.75, 0.5], [[3, 1], [2, 2]], {"svm": {"c_reg": 10.0}}).write(root / "report.json")
+    dataio.write_json(root / "descriptors.json", {
+        "kind": "descriptors", "features": ["hof"], "dims": {"hof": 3},
+        "videos": {"c0v0": {"hof": "v.dsc"}, "c0v1": {"hof": "v.dsc"}},
+    })
+    return {path.name: path.read_bytes() for path in root.iterdir()}
+
+
+def inspect_exits_0_or_2(path, capsys):
+    """``egoact inspect`` exit code, after checking it printed one error line when it failed."""
+    code = main(["inspect", str(path)])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return code
+
+
+def reads_or_format_error(reader, path):
+    """The reader's result, or None when it raised FormatError."""
+    try:
+        return reader(path)
+    except FormatError:
+        return None
+
+
+# ---------------------------------------------------------------------------
+# binary artifacts: truncated, mutated or extended bytes
+
+EDIT = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 80)),
+    st.tuples(st.just("set"), st.integers(0, 15) | st.integers(0, 80), st.integers(0, 255)),
+    st.tuples(st.just("add"), st.binary(min_size=1, max_size=24)),
+    # a whole u32 header field, or one float64 of a .dsc/.cbk payload
+    st.tuples(st.just("pack"), st.just("<I"), st.sampled_from([4, 8, 12]),
+              st.sampled_from([0, 1, 2, 3, 2**32 - 1]) | st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("pack"), st.just("<d"), st.integers(0, 4).map(lambda i: 12 + 8 * i),
+              st.sampled_from([float("nan"), float("inf"), -1.0, 0.0])),
+)
+
+
+def damage(raw: bytes, edits) -> bytes:
+    data = bytearray(raw)
+    for edit in edits:
+        if edit[0] == "cut":
+            del data[edit[1]:]
+        elif edit[0] == "set" and edit[1] < len(data):
+            data[edit[1]] = edit[2]
+        elif edit[0] == "add":
+            data += edit[1]
+        elif edit[0] == "pack" and edit[2] + struct.calcsize(edit[1]) <= len(data):
+            struct.pack_into(edit[1], data, edit[2], edit[3])
+    return bytes(data)
+
+
+BINARY_READERS = {
+    "v.fsq": (dataio.read_frame_sequence, dataio.FrameSequence),
+    "v.dsc": (dataio.read_descriptor_set, dataio.DescriptorSet),
+    "v.cbk": (dataio.read_codebook, dataio.Codebook),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_READERS))
+@FUZZ
+@given(edits=st.lists(EDIT, min_size=1, max_size=3))
+def test_damaged_binary_artifact_reads_or_is_a_format_error(artifacts, tmp_path, capsys,
+                                                            name, edits):
+    reader, kind = BINARY_READERS[name]
+    path = tmp_path / name
+    path.write_bytes(damage(artifacts[name], edits))
+    result = reads_or_format_error(reader, path)
+    assert result is None or isinstance(result, kind)
+    assert inspect_exits_0_or_2(path, capsys) == (2 if result is None else 0)
+
+
+DECODABLE_BUT_INVALID = {
+    "fsq_zero_width": ("v.fsq", struct.pack("<4sIII", b"FSQ1", 0, 4, 2)),
+    "fsq_one_frame": ("v.fsq", struct.pack("<4sIII", b"FSQ1", 2, 2, 1) + bytes(4)),
+    "dsc_zero_dim": ("v.dsc", struct.pack("<4sII", b"DSC1", 0, 3)),
+    "dsc_nan_value": ("v.dsc", struct.pack("<4sIId", b"DSC1", 1, 1, float("nan"))),
+    "cbk_no_words": ("v.cbk", struct.pack("<4sII", b"CBK1", 3, 0)),
+    "cbk_infinite_value": ("v.cbk", struct.pack("<4sIId", b"CBK1", 1, 1, float("inf"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECODABLE_BUT_INVALID))
+def test_header_and_payload_defects_are_format_errors(tmp_path, capsys, case):
+    name, raw = DECODABLE_BUT_INVALID[case]
+    path = tmp_path / name
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=str(path)):
+        BINARY_READERS[name][0](path)
+    assert inspect_exits_0_or_2(path, capsys) == 2
+
+
+# ---------------------------------------------------------------------------
+# JSON artifacts: fields swapped for values of the wrong type
+
+MISSING = object()
+WRONG_VALUES = [MISSING, None, True, 0, -1, 2.5, float("nan"), float("inf"), 10**400, "x", "",
+                [], [1, "x"], [[0.5]], {}, {"k": 1}]
+
+
+def field_paths(doc, prefix=()):
+    """Every key or index path inside a JSON document, except format_version."""
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        if key == "format_version":
+            continue
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+def swap_fields(doc, swaps):
+    doc = copy.deepcopy(doc)
+    for path, value in swaps:
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is MISSING:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+        except (KeyError, IndexError, TypeError):
+            pass   # an earlier swap removed or replaced this field
+    return doc
+
+
+def mistyped(doc):
+    swap = st.tuples(st.sampled_from(list(field_paths(doc))), st.sampled_from(WRONG_VALUES))
+    return st.lists(swap, min_size=1, max_size=2).map(lambda swaps: swap_fields(doc, swaps))
+
+
+JSON_READERS = {
+    "manifest.json": (dataio.read_manifest, dataio.DatasetManifest),
+    "histograms.json": (dataio.read_histograms, list),
+    "simple_mkl.json": (read_model, TrainedModel),
+    "boost_mkl.json": (read_model, TrainedModel),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_READERS))
+@FUZZ
+@given(data=st.data())
+def test_mistyped_json_artifact_reads_or_is_a_format_error(artifacts, tmp_path, capsys,
+                                                           name, data):
+    reader, kind = JSON_READERS[name]
+    path = tmp_path / name
+    dataio.write_json(path, data.draw(mistyped(json.loads(artifacts[name]))))
+    result = reads_or_format_error(reader, path)
+    assert result is None or isinstance(result, kind)
+    inspect_exits_0_or_2(path, capsys)
+
+
+@FUZZ
+@given(data=st.data())
+def test_mistyped_eval_report_inspects_or_exits_2(artifacts, tmp_path, capsys, data):
+    path = tmp_path / "report.json"
+    dataio.write_json(path, data.draw(mistyped(json.loads(artifacts["report.json"]))))
+    inspect_exits_0_or_2(path, capsys)
+
+
+@FUZZ
+@given(data=st.data())
+def test_mistyped_descriptor_listing_reads_or_is_a_format_error(artifacts, tmp_path, capsys,
+                                                                data):
+    (tmp_path / "v.dsc").write_bytes(artifacts["v.dsc"])
+    path = tmp_path / "descriptors.json"
+    dataio.write_json(path, data.draw(mistyped(json.loads(artifacts["descriptors.json"]))))
+    try:
+        _read_descriptor_dir(tmp_path)
+    except (FormatError, OSError):   # OSError: a listed file that is not there
+        pass
+    inspect_exits_0_or_2(path, capsys)
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000], ids=["long_integer", "deep_nesting"])
+def test_unparseable_json_is_a_format_error(tmp_path, capsys, text):
+    """Over-long integers and deep nesting are refused by the parser itself."""
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(FormatError):
+        dataio.read_json(path)
+    assert inspect_exits_0_or_2(path, capsys) == 2
