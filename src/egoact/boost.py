@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataio import json_numbers
 from .errors import ValidationError, check_positive
 from .kernels import check_bank
 from .svm import BinarySvmModel, smo_train
@@ -69,8 +70,9 @@ class WeakClassifier:
     @staticmethod
     def from_dict(doc: dict) -> "WeakClassifier":
         return WeakClassifier(
-            doc["kernel_index"], doc["train_indices"],
-            BinarySvmModel.from_dict(doc["svm"]), doc["weight"], doc["error"],
+            json_numbers(doc["kernel_index"], 0, integer=True),
+            json_numbers(doc["train_indices"], integer=True), BinarySvmModel.from_dict(doc["svm"]),
+            json_numbers(doc["weight"], 0), json_numbers(doc["error"], 0),
         )
 
 
@@ -95,7 +97,8 @@ class BoostedModel:
     def from_dict(doc: dict) -> "BoostedModel":
         return BoostedModel(
             [WeakClassifier.from_dict(t) for t in doc["trials"]],
-            doc["train_size"], doc["kernel_count"],
+            json_numbers(doc["train_size"], 0, integer=True),
+            json_numbers(doc["kernel_count"], 0, integer=True),
         )
 
 

@@ -21,6 +21,7 @@ from .config import RunConfig
 from .descriptors import CUBOID_TYPE, HOF_TYPE, LOGC_TYPE
 from .errors import ConfigError, ConvergenceError, FormatError, ValidationError, check_positive
 from .evaluation import extract_dataset_descriptors, run_experiment
+from .mkl import MklModel
 from .modelio import METHODS, model_from_doc, train_model, write_model
 from .synth import generate_synthetic_dataset
 
@@ -145,6 +146,10 @@ def cmd_train(args) -> int:
     model = train_model(manifest, histograms, cfg, _resolve_method(args.method),
                         kernel_kind=args.kernel, seed=args.seed)
     write_model(model, args.out)
+    for name, payload in zip(model.classes, model.binary_models):
+        if isinstance(payload, MklModel) and not payload.converged:
+            print(f"note: class {name}: simple_mkl stopped at mkl.max_outer={cfg.mkl.max_outer} "
+                  "outer steps without converging", file=sys.stderr)
     print(f"trained {_resolve_method(args.method)} model over {len(model.classes)} classes -> {args.out}")
     return 0
 

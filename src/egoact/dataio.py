@@ -17,6 +17,7 @@ partial file is ever left behind at the target name.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import struct
 import tempfile
@@ -40,6 +41,25 @@ _F64LE = np.dtype("<f8")
 
 # what decoding a document with a missing, mistyped or inconsistent field raises
 MALFORMED = (AttributeError, LookupError, TypeError, ValueError, ArithmeticError, ValidationError)
+
+
+def json_numbers(value, ndim: int = 1, integer: bool = False):
+    """A decoded JSON field of numbers nested ``ndim`` lists deep, as a float64
+    (``integer``: int64) array, or as a Python number at ``ndim`` 0. A bool,
+    a string, a null, a fraction where an integer belongs or the wrong
+    nesting raises one of ``MALFORMED``."""
+    kind = numbers.Integral if integer else numbers.Real
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, kind):
+            raise TypeError(f"expected {'an integer' if integer else 'a number'}, got {item!r}")
+    array = np.asarray(value, dtype=np.int64 if integer else np.float64)
+    if array.ndim != ndim:
+        raise ValueError(f"expected numbers nested {ndim} deep, got shape {array.shape}")
+    return array.item() if ndim == 0 else array
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +465,12 @@ def read_histograms(path):
     doc = read_json(path)
     try:
         order = [str(n) for n in doc["block_order"]]
-        sizes = doc["block_sizes"]
+        sizes = json_numbers(doc["block_sizes"], integer=True).tolist()
         if len(sizes) != len(order) or len(set(order)) != len(order):
             raise ValueError(f"block names {order} do not match block sizes {sizes}")
         out = []
         for entry in doc["histograms"]:
-            blocks = [(name, np.asarray(entry["blocks"][name], dtype=np.float64)) for name in order]
+            blocks = [(name, json_numbers(entry["blocks"][name])) for name in order]
             for (name, counts), size in zip(blocks, sizes):
                 if counts.shape != (size,):
                     raise ValueError(f"block {name!r} has shape {counts.shape}, not ({size!r},)")

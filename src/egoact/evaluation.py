@@ -7,14 +7,20 @@ median heuristic), trains the requested method, and scores the test
 items. Reports aggregate accuracy over repeats plus a row-normalized
 average confusion matrix.
 
-Repeats are independent given their derived seeds, so they may run on
-worker threads; aggregation always happens in repeat order, which keeps
-reports byte-identical for any worker count.
+Repeats (and per-video extraction) are independent given their derived
+seeds, so ``ordered_map`` may run them on forked worker processes, which
+sidestep the GIL that serializes the pipeline's many small numpy calls.
+Each item runs the same deterministic code in its own address space, and
+results are gathered in item order, which keeps reports byte-identical
+for any worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -63,25 +69,56 @@ def per_class_accuracy_stddev(confusion) -> float:
     return float(np.std(np.diag(confusion)))
 
 
+_TASK = None   # (fn, items, started) of the pool this worker process was forked for
+
+
+def _adopt(*task):
+    global _TASK
+    _TASK = task
+
+
+def _run_item(index):
+    fn, items, started = _TASK
+    started[index] = 1
+    return fn(items[index])
+
+
 def ordered_map(fn, items, workers: int = 1, progress=None) -> list:
-    """``[fn(item) for item in items]`` on up to ``workers`` threads, inline
-    on the calling thread at ``workers <= 1``. ``progress(done, total)`` runs
-    after each item; with threads, the first failure in item order is raised
-    once every item has finished."""
+    """``[fn(item) for item in items]`` on up to ``workers`` forked processes
+    (at most one per item and per CPU), inline at ``workers <= 1`` or where
+    the platform cannot fork. ``progress(done, total)`` runs in the caller
+    after each item. With processes, the first failure in item order is
+    raised once every item has finished; a worker that dies is a
+    ChildProcessError naming the items it may have been running."""
     items = list(items)
-    if workers <= 1:
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         results = []
         for item in items:
             results.append(fn(item))
             if progress:
                 progress(len(results), len(items))
         return results
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, item) for item in items]
+    # Fork, not spawn: workers inherit fn (closures cannot be pickled),
+    # items and everything they reach, such as the descriptor cache, so
+    # only indices, results and exceptions are pickled. A fork copies only
+    # the calling thread; the package starts no threads of its own.
+    started = multiprocessing.RawArray("b", len(items))
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(fn, items, started)) as pool:
+        futures = [pool.submit(_run_item, index) for index in range(len(items))]
         for done, _ in enumerate(as_completed(futures), 1):
             if progress:
                 progress(done, len(items))
-        return [future.result() for future in futures]
+    broken = [isinstance(future.exception(), BrokenProcessPool) for future in futures]
+    results = []
+    for index, future in enumerate(futures):
+        if broken[index]:
+            running = [i for i in range(len(items)) if broken[i] and started[i]] or [index]
+            raise ChildProcessError("a worker process died while running item "
+                                    + " or ".join(map(str, running)))
+        results.append(future.result())
+    return results
 
 
 # ---------------------------------------------------------------------------

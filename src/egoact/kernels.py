@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import json_numbers
 from .errors import ValidationError
 
 GAUSSIAN = "gaussian"
@@ -71,12 +72,13 @@ class KernelSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "KernelSpec":
+        sigma, channels, block = doc.get("sigma"), doc.get("channels"), doc.get("block")
         return KernelSpec(
             kind=doc["kind"],
-            sigma=doc.get("sigma"),
-            channels=tuple(tuple(c) for c in doc.get("channels") or ()),
-            exponents=tuple(doc.get("exponents") or ()),
-            block=tuple(doc["block"]) if doc.get("block") else None,
+            sigma=None if sigma is None else json_numbers(sigma, 0),
+            channels=json_numbers(channels, 2, integer=True).tolist() if channels else (),
+            exponents=tuple(json_numbers(doc.get("exponents") or []).tolist()),
+            block=json_numbers(block, integer=True).tolist() if block else None,
             label=doc.get("label", ""),
         )
 

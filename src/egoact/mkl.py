@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import MklSection
+from .dataio import json_numbers
 from .errors import ValidationError, check_positive
 from .kernels import check_bank, check_simplex, combine, combine_rows
 from .svm import BinarySvmModel, decision_many, smo_train
@@ -41,7 +42,7 @@ class MklModel:
     @staticmethod
     def from_dict(doc: dict) -> "MklModel":
         return MklModel(
-            np.asarray(doc["weights"], dtype=np.float64),
+            json_numbers(doc["weights"]),
             BinarySvmModel.from_dict(doc["svm"]),
             doc.get("converged", True),
         )

@@ -20,7 +20,7 @@ import numpy as np
 from . import boost as boost_mod
 from . import bow, kernels, mkl, svm
 from .config import RunConfig
-from .dataio import MALFORMED, DatasetManifest, read_json, write_json
+from .dataio import MALFORMED, DatasetManifest, json_numbers, read_json, write_json
 from .errors import ConfigError, FormatError, ValidationError
 
 
@@ -64,7 +64,7 @@ def _check_boost(model, train_count, kernel_count):
 def _describe_mkl(model) -> str:
     weights = model.weights.tolist()
     text = " ".join(f"{w:.3f}" for w in weights)
-    return f"kernel weights [{text}] sum={sum(weights):.3f}"
+    return f"kernel weights [{text}] sum={sum(weights):.3f} converged={model.converged}"
 
 
 _SVM = dict(
@@ -146,11 +146,12 @@ class TrainedModel:
         method = method_entry(doc["method"])
         specs = [kernels.KernelSpec.from_dict(s) for s in doc["specs"]]
         model = TrainedModel(
-            doc["method"], doc["classes"], specs, doc["scales"], doc["train_vectors"],
+            doc["method"], doc["classes"], specs, json_numbers(doc["scales"]),
+            json_numbers(doc["train_vectors"], 2),
             [method.codec.from_dict(b) for b in doc["binary_models"]],
         )
         vectors = model.train_vectors
-        if vectors.ndim != 2 or not len(vectors) or not specs:
+        if not len(vectors) or not specs:
             raise FormatError("model needs a nonempty (count, dim) train_vectors and kernel specs")
         if len(model.scales) != len(specs):
             raise FormatError(f"model has {len(model.scales)} scales for {len(specs)} kernels")

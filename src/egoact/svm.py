@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataio import json_numbers
 from .errors import ConvergenceError, ValidationError, check_positive
 
 
@@ -67,10 +68,11 @@ class BinarySvmModel:
     @staticmethod
     def from_dict(doc: dict) -> "BinarySvmModel":
         return BinarySvmModel(
-            doc["alpha"], doc["labels"], doc["bias"], doc["c_reg"], doc["box"],
+            json_numbers(doc["alpha"]), json_numbers(doc["labels"]),
+            json_numbers(doc["bias"], 0), json_numbers(doc["c_reg"], 0), json_numbers(doc["box"]),
             converged=doc.get("converged", True),
-            iterations=doc.get("iterations", 0),
-            objective=doc.get("objective", 0.0),
+            iterations=json_numbers(doc.get("iterations", 0), 0, integer=True),
+            objective=json_numbers(doc.get("objective", 0.0), 0),
         )
 
 

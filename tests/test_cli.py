@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
@@ -383,3 +385,56 @@ def test_convergence_error_exits_3(tmp_path, capsys, monkeypatch):
     code = cli_mod.main(["synth", "--out", str(tmp_path / "d")])
     assert code == 3
     assert "stalled" in capsys.readouterr().err
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="--workers runs inline where fork is missing")
+def test_dead_worker_exits_2_with_one_line(pipeline, tmp_path, capsys, monkeypatch):
+    import egoact.evaluation as evaluation
+
+    def dying_repeat(*args):
+        os._exit(3)   # as an out-of-memory kill would end the worker
+
+    # two workers even on a one-CPU machine, so the dying repeat never runs inline
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(evaluation, "run_repeat", dying_repeat)
+    out = tmp_path / "r.json"
+    assert main(["evaluate", "--config", pipeline["cfg"], "--data", str(pipeline["data"]),
+                 "--method", "single", "--kernel", "h_int", "--features", "cuboid",
+                 "--repeats", "2", "--workers", "2", "--out", str(out)]) == 2
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if not line.startswith("progress: ")]
+    assert len(lines) == 1 and lines[0].startswith("error: a worker process died while running item ")
+    assert not out.exists()
+
+
+def test_unconverged_simple_mkl_is_noted_by_train_and_inspect(pipeline, tmp_path, capsys):
+    """A class whose SimpleMKL solver stopped at mkl.max_outer gets one stderr note
+    from train and converged=False on its inspect line."""
+    model = tmp_path / "model.json"
+    argv = ["train", "--config", write_config(tmp_path, {"mkl": {"max_outer": 1}}),
+            "--manifest", str(pipeline["data"] / "manifest.json"),
+            "--histograms", str(pipeline["hists"]), "--method", "simple_mkl", "--seed", "2",
+            "--out", str(model)]
+    assert main(argv) == 0
+    notes = capsys.readouterr().err.splitlines()
+    doc = json.loads(model.read_text())
+    stopped = [name for name, b in zip(doc["classes"], doc["binary_models"]) if not b["converged"]]
+    assert stopped and notes == [f"note: class {name}: simple_mkl stopped at mkl.max_outer=1 "
+                                 "outer steps without converging" for name in stopped]
+    assert main(["inspect", str(model)]) == 0
+    shown = capsys.readouterr().out.splitlines()
+    assert shown[0].startswith("model: method=simple_mkl")
+    assert [line.split(":")[0].removeprefix("  class ") for line in shown
+            if line.endswith("converged=False")] == stopped
+
+
+def test_converged_simple_mkl_trains_without_notes(pipeline, tmp_path, capsys):
+    assert main(["train", "--config", pipeline["cfg"],
+                 "--manifest", str(pipeline["data"] / "manifest.json"),
+                 "--histograms", str(pipeline["hists"]), "--method", "simple_mkl", "--seed", "2",
+                 "--out", str(tmp_path / "model.json")]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["inspect", str(tmp_path / "model.json")]) == 0
+    classes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  class ")]
+    assert classes and all(line.endswith("converged=True") for line in classes)

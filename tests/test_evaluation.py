@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -256,3 +258,132 @@ def test_pair_confusion_helper():
                         [0.75], counts, {})
     assert pair_confusion(report, 0, 1) == 100.0
     assert pair_confusion(report, 2, 3) == 50.0
+
+
+# ---------------------------------------------------------------------------
+# the forked process pool behind workers > 1
+
+forking = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                             reason="ordered_map runs inline where fork is missing")
+
+
+@pytest.fixture
+def many_cpus(monkeypatch):
+    """Let ``ordered_map`` fork as many workers as asked, whatever the machine."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+
+def noisy_descriptor_cache(manifest, seed=0):
+    """A few descriptors per video that lean toward the class's own axis,
+    so repeats differ and accuracies are not all 100%."""
+    rng = np.random.default_rng(seed)
+    cache = {}
+    for entry in manifest.videos:
+        vectors = rng.random((3, HOF_DIM))
+        vectors[:, entry.class_index] += 0.8
+        cache[entry.video_id] = {"hof": DescriptorSet("hof", HOF_DIM, vectors)}
+    return cache
+
+
+@forking
+@pytest.mark.parametrize("workers", [2, 3])
+def test_ordered_map_on_processes_keeps_order_and_reports_each_item(many_cpus, workers):
+    calls = []
+    results = ordered_map(lambda x: (x * x, os.getpid()), range(9), workers,
+                          lambda done, total: calls.append((done, total)))
+    assert [square for square, _ in results] == [x * x for x in range(9)]
+    pids = {pid for _, pid in results}
+    assert os.getpid() not in pids and 1 <= len(pids) <= workers
+    assert calls == [(done, 9) for done in range(1, 10)]
+
+
+def test_ordered_map_workers_are_capped_by_items_and_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert ordered_map(lambda x: os.getpid(), range(3), 4) == [os.getpid()] * 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert ordered_map(lambda x: os.getpid(), range(1), 4) == [os.getpid()]
+
+
+@forking
+def test_workers_see_closures_and_patched_module_attributes(tmp_path, monkeypatch, many_cpus):
+    import egoact.evaluation as evaluation
+
+    offset = {"value": 100}   # reached through the closure, never pickled
+    assert ordered_map(lambda x: x + offset["value"], range(4), 2) == [100, 101, 102, 103]
+
+    parent = os.getpid()
+
+    def patched_repeat(manifest, cache, cfg, method, kernel, features, split, repeat_index):
+        confusion = np.zeros((4, 4), dtype=np.int64)
+        confusion[repeat_index % 4, repeat_index % 4] = 1
+        return (0.5 if os.getpid() != parent else 0.0), confusion
+
+    monkeypatch.setattr(evaluation, "run_repeat", patched_repeat)
+    manifest = toy_manifest()
+    report = run_experiment(manifest, tmp_path, small_config(), "single_kernel", kernel_kind="h_int",
+                            features=("hof",), repeats=4, workers=2,
+                            descriptor_cache=constant_descriptor_cache(manifest))
+    assert report.per_repeat_accuracy == [50.0] * 4
+
+
+@forking
+def test_processes_raise_the_first_failure_with_message_and_notes(tmp_path, monkeypatch, many_cpus):
+    import egoact.evaluation as evaluation
+
+    def check(x):
+        if x in (2, 4):
+            exc = ValueError(f"item {x}")
+            exc.add_note(f"note {x}")
+            raise exc
+        return x
+
+    with pytest.raises(ValueError) as info:
+        ordered_map(check, range(6), 3)
+    assert str(info.value) == "item 2" and info.value.__notes__ == ["note 2"]
+
+    def failing_repeat(*args):
+        repeat_index = args[-1]
+        if repeat_index == 0:
+            return 1.0, np.eye(4, dtype=np.int64)
+        if repeat_index == 1:
+            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+        raise ValidationError("too few descriptors")
+
+    monkeypatch.setattr(evaluation, "run_repeat", failing_repeat)
+    manifest = toy_manifest()
+    kwargs = dict(kernel_kind="h_int", features=("hof",), workers=3,
+                  descriptor_cache=constant_descriptor_cache(manifest))
+    with pytest.raises(UnicodeDecodeError) as info:
+        run_experiment(manifest, tmp_path, small_config(), "single_kernel", repeats=4, **kwargs)
+    assert info.value.reason == "invalid start byte" and info.value.__notes__ == ["in repeat 1"]
+    monkeypatch.setattr(evaluation, "run_repeat", lambda *args: failing_repeat(*args[:-1], args[-1] + 2))
+    with pytest.raises(ValidationError) as info:
+        run_experiment(manifest, tmp_path, small_config(), "single_kernel", repeats=3, **kwargs)
+    assert str(info.value) == "repeat 0: too few descriptors"
+
+
+@forking
+def test_a_dead_worker_is_a_child_process_error_naming_the_item(many_cpus):
+    def die_on_one(x):
+        if x == 1:
+            os._exit(3)
+        return x
+
+    with pytest.raises(ChildProcessError) as info:
+        ordered_map(die_on_one, range(5), 2)
+    message = str(info.value)
+    assert message.startswith("a worker process died while running item ")
+    assert "1" in message.removeprefix("a worker process died while running item ").split(" or ")
+
+
+@forking
+@pytest.mark.parametrize("method", ["single_kernel", "simple_mkl", "boost_mkl"])
+def test_reports_are_equal_on_one_and_three_workers(tmp_path, many_cpus, method):
+    manifest = toy_manifest(per_class=6)
+    cache = noisy_descriptor_cache(manifest)
+    cfg = small_config(repeats=4).replace_section("boost", trials=3)
+    kwargs = dict(kernel_kind="h_int", features=("hof",), base_seed=3, descriptor_cache=cache)
+    inline = run_experiment(manifest, tmp_path, cfg, method, workers=1, **kwargs)
+    forked = run_experiment(manifest, tmp_path, cfg, method, workers=3, **kwargs)
+    assert inline.to_dict() == forked.to_dict()
+    assert inline.mean_accuracy < 100.0

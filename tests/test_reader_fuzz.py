@@ -241,3 +241,62 @@ def test_unparseable_json_is_a_format_error(tmp_path, capsys, text):
     with pytest.raises(FormatError):
         dataio.read_json(path)
     assert inspect_exits_0_or_2(path, capsys) == 2
+
+
+# ---------------------------------------------------------------------------
+# JSON numbers: a string, a bool or a fraction where a number or an integer belongs
+
+def _hof(doc):
+    return doc["histograms"][0]["blocks"]["hof"]
+
+
+def _mkl(doc):
+    return doc["binary_models"][0]
+
+
+def _trial(doc):
+    return doc["binary_models"][0]["trials"][0]
+
+
+MISTYPED_NUMBERS = {
+    "histogram_string_entry": ("histograms.json", lambda d: _hof(d).__setitem__(0, str(_hof(d)[0]))),
+    "histogram_bool_entries": ("histograms.json", lambda d: d["histograms"][1]["blocks"].update(
+        cuboid=[False, True, False])),
+    "histogram_fractional_size": ("histograms.json", lambda d: d["block_sizes"].__setitem__(0, 4.0)),
+    "svm_string_alpha_and_labels": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(
+        alpha=[str(a) for a in _mkl(d)["svm"]["alpha"]],
+        labels=[str(int(y)) for y in _mkl(d)["svm"]["labels"]])),
+    "svm_string_bias": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(bias="0.1")),
+    "svm_bool_c_reg": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(c_reg=True)),
+    "svm_fractional_iterations": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(iterations=3.5)),
+    "mkl_string_weights": ("simple_mkl.json", lambda d: _mkl(d).update(
+        weights=[str(w) for w in _mkl(d)["weights"]])),
+    "string_scale": ("simple_mkl.json", lambda d: d["scales"].__setitem__(0, "1.0")),
+    "bool_train_vector": ("simple_mkl.json", lambda d: d["train_vectors"][0].__setitem__(0, True)),
+    "string_spec_block": ("simple_mkl.json", lambda d: d["specs"][0]["block"].__setitem__(0, "0")),
+    "fractional_kernel_index": ("boost_mkl.json", lambda d: _trial(d).update(kernel_index=0.0)),
+    "fractional_train_index": ("boost_mkl.json", lambda d: _trial(d)["train_indices"].__setitem__(0, 1.5)),
+    "string_trial_weight": ("boost_mkl.json", lambda d: _trial(d).update(weight="0.3")),
+    "string_train_size": ("boost_mkl.json", lambda d: _mkl(d).update(train_size="6")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_NUMBERS))
+def test_mistyped_numbers_are_format_errors(artifacts, tmp_path, capsys, case):
+    name, mutate = MISTYPED_NUMBERS[case]
+    doc = json.loads(artifacts[name])
+    mutate(doc)
+    path = tmp_path / name
+    dataio.write_json(path, doc)
+    with pytest.raises(FormatError, match="malformed"):
+        JSON_READERS[name][0](path)
+    if name != "histograms.json":
+        assert inspect_exits_0_or_2(path, capsys) == 2
+        return
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(artifacts["manifest.json"])
+    assert main(["train", "--manifest", str(manifest), "--histograms", str(path),
+                 "--method", "single", "--out", str(tmp_path / "model.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {path}: malformed histogram")
+    assert captured.err.count("\n") == 1
