@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bow, dataio
+from . import boost, bow, dataio
 from .config import RunConfig
 from .descriptors import CUBOID_TYPE, HOF_TYPE, LOGC_TYPE
 from .errors import ConfigError, ConvergenceError, FormatError, ValidationError, check_positive
@@ -46,10 +46,8 @@ def _resolve_method(name: str) -> str:
     return "single_kernel" if name == "single" else name
 
 
-def _progress(stream):
-    def report(done, total):
-        print(f"progress: {done}/{total}", file=stream)
-    return report
+def _progress(done, total):
+    print(f"progress: {done}/{total}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -71,19 +69,16 @@ def cmd_extract(args) -> int:
     cfg = _load_config(args.config)
     features = _parse_features(args.features) if args.features else cfg.features
     manifest = _load_manifest_dir(args.data)
-    cache = extract_dataset_descriptors(
-        manifest, args.data, features, cfg, progress=_progress(sys.stderr),
-    )
+    # one worker per video: ordered_map caps the pool at the usable CPUs
+    cache = extract_dataset_descriptors(manifest, args.data, features, cfg,
+                                        workers=len(manifest.videos), progress=_progress)
     out_dir = Path(args.out)
-    listing = {}
-    for entry in manifest.videos:
-        listing[entry.video_id] = {}
-        for dtype, dset in cache[entry.video_id].items():
-            name = f"{entry.video_id}.{dtype}.dsc"
-            dataio.write_descriptor_set(dset, out_dir / name)
-            listing[entry.video_id][dtype] = name
-    dims = {dtype: cache[manifest.videos[0].video_id][dtype].dim for dtype in
-            cache[manifest.videos[0].video_id]}
+    listing = {entry.video_id: {} for entry in manifest.videos}
+    for vid, files in listing.items():
+        for dtype, dset in cache[vid].items():
+            files[dtype] = f"{vid}.{dtype}.dsc"
+            dataio.write_descriptor_set(dset, out_dir / files[dtype])
+    dims = {dtype: dset.dim for dtype, dset in cache[manifest.videos[0].video_id].items()}
     dataio.write_json(out_dir / DESCRIPTOR_SIDECAR, {
         "kind": "descriptors",
         "features": list(features),
@@ -94,7 +89,8 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _read_descriptor_dir(desc_dir):
+def _read_descriptor_dir(desc_dir, types=None):
+    """The listed features and every video's descriptor sets of the ``types`` (default: all)."""
     desc_dir = Path(desc_dir)
     path = desc_dir / DESCRIPTOR_SIDECAR
     doc = dataio.read_json(path)
@@ -105,13 +101,13 @@ def _read_descriptor_dir(desc_dir):
     except dataio.MALFORMED as exc:
         raise FormatError(f"{path}: malformed descriptors file ({exc})") from exc
     cache = {vid: {dtype: dataio.read_descriptor_set(p, descriptor_type=dtype)
-                   for dtype, p in files.items()}
+                   for dtype, p in files.items() if types is None or dtype in types}
              for vid, files in listing.items()}
     return features, cache
 
 
 def cmd_codebook(args) -> int:
-    _, cache = _read_descriptor_dir(args.descriptors)
+    _, cache = _read_descriptor_dir(args.descriptors, {args.type})
     pools = [sets[args.type].vectors for sets in cache.values()
              if args.type in sets and sets[args.type].count]
     if not pools:
@@ -150,6 +146,9 @@ def cmd_train(args) -> int:
         if isinstance(payload, MklModel) and not payload.converged:
             print(f"note: class {name}: simple_mkl stopped at mkl.max_outer={cfg.mkl.max_outer} "
                   "outer steps without converging", file=sys.stderr)
+        if isinstance(payload, boost.BoostedModel) and len(payload.trials) < cfg.boost.trials:
+            print(f"note: class {name}: boost_mkl kept {len(payload.trials)} of {cfg.boost.trials} "
+                  f"trials after {boost.MAX_REDRAWS} failed redraws", file=sys.stderr)
     print(f"trained {_resolve_method(args.method)} model over {len(model.classes)} classes -> {args.out}")
     return 0
 
@@ -162,7 +161,7 @@ def cmd_evaluate(args) -> int:
         manifest, args.data, cfg, _resolve_method(args.method),
         kernel_kind=args.kernel, features=features, repeats=args.repeats,
         base_seed=args.seed, workers=args.workers,
-        progress=_progress(sys.stderr),
+        progress=_progress,
     )
     report.write(args.out)
     if args.csv:

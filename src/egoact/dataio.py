@@ -62,6 +62,13 @@ def json_numbers(value, ndim: int = 1, integer: bool = False):
     return array.item() if ndim == 0 else array
 
 
+def json_bool(value) -> bool:
+    """A decoded JSON ``true`` or ``false``; anything else raises TypeError."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # atomic writing
 

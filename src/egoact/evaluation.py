@@ -7,19 +7,21 @@ median heuristic), trains the requested method, and scores the test
 items. Reports aggregate accuracy over repeats plus a row-normalized
 average confusion matrix.
 
-Repeats (and per-video extraction) are independent given their derived
-seeds, so ``ordered_map`` may run them on forked worker processes, which
+Repeats and per-video extraction are independent given their derived
+seeds, so ``ordered_map`` may run them on forked worker processes (one per
+usable CPU at most; ``egoact extract`` asks for one per video), which
 sidestep the GIL that serializes the pipeline's many small numpy calls.
 Each item runs the same deterministic code in its own address space, and
-results are gathered in item order, which keeps reports byte-identical
-for any worker count.
+results are gathered in item order, which keeps reports and descriptors
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import sys
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -83,16 +85,29 @@ def _run_item(index):
     return fn(items[index])
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _wrapped_here() -> bool:
+    """Whether a package function is wrapped here (``functools.wraps`` sets ``__wrapped__``),
+    as by a tracer, whose records forked workers would take out of this process."""
+    return any(hasattr(value, "__wrapped__") for name, module in list(sys.modules.items())
+               if name.startswith(__package__ + ".") for value in vars(module).values())
+
+
 def ordered_map(fn, items, workers: int = 1, progress=None) -> list:
     """``[fn(item) for item in items]`` on up to ``workers`` forked processes
-    (at most one per item and per CPU), inline at ``workers <= 1`` or where
-    the platform cannot fork. ``progress(done, total)`` runs in the caller
-    after each item. With processes, the first failure in item order is
-    raised once every item has finished; a worker that dies is a
-    ChildProcessError naming the items it may have been running."""
+    (at most one per item and per usable CPU), inline at ``workers <= 1``, where the
+    platform cannot fork or while a package function is wrapped. ``progress(done,
+    total)`` runs in the caller as items finish in item order. With processes, the
+    first failure in item order is raised once every item before it has finished,
+    and items not yet started are dropped; a worker that dies is a ChildProcessError
+    naming the items it may have been running."""
     items = list(items)
-    workers = min(workers, len(items), os.cpu_count() or 1)
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+    workers = min(workers, len(items), usable_cpus())
+    if workers <= 1 or _wrapped_here() or "fork" not in multiprocessing.get_all_start_methods():
         results = []
         for item in items:
             results.append(fn(item))
@@ -106,11 +121,20 @@ def ordered_map(fn, items, workers: int = 1, progress=None) -> list:
     started = multiprocessing.RawArray("b", len(items))
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                              initializer=_adopt, initargs=(fn, items, started)) as pool:
-        futures = [pool.submit(_run_item, index) for index in range(len(items))]
-        for done, _ in enumerate(as_completed(futures), 1):
+        futures = []
+        for index in range(len(items)):
+            try:
+                futures.append(pool.submit(_run_item, index))
+            except BrokenProcessPool as exc:   # a worker died while items were being queued
+                futures.append(Future())
+                futures[-1].set_exception(exc)
+        for done, future in enumerate(futures, 1):   # in item order, as inline
+            if future.exception() is not None:
+                pool.shutdown(cancel_futures=True)   # start no further item
+                break
             if progress:
                 progress(done, len(items))
-    broken = [isinstance(future.exception(), BrokenProcessPool) for future in futures]
+    broken = [not f.cancelled() and isinstance(f.exception(), BrokenProcessPool) for f in futures]
     results = []
     for index, future in enumerate(futures):
         if broken[index]:

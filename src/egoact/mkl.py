@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import MklSection
-from .dataio import json_numbers
+from .dataio import json_bool, json_numbers
 from .errors import ValidationError, check_positive
 from .kernels import check_bank, check_simplex, combine, combine_rows
 from .svm import BinarySvmModel, decision_many, smo_train
@@ -44,7 +44,7 @@ class MklModel:
         return MklModel(
             json_numbers(doc["weights"]),
             BinarySvmModel.from_dict(doc["svm"]),
-            doc.get("converged", True),
+            json_bool(doc.get("converged", True)),
         )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataio import json_numbers
+from .dataio import json_bool, json_numbers
 from .errors import ConvergenceError, ValidationError, check_positive
 
 
@@ -70,7 +70,7 @@ class BinarySvmModel:
         return BinarySvmModel(
             json_numbers(doc["alpha"]), json_numbers(doc["labels"]),
             json_numbers(doc["bias"], 0), json_numbers(doc["c_reg"], 0), json_numbers(doc["box"]),
-            converged=doc.get("converged", True),
+            converged=json_bool(doc.get("converged", True)),
             iterations=json_numbers(doc.get("iterations", 0), 0, integer=True),
             objective=json_numbers(doc.get("objective", 0.0), 0),
         )

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from egoact.cli import main
@@ -387,6 +388,79 @@ def test_convergence_error_exits_3(tmp_path, capsys, monkeypatch):
     assert "stalled" in capsys.readouterr().err
 
 
+def test_extract_on_one_or_two_cpus_is_byte_identical(pipeline, tmp_path, capsys, monkeypatch):
+    import egoact.evaluation as evaluation
+
+    asked = []
+    ordered_map = evaluation.ordered_map
+    monkeypatch.setattr(evaluation, "ordered_map",
+                        lambda fn, items, workers, progress: asked.append(workers)
+                        or ordered_map(fn, items, workers, progress))
+    trees = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"desc{cpus}"
+        assert main(["extract", "--config", pipeline["cfg"], "--data", str(pipeline["data"]),
+                     "--out", str(out)]) == 0
+        trees.append(tree_bytes(out))
+    capsys.readouterr()
+    assert asked == [8, 8]   # one worker per video, capped by usable_cpus
+    assert trees[0] == trees[1] == tree_bytes(pipeline["desc"])
+
+
+def test_failing_video_fails_extract_alike_on_one_or_two_cpus(pipeline, tmp_path, capsys,
+                                                             monkeypatch):
+    """One error line, the same exit code, and nothing written, inline or forked."""
+    import egoact.evaluation as evaluation
+    from egoact.dataio import read_frame_sequence
+    from egoact.errors import ValidationError
+
+    videos = json.loads((pipeline["data"] / "manifest.json").read_text())["videos"]
+    broken = read_frame_sequence(pipeline["data"] / videos[5]["path"])
+    extract = evaluation.extract_video_descriptors
+
+    def failing(seq, features, cfg):
+        if seq == broken:
+            raise ValidationError(f"{videos[5]['video_id']}: flow diverged")
+        return extract(seq, features, cfg)
+
+    monkeypatch.setattr(evaluation, "extract_video_descriptors", failing)
+    outcomes = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"desc{cpus}"
+        code = main(["extract", "--config", pipeline["cfg"], "--data", str(pipeline["data"]),
+                     "--out", str(out)])
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if not line.startswith("progress: ")]
+        outcomes.append((code, lines))
+        assert not out.exists()
+    assert outcomes[0] == outcomes[1] == (1, [f"error: {videos[5]['video_id']}: flow diverged"])
+
+
+def test_codebook_reads_only_its_type_and_encode_reads_every_type(pipeline, tmp_path, capsys,
+                                                                   monkeypatch):
+    from egoact import dataio
+
+    read = []
+    read_descriptor_set = dataio.read_descriptor_set
+    monkeypatch.setattr(dataio, "read_descriptor_set",
+                        lambda path, descriptor_type="": read.append(descriptor_type)
+                        or read_descriptor_set(path, descriptor_type))
+    out = tmp_path / "hof.cbk"
+    assert main(["codebook", "--descriptors", str(pipeline["desc"]), "--type", "hof",
+                 "--words", "4", "--seed", "1", "--out", str(out)]) == 0
+    assert read == ["hof"] * 8
+    assert out.read_bytes() == (pipeline["cb"] / "hof.cbk").read_bytes()
+    read.clear()
+    hists = tmp_path / "hists.json"
+    assert main(["encode", "--descriptors", str(pipeline["desc"]),
+                 "--codebooks", str(pipeline["cb"]), "--out", str(hists)]) == 0
+    assert sorted(read) == sorted(["hof", "logc", "cuboid"] * 8)
+    assert hists.read_bytes() == pipeline["hists"].read_bytes()
+    capsys.readouterr()
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="--workers runs inline where fork is missing")
 def test_dead_worker_exits_2_with_one_line(pipeline, tmp_path, capsys, monkeypatch):
@@ -396,7 +470,7 @@ def test_dead_worker_exits_2_with_one_line(pipeline, tmp_path, capsys, monkeypat
         os._exit(3)   # as an out-of-memory kill would end the worker
 
     # two workers even on a one-CPU machine, so the dying repeat never runs inline
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
     monkeypatch.setattr(evaluation, "run_repeat", dying_repeat)
     out = tmp_path / "r.json"
     assert main(["evaluate", "--config", pipeline["cfg"], "--data", str(pipeline["data"]),
@@ -438,3 +512,44 @@ def test_converged_simple_mkl_trains_without_notes(pipeline, tmp_path, capsys):
     assert main(["inspect", str(tmp_path / "model.json")]) == 0
     classes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  class ")]
     assert classes and all(line.endswith("converged=True") for line in classes)
+
+
+def test_early_stopped_boost_mkl_is_noted_by_train(pipeline, tmp_path, capsys, monkeypatch):
+    """A class whose boosting loop ran out of redraws gets one stderr note from train."""
+    from egoact import boost
+
+    calls = []
+    resample = boost.resample
+
+    def one_label_after_first_trial(p, n, rng):
+        # the first class keeps its first draw; its next MAX_REDRAWS draws repeat
+        # one item, so they hold one label, are discarded, and the class stops early
+        calls.append(n)
+        if 1 < len(calls) <= 1 + boost.MAX_REDRAWS:
+            return np.zeros(n, dtype=np.int64)
+        return resample(p, n, rng)
+
+    monkeypatch.setattr(boost, "MAX_REDRAWS", 2)
+    monkeypatch.setattr(boost, "resample", one_label_after_first_trial)
+    model = tmp_path / "model.json"
+    assert main(["train", "--config", pipeline["cfg"],
+                 "--manifest", str(pipeline["data"] / "manifest.json"),
+                 "--histograms", str(pipeline["hists"]), "--method", "boost_mkl", "--seed", "2",
+                 "--out", str(model)]) == 0
+    notes = capsys.readouterr().err.splitlines()
+    doc = json.loads(model.read_text())
+    kept = {name: len(b["trials"]) for name, b in zip(doc["classes"], doc["binary_models"])}
+    assert kept == {doc["classes"][0]: 1, doc["classes"][1]: 3}
+    assert notes == [f"note: class {doc['classes'][0]}: boost_mkl kept 1 of 3 trials "
+                     "after 2 failed redraws"]
+
+
+def test_full_boost_mkl_trains_without_notes(pipeline, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert main(["train", "--config", pipeline["cfg"],
+                 "--manifest", str(pipeline["data"] / "manifest.json"),
+                 "--histograms", str(pipeline["hists"]), "--method", "boost_mkl", "--seed", "2",
+                 "--out", str(model)]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads(model.read_text())
+    assert [len(b["trials"]) for b in doc["binary_models"]] == [3, 3]

@@ -1,10 +1,13 @@
+import functools
 import multiprocessing
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from egoact import evaluation
 from egoact.config import RunConfig, SplitSection
 from egoact.dataio import DatasetManifest, DescriptorSet, VideoEntry
 from egoact.errors import ConfigError, ValidationError
@@ -211,8 +214,6 @@ def test_errors_carry_repeat_index(tmp_path):
 
 
 def test_foreign_errors_keep_their_type_and_note_the_repeat(tmp_path, monkeypatch):
-    import egoact.evaluation as evaluation
-
     def failing_repeat(*args):
         raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
 
@@ -270,7 +271,7 @@ forking = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods
 @pytest.fixture
 def many_cpus(monkeypatch):
     """Let ``ordered_map`` fork as many workers as asked, whatever the machine."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 8)
 
 
 def noisy_descriptor_cache(manifest, seed=0):
@@ -297,17 +298,25 @@ def test_ordered_map_on_processes_keeps_order_and_reports_each_item(many_cpus, w
     assert calls == [(done, 9) for done in range(1, 10)]
 
 
+def test_usable_cpus_are_the_affinity_set_else_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert evaluation.usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert evaluation.usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert evaluation.usable_cpus() == 1
+
+
 def test_ordered_map_workers_are_capped_by_items_and_cpus(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 1)
     assert ordered_map(lambda x: os.getpid(), range(3), 4) == [os.getpid()] * 3
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 8)
     assert ordered_map(lambda x: os.getpid(), range(1), 4) == [os.getpid()]
 
 
 @forking
 def test_workers_see_closures_and_patched_module_attributes(tmp_path, monkeypatch, many_cpus):
-    import egoact.evaluation as evaluation
-
     offset = {"value": 100}   # reached through the closure, never pickled
     assert ordered_map(lambda x: x + offset["value"], range(4), 2) == [100, 101, 102, 103]
 
@@ -328,8 +337,6 @@ def test_workers_see_closures_and_patched_module_attributes(tmp_path, monkeypatc
 
 @forking
 def test_processes_raise_the_first_failure_with_message_and_notes(tmp_path, monkeypatch, many_cpus):
-    import egoact.evaluation as evaluation
-
     def check(x):
         if x in (2, 4):
             exc = ValueError(f"item {x}")
@@ -374,6 +381,48 @@ def test_a_dead_worker_is_a_child_process_error_naming_the_item(many_cpus):
     message = str(info.value)
     assert message.startswith("a worker process died while running item ")
     assert "1" in message.removeprefix("a worker process died while running item ").split(" or ")
+
+
+@forking
+def test_a_pool_broken_while_queueing_is_a_child_process_error(many_cpus, monkeypatch):
+    """A worker can die before the last item is submitted; submit then raises."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    class BreaksAtTheThirdSubmit(evaluation.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            if args[0] >= 2:
+                raise BrokenProcessPool("a child process terminated abruptly")
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", BreaksAtTheThirdSubmit)
+    with pytest.raises(ChildProcessError, match="^a worker process died while running item 2$"):
+        ordered_map(lambda x: x, range(5), 2)
+
+
+@forking
+def test_processes_start_no_item_once_the_first_failure_is_known(many_cpus):
+    ran = multiprocessing.RawArray("b", 40)   # shared with the forked workers
+
+    def fail_first(x):
+        ran[x] = 1
+        if x == 0:
+            raise ValueError("item 0")
+        time.sleep(0.1)
+        return x
+
+    with pytest.raises(ValueError, match="item 0"):
+        ordered_map(fail_first, range(40), 2)
+    assert sum(ran) < 10   # the items already queued to a worker, not all 40
+
+
+@forking
+def test_a_wrapped_package_function_keeps_ordered_map_in_this_process(many_cpus, monkeypatch):
+    """A tracer's wrapper records calls in this process, so the work stays here."""
+    assert os.getpid() not in ordered_map(lambda x: os.getpid(), range(4), 2)
+    original = evaluation.extract_video_descriptors
+    monkeypatch.setattr(evaluation, "extract_video_descriptors",
+                        functools.wraps(original)(lambda *args: original(*args)))
+    assert ordered_map(lambda x: os.getpid(), range(4), 2) == [os.getpid()] * 4
 
 
 @forking

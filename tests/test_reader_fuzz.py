@@ -244,7 +244,8 @@ def test_unparseable_json_is_a_format_error(tmp_path, capsys, text):
 
 
 # ---------------------------------------------------------------------------
-# JSON numbers: a string, a bool or a fraction where a number or an integer belongs
+# JSON numbers: a string, a bool or a fraction where a number or an integer belongs,
+# and anything but true or false where a ``converged`` flag belongs
 
 def _hof(doc):
     return doc["histograms"][0]["blocks"]["hof"]
@@ -278,6 +279,11 @@ MISTYPED_NUMBERS = {
     "fractional_train_index": ("boost_mkl.json", lambda d: _trial(d)["train_indices"].__setitem__(0, 1.5)),
     "string_trial_weight": ("boost_mkl.json", lambda d: _trial(d).update(weight="0.3")),
     "string_train_size": ("boost_mkl.json", lambda d: _mkl(d).update(train_size="6")),
+    "mkl_string_converged": ("simple_mkl.json", lambda d: _mkl(d).update(converged="false")),
+    "mkl_number_converged": ("simple_mkl.json", lambda d: _mkl(d).update(converged=0)),
+    "mkl_null_converged": ("simple_mkl.json", lambda d: _mkl(d).update(converged=None)),
+    "svm_string_converged": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(converged="false")),
+    "weak_svm_number_converged": ("boost_mkl.json", lambda d: _trial(d)["svm"].update(converged=1)),
 }
 
 
@@ -300,3 +306,14 @@ def test_mistyped_numbers_are_format_errors(artifacts, tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {path}: malformed histogram")
     assert captured.err.count("\n") == 1
+
+
+def test_missing_converged_flags_load_as_converged(artifacts, tmp_path):
+    """A model without ``converged`` fields loads as converged (the default)."""
+    doc = json.loads(artifacts["simple_mkl.json"])
+    for payload in doc["binary_models"]:
+        del payload["converged"], payload["svm"]["converged"]
+    path = tmp_path / "simple_mkl.json"
+    dataio.write_json(path, doc)
+    for payload in read_model(path).binary_models:
+        assert payload.converged and payload.svm.converged

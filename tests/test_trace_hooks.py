@@ -104,3 +104,25 @@ def test_traced_extraction_records_flow_logc_and_matrix_log():
     assert all(span.parent.name == "descriptors.logc" for span in by_name["linalg.matrix_log"])
     assert by_name["flow.sequence"][0].parent.name == "evaluation.extract_video"
     assert not hasattr(modules["descriptors"].matrix_log, "__wrapped__")
+
+
+def test_traced_cli_extract_records_every_video_on_two_cpus(tmp_path, monkeypatch):
+    """Forked workers would take their spans with them; a traced extract runs here."""
+    from egoact.cli import main
+    from egoact.dataio import write_json
+
+    tracing = load_tracing()
+    modules = {name: importlib.import_module(f"egoact.{name}") for name in MODULES}
+    config = tmp_path / "config.json"
+    write_json(config, {"synth": {"class_count": 2, "videos_per_class": 4, "width": 16,
+                                  "height": 16, "frame_count": 18},
+                        "flow": {"iterations": 5}})
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+    monkeypatch.setattr(modules["evaluation"], "usable_cpus", lambda: 2)
+    tracer = tracing.Tracer()
+    with tracer.installed(modules):
+        assert main(["extract", "--config", str(config), "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "desc")]) == 0
+    names = [span.name for span in tracer.spans]
+    assert names.count("evaluation.extract_video") == names.count("flow.sequence") == 8
+    assert not modules["evaluation"]._wrapped_here()   # patches are undone
