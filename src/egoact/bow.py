@@ -14,9 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .dataio import Codebook, DescriptorSet, VideoHistogram
+from .descriptors import FEATURES
 from .errors import ConfigError, ValidationError, check_positive
-
-BLOCK_ORDER = ("hof", "logc", "cuboid")
 
 DEFAULT_WORDS = 64
 DEFAULT_MAX_ITERS = 100
@@ -120,13 +119,13 @@ def quantize_batch(vectors: np.ndarray, codebook: Codebook) -> np.ndarray:
 
 
 def encode_video(video_id: str, sets, codebooks) -> VideoHistogram:
-    """One normalized histogram block per descriptor type, in BLOCK_ORDER.
+    """One normalized histogram block per descriptor type, in ``FEATURES`` order.
 
     Types absent from ``sets`` are skipped; a type with zero descriptors
     yields an all-zero block.
     """
     blocks = []
-    for dtype in BLOCK_ORDER:
+    for dtype in FEATURES:
         if dtype not in sets:
             continue
         codebook = codebooks.get(dtype)

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import boost, bow, dataio
+from . import boost, bow, dataio, kernels
 from .config import RunConfig
-from .descriptors import CUBOID_TYPE, HOF_TYPE, LOGC_TYPE
+from .descriptors import FEATURES, check_features
 from .errors import ConfigError, ConvergenceError, FormatError, ValidationError, check_positive
 from .evaluation import extract_dataset_descriptors, run_experiment
 from .mkl import MklModel
@@ -33,10 +33,7 @@ def _load_config(path) -> RunConfig:
 
 
 def _parse_features(text):
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not names:
-        raise ConfigError("empty --features list")
-    return names
+    return check_features([part.strip() for part in text.split(",") if part.strip()])
 
 
 METHOD_CHOICES = ["single", *METHODS]
@@ -67,7 +64,7 @@ def _load_manifest_dir(data_dir):
 
 def cmd_extract(args) -> int:
     cfg = _load_config(args.config)
-    features = _parse_features(args.features) if args.features else cfg.features
+    features = cfg.features if args.features is None else _parse_features(args.features)
     manifest = _load_manifest_dir(args.data)
     # one worker per video: ordered_map caps the pool at the usable CPUs
     cache = extract_dataset_descriptors(manifest, args.data, features, cfg,
@@ -95,9 +92,12 @@ def _read_descriptor_dir(desc_dir, types=None):
     path = desc_dir / DESCRIPTOR_SIDECAR
     doc = dataio.read_json(path)
     try:
-        features = [str(f) for f in doc["features"]]
+        features = check_features(doc["features"])
         listing = {vid: {dtype: desc_dir / name for dtype, name in files.items()}
                    for vid, files in doc["videos"].items()}
+        for vid, files in listing.items():
+            if set(files) != set(features):
+                raise ValueError(f"video {vid!r} lists {sorted(files)}, not {list(features)}")
     except dataio.MALFORMED as exc:
         raise FormatError(f"{path}: malformed descriptors file ({exc})") from exc
     cache = {vid: {dtype: dataio.read_descriptor_set(p, descriptor_type=dtype)
@@ -155,8 +155,8 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
+    features = None if args.features is None else _parse_features(args.features)
     manifest = _load_manifest_dir(args.data)
-    features = _parse_features(args.features) if args.features else None
     report = run_experiment(
         manifest, args.data, cfg, _resolve_method(args.method),
         kernel_kind=args.kernel, features=features, repeats=args.repeats,
@@ -244,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="First-person activity recognition pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    features_help = f"comma list from {','.join(FEATURES)}"
 
     def add_common(p, config=True, seed=True):
         if config:
@@ -259,14 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract descriptors for a dataset")
     add_common(p, seed=False)
     p.add_argument("--data", required=True, help="dataset directory with manifest.json")
-    p.add_argument("--features", help="comma list from hof,logc,cuboid")
+    p.add_argument("--features", help=features_help)
     p.add_argument("--out", required=True, help="output descriptor directory")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("codebook", help="train one k-means codebook")
     add_common(p, config=False)
     p.add_argument("--descriptors", required=True, help="directory from `extract`")
-    p.add_argument("--type", required=True, choices=[HOF_TYPE, LOGC_TYPE, CUBOID_TYPE])
+    p.add_argument("--type", required=True, choices=FEATURES)
     p.add_argument("--words", type=int, default=bow.DEFAULT_WORDS)
     p.add_argument("--out", required=True, help="output .cbk path")
     p.set_defaults(func=cmd_codebook)
@@ -282,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--histograms", required=True)
     p.add_argument("--method", required=True, choices=METHOD_CHOICES)
-    p.add_argument("--kernel", choices=["gaussian", "h_int", "dc_int", "jpl_int"])
+    p.add_argument("--kernel", choices=kernels.KERNEL_KINDS)
     p.add_argument("--out", required=True, help="output model JSON path")
     p.set_defaults(func=cmd_train)
 
@@ -290,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--data", required=True, help="dataset directory with manifest.json")
     p.add_argument("--method", required=True, choices=METHOD_CHOICES)
-    p.add_argument("--kernel", choices=["gaussian", "h_int", "dc_int", "jpl_int"])
-    p.add_argument("--features", help="comma list from hof,logc,cuboid")
+    p.add_argument("--kernel", choices=kernels.KERNEL_KINDS)
+    p.add_argument("--features", help=features_help)
     p.add_argument("--repeats", type=int)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="output report JSON path")

@@ -8,16 +8,15 @@ defaults. CLI flags override the matching fields after loading.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
+from .bow import DEFAULT_MAX_ITERS
 from .dataio import read_json
-from .descriptors import CuboidParams, HofParams, LogcParams
+from .descriptors import FEATURES, CuboidParams, HofParams, LogcParams, check_features
 from .errors import ConfigError, ValidationError, check_positive
-from .flow import check_params
+from .flow import DEFAULT_ALPHA, DEFAULT_ITERATIONS, check_params
 from .kernels import KERNEL_KINDS
 from .synth import SynthConfig
-
-FEATURE_NAMES = ("hof", "logc", "cuboid")
 
 
 def _check(count: bool = False, zero: bool = False, **values) -> None:
@@ -32,8 +31,8 @@ def _check(count: bool = False, zero: bool = False, **values) -> None:
 
 @dataclass(frozen=True)
 class FlowSection:
-    alpha: float = 10.0
-    iterations: int = 100
+    alpha: float = DEFAULT_ALPHA
+    iterations: int = DEFAULT_ITERATIONS
 
     def __post_init__(self):
         try:
@@ -47,7 +46,7 @@ class BowSection:
     # desk-scale synthetic videos yield few descriptors per video, so the
     # experiment default is far below the bow module's 64-word default
     words: int = 16
-    max_iters: int = 100
+    max_iters: int = DEFAULT_MAX_ITERS
     adaptive_words: bool = False   # shrink words to the pool size instead of erroring
 
     def __post_init__(self):
@@ -123,9 +122,7 @@ class SplitSection:
 _SECTIONS = {
     "synth": SynthConfig,
     "flow": FlowSection,
-    "hof": HofParams,
-    "logc": LogcParams,
-    "cuboid": CuboidParams,
+    **FEATURES,
     "bow": BowSection,
     "kernels": KernelsSection,
     "svm": SvmSection,
@@ -137,7 +134,7 @@ _SECTIONS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    features: tuple = FEATURE_NAMES
+    features: tuple = tuple(FEATURES)
     synth: SynthConfig = SynthConfig()
     flow: FlowSection = FlowSection()
     hof: HofParams = HofParams()
@@ -151,11 +148,7 @@ class RunConfig:
     split: SplitSection = SplitSection()
 
     def __post_init__(self):
-        feats = tuple(self.features)
-        bad = [f for f in feats if f not in FEATURE_NAMES]
-        if bad or not feats:
-            raise ConfigError(f"features must be a nonempty subset of {FEATURE_NAMES}, got {feats}")
-        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "features", check_features(self.features))
 
     def to_dict(self) -> dict:
         doc = {"features": list(self.features)}
@@ -169,10 +162,7 @@ class RunConfig:
 
     def replace_section(self, name: str, **changes) -> "RunConfig":
         """A copy with one section's fields replaced."""
-        import dataclasses
-
-        section = dataclasses.replace(getattr(self, name), **changes)
-        return dataclasses.replace(self, **{name: section})
+        return replace(self, **{name: replace(getattr(self, name), **changes)})
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
@@ -180,7 +170,7 @@ class RunConfig:
         doc.pop("format_version", None)
         kwargs = {}
         if "features" in doc:
-            kwargs["features"] = tuple(doc.pop("features"))
+            kwargs["features"] = doc.pop("features")
         for name, cls in _SECTIONS.items():
             if name in doc:
                 section_doc = doc.pop(name)
@@ -191,7 +181,8 @@ class RunConfig:
                 if unknown:
                     raise ConfigError(f"unknown keys in config section {name!r}: {unknown}")
                 try:
-                    kwargs[name] = cls(**_decode(section_doc))
+                    kwargs[name] = cls(**{k: tuple(v) if isinstance(v, list) else v
+                                          for k, v in section_doc.items()})
                 except (TypeError, ValidationError) as exc:
                     raise ConfigError(f"bad config section {name!r}: {exc}") from exc
         if doc:
@@ -201,7 +192,3 @@ class RunConfig:
     @staticmethod
     def load(path) -> "RunConfig":
         return RunConfig.from_dict(read_json(path))
-
-
-def _decode(section_doc: dict) -> dict:
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in section_doc.items()}

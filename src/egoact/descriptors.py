@@ -14,12 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import DescriptorSet, FrameSequence
-from .errors import ValidationError, check_positive
+from .errors import ConfigError, ValidationError, check_positive
 from .linalg import matrix_log
-
-HOF_TYPE = "hof"
-LOGC_TYPE = "logc"
-CUBOID_TYPE = "cuboid"
 
 ORIENTATION_BINS = 8
 KINEMATIC_DIM = 12
@@ -98,7 +94,7 @@ def hof_from_flows(flows, params: HofParams) -> DescriptorSet:
         hof_window_histogram(flows[t0 : t0 + params.window_len - 1], params)
         for t0 in _window_starts(len(flows) + 1, params.window_len, params.stride)
     ]
-    return DescriptorSet(HOF_TYPE, params.dim, np.asarray(vectors))
+    return DescriptorSet("hof", params.dim, np.asarray(vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +208,7 @@ def logc_from_flows(frames, flows, params: LogcParams) -> DescriptorSet:
         logc_window_descriptor(feats[t0 : t0 + params.window_len - 1].reshape(-1, KINEMATIC_DIM))
         for t0 in starts
     ]
-    return DescriptorSet(LOGC_TYPE, LOGC_DIM, np.asarray(vectors))
+    return DescriptorSet("logc", LOGC_DIM, np.asarray(vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -385,4 +381,21 @@ def cuboid_descriptors(seq: FrameSequence, params: CuboidParams) -> DescriptorSe
     gradients = _intensity_gradients_3d(seq.frames)
     vectors = [cuboid_describe(seq, p, params, gradients=gradients) for p in points]
     data = np.asarray(vectors) if vectors else None
-    return DescriptorSet(CUBOID_TYPE, params.descriptor_dim, data)
+    return DescriptorSet("cuboid", params.descriptor_dim, data)
+
+
+# ---------------------------------------------------------------------------
+# the feature table
+
+# name -> params class (also its config section), in histogram block order
+FEATURES = {"hof": HofParams, "logc": LogcParams, "cuboid": CuboidParams}
+
+
+def check_features(names) -> tuple:
+    """``names`` as a tuple; ConfigError unless a nonempty list of distinct ``FEATURES`` names."""
+    if (not isinstance(names, (list, tuple)) or not names
+            or not all(isinstance(n, str) and n in FEATURES for n in names)
+            or len(set(names)) < len(names)):
+        raise ConfigError(f"features must be a nonempty list of distinct names from "
+                          f"{', '.join(FEATURES)}, got {names!r}")
+    return tuple(names)

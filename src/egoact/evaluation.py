@@ -30,7 +30,7 @@ import numpy as np
 
 from . import bow, svm
 from .config import RunConfig, SplitSection
-from .dataio import DatasetManifest, read_frame_sequence, write_json
+from .dataio import DatasetManifest, atomic_write_bytes, read_frame_sequence, write_json
 from .descriptors import (
     cuboid_descriptors,
     hof_from_flows,
@@ -270,8 +270,6 @@ class EvalReport:
         write_json(path, self.to_dict())
 
     def write_confusion_csv(self, path):
-        from .dataio import atomic_write_bytes
-
         lines = ["true\\pred," + ",".join(self.classes)]
         for name, row in zip(self.classes, self.confusion):
             lines.append(name + "," + ",".join(f"{v:.1f}" for v in row))

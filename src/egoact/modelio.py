@@ -18,9 +18,10 @@ from typing import Callable
 import numpy as np
 
 from . import boost as boost_mod
-from . import bow, kernels, mkl, svm
+from . import kernels, mkl, svm
 from .config import RunConfig
 from .dataio import MALFORMED, DatasetManifest, json_numbers, read_json, write_json
+from .descriptors import FEATURES, check_features
 from .errors import ConfigError, FormatError, ValidationError
 
 
@@ -185,10 +186,8 @@ def read_model(path) -> TrainedModel:
 # kernel bank assembly and fitting
 
 def normalize_features(features):
-    features = tuple(f for f in bow.BLOCK_ORDER if f in set(features))
-    if not features:
-        raise ConfigError("at least one of hof, logc, cuboid must be selected")
-    return features
+    """The checked feature names in ``FEATURES`` (histogram block) order."""
+    return tuple(sorted(check_features(features), key=list(FEATURES).index))
 
 
 def stack_histograms(histograms):

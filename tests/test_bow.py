@@ -3,6 +3,7 @@ import pytest
 
 from egoact.bow import encode_video, kmeans, kmeans_with_history, quantize_batch
 from egoact.dataio import Codebook, DescriptorSet
+from egoact.descriptors import FEATURES
 from egoact.errors import ConfigError, ValidationError
 from oracles import quantize, reference_kmeans, reference_quantize_batch
 
@@ -112,6 +113,14 @@ def test_encode_empty_type_gives_zero_block():
     assert hist.block_order() == ["hof", "cuboid"]
     assert hist.blocks[0][1].sum() == pytest.approx(1.0)
     assert np.abs(hist.blocks[1][1]).max() == 0.0
+
+
+def test_encode_blocks_follow_the_feature_table():
+    rng = np.random.default_rng(8)
+    codebooks = {name: Codebook(name, rng.random((2, 3))) for name in FEATURES}
+    for names in (list(FEATURES), list(reversed(FEATURES))):
+        sets = {name: DescriptorSet(name, 3, rng.random((4, 3))) for name in names}
+        assert encode_video("v", sets, codebooks).block_order() == list(FEATURES)
 
 
 def test_encode_order_invariant():

@@ -204,6 +204,53 @@ def test_bad_config_value_exits_1_with_one_line(tmp_path, capsys, doc):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("features", [None, 5, "hof", ["hof", "hof"]],
+                         ids=["null", "number", "string", "repeat"])
+def test_bad_config_feature_list_exits_1_with_one_line(tmp_path, capsys, features):
+    cfg = tmp_path / "bad.json"
+    write_json(cfg, {"features": features})
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: features must be a nonempty list of distinct names from "
+                   f"hof, logc, cuboid, got {features!r}"]
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("command, shown", [
+    (["extract", "--features", "foo"], "['foo']"),
+    (["extract", "--features", "hof,hof"], "['hof', 'hof']"),
+    (["extract", "--features", ","], "[]"),
+    (["evaluate", "--method", "single", "--features", "hof,foo"], "['hof', 'foo']"),
+], ids=["extract_unknown", "extract_repeat", "extract_empty", "evaluate_unknown"])
+def test_bad_features_flag_exits_1_with_one_line(pipeline, tmp_path, capsys, command, shown):
+    out = tmp_path / "out"
+    assert main([*command, "--config", pipeline["cfg"], "--data", str(pipeline["data"]),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: features must be a nonempty list of distinct names from hof, logc, cuboid, "
+        f"got {shown}"]
+    assert not out.exists()
+
+
+def test_train_rejects_an_unknown_histogram_block(pipeline, tmp_path, capsys):
+    doc = json.loads(pipeline["hists"].read_text())
+    doc["block_order"].append("foo")
+    doc["block_sizes"].append(2)
+    for entry in doc["histograms"]:
+        entry["blocks"]["foo"] = [0.5, 0.5]
+    hists = tmp_path / "hists.json"
+    write_json(hists, doc)
+    out = tmp_path / "model.json"
+    assert main(["train", "--config", pipeline["cfg"], "--manifest",
+                 str(pipeline["data"] / "manifest.json"), "--histograms", str(hists),
+                 "--method", "single", "--kernel", "h_int", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: features must be") and "'foo'" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["synth"], ["codebook", "--descriptors", "desc", "--type", "hof"],
     ["train", "--manifest", "m.json", "--histograms", "h.json", "--method", "single"],
@@ -335,6 +382,17 @@ LISTING_DEFECTS = {
     "without_features": {"kind": "descriptors", "videos": {}},
     "without_videos": {"kind": "descriptors", "features": ["hof"]},
     "entry_not_an_object": {"kind": "descriptors", "features": ["hof"], "videos": {"a": 5}},
+    "features_not_a_list": {"kind": "descriptors", "features": "hof", "videos": {}},
+    "features_repeat": {"kind": "descriptors", "features": ["hof", "hof"], "videos": {}},
+    "features_unknown": {"kind": "descriptors", "features": ["hof", "foo"], "videos": {}},
+    "every_entry_lacks_a_feature": {"kind": "descriptors", "features": ["hof", "logc"],
+                                    "videos": {"a": {"hof": "a.hof.dsc"},
+                                               "b": {"hof": "b.hof.dsc"}}},
+    "one_entry_lacks_a_feature": {"kind": "descriptors", "features": ["hof", "logc"],
+                                  "videos": {"a": {"hof": "a.hof.dsc", "logc": "a.logc.dsc"},
+                                             "b": {"hof": "b.hof.dsc"}}},
+    "entry_has_an_unlisted_type": {"kind": "descriptors", "features": ["hof"],
+                                   "videos": {"a": {"hof": "a.hof.dsc", "logc": "a.logc.dsc"}}},
 }
 
 

@@ -1,8 +1,12 @@
+from dataclasses import fields
+
 import pytest
 
 from egoact.config import FlowSection, RunConfig
 from egoact.dataio import write_json
+from egoact.descriptors import FEATURES, check_features
 from egoact.errors import ConfigError
+from egoact.modelio import normalize_features
 
 
 def test_defaults_are_valid():
@@ -12,6 +16,30 @@ def test_defaults_are_valid():
     assert cfg.split.repeats == 100
     doc = cfg.to_dict()
     assert RunConfig.from_dict(doc).to_dict() == doc
+
+
+def test_config_layout_derives_from_the_feature_table():
+    assert list(RunConfig().to_dict()) == ["features", "synth", "flow", "hof", "logc", "cuboid",
+                                           "bow", "kernels", "svm", "mkl", "boost", "split"]
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    assert defaults["features"] == tuple(FEATURES)
+    for name, params in FEATURES.items():
+        assert isinstance(defaults[name], params)
+
+
+def test_feature_lists_keep_their_order_until_normalized():
+    assert check_features(["cuboid", "hof"]) == ("cuboid", "hof")
+    assert RunConfig.from_dict({"features": ["cuboid", "hof"]}).features == ("cuboid", "hof")
+    assert normalize_features(["cuboid", "hof"]) == ("hof", "cuboid")
+    with pytest.raises(ConfigError, match="foo"):
+        normalize_features(["hof", "foo"])
+
+
+@pytest.mark.parametrize("features", [None, 5, "hof", ["hof", "hof"], [], [["hof"]], ["HOF"]],
+                         ids=["null", "number", "string", "repeat", "empty", "nested", "case"])
+def test_bad_feature_list_rejected_at_load(features):
+    with pytest.raises(ConfigError, match="features must be"):
+        RunConfig.from_dict({"features": features})
 
 
 def test_unknown_top_level_key_rejected():
