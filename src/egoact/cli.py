@@ -86,18 +86,25 @@ def cmd_extract(args) -> int:
     return 0
 
 
+def _descriptor_listing(doc, desc_dir: Path):
+    """A sidecar's features and its ``{video: {type: path}}`` listing, in which every
+    video lists exactly those features; a defect raises one of ``dataio.MALFORMED``."""
+    features = check_features(doc["features"])
+    listing = {vid: {dtype: desc_dir / name for dtype, name in files.items()}
+               for vid, files in doc["videos"].items()}
+    for vid, files in listing.items():
+        if set(files) != set(features):
+            raise ValueError(f"video {vid!r} lists {sorted(files)}, not {list(features)}")
+    return features, listing
+
+
 def _read_descriptor_dir(desc_dir, types=None):
     """The listed features and every video's descriptor sets of the ``types`` (default: all)."""
     desc_dir = Path(desc_dir)
     path = desc_dir / DESCRIPTOR_SIDECAR
     doc = dataio.read_json(path)
     try:
-        features = check_features(doc["features"])
-        listing = {vid: {dtype: desc_dir / name for dtype, name in files.items()}
-                   for vid, files in doc["videos"].items()}
-        for vid, files in listing.items():
-            if set(files) != set(features):
-                raise ValueError(f"video {vid!r} lists {sorted(files)}, not {list(features)}")
+        features, listing = _descriptor_listing(doc, desc_dir)
     except dataio.MALFORMED as exc:
         raise FormatError(f"{path}: malformed descriptors file ({exc})") from exc
     cache = {vid: {dtype: dataio.read_descriptor_set(p, descriptor_type=dtype)
@@ -202,7 +209,8 @@ def _json_summary(path, doc, kind) -> list:
                 "  confusion (% rows):",
                 *(f"    {name}: " + " ".join(f"{v:5.1f}" for v in row)
                   for name, row in zip(doc["classes"], doc["confusion"]))]
-    return [f"descriptors: {len(doc['videos'])} videos, dims {doc['dims']}"]
+    _, listing = _descriptor_listing(doc, path.parent)
+    return [f"descriptors: {len(listing)} videos, dims {doc['dims']}"]
 
 
 def _inspect_json(path, doc) -> None:

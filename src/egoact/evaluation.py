@@ -7,13 +7,14 @@ median heuristic), trains the requested method, and scores the test
 items. Reports aggregate accuracy over repeats plus a row-normalized
 average confusion matrix.
 
-Repeats and per-video extraction are independent given their derived
-seeds, so ``ordered_map`` may run them on forked worker processes (one per
-usable CPU at most; ``egoact extract`` asks for one per video), which
-sidestep the GIL that serializes the pipeline's many small numpy calls.
-Each item runs the same deterministic code in its own address space, and
-results are gathered in item order, which keeps reports and descriptors
-byte-identical for any worker count.
+Repeats, per-video extraction and synthetic-video rendering are independent
+given their derived seeds, so ``ordered_map`` may run them on forked worker
+processes (one per usable CPU at most; ``egoact extract`` and ``egoact
+synth`` ask for one per video), which sidestep the GIL that serializes the
+pipeline's many small numpy calls. Each item runs the same deterministic
+code in its own address space, and results are gathered in item order,
+which keeps reports, descriptors and datasets byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -100,11 +101,12 @@ def _wrapped_here() -> bool:
 def ordered_map(fn, items, workers: int = 1, progress=None) -> list:
     """``[fn(item) for item in items]`` on up to ``workers`` forked processes
     (at most one per item and per usable CPU), inline at ``workers <= 1``, where the
-    platform cannot fork or while a package function is wrapped. ``progress(done,
-    total)`` runs in the caller as items finish in item order. With processes, the
-    first failure in item order is raised once every item before it has finished,
-    and items not yet started are dropped; a worker that dies is a ChildProcessError
-    naming the items it may have been running."""
+    platform cannot fork or while a package function is wrapped (a ``functools``
+    cache or ``wraps`` decorator counts), for ``synth``, ``extract`` and ``evaluate``
+    alike. ``progress(done, total)`` runs in the caller as items finish in item
+    order. With processes, the first failure in item order is raised once every
+    item before it has finished, and items not yet started are dropped; a worker
+    that dies is a ChildProcessError naming the items it may have been running."""
     items = list(items)
     workers = min(workers, len(items), usable_cpus())
     if workers <= 1 or _wrapped_here() or "fork" not in multiprocessing.get_all_start_methods():

@@ -133,9 +133,11 @@ def _bilinear_sample(texture: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.
     return top * (1.0 - fy) + bottom * fy
 
 
-def _sample_coords(kind: str, frame_idx: int, phase: float, cfg: SynthConfig, margin: int):
-    """Texture coordinates sampled by each output pixel for one frame."""
-    ys, xs = np.mgrid[0 : cfg.height, 0 : cfg.width].astype(np.float64)
+def _sample_coords(kind: str, frame_idx: int, phase: float, cfg: SynthConfig, margin: int,
+                   grid: np.ndarray):
+    """Texture coordinates sampled by each output pixel for one frame; ``grid``
+    holds the float pixel rows and columns, and is not written."""
+    ys, xs = grid
     cx = (cfg.width - 1) / 2.0
     cy = (cfg.height - 1) / 2.0
     f = float(frame_idx)
@@ -163,8 +165,8 @@ def _sample_coords(kind: str, frame_idx: int, phase: float, cfg: SynthConfig, ma
     return ys + margin, xs + margin
 
 
-def _event_blob(cfg: SynthConfig, x: float, y: float, amplitude: float) -> np.ndarray:
-    ys, xs = np.mgrid[0 : cfg.height, 0 : cfg.width].astype(np.float64)
+def _event_blob(grid: np.ndarray, x: float, y: float, amplitude: float) -> np.ndarray:
+    ys, xs = grid
     d2 = (xs - x) ** 2 + (ys - y) ** 2
     return amplitude * np.exp(-d2 / (2.0 * EVENT_RADIUS ** 2))
 
@@ -189,17 +191,18 @@ def synthesize_video(cfg: SynthConfig, class_index: int, video_index: int) -> Fr
     event_y = float(rng.integers(border, max(border + 1, cfg.height - border)))
     event_phase = int(rng.integers(0, period))
 
+    grid = np.mgrid[0 : cfg.height, 0 : cfg.width].astype(np.float64)
     frames = np.empty((cfg.frame_count, cfg.height, cfg.width), dtype=np.uint8)
     for f in range(cfg.frame_count):
-        ys, xs = _sample_coords(motion, f, motion_phase, cfg, margin)
+        ys, xs = _sample_coords(motion, f, motion_phase, cfg, margin, grid)
         frame = _bilinear_sample(texture, ys, xs)
         on_phase = (f + event_phase) % period < period // 2
         if event in ("flash", "flash_slow"):
             if on_phase:
-                frame = frame + _event_blob(cfg, event_x, event_y, amplitude)
+                frame = frame + _event_blob(grid, event_x, event_y, amplitude)
         elif event == "jump":
             offset = 0.0 if on_phase else JUMP_OFFSET
-            frame = frame + _event_blob(cfg, event_x + offset, event_y, amplitude)
+            frame = frame + _event_blob(grid, event_x + offset, event_y, amplitude)
         if cfg.noise_sigma > 0:
             frame = frame + rng.normal(0.0, cfg.noise_sigma, size=frame.shape)
         frames[f] = np.clip(np.rint(frame), 0, 255).astype(np.uint8)
@@ -207,18 +210,25 @@ def synthesize_video(cfg: SynthConfig, class_index: int, video_index: int) -> Fr
 
 
 def generate_synthetic_dataset(cfg: SynthConfig, out_dir) -> DatasetManifest:
-    """Render every video, write .fsq files plus manifest.json, return the manifest."""
+    """Render every video, write .fsq files plus manifest.json, return the manifest.
+
+    Videos render on ``evaluation.ordered_map``'s forked workers, one per video up
+    to the usable CPUs; each seeds itself and writes its own file, so the files are
+    the same for any worker count. The manifest is written once every video is."""
+    from .evaluation import ordered_map   # evaluation imports config, which imports synth
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     classes = [f"class{k}_{'_'.join(class_signature(k))}" for k in range(cfg.class_count)]
-    entries = []
-    for k in range(cfg.class_count):
-        for v in range(cfg.videos_per_class):
-            video_id = f"c{k:02d}_v{v:02d}"
-            path = f"{video_id}.fsq"
-            seq = synthesize_video(cfg, k, v)
-            write_frame_sequence(seq, out_dir / path)
-            entries.append(VideoEntry(video_id, k, path))
-    manifest = DatasetManifest(classes, entries)
+
+    def render(index):
+        k, v = divmod(index, cfg.videos_per_class)
+        video_id = f"c{k:02d}_v{v:02d}"
+        entry = VideoEntry(video_id, k, f"{video_id}.fsq")
+        write_frame_sequence(synthesize_video(cfg, k, v), out_dir / entry.path)
+        return entry
+
+    count = cfg.class_count * cfg.videos_per_class
+    manifest = DatasetManifest(classes, ordered_map(render, range(count), count))
     write_manifest(manifest, out_dir / "manifest.json")
     return manifest

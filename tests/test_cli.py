@@ -1,11 +1,11 @@
 import json
-import multiprocessing
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import forking
 from egoact.cli import main
 from egoact.dataio import write_json, write_manifest, DatasetManifest, VideoEntry
 
@@ -396,21 +396,27 @@ LISTING_DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("command", ["codebook", "encode"])
+@pytest.mark.parametrize("command", ["codebook", "encode", "inspect"])
 @pytest.mark.parametrize("defect", sorted(LISTING_DEFECTS))
 def test_malformed_descriptor_listing_exits_2(tmp_path, capsys, command, defect):
     desc = tmp_path / "desc"
     path = desc / "descriptors.json"
-    write_json(path, LISTING_DEFECTS[defect])
+    write_json(path, {**LISTING_DEFECTS[defect], "dims": {"hof": 3}})   # only inspect reads dims
     argv = {"codebook": ["codebook", "--descriptors", str(desc), "--type", "hof",
                          "--out", str(tmp_path / "hof.cbk")],
             "encode": ["encode", "--descriptors", str(desc), "--codebooks", str(tmp_path),
-                       "--out", str(tmp_path / "hists.json")]}[command]
+                       "--out", str(tmp_path / "hists.json")],
+            "inspect": ["inspect", str(path)]}[command]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: malformed descriptors file (")
     assert captured.err.count("\n") == 1
+
+
+def test_inspect_summarizes_an_intact_descriptor_listing(pipeline, capsys):
+    assert main(["inspect", str(pipeline["desc"] / "descriptors.json")]) == 0
+    assert capsys.readouterr().out.startswith("descriptors: 8 videos, dims {")
 
 
 def test_extract_workers_flag_is_a_usage_error(pipeline, tmp_path, capsys):
@@ -519,8 +525,7 @@ def test_codebook_reads_only_its_type_and_encode_reads_every_type(pipeline, tmp_
     capsys.readouterr()
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="--workers runs inline where fork is missing")
+@forking
 def test_dead_worker_exits_2_with_one_line(pipeline, tmp_path, capsys, monkeypatch):
     import egoact.evaluation as evaluation
 

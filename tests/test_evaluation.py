@@ -1,6 +1,8 @@
 import functools
+import importlib
 import multiprocessing
 import os
+import pkgutil
 import threading
 import time
 
@@ -19,6 +21,7 @@ from egoact.evaluation import (
     run_experiment,
     run_repeat,
 )
+from conftest import forking
 from oracles import pair_confusion
 
 HOF_DIM = 4 * 4 * 8
@@ -264,16 +267,6 @@ def test_pair_confusion_helper():
 # ---------------------------------------------------------------------------
 # the forked process pool behind workers > 1
 
-forking = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                             reason="ordered_map runs inline where fork is missing")
-
-
-@pytest.fixture
-def many_cpus(monkeypatch):
-    """Let ``ordered_map`` fork as many workers as asked, whatever the machine."""
-    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 8)
-
-
 def noisy_descriptor_cache(manifest, seed=0):
     """A few descriptors per video that lean toward the class's own axis,
     so repeats differ and accuracies are not all 100%."""
@@ -423,6 +416,17 @@ def test_a_wrapped_package_function_keeps_ordered_map_in_this_process(many_cpus,
     monkeypatch.setattr(evaluation, "extract_video_descriptors",
                         functools.wraps(original)(lambda *args: original(*args)))
     assert ordered_map(lambda x: os.getpid(), range(4), 2) == [os.getpid()] * 4
+
+
+def test_no_package_function_is_wrapped_at_import():
+    """A module-level ``functools.lru_cache`` or ``functools.wraps`` decorator sets
+    ``__wrapped__``, which would keep every pool in this process without a word."""
+    import egoact
+
+    for module in pkgutil.iter_modules(egoact.__path__):
+        if module.name != "__main__":   # which would run the command line
+            importlib.import_module(f"egoact.{module.name}")
+    assert not evaluation._wrapped_here()
 
 
 @forking

@@ -1,7 +1,13 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
-from egoact.dataio import read_frame_sequence, read_manifest
+from conftest import forking
+from egoact import evaluation, synth
+from egoact.cli import main
+from egoact.dataio import read_frame_sequence, read_manifest, write_json
 from egoact.errors import ValidationError
 from egoact.flow import sequence_flows
 from egoact.synth import (
@@ -95,3 +101,75 @@ def test_every_signature_renders():
     for k in range(8):
         seq = synthesize_video(cfg, k, 0)
         assert seq.frames.shape == (12, 24, 24)
+
+
+# ---------------------------------------------------------------------------
+# videos render on the forked worker pool
+
+EIGHT_CLASSES = SynthConfig(class_count=8, videos_per_class=4, width=24, height=24,
+                            frame_count=12, seed=2)
+TINY = SynthConfig(class_count=2, videos_per_class=4, width=16, height=16, frame_count=4)
+
+
+@forking
+@pytest.mark.parametrize("cfg", [SynthConfig(), EIGHT_CLASSES], ids=["default", "eight_classes"])
+def test_dataset_is_byte_identical_on_one_or_many_cpus(tmp_path, monkeypatch, cfg):
+    trees = []
+    for cpus in (1, 8):   # 8 forks that many workers even on a smaller machine
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda cpus=cpus: cpus)
+        generate_synthetic_dataset(cfg, tmp_path / str(cpus))
+        trees.append(tree_bytes(tmp_path / str(cpus)))
+    assert trees[0] == trees[1]
+    assert len(trees[0]) == cfg.class_count * cfg.videos_per_class + 1
+
+
+@forking
+def test_videos_render_in_child_processes(tmp_path, monkeypatch, many_cpus):
+    pids = multiprocessing.RawArray("i", TINY.class_count * TINY.videos_per_class)   # shared
+    render = synth.synthesize_video
+
+    def recording(cfg, class_index, video_index):
+        pids[class_index * cfg.videos_per_class + video_index] = os.getpid()
+        return render(cfg, class_index, video_index)
+
+    monkeypatch.setattr(synth, "synthesize_video", recording)
+    generate_synthetic_dataset(TINY, tmp_path)
+    assert 0 not in pids[:] and os.getpid() not in pids[:]
+
+
+def fail_on_video(monkeypatch):
+    render = synth.synthesize_video
+
+    def failing(cfg, class_index, video_index):
+        if (class_index, video_index) == (1, 2):
+            raise ValidationError("video (1, 2): renderer failed")
+        return render(cfg, class_index, video_index)
+
+    monkeypatch.setattr(synth, "synthesize_video", failing)
+
+
+@forking
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_a_failing_video_is_raised_and_no_manifest_written(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+    fail_on_video(monkeypatch)
+    with pytest.raises(ValidationError, match=r"^video \(1, 2\): renderer failed$"):
+        generate_synthetic_dataset(TINY, tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@forking
+def test_a_failing_video_fails_synth_alike_on_one_or_two_cpus(tmp_path, monkeypatch, capsys):
+    fail_on_video(monkeypatch)
+    config = tmp_path / "config.json"
+    write_json(config, {"synth": {"class_count": 2, "videos_per_class": 4, "width": 16,
+                                  "height": 16, "frame_count": 4}})
+    outcomes = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"data{cpus}"
+        code = main(["synth", "--config", str(config), "--out", str(out)])
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+        assert not (out / "manifest.json").exists()
+    assert outcomes[0] == outcomes[1] == (1, "", "error: video (1, 2): renderer failed\n")
