@@ -86,35 +86,44 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _descriptor_listing(doc, desc_dir: Path):
-    """A sidecar's features and its ``{video: {type: path}}`` listing, in which every
-    video lists exactly those features; a defect raises one of ``dataio.MALFORMED``."""
+def _descriptor_listing(doc, desc_dir: Path, types=None):
+    """A sidecar's features, its ``{type: dim}`` sizes and every listed video's
+    descriptor sets of the ``types`` (default: all). Every video must list
+    exactly the features, ``dims`` must map them to integers >= 1 and every set
+    must have its type's size; a defect raises one of ``dataio.MALFORMED``."""
     features = check_features(doc["features"])
     listing = {vid: {dtype: desc_dir / name for dtype, name in files.items()}
                for vid, files in doc["videos"].items()}
     for vid, files in listing.items():
         if set(files) != set(features):
             raise ValueError(f"video {vid!r} lists {sorted(files)}, not {list(features)}")
-    return features, listing
+    dims = {dtype: dataio.json_numbers(dim, 0, integer=True) for dtype, dim in doc["dims"].items()}
+    if set(dims) != set(features) or min(dims.values()) < 1:
+        raise ValueError(f"dims {doc['dims']} do not give each of {list(features)} a size >= 1")
+    cache = {vid: {dtype: dataio.read_descriptor_set(p, descriptor_type=dtype)
+                   for dtype, p in files.items() if types is None or dtype in types}
+             for vid, files in listing.items()}
+    for vid, sets in cache.items():
+        for dtype, dset in sets.items():
+            if dset.dim != dims[dtype]:
+                raise ValueError(f"{listing[vid][dtype].name} has dimension {dset.dim}, "
+                                 f"not {dims[dtype]}")
+    return features, dims, cache
 
 
 def _read_descriptor_dir(desc_dir, types=None):
-    """The listed features and every video's descriptor sets of the ``types`` (default: all)."""
+    """``_descriptor_listing`` of the sidecar in ``desc_dir``; a defect raises FormatError."""
     desc_dir = Path(desc_dir)
     path = desc_dir / DESCRIPTOR_SIDECAR
     doc = dataio.read_json(path)
     try:
-        features, listing = _descriptor_listing(doc, desc_dir)
+        return _descriptor_listing(doc, desc_dir, types)
     except dataio.MALFORMED as exc:
         raise FormatError(f"{path}: malformed descriptors file ({exc})") from exc
-    cache = {vid: {dtype: dataio.read_descriptor_set(p, descriptor_type=dtype)
-                   for dtype, p in files.items() if types is None or dtype in types}
-             for vid, files in listing.items()}
-    return features, cache
 
 
 def cmd_codebook(args) -> int:
-    _, cache = _read_descriptor_dir(args.descriptors, {args.type})
+    _, _, cache = _read_descriptor_dir(args.descriptors, {args.type})
     pools = [sets[args.type].vectors for sets in cache.values()
              if args.type in sets and sets[args.type].count]
     if not pools:
@@ -128,7 +137,7 @@ def cmd_codebook(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    features, cache = _read_descriptor_dir(args.descriptors)
+    features, _, cache = _read_descriptor_dir(args.descriptors)
     cb_dir = Path(args.codebooks)
     codebooks = {}
     for dtype in features:
@@ -209,8 +218,8 @@ def _json_summary(path, doc, kind) -> list:
                 "  confusion (% rows):",
                 *(f"    {name}: " + " ".join(f"{v:5.1f}" for v in row)
                   for name, row in zip(doc["classes"], doc["confusion"]))]
-    _, listing = _descriptor_listing(doc, path.parent)
-    return [f"descriptors: {len(listing)} videos, dims {doc['dims']}"]
+    _, dims, cache = _descriptor_listing(doc, path.parent)
+    return [f"descriptors: {len(cache)} videos, dims {dims}"]
 
 
 def _inspect_json(path, doc) -> None:

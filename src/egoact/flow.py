@@ -18,22 +18,32 @@ pixels per frame; the descriptors consume it whole.
 A video's frame pairs are solved in blocks of k consecutive pairs, k
 chosen so that a block holds about ``BLOCK_PIXELS`` pixels and its
 working set stays in cache. One sweep updates the whole block: u and v
-live in one flat buffer holding every pair's grid, padded with a zero
-row and column so that each pixel's neighbours sit at fixed offsets; the
-per-pair invariants (gradients, the 2x2 system's entries and the data
-terms) are computed once per block; and the right-hand side and the 2x2
-solve write into buffers allocated once per block. Every pixel still
-goes through the same floating-point operations in the same order as a
-one-pair-at-a-time sweep, so the flows are byte-identical to it whatever
-the block size; the tests check this against a per-pair oracle.
+live in one flat buffer holding every pair's grid, padded with a row and
+a column after each frame so that each pixel's neighbours sit at fixed
+offsets; the per-pair invariants (gradients, the 2x2 system's entries and
+the data terms) are computed once per block; and the right-hand side and
+the 2x2 solve write into buffers allocated once per block.
+
+The sweep never clears the padding. There the 2x2 system is all zeros
+with a determinant of 1, so the solve writes +0.0 or -0.0 into it. Each
+neighbour sum starts from two neighbours, where a one-pair-at-a-time
+sweep starts from +0.0 and skips the missing ones. Adding a signed zero,
+or dropping the leading +0.0, can change a sum only when every value it
+adds is -0.0, and then only in the sign of the resulting zero; a -0.0
+flow value needs an underflow, so it takes intensities near the
+subnormal range. The flows therefore equal the per-pair oracle's byte
+for byte, whatever the block size, except in the sign of such a zero.
+A non-finite right-hand side in the padding would turn it into NaN,
+which spreads and is rejected with the other non-finite flow values. The
+tests check all of this against the per-pair oracle.
 
 Every buffer a sweep writes starts on a 64-byte boundary, and so do its u
-and v halves: each half is rounded up to a multiple of 8 values by a zero
-gap, cleared like the padding, and u gets a leading pad of whole 64-byte
-lines. numpy often allocates large arrays 16 bytes past such a boundary;
-on AVX-512 hardware a ufunc writing 34k values there, or 8 bytes off
-where u used to start, took twice as long as into an aligned buffer.
-Alignment moves no value, so the flows stay byte-identical.
+and v halves: each half is rounded up to a multiple of 8 values by a gap,
+which the solve treats like the padding, and u gets a leading pad of
+whole 64-byte lines. numpy often allocates large arrays 16 bytes past
+such a boundary; on AVX-512 hardware a ufunc writing 34k values there, or
+8 bytes off where u used to start, took twice as long as into an aligned
+buffer. Alignment moves no value, so the flows stay byte-identical.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from .errors import ValidationError, check_positive
 
 DEFAULT_ALPHA = 10.0
 DEFAULT_ITERATIONS = 100
-BLOCK_PIXELS = 16384   # frame-pair pixels solved together in one block
+BLOCK_PIXELS = 12288   # frame-pair pixels solved together in one block
 
 
 def check_params(alpha, iterations) -> None:
@@ -82,13 +92,15 @@ def _aligned(shape, fill: float = 0.0) -> np.ndarray:
 def _solve_block(prev: np.ndarray, nxt: np.ndarray, alpha, iterations: int) -> np.ndarray:
     """Flows of the k frame pairs (prev[j], nxt[j]) as a (k, 2, H, W) view of (u, v).
 
-    Every grid is stored flat with a zero row and a zero column after each
+    Every grid is stored flat with a padding row and column after each
     frame, so a pixel's four neighbours are fixed offsets into one buffer and
-    each sweep step is a single contiguous array operation. Adding a padded
-    zero to a running neighbour sum, which starts at +0.0 and so is never
-    -0.0, leaves it unchanged: the sums equal those of the unpadded sweep.
-    The 2x2 solve also writes the padding and the gap after u and v, which
-    are zeroed after each sweep.
+    each sweep step is a single contiguous array operation. The 2x2 solve
+    writes +-0.0 into the padding and into the gap after u and v, whose
+    system is all zeros with a determinant of 1. A neighbour sum starts from
+    its first two neighbours, so it differs from ``reference_flow``'s, which
+    starts at +0.0, only in the sign of a zero whose addends are all -0.0.
+    A non-finite right-hand side in the padding becomes NaN, which spreads
+    to the flow and is rejected by ``sequence_flows``.
     """
     k, h, w = prev.shape
     row = w + 1
@@ -121,9 +133,9 @@ def _solve_block(prev: np.ndarray, nxt: np.ndarray, alpha, iterations: int) -> n
     flat_rhs = rhs.reshape(-1)
     scratch = _aligned((2, stride))
     for _ in range(iterations):
-        np.add(neighbors[0], 0.0, out=flat_rhs)
-        for neighbor in neighbors[1:]:
-            flat_rhs += neighbor
+        np.add(neighbors[0], neighbors[1], out=flat_rhs)
+        flat_rhs += neighbors[2]
+        flat_rhs += neighbors[3]
         rhs *= a2
         rhs -= data
         # u = (diag_v*rhs_u - cross*rhs_v)/det and v = (diag_u*rhs_v - cross*rhs_u)/det
@@ -131,9 +143,6 @@ def _solve_block(prev: np.ndarray, nxt: np.ndarray, alpha, iterations: int) -> n
         np.multiply(cross, rhs[::-1], out=scratch)
         uv -= scratch
         uv /= det
-        grid[..., h, :] = 0.0
-        grid[..., w] = 0.0
-        uv[:, size:] = 0.0
     return grid[..., :h, :w].swapaxes(0, 1)
 
 

@@ -214,11 +214,13 @@ def generate_synthetic_dataset(cfg: SynthConfig, out_dir) -> DatasetManifest:
 
     Videos render on ``evaluation.ordered_map``'s forked workers, one per video up
     to the usable CPUs; each seeds itself and writes its own file, so the files are
-    the same for any worker count. The manifest is written once every video is."""
+    the same for any worker count. An old manifest in ``out_dir`` is removed first
+    and the new one written once every video is, so a failed run leaves none."""
     from .evaluation import ordered_map   # evaluation imports config, which imports synth
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     classes = [f"class{k}_{'_'.join(class_signature(k))}" for k in range(cfg.class_count)]
 
     def render(index):

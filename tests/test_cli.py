@@ -7,7 +7,8 @@ import pytest
 
 from conftest import forking
 from egoact.cli import main
-from egoact.dataio import write_json, write_manifest, DatasetManifest, VideoEntry
+from egoact.dataio import (write_descriptor_set, write_json, write_manifest, DatasetManifest,
+                           DescriptorSet, VideoEntry)
 
 SMALL_SYNTH = {
     "synth": {"class_count": 2, "videos_per_class": 4, "width": 24, "height": 24,
@@ -393,6 +394,17 @@ LISTING_DEFECTS = {
                                              "b": {"hof": "b.hof.dsc"}}},
     "entry_has_an_unlisted_type": {"kind": "descriptors", "features": ["hof"],
                                    "videos": {"a": {"hof": "a.hof.dsc", "logc": "a.logc.dsc"}}},
+    "dims_lack_a_feature": {"kind": "descriptors", "features": ["hof", "logc"], "videos": {},
+                            "dims": {"hof": 3}},
+    "dims_name_an_unlisted_feature": {"kind": "descriptors", "features": ["hof"], "videos": {},
+                                      "dims": {"logc": -1}},
+    "dim_negative": {"kind": "descriptors", "features": ["hof"], "videos": {}, "dims": {"hof": -1}},
+    "dim_fractional": {"kind": "descriptors", "features": ["hof"], "videos": {},
+                       "dims": {"hof": 2.5}},
+    "dim_a_string": {"kind": "descriptors", "features": ["hof"], "videos": {},
+                     "dims": {"hof": "3"}},
+    "dsc_dim_differs": {"kind": "descriptors", "features": ["hof"],
+                        "videos": {"a": {"hof": "a.hof.dsc"}}, "dims": {"hof": 4}},
 }
 
 
@@ -401,7 +413,8 @@ LISTING_DEFECTS = {
 def test_malformed_descriptor_listing_exits_2(tmp_path, capsys, command, defect):
     desc = tmp_path / "desc"
     path = desc / "descriptors.json"
-    write_json(path, {**LISTING_DEFECTS[defect], "dims": {"hof": 3}})   # only inspect reads dims
+    write_json(path, {"dims": {"hof": 3}, **LISTING_DEFECTS[defect]})
+    write_descriptor_set(DescriptorSet("hof", 3, np.ones((2, 3))), desc / "a.hof.dsc")
     argv = {"codebook": ["codebook", "--descriptors", str(desc), "--type", "hof",
                          "--out", str(tmp_path / "hof.cbk")],
             "encode": ["encode", "--descriptors", str(desc), "--codebooks", str(tmp_path),

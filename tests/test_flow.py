@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import flow_energy, reference_flow
 
 from egoact import flow as flow_module
@@ -264,3 +266,38 @@ def test_dense_flow_is_one_pair_of_sequence_flows():
     expected = sequence_flows(frames, iterations=25)[3]
     assert pair[0].tobytes() == expected[0].tobytes()
     assert pair[1].tobytes() == expected[1].tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    pairs=st.integers(1, 4),
+    height=st.integers(2, 12),
+    width=st.integers(2, 12),
+    exponent=st.none() | st.floats(-310.0, 6.0),
+    alpha=st.floats(0.05, 100.0),
+    iterations=st.integers(1, 15),
+    block_pairs=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_volumes_match_oracle(pairs, height, width, exponent, alpha, iterations,
+                                     block_pairs, seed):
+    """uint8 or float frames from subnormal to 1e6, pairs split across blocks.
+
+    The sweep starts each neighbour sum from two neighbours, and the padding
+    holds whatever +-0.0 the 2x2 solve writes there, so a value may differ
+    from the oracle's in the sign of a zero and in nothing else.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (pairs + 1, height, width)
+    if exponent is None:
+        frames = rng.integers(0, 256, size=shape).astype(np.uint8)
+    else:
+        frames = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** exponent
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flow_module, "BLOCK_PIXELS", block_pairs * height * width)
+        flows = sequence_flows(frames, alpha=alpha, iterations=iterations)
+    for i, flow in enumerate(flows):
+        expected = np.stack(reference_flow(frames[i], frames[i + 1], alpha=alpha,
+                                           iterations=iterations))
+        same = flow.view(np.uint64) == expected.view(np.uint64)
+        assert np.all(same | ((flow == 0.0) & (expected == 0.0))), f"pair {i} differs"

@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import os
 
@@ -173,3 +174,15 @@ def test_a_failing_video_fails_synth_alike_on_one_or_two_cpus(tmp_path, monkeypa
         outcomes.append((code, captured.out, captured.err))
         assert not (out / "manifest.json").exists()
     assert outcomes[0] == outcomes[1] == (1, "", "error: video (1, 2): renderer failed\n")
+
+
+def test_a_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data"
+    generate_synthetic_dataset(TINY, data)
+    fail_on_video(monkeypatch)
+    with pytest.raises(ValidationError, match="renderer failed"):
+        generate_synthetic_dataset(dataclasses.replace(TINY, seed=TINY.seed + 1), data)
+    assert not (data / "manifest.json").exists()
+    assert main(["extract", "--data", str(data), "--out", str(tmp_path / "desc")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "manifest.json" in captured.err
