@@ -20,7 +20,7 @@ import numpy as np
 from .dataio import json_numbers
 from .errors import ValidationError, check_positive
 from .kernels import check_bank
-from .svm import BinarySvmModel, smo_train
+from .svm import BinarySvmModel, decision_many, smo_train
 
 ERROR_CLAMP = 1e-10
 MAX_REDRAWS = 10
@@ -103,8 +103,7 @@ class BoostedModel:
 
 
 def _weak_votes(svm: BinarySvmModel, rows: np.ndarray) -> np.ndarray:
-    scores = rows @ (svm.alpha * svm.labels) + svm.bias
-    return np.where(scores >= 0.0, 1.0, -1.0)
+    return np.where(decision_many(svm, rows) >= 0.0, 1.0, -1.0)
 
 
 def reweight_probabilities(p: np.ndarray, correct: np.ndarray, weight: float) -> np.ndarray:

@@ -109,6 +109,15 @@ def kmeans(descriptors, word_count: int, seed: int, max_iters: int = DEFAULT_MAX
     return codebook
 
 
+def pooled_descriptors(sets, dtype: str) -> np.ndarray:
+    """The rows of every nonempty ``dtype`` set in ``sets`` (one ``{type: DescriptorSet}``
+    per video), stacked in video order; videos without the type are skipped."""
+    pools = [s[dtype].vectors for s in sets if dtype in s and s[dtype].count]
+    if not pools:
+        raise ValidationError(f"no descriptors of type {dtype!r}")
+    return np.vstack(pools)
+
+
 def quantize_batch(vectors: np.ndarray, codebook: Codebook) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != codebook.dim:

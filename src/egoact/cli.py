@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import boost, bow, dataio, kernels
 from .config import RunConfig
 from .descriptors import FEATURES, check_features
@@ -124,12 +122,7 @@ def _read_descriptor_dir(desc_dir, types=None):
 
 def cmd_codebook(args) -> int:
     _, _, cache = _read_descriptor_dir(args.descriptors, {args.type})
-    pools = [sets[args.type].vectors for sets in cache.values()
-             if args.type in sets and sets[args.type].count]
-    if not pools:
-        raise ValidationError(f"no descriptors of type {args.type!r} found")
-    pooled = np.vstack(pools)
-    codebook = bow.kmeans(pooled, args.words, args.seed)
+    codebook = bow.kmeans(bow.pooled_descriptors(cache.values(), args.type), args.words, args.seed)
     codebook.descriptor_type = args.type
     dataio.write_codebook(codebook, args.out)
     print(f"codebook: {args.type}, {codebook.word_count} words of dim {codebook.dim}")
@@ -194,15 +187,14 @@ JSON_KINDS = {"dataset_manifest": "manifest", "histograms": "histograms", "model
 
 def _json_summary(path, doc, kind) -> list:
     if kind == "dataset_manifest":
-        counts = {}
-        for v in doc["videos"]:
-            counts[v["class_index"]] = counts.get(v["class_index"], 0) + 1
-        return [f"manifest: {len(doc['classes'])} classes, {len(doc['videos'])} videos",
-                *(f"  [{k}] {name}: {counts.get(k, 0)} videos"
-                  for k, name in enumerate(doc["classes"]))]
+        manifest = dataio.manifest_from_doc(doc)
+        return [f"manifest: {len(manifest.classes)} classes, {len(manifest.videos)} videos",
+                *(f"  [{k}] {name}: {count} videos"
+                  for k, (name, count) in enumerate(zip(manifest.classes, manifest.class_counts())))]
     if kind == "histograms":
+        histograms = dataio.histograms_from_doc(doc)
         sizes = dict(zip(doc["block_order"], doc["block_sizes"]))
-        return [f"histograms: {len(doc['histograms'])} videos, blocks {sizes}"]
+        return [f"histograms: {len(histograms)} videos, blocks {sizes}"]
     if kind == "model":
         model = model_from_doc(doc, path)
         describe = METHODS[model.method].describe

@@ -38,7 +38,7 @@ class FlowSection:
         try:
             check_params(self.alpha, self.iterations)
         except ValidationError as exc:
-            raise ConfigError(f"flow: {exc}") from exc
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -119,21 +119,9 @@ class SplitSection:
         _check(count=True, zero=True, base_seed=self.base_seed)
 
 
-_SECTIONS = {
-    "synth": SynthConfig,
-    "flow": FlowSection,
-    **FEATURES,
-    "bow": BowSection,
-    "kernels": KernelsSection,
-    "svm": SvmSection,
-    "mkl": MklSection,
-    "boost": BoostSection,
-    "split": SplitSection,
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
+    # every field after ``features`` is a config section, in document order
     features: tuple = tuple(FEATURES)
     synth: SynthConfig = SynthConfig()
     flow: FlowSection = FlowSection()
@@ -152,12 +140,12 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         doc = {"features": list(self.features)}
-        for name in _SECTIONS:
-            section = asdict(getattr(self, name))
+        for field in fields(self)[1:]:
+            section = asdict(getattr(self, field.name))
             for key, value in section.items():
                 if isinstance(value, tuple):
                     section[key] = list(value)
-            doc[name] = section
+            doc[field.name] = section
         return doc
 
     def replace_section(self, name: str, **changes) -> "RunConfig":
@@ -171,7 +159,7 @@ class RunConfig:
         kwargs = {}
         if "features" in doc:
             kwargs["features"] = doc.pop("features")
-        for name, cls in _SECTIONS.items():
+        for name, cls in ((f.name, type(f.default)) for f in fields(RunConfig)[1:]):
             if name in doc:
                 section_doc = doc.pop(name)
                 if not isinstance(section_doc, dict):

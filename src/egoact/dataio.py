@@ -433,14 +433,19 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
     )
 
 
+def manifest_from_doc(doc) -> DatasetManifest:
+    """The manifest a decoded ``manifest.json`` holds; a defect raises one of ``MALFORMED``."""
+    videos = []
+    for v in doc["videos"]:
+        check_positive("class_index", v["class_index"], count=True, zero=True)
+        videos.append(VideoEntry(str(v["video_id"]), v["class_index"], str(v["path"])))
+    return DatasetManifest(doc["classes"], videos)
+
+
 def read_manifest(path) -> DatasetManifest:
     doc = read_json(path)
     try:
-        videos = []
-        for v in doc["videos"]:
-            check_positive("class_index", v["class_index"], count=True, zero=True)
-            videos.append(VideoEntry(str(v["video_id"]), v["class_index"], str(v["path"])))
-        return DatasetManifest(doc["classes"], videos)
+        return manifest_from_doc(doc)
     except MALFORMED as exc:
         raise FormatError(f"{path}: malformed manifest ({exc})") from exc
 
@@ -468,20 +473,25 @@ def write_histograms(histograms, path) -> None:
     )
 
 
+def histograms_from_doc(doc) -> list:
+    """The histograms a decoded histograms file holds; a defect raises one of ``MALFORMED``."""
+    order = [str(n) for n in doc["block_order"]]
+    sizes = json_numbers(doc["block_sizes"], integer=True).tolist()
+    if len(sizes) != len(order) or len(set(order)) != len(order):
+        raise ValueError(f"block names {order} do not match block sizes {sizes}")
+    out = []
+    for entry in doc["histograms"]:
+        blocks = [(name, json_numbers(entry["blocks"][name])) for name in order]
+        for (name, counts), size in zip(blocks, sizes):
+            if counts.shape != (size,):
+                raise ValueError(f"block {name!r} has shape {counts.shape}, not ({size!r},)")
+        out.append(VideoHistogram(str(entry["video_id"]), blocks))
+    return out
+
+
 def read_histograms(path):
     doc = read_json(path)
     try:
-        order = [str(n) for n in doc["block_order"]]
-        sizes = json_numbers(doc["block_sizes"], integer=True).tolist()
-        if len(sizes) != len(order) or len(set(order)) != len(order):
-            raise ValueError(f"block names {order} do not match block sizes {sizes}")
-        out = []
-        for entry in doc["histograms"]:
-            blocks = [(name, json_numbers(entry["blocks"][name])) for name in order]
-            for (name, counts), size in zip(blocks, sizes):
-                if counts.shape != (size,):
-                    raise ValueError(f"block {name!r} has shape {counts.shape}, not ({size!r},)")
-            out.append(VideoHistogram(str(entry["video_id"]), blocks))
-        return out
+        return histograms_from_doc(doc)
     except MALFORMED as exc:
         raise FormatError(f"{path}: malformed histogram collection ({exc})") from exc

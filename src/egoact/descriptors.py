@@ -261,27 +261,26 @@ def temporal_quadrature_pair(tau: float):
     return even, odd
 
 
-def _correlate_axis_reflect(volume: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    radius = kernel.size // 2
-    pad = [(0, 0)] * volume.ndim
-    pad[axis] = (radius, radius)
-    padded = np.pad(volume, pad, mode="reflect")
-    out = np.zeros_like(volume, dtype=np.float64)
-    length = volume.shape[axis]
+def _correlate_valid(volume: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Correlation with ``kernel`` along ``axis`` where it fits wholly, which
+    shortens that axis by the kernel's size less one."""
+    length = volume.shape[axis] - (kernel.size - 1)
+    out = np.zeros(volume.shape[:axis] + (length,) + volume.shape[axis + 1:])
     index = [slice(None)] * volume.ndim
     for k, weight in enumerate(kernel):
         index[axis] = slice(k, k + length)
-        out += weight * padded[tuple(index)]
+        out += weight * volume[tuple(index)]
     return out
 
 
-def _correlate_time_valid(volume: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    radius = kernel.size // 2
-    length = volume.shape[0] - 2 * radius
-    out = np.zeros((length,) + volume.shape[1:], dtype=np.float64)
-    for k, weight in enumerate(kernel):
-        out += weight * volume[k : k + length]
-    return out
+def gaussian_smooth(volume: np.ndarray, sigma: float, axes) -> np.ndarray:
+    """Separable Gaussian smoothing along each of ``axes`` in turn, borders reflected."""
+    kernel = _gaussian_kernel(sigma)
+    for axis in axes:
+        pad = [(0, 0)] * volume.ndim
+        pad[axis] = (kernel.size // 2,) * 2
+        volume = _correlate_valid(np.pad(volume, pad, mode="reflect"), kernel, axis)
+    return volume
 
 
 def cuboid_response(seq: FrameSequence, params: CuboidParams):
@@ -292,18 +291,15 @@ def cuboid_response(seq: FrameSequence, params: CuboidParams):
         raise ValidationError(
             f"video has {seq.frame_count} frames but the temporal filter spans {even.size}"
         )
-    volume = seq.frames.astype(np.float64)
-    kernel = _gaussian_kernel(params.sigma)
-    spatial_radius = kernel.size // 2
+    spatial_radius = _gaussian_kernel(params.sigma).size // 2
     if spatial_radius >= min(seq.height, seq.width):
         raise ValidationError(
             f"spatial filter radius {spatial_radius} exceeds the "
             f"{seq.width}x{seq.height} frame"
         )
-    smoothed = _correlate_axis_reflect(volume, kernel, axis=1)
-    smoothed = _correlate_axis_reflect(smoothed, kernel, axis=2)
-    r_even = _correlate_time_valid(smoothed, even)
-    r_odd = _correlate_time_valid(smoothed, odd)
+    smoothed = gaussian_smooth(seq.frames.astype(np.float64), params.sigma, axes=(1, 2))
+    r_even = _correlate_valid(smoothed, even, axis=0)
+    r_odd = _correlate_valid(smoothed, odd, axis=0)
     return r_even * r_even + r_odd * r_odd, radius
 
 

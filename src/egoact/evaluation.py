@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bow, svm
+from . import bow
 from .config import RunConfig, SplitSection
 from .dataio import DatasetManifest, atomic_write_bytes, read_frame_sequence, write_json
 from .descriptors import (
@@ -190,16 +190,7 @@ def run_repeat(manifest: DatasetManifest, descriptor_cache, cfg: RunConfig, meth
 
     codebooks = {}
     for fi, feature in enumerate(features):
-        pools = [
-            descriptor_cache[vid][feature].vectors
-            for vid in train_ids
-            if descriptor_cache[vid][feature].count
-        ]
-        if not pools:
-            raise ValidationError(
-                f"repeat {repeat_index}: no training descriptors of type {feature!r}"
-            )
-        pooled = np.vstack(pools)
+        pooled = bow.pooled_descriptors((descriptor_cache[vid] for vid in train_ids), feature)
         words = min(cfg.bow.words, pooled.shape[0]) if cfg.bow.adaptive_words else cfg.bow.words
         codebooks[feature] = bow.kmeans(
             pooled, words,
@@ -219,7 +210,7 @@ def run_repeat(manifest: DatasetManifest, descriptor_cache, cfg: RunConfig, meth
 
     model = fit(method, train_x, y_train, classes, layout, cfg, kernel_kind,
                 split.base_seed, (repeat_index, 2))
-    predicted = svm.ova_predict_scores(model.score_matrix(test_x))
+    predicted = model.predict(test_x)
     confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
     for true_k, pred_k in zip(y_test, predicted):
         confusion[true_k, pred_k] += 1

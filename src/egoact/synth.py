@@ -36,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import DatasetManifest, FrameSequence, VideoEntry, write_frame_sequence, write_manifest
+from .descriptors import gaussian_smooth
 from .errors import ValidationError, check_positive
 
 PAN_SPEED = 2.0          # px/frame
@@ -96,26 +97,9 @@ def class_signature(class_index: int):
     return CLASS_SIGNATURES[class_index % len(CLASS_SIGNATURES)]
 
 
-def _blur2d(image: np.ndarray, sigma: float) -> np.ndarray:
-    radius = max(1, int(round(3.0 * sigma)))
-    taps = np.exp(-np.arange(-radius, radius + 1) ** 2 / (2.0 * sigma * sigma))
-    taps /= taps.sum()
-    for axis in (0, 1):
-        pad = [(0, 0), (0, 0)]
-        pad[axis] = (radius, radius)
-        padded = np.pad(image, pad, mode="reflect")
-        out = np.zeros_like(image)
-        for k, w in enumerate(taps):
-            index = [slice(None), slice(None)]
-            index[axis] = slice(k, k + image.shape[axis])
-            out += w * padded[tuple(index)]
-        image = out
-    return image
-
-
 def _make_texture(rng: np.random.Generator, height: int, width: int) -> np.ndarray:
     noise = rng.normal(size=(height, width))
-    smooth = _blur2d(noise, sigma=2.5)
+    smooth = gaussian_smooth(noise, 2.5, axes=(0, 1))
     smooth = (smooth - smooth.mean()) / max(smooth.std(), 1e-12)
     return 128.0 + 45.0 * smooth
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from egoact.bow import encode_video, kmeans, kmeans_with_history, quantize_batch
+from egoact.bow import encode_video, kmeans, kmeans_with_history, pooled_descriptors, quantize_batch
 from egoact.dataio import Codebook, DescriptorSet
 from egoact.descriptors import FEATURES
 from egoact.errors import ConfigError, ValidationError
@@ -53,6 +53,26 @@ def test_kmeans_is_bit_deterministic():
 def test_too_few_descriptors_rejected():
     with pytest.raises(ValidationError):
         kmeans(np.zeros((3, 2)), 4, seed=0)
+
+
+def test_pooled_descriptors_stack_the_nonempty_sets_of_one_type_in_video_order():
+    first, last = np.arange(6.0).reshape(2, 3), np.full((1, 3), 7.0)
+    sets = [
+        {"hof": DescriptorSet("hof", 3, first), "logc": DescriptorSet("logc", 3, np.ones((4, 3)))},
+        {"hof": DescriptorSet("hof", 3)},                              # empty: skipped
+        {"logc": DescriptorSet("logc", 3, np.ones((1, 3)))},           # no hof: ignored
+        {"hof": DescriptorSet("hof", 3, last)},
+    ]
+    pooled = pooled_descriptors(sets, "hof")
+    assert np.array_equal(pooled, np.vstack([first, last]))
+    assert np.array_equal(pooled_descriptors(iter(sets), "logc"), np.ones((5, 3)))
+
+
+@pytest.mark.parametrize("sets", [[], [{"hof": DescriptorSet("hof", 3)}],
+                                  [{"logc": DescriptorSet("logc", 3, np.ones((1, 3)))}]])
+def test_pooled_descriptors_without_rows_is_a_one_line_error(sets):
+    with pytest.raises(ValidationError, match=r"\Ano descriptors of type 'hof'\Z"):
+        pooled_descriptors(sets, "hof")
 
 
 def test_kmeans_accepts_descriptor_set():

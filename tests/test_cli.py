@@ -186,7 +186,7 @@ def test_bad_flow_config_exits_1_before_extraction(tmp_path, capsys, flow):
     code = main(["extract", "--config", str(cfg), "--data", str(tmp_path / "d"),
                  "--out", str(tmp_path / "desc")])
     assert code == 1
-    assert "flow" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("flow") == 1
     assert not (tmp_path / "desc").exists()
 
 
@@ -349,7 +349,12 @@ JSON_DEFECTS = {
     "manifest_without_videos": ("manifest", {"kind": "dataset_manifest", "classes": ["a"]}),
     "manifest_video_not_an_object": ("manifest", {"kind": "dataset_manifest", "classes": ["a"],
                                                   "videos": ["c00_v00"]}),
+    "manifest_class_index_out_of_range": ("manifest", {
+        "kind": "dataset_manifest", "classes": ["a"],
+        "videos": [{"video_id": "v", "class_index": 7, "path": "v.fsq"}]}),
     "histograms_kind_only": ("histograms", {"kind": "histograms"}),
+    "histograms_block_repeated": ("histograms", {"kind": "histograms", "block_order": ["hof", "hof"],
+                                                 "block_sizes": [2], "histograms": []}),
     "histograms_sizes_not_a_list": ("histograms", {"kind": "histograms", "block_order": ["hof"],
                                                    "block_sizes": 4, "histograms": []}),
     "report_method_only": ("eval report", {"kind": "eval_report", "method": "x"}),

@@ -216,6 +216,20 @@ def test_errors_carry_repeat_index(tmp_path):
                        features=("hof",), repeats=1, descriptor_cache=cache)
 
 
+def test_a_feature_without_training_descriptors_names_the_repeat_once(tmp_path):
+    """Only test videos carry cuboid descriptors, so repeat 0 has none to pool."""
+    manifest = toy_manifest()
+    cfg = small_config()
+    _, test_ids = random_split(manifest, cfg.split, 0)
+    cache = {v.video_id: {"cuboid": DescriptorSet("cuboid", 3, np.ones((1, 3)) if v.video_id in test_ids else None)}
+             for v in manifest.videos}
+    with pytest.raises(ValidationError) as info:
+        run_experiment(manifest, tmp_path, cfg, "single_kernel", kernel_kind="h_int",
+                       features=("cuboid",), repeats=1, descriptor_cache=cache)
+    assert str(info.value).startswith("repeat 0: no descriptors of type 'cuboid'")
+    assert str(info.value).count("repeat") == 1
+
+
 def test_foreign_errors_keep_their_type_and_note_the_repeat(tmp_path, monkeypatch):
     def failing_repeat(*args):
         raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
