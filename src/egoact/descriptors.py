@@ -67,6 +67,25 @@ def _cell_indices(length: int, cells: int) -> np.ndarray:
     return np.minimum(idx, cells - 1)
 
 
+def _hof_bins(flows, params: HofParams):
+    """Histogram index and weight of each vector of ``(k, 2, H, W)`` flows, as (k, H, W) arrays."""
+    s = params.grid_size
+    _, _, h, w = flows.shape
+    u, v = flows[:, 0], flows[:, 1]
+    mag = np.hypot(u, v)
+    weights = np.where(mag >= params.min_magnitude, mag, 0.0)
+    cells = _cell_indices(h, s)[:, None] * s + _cell_indices(w, s)[None, :]
+    return cells * ORIENTATION_BINS + _orientation_bins(u, v), weights
+
+
+def _hof_histogram(index, weights, params: HofParams, normalize: bool = True) -> np.ndarray:
+    flat = np.bincount(index.ravel(), weights.ravel(), minlength=params.dim)
+    total = flat.sum()
+    if normalize and total > 0.0:
+        flat = flat / total
+    return flat
+
+
 def hof_window_histogram(flows, params: HofParams, normalize: bool = True) -> np.ndarray:
     """Accumulate one s*s*8 histogram from the ``(k, 2, H, W)`` flows of one window.
 
@@ -74,24 +93,18 @@ def hof_window_histogram(flows, params: HofParams, normalize: bool = True) -> np
     orientation bin weighted by magnitude, in flow-major, row-major order;
     the full histogram is then L1-normalized (all-zero histograms stay zero).
     """
-    s = params.grid_size
-    _, _, h, w = flows.shape
-    u, v = flows[:, 0], flows[:, 1]
-    mag = np.hypot(u, v)
-    weights = np.where(mag >= params.min_magnitude, mag, 0.0)
-    cells = _cell_indices(h, s)[:, None] * s + _cell_indices(w, s)[None, :]
-    index = cells * ORIENTATION_BINS + _orientation_bins(u, v)
-    flat = np.bincount(index.ravel(), weights.ravel(), minlength=s * s * ORIENTATION_BINS)
-    total = flat.sum()
-    if normalize and total > 0.0:
-        flat = flat / total
-    return flat
+    return _hof_histogram(*_hof_bins(flows, params), params, normalize)
 
 
 def hof_from_flows(flows, params: HofParams) -> DescriptorSet:
-    """HOF descriptors over sliding windows of a video's ``(pairs, 2, H, W)`` flows."""
+    """HOF descriptors over sliding windows of a video's ``(pairs, 2, H, W)`` flows.
+
+    Each flow vector is binned once; overlapping windows share the bins.
+    """
+    index, weights = _hof_bins(flows, params)
+    span = params.window_len - 1
     vectors = [
-        hof_window_histogram(flows[t0 : t0 + params.window_len - 1], params)
+        _hof_histogram(index[t0 : t0 + span], weights[t0 : t0 + span], params)
         for t0 in _window_starts(len(flows) + 1, params.window_len, params.stride)
     ]
     return DescriptorSet("hof", params.dim, np.asarray(vectors))

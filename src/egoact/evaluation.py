@@ -39,7 +39,7 @@ from .descriptors import (
 )
 from .errors import PipelineError, ValidationError
 from .flow import sequence_flows
-from .modelio import fit, method_entry, normalize_features, stack_histograms
+from .modelio import check_method_kernel, fit, normalize_features, stack_histograms
 
 
 def random_split(manifest: DatasetManifest, spec: SplitSection, repeat_index: int):
@@ -274,9 +274,9 @@ def run_experiment(manifest: DatasetManifest, data_dir, cfg: RunConfig, method: 
                    base_seed: int | None = None, workers: int = 1,
                    descriptor_cache=None, progress=None) -> EvalReport:
     """The full protocol; descriptor extraction may be shared via the cache."""
-    method_entry(method)
-    features = normalize_features(features if features is not None else cfg.features)
     kernel_kind = kernel_kind or cfg.kernels.kind
+    check_method_kernel(method, kernel_kind)
+    features = normalize_features(features if features is not None else cfg.features)
     split = replace(
         cfg.split,
         repeats=cfg.split.repeats if repeats is None else repeats,

@@ -20,26 +20,41 @@ chosen so that a block holds about ``BLOCK_PIXELS`` pixels and its
 working set stays in cache. One sweep updates the whole block: u and v
 live in one flat buffer holding every pair's grid, padded with a row and
 a column after each frame so that each pixel's neighbours sit at fixed
-offsets; the per-pair invariants (gradients, the 2x2 system's entries and
-the data terms) are computed once per block; and the right-hand side and
-the 2x2 solve write into buffers allocated once per block.
+offsets, and the sweep writes into buffers allocated once per block.
 
-The sweep never clears the padding. There the 2x2 system is all zeros
-with a determinant of 1, so the solve writes +0.0 or -0.0 into it. Each
-neighbour sum starts from two neighbours, where a one-pair-at-a-time
-sweep starts from +0.0 and skips the missing ones. Adding a signed zero,
-or dropping the leading +0.0, can change a sum only when every value it
-adds is -0.0, and then only in the sign of the resulting zero; a -0.0
-flow value needs an underflow, so it takes intensities near the
-subnormal range. The flows therefore equal the per-pair oracle's byte
-for byte, whatever the block size, except in the sign of such a zero.
-A non-finite right-hand side in the padding would turn it into NaN,
-which spreads and is rejected with the other non-finite flow values. The
-tests check all of this against the per-pair oracle.
+Each pixel's 2x2 solve is linear in its neighbour sums S_u and S_v, so
+its inverse is folded into coefficients computed once per block. With n
+the pixel's neighbour count, a2 = alpha^2, D_u = Ix^2 + a2*n,
+D_v = Iy^2 + a2*n, C = Ix*Iy and det = D_u*D_v - C^2, a sweep sets
+
+    u = gain_u*S_u - coupling*S_v - offset_u
+    v = gain_v*S_v - coupling*S_u - offset_v
+
+with gain_u = a2*D_v/det, gain_v = a2*D_u/det, coupling = a2*C/det,
+offset_u = (D_v*(Ix*It) - C*(Iy*It))/det and
+offset_v = (D_u*(Iy*It) - C*(Ix*It))/det. That is the same iteration as
+solving the system in every sweep; only the rounding differs, by a few
+units in the last place. A sweep is seven array passes (three for the
+neighbour sums, four for u and v) and divides nothing.
+
+The sweep never clears the padding. There every coefficient is zero, so
+the sweep writes +0.0 or -0.0 into it. Each neighbour sum starts from
+two neighbours, where a one-pair-at-a-time sweep starts from +0.0 and
+skips the missing ones. Adding a signed zero, or dropping the leading
++0.0, can change a sum only when every value it adds is -0.0, and then
+only in the sign of the resulting zero; a -0.0 flow value needs an
+underflow, so it takes intensities near the subnormal range. The flows
+therefore equal those of the one-pair-at-a-time folded sweep byte for
+byte, whatever the block size, except in the sign of such a zero. A
+non-finite neighbour sum turns a padding value into NaN (zero times
+infinity), which spreads and is rejected with the other non-finite flow
+values. The tests check all of this against that per-pair sweep, and
+check that it stays within 1e-12 of the textbook sweep that solves the
+2x2 system each time.
 
 Every buffer a sweep writes starts on a 64-byte boundary, and so do its u
 and v halves: each half is rounded up to a multiple of 8 values by a gap,
-which the solve treats like the padding, and u gets a leading pad of
+whose coefficients are zero like the padding's, and u gets a leading pad of
 whole 64-byte lines. numpy often allocates large arrays 16 bytes past
 such a boundary; on AVX-512 hardware a ufunc writing 34k values there, or
 8 bytes off where u used to start, took twice as long as into an aligned
@@ -94,13 +109,14 @@ def _solve_block(prev: np.ndarray, nxt: np.ndarray, alpha, iterations: int) -> n
 
     Every grid is stored flat with a padding row and column after each
     frame, so a pixel's four neighbours are fixed offsets into one buffer and
-    each sweep step is a single contiguous array operation. The 2x2 solve
-    writes +-0.0 into the padding and into the gap after u and v, whose
-    system is all zeros with a determinant of 1. A neighbour sum starts from
-    its first two neighbours, so it differs from ``reference_flow``'s, which
-    starts at +0.0, only in the sign of a zero whose addends are all -0.0.
-    A non-finite right-hand side in the padding becomes NaN, which spreads
-    to the flow and is rejected by ``sequence_flows``.
+    each sweep step is a single contiguous array operation. The folded
+    coefficients are computed once; a sweep is then three passes for the
+    neighbour sums S and four for ``uv = gain*S - coupling*S[::-1] - offset``.
+    The padding and the gap after u and v have zero coefficients, so the
+    sweep writes +-0.0 there. The flows equal ``tests/oracles.folded_flow``,
+    the same sweep one pair at a time, byte for byte but for the sign of a
+    zero; ``reference_flow``, which divides by the determinant in every
+    sweep, bounds both within rounding.
     """
     k, h, w = prev.shape
     row = w + 1
@@ -108,8 +124,8 @@ def _solve_block(prev: np.ndarray, nxt: np.ndarray, alpha, iterations: int) -> n
     stride = -(-size // 8) * 8    # u and v each start on a 64-byte boundary
     lead = -(-row // 8) * 8       # zeros above u, at least one row
 
-    def padded(grid, fill=0.0):
-        out = _aligned(grid.shape[:-3] + (stride,), fill)
+    def padded(grid):
+        out = _aligned(grid.shape[:-3] + (stride,))
         out[..., :size].reshape(grid.shape[:-2] + (h + 1, row), copy=False)[..., :h, :w] = grid
         return out
 
@@ -117,32 +133,32 @@ def _solve_block(prev: np.ndarray, nxt: np.ndarray, alpha, iterations: int) -> n
     a2 = alpha * alpha
     smooth = a2 * _neighbor_counts((h, w))
     cross = ix * iy
-    # diag[0] = diag_v multiplies rhs_u and diag[1] = diag_u multiplies rhs_v
+    # diag[0] = diag_v goes with u's terms and diag[1] = diag_u with v's
     diag = np.stack([iy * iy + smooth, ix * ix + smooth])
-    det = padded(diag[1] * diag[0] - cross * cross, fill=1.0)
-    diag, cross = padded(diag), padded(cross)
-    data = padded(np.stack([ix * it, iy * it]))
+    det = diag[1] * diag[0] - cross * cross
+    data = np.stack([ix * it, iy * it])
+    gain = padded(a2 * diag / det)
+    coupling = padded(a2 * cross / det)
+    offset = padded((diag * data - cross * data[::-1]) / det)
 
     # u then v, with zeros before and at least one row of zeros after
     field = _aligned((lead + 2 * stride + row,))
     uv = field[lead : lead + 2 * stride].reshape(2, stride)
     grid = uv[:, :size].reshape(2, k, h + 1, row, copy=False)
     # below, above, right, left: the order in which the per-pair sweep adds them
-    neighbors = [field[lead + offset : lead + offset + 2 * stride] for offset in (row, -row, 1, -1)]
-    rhs = _aligned((2, stride))
-    flat_rhs = rhs.reshape(-1)
+    neighbors = [field[lead + step : lead + step + 2 * stride] for step in (row, -row, 1, -1)]
+    sums = _aligned((2, stride))
+    flat_sums = sums.reshape(-1)
     scratch = _aligned((2, stride))
     for _ in range(iterations):
-        np.add(neighbors[0], neighbors[1], out=flat_rhs)
-        flat_rhs += neighbors[2]
-        flat_rhs += neighbors[3]
-        rhs *= a2
-        rhs -= data
-        # u = (diag_v*rhs_u - cross*rhs_v)/det and v = (diag_u*rhs_v - cross*rhs_u)/det
-        np.multiply(diag, rhs, out=uv)
-        np.multiply(cross, rhs[::-1], out=scratch)
+        np.add(neighbors[0], neighbors[1], out=flat_sums)
+        flat_sums += neighbors[2]
+        flat_sums += neighbors[3]
+        # u = gain_u*S_u - coupling*S_v - offset_u and v = gain_v*S_v - coupling*S_u - offset_v
+        np.multiply(gain, sums, out=uv)
+        np.multiply(coupling, sums[::-1], out=scratch)
         uv -= scratch
-        uv /= det
+        uv -= offset
     return grid[..., :h, :w].swapaxes(0, 1)
 
 

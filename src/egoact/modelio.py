@@ -197,14 +197,20 @@ def stack_histograms(histograms):
     return np.stack([h.concat() for h in histograms]), layout
 
 
-def build_bank_specs(method, kernel_kind, layout, cfg: RunConfig, train_vectors):
-    """Kernel specs for one training set: one per feature block for a per-block
-    method, else one over the whole vector. Gaussian widths come from the set."""
+def check_method_kernel(method: str, kernel_kind: str) -> Method:
+    """The method's registry entry; ConfigError unless it trains with ``kernel_kind``."""
     entry = method_entry(method)
     if kernel_kind not in kernels.KERNEL_KINDS:
         raise ConfigError(f"unknown kernel kind {kernel_kind!r}")
     if kernel_kind not in entry.kinds:
         raise ConfigError(f"{method} needs a {' or '.join(entry.kinds)} kernel")
+    return entry
+
+
+def build_bank_specs(method, kernel_kind, layout, cfg: RunConfig, train_vectors):
+    """Kernel specs for one training set: one per feature block for a per-block
+    method, else one over the whole vector. Gaussian widths come from the set."""
+    entry = check_method_kernel(method, kernel_kind)
     targets = [(None, kernel_kind)]
     if entry.per_block:
         targets = [((offset, length), f"{kernel_kind}:{name}") for name, offset, length in layout]

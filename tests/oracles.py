@@ -4,12 +4,14 @@ These deliberately avoid the code paths they check: the SVM oracle is
 projected gradient ascent with an exact simplex-free projection, and the
 kernel oracle evaluates one pair of vectors at a time with 1-D numpy
 calls, where the package computes whole blocks of pairs in one broadcast
-pass. The flow oracle is the straightforward one-pair-at-a-time
-Horn-Schunck sweep, against which the blocked solver must match byte for
-byte. The hof and logc oracles build descriptors from a list of per-pair
-``(u, v)`` flows, one pair at a time (``reference_kinematics`` is the
-logc oracle's per-pair feature grid), where the package takes a video's
-flow as one array; they too must match byte for byte. The quantizer
+pass. ``folded_flow`` is the package's Horn-Schunck sweep written one
+pair at a time on fresh temporaries; the blocked solver must match it
+byte for byte. ``reference_flow`` is the textbook sweep that solves each
+pixel's 2x2 system in every sweep, and bounds both within rounding. The
+hof and logc oracles build descriptors from a list of per-pair ``(u, v)``
+flows, one pair at a time (``reference_kinematics`` is the logc oracle's
+per-pair feature grid), where the package takes a video's flow as one
+array; they too must match byte for byte. The quantizer
 measures each centroid by direct differences instead of the expanded
 squared-distance form that ``bow.quantize_batch`` uses. ``matrix_exp`` is
 the inverse the matrix-log tests round-trip through. ``reference_smo`` and
@@ -172,6 +174,41 @@ def reference_flow(prev, nxt, alpha=10.0, iterations=100):
         rhs_v = a2 * _neighbor_sums(v) - iy * it
         u = (diag_v * rhs_u - cross * rhs_v) / det
         v = (diag_u * rhs_v - cross * rhs_u) / det
+    return u, v
+
+
+def folded_flow(prev, nxt, alpha=10.0, iterations=100):
+    """``reference_flow``'s sweep with each pixel's 2x2 inverse folded into coefficients.
+
+    Returns (u, v). The coefficients are computed once; each sweep is then
+    u = gain_u*S_u - coupling*S_v - offset_u (and v likewise) on fresh
+    temporaries, one pair at a time. Only the rounding differs from
+    ``reference_flow``.
+    """
+    prev = np.asarray(prev).astype(np.float64)
+    nxt = np.asarray(nxt).astype(np.float64)
+    mean = (prev + nxt) / 2.0
+    iy, ix = np.gradient(mean)
+    it = nxt - prev
+    a2 = alpha * alpha
+    deg = _neighbor_counts(prev.shape)
+    diag_u = ix * ix + a2 * deg
+    diag_v = iy * iy + a2 * deg
+    cross = ix * iy
+    det = diag_u * diag_v - cross * cross
+    gain_u = a2 * diag_v / det
+    gain_v = a2 * diag_u / det
+    coupling = a2 * cross / det
+    offset_u = (diag_v * (ix * it) - cross * (iy * it)) / det
+    offset_v = (diag_u * (iy * it) - cross * (ix * it)) / det
+
+    u = np.zeros_like(prev)
+    v = np.zeros_like(prev)
+    for _ in range(iterations):
+        sum_u = _neighbor_sums(u)
+        sum_v = _neighbor_sums(v)
+        u = gain_u * sum_u - coupling * sum_v - offset_u
+        v = gain_v * sum_v - coupling * sum_u - offset_v
     return u, v
 
 

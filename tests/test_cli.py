@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import forking
+from egoact import evaluation
 from egoact.cli import main
 from egoact.dataio import (write_descriptor_set, write_json, write_manifest, DatasetManifest,
                            DescriptorSet, VideoEntry)
@@ -123,6 +124,21 @@ def test_evaluate_writes_confusion_csv(pipeline, tmp_path, capsys):
     assert doc["format_version"] == 1
     assert main(["inspect", str(out)]) == 0
     assert "mean accuracy" in capsys.readouterr().out
+
+
+def test_evaluate_rejects_method_kernel_pair_before_extraction(pipeline, tmp_path, capsys,
+                                                               monkeypatch):
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("extracted before checking the kernel")
+
+    monkeypatch.setattr(evaluation, "extract_dataset_descriptors", no_extraction)
+    out = tmp_path / "report.json"
+    # the config's default kernel is h_int
+    assert main(["evaluate", "--config", pipeline["cfg"], "--data", str(pipeline["data"]),
+                 "--method", "multichannel", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: multichannel needs a dc_int or jpl_int kernel"]
+    assert not out.exists()
 
 
 def test_method_alias_single(pipeline, tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import flow_energy, reference_flow
+from oracles import flow_energy, folded_flow, reference_flow
 
 from egoact import flow as flow_module
 from egoact.errors import ValidationError
@@ -186,14 +186,14 @@ def test_sequence_flows_counts():
 
 
 # ---------------------------------------------------------------------------
-# byte identity with the one-pair-at-a-time oracle
+# byte identity with the one-pair-at-a-time folded sweep
 
 def assert_matches_oracle(frames, alpha=10.0, iterations=100):
     flows = sequence_flows(frames, alpha=alpha, iterations=iterations)
     assert len(flows) == frames.shape[0] - 1
     assert flows.shape == (frames.shape[0] - 1, 2, *frames.shape[1:])
     for i, flow in enumerate(flows):
-        u, v = reference_flow(frames[i], frames[i + 1], alpha=alpha, iterations=iterations)
+        u, v = folded_flow(frames[i], frames[i + 1], alpha=alpha, iterations=iterations)
         assert flow[0].tobytes() == u.tobytes(), f"u differs at pair {i}"
         assert flow[1].tobytes() == v.tobytes(), f"v differs at pair {i}"
 
@@ -266,6 +266,8 @@ def test_dense_flow_is_one_pair_of_sequence_flows():
     expected = sequence_flows(frames, iterations=25)[3]
     assert pair[0].tobytes() == expected[0].tobytes()
     assert pair[1].tobytes() == expected[1].tobytes()
+    u, v = folded_flow(frames[3], frames[4], iterations=25)
+    assert pair[0].tobytes() == u.tobytes() and pair[1].tobytes() == v.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -284,8 +286,9 @@ def test_random_volumes_match_oracle(pairs, height, width, exponent, alpha, iter
     """uint8 or float frames from subnormal to 1e6, pairs split across blocks.
 
     The sweep starts each neighbour sum from two neighbours, and the padding
-    holds whatever +-0.0 the 2x2 solve writes there, so a value may differ
-    from the oracle's in the sign of a zero and in nothing else.
+    holds whatever +-0.0 the sweep writes there with its zero coefficients,
+    so a value may differ from the oracle's in the sign of a zero and in
+    nothing else.
     """
     rng = np.random.default_rng(seed)
     shape = (pairs + 1, height, width)
@@ -297,7 +300,34 @@ def test_random_volumes_match_oracle(pairs, height, width, exponent, alpha, iter
         patch.setattr(flow_module, "BLOCK_PIXELS", block_pairs * height * width)
         flows = sequence_flows(frames, alpha=alpha, iterations=iterations)
     for i, flow in enumerate(flows):
-        expected = np.stack(reference_flow(frames[i], frames[i + 1], alpha=alpha,
-                                           iterations=iterations))
+        expected = np.stack(folded_flow(frames[i], frames[i + 1], alpha=alpha,
+                                        iterations=iterations))
         same = flow.view(np.uint64) == expected.view(np.uint64)
         assert np.all(same | ((flow == 0.0) & (expected == 0.0))), f"pair {i} differs"
+
+
+# ---------------------------------------------------------------------------
+# the folded sweep stays within rounding of the textbook Jacobi sweep
+
+def assert_near_reference(frames, iterations=100):
+    """Every value within 1e-12*max(1, |flow|) of ``reference_flow``, every energy within 1e-12."""
+    flows = sequence_flows(frames, iterations=iterations)
+    for i, flow in enumerate(flows):
+        prev, nxt = frames[i].astype(np.float64), frames[i + 1].astype(np.float64)
+        expected = np.stack(reference_flow(prev, nxt, iterations=iterations))
+        assert np.all(np.abs(flow - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected))), \
+            f"pair {i} differs"
+        energy = flow_energy(expected, prev, nxt)
+        assert abs(flow_energy(flow, prev, nxt) - energy) <= 1e-12 * energy, f"pair {i} energy"
+
+
+@pytest.mark.parametrize("size", [32, 64])
+def test_synth_video_near_reference(size):
+    assert_near_reference(synthesize_video(SynthConfig(width=size, height=size), 2, 1).frames)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_uint8_volumes_near_reference(seed):
+    rng = np.random.default_rng(100 + seed)
+    height, width = rng.integers(8, 40, size=2)
+    assert_near_reference(rng.integers(0, 256, size=(5, height, width)).astype(np.uint8))
