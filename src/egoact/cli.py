@@ -14,12 +14,11 @@ import json
 import sys
 from pathlib import Path
 
-from . import boost, bow, dataio, kernels
+from . import bow, dataio, kernels
 from .config import RunConfig
 from .descriptors import FEATURES, check_features
 from .errors import ConfigError, ConvergenceError, FormatError, ValidationError, check_positive
 from .evaluation import extract_dataset_descriptors, run_experiment
-from .mkl import MklModel
 from .modelio import METHODS, model_from_doc, train_model, write_model
 from .synth import generate_synthetic_dataset
 
@@ -37,7 +36,8 @@ def _parse_features(text):
 METHOD_CHOICES = ["single", *METHODS]
 
 
-def _resolve_method(name: str) -> str:
+def _method(name: str) -> str:
+    """A ``--method`` choice as its registry name: ``single`` is ``single_kernel``."""
     return "single_kernel" if name == "single" else name
 
 
@@ -130,7 +130,7 @@ def cmd_codebook(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    features, _, cache = _read_descriptor_dir(args.descriptors)
+    features, dims, cache = _read_descriptor_dir(args.descriptors)
     cb_dir = Path(args.codebooks)
     codebooks = {}
     for dtype in features:
@@ -138,6 +138,9 @@ def cmd_encode(args) -> int:
         if not path.exists():
             raise ConfigError(f"missing codebook {path} for descriptor type {dtype!r}")
         codebooks[dtype] = dataio.read_codebook(path, descriptor_type=dtype)
+        if codebooks[dtype].dim != dims[dtype]:
+            raise FormatError(f"{path}: codebook of dimension {codebooks[dtype].dim} for "
+                              f"{dtype} descriptors of dimension {dims[dtype]}")
     histograms = [bow.encode_video(vid, sets, codebooks) for vid, sets in cache.items()]
     dataio.write_histograms(histograms, args.out)
     print(f"encoded {len(histograms)} videos -> {args.out}")
@@ -148,17 +151,14 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     manifest = dataio.read_manifest(args.manifest)
     histograms = dataio.read_histograms(args.histograms)
-    model = train_model(manifest, histograms, cfg, _resolve_method(args.method),
-                        kernel_kind=args.kernel, seed=args.seed)
+    model = train_model(manifest, histograms, cfg, args.method, kernel_kind=args.kernel,
+                        seed=args.seed)
     write_model(model, args.out)
+    note = METHODS[model.method].note
     for name, payload in zip(model.classes, model.binary_models):
-        if isinstance(payload, MklModel) and not payload.converged:
-            print(f"note: class {name}: simple_mkl stopped at mkl.max_outer={cfg.mkl.max_outer} "
-                  "outer steps without converging", file=sys.stderr)
-        if isinstance(payload, boost.BoostedModel) and len(payload.trials) < cfg.boost.trials:
-            print(f"note: class {name}: boost_mkl kept {len(payload.trials)} of {cfg.boost.trials} "
-                  f"trials after {boost.MAX_REDRAWS} failed redraws", file=sys.stderr)
-    print(f"trained {_resolve_method(args.method)} model over {len(model.classes)} classes -> {args.out}")
+        if text := note(payload, cfg):
+            print(f"note: class {name}: {text}", file=sys.stderr)
+    print(f"trained {args.method} model over {len(model.classes)} classes -> {args.out}")
     return 0
 
 
@@ -166,16 +166,13 @@ def cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
     features = None if args.features is None else _parse_features(args.features)
     manifest = _load_manifest_dir(args.data)
-    report = run_experiment(
-        manifest, args.data, cfg, _resolve_method(args.method),
-        kernel_kind=args.kernel, features=features, repeats=args.repeats,
-        base_seed=args.seed, workers=args.workers,
-        progress=_progress,
-    )
+    report = run_experiment(manifest, args.data, cfg, args.method, kernel_kind=args.kernel,
+                            features=features, repeats=args.repeats, base_seed=args.seed,
+                            workers=args.workers, progress=_progress)
     report.write(args.out)
     if args.csv:
         report.write_confusion_csv(args.csv)
-    print(f"{_resolve_method(args.method)}: mean accuracy {report.mean_accuracy:.2f}% "
+    print(f"{args.method}: mean accuracy {report.mean_accuracy:.2f}% "
           f"over {report.split.repeats} repeats -> {args.out}")
     return 0
 
@@ -291,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--histograms", required=True)
-    p.add_argument("--method", required=True, choices=METHOD_CHOICES)
+    p.add_argument("--method", required=True, type=_method, choices=METHOD_CHOICES)
     p.add_argument("--kernel", choices=kernels.KERNEL_KINDS)
     p.add_argument("--out", required=True, help="output model JSON path")
     p.set_defaults(func=cmd_train)
@@ -299,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run the repeated-split evaluation protocol")
     add_common(p)
     p.add_argument("--data", required=True, help="dataset directory with manifest.json")
-    p.add_argument("--method", required=True, choices=METHOD_CHOICES)
+    p.add_argument("--method", required=True, type=_method, choices=METHOD_CHOICES)
     p.add_argument("--kernel", choices=kernels.KERNEL_KINDS)
     p.add_argument("--features", help=features_help)
     p.add_argument("--repeats", type=int)

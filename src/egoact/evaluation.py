@@ -39,26 +39,27 @@ from .descriptors import (
 )
 from .errors import PipelineError, ValidationError
 from .flow import sequence_flows
-from .modelio import check_method_kernel, fit, normalize_features, stack_histograms
+from .modelio import check_run, fit, normalize_features, stack_histograms
+
+
+def split_sizes(manifest: DatasetManifest, spec: SplitSection):
+    """(train, test) video counts per class; ValidationError when a class is too small."""
+    counts = manifest.class_counts()
+    if spec.mode == "half_half":
+        return [(-(-n // 2), n // 2) for n in counts]  # ceil: odd counts favor training
+    for name, n in zip(manifest.classes, counts):
+        if spec.train_n + spec.test_n > n:
+            raise ValidationError(f"class {name!r} has {n} videos, needs {spec.train_n}+{spec.test_n}")
+    return [(spec.train_n, spec.test_n)] * len(counts)
 
 
 def random_split(manifest: DatasetManifest, spec: SplitSection, repeat_index: int):
     """Per-class random partition; seeded by base_seed XOR repeat_index."""
     rng = np.random.default_rng(spec.base_seed ^ repeat_index)
     train_ids, test_ids = [], []
-    for k in range(len(manifest.classes)):
+    for k, (take_train, take_test) in enumerate(split_sizes(manifest, spec)):
         members = manifest.videos_of_class(k)
         perm = rng.permutation(len(members))
-        if spec.mode == "per_class_counts":
-            if spec.train_n + spec.test_n > len(members):
-                raise ValidationError(
-                    f"class {manifest.classes[k]!r} has {len(members)} videos, "
-                    f"needs {spec.train_n}+{spec.test_n}"
-                )
-            take_train, take_test = spec.train_n, spec.test_n
-        else:
-            take_train = -(-len(members) // 2)  # ceil: odd counts favor training
-            take_test = len(members) - take_train
         train_ids.extend(members[i].video_id for i in perm[:take_train])
         test_ids.extend(members[i].video_id for i in perm[take_train : take_train + take_test])
     return train_ids, test_ids
@@ -182,9 +183,9 @@ def extract_dataset_descriptors(manifest: DatasetManifest, data_dir, features,
 # one repeat
 
 def run_repeat(manifest: DatasetManifest, descriptor_cache, cfg: RunConfig, method: str,
-               kernel_kind: str, features, split: SplitSection, repeat_index: int):
-    """One split-train-predict cycle; returns (accuracy, confusion counts)."""
-    features = normalize_features(features)
+               repeat_index: int):
+    """One split-train-predict cycle of a resolved config; returns (accuracy, confusion counts)."""
+    split, features = cfg.split, cfg.features
     train_ids, test_ids = random_split(manifest, split, repeat_index)
     label_of = {v.video_id: v.class_index for v in manifest.videos}
 
@@ -192,11 +193,8 @@ def run_repeat(manifest: DatasetManifest, descriptor_cache, cfg: RunConfig, meth
     for fi, feature in enumerate(features):
         pooled = bow.pooled_descriptors((descriptor_cache[vid] for vid in train_ids), feature)
         words = min(cfg.bow.words, pooled.shape[0]) if cfg.bow.adaptive_words else cfg.bow.words
-        codebooks[feature] = bow.kmeans(
-            pooled, words,
-            np.random.SeedSequence(entropy=split.base_seed, spawn_key=(repeat_index, 1, fi)),
-            max_iters=cfg.bow.max_iters,
-        )
+        seed = np.random.SeedSequence(entropy=split.base_seed, spawn_key=(repeat_index, 1, fi))
+        codebooks[feature] = bow.kmeans(pooled, words, seed, max_iters=cfg.bow.max_iters)
 
     def histograms(ids):
         return [bow.encode_video(vid, {f: descriptor_cache[vid][f] for f in features}, codebooks)
@@ -208,12 +206,10 @@ def run_repeat(manifest: DatasetManifest, descriptor_cache, cfg: RunConfig, meth
     y_test = np.array([label_of[vid] for vid in test_ids])
     classes = manifest.classes
 
-    model = fit(method, train_x, y_train, classes, layout, cfg, kernel_kind,
-                split.base_seed, (repeat_index, 2))
+    model = fit(method, train_x, y_train, classes, layout, cfg, split.base_seed, (repeat_index, 2))
     predicted = model.predict(test_x)
     confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for true_k, pred_k in zip(y_test, predicted):
-        confusion[true_k, pred_k] += 1
+    np.add.at(confusion, (y_test, predicted), 1)
     accuracy = float(np.mean(predicted == y_test))
     return accuracy, confusion
 
@@ -273,35 +269,32 @@ def run_experiment(manifest: DatasetManifest, data_dir, cfg: RunConfig, method: 
                    kernel_kind: str | None = None, features=None, repeats: int | None = None,
                    base_seed: int | None = None, workers: int = 1,
                    descriptor_cache=None, progress=None) -> EvalReport:
-    """The full protocol; descriptor extraction may be shared via the cache."""
-    kernel_kind = kernel_kind or cfg.kernels.kind
-    check_method_kernel(method, kernel_kind)
-    features = normalize_features(features if features is not None else cfg.features)
-    split = replace(
-        cfg.split,
-        repeats=cfg.split.repeats if repeats is None else repeats,
-        base_seed=cfg.split.base_seed if base_seed is None else base_seed,
+    """The full protocol; descriptor extraction may be shared via the cache. The report
+    echoes ``cfg``; the overrides resolve into the config checked before extraction."""
+    echo = cfg.to_dict()
+    cfg = replace(
+        cfg.replace_section("kernels", kind=kernel_kind or cfg.kernels.kind)
+        .replace_section("split", repeats=cfg.split.repeats if repeats is None else repeats,
+                         base_seed=cfg.split.base_seed if base_seed is None else base_seed),
+        features=normalize_features(cfg.features if features is None else features),
     )
+    check_run(method, cfg)
+    split_sizes(manifest, cfg.split)
     if descriptor_cache is None:
-        descriptor_cache = extract_dataset_descriptors(
-            manifest, data_dir, features, cfg, workers=workers
-        )
+        descriptor_cache = extract_dataset_descriptors(manifest, data_dir, cfg.features, cfg,
+                                                       workers=workers)
 
     def one(repeat_index):
         try:
-            return run_repeat(
-                manifest, descriptor_cache, cfg, method, kernel_kind, features,
-                split, repeat_index,
-            )
+            return run_repeat(manifest, descriptor_cache, cfg, method, repeat_index)
         except PipelineError as exc:
             raise type(exc)(f"repeat {repeat_index}: {exc}") from exc
         except Exception as exc:
             exc.add_note(f"in repeat {repeat_index}")
             raise
 
-    results = ordered_map(one, range(split.repeats), workers, progress)
+    results = ordered_map(one, range(cfg.split.repeats), workers, progress)
     accuracies = [acc for acc, _ in results]
     counts = np.sum([conf for _, conf in results], axis=0)
-    echo = cfg.to_dict()
-    return EvalReport(method, kernel_kind, features, manifest.classes, split,
+    return EvalReport(method, cfg.kernels.kind, cfg.features, manifest.classes, cfg.split,
                       accuracies, counts, echo)

@@ -97,9 +97,9 @@ def _neighbor_counts(shape) -> np.ndarray:
     return counts
 
 
-def _aligned(shape, fill: float = 0.0) -> np.ndarray:
-    """A float64 array of ``shape`` filled with ``fill``, starting on a 64-byte boundary."""
-    raw = np.full(math.prod(shape) + 7, fill)
+def _aligned(shape) -> np.ndarray:
+    """A zeroed float64 array of ``shape`` that starts on a 64-byte boundary."""
+    raw = np.zeros(math.prod(shape) + 7)
     start = -raw.ctypes.data % 64 // 8
     return raw[start : start + math.prod(shape)].reshape(shape)
 

@@ -12,7 +12,7 @@ vectors, and one binary payload per class (plain SVM, MKL, or boosted).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -38,6 +38,7 @@ class Method:
     score: Callable      # (payload, kernel rows (M, n, L)) -> (n,) scores
     check: Callable      # (payload, train_count, kernel_count); raises FormatError
     describe: Callable   # payload -> one line for ``egoact inspect``
+    note: Callable       # (payload, cfg) -> why training stopped short, for ``egoact train``, or ""
 
 
 def _check_svm(model, train_count, kernel_count):
@@ -73,6 +74,7 @@ _SVM = dict(
     train=lambda bank, y, cfg, seed: svm.smo_train(bank[0], y, cfg.svm.c_reg, tol=cfg.svm.tol),
     score=lambda model, rows: svm.decision_many(model, rows[0]),
     describe=lambda model: f"{int((model.alpha > 0).sum())} support vectors, bias {model.bias:.4f}",
+    note=lambda model, cfg: "",
 )
 
 METHODS = {
@@ -84,6 +86,8 @@ METHODS = {
             bank, y, cfg.svm.c_reg, cfg.mkl, svm_tol=cfg.svm.tol),
         score=lambda model, rows: mkl.mkl_predict_many(model, rows),
         describe=_describe_mkl,
+        note=lambda model, cfg: "" if model.converged else (
+            f"simple_mkl stopped at mkl.max_outer={cfg.mkl.max_outer} outer steps without converging"),
     ),
     "boost_mkl": Method(
         per_block=True, kinds=kernels.KERNEL_KINDS, codec=boost_mod.BoostedModel, check=_check_boost,
@@ -92,6 +96,9 @@ METHODS = {
         score=lambda model, rows: boost_mod.boost_predict_many(model, rows),
         describe=lambda model: f"{len(model.trials)} trials (" + ", ".join(
             f"k{t.kernel_index}:w={t.weight:.3f}" for t in model.trials) + ")",
+        note=lambda model, cfg: "" if len(model.trials) >= cfg.boost.trials else (
+            f"boost_mkl kept {len(model.trials)} of {cfg.boost.trials} trials "
+            f"after {boost_mod.MAX_REDRAWS} failed redraws"),
     ),
 }
 
@@ -197,54 +204,51 @@ def stack_histograms(histograms):
     return np.stack([h.concat() for h in histograms]), layout
 
 
-def check_method_kernel(method: str, kernel_kind: str) -> Method:
-    """The method's registry entry; ConfigError unless it trains with ``kernel_kind``."""
+def check_run(method: str, cfg: RunConfig) -> None:
+    """ConfigError unless ``method`` trains with ``cfg.kernels.kind`` and any
+    ``jpl_exponents`` give one per kernel channel: one channel per block for a
+    per-block method, else one per feature."""
     entry = method_entry(method)
-    if kernel_kind not in kernels.KERNEL_KINDS:
-        raise ConfigError(f"unknown kernel kind {kernel_kind!r}")
-    if kernel_kind not in entry.kinds:
+    kind, exponents = cfg.kernels.kind, cfg.kernels.jpl_exponents
+    if kind not in entry.kinds:
         raise ConfigError(f"{method} needs a {' or '.join(entry.kinds)} kernel")
-    return entry
+    channels = 1 if entry.per_block else len(cfg.features)
+    if kind == kernels.JPL_INT and exponents and len(exponents) != channels:
+        raise ConfigError(f"jpl_exponents has {len(exponents)} entries for {channels} channels")
 
 
-def build_bank_specs(method, kernel_kind, layout, cfg: RunConfig, train_vectors):
-    """Kernel specs for one training set: one per feature block for a per-block
-    method, else one over the whole vector. Gaussian widths come from the set."""
-    entry = check_method_kernel(method, kernel_kind)
-    targets = [(None, kernel_kind)]
-    if entry.per_block:
-        targets = [((offset, length), f"{kernel_kind}:{name}") for name, offset, length in layout]
+def build_bank_specs(method, layout, cfg: RunConfig, train_vectors):
+    """Kernel specs of ``cfg.kernels`` for one training set: one per feature block
+    for a per-block method, else one over the whole vector. Gaussian widths come
+    from the set."""
+    kind = cfg.kernels.kind
+    targets = [(None, kind)]
+    if METHODS[method].per_block:
+        targets = [((offset, length), f"{kind}:{name}") for name, offset, length in layout]
     specs = []
     for block, label in targets:
         channels = ()
-        if kernel_kind in kernels.CHANNEL_KINDS:
+        if kind in kernels.CHANNEL_KINDS:
             channels = ((0, block[1]),) if block else tuple((off, ln) for _, off, ln in layout)
         sigma = None
-        if kernel_kind == kernels.GAUSSIAN:
+        if kind == kernels.GAUSSIAN:
             sigma = cfg.kernels.gaussian_sigma
             if sigma is None:
                 sigma = kernels.median_heuristic_sigma(train_vectors, block=block)
-        exponents = ()
-        if kernel_kind == kernels.JPL_INT and cfg.kernels.jpl_exponents:
-            exponents = tuple(cfg.kernels.jpl_exponents)
-            if len(exponents) != len(channels):
-                raise ConfigError(
-                    f"jpl_exponents has {len(exponents)} entries for {len(channels)} channels"
-                )
-        specs.append(kernels.KernelSpec(kernel_kind, sigma=sigma, channels=channels,
+        exponents = cfg.kernels.jpl_exponents if kind == kernels.JPL_INT else ()
+        specs.append(kernels.KernelSpec(kind, sigma=sigma, channels=channels,
                                         exponents=exponents, block=block, label=label))
     return specs
 
 
-def fit(method, vectors, labels, classes, layout, cfg: RunConfig, kernel_kind,
-        seed, spawn_prefix) -> TrainedModel:
+def fit(method, vectors, labels, classes, layout, cfg: RunConfig, seed, spawn_prefix) -> TrainedModel:
     """Build the trace-normalized kernel bank over ``vectors`` and train one
-    binary model per class.
+    binary model per class, for a run that ``check_run`` passed.
 
     Class k's binary problem gets ``SeedSequence(seed, spawn_key=(*spawn_prefix, k))``;
     only boosting draws from it.
     """
-    specs = build_bank_specs(method, kernel_kind, layout, cfg, vectors)
+    specs = build_bank_specs(method, layout, cfg, vectors)
     grams, scales = zip(*(kernels.trace_normalize(kernels.gram_matrix(vectors, spec))
                           for spec in specs))
     bank = np.stack(grams)
@@ -262,8 +266,9 @@ def train_model(manifest: DatasetManifest, histograms, cfg: RunConfig, method: s
     if missing:
         raise ValidationError(f"histograms missing for videos: {missing[:5]}")
     hists = [by_id[v.video_id] for v in manifest.videos]
-    normalize_features(hists[0].block_order())
+    cfg = replace(cfg.replace_section("kernels", kind=kernel_kind or cfg.kernels.kind),
+                  features=hists[0].block_order())
+    check_run(method, cfg)
     vectors, layout = stack_histograms(hists)
     labels = np.array([v.class_index for v in manifest.videos])
-    return fit(method, vectors, labels, manifest.classes, layout, cfg,
-               kernel_kind or cfg.kernels.kind, seed, ())
+    return fit(method, vectors, labels, manifest.classes, layout, cfg, seed, ())

@@ -141,6 +141,43 @@ def test_evaluate_rejects_method_kernel_pair_before_extraction(pipeline, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra,method,message", [
+    ({"kernels": {"kind": "jpl_int", "jpl_exponents": [1.0, 2.0]}}, "multichannel",
+     "error: jpl_exponents has 2 entries for 3 channels"),
+    ({"kernels": {"kind": "jpl_int", "jpl_exponents": [1.0, 2.0]}}, "simple_mkl",
+     "error: jpl_exponents has 2 entries for 1 channels"),
+    ({"split": {"mode": "per_class_counts", "train_n": 3, "test_n": 2}}, "single",
+     "error: class 'class0_pan_right_flash' has 4 videos, needs 3+2"),
+], ids=["multichannel_exponents", "simple_mkl_exponents", "unfillable_split"])
+def test_evaluate_rejects_an_impossible_run_before_extraction(pipeline, tmp_path, capsys,
+                                                              monkeypatch, extra, method, message):
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("extracted before checking the run")
+
+    monkeypatch.setattr(evaluation, "extract_dataset_descriptors", no_extraction)
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--config", write_config(tmp_path, extra), "--data",
+                 str(pipeline["data"]), "--method", method, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+
+
+def test_encode_rejects_a_codebook_of_the_wrong_dimension(pipeline, tmp_path, capsys):
+    cb = tmp_path / "cb"
+    cb.mkdir()
+    for dtype in ("logc", "cuboid"):
+        (cb / f"{dtype}.cbk").write_bytes((pipeline["cb"] / f"{dtype}.cbk").read_bytes())
+    (cb / "hof.cbk").write_bytes((pipeline["cb"] / "logc.cbk").read_bytes())
+    dims = json.loads((pipeline["desc"] / "descriptors.json").read_text())["dims"]
+    out = tmp_path / "hists.json"
+    assert main(["encode", "--descriptors", str(pipeline["desc"]), "--codebooks", str(cb),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cb / 'hof.cbk'}: codebook of dimension {dims['logc']} for hof descriptors "
+        f"of dimension {dims['hof']}"]
+    assert not out.exists()
+
+
 def test_method_alias_single(pipeline, tmp_path, capsys):
     plain = tmp_path / "plain.json"
     alias = tmp_path / "alias.json"

@@ -20,6 +20,7 @@ from egoact.evaluation import (
     random_split,
     run_experiment,
     run_repeat,
+    split_sizes,
 )
 from conftest import forking
 from oracles import pair_confusion
@@ -88,6 +89,37 @@ def test_split_class_too_small():
         random_split(manifest, spec, 0)
 
 
+def test_split_sizes_per_class():
+    manifest = DatasetManifest(["a", "b"], [VideoEntry(f"v{i}", int(i >= 5), f"v{i}.fsq")
+                                            for i in range(8)])
+    assert split_sizes(manifest, SplitSection(mode="half_half")) == [(3, 2), (2, 1)]
+    assert split_sizes(manifest, SplitSection(train_n=2, test_n=1)) == [(2, 1), (2, 1)]
+    with pytest.raises(ValidationError, match=r"^class 'b' has 3 videos, needs 2\+2$"):
+        split_sizes(manifest, SplitSection(train_n=2, test_n=2))
+
+
+def test_experiment_resolves_its_overrides_into_one_config(tmp_path, monkeypatch):
+    seen = []
+
+    def recording_repeat(manifest, cache, cfg, method, repeat_index):
+        seen.append(cfg)
+        return 1.0, np.eye(4, dtype=np.int64)
+
+    monkeypatch.setattr(evaluation, "run_repeat", recording_repeat)
+    manifest = toy_manifest()
+    cfg = small_config().replace_section("kernels", kind="dc_int")
+    report = run_experiment(manifest, tmp_path, cfg, "simple_mkl", kernel_kind="gaussian",
+                            features=("cuboid", "hof"), repeats=2, base_seed=7,
+                            descriptor_cache=constant_descriptor_cache(manifest))
+    assert seen[0] == seen[1] and len(seen) == 2
+    assert seen[0].kernels.kind == "gaussian" and seen[0].features == ("hof", "cuboid")
+    assert (seen[0].split.repeats, seen[0].split.base_seed) == (2, 7)
+    assert seen[0].bow == cfg.bow and seen[0].split.train_n == cfg.split.train_n
+    assert report.config_echo == cfg.to_dict()
+    assert (report.kernel, report.features, report.split) == ("gaussian", ["hof", "cuboid"],
+                                                              seen[0].split)
+
+
 # ---------------------------------------------------------------------------
 # report arithmetic
 
@@ -132,9 +164,8 @@ def test_single_repeat_equals_manual_run(tmp_path):
     report = run_experiment(manifest, tmp_path, cfg, "single_kernel", kernel_kind="h_int",
                             features=("hof",), repeats=1, base_seed=5,
                             descriptor_cache=cache)
-    split = SplitSection(mode="per_class_counts", train_n=2, test_n=2, repeats=1, base_seed=5)
-    accuracy, confusion = run_repeat(manifest, cache, cfg, "single_kernel", "h_int",
-                                     ("hof",), split, 0)
+    resolved = cfg.replace_section("split", repeats=1, base_seed=5)
+    accuracy, confusion = run_repeat(manifest, cache, resolved, "single_kernel", 0)
     assert report.per_repeat_accuracy == [accuracy * 100.0]
     row_pct = confusion / confusion.sum(axis=1, keepdims=True) * 100.0
     assert np.allclose(report.confusion, row_pct)
@@ -329,7 +360,7 @@ def test_workers_see_closures_and_patched_module_attributes(tmp_path, monkeypatc
 
     parent = os.getpid()
 
-    def patched_repeat(manifest, cache, cfg, method, kernel, features, split, repeat_index):
+    def patched_repeat(manifest, cache, cfg, method, repeat_index):
         confusion = np.zeros((4, 4), dtype=np.int64)
         confusion[repeat_index % 4, repeat_index % 4] = 1
         return (0.5 if os.getpid() != parent else 0.0), confusion

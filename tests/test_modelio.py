@@ -5,7 +5,7 @@ import pytest
 
 from egoact.config import RunConfig
 from egoact.dataio import DatasetManifest, VideoEntry, VideoHistogram, write_json
-from egoact.errors import FormatError, ValidationError
+from egoact.errors import ConfigError, FormatError, ValidationError
 from egoact.modelio import TrainedModel, read_model, train_model, write_model
 
 
@@ -74,6 +74,43 @@ def test_train_single_class_rejected():
     solo = DatasetManifest(["only"], [VideoEntry(v.video_id, 0, v.path) for v in manifest.videos])
     with pytest.raises(ValidationError):
         train_model(solo, hists, RunConfig(), "single_kernel")
+
+
+@pytest.mark.parametrize("method,exponents", [("multichannel", (0.25, 2.0)), ("simple_mkl", (3.0,))])
+def test_config_jpl_exponents_reach_the_specs(tmp_path, method, exponents):
+    manifest, hists = toy_histogram_dataset()
+    cfg = RunConfig(features=("hof", "cuboid"))
+    default = train_model(manifest, hists, cfg, method, kernel_kind="jpl_int", seed=0)
+    cfg = cfg.replace_section("kernels", kind="jpl_int", jpl_exponents=exponents)
+    model = train_model(manifest, hists, cfg, method, seed=0)
+    assert [s.exponents for s in model.specs] == [exponents] * len(model.specs)
+    assert all(s.exponents == () for s in default.specs)
+    path = tmp_path / "model.json"
+    write_model(model, path)
+    assert [s.exponents for s in read_model(path).specs] == [exponents] * len(model.specs)
+    queries = fresh_queries(np.random.default_rng(5))
+    assert not np.array_equal(model.score_matrix(queries), default.score_matrix(queries))
+
+
+@pytest.mark.parametrize("method,kernels,message", [
+    ("multichannel", {"kind": "jpl_int", "jpl_exponents": (1.0,)},
+     "jpl_exponents has 1 entries for 2 channels"),
+    ("boost_mkl", {"kind": "jpl_int", "jpl_exponents": (1.0, 2.0)},
+     "jpl_exponents has 2 entries for 1 channels"),
+    ("multichannel", {"kind": "h_int"}, "multichannel needs a dc_int or jpl_int kernel"),
+])
+def test_train_rejects_a_run_before_any_gram(monkeypatch, method, kernels, message):
+    from egoact import kernels as kernels_mod
+
+    def no_gram(*args):
+        raise AssertionError("built a Gram matrix before checking the run")
+
+    monkeypatch.setattr(kernels_mod, "gram_matrix", no_gram)
+    manifest, hists = toy_histogram_dataset()
+    cfg = RunConfig().replace_section("kernels", **kernels)
+    with pytest.raises(ConfigError) as info:
+        train_model(manifest, hists, cfg, method)
+    assert str(info.value) == message
 
 
 def test_read_model_rejects_other_files(tmp_path):
