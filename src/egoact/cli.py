@@ -19,7 +19,7 @@ from .config import RunConfig
 from .descriptors import FEATURES, check_features
 from .errors import ConfigError, ConvergenceError, FormatError, ValidationError, check_positive
 from .evaluation import extract_dataset_descriptors, run_experiment
-from .modelio import METHODS, model_from_doc, train_model, write_model
+from .modelio import METHODS, TrainedModel, train_model, write_model
 from .synth import generate_synthetic_dataset
 
 DESCRIPTOR_SIDECAR = "descriptors.json"
@@ -111,13 +111,9 @@ def _descriptor_listing(doc, desc_dir: Path, types=None):
 
 def _read_descriptor_dir(desc_dir, types=None):
     """``_descriptor_listing`` of the sidecar in ``desc_dir``; a defect raises FormatError."""
-    desc_dir = Path(desc_dir)
-    path = desc_dir / DESCRIPTOR_SIDECAR
-    doc = dataio.read_json(path)
-    try:
-        return _descriptor_listing(doc, desc_dir, types)
-    except dataio.MALFORMED as exc:
-        raise FormatError(f"{path}: malformed descriptors file ({exc})") from exc
+    path = Path(desc_dir) / DESCRIPTOR_SIDECAR
+    return dataio.decode_json(path, dataio.read_json(path), "descriptors",
+                              lambda doc: _descriptor_listing(doc, path.parent, types))
 
 
 def cmd_codebook(args) -> int:
@@ -193,7 +189,7 @@ def _json_summary(path, doc, kind) -> list:
         sizes = dict(zip(doc["block_order"], doc["block_sizes"]))
         return [f"histograms: {len(histograms)} videos, blocks {sizes}"]
     if kind == "model":
-        model = model_from_doc(doc, path)
+        model = TrainedModel.from_dict(doc)
         describe = METHODS[model.method].describe
         return [f"model: method={model.method}, classes={model.classes}",
                 f"  kernels: {[s.label or s.kind for s in model.specs]}",
@@ -216,10 +212,9 @@ def _inspect_json(path, doc) -> None:
     if not isinstance(kind, str) or kind not in JSON_KINDS:
         print(json.dumps(doc, indent=2))
         return
-    try:   # the summary is built in full first, so a defect prints nothing
-        lines = _json_summary(path, doc, kind)
-    except dataio.MALFORMED as exc:
-        raise FormatError(f"{path}: malformed {JSON_KINDS[kind]} file ({exc})") from exc
+    # the summary is built in full first, so a defect prints nothing
+    lines = dataio.decode_json(path, doc, JSON_KINDS[kind],
+                               lambda doc: _json_summary(path, doc, kind))
     print("\n".join(lines))
 
 

@@ -1,22 +1,30 @@
 """File formats, dataset manifests, and the serializable pipeline types.
 
-Binary artifacts are little-endian with a 4-byte ASCII magic followed by
-u32 header fields:
+The three binary artifacts share one container: a 4-byte ASCII magic, then
+little-endian u32 header fields giving the payload's shape innermost axis
+first, then the payload in row-major order (``CONTAINERS``):
 
-    .fsq  "FSQ1", width, height, frame_count, then frame-major row-major
-          raw 8-bit intensities
-    .dsc  "DSC1", dim, count, then count*dim float64 values
-    .cbk  "CBK1", dim, word_count, then word_count*dim float64 values
+    .fsq  "FSQ1", width, height, frames, then raw 8-bit intensities
+    .dsc  "DSC1", dim, rows, then rows*dim float64 values
+    .cbk  "CBK1", dim, rows (words), then rows*dim float64 values
+
+A short header or a payload of the wrong length is a CorruptionError; a
+bad magic or a zero in any field but the outermost (frames, rows) is a
+FormatError, and the decoded type rules on an empty outer axis (a ``.dsc``
+may hold no rows).
 
 Structured artifacts (manifests, histogram collections, models, reports)
 are JSON documents carrying a top-level ``"format_version": 1`` field.
-Every writer goes through a write-to-temp, rename-on-success path so no
-partial file is ever left behind at the target name.
+``decode_json`` turns any defect a decoder finds in one into the one
+FormatError ``"<path>: malformed <what> file (<reason>)"``. Every writer
+goes through a write-to-temp, rename-on-success path so no partial file is
+ever left behind at the target name.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import struct
@@ -34,10 +42,12 @@ FSQ_MAGIC = b"FSQ1"
 DSC_MAGIC = b"DSC1"
 CBK_MAGIC = b"CBK1"
 
-_FSQ_HEADER = struct.Struct("<4sIII")
-_ARRAY_HEADER = struct.Struct("<4sII")
-
-_F64LE = np.dtype("<f8")
+# magic -> (u32 header fields, innermost axis first; payload dtype)
+CONTAINERS = {
+    FSQ_MAGIC: (("width", "height", "frames"), np.dtype(np.uint8)),
+    DSC_MAGIC: (("dim", "rows"), np.dtype("<f8")),
+    CBK_MAGIC: (("dim", "rows"), np.dtype("<f8")),
+}
 
 # what decoding a document with a missing, mistyped or inconsistent field raises
 MALFORMED = (AttributeError, LookupError, TypeError, ValueError, ArithmeticError, ValidationError)
@@ -66,6 +76,15 @@ def json_bool(value) -> bool:
     """A decoded JSON ``true`` or ``false``; anything else raises TypeError."""
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def json_str(value, ndim: int = 0):
+    """A decoded JSON string, or at ``ndim`` 1 a list of strings; anything
+    else (a number, a null, a string where a list belongs) raises TypeError."""
+    items = value if ndim else [value]
+    if not isinstance(items, list) or not all(isinstance(item, str) for item in items):
+        raise TypeError(f"expected {'a list of strings' if ndim else 'a string'}, got {value!r}")
     return value
 
 
@@ -105,9 +124,19 @@ def read_json(path) -> dict:
         doc = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:   # bad UTF-8 or JSON, over-long integers, deep nesting
         raise FormatError(f"{path}: not a JSON artifact ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if type(version) is not int or version != FORMAT_VERSION:   # not true, not 1.0
         raise FormatError(f"{path}: missing or unsupported format_version")
     return doc
+
+
+def decode_json(path, doc: dict, what: str, decode):
+    """``decode(doc)`` for the document read from ``path``; a defect it raises
+    as one of ``MALFORMED`` is a FormatError naming the file and ``what`` it is."""
+    try:
+        return decode(doc)
+    except MALFORMED as exc:
+        raise FormatError(f"{path}: malformed {what} file ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -338,82 +367,60 @@ class DatasetManifest:
 # ---------------------------------------------------------------------------
 # binary readers/writers
 
-def _read_exact(path) -> bytes:
+def _write_container(magic: bytes, payload: np.ndarray, path) -> None:
+    header = struct.pack(f"<4s{payload.ndim}I", magic, *reversed(payload.shape))
+    atomic_write_bytes(path, header + np.ascontiguousarray(payload, CONTAINERS[magic][1]).tobytes())
+
+
+def _read_container(magic: bytes, path, build):
+    """``build(payload)`` of the ``magic`` container at ``path``, the payload a
+    writable native-order copy; a value ``build`` rejects is a FormatError."""
+    fields, dtype = CONTAINERS[magic]
+    header = struct.Struct(f"<4s{len(fields)}I")
     with open(path, "rb") as handle:
-        return handle.read()
-
-
-def _decoded(path, build, *args):
-    """``build(*args)``, reporting a value it rejects as a defect of the file at ``path``."""
+        raw = handle.read()
+    if len(raw) < header.size:
+        raise CorruptionError(f"{path}: truncated header")
+    got, *sizes = header.unpack_from(raw)
+    if got != magic:
+        raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
+    if 0 in sizes[:-1]:
+        raise FormatError(f"{path}: zero dimension in header")
+    expected = header.size + math.prod(sizes) * dtype.itemsize
+    if len(raw) != expected:
+        raise CorruptionError(
+            f"{path}: payload length {len(raw)} does not match header (expected {expected})"
+        )
+    payload = np.frombuffer(raw, dtype, offset=header.size).reshape(sizes[::-1])
     try:
-        return build(*args)
+        return build(payload.astype(dtype.newbyteorder("=")))
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_frame_sequence(seq: FrameSequence, path) -> None:
-    header = _FSQ_HEADER.pack(FSQ_MAGIC, seq.width, seq.height, seq.frame_count)
-    atomic_write_bytes(path, header + seq.frames.tobytes())
+    _write_container(FSQ_MAGIC, seq.frames, path)
 
 
 def read_frame_sequence(path) -> FrameSequence:
-    raw = _read_exact(path)
-    if len(raw) < _FSQ_HEADER.size:
-        raise CorruptionError(f"{path}: truncated header")
-    magic, width, height, count = _FSQ_HEADER.unpack_from(raw)
-    if magic != FSQ_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {FSQ_MAGIC!r}")
-    if width == 0 or height == 0 or count == 0:
-        raise FormatError(f"{path}: zero dimension in header")
-    expected = _FSQ_HEADER.size + width * height * count
-    if len(raw) != expected:
-        raise CorruptionError(
-            f"{path}: payload length {len(raw)} does not match header (expected {expected})"
-        )
-    frames = np.frombuffer(raw, dtype=np.uint8, offset=_FSQ_HEADER.size)
-    return _decoded(path, FrameSequence, frames.reshape(count, height, width))
-
-
-def _write_float_array(magic: bytes, dim: int, rows: np.ndarray, path) -> None:
-    header = _ARRAY_HEADER.pack(magic, dim, rows.shape[0])
-    payload = np.ascontiguousarray(rows, dtype=_F64LE).tobytes()
-    atomic_write_bytes(path, header + payload)
-
-
-def _read_float_array(magic: bytes, path):
-    raw = _read_exact(path)
-    if len(raw) < _ARRAY_HEADER.size:
-        raise CorruptionError(f"{path}: truncated header")
-    got, dim, count = _ARRAY_HEADER.unpack_from(raw)
-    if got != magic:
-        raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
-    if dim == 0:
-        raise FormatError(f"{path}: zero dimension in header")
-    expected = _ARRAY_HEADER.size + dim * count * 8
-    if len(raw) != expected:
-        raise CorruptionError(
-            f"{path}: payload length {len(raw)} does not match header (expected {expected})"
-        )
-    values = np.frombuffer(raw, dtype=_F64LE, offset=_ARRAY_HEADER.size)
-    return dim, values.reshape(count, dim).astype(np.float64)
+    return _read_container(FSQ_MAGIC, path, FrameSequence)
 
 
 def write_descriptor_set(dset: DescriptorSet, path) -> None:
-    _write_float_array(DSC_MAGIC, dset.dim, dset.vectors, path)
+    _write_container(DSC_MAGIC, dset.vectors, path)
 
 
 def read_descriptor_set(path, descriptor_type: str = "") -> DescriptorSet:
-    dim, vectors = _read_float_array(DSC_MAGIC, path)
-    return _decoded(path, DescriptorSet, descriptor_type, dim, vectors)
+    return _read_container(
+        DSC_MAGIC, path, lambda vectors: DescriptorSet(descriptor_type, vectors.shape[1], vectors))
 
 
 def write_codebook(codebook: Codebook, path) -> None:
-    _write_float_array(CBK_MAGIC, codebook.dim, codebook.centroids, path)
+    _write_container(CBK_MAGIC, codebook.centroids, path)
 
 
 def read_codebook(path, descriptor_type: str = "") -> Codebook:
-    _, centroids = _read_float_array(CBK_MAGIC, path)
-    return _decoded(path, Codebook, descriptor_type, centroids)
+    return _read_container(CBK_MAGIC, path, lambda centroids: Codebook(descriptor_type, centroids))
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +445,12 @@ def manifest_from_doc(doc) -> DatasetManifest:
     videos = []
     for v in doc["videos"]:
         check_positive("class_index", v["class_index"], count=True, zero=True)
-        videos.append(VideoEntry(str(v["video_id"]), v["class_index"], str(v["path"])))
-    return DatasetManifest(doc["classes"], videos)
+        videos.append(VideoEntry(json_str(v["video_id"]), v["class_index"], json_str(v["path"])))
+    return DatasetManifest(json_str(doc["classes"], 1), videos)
 
 
 def read_manifest(path) -> DatasetManifest:
-    doc = read_json(path)
-    try:
-        return manifest_from_doc(doc)
-    except MALFORMED as exc:
-        raise FormatError(f"{path}: malformed manifest ({exc})") from exc
+    return decode_json(path, read_json(path), "manifest", manifest_from_doc)
 
 
 def write_histograms(histograms, path) -> None:
@@ -475,23 +478,22 @@ def write_histograms(histograms, path) -> None:
 
 def histograms_from_doc(doc) -> list:
     """The histograms a decoded histograms file holds; a defect raises one of ``MALFORMED``."""
-    order = [str(n) for n in doc["block_order"]]
+    order = json_str(doc["block_order"], 1)
     sizes = json_numbers(doc["block_sizes"], integer=True).tolist()
     if len(sizes) != len(order) or len(set(order)) != len(order):
         raise ValueError(f"block names {order} do not match block sizes {sizes}")
-    out = []
+    out = {}
     for entry in doc["histograms"]:
+        video_id = json_str(entry["video_id"])
+        if video_id in out:
+            raise ValueError(f"video {video_id!r} is listed twice")
         blocks = [(name, json_numbers(entry["blocks"][name])) for name in order]
         for (name, counts), size in zip(blocks, sizes):
             if counts.shape != (size,):
                 raise ValueError(f"block {name!r} has shape {counts.shape}, not ({size!r},)")
-        out.append(VideoHistogram(str(entry["video_id"]), blocks))
-    return out
+        out[video_id] = VideoHistogram(video_id, blocks)
+    return list(out.values())
 
 
 def read_histograms(path):
-    doc = read_json(path)
-    try:
-        return histograms_from_doc(doc)
-    except MALFORMED as exc:
-        raise FormatError(f"{path}: malformed histogram collection ({exc})") from exc
+    return decode_json(path, read_json(path), "histograms", histograms_from_doc)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import json_numbers
+from .dataio import json_numbers, json_str
 from .errors import ValidationError
 
 GAUSSIAN = "gaussian"
@@ -79,7 +79,7 @@ class KernelSpec:
             channels=json_numbers(channels, 2, integer=True).tolist() if channels else (),
             exponents=tuple(json_numbers(doc.get("exponents") or []).tolist()),
             block=json_numbers(block, integer=True).tolist() if block else None,
-            label=doc.get("label", ""),
+            label=json_str(doc.get("label", "")),
         )
 
 

@@ -20,9 +20,9 @@ import numpy as np
 from . import boost as boost_mod
 from . import kernels, mkl, svm
 from .config import RunConfig
-from .dataio import MALFORMED, DatasetManifest, json_numbers, read_json, write_json
+from .dataio import DatasetManifest, decode_json, json_numbers, json_str, read_json, write_json
 from .descriptors import FEATURES, check_features
-from .errors import ConfigError, FormatError, ValidationError
+from .errors import ConfigError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -36,31 +36,31 @@ class Method:
     codec: type          # binary payload class (to_dict / from_dict)
     train: Callable      # ((M, n, n) bank, y_pm, cfg, seed_sequence) -> payload
     score: Callable      # (payload, kernel rows (M, n, L)) -> (n,) scores
-    check: Callable      # (payload, train_count, kernel_count); raises FormatError
+    check: Callable      # (payload, train_count, kernel_count); raises ValueError
     describe: Callable   # payload -> one line for ``egoact inspect``
     note: Callable       # (payload, cfg) -> why training stopped short, for ``egoact train``, or ""
 
 
 def _check_svm(model, train_count, kernel_count):
     if model.size != train_count:
-        raise FormatError(f"SVM has {model.size} coefficients for {train_count} training vectors")
+        raise ValueError(f"SVM has {model.size} coefficients for {train_count} training vectors")
 
 
 def _check_mkl(model, train_count, kernel_count):
     if model.weights.size != kernel_count:
-        raise FormatError(f"MKL model has {model.weights.size} weights for {kernel_count} kernels")
+        raise ValueError(f"MKL model has {model.weights.size} weights for {kernel_count} kernels")
     _check_svm(model.svm, train_count, kernel_count)
 
 
 def _check_boost(model, train_count, kernel_count):
     if (model.train_size, model.kernel_count) != (train_count, kernel_count):
-        raise FormatError(f"boosted model is for {model.train_size} vectors and "
-                          f"{model.kernel_count} kernels, not {train_count} and {kernel_count}")
+        raise ValueError(f"boosted model is for {model.train_size} vectors and "
+                         f"{model.kernel_count} kernels, not {train_count} and {kernel_count}")
     for trial in model.trials:
         idx = trial.train_indices
         if (not 0 <= trial.kernel_index < kernel_count or idx.shape != (trial.svm.size,)
                 or idx.min(initial=0) < 0 or idx.max(initial=0) >= train_count):
-            raise FormatError("boosting trial refers to a kernel or training vector outside the model")
+            raise ValueError("boosting trial refers to a kernel or training vector outside the model")
 
 
 def _describe_mkl(model) -> str:
@@ -145,40 +145,32 @@ class TrainedModel:
 
     @staticmethod
     def from_dict(doc: dict) -> "TrainedModel":
-        """Decode a model document; FormatError when it holds a NaN or an
-        infinity anywhere, or when its parts disagree in size."""
+        """Decode a model document; a document of another kind, a NaN or an
+        infinity anywhere, or parts that disagree in size raise one of ``MALFORMED``."""
+        if doc.get("kind") != "model":
+            raise ValueError(f"kind is {doc.get('kind')!r}, not 'model'")
         try:
             json.dumps(doc, allow_nan=False)
         except ValueError:
-            raise FormatError("model holds a non-finite number (NaN or infinity)") from None
+            raise ValueError("model holds a non-finite number (NaN or infinity)") from None
         method = method_entry(doc["method"])
         specs = [kernels.KernelSpec.from_dict(s) for s in doc["specs"]]
         model = TrainedModel(
-            doc["method"], doc["classes"], specs, json_numbers(doc["scales"]),
+            doc["method"], json_str(doc["classes"], 1), specs, json_numbers(doc["scales"]),
             json_numbers(doc["train_vectors"], 2),
             [method.codec.from_dict(b) for b in doc["binary_models"]],
         )
         vectors = model.train_vectors
         if not len(vectors) or not specs:
-            raise FormatError("model needs a nonempty (count, dim) train_vectors and kernel specs")
+            raise ValueError("model needs a nonempty (count, dim) train_vectors and kernel specs")
         if len(model.scales) != len(specs):
-            raise FormatError(f"model has {len(model.scales)} scales for {len(specs)} kernels")
+            raise ValueError(f"model has {len(model.scales)} scales for {len(specs)} kernels")
         if len(model.binary_models) != len(model.classes):
-            raise FormatError(f"model has {len(model.binary_models)} binary models "
-                              f"for {len(model.classes)} classes")
+            raise ValueError(f"model has {len(model.binary_models)} binary models "
+                             f"for {len(model.classes)} classes")
         for payload in model.binary_models:
             method.check(payload, len(vectors), len(specs))
         return model
-
-
-def model_from_doc(doc: dict, source) -> TrainedModel:
-    """Decode the model document read from ``source``; every defect is a FormatError."""
-    if doc.get("kind") != "model":
-        raise FormatError(f"{source}: not a model file")
-    try:
-        return TrainedModel.from_dict(doc)
-    except (*MALFORMED, FormatError) as exc:
-        raise FormatError(f"{source}: malformed model file ({exc})") from exc
 
 
 def write_model(model: TrainedModel, path) -> None:
@@ -186,7 +178,7 @@ def write_model(model: TrainedModel, path) -> None:
 
 
 def read_model(path) -> TrainedModel:
-    return model_from_doc(read_json(path), path)
+    return decode_json(path, read_json(path), "model", TrainedModel.from_dict)
 
 
 # ---------------------------------------------------------------------------

@@ -183,12 +183,11 @@ def test_histogram_block_invariants():
 
 def test_read_json_requires_format_version(tmp_path):
     path = tmp_path / "x.json"
-    path.write_text('{"kind": "histograms"}')
-    with pytest.raises(FormatError):
-        dataio.read_json(path)
-    path.write_text("not json at all")
-    with pytest.raises(FormatError):
-        dataio.read_json(path)
+    for text in ('{"kind": "histograms"}', "not json at all",
+                 '{"format_version": true}', '{"format_version": 1.0}'):
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            dataio.read_json(path)
 
 
 def test_atomic_write_no_partial_output(tmp_path):

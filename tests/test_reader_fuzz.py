@@ -131,13 +131,27 @@ def test_damaged_binary_artifact_reads_or_is_a_format_error(artifacts, tmp_path,
     assert inspect_exits_0_or_2(path, capsys) == (2 if result is None else 0)
 
 
+# one intact file of each format, for the readers of the other two
+INTACT = {
+    "v.fsq": struct.pack("<4sIII", b"FSQ1", 2, 2, 2) + bytes(8),
+    "v.dsc": struct.pack("<4sIId", b"DSC1", 1, 1, 0.5),
+    "v.cbk": struct.pack("<4sIId", b"CBK1", 1, 1, 0.5),
+}
+
 DECODABLE_BUT_INVALID = {
     "fsq_zero_width": ("v.fsq", struct.pack("<4sIII", b"FSQ1", 0, 4, 2)),
+    "fsq_zero_height": ("v.fsq", struct.pack("<4sIII", b"FSQ1", 2, 0, 2)),
+    "fsq_zero_frames": ("v.fsq", struct.pack("<4sIII", b"FSQ1", 2, 2, 0)),
     "fsq_one_frame": ("v.fsq", struct.pack("<4sIII", b"FSQ1", 2, 2, 1) + bytes(4)),
+    "fsq_reader_given_a_dsc": ("v.fsq", INTACT["v.dsc"]),
     "dsc_zero_dim": ("v.dsc", struct.pack("<4sII", b"DSC1", 0, 3)),
     "dsc_nan_value": ("v.dsc", struct.pack("<4sIId", b"DSC1", 1, 1, float("nan"))),
+    "dsc_extra_payload_byte": ("v.dsc", INTACT["v.dsc"] + bytes(1)),
+    "dsc_reader_given_a_cbk": ("v.dsc", INTACT["v.cbk"]),
     "cbk_no_words": ("v.cbk", struct.pack("<4sII", b"CBK1", 3, 0)),
     "cbk_infinite_value": ("v.cbk", struct.pack("<4sIId", b"CBK1", 1, 1, float("inf"))),
+    "cbk_extra_payload_byte": ("v.cbk", INTACT["v.cbk"] + bytes(1)),
+    "cbk_reader_given_an_fsq": ("v.cbk", INTACT["v.fsq"]),
 }
 
 
@@ -148,7 +162,9 @@ def test_header_and_payload_defects_are_format_errors(tmp_path, capsys, case):
     path.write_bytes(raw)
     with pytest.raises(FormatError, match=str(path)):
         BINARY_READERS[name][0](path)
-    assert inspect_exits_0_or_2(path, capsys) == 2
+    # inspect picks the reader by magic, so another format's intact file reads
+    own_format = raw[:4] == INTACT[name][:4]
+    assert inspect_exits_0_or_2(path, capsys) == (2 if own_format else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +303,30 @@ MISTYPED_NUMBERS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MISTYPED_NUMBERS))
-def test_mistyped_numbers_are_format_errors(artifacts, tmp_path, capsys, case):
-    name, mutate = MISTYPED_NUMBERS[case]
+# a number, a null or one string where a string or a list of strings belongs
+MISTYPED_STRINGS = {
+    "manifest_classes_as_one_string": ("manifest.json", lambda d: d.update(classes="lr")),
+    "manifest_numeric_video_id": ("manifest.json", lambda d: d["videos"][0].update(video_id=12)),
+    "manifest_null_path": ("manifest.json", lambda d: d["videos"][0].update(path=None)),
+    "model_classes_as_one_string": ("simple_mkl.json", lambda d: d.update(classes="lr")),
+    "spec_numeric_label": ("simple_mkl.json", lambda d: d["specs"][0].update(label=7)),
+    "histogram_numeric_video_id": ("histograms.json",
+                                   lambda d: d["histograms"][0].update(video_id=12)),
+}
+
+
+def rejected_on_read(artifacts, tmp_path, capsys, name, mutate) -> str:
+    """The reader's error for the mutated artifact ``name``, after checking that
+    ``inspect`` (``train``, for histograms) exits 2 with one line on it."""
     doc = json.loads(artifacts[name])
     mutate(doc)
     path = tmp_path / name
     dataio.write_json(path, doc)
-    with pytest.raises(FormatError, match="malformed"):
+    with pytest.raises(FormatError, match="malformed") as info:
         JSON_READERS[name][0](path)
     if name != "histograms.json":
         assert inspect_exits_0_or_2(path, capsys) == 2
-        return
+        return str(info.value)
     manifest = tmp_path / "manifest.json"
     manifest.write_bytes(artifacts["manifest.json"])
     assert main(["train", "--manifest", str(manifest), "--histograms", str(path),
@@ -306,6 +334,24 @@ def test_mistyped_numbers_are_format_errors(artifacts, tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {path}: malformed histogram")
     assert captured.err.count("\n") == 1
+    return str(info.value)
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_NUMBERS))
+def test_mistyped_numbers_are_format_errors(artifacts, tmp_path, capsys, case):
+    rejected_on_read(artifacts, tmp_path, capsys, *MISTYPED_NUMBERS[case])
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_STRINGS))
+def test_mistyped_strings_are_format_errors(artifacts, tmp_path, capsys, case):
+    rejected_on_read(artifacts, tmp_path, capsys, *MISTYPED_STRINGS[case])
+
+
+def test_repeated_histogram_video_id_is_a_format_error(artifacts, tmp_path, capsys):
+    """A collection that lists one video twice would otherwise train on its last copy."""
+    message = rejected_on_read(artifacts, tmp_path, capsys, "histograms.json",
+                               lambda d: d["histograms"].append(d["histograms"][0]))
+    assert "video 'c0v0' is listed twice" in message
 
 
 def test_missing_converged_flags_load_as_converged(artifacts, tmp_path):
