@@ -459,9 +459,13 @@ def write_histograms(histograms, path) -> None:
         raise ValidationError("refusing to write an empty histogram collection")
     order = histograms[0].block_order()
     sizes = [c.size for _, c in histograms[0].blocks]
+    seen = set()
     for h in histograms:
         if h.block_order() != order or [c.size for _, c in h.blocks] != sizes:
             raise ValidationError(f"histogram {h.video_id!r} breaks the shared block layout")
+        if h.video_id in seen:
+            raise ValidationError(f"video {h.video_id!r} is listed twice")
+        seen.add(h.video_id)
     write_json(
         path,
         {

@@ -5,6 +5,7 @@ per detected interest point for cuboids), collected into a DescriptorSet
 per video. hof and logc take a video's flow whole, as the
 ``(pairs, 2, H, W)`` array (u, v per frame pair) from
 ``flow.sequence_flows``, so it is estimated once and never split per pair.
+Cuboids likewise gather every interest point's window in one pass.
 """
 
 from __future__ import annotations
@@ -317,17 +318,14 @@ def cuboid_response(seq: FrameSequence, params: CuboidParams):
 
 
 def _local_maxima_3d(resp: np.ndarray) -> np.ndarray:
-    padded = np.pad(resp, 1, mode="constant", constant_values=-np.inf)
-    window_max = np.full_like(resp, -np.inf)
-    for dt in range(3):
-        for dy in range(3):
-            for dx in range(3):
-                shifted = padded[
-                    dt : dt + resp.shape[0],
-                    dy : dy + resp.shape[1],
-                    dx : dx + resp.shape[2],
-                ]
-                np.maximum(window_max, shifted, out=window_max)
+    """Where ``resp`` equals the maximum of its 3x3x3 neighbourhood (cut at
+    the borders), taken as a separable, exact 3-wide maximum along each axis
+    in turn over ``-inf`` padding."""
+    window_max = resp
+    for axis in range(resp.ndim):
+        padded = np.pad(np.moveaxis(window_max, axis, 0), [(1, 1)] + [(0, 0)] * (resp.ndim - 1),
+                        constant_values=-np.inf)
+        window_max = np.moveaxis(np.maximum(np.maximum(padded[:-2], padded[1:-1]), padded[2:]), 0, axis)
     return resp >= window_max
 
 
@@ -351,46 +349,40 @@ def cuboid_detect(seq: FrameSequence, params: CuboidParams):
     ]
 
 
-def _intensity_gradients_3d(volume: np.ndarray):
-    g_t, g_y, g_x = np.gradient(volume.astype(np.float64))
-    return g_x, g_y, g_t
+def cuboid_patches(seq: FrameSequence, points, params: CuboidParams) -> np.ndarray:
+    """Flattened gradient cuboids around ``points`` ((x, y, t, ...) each), as
+    one ``(P, descriptor_dim)`` array.
 
-
-def cuboid_describe(seq: FrameSequence, point, params: CuboidParams,
-                    normalize: bool = True, gradients=None) -> np.ndarray:
-    """Flattened gradient vector of the cuboid around one interest point.
-
-    Gradients use central differences (one-sided at volume borders); the
-    spatio-temporal window is clamped by replication at the borders. The
-    flattening runs over (t, y, x, component) with components (gx, gy, gt)
-    and the result is L2-normalized unless told otherwise.
+    Gradients use central differences (one-sided at volume borders) and are
+    taken once; every spatio-temporal window is clamped by replication at the
+    borders and gathered with one broadcast index. Each row runs over
+    (t, y, x, component) with components (gx, gy, gt).
     """
-    x, y, t = int(point[0]), int(point[1]), int(point[2])
-    if gradients is None:
-        gradients = _intensity_gradients_3d(seq.frames)
-    g_x, g_y, g_t = gradients
+    g_t, g_y, g_x = np.gradient(seq.frames.astype(np.float64))
+    x, y, t = np.array([p[:3] for p in points], dtype=np.int64).reshape(-1, 3).T
 
-    r_xy = (params.side_xy - 1) // 2
-    r_t = (params.side_t - 1) // 2
-    ts = np.clip(np.arange(t - r_t, t + r_t + 1), 0, seq.frame_count - 1)
-    ys = np.clip(np.arange(y - r_xy, y + r_xy + 1), 0, seq.height - 1)
-    xs = np.clip(np.arange(x - r_xy, x + r_xy + 1), 0, seq.width - 1)
-    grid = np.ix_(ts, ys, xs)
-    patch = np.stack([g_x[grid], g_y[grid], g_t[grid]], axis=-1)
-    vec = patch.ravel()
-    if normalize:
-        norm = np.linalg.norm(vec)
-        if norm > 0.0:
-            vec = vec / norm
-    return vec
+    def window(centres, radius, size):
+        return np.clip(centres[:, None] + np.arange(-radius, radius + 1), 0, size - 1)
+
+    index = (
+        window(t, params.side_t // 2, seq.frame_count)[:, :, None, None],
+        window(y, params.side_xy // 2, seq.height)[:, None, :, None],
+        window(x, params.side_xy // 2, seq.width)[:, None, None, :],
+    )
+    patches = np.stack([g[index] for g in (g_x, g_y, g_t)], axis=-1)
+    return patches.reshape(len(points), params.descriptor_dim)
 
 
 def cuboid_descriptors(seq: FrameSequence, params: CuboidParams) -> DescriptorSet:
-    points = cuboid_detect(seq, params)
-    gradients = _intensity_gradients_3d(seq.frames)
-    vectors = [cuboid_describe(seq, p, params, gradients=gradients) for p in points]
-    data = np.asarray(vectors) if vectors else None
-    return DescriptorSet("cuboid", params.descriptor_dim, data)
+    """The L2-normalized cuboid of each detected point, strongest first.
+
+    Each row is divided by ``sqrt(row.dot(row))``, which is what
+    ``np.linalg.norm`` computes for one vector; all-zero rows stay zero.
+    """
+    patches = cuboid_patches(seq, cuboid_detect(seq, params), params)
+    norms = np.sqrt([row.dot(row) for row in patches])[:, None]
+    np.divide(patches, norms, out=patches, where=norms > 0.0)
+    return DescriptorSet("cuboid", params.descriptor_dim, patches)
 
 
 # ---------------------------------------------------------------------------

@@ -72,14 +72,14 @@ class KernelSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "KernelSpec":
-        sigma, channels, block = doc.get("sigma"), doc.get("channels"), doc.get("block")
+        sigma, channels, block = doc["sigma"], doc["channels"], doc["block"]
         return KernelSpec(
             kind=doc["kind"],
             sigma=None if sigma is None else json_numbers(sigma, 0),
             channels=json_numbers(channels, 2, integer=True).tolist() if channels else (),
-            exponents=tuple(json_numbers(doc.get("exponents") or []).tolist()),
+            exponents=tuple(json_numbers(doc["exponents"]).tolist()),
             block=json_numbers(block, integer=True).tolist() if block else None,
-            label=json_str(doc.get("label", "")),
+            label=json_str(doc["label"]),
         )
 
 

@@ -44,7 +44,7 @@ class MklModel:
         return MklModel(
             json_numbers(doc["weights"]),
             BinarySvmModel.from_dict(doc["svm"]),
-            json_bool(doc.get("converged", True)),
+            json_bool(doc["converged"]),
         )
 
 

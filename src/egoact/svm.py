@@ -70,9 +70,9 @@ class BinarySvmModel:
         return BinarySvmModel(
             json_numbers(doc["alpha"]), json_numbers(doc["labels"]),
             json_numbers(doc["bias"], 0), json_numbers(doc["c_reg"], 0), json_numbers(doc["box"]),
-            converged=json_bool(doc.get("converged", True)),
-            iterations=json_numbers(doc.get("iterations", 0), 0, integer=True),
-            objective=json_numbers(doc.get("objective", 0.0), 0),
+            converged=json_bool(doc["converged"]),
+            iterations=json_numbers(doc["iterations"], 0, integer=True),
+            objective=json_numbers(doc["objective"], 0),
         )
 
 

@@ -11,7 +11,11 @@ pixel's 2x2 system in every sweep, and bounds both within rounding. The
 hof and logc oracles build descriptors from a list of per-pair ``(u, v)``
 flows, one pair at a time (``reference_kinematics`` is the logc oracle's
 per-pair feature grid), where the package takes a video's flow as one
-array; they too must match byte for byte. The quantizer
+array; they too must match byte for byte. ``reference_cuboid_describe``
+and ``reference_local_maxima_3d`` are the per-point cuboid gather and the
+27-shift neighbourhood maximum the package shipped before it gathered every
+point at once and took the maximum one axis at a time; the cuboid sets must
+match them byte for byte. The quantizer
 measures each centroid by direct differences instead of the expanded
 squared-distance form that ``bow.quantize_batch`` uses. ``matrix_exp`` is
 the inverse the matrix-log tests round-trip through. ``reference_smo`` and
@@ -24,7 +28,14 @@ the measures the tests and acceptance criteria score results by.
 
 import numpy as np
 
-from egoact.descriptors import KINEMATIC_DIM, ORIENTATION_BINS, logc_window_descriptor
+from egoact.dataio import FrameSequence
+from egoact.descriptors import (
+    KINEMATIC_DIM,
+    ORIENTATION_BINS,
+    CuboidParams,
+    cuboid_response,
+    logc_window_descriptor,
+)
 from egoact.kernels import DC_INT, GAUSSIAN, H_INT, JPL_DELTA
 
 
@@ -272,6 +283,69 @@ def reference_logc(frames, flows, params):
         pooled = np.concatenate(per_pair[t0 : t0 + params.window_len - 1], axis=0)
         vectors.append(logc_window_descriptor(pooled))
     return np.asarray(vectors)
+
+
+def reference_local_maxima_3d(resp: np.ndarray) -> np.ndarray:
+    padded = np.pad(resp, 1, mode="constant", constant_values=-np.inf)
+    window_max = np.full_like(resp, -np.inf)
+    for dt in range(3):
+        for dy in range(3):
+            for dx in range(3):
+                shifted = padded[
+                    dt : dt + resp.shape[0],
+                    dy : dy + resp.shape[1],
+                    dx : dx + resp.shape[2],
+                ]
+                np.maximum(window_max, shifted, out=window_max)
+    return resp >= window_max
+
+
+def reference_intensity_gradients_3d(volume: np.ndarray):
+    g_t, g_y, g_x = np.gradient(volume.astype(np.float64))
+    return g_x, g_y, g_t
+
+
+def reference_cuboid_describe(seq: FrameSequence, point, params: CuboidParams,
+                              normalize: bool = True, gradients=None) -> np.ndarray:
+    """Flattened gradient vector of the cuboid around one interest point.
+
+    Gradients use central differences (one-sided at volume borders); the
+    spatio-temporal window is clamped by replication at the borders. The
+    flattening runs over (t, y, x, component) with components (gx, gy, gt)
+    and the result is L2-normalized unless told otherwise.
+    """
+    x, y, t = int(point[0]), int(point[1]), int(point[2])
+    if gradients is None:
+        gradients = reference_intensity_gradients_3d(seq.frames)
+    g_x, g_y, g_t = gradients
+
+    r_xy = (params.side_xy - 1) // 2
+    r_t = (params.side_t - 1) // 2
+    ts = np.clip(np.arange(t - r_t, t + r_t + 1), 0, seq.frame_count - 1)
+    ys = np.clip(np.arange(y - r_xy, y + r_xy + 1), 0, seq.height - 1)
+    xs = np.clip(np.arange(x - r_xy, x + r_xy + 1), 0, seq.width - 1)
+    grid = np.ix_(ts, ys, xs)
+    patch = np.stack([g_x[grid], g_y[grid], g_t[grid]], axis=-1)
+    vec = patch.ravel()
+    if normalize:
+        norm = np.linalg.norm(vec)
+        if norm > 0.0:
+            vec = vec / norm
+    return vec
+
+
+def reference_cuboid_descriptors(seq, params):
+    """The ``(P, descriptor_dim)`` cuboid set built one point at a time, on
+    points found with the 27-shift maximum and ordered like ``cuboid_detect``."""
+    resp, t_offset = cuboid_response(seq, params)
+    ts, ys, xs = np.nonzero(reference_local_maxima_3d(resp) & (resp > params.threshold))
+    order = np.lexsort((xs, ys, ts, -resp[ts, ys, xs]))[: params.max_points]
+    gradients = reference_intensity_gradients_3d(seq.frames)
+    vectors = [
+        reference_cuboid_describe(seq, (xs[i], ys[i], ts[i] + t_offset), params, gradients=gradients)
+        for i in order
+    ]
+    return np.asarray(vectors).reshape(len(order), params.descriptor_dim)
 
 
 def matrix_exp(a):

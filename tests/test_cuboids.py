@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
+from oracles import (
+    reference_cuboid_describe,
+    reference_cuboid_descriptors,
+    reference_local_maxima_3d,
+)
 
 from egoact.dataio import FrameSequence
 from egoact.descriptors import (
     CuboidParams,
-    cuboid_describe,
+    _local_maxima_3d,
     cuboid_descriptors,
     cuboid_detect,
+    cuboid_patches,
     cuboid_response,
     temporal_quadrature_pair,
 )
 from egoact.errors import ValidationError
+from egoact.synth import SynthConfig, synthesize_video
 
 
 def flashing_blob_video(frames=24, size=32, x0=16, y0=12, period=3, amp=90.0,
@@ -82,7 +89,7 @@ def test_spatial_filter_must_fit_frame():
 def test_constant_patch_gives_zero_descriptor():
     seq = FrameSequence(np.full((24, 16, 16), 50, dtype=np.uint8))
     params = CuboidParams(sigma=1.0, tau=1.5)
-    vec = cuboid_describe(seq, (8, 8, 12), params)
+    vec = cuboid_patches(seq, [(8, 8, 12)], params)[0]
     assert vec.shape == (params.descriptor_dim,)
     assert np.abs(vec).max() == 0.0
 
@@ -103,7 +110,7 @@ def test_linear_ramp_gradients():
     ramp = np.tile(slope * np.arange(20, dtype=np.uint8), (16, 1))
     seq = FrameSequence(np.repeat(ramp[None, :, :], 12, axis=0))
     params = CuboidParams(sigma=1.0, tau=1.5)
-    vec = cuboid_describe(seq, (9, 8, 6), params, normalize=False)
+    vec = cuboid_patches(seq, [(9, 8, 6)], params)[0]
     patch = vec.reshape(params.side_t, params.side_xy, params.side_xy, 3)
     assert np.allclose(patch[..., 0], slope, atol=1e-12)   # g_x
     assert np.abs(patch[..., 1]).max() == 0.0              # g_y
@@ -135,3 +142,46 @@ def test_detection_ordering_and_cap():
     assert few == many[:2]
     responses = [p[3] for p in many]
     assert responses == sorted(responses, reverse=True)
+
+
+# the default detector, and a low threshold that keeps 40 points per video,
+# among them points whose windows are clamped at each spatial border
+ORACLE_PARAMS = (CuboidParams(), CuboidParams(threshold=0.5, max_points=40))
+
+
+@pytest.mark.parametrize("size", (32, 64))
+@pytest.mark.parametrize("params", ORACLE_PARAMS)
+def test_cuboid_sets_match_the_per_point_oracle(size, params):
+    cfg = SynthConfig(class_count=8, width=size, height=size)
+    radius = params.side_xy // 2
+    clamped_low = clamped_high = np.zeros(2, dtype=bool)   # per (x, y)
+    for class_index in range(cfg.class_count):
+        seq = synthesize_video(cfg, class_index, 0)
+        got = cuboid_descriptors(seq, params).vectors
+        expected = reference_cuboid_descriptors(seq, params)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        xy = np.array([p[:2] for p in cuboid_detect(seq, params)]).reshape(-1, 2)
+        clamped_low = clamped_low | (xy < radius).any(axis=0)
+        clamped_high = clamped_high | (xy >= size - radius).any(axis=0)
+    if params.max_points == 40:
+        assert clamped_low.all() and clamped_high.all()
+
+
+def test_patches_clamp_at_every_border_like_the_oracle():
+    seq = synthesize_video(SynthConfig(width=16, height=12, frame_count=10), 1, 0)
+    params = CuboidParams(sigma=1.5, tau=2.0)   # 11x11x13 windows overhang every side
+    points = [(x, y, t) for t in (0, 4, 9) for y in (0, 5, 11) for x in (0, 7, 15)]
+    expected = np.stack([reference_cuboid_describe(seq, p, params, normalize=False) for p in points])
+    assert cuboid_patches(seq, points, params).tobytes() == expected.tobytes()
+    assert cuboid_patches(seq, [], params).shape == (0, params.descriptor_dim)
+
+
+@pytest.mark.parametrize("shape", ((7, 9, 11), (1, 5, 6), (3, 1, 1), (2, 2, 2)))
+def test_local_maxima_match_the_27_shift_oracle(shape):
+    rng = np.random.default_rng(sum(shape))
+    for volume in (rng.integers(0, 3, shape).astype(np.float64),   # plateaus and ties
+                   rng.normal(size=shape),
+                   np.full(shape, 4.25)):
+        assert np.array_equal(_local_maxima_3d(volume), reference_local_maxima_3d(volume))
+    assert _local_maxima_3d(np.full(shape, 4.25)).all()

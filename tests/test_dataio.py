@@ -170,6 +170,14 @@ def test_histograms_round_trip_exact(tmp_path):
     assert back == hists  # exact float64 equality through JSON
 
 
+def test_write_histograms_refuses_a_repeated_video(tmp_path):
+    hist = dataio.VideoHistogram("v0", [("hof", np.full(4, 0.25))])
+    path = tmp_path / "h.json"
+    with pytest.raises(ValidationError, match="^video 'v0' is listed twice$"):
+        dataio.write_histograms([hist, dataio.VideoHistogram("v1", hist.blocks), hist], path)
+    assert not path.exists()
+
+
 def _normalized(x):
     return x / x.sum()
 

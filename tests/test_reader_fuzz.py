@@ -275,6 +275,10 @@ def _trial(doc):
     return doc["binary_models"][0]["trials"][0]
 
 
+def _spec(doc):
+    return doc["specs"][0]
+
+
 MISTYPED_NUMBERS = {
     "histogram_string_entry": ("histograms.json", lambda d: _hof(d).__setitem__(0, str(_hof(d)[0]))),
     "histogram_bool_entries": ("histograms.json", lambda d: d["histograms"][1]["blocks"].update(
@@ -354,12 +358,21 @@ def test_repeated_histogram_video_id_is_a_format_error(artifacts, tmp_path, caps
     assert "video 'c0v0' is listed twice" in message
 
 
-def test_missing_converged_flags_load_as_converged(artifacts, tmp_path):
-    """A model without ``converged`` fields loads as converged (the default)."""
-    doc = json.loads(artifacts["simple_mkl.json"])
-    for payload in doc["binary_models"]:
-        del payload["converged"], payload["svm"]["converged"]
-    path = tmp_path / "simple_mkl.json"
-    dataio.write_json(path, doc)
-    for payload in read_model(path).binary_models:
-        assert payload.converged and payload.svm.converged
+# a field that every model writer emits, deleted: the decoder has no default for it
+MISSING_FIELDS = {
+    "svm_converged": ("simple_mkl.json", lambda d: _mkl(d)["svm"].pop("converged")),
+    "svm_iterations": ("simple_mkl.json", lambda d: _mkl(d)["svm"].pop("iterations")),
+    "svm_objective": ("simple_mkl.json", lambda d: _mkl(d)["svm"].pop("objective")),
+    "mkl_converged": ("simple_mkl.json", lambda d: _mkl(d).pop("converged")),
+    "spec_sigma": ("simple_mkl.json", lambda d: _spec(d).pop("sigma")),
+    "spec_channels": ("simple_mkl.json", lambda d: _spec(d).pop("channels")),
+    "spec_block": ("simple_mkl.json", lambda d: _spec(d).pop("block")),
+    "spec_exponents": ("simple_mkl.json", lambda d: _spec(d).pop("exponents")),
+    "spec_label": ("simple_mkl.json", lambda d: _spec(d).pop("label")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_FIELDS))
+def test_missing_fields_are_format_errors(artifacts, tmp_path, capsys, case):
+    field = case.split("_", 1)[1]
+    assert f"('{field}')" in rejected_on_read(artifacts, tmp_path, capsys, *MISSING_FIELDS[case])
