@@ -27,10 +27,8 @@ MAX_REDRAWS = 10
 
 
 def resample(probabilities, n: int, seed) -> np.ndarray:
-    """Draw ``n`` indices i.i.d. with replacement via inverse-CDF sampling.
-
-    ``seed`` may be an integer or an already-seeded Generator.
-    """
+    """Draw ``n`` indices i.i.d. with replacement via inverse-CDF sampling;
+    ``seed`` is anything ``np.random.default_rng`` takes, a Generator included."""
     p = np.asarray(probabilities, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValidationError("probabilities must be a nonempty vector")
@@ -38,7 +36,7 @@ def resample(probabilities, n: int, seed) -> np.ndarray:
         raise ValidationError("probabilities must be nonnegative and sum to 1")
     if n < 1:
         raise ValidationError("sample count must be at least 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     cdf = np.cumsum(p)
     cdf[-1] = 1.0
     draws = rng.random(n)
@@ -132,7 +130,7 @@ def boost_train(bank: np.ndarray, y, trials: int, c_reg: float, seed,
     if not ((y > 0).any() and (y < 0).any()):
         raise ValidationError("training data must contain both classes")
 
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     p = np.full(n, 1.0 / n)
     kept = []
 

@@ -13,21 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataio import Codebook, DescriptorSet, VideoHistogram
+from .dataio import Codebook, VideoHistogram
 from .descriptors import FEATURES
 from .errors import ConfigError, ValidationError, check_positive
 
 DEFAULT_WORDS = 64
 DEFAULT_MAX_ITERS = 100
-
-
-def _as_points(descriptors) -> np.ndarray:
-    if isinstance(descriptors, DescriptorSet):
-        return descriptors.vectors
-    points = np.asarray(descriptors, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValidationError("descriptors must be a (count, dim) array")
-    return points
 
 
 def _sq_norms(points: np.ndarray) -> np.ndarray:
@@ -62,7 +53,7 @@ def _plusplus_init(points: np.ndarray, point_norms: np.ndarray, doubled_points: 
     return centroids
 
 
-def kmeans_with_history(descriptors, word_count: int, seed: int,
+def kmeans_with_history(points: np.ndarray, word_count: int, seed: int,
                         max_iters: int = DEFAULT_MAX_ITERS):
     """Lloyd's algorithm with k-means++ init; returns (Codebook, inertia per iteration).
 
@@ -70,8 +61,6 @@ def kmeans_with_history(descriptors, word_count: int, seed: int,
     cluster is reseeded to the point currently farthest from its own
     centroid. Deterministic for a fixed seed.
     """
-    points = _as_points(descriptors)
-    dtype = descriptors.descriptor_type if isinstance(descriptors, DescriptorSet) else ""
     n = points.shape[0]
     check_positive("word_count", word_count, count=True)
     check_positive("max_iters", max_iters, count=True)
@@ -101,11 +90,11 @@ def kmeans_with_history(descriptors, word_count: int, seed: int,
                 worst = int(np.argmax(point_cost))
                 centroids[k] = points[worst]
                 point_cost[worst] = -1.0  # keep later empties off the same point
-    return Codebook(dtype, centroids), inertia_history
+    return Codebook("", centroids), inertia_history
 
 
-def kmeans(descriptors, word_count: int, seed: int, max_iters: int = DEFAULT_MAX_ITERS) -> Codebook:
-    codebook, _ = kmeans_with_history(descriptors, word_count, seed, max_iters)
+def kmeans(points, word_count: int, seed: int, max_iters: int = DEFAULT_MAX_ITERS) -> Codebook:
+    codebook, _ = kmeans_with_history(points, word_count, seed, max_iters)
     return codebook
 
 

@@ -119,7 +119,6 @@ def _read_descriptor_dir(desc_dir, types=None):
 def cmd_codebook(args) -> int:
     _, _, cache = _read_descriptor_dir(args.descriptors, {args.type})
     codebook = bow.kmeans(bow.pooled_descriptors(cache.values(), args.type), args.words, args.seed)
-    codebook.descriptor_type = args.type
     dataio.write_codebook(codebook, args.out)
     print(f"codebook: {args.type}, {codebook.word_count} words of dim {codebook.dim}")
     return 0

@@ -14,7 +14,7 @@ from .bow import DEFAULT_MAX_ITERS
 from .dataio import read_json
 from .descriptors import FEATURES, CuboidParams, HofParams, LogcParams, check_features
 from .errors import ConfigError, ValidationError, check_positive
-from .flow import DEFAULT_ALPHA, DEFAULT_ITERATIONS, check_params
+from .flow import DEFAULT_ALPHA, DEFAULT_ITERATIONS
 from .kernels import KERNEL_KINDS
 from .synth import SynthConfig
 
@@ -35,10 +35,8 @@ class FlowSection:
     iterations: int = DEFAULT_ITERATIONS
 
     def __post_init__(self):
-        try:
-            check_params(self.alpha, self.iterations)
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from None
+        _check(alpha=self.alpha)
+        _check(count=True, iterations=self.iterations)
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,8 @@ def decode_json(path, doc: dict, what: str, decode):
     as one of ``MALFORMED`` is a FormatError naming the file and ``what`` it is."""
     try:
         return decode(doc)
+    except KeyError as exc:   # str(KeyError('x')) is "'x'"
+        raise FormatError(f"{path}: malformed {what} file (missing field {exc})") from exc
     except MALFORMED as exc:
         raise FormatError(f"{path}: malformed {what} file ({exc})") from exc
 
@@ -289,15 +291,6 @@ class VideoHistogram:
     def concat(self) -> np.ndarray:
         return np.concatenate([counts for _, counts in self.blocks])
 
-    def layout(self):
-        """(offset, length) of each block inside the concatenated vector."""
-        spans = []
-        offset = 0
-        for _, counts in self.blocks:
-            spans.append((offset, counts.size))
-            offset += counts.size
-        return spans
-
     def __eq__(self, other):
         return (
             isinstance(other, VideoHistogram)
@@ -333,19 +326,17 @@ class DatasetManifest:
         ids = [v.video_id for v in videos]
         if len(set(ids)) != len(ids):
             raise ValidationError("video ids must be unique")
-        counts = [0] * len(classes)
         for v in videos:
             if not 0 <= v.class_index < len(classes):
                 raise ValidationError(
                     f"video {v.video_id!r} has class_index {v.class_index} "
                     f"outside 0..{len(classes) - 1}"
                 )
-            counts[v.class_index] += 1
-        thin = [classes[k] for k, n in enumerate(counts) if n < 2]
-        if thin:
-            raise ValidationError(f"every class needs at least 2 videos; too few for {thin}")
         self.classes = classes
         self.videos = videos
+        thin = [name for name, n in zip(classes, self.class_counts()) if n < 2]
+        if thin:
+            raise ValidationError(f"every class needs at least 2 videos; too few for {thin}")
 
     def class_counts(self):
         counts = [0] * len(self.classes)

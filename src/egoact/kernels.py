@@ -58,7 +58,10 @@ class KernelSpec:
                 raise ValidationError("exponents must be positive")
             object.__setattr__(self, "exponents", tuple(float(b) for b in self.exponents))
         if self.block is not None:
-            object.__setattr__(self, "block", (int(self.block[0]), int(self.block[1])))
+            block = tuple(int(v) for v in self.block)
+            if len(block) != 2 or block[0] < 0 or block[1] < 1:
+                raise ValidationError(f"block must be (offset >= 0, length >= 1), got {self.block}")
+            object.__setattr__(self, "block", block)
 
     def to_dict(self) -> dict:
         return {
@@ -76,9 +79,9 @@ class KernelSpec:
         return KernelSpec(
             kind=doc["kind"],
             sigma=None if sigma is None else json_numbers(sigma, 0),
-            channels=json_numbers(channels, 2, integer=True).tolist() if channels else (),
+            channels=() if channels == [] else json_numbers(channels, 2, integer=True).tolist(),
             exponents=tuple(json_numbers(doc["exponents"]).tolist()),
-            block=json_numbers(block, integer=True).tolist() if block else None,
+            block=None if block is None else json_numbers(block, integer=True).tolist(),
             label=json_str(doc["label"]),
         )
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import MklSection
 from .dataio import json_bool, json_numbers
-from .errors import ValidationError, check_positive
+from .errors import check_positive
 from .kernels import check_bank, check_simplex, combine, combine_rows
 from .svm import BinarySvmModel, decision_many, smo_train
 
@@ -105,7 +105,6 @@ def simple_mkl_train(bank: np.ndarray, y, c_reg: float, params: MklSection = Mkl
             break
 
         new_weights, new_svm = accepted
-        new_weights = check_simplex(new_weights, m)
         delta_w = float(np.max(np.abs(new_weights - weights)))
         delta_obj = objective - new_svm.objective
         weights, svm, objective = new_weights, new_svm, new_svm.objective
@@ -119,9 +118,4 @@ def simple_mkl_train(bank: np.ndarray, y, c_reg: float, params: MklSection = Mkl
 
 def mkl_predict_many(model: MklModel, k_rows) -> np.ndarray:
     """Vectorized scores for (M, n_items, L) stacked kernel rows."""
-    k_rows = np.asarray(k_rows, dtype=np.float64)
-    if k_rows.ndim != 3 or k_rows.shape[0] != model.weights.size:
-        raise ValidationError(
-            f"need stacked rows (M, n, L) with M={model.weights.size}, got {k_rows.shape}"
-        )
     return decision_many(model.svm, combine_rows(k_rows, model.weights))

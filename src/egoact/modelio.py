@@ -146,7 +146,8 @@ class TrainedModel:
     @staticmethod
     def from_dict(doc: dict) -> "TrainedModel":
         """Decode a model document; a document of another kind, a NaN or an
-        infinity anywhere, or parts that disagree in size raise one of ``MALFORMED``."""
+        infinity anywhere, parts that disagree in size, or a kernel spec that
+        cannot score the training vectors raise one of ``MALFORMED``."""
         if doc.get("kind") != "model":
             raise ValueError(f"kind is {doc.get('kind')!r}, not 'model'")
         try:
@@ -170,6 +171,7 @@ class TrainedModel:
                              f"for {len(model.classes)} classes")
         for payload in model.binary_models:
             method.check(payload, len(vectors), len(specs))
+        model.score_matrix(vectors[:1])   # run the checks that scoring makes, once
         return model
 
 
@@ -191,8 +193,10 @@ def normalize_features(features):
 
 def stack_histograms(histograms):
     """(count, dim) concatenated vectors and the (name, offset, length) block layout."""
-    layout = [(name, offset, length) for (name, _), (offset, length)
-              in zip(histograms[0].blocks, histograms[0].layout())]
+    layout, offset = [], 0
+    for name, counts in histograms[0].blocks:
+        layout.append((name, offset, counts.size))
+        offset += counts.size
     return np.stack([h.concat() for h in histograms]), layout
 
 

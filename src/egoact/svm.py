@@ -67,13 +67,17 @@ class BinarySvmModel:
 
     @staticmethod
     def from_dict(doc: dict) -> "BinarySvmModel":
-        return BinarySvmModel(
+        model = BinarySvmModel(
             json_numbers(doc["alpha"]), json_numbers(doc["labels"]),
             json_numbers(doc["bias"], 0), json_numbers(doc["c_reg"], 0), json_numbers(doc["box"]),
             converged=json_bool(doc["converged"]),
             iterations=json_numbers(doc["iterations"], 0, integer=True),
             objective=json_numbers(doc["objective"], 0),
         )
+        support = json_numbers(doc["support_indices"], integer=True)
+        if not np.array_equal(support, model.support_indices):
+            raise ValueError("support_indices are not the indices where alpha > 0")
+        return model
 
 
 def _check_binary_labels(y) -> np.ndarray:

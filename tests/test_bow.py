@@ -75,14 +75,6 @@ def test_pooled_descriptors_without_rows_is_a_one_line_error(sets):
         pooled_descriptors(sets, "hof")
 
 
-def test_kmeans_accepts_descriptor_set():
-    rng = np.random.default_rng(4)
-    dset = DescriptorSet("hof", 4, rng.normal(size=(30, 4)))
-    codebook = kmeans(dset, 3, seed=5)
-    assert codebook.descriptor_type == "hof"
-    assert codebook.word_count == 3
-
-
 def test_quantize_exact_centroid():
     codebook = Codebook("hof", np.arange(20.0).reshape(5, 4))
     assert quantize_batch(codebook.centroids[3:4], codebook).tolist() == [3]

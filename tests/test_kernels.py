@@ -111,6 +111,12 @@ def test_block_restriction():
     assert kernel_value(spec, x, y) == pytest.approx(0.7)
 
 
+@pytest.mark.parametrize("block", [(), (0,), (0, 4, 9), (-3, 4), (0, 0)])
+def test_block_must_be_an_offset_and_a_positive_length(block):
+    with pytest.raises(ValidationError, match="block must be"):
+        KernelSpec(H_INT, block=block)
+
+
 def test_gram_single_video():
     spec = KernelSpec(H_INT)
     gram = gram_matrix(np.array([[0.25, 0.75]]), spec)

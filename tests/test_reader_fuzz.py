@@ -290,6 +290,8 @@ MISTYPED_NUMBERS = {
     "svm_string_bias": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(bias="0.1")),
     "svm_bool_c_reg": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(c_reg=True)),
     "svm_fractional_iterations": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(iterations=3.5)),
+    "svm_string_support_indices": ("simple_mkl.json",
+                                   lambda d: _mkl(d)["svm"].update(support_indices="x")),
     "mkl_string_weights": ("simple_mkl.json", lambda d: _mkl(d).update(
         weights=[str(w) for w in _mkl(d)["weights"]])),
     "string_scale": ("simple_mkl.json", lambda d: d["scales"].__setitem__(0, "1.0")),
@@ -363,6 +365,7 @@ MISSING_FIELDS = {
     "svm_converged": ("simple_mkl.json", lambda d: _mkl(d)["svm"].pop("converged")),
     "svm_iterations": ("simple_mkl.json", lambda d: _mkl(d)["svm"].pop("iterations")),
     "svm_objective": ("simple_mkl.json", lambda d: _mkl(d)["svm"].pop("objective")),
+    "svm_support_indices": ("simple_mkl.json", lambda d: _mkl(d)["svm"].pop("support_indices")),
     "mkl_converged": ("simple_mkl.json", lambda d: _mkl(d).pop("converged")),
     "spec_sigma": ("simple_mkl.json", lambda d: _spec(d).pop("sigma")),
     "spec_channels": ("simple_mkl.json", lambda d: _spec(d).pop("channels")),
@@ -375,4 +378,35 @@ MISSING_FIELDS = {
 @pytest.mark.parametrize("case", sorted(MISSING_FIELDS))
 def test_missing_fields_are_format_errors(artifacts, tmp_path, capsys, case):
     field = case.split("_", 1)[1]
-    assert f"('{field}')" in rejected_on_read(artifacts, tmp_path, capsys, *MISSING_FIELDS[case])
+    message = rejected_on_read(artifacts, tmp_path, capsys, *MISSING_FIELDS[case])
+    assert f"missing field '{field}'" in message
+
+
+# a model field of the right JSON type that its writer never emits or that the
+# rest of the model contradicts. The first spec of the toy simple_mkl model is
+# h_int over block [0, 4] of 7-dimension training vectors; an empty block is
+# only ever null and empty channels only [].
+WRONG_MODEL_VALUES = {
+    "spec_block_false": lambda d: _spec(d).update(block=False),
+    "spec_block_zero": lambda d: _spec(d).update(block=0),
+    "spec_block_empty_string": lambda d: _spec(d).update(block=""),
+    "spec_block_empty_list": lambda d: _spec(d).update(block=[]),
+    "spec_block_three_entries": lambda d: _spec(d).update(block=[0, 4, 9]),
+    "spec_block_negative_offset": lambda d: _spec(d).update(block=[-3, 4]),
+    "spec_block_zero_length": lambda d: _spec(d).update(block=[0, 0]),
+    "spec_block_past_the_vectors": lambda d: _spec(d).update(block=[0, 999]),
+    "spec_block_offset_past_the_vectors": lambda d: _spec(d).update(block=[5, 4]),
+    "spec_channels_false": lambda d: _spec(d).update(channels=False),
+    "spec_channels_zero": lambda d: _spec(d).update(channels=0),
+    "spec_channels_empty_string": lambda d: _spec(d).update(channels=""),
+    "spec_channels_not_partitioning_the_block": lambda d: _spec(d).update(
+        kind="dc_int", channels=[[0, 3]]),
+    "svm_support_indices_not_the_support": lambda d: _mkl(d)["svm"].update(support_indices=[0]),
+    "svm_support_indices_empty": lambda d: _mkl(d)["svm"].update(support_indices=[]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_MODEL_VALUES))
+def test_wrong_model_values_are_format_errors(artifacts, tmp_path, capsys, case):
+    """Refused when the model is read, not when it first scores."""
+    rejected_on_read(artifacts, tmp_path, capsys, "simple_mkl.json", WRONG_MODEL_VALUES[case])
