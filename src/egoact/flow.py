@@ -24,41 +24,44 @@ offsets, and the sweep writes into buffers allocated once per block.
 
 Each pixel's 2x2 solve is linear in its neighbour sums S_u and S_v, so
 its inverse is folded into coefficients computed once per block. With n
-the pixel's neighbour count, a2 = alpha^2, D_u = Ix^2 + a2*n,
-D_v = Iy^2 + a2*n, C = Ix*Iy and det = D_u*D_v - C^2, a sweep sets
+the pixel's neighbour count, s = alpha^2*n and T = Ix^2 + Iy^2 + s, a
+sweep sets
 
     u = gain_u*S_u - coupling*S_v - offset_u
     v = gain_v*S_v - coupling*S_u - offset_v
 
-with gain_u = a2*D_v/det, gain_v = a2*D_u/det, coupling = a2*C/det,
-offset_u = (D_v*(Ix*It) - C*(Iy*It))/det and
-offset_v = (D_u*(Iy*It) - C*(Ix*It))/det. That is the same iteration as
-solving the system in every sweep; only the rounding differs, by a few
-units in the last place. A sweep is seven array passes (three for the
+with gain_u = (Iy^2 + s)/(n*T), gain_v = (Ix^2 + s)/(n*T),
+coupling = Ix*Iy/(n*T), offset_u = Ix*It/T and offset_v = Iy*It/T. This
+closed form of the inverse subtracts nothing, so it does not cancel when
+the intensities dwarf alpha^2, and scaling frames and alpha together
+leaves it unchanged. A sweep is seven array passes (three for the
 neighbour sums, four for u and v) and divides nothing.
+
+The coefficients are computed in float64 and rounded to float32 once;
+the sweep runs in float32 and the flows are widened to float64. That is
+the same Jacobi iteration with different rounding: every flow value stays
+within 1e-5*max(1, |flow|) of the float64 sweep, and each pair's energy
+within 1e-6 relative of its energy (under 1e-6 and 2e-8 measured on
+synthetic videos). A coefficient that is not finite in float32 is
+rejected before the sweep.
 
 The sweep never clears the padding. There every coefficient is zero, so
 the sweep writes +0.0 or -0.0 into it. Each neighbour sum starts from
 two neighbours, where a one-pair-at-a-time sweep starts from +0.0 and
-skips the missing ones. Adding a signed zero, or dropping the leading
-+0.0, can change a sum only when every value it adds is -0.0, and then
-only in the sign of the resulting zero; a -0.0 flow value needs an
-underflow, so it takes intensities near the subnormal range. The flows
-therefore equal those of the one-pair-at-a-time folded sweep byte for
+skips the missing ones. That can change a sum only when every value it
+adds is -0.0, and then only in the sign of the resulting zero. The flows
+therefore equal those of the one-pair-at-a-time float32 sweep byte for
 byte, whatever the block size, except in the sign of such a zero. A
 non-finite neighbour sum turns a padding value into NaN (zero times
 infinity), which spreads and is rejected with the other non-finite flow
-values. The tests check all of this against that per-pair sweep, and
-check that it stays within 1e-12 of the textbook sweep that solves the
-2x2 system each time.
+values.
 
 Every buffer a sweep writes starts on a 64-byte boundary, and so do its u
-and v halves: each half is rounded up to a multiple of 8 values by a gap,
-whose coefficients are zero like the padding's, and u gets a leading pad of
-whole 64-byte lines. numpy often allocates large arrays 16 bytes past
-such a boundary; on AVX-512 hardware a ufunc writing 34k values there, or
-8 bytes off where u used to start, took twice as long as into an aligned
-buffer. Alignment moves no value, so the flows stay byte-identical.
+and v halves: each half is rounded up to a multiple of 16 float32 values
+by a gap whose coefficients are zero, and u gets a leading pad of whole
+64-byte lines. numpy often allocates large arrays 16 bytes past such a
+boundary, where on AVX-512 hardware a ufunc write took twice as long.
+Alignment moves no value.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from .errors import ValidationError, check_positive
 
 DEFAULT_ALPHA = 10.0
 DEFAULT_ITERATIONS = 100
-BLOCK_PIXELS = 12288   # frame-pair pixels solved together in one block
+BLOCK_PIXELS = 24576   # frame-pair pixels solved together in one block
 
 
 def check_params(alpha, iterations) -> None:
@@ -97,59 +100,58 @@ def _neighbor_counts(shape) -> np.ndarray:
     return counts
 
 
-def _aligned(shape) -> np.ndarray:
-    """A zeroed float64 array of ``shape`` that starts on a 64-byte boundary."""
-    raw = np.zeros(math.prod(shape) + 7)
-    start = -raw.ctypes.data % 64 // 8
+def _aligned(shape, dtype) -> np.ndarray:
+    """A zeroed ``dtype`` array of ``shape`` that starts on a 64-byte boundary."""
+    itemsize = np.dtype(dtype).itemsize
+    raw = np.zeros(math.prod(shape) + 64 // itemsize - 1, dtype)
+    start = -raw.ctypes.data % 64 // itemsize
     return raw[start : start + math.prod(shape)].reshape(shape)
 
 
 def _solve_block(prev: np.ndarray, nxt: np.ndarray, alpha, iterations: int) -> np.ndarray:
-    """Flows of the k frame pairs (prev[j], nxt[j]) as a (k, 2, H, W) view of (u, v).
+    """Flows of the k frame pairs (prev[j], nxt[j]) as a float32 (k, 2, H, W) view of (u, v).
 
     Every grid is stored flat with a padding row and column after each
     frame, so a pixel's four neighbours are fixed offsets into one buffer and
-    each sweep step is a single contiguous array operation. The folded
-    coefficients are computed once; a sweep is then three passes for the
-    neighbour sums S and four for ``uv = gain*S - coupling*S[::-1] - offset``.
-    The padding and the gap after u and v have zero coefficients, so the
-    sweep writes +-0.0 there. The flows equal ``tests/oracles.folded_flow``,
-    the same sweep one pair at a time, byte for byte but for the sign of a
-    zero; ``reference_flow``, which divides by the determinant in every
-    sweep, bounds both within rounding.
+    each sweep step is a single contiguous array operation. The flows equal
+    ``tests/oracles.folded_flow32``, the same sweep one pair at a time, byte
+    for byte but for the sign of a zero.
     """
     k, h, w = prev.shape
     row = w + 1
     size = k * (h + 1) * row
-    stride = -(-size // 8) * 8    # u and v each start on a 64-byte boundary
-    lead = -(-row // 8) * 8       # zeros above u, at least one row
+    stride = -(-size // 16) * 16    # u and v each start on a 64-byte boundary
+    lead = -(-row // 16) * 16       # zeros above u, at least one row
 
     def padded(grid):
-        out = _aligned(grid.shape[:-3] + (stride,))
+        out = _aligned(grid.shape[:-3] + (stride,), np.float32)
         out[..., :size].reshape(grid.shape[:-2] + (h + 1, row), copy=False)[..., :h, :w] = grid
         return out
 
-    ix, iy, it = _intensity_gradients(prev, nxt)
-    a2 = alpha * alpha
-    smooth = a2 * _neighbor_counts((h, w))
-    cross = ix * iy
-    # diag[0] = diag_v goes with u's terms and diag[1] = diag_u with v's
-    diag = np.stack([iy * iy + smooth, ix * ix + smooth])
-    det = diag[1] * diag[0] - cross * cross
-    data = np.stack([ix * it, iy * it])
-    gain = padded(a2 * diag / det)
-    coupling = padded(a2 * cross / det)
-    offset = padded((diag * data - cross * data[::-1]) / det)
+    # overflow, 0/0 and inf/inf all leave a coefficient that is not finite in float32
+    with np.errstate(all="ignore"):
+        ix, iy, it = _intensity_gradients(prev, nxt)
+        counts = _neighbor_counts((h, w))
+        smooth = alpha * alpha * counts
+        ixx, iyy = ix * ix, iy * iy
+        total = ixx + iyy + smooth
+        scale = counts * total
+        # gain[0] = gain_u goes with u's terms and gain[1] = gain_v with v's
+        gain = padded(np.stack([iyy + smooth, ixx + smooth]) / scale)
+        coupling = padded(ix * iy / scale)
+        offset = padded(np.stack([ix * it, iy * it]) / total)
+    if not all(np.isfinite(c).all() for c in (gain, coupling, offset)):
+        raise ValidationError("flow values must be finite")
 
     # u then v, with zeros before and at least one row of zeros after
-    field = _aligned((lead + 2 * stride + row,))
+    field = _aligned((lead + 2 * stride + row,), np.float32)
     uv = field[lead : lead + 2 * stride].reshape(2, stride)
     grid = uv[:, :size].reshape(2, k, h + 1, row, copy=False)
     # below, above, right, left: the order in which the per-pair sweep adds them
     neighbors = [field[lead + step : lead + step + 2 * stride] for step in (row, -row, 1, -1)]
-    sums = _aligned((2, stride))
+    sums = _aligned((2, stride), np.float32)
     flat_sums = sums.reshape(-1)
-    scratch = _aligned((2, stride))
+    scratch = _aligned((2, stride), np.float32)
     for _ in range(iterations):
         np.add(neighbors[0], neighbors[1], out=flat_sums)
         flat_sums += neighbors[2]
@@ -183,7 +185,7 @@ def sequence_flows(frames: np.ndarray, alpha: float = DEFAULT_ALPHA,
     flows = np.concatenate([
         _solve_block(prev[start : start + block], nxt[start : start + block], alpha, iterations)
         for start in range(0, len(prev), block)
-    ])
+    ], dtype=np.float64)
     if not np.all(np.isfinite(flows)):
         raise ValidationError("flow values must be finite")
     return flows

@@ -46,8 +46,12 @@ class KernelSpec:
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
         if self.kind == GAUSSIAN and self.sigma is not None and self.sigma <= 0:
             raise ValidationError("gaussian sigma must be positive")
+        if self.kind != GAUSSIAN and self.sigma is not None:
+            raise ValidationError(f"{self.kind} takes no sigma")
         if self.kind in CHANNEL_KINDS and not self.channels:
             raise ValidationError(f"{self.kind} needs a channel layout")
+        if self.kind not in CHANNEL_KINDS and self.channels:
+            raise ValidationError(f"{self.kind} takes no channel layout")
         object.__setattr__(self, "channels", tuple((int(o), int(n)) for o, n in self.channels))
         if self.exponents:
             if self.kind != JPL_INT:

@@ -4,10 +4,12 @@ These deliberately avoid the code paths they check: the SVM oracle is
 projected gradient ascent with an exact simplex-free projection, and the
 kernel oracle evaluates one pair of vectors at a time with 1-D numpy
 calls, where the package computes whole blocks of pairs in one broadcast
-pass. ``folded_flow`` is the package's Horn-Schunck sweep written one
-pair at a time on fresh temporaries; the blocked solver must match it
-byte for byte. ``reference_flow`` is the textbook sweep that solves each
-pixel's 2x2 system in every sweep, and bounds both within rounding. The
+pass. ``folded_flow32`` is the package's float32 Horn-Schunck sweep
+written one pair at a time on fresh temporaries; the blocked solver must
+match it byte for byte. ``folded_flow`` is the same folded sweep in
+float64, which the float32 flows must stay near, and ``reference_flow`` is
+the textbook sweep that solves each pixel's 2x2 system in every sweep and
+bounds ``folded_flow`` within rounding. The
 hof and logc oracles build descriptors from a list of per-pair ``(u, v)``
 flows, one pair at a time (``reference_kinematics`` is the logc oracle's
 per-pair feature grid), where the package takes a video's flow as one
@@ -221,6 +223,41 @@ def folded_flow(prev, nxt, alpha=10.0, iterations=100):
         u = gain_u * sum_u - coupling * sum_v - offset_u
         v = gain_v * sum_v - coupling * sum_u - offset_v
     return u, v
+
+
+def folded_flow32(prev, nxt, alpha=10.0, iterations=100):
+    """``folded_flow``'s sweep in float32, on closed-form coefficients.
+
+    Returns (u, v) widened to float64. With n the neighbour count,
+    s = alpha^2*n and T = Ix^2 + Iy^2 + s, the coefficients gain_u =
+    (Iy^2 + s)/(n*T), gain_v = (Ix^2 + s)/(n*T), coupling = Ix*Iy/(n*T),
+    offset_u = Ix*It/T and offset_v = Iy*It/T are computed in float64 and
+    rounded to float32 once; every sweep then runs in float32 on fresh
+    temporaries, one pair at a time.
+    """
+    prev = np.asarray(prev).astype(np.float64)
+    nxt = np.asarray(nxt).astype(np.float64)
+    mean = (prev + nxt) / 2.0
+    iy, ix = np.gradient(mean)
+    it = nxt - prev
+    deg = _neighbor_counts(prev.shape)
+    smooth = alpha * alpha * deg
+    total = ix * ix + iy * iy + smooth
+    scale = deg * total
+    gain_u = ((iy * iy + smooth) / scale).astype(np.float32)
+    gain_v = ((ix * ix + smooth) / scale).astype(np.float32)
+    coupling = (ix * iy / scale).astype(np.float32)
+    offset_u = (ix * it / total).astype(np.float32)
+    offset_v = (iy * it / total).astype(np.float32)
+
+    u = np.zeros(prev.shape, np.float32)
+    v = np.zeros(prev.shape, np.float32)
+    for _ in range(iterations):
+        sum_u = _neighbor_sums(u)
+        sum_v = _neighbor_sums(v)
+        u = gain_u * sum_u - coupling * sum_v - offset_u
+        v = gain_v * sum_v - coupling * sum_u - offset_v
+    return u.astype(np.float64), v.astype(np.float64)
 
 
 def reference_hof(flows, params):

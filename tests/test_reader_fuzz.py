@@ -401,6 +401,8 @@ WRONG_MODEL_VALUES = {
     "spec_channels_empty_string": lambda d: _spec(d).update(channels=""),
     "spec_channels_not_partitioning_the_block": lambda d: _spec(d).update(
         kind="dc_int", channels=[[0, 3]]),
+    "spec_channels_on_h_int": lambda d: _spec(d).update(channels=[[0, 99], [5, -2]]),
+    "spec_sigma_on_h_int": lambda d: _spec(d).update(sigma=3.0),
     "svm_support_indices_not_the_support": lambda d: _mkl(d)["svm"].update(support_indices=[0]),
     "svm_support_indices_empty": lambda d: _mkl(d)["svm"].update(support_indices=[]),
 }
