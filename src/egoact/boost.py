@@ -75,6 +75,8 @@ class WeakClassifier:
 
 
 class BoostedModel:
+    """Kept trials, each indexing one of ``kernel_count`` kernels and ``train_size`` items."""
+
     __slots__ = ("trials", "train_size", "kernel_count")
 
     def __init__(self, trials, train_size: int, kernel_count: int):
@@ -83,6 +85,12 @@ class BoostedModel:
         self.trials = list(trials)
         self.train_size = int(train_size)
         self.kernel_count = int(kernel_count)
+        for trial in self.trials:
+            idx = trial.train_indices
+            if not (0 <= trial.kernel_index < self.kernel_count and 0 <= idx.min(initial=0)
+                    and idx.max(initial=0) < self.train_size):
+                raise ValidationError(f"a boosting trial indexes outside {self.kernel_count} kernels "
+                                      f"and {self.train_size} training vectors")
 
     def to_dict(self) -> dict:
         return {
@@ -173,7 +181,7 @@ def boost_predict_many(model: BoostedModel, k_rows) -> np.ndarray:
     k_rows = np.asarray(k_rows, dtype=np.float64)
     if k_rows.ndim != 3:
         raise ValidationError("stacked kernel rows must be (M, n, L)")
-    if k_rows.shape[0] < model.kernel_count or k_rows.shape[2] != model.train_size:
+    if k_rows.shape[0] != model.kernel_count or k_rows.shape[2] != model.train_size:
         raise ValidationError(
             f"need rows for {model.kernel_count} kernels over {model.train_size} "
             f"training items, got {k_rows.shape}"

@@ -56,8 +56,8 @@ MALFORMED = (AttributeError, LookupError, TypeError, ValueError, ArithmeticError
 def json_numbers(value, ndim: int = 1, integer: bool = False):
     """A decoded JSON field of numbers nested ``ndim`` lists deep, as a float64
     (``integer``: int64) array, or as a Python number at ``ndim`` 0. A bool,
-    a string, a null, a fraction where an integer belongs or the wrong
-    nesting raises one of ``MALFORMED``."""
+    a string, a null, a NaN or an infinity, a fraction where an integer
+    belongs or the wrong nesting raises one of ``MALFORMED``."""
     kind = numbers.Integral if integer else numbers.Real
     pending = [value]
     while pending:
@@ -69,6 +69,9 @@ def json_numbers(value, ndim: int = 1, integer: bool = False):
     array = np.asarray(value, dtype=np.int64 if integer else np.float64)
     if array.ndim != ndim:
         raise ValueError(f"expected numbers nested {ndim} deep, got shape {array.shape}")
+    bad = array[~np.isfinite(array)]
+    if bad.size:
+        raise ValueError(f"expected a finite number, got {bad[0]}")
     return array.item() if ndim == 0 else array
 
 
@@ -321,8 +324,8 @@ class DatasetManifest:
     def __init__(self, classes, videos):
         classes = [str(c) for c in classes]
         videos = [v if isinstance(v, VideoEntry) else VideoEntry(*v) for v in videos]
-        if len(classes) < 1:
-            raise ValidationError("manifest needs at least one class")
+        if not classes or len(set(classes)) != len(classes):
+            raise ValidationError(f"manifest needs at least one class, each named once, got {classes}")
         ids = [v.video_id for v in videos]
         if len(set(ids)) != len(ids):
             raise ValidationError("video ids must be unique")
@@ -482,6 +485,8 @@ def histograms_from_doc(doc) -> list:
         video_id = json_str(entry["video_id"])
         if video_id in out:
             raise ValueError(f"video {video_id!r} is listed twice")
+        if set(entry["blocks"]) != set(order):
+            raise ValueError(f"video {video_id!r} has blocks {sorted(entry['blocks'])}, not {order}")
         blocks = [(name, json_numbers(entry["blocks"][name])) for name in order]
         for (name, counts), size in zip(blocks, sizes):
             if counts.shape != (size,):

@@ -7,11 +7,11 @@ path, shared by ``train_model`` and the evaluation protocol.
 The model file inlines everything prediction needs: kernel specs with
 materialized parameters, per-kernel trace scales, the training histogram
 vectors, and one binary payload per class (plain SVM, MKL, or boosted).
+Reading a model scores its first training vector once: that is its size check.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -35,32 +35,9 @@ class Method:
     kinds: tuple         # accepted kernel kinds
     codec: type          # binary payload class (to_dict / from_dict)
     train: Callable      # ((M, n, n) bank, y_pm, cfg, seed_sequence) -> payload
-    score: Callable      # (payload, kernel rows (M, n, L)) -> (n,) scores
-    check: Callable      # (payload, train_count, kernel_count); raises ValueError
+    score: Callable      # (payload, kernel rows (M, n, L)) -> (n,) scores; raises on a size mismatch
     describe: Callable   # payload -> one line for ``egoact inspect``
     note: Callable       # (payload, cfg) -> why training stopped short, for ``egoact train``, or ""
-
-
-def _check_svm(model, train_count, kernel_count):
-    if model.size != train_count:
-        raise ValueError(f"SVM has {model.size} coefficients for {train_count} training vectors")
-
-
-def _check_mkl(model, train_count, kernel_count):
-    if model.weights.size != kernel_count:
-        raise ValueError(f"MKL model has {model.weights.size} weights for {kernel_count} kernels")
-    _check_svm(model.svm, train_count, kernel_count)
-
-
-def _check_boost(model, train_count, kernel_count):
-    if (model.train_size, model.kernel_count) != (train_count, kernel_count):
-        raise ValueError(f"boosted model is for {model.train_size} vectors and "
-                         f"{model.kernel_count} kernels, not {train_count} and {kernel_count}")
-    for trial in model.trials:
-        idx = trial.train_indices
-        if (not 0 <= trial.kernel_index < kernel_count or idx.shape != (trial.svm.size,)
-                or idx.min(initial=0) < 0 or idx.max(initial=0) >= train_count):
-            raise ValueError("boosting trial refers to a kernel or training vector outside the model")
 
 
 def _describe_mkl(model) -> str:
@@ -70,7 +47,7 @@ def _describe_mkl(model) -> str:
 
 
 _SVM = dict(
-    codec=svm.BinarySvmModel, check=_check_svm,
+    codec=svm.BinarySvmModel,
     train=lambda bank, y, cfg, seed: svm.smo_train(bank[0], y, cfg.svm.c_reg, tol=cfg.svm.tol),
     score=lambda model, rows: svm.decision_many(model, rows[0]),
     describe=lambda model: f"{int((model.alpha > 0).sum())} support vectors, bias {model.bias:.4f}",
@@ -81,7 +58,7 @@ METHODS = {
     "single_kernel": Method(per_block=False, kinds=kernels.KERNEL_KINDS, **_SVM),
     "multichannel": Method(per_block=False, kinds=kernels.CHANNEL_KINDS, **_SVM),
     "simple_mkl": Method(
-        per_block=True, kinds=kernels.KERNEL_KINDS, codec=mkl.MklModel, check=_check_mkl,
+        per_block=True, kinds=kernels.KERNEL_KINDS, codec=mkl.MklModel,
         train=lambda bank, y, cfg, seed: mkl.simple_mkl_train(
             bank, y, cfg.svm.c_reg, cfg.mkl, svm_tol=cfg.svm.tol),
         score=lambda model, rows: mkl.mkl_predict_many(model, rows),
@@ -90,7 +67,7 @@ METHODS = {
             f"simple_mkl stopped at mkl.max_outer={cfg.mkl.max_outer} outer steps without converging"),
     ),
     "boost_mkl": Method(
-        per_block=True, kinds=kernels.KERNEL_KINDS, codec=boost_mod.BoostedModel, check=_check_boost,
+        per_block=True, kinds=kernels.KERNEL_KINDS, codec=boost_mod.BoostedModel,
         train=lambda bank, y, cfg, seed: boost_mod.boost_train(
             bank, y, cfg.boost.trials, cfg.svm.c_reg, seed, svm_tol=cfg.svm.tol),
         score=lambda model, rows: boost_mod.boost_predict_many(model, rows),
@@ -146,14 +123,10 @@ class TrainedModel:
     @staticmethod
     def from_dict(doc: dict) -> "TrainedModel":
         """Decode a model document; a document of another kind, a NaN or an
-        infinity anywhere, parts that disagree in size, or a kernel spec that
-        cannot score the training vectors raise one of ``MALFORMED``."""
+        infinity in any number field, parts that disagree in size, or a kernel
+        spec that cannot score the training vectors raise one of ``MALFORMED``."""
         if doc.get("kind") != "model":
             raise ValueError(f"kind is {doc.get('kind')!r}, not 'model'")
-        try:
-            json.dumps(doc, allow_nan=False)
-        except ValueError:
-            raise ValueError("model holds a non-finite number (NaN or infinity)") from None
         method = method_entry(doc["method"])
         specs = [kernels.KernelSpec.from_dict(s) for s in doc["specs"]]
         model = TrainedModel(
@@ -169,9 +142,7 @@ class TrainedModel:
         if len(model.binary_models) != len(model.classes):
             raise ValueError(f"model has {len(model.binary_models)} binary models "
                              f"for {len(model.classes)} classes")
-        for payload in model.binary_models:
-            method.check(payload, len(vectors), len(specs))
-        model.score_matrix(vectors[:1])   # run the checks that scoring makes, once
+        model.score_matrix(vectors[:1])   # the payload size checks: scoring makes them
         return model
 
 

@@ -242,7 +242,8 @@ def decision_many(model: BinarySvmModel, k_rows) -> np.ndarray:
     """f(x) = sum_i alpha_i y_i K(x, x_i) + b for each (n, L) query row."""
     k_rows = np.asarray(k_rows, dtype=np.float64)
     if k_rows.ndim != 2 or k_rows.shape[1] != model.size:
-        raise ValidationError(f"kernel rows must be (n, {model.size})")
+        raise ValidationError(f"an SVM of {model.size} coefficients cannot score "
+                              f"kernel rows of shape {k_rows.shape}")
     return k_rows @ (model.alpha * model.labels) + model.bias
 
 

@@ -143,6 +143,16 @@ def _manual_model(weights, votes_per_trial, n_train=4, kernels=2):
     return BoostedModel(trials, n_train, kernels)
 
 
+@pytest.mark.parametrize("kernel_index, train_indices", [
+    (2, [0, 1, 2, 3]), (-1, [0, 1, 2, 3]), (0, [0, 1, 2, 4]), (0, [-1, 1, 2, 3]),
+])
+def test_trial_outside_the_model_is_refused(kernel_index, train_indices):
+    svm = BinarySvmModel(np.zeros(4), np.ones(4), bias=1.0, c_reg=1.0, box=np.ones(4))
+    trial = WeakClassifier(kernel_index, train_indices, svm, 1.0, 0.1)
+    with pytest.raises(ValidationError, match="outside 2 kernels and 4 training vectors"):
+        BoostedModel([trial], 4, 2)
+
+
 def test_unanimous_votes_sum_weights():
     model = _manual_model([0.5, 1.5, 2.0], [1.0, 1.0, 1.0])
     rows = np.zeros((2, 3, 4))
@@ -219,5 +229,7 @@ def test_predict_validates_row_shapes():
     model = boost_train(bank, y, trials=2, c_reg=10.0, seed=1)
     with pytest.raises(ValidationError):
         boost_predict_many(model, np.zeros((1, 2, len(y))))   # missing kernel rows
+    with pytest.raises(ValidationError):
+        boost_predict_many(model, np.zeros((3, 2, len(y))))   # one kernel too many
     with pytest.raises(ValidationError):
         boost_predict_many(model, np.zeros((2, 2, len(y) + 1)))

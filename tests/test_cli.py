@@ -405,7 +405,14 @@ JSON_DEFECTS = {
     "manifest_class_index_out_of_range": ("manifest", {
         "kind": "dataset_manifest", "classes": ["a"],
         "videos": [{"video_id": "v", "class_index": 7, "path": "v.fsq"}]}),
+    "manifest_class_repeated": ("manifest", {
+        "kind": "dataset_manifest", "classes": ["a", "a"],
+        "videos": [{"video_id": v, "class_index": k, "path": f"{v}.fsq"}
+                   for v, k in [("v0", 0), ("v1", 0), ("v2", 1), ("v3", 1)]]}),
     "histograms_kind_only": ("histograms", {"kind": "histograms"}),
+    "histograms_block_outside_order": ("histograms", {
+        "kind": "histograms", "block_order": ["hof"], "block_sizes": [2],
+        "histograms": [{"video_id": "v0", "blocks": {"hof": [0.5, 0.5], "cuboid": [1.0]}}]}),
     "histograms_block_repeated": ("histograms", {"kind": "histograms", "block_order": ["hof", "hof"],
                                                  "block_sizes": [2], "histograms": []}),
     "histograms_sizes_not_a_list": ("histograms", {"kind": "histograms", "block_order": ["hof"],

@@ -156,6 +156,18 @@ def test_manifest_validation():
         )
 
 
+def test_manifest_refuses_a_repeated_class_name(tmp_path):
+    videos = [dataio.VideoEntry(v, i // 2, f"{v}.fsq") for i, v in enumerate("abcd")]
+    with pytest.raises(ValidationError, match="each named once"):
+        dataio.DatasetManifest(["walk", "walk"], videos)
+    path = tmp_path / "manifest.json"
+    dataio.write_json(path, {"kind": "dataset_manifest", "classes": ["walk", "walk"],
+                             "videos": [{"video_id": v.video_id, "class_index": v.class_index,
+                                         "path": v.path} for v in videos]})
+    with pytest.raises(FormatError, match="malformed manifest file"):
+        dataio.read_manifest(path)
+
+
 def test_histograms_round_trip_exact(tmp_path):
     rng = np.random.default_rng(5)
     hists = []

@@ -174,6 +174,10 @@ SHAPE_DEFECTS = {
     "boost_train_index_count": ("boost_mkl", lambda d: _first_trial(d)["train_indices"].pop()),
     "boost_train_size": ("boost_mkl", lambda d: d["binary_models"][0].update(train_size=11)),
     "boost_kernel_count": ("boost_mkl", lambda d: d["binary_models"][0].update(kernel_count=3)),
+    "boost_kernel_count_low": ("boost_mkl", lambda d: d["binary_models"][0].update(kernel_count=1)),
+    "boost_negative_kernel_index": ("boost_mkl", lambda d: _first_trial(d).update(kernel_index=-1)),
+    "boost_negative_train_index": ("boost_mkl", lambda d: _first_trial(d)["train_indices"].__setitem__(
+        0, -1)),
     "empty_train_vectors": ("single_kernel", lambda d: d.update(train_vectors=[])),
     "nan_train_vector": ("single_kernel", lambda d: d["train_vectors"][0].__setitem__(0, NAN)),
     "inf_scale": ("single_kernel", lambda d: d["scales"].__setitem__(0, INF)),
@@ -190,13 +194,30 @@ SHAPE_DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("defect", sorted(SHAPE_DEFECTS))
-def test_model_shape_defects_fail_at_load(tmp_path, model_docs, defect):
+def _load_defective(tmp_path, model_docs, defect):
+    """The FormatError that reading the model SHAPE_DEFECTS[defect] damages raises."""
     method, mutate = SHAPE_DEFECTS[defect]
     doc = copy.deepcopy(model_docs[method])
     TrainedModel.from_dict(copy.deepcopy(doc))   # the intact document loads
     mutate(doc)
     path = tmp_path / "model.json"
     write_json(path, doc)
-    with pytest.raises(FormatError, match="malformed model file"):
+    with pytest.raises(FormatError, match="malformed model file") as info:
         read_model(path)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("defect", sorted(SHAPE_DEFECTS))
+def test_model_shape_defects_fail_at_load(tmp_path, model_docs, defect):
+    _load_defective(tmp_path, model_docs, defect)
+
+
+def test_short_trial_message_names_both_sizes(tmp_path, model_docs):
+    message = _load_defective(tmp_path, model_docs, "boost_train_index_count")
+    assert "12 coefficients" in message and "(1, 11)" in message
+
+
+@pytest.mark.parametrize("defect", ["nan_bias", "inf_scale"])
+def test_non_finite_model_field_names_the_number(tmp_path, model_docs, defect):
+    message = _load_defective(tmp_path, model_docs, defect)
+    assert "expected a finite number, got " in message
