@@ -111,8 +111,6 @@ def quantize_batch(vectors: np.ndarray, codebook: Codebook) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != codebook.dim:
         raise ValidationError(f"descriptors must be (count, {codebook.dim})")
-    if vectors.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
     return np.argmin(_sq_distances(_sq_norms(vectors), 2.0 * vectors, codebook.centroids), axis=1)
 
 

@@ -195,13 +195,18 @@ def _json_summary(path, doc, kind) -> list:
                 *(f"  class {name}: {describe(payload)}"
                   for name, payload in zip(model.classes, model.binary_models))]
     if kind == "eval_report":
-        return [f"report: method={doc['method']} kernel={doc['kernel']} features={doc['features']}",
-                f"  mean accuracy {doc['mean_accuracy']:.2f}% over "
-                f"{len(doc['per_repeat_accuracy'])} repeats; "
-                f"per-class stddev {doc['per_class_stddev']:.2f}",
+        method, kernel = (dataio.json_str(doc[k]) for k in ("method", "kernel"))
+        features, classes = (dataio.json_str(doc[k], 1) for k in ("features", "classes"))
+        confusion = dataio.json_numbers(doc["confusion"], 2)
+        if confusion.shape != (len(classes),) * 2:
+            raise ValueError(f"confusion of shape {confusion.shape} for {len(classes)} classes")
+        mean, stddev = (dataio.json_numbers(doc[k], 0) for k in ("mean_accuracy", "per_class_stddev"))
+        repeats = dataio.json_numbers(doc["per_repeat_accuracy"]).size
+        return [f"report: method={method} kernel={kernel} features={features}",
+                f"  mean accuracy {mean:.2f}% over {repeats} repeats; per-class stddev {stddev:.2f}",
                 "  confusion (% rows):",
                 *(f"    {name}: " + " ".join(f"{v:5.1f}" for v in row)
-                  for name, row in zip(doc["classes"], doc["confusion"]))]
+                  for name, row in zip(classes, confusion))]
     _, dims, cache = _descriptor_listing(doc, path.parent)
     return [f"descriptors: {len(cache)} videos, dims {dims}"]
 
@@ -317,7 +322,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FormatError, OSError) as exc:

@@ -339,8 +339,6 @@ def cuboid_detect(seq: FrameSequence, params: CuboidParams):
     resp, t_offset = cuboid_response(seq, params)
     is_max = _local_maxima_3d(resp) & (resp > params.threshold)
     ts, ys, xs = np.nonzero(is_max)
-    if ts.size == 0:
-        return []
     values = resp[ts, ys, xs]
     order = np.lexsort((xs, ys, ts, -values))[: params.max_points]
     return [

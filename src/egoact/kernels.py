@@ -3,7 +3,8 @@ multi-channel intersection variants, plus Gram-matrix assembly and
 convex kernel combination.
 
 A bank is one float ``(M, n, n)`` array: slice m is kernel m's Gram
-matrix over the same n training vectors.
+matrix over the same n training vectors. One ``combine`` weights both it
+and the ``(M, q, n)`` kernel rows a model scores with, so they agree bitwise.
 
 Channel-aware kinds treat a histogram as a sequence of per-descriptor-type
 blocks. ``dc_int`` averages the per-block intersections; ``jpl_int`` takes
@@ -30,6 +31,7 @@ KERNEL_KINDS = (GAUSSIAN, H_INT, DC_INT, JPL_INT)
 CHANNEL_KINDS = (DC_INT, JPL_INT)
 
 JPL_DELTA = 1e-12
+SIMPLEX_TOL = 1e-9   # slack on the weights' sign and sum
 
 
 @dataclass(frozen=True)
@@ -158,15 +160,15 @@ def kernel_rows(spec: KernelSpec, queries, references) -> np.ndarray:
     return _kernel_block(spec, queries, references)
 
 
-def check_simplex(weights, count: int, tol: float = 1e-9) -> np.ndarray:
+def check_simplex(weights, count: int) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (count,):
         raise ValidationError(f"expected {count} weights, got shape {weights.shape}")
     if not np.all(np.isfinite(weights)):
         raise ValidationError(f"kernel weights must be finite, got {weights.tolist()}")
-    if weights.min(initial=0.0) < -tol:
+    if weights.min(initial=0.0) < -SIMPLEX_TOL:
         raise ValidationError(f"kernel weights must be nonnegative, got min {weights.min()}")
-    if abs(weights.sum() - 1.0) > tol:
+    if abs(weights.sum() - 1.0) > SIMPLEX_TOL:
         raise ValidationError(f"kernel weights must sum to 1, got {weights.sum()!r}")
     return weights
 
@@ -181,20 +183,13 @@ def check_bank(bank, y) -> np.ndarray:
     return bank
 
 
-def combine(bank: np.ndarray, weights) -> np.ndarray:
-    """Entry-wise convex combination of the bank's Gram matrices."""
-    weights = check_simplex(weights, len(bank))
-    combined = np.zeros(bank.shape[1:])
-    for w, gram in zip(weights, bank):
-        combined += w * gram
+def combine(stack: np.ndarray, weights) -> np.ndarray:
+    """Entry-wise convex combination of an ``(M, ...)`` bank or row stack."""
+    weights = check_simplex(weights, len(stack))
+    combined = np.zeros(stack.shape[1:])
+    for w, slab in zip(weights, stack):
+        combined += w * slab
     return combined
-
-
-def combine_rows(rows: np.ndarray, weights) -> np.ndarray:
-    """Convex combination of per-kernel row stacks, shape (M, ..., L)."""
-    rows = np.asarray(rows, dtype=np.float64)
-    weights = check_simplex(weights, rows.shape[0])
-    return np.tensordot(weights, rows, axes=(0, 0))
 
 
 def trace_normalize(gram: np.ndarray):

@@ -14,8 +14,7 @@ import numpy as np
 
 from .config import MklSection
 from .dataio import json_bool, json_numbers
-from .errors import check_positive
-from .kernels import check_bank, check_simplex, combine, combine_rows
+from .kernels import check_bank, check_simplex, combine
 from .svm import BinarySvmModel, decision_many, smo_train
 
 MAX_LINE_SEARCH = 30   # step halvings tried per outer iteration
@@ -71,8 +70,6 @@ def simple_mkl_train(bank: np.ndarray, y, c_reg: float, params: MklSection = Mkl
     the SVM on their combination; ``params`` holds the stopping tolerances
     and the outer iteration cap."""
     bank = check_bank(bank, y)
-    check_positive("c_reg", c_reg)
-    check_positive("svm_tol", svm_tol)
     m = len(bank)
     y = np.asarray(y, dtype=np.float64)
     weights = np.full(m, 1.0 / m)
@@ -117,5 +114,6 @@ def simple_mkl_train(bank: np.ndarray, y, c_reg: float, params: MklSection = Mkl
 
 
 def mkl_predict_many(model: MklModel, k_rows) -> np.ndarray:
-    """Vectorized scores for (M, n_items, L) stacked kernel rows."""
-    return decision_many(model.svm, combine_rows(k_rows, model.weights))
+    """Scores for (M, n_items, L) stacked kernel rows, combined like the
+    training kernel, so a training vector scores exactly as training saw it."""
+    return decision_many(model.svm, combine(k_rows, model.weights))

@@ -100,7 +100,6 @@ class TrainedModel:
         self.binary_models = list(binary_models)
 
     def score_matrix(self, vectors) -> np.ndarray:
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         rows = np.stack([kernels.kernel_rows(spec, vectors, self.train_vectors) * scale
                          for spec, scale in zip(self.specs, self.scales)])
         score = METHODS[self.method].score

@@ -96,6 +96,11 @@ def test_quantize_matches_brute_force():
         assert got == quantize(query, codebook)
 
 
+def test_quantize_no_rows():
+    words = quantize_batch(np.zeros((0, 3)), Codebook("hof", np.eye(3)))
+    assert words.dtype == np.int64 and words.shape == (0,)
+
+
 def test_quantize_dim_mismatch():
     codebook = Codebook("hof", np.zeros((2, 3)))
     with pytest.raises(ValidationError):

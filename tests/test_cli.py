@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +421,11 @@ JSON_DEFECTS = {
                                                    "block_sizes": 4, "histograms": []}),
     "report_method_only": ("eval report", {"kind": "eval_report", "method": "x"}),
     "report_accuracy_as_text": ("eval report", {**REPORT, "mean_accuracy": "high"}),
+    "report_mean_accuracy_nan": ("eval report", {**REPORT, "mean_accuracy": float("nan")}),
+    "report_confusion_extra_row": ("eval report", {**REPORT, "confusion": [[80.0, 20.0], [30.0, 70.0],
+                                                                          [50.0, 50.0]]}),
+    "report_repeats_as_text": ("eval report", {**REPORT, "per_repeat_accuracy": "abc"}),
+    "report_features_as_number": ("eval report", {**REPORT, "features": 3}),
     "descriptors_without_dims": ("descriptors", {"kind": "descriptors", "videos": {}}),
     "descriptors_videos_as_count": ("descriptors", {"kind": "descriptors", "videos": 3,
                                                     "dims": {}}),
@@ -442,6 +449,24 @@ def test_inspect_intact_report(tmp_path, capsys):
     write_json(path, REPORT)
     assert main(["inspect", str(path)]) == 0
     assert "mean accuracy 75.00% over 1 repeats" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "egoact", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    bad = run("evaluate", "--data", str(tmp_path), "--method", "single",
+              "--out", str(tmp_path / "report.json"), "--workers", "0")
+    assert (bad.returncode, bad.stdout) == (1, "")
+    assert bad.stderr == "error: --workers must be an integer >= 1, got 0\n"
+    path = tmp_path / "report.json"
+    write_json(path, REPORT)
+    good = run("inspect", str(path))
+    assert good.returncode == 0, good.stderr
+    assert "mean accuracy 75.00% over 1 repeats" in good.stdout
 
 
 LISTING_DEFECTS = {

@@ -9,7 +9,6 @@ from egoact.kernels import (
     JPL_INT,
     KernelSpec,
     combine,
-    combine_rows,
     gram_matrix,
     kernel_rows,
     median_heuristic_sigma,
@@ -220,7 +219,7 @@ def test_combine_rows_and_kernel_rows():
     test = random_histograms(rng, 3)
     specs = [KernelSpec(H_INT), KernelSpec(GAUSSIAN, sigma=0.5)]
     rows = np.stack([kernel_rows(s, test, train) for s in specs])
-    mixed = combine_rows(rows, [0.25, 0.75])
+    mixed = combine(rows, [0.25, 0.75])
     assert mixed.shape == (3, 5)
     assert np.allclose(mixed, 0.25 * rows[0] + 0.75 * rows[1], atol=1e-15)
     for i in range(3):

@@ -3,10 +3,15 @@ import copy
 import numpy as np
 import pytest
 
+from egoact import bow, kernels
+from egoact.boost import boost_predict_many
 from egoact.config import RunConfig
 from egoact.dataio import DatasetManifest, VideoEntry, VideoHistogram, write_json
 from egoact.errors import ConfigError, FormatError, ValidationError
+from egoact.evaluation import extract_dataset_descriptors
 from egoact.modelio import TrainedModel, read_model, train_model, write_model
+from egoact.svm import decision_many
+from egoact.synth import generate_synthetic_dataset
 
 
 def toy_histogram_dataset(classes=3, per_class=4, words=4, seed=0):
@@ -221,3 +226,39 @@ def test_short_trial_message_names_both_sizes(tmp_path, model_docs):
 def test_non_finite_model_field_names_the_number(tmp_path, model_docs, defect):
     message = _load_defective(tmp_path, model_docs, defect)
     assert "expected a finite number, got " in message
+
+
+@pytest.fixture(scope="module")
+def synth_histograms(tmp_path_factory):
+    """The default synthetic set (4 classes x 12 videos) at 20 flow sweeps,
+    encoded with 16-word codebooks pooled over every video."""
+    cfg = RunConfig().replace_section("flow", iterations=20)
+    root = tmp_path_factory.mktemp("synth")
+    manifest = generate_synthetic_dataset(cfg.synth, root)
+    cache = extract_dataset_descriptors(manifest, root, cfg.features, cfg)
+    ids = [v.video_id for v in manifest.videos]
+    codebooks = {f: bow.kmeans(bow.pooled_descriptors([cache[v] for v in ids], f), cfg.bow.words, 0)
+                 for f in cfg.features}
+    return manifest, [bow.encode_video(v, cache[v], codebooks) for v in ids], cfg
+
+
+@pytest.mark.parametrize("method,kernel", [
+    ("single_kernel", "h_int"),
+    ("multichannel", "dc_int"),
+    ("simple_mkl", "h_int"),
+    ("simple_mkl", "gaussian"),
+    ("simple_mkl", "jpl_int"),
+    ("boost_mkl", "h_int"),
+])
+def test_model_scores_training_vectors_as_training_saw_them(synth_histograms, method, kernel):
+    manifest, hists, cfg = synth_histograms
+    model = train_model(manifest, hists, cfg, method, kernel_kind=kernel, seed=0)
+    bank = np.stack([kernels.trace_normalize(kernels.gram_matrix(model.train_vectors, spec))[0]
+                     for spec in model.specs])
+    if method == "simple_mkl":
+        seen = [decision_many(p.svm, kernels.combine(bank, p.weights)) for p in model.binary_models]
+    elif method == "boost_mkl":
+        seen = [boost_predict_many(p, bank) for p in model.binary_models]
+    else:
+        seen = [decision_many(p, bank[0]) for p in model.binary_models]
+    assert model.score_matrix(model.train_vectors).tobytes() == np.stack(seen, axis=1).tobytes()
