@@ -5,7 +5,8 @@ per detected interest point for cuboids), collected into a DescriptorSet
 per video. hof and logc take a video's flow whole, as the
 ``(pairs, 2, H, W)`` array (u, v per frame pair) from
 ``flow.sequence_flows``, so it is estimated once and never split per pair.
-Cuboids likewise gather every interest point's window in one pass.
+logc pools covariance on component rows. Cuboid filters are matrix products,
+and every interest point's window, with its gradient, is gathered in one pass.
 """
 
 from __future__ import annotations
@@ -127,22 +128,9 @@ class LogcParams:
             raise ValidationError("window_len must be at least 2")
 
 
-def kinematic_features(flows, frames, pixel_step: int = 1) -> np.ndarray:
-    """Per-pixel 12-vectors of flow kinematics from the ``(pairs, 2, h, w)``
-    flows of a ``(pairs + 1, h, w)`` volume.
-
-    Returns ``(pairs, h, w, 12)`` at ``pixel_step`` 1. Otherwise only every
-    ``pixel_step``-th pixel of each pair's row-major grid is kept, as one
-    contiguous ``(pairs, n, 12)`` array; the derivatives still come from the
-    full grid, and the values equal the full-grid features' sampled rows.
-
-    Component order: u, v, I_t, u_x, u_y, v_x, v_y, divergence, vorticity,
-    Frobenius norm of the flow gradient, Frobenius norm of the strain-rate
-    tensor (symmetric part of the gradient), and the shear term u_y + v_x.
-    Spatial derivatives are central differences in the interior and
-    one-sided at the borders (exact for fields linear in x and y); I_t is
-    next frame minus previous frame.
-    """
+def _kinematics(flows, frames, pixel_step: int) -> np.ndarray:
+    """The kinematic features of ``kinematic_features`` as one component-major
+    ``(12, pairs, n)`` array, n the sampled pixels of each pair."""
     flows = np.asarray(flows, dtype=np.float64)
     frames = np.asarray(frames, dtype=np.float64)
     if flows.ndim != 4 or flows.shape[1] != 2 or frames.shape != (len(flows) + 1, *flows.shape[2:]):
@@ -169,12 +157,35 @@ def kinematic_features(flows, frames, pixel_step: int = 1) -> np.ndarray:
     shear = np.add(u_y, v_x, out=feats[11])
     feats[9] = np.sqrt(u_x**2 + u_y**2 + v_x**2 + v_y**2)
     feats[10] = np.sqrt(u_x**2 + v_y**2 + 0.5 * shear**2)
-    feats = np.ascontiguousarray(np.moveaxis(feats, 0, -1))
-    return feats.reshape(pairs, h, w, KINEMATIC_DIM) if pixel_step == 1 else feats
+    return feats
+
+
+def kinematic_features(flows, frames, pixel_step: int = 1) -> np.ndarray:
+    """Per-pixel 12-vectors of flow kinematics from the ``(pairs, 2, h, w)``
+    flows of a ``(pairs + 1, h, w)`` volume.
+
+    Returns ``(pairs, h, w, 12)`` at ``pixel_step`` 1. Otherwise only every
+    ``pixel_step``-th pixel of each pair's row-major grid is kept, as one
+    contiguous ``(pairs, n, 12)`` array; the derivatives still come from the
+    full grid, and the values equal the full-grid features' sampled rows.
+
+    Component order: u, v, I_t, u_x, u_y, v_x, v_y, divergence, vorticity,
+    Frobenius norm of the flow gradient, Frobenius norm of the strain-rate
+    tensor (symmetric part of the gradient), and the shear term u_y + v_x.
+    Spatial derivatives are central differences in the interior and
+    one-sided at the borders (exact for fields linear in x and y); I_t is
+    next frame minus previous frame.
+    """
+    feats = np.moveaxis(_kinematics(flows, frames, pixel_step), 0, -1)
+    if pixel_step == 1:
+        feats = feats.reshape(len(feats), *np.shape(frames)[1:], KINEMATIC_DIM)
+    return np.ascontiguousarray(feats)
 
 
 def covariance_descriptor(samples: np.ndarray) -> np.ndarray:
-    """Unbiased sample covariance of row-vector samples, exactly symmetric."""
+    """Unbiased sample covariance of ``(count, dim)`` samples, exactly symmetric:
+    one mean along each ``(dim, count)`` component row, then ``centered @ centered.T``.
+    Rows not contiguous in memory are copied once, so any layout gives the same bytes."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ValidationError("samples must be a (count, dim) array")
@@ -183,8 +194,9 @@ def covariance_descriptor(samples: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"need at least {dim + 1} samples for a {dim}x{dim} covariance, got {count}"
         )
-    centered = samples - samples.mean(axis=0)
-    cov = centered.T @ centered / (count - 1)
+    rows = samples.T if samples.strides[0] == samples.itemsize else np.ascontiguousarray(samples.T)
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    cov = centered @ centered.T / (count - 1)
     return (cov + cov.T) / 2.0
 
 
@@ -217,9 +229,9 @@ def logc_from_flows(frames, flows, params: LogcParams) -> DescriptorSet:
     ``(t - 1, 2, h, w)`` flows: each window pools the sampled pixels of its
     pairs, in pair order."""
     starts = _window_starts(len(frames), params.window_len, params.stride)
-    feats = kinematic_features(flows, frames, params.pixel_step).reshape(len(flows), -1, KINEMATIC_DIM)
+    feats, span = _kinematics(flows, frames, params.pixel_step), params.window_len - 1
     vectors = [
-        logc_window_descriptor(feats[t0 : t0 + params.window_len - 1].reshape(-1, KINEMATIC_DIM))
+        logc_window_descriptor(feats[:, t0 : t0 + span].reshape(KINEMATIC_DIM, -1).T)
         for t0 in starts
     ]
     return DescriptorSet("logc", LOGC_DIM, np.asarray(vectors))
@@ -275,30 +287,43 @@ def temporal_quadrature_pair(tau: float):
     return even, odd
 
 
-def _correlate_valid(volume: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    """Correlation with ``kernel`` along ``axis`` where it fits wholly, which
-    shortens that axis by the kernel's size less one."""
-    length = volume.shape[axis] - (kernel.size - 1)
-    out = np.zeros(volume.shape[:axis] + (length,) + volume.shape[axis + 1:])
-    index = [slice(None)] * volume.ndim
-    for k, weight in enumerate(kernel):
-        index[axis] = slice(k, k + length)
-        out += weight * volume[tuple(index)]
-    return out
+def _correlate_valid(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Correlation with ``kernel`` down ``rows`` where it fits wholly, one tap
+    at a time, which drops the kernel's size less one rows."""
+    length = len(rows) - (kernel.size - 1)
+    return sum(weight * rows[k : k + length] for k, weight in enumerate(kernel))
+
+
+# (sigma, axis length) -> matrix, one per filter and frame size a process uses.
+# A functools cache would mark the package as wrapped and keep every pool inline.
+_SMOOTHING_MATRICES: dict = {}
+
+
+def _smoothing_matrix(sigma: float, n: int) -> np.ndarray:
+    """The read-only ``(n, n)`` Gaussian smoothing matrix, ``_correlate_valid`` of
+    the reflect-padded identity (``np.pad`` alone defines the reflection). It is
+    built once per process, as building it costs more than applying it."""
+    if (sigma, n) not in _SMOOTHING_MATRICES:
+        kernel = _gaussian_kernel(sigma)
+        identity = np.pad(np.eye(n), [(kernel.size // 2,) * 2, (0, 0)], mode="reflect")
+        matrix = _correlate_valid(identity, kernel)
+        matrix.flags.writeable = False
+        _SMOOTHING_MATRICES[sigma, n] = matrix
+    return _SMOOTHING_MATRICES[sigma, n]
 
 
 def gaussian_smooth(volume: np.ndarray, sigma: float, axes) -> np.ndarray:
-    """Separable Gaussian smoothing along each of ``axes`` in turn, borders reflected."""
-    kernel = _gaussian_kernel(sigma)
+    """Separable Gaussian smoothing along each of ``axes`` in turn, borders
+    reflected: one product with ``_smoothing_matrix`` per axis."""
     for axis in axes:
-        pad = [(0, 0)] * volume.ndim
-        pad[axis] = (kernel.size // 2,) * 2
-        volume = _correlate_valid(np.pad(volume, pad, mode="reflect"), kernel, axis)
+        matrix = _smoothing_matrix(sigma, volume.shape[axis])
+        volume = np.moveaxis(matrix @ np.moveaxis(volume, axis, -2), -2, axis)
     return volume
 
 
 def cuboid_response(seq: FrameSequence, params: CuboidParams):
-    """Detector response volume and the frame offset of its first slice."""
+    """Detector response volume and the frame offset of its first slice; the
+    temporal filters are matrices applied to the ``(t, h * w)`` smoothed frames."""
     even, odd = temporal_quadrature_pair(params.tau)
     radius = even.size // 2
     if seq.frame_count < even.size:
@@ -307,14 +332,12 @@ def cuboid_response(seq: FrameSequence, params: CuboidParams):
         )
     spatial_radius = _gaussian_kernel(params.sigma).size // 2
     if spatial_radius >= min(seq.height, seq.width):
-        raise ValidationError(
-            f"spatial filter radius {spatial_radius} exceeds the "
-            f"{seq.width}x{seq.height} frame"
-        )
-    smoothed = gaussian_smooth(seq.frames.astype(np.float64), params.sigma, axes=(1, 2))
-    r_even = _correlate_valid(smoothed, even, axis=0)
-    r_odd = _correlate_valid(smoothed, odd, axis=0)
-    return r_even * r_even + r_odd * r_odd, radius
+        raise ValidationError(f"the {seq.width}x{seq.height} frame must be larger than the "
+                              f"spatial filter radius {spatial_radius}")
+    t, h, w = seq.frames.shape
+    rows = gaussian_smooth(seq.frames.astype(np.float64), params.sigma, axes=(1, 2)).reshape(t, -1)
+    r_even, r_odd = (_correlate_valid(np.eye(t), f) @ rows for f in (even, odd))
+    return (r_even * r_even + r_odd * r_odd).reshape(-1, h, w), radius
 
 
 def _local_maxima_3d(resp: np.ndarray) -> np.ndarray:
@@ -351,12 +374,17 @@ def cuboid_patches(seq: FrameSequence, points, params: CuboidParams) -> np.ndarr
     """Flattened gradient cuboids around ``points`` ((x, y, t, ...) each), as
     one ``(P, descriptor_dim)`` array.
 
-    Gradients use central differences (one-sided at volume borders) and are
-    taken once; every spatio-temporal window is clamped by replication at the
-    borders and gathered with one broadcast index. Each row runs over
-    (t, y, x, component) with components (gx, gy, gt).
+    Every spatio-temporal window is clamped by replication at the borders
+    and gathered as one flat index per voxel. The gradient is taken at the
+    gathered voxels alone, as ``np.gradient`` takes it: ``(f[hi] - f[lo]) /
+    (hi - lo)`` with ``hi = min(i + 1, n - 1)`` and ``lo = max(i - 1, 0)``,
+    central inside the volume and one-sided at its borders. Each row runs
+    over (t, y, x, component) with components (gx, gy, gt).
     """
-    g_t, g_y, g_x = np.gradient(seq.frames.astype(np.float64))
+    frames = seq.frames
+    if min(frames.shape) < 2:
+        raise ValidationError(f"cuboid gradients need at least 2 voxels along each axis, "
+                              f"got a {seq.width}x{seq.height} frame")
     x, y, t = np.array([p[:3] for p in points], dtype=np.int64).reshape(-1, 3).T
 
     def window(centres, radius, size):
@@ -367,7 +395,15 @@ def cuboid_patches(seq: FrameSequence, points, params: CuboidParams) -> np.ndarr
         window(y, params.side_xy // 2, seq.height)[:, None, :, None],
         window(x, params.side_xy // 2, seq.width)[:, None, None, :],
     )
-    patches = np.stack([g[index] for g in (g_x, g_y, g_t)], axis=-1)
+    # one flat index per voxel is much cheaper to gather than three broadcast ones
+    f, strides = frames.ravel(), (seq.height * seq.width, seq.width, 1)
+    at = sum(i * step for i, step in zip(index, strides))
+    patches = np.empty((len(x), params.side_t, params.side_xy, params.side_xy, 3))
+    for component, axis in enumerate((2, 1, 0)):   # gx, gy, gt
+        i, step = index[axis], strides[axis]
+        hi, lo = np.minimum(i + 1, frames.shape[axis] - 1), np.maximum(i - 1, 0)
+        diff = np.subtract(f[at + (hi - i) * step], f[at + (lo - i) * step], dtype=np.float64)
+        np.divide(diff, hi - lo, out=patches[..., component])
     return patches.reshape(len(points), params.descriptor_dim)
 
 

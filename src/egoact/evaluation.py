@@ -173,7 +173,10 @@ def extract_dataset_descriptors(manifest: DatasetManifest, data_dir, features,
 
     def job(entry):
         seq = read_frame_sequence(data_dir / entry.path)
-        return extract_video_descriptors(seq, features, cfg)
+        try:
+            return extract_video_descriptors(seq, features, cfg)
+        except PipelineError as exc:
+            raise type(exc)(f"{entry.video_id}: {exc}") from exc
 
     results = ordered_map(job, manifest.videos, workers, progress)
     return {entry.video_id: sets for entry, sets in zip(manifest.videos, results)}

@@ -17,7 +17,13 @@ array; they too must match byte for byte. ``reference_cuboid_describe``
 and ``reference_local_maxima_3d`` are the per-point cuboid gather and the
 27-shift neighbourhood maximum the package shipped before it gathered every
 point at once and took the maximum one axis at a time; the cuboid sets must
-match them byte for byte. The quantizer
+match them byte for byte. ``reference_gaussian_smooth`` and
+``reference_cuboid_response`` are the pad-and-shift filters, one array pass
+per tap, that the package ran before each filter became one matrix product;
+``reference_covariance`` is the covariance the package took on row-major
+``(count, dim)`` samples before it worked on component rows. These three
+move in the low bits, so the tests bound them, and require the detected
+points and cuboid sets built on the oracle response to match exactly. The quantizer
 measures each centroid by direct differences instead of the expanded
 squared-distance form that ``bow.quantize_batch`` uses. ``matrix_exp`` is
 the inverse the matrix-log tests round-trip through. ``reference_smo`` and
@@ -35,8 +41,9 @@ from egoact.descriptors import (
     KINEMATIC_DIM,
     ORIENTATION_BINS,
     CuboidParams,
-    cuboid_response,
+    _gaussian_kernel,
     logc_window_descriptor,
+    temporal_quadrature_pair,
 )
 from egoact.kernels import DC_INT, GAUSSIAN, H_INT, JPL_DELTA
 
@@ -371,18 +378,62 @@ def reference_cuboid_describe(seq: FrameSequence, point, params: CuboidParams,
     return vec
 
 
-def reference_cuboid_descriptors(seq, params):
-    """The ``(P, descriptor_dim)`` cuboid set built one point at a time, on
-    points found with the 27-shift maximum and ordered like ``cuboid_detect``."""
-    resp, t_offset = cuboid_response(seq, params)
+def _reference_correlate_valid(volume, kernel, axis):
+    length = volume.shape[axis] - (kernel.size - 1)
+    out = np.zeros(volume.shape[:axis] + (length,) + volume.shape[axis + 1:])
+    index = [slice(None)] * volume.ndim
+    for k, weight in enumerate(kernel):
+        index[axis] = slice(k, k + length)
+        out += weight * volume[tuple(index)]
+    return out
+
+
+def reference_gaussian_smooth(volume, sigma, axes):
+    """Separable Gaussian smoothing, each axis reflect-padded and then
+    correlated one tap at a time."""
+    kernel = _gaussian_kernel(sigma)
+    for axis in axes:
+        pad = [(0, 0)] * volume.ndim
+        pad[axis] = (kernel.size // 2,) * 2
+        volume = _reference_correlate_valid(np.pad(volume, pad, mode="reflect"), kernel, axis)
+    return volume
+
+
+def reference_cuboid_response(seq, params):
+    """The detector response and its frame offset, from the pad-and-shift filters."""
+    even, odd = temporal_quadrature_pair(params.tau)
+    smoothed = reference_gaussian_smooth(seq.frames.astype(np.float64), params.sigma, axes=(1, 2))
+    r_even = _reference_correlate_valid(smoothed, even, axis=0)
+    r_odd = _reference_correlate_valid(smoothed, odd, axis=0)
+    return r_even * r_even + r_odd * r_odd, even.size // 2
+
+
+def reference_cuboid_points(seq, params):
+    """Interest points as (x, y, t, response), found on the oracle response
+    with the 27-shift maximum and ordered like ``cuboid_detect``."""
+    resp, t_offset = reference_cuboid_response(seq, params)
     ts, ys, xs = np.nonzero(reference_local_maxima_3d(resp) & (resp > params.threshold))
     order = np.lexsort((xs, ys, ts, -resp[ts, ys, xs]))[: params.max_points]
+    return [(int(xs[i]), int(ys[i]), int(ts[i] + t_offset), float(resp[ts[i], ys[i], xs[i]]))
+            for i in order]
+
+
+def reference_cuboid_descriptors(seq, params):
+    """The ``(P, descriptor_dim)`` cuboid set built one point at a time on
+    ``reference_cuboid_points``."""
+    points = reference_cuboid_points(seq, params)
     gradients = reference_intensity_gradients_3d(seq.frames)
-    vectors = [
-        reference_cuboid_describe(seq, (xs[i], ys[i], ts[i] + t_offset), params, gradients=gradients)
-        for i in order
-    ]
-    return np.asarray(vectors).reshape(len(order), params.descriptor_dim)
+    vectors = [reference_cuboid_describe(seq, p, params, gradients=gradients) for p in points]
+    return np.asarray(vectors).reshape(len(points), params.descriptor_dim)
+
+
+def reference_covariance(samples):
+    """Unbiased sample covariance of row-major ``(count, dim)`` samples: the
+    mean down each column, then ``centered.T @ centered``."""
+    samples = np.asarray(samples, dtype=np.float64)
+    centered = samples - samples.mean(axis=0)
+    cov = centered.T @ centered / (len(samples) - 1)
+    return (cov + cov.T) / 2.0
 
 
 def matrix_exp(a):

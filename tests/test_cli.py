@@ -588,7 +588,7 @@ def test_failing_video_fails_extract_alike_on_one_or_two_cpus(pipeline, tmp_path
 
     def failing(seq, features, cfg):
         if seq == broken:
-            raise ValidationError(f"{videos[5]['video_id']}: flow diverged")
+            raise ValidationError("flow diverged")
         return extract(seq, features, cfg)
 
     monkeypatch.setattr(evaluation, "extract_video_descriptors", failing)
@@ -603,6 +603,20 @@ def test_failing_video_fails_extract_alike_on_one_or_two_cpus(pipeline, tmp_path
         outcomes.append((code, lines))
         assert not out.exists()
     assert outcomes[0] == outcomes[1] == (1, [f"error: {videos[5]['video_id']}: flow diverged"])
+
+
+def test_extraction_error_names_its_video(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"synth": {**SMALL_SYNTH["synth"], "frame_count": 16}})
+    data = tmp_path / "data"
+    assert main(["synth", "--config", cfg, "--out", str(data)]) == 0
+    capsys.readouterr()
+    expected = ["error: c00_v00: video has 16 frames but the temporal filter spans 17"]
+    for command in (["extract", "--out", str(tmp_path / "desc")],
+                    ["evaluate", "--method", "simple_mkl",
+                     "--out", str(tmp_path / "report.json")]):
+        assert main([*command, "--config", cfg, "--data", str(data)]) == 1
+        assert capsys.readouterr().err.splitlines() == expected
+    assert not (tmp_path / "desc").exists() and not (tmp_path / "report.json").exists()
 
 
 def test_codebook_reads_only_its_type_and_encode_reads_every_type(pipeline, tmp_path, capsys,

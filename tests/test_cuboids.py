@@ -3,9 +3,13 @@ import pytest
 from oracles import (
     reference_cuboid_describe,
     reference_cuboid_descriptors,
+    reference_cuboid_points,
+    reference_cuboid_response,
+    reference_gaussian_smooth,
     reference_local_maxima_3d,
 )
 
+from egoact import synth
 from egoact.dataio import FrameSequence
 from egoact.descriptors import (
     CuboidParams,
@@ -14,6 +18,7 @@ from egoact.descriptors import (
     cuboid_detect,
     cuboid_patches,
     cuboid_response,
+    gaussian_smooth,
     temporal_quadrature_pair,
 )
 from egoact.errors import ValidationError
@@ -84,6 +89,17 @@ def test_spatial_filter_must_fit_frame():
     seq = FrameSequence(np.zeros((24, 10, 10), dtype=np.uint8))
     with pytest.raises(ValidationError):
         cuboid_detect(seq, CuboidParams(sigma=4.0, tau=1.5))  # radius 12 > frame
+    seq = FrameSequence(np.zeros((24, 12, 20), dtype=np.uint8))
+    with pytest.raises(ValidationError, match="^the 20x12 frame must be larger than the "
+                                              "spatial filter radius 12$"):
+        cuboid_detect(seq, CuboidParams(sigma=4.0, tau=1.5))  # radius 12 == height
+
+
+@pytest.mark.parametrize("shape", ((12, 1, 9), (12, 9, 1)))
+def test_patches_need_two_voxels_along_each_axis(shape):
+    seq = FrameSequence(np.zeros(shape, dtype=np.uint8))
+    with pytest.raises(ValidationError, match="at least 2 voxels along each axis"):
+        cuboid_patches(seq, [(0, 0, 6)], CuboidParams(sigma=1.0, tau=1.5))
 
 
 def test_constant_patch_gives_zero_descriptor():
@@ -157,11 +173,21 @@ def test_cuboid_sets_match_the_per_point_oracle(size, params):
     clamped_low = clamped_high = np.zeros(2, dtype=bool)   # per (x, y)
     for class_index in range(cfg.class_count):
         seq = synthesize_video(cfg, class_index, 0)
+        response, offset = cuboid_response(seq, params)
+        expected_response, expected_offset = reference_cuboid_response(seq, params)
+        assert offset == expected_offset and response.shape == expected_response.shape
+        scale = np.abs(expected_response).max()
+        assert np.abs(response - expected_response).max() <= 1e-12 * scale
+        points = cuboid_detect(seq, params)
+        expected_points = reference_cuboid_points(seq, params)
+        assert [p[:3] for p in points] == [p[:3] for p in expected_points]
+        assert np.allclose([p[3] for p in points], [p[3] for p in expected_points],
+                           rtol=1e-12, atol=0.0)
         got = cuboid_descriptors(seq, params).vectors
         expected = reference_cuboid_descriptors(seq, params)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
-        xy = np.array([p[:2] for p in cuboid_detect(seq, params)]).reshape(-1, 2)
+        xy = np.array([p[:2] for p in points]).reshape(-1, 2)
         clamped_low = clamped_low | (xy < radius).any(axis=0)
         clamped_high = clamped_high | (xy >= size - radius).any(axis=0)
     if params.max_points == 40:
@@ -185,3 +211,21 @@ def test_local_maxima_match_the_27_shift_oracle(shape):
                    np.full(shape, 4.25)):
         assert np.array_equal(_local_maxima_3d(volume), reference_local_maxima_3d(volume))
     assert _local_maxima_3d(np.full(shape, 4.25)).all()
+
+
+@pytest.mark.parametrize("length", range(1, 6))
+def test_gaussian_smooth_reflects_short_axes_like_the_pad_and_shift_oracle(length):
+    # sigma 2.5 has radius 8, so axes of 1-5 samples reflect over and over
+    rng = np.random.default_rng(length)
+    for shape, axes in (((length, 7), (0, 1)), ((3, length, length), (1, 2)), ((4, 6, length), (2,))):
+        volume = rng.normal(size=shape)
+        expected = reference_gaussian_smooth(volume, 2.5, axes)
+        assert np.abs(gaussian_smooth(volume, 2.5, axes) - expected).max() <= 1e-12
+
+
+def test_synth_frames_do_not_change_with_the_pad_and_shift_smoother(monkeypatch):
+    configs = [SynthConfig(width=size, height=size, seed=seed) for size in (32, 64) for seed in (0, 1)]
+    videos = [(cfg, c, v) for cfg in configs for c in range(cfg.class_count) for v in range(2)]
+    got = [synthesize_video(*video).frames.tobytes() for video in videos]
+    monkeypatch.setattr(synth, "gaussian_smooth", reference_gaussian_smooth)
+    assert got == [synthesize_video(*video).frames.tobytes() for video in videos]

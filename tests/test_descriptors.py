@@ -2,8 +2,9 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from oracles import reference_hof, reference_kinematics, reference_logc
+from oracles import reference_covariance, reference_hof, reference_kinematics, reference_logc
 
+from egoact import descriptors
 from egoact.descriptors import (
     HofParams,
     LogcParams,
@@ -277,3 +278,14 @@ def test_logc_matches_per_pair_oracle(case):
     frames, flows = synth_flows(width, height)
     expected = reference_logc(frames, [(u, v) for u, v in flows], params)
     assert logc_from_flows(frames, flows, params).vectors.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_logc_stays_near_the_row_major_covariance(case, monkeypatch):
+    width, height, _, params = ORACLE_CASES[case]
+    frames, flows = synth_flows(width, height)
+    got = logc_from_flows(frames, flows, params).vectors
+    monkeypatch.setattr(descriptors, "covariance_descriptor", reference_covariance)
+    expected = reference_logc(frames, [(u, v) for u, v in flows], params)
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= 1e-10 * np.maximum(1.0, np.abs(expected)))
