@@ -117,8 +117,8 @@ def quantize_batch(vectors: np.ndarray, codebook: Codebook) -> np.ndarray:
 def encode_video(video_id: str, sets, codebooks) -> VideoHistogram:
     """One normalized histogram block per descriptor type, in ``FEATURES`` order.
 
-    Types absent from ``sets`` are skipped; a type with zero descriptors
-    yields an all-zero block.
+    Types absent from ``sets`` are skipped (``VideoHistogram`` refuses none
+    left); a type with zero descriptors yields an all-zero block.
     """
     blocks = []
     for dtype in FEATURES:
@@ -134,6 +134,4 @@ def encode_video(video_id: str, sets, codebooks) -> VideoHistogram:
             counts = np.bincount(words, minlength=codebook.word_count).astype(np.float64)
             counts /= counts.sum()
         blocks.append((dtype, counts))
-    if not blocks:
-        raise ValidationError("no descriptor types to encode")
     return VideoHistogram(video_id, blocks)

@@ -29,7 +29,7 @@ import numbers
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -316,14 +316,16 @@ class VideoEntry:
     path: str
 
 
+@dataclass(slots=True)
 class DatasetManifest:
     """Class names plus the labeled video files that make up a dataset."""
 
-    __slots__ = ("classes", "videos")
+    classes: list
+    videos: list
 
-    def __init__(self, classes, videos):
-        classes = [str(c) for c in classes]
-        videos = [v if isinstance(v, VideoEntry) else VideoEntry(*v) for v in videos]
+    def __post_init__(self):
+        classes = [str(c) for c in self.classes]
+        videos = [v if isinstance(v, VideoEntry) else VideoEntry(*v) for v in self.videos]
         if not classes or len(set(classes)) != len(classes):
             raise ValidationError(f"manifest needs at least one class, each named once, got {classes}")
         ids = [v.video_id for v in videos]
@@ -349,13 +351,6 @@ class DatasetManifest:
 
     def videos_of_class(self, class_index: int):
         return [v for v in self.videos if v.class_index == class_index]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DatasetManifest)
-            and self.classes == other.classes
-            and self.videos == other.videos
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +421,7 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
         {
             "kind": "dataset_manifest",
             "classes": manifest.classes,
-            "videos": [
-                {"video_id": v.video_id, "class_index": v.class_index, "path": v.path}
-                for v in manifest.videos
-            ],
+            "videos": [asdict(v) for v in manifest.videos],
         },
     )
 

@@ -11,6 +11,7 @@ and every interest point's window, with its gradient, is gathered in one pass.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,22 +295,16 @@ def _correlate_valid(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return sum(weight * rows[k : k + length] for k, weight in enumerate(kernel))
 
 
-# (sigma, axis length) -> matrix, one per filter and frame size a process uses.
-# A functools cache would mark the package as wrapped and keep every pool inline.
-_SMOOTHING_MATRICES: dict = {}
-
-
+@functools.cache
 def _smoothing_matrix(sigma: float, n: int) -> np.ndarray:
     """The read-only ``(n, n)`` Gaussian smoothing matrix, ``_correlate_valid`` of
     the reflect-padded identity (``np.pad`` alone defines the reflection). It is
     built once per process, as building it costs more than applying it."""
-    if (sigma, n) not in _SMOOTHING_MATRICES:
-        kernel = _gaussian_kernel(sigma)
-        identity = np.pad(np.eye(n), [(kernel.size // 2,) * 2, (0, 0)], mode="reflect")
-        matrix = _correlate_valid(identity, kernel)
-        matrix.flags.writeable = False
-        _SMOOTHING_MATRICES[sigma, n] = matrix
-    return _SMOOTHING_MATRICES[sigma, n]
+    kernel = _gaussian_kernel(sigma)
+    identity = np.pad(np.eye(n), [(kernel.size // 2,) * 2, (0, 0)], mode="reflect")
+    matrix = _correlate_valid(identity, kernel)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def gaussian_smooth(volume: np.ndarray, sigma: float, axes) -> np.ndarray:

@@ -93,17 +93,22 @@ def usable_cpus() -> int:
 
 
 def _wrapped_here() -> bool:
-    """Whether a package function is wrapped here (``functools.wraps`` sets ``__wrapped__``),
-    as by a tracer, whose records forked workers would take out of this process."""
-    return any(hasattr(value, "__wrapped__") for name, module in list(sys.modules.items())
+    """Whether a package function is wrapped here (``functools.wraps`` sets ``__wrapped__``)
+    by Python code from outside the package, as by a tracer, whose records forked
+    workers would take out of this process. A C-level ``functools`` cache has no
+    ``__code__``, and a decorator written in the package is not a tracer."""
+    inside = os.path.dirname(__file__) + os.sep
+    return any(hasattr(value, "__wrapped__") and hasattr(value, "__code__")
+               and not value.__code__.co_filename.startswith(inside)
+               for name, module in list(sys.modules.items())
                if name.startswith(__package__ + ".") for value in vars(module).values())
 
 
 def ordered_map(fn, items, workers: int = 1, progress=None) -> list:
     """``[fn(item) for item in items]`` on up to ``workers`` forked processes
     (at most one per item and per usable CPU), inline at ``workers <= 1``, where the
-    platform cannot fork or while a package function is wrapped (a ``functools``
-    cache or ``wraps`` decorator counts), for ``synth``, ``extract`` and ``evaluate``
+    platform cannot fork or while a package function is wrapped by code from outside
+    the package (``_wrapped_here``), for ``synth``, ``extract`` and ``evaluate``
     alike. ``progress(done, total)`` runs in the caller as items finish in item
     order. With processes, the first failure in item order is raised once every
     item before it has finished, and items not yet started are dropped; a worker

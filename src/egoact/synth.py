@@ -119,8 +119,9 @@ def _bilinear_sample(texture: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.
 
 def _sample_coords(kind: str, frame_idx: int, phase: float, cfg: SynthConfig, margin: int,
                    grid: np.ndarray):
-    """Texture coordinates sampled by each output pixel for one frame; ``grid``
-    holds the float pixel rows and columns, and is not written."""
+    """Texture coordinates sampled by each output pixel for one frame, the grid
+    itself for a static camera; ``grid`` holds the float pixel rows and columns,
+    and is not written."""
     ys, xs = grid
     cx = (cfg.width - 1) / 2.0
     cy = (cfg.height - 1) / 2.0
@@ -141,10 +142,6 @@ def _sample_coords(kind: str, frame_idx: int, phase: float, cfg: SynthConfig, ma
         scale = 1.0 + ZOOM_RATE * f
         xs = cx + (xs - cx) * scale
         ys = cy + (ys - cy) * scale
-    elif kind == "static":
-        pass
-    else:
-        raise ValidationError(f"unknown global motion {kind!r}")
     # recenter into the padded texture
     return ys + margin, xs + margin
 
@@ -167,8 +164,6 @@ def synthesize_video(cfg: SynthConfig, class_index: int, video_index: int) -> Fr
     )
     motion_phase = float(rng.uniform(0.0, 2.0 * np.pi)) if motion in ("bob", "rotate") else 0.0
 
-    if event != "none" and event not in EVENT_PARAMS:
-        raise ValidationError(f"unknown event kind {event!r}")
     period, amplitude = EVENT_PARAMS.get(event, (4, 0.0))
     border = 10
     event_x = float(rng.integers(border, max(border + 1, cfg.width - border - JUMP_OFFSET)))

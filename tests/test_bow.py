@@ -156,6 +156,11 @@ def test_encode_requires_codebook():
         encode_video("v", sets, _codebooks())
 
 
+def test_encode_refuses_a_video_with_no_descriptor_types():
+    with pytest.raises(ValidationError, match="at least one block"):
+        encode_video("v", {}, {})
+
+
 def test_block_sums_zero_or_one():
     rng = np.random.default_rng(7)
     for count in (0, 1, 7):

@@ -180,6 +180,21 @@ def test_encode_rejects_a_codebook_of_the_wrong_dimension(pipeline, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("missing", ["hof", "cuboid"])
+def test_encode_rejects_a_missing_codebook(pipeline, tmp_path, capsys, missing):
+    cb = tmp_path / "cb"
+    cb.mkdir()
+    for dtype in ("hof", "logc", "cuboid"):
+        if dtype != missing:
+            (cb / f"{dtype}.cbk").write_bytes((pipeline["cb"] / f"{dtype}.cbk").read_bytes())
+    out = tmp_path / "hists.json"
+    assert main(["encode", "--descriptors", str(pipeline["desc"]), "--codebooks", str(cb),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: missing codebook {cb / f'{missing}.cbk'} for descriptor type {missing!r}"]
+    assert not out.exists()
+
+
 def test_method_alias_single(pipeline, tmp_path, capsys):
     plain = tmp_path / "plain.json"
     alias = tmp_path / "alias.json"

@@ -181,3 +181,17 @@ def test_seeds_nonnegative_and_flags_bool_at_load(tmp_path, section, field, valu
     write_json(path, {section: {field: value}})
     with pytest.raises(ConfigError, match=field):
         RunConfig.load(path)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"flow": 5}, "section 'flow' must be an object"),
+    ({"hof": {"window_len": 1}}, "window_len must be at least 2"),
+    ({"logc": {"window_len": 1}}, "window_len must be at least 2"),
+    ({"synth": {"frame_count": 1}}, "frame_count must be at least 2"),
+], ids=["section_not_an_object", "hof_one_frame_window", "logc_one_frame_window",
+        "synth_one_frame"])
+def test_unusable_sections_rejected_at_load(tmp_path, doc, message):
+    path = tmp_path / "cfg.json"
+    write_json(path, doc)
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.load(path)

@@ -216,3 +216,20 @@ def test_atomic_write_no_partial_output(tmp_path):
     assert target.read_bytes() == b"ok"
     leftovers = [p for p in tmp_path.iterdir() if p.name != "out.bin"]
     assert leftovers == []
+
+
+def refuse_rename(src, dst):
+    raise OSError(f"cannot rename {src} to {dst}")
+
+
+@pytest.mark.parametrize("block", ["nonempty_directory", "refused_rename"])
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch, block):
+    target = tmp_path / "out.bin"
+    if block == "nonempty_directory":   # a file cannot replace it
+        target.mkdir()
+        (target / "inside").write_bytes(b"")
+    else:
+        monkeypatch.setattr(dataio.os, "replace", refuse_rename)
+    with pytest.raises(OSError):
+        dataio.atomic_write_bytes(target, b"ok")
+    assert [p.name for p in tmp_path.iterdir()] == ([] if block == "refused_rename" else ["out.bin"])

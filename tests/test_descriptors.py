@@ -289,3 +289,47 @@ def test_logc_stays_near_the_row_major_covariance(case, monkeypatch):
     expected = reference_logc(frames, [(u, v) for u, v in flows], params)
     assert got.shape == expected.shape
     assert np.all(np.abs(got - expected) <= 1e-10 * np.maximum(1.0, np.abs(expected)))
+
+
+# ---------------------------------------------------------------------------
+# mirror symmetry: each stage gets the exact x-mirror of its own input
+
+@lru_cache(maxsize=None)
+def class_video(class_index):
+    frames = synthesize_video(SynthConfig(width=64, height=64), class_index, 0).frames
+    return frames, sequence_flows(frames)
+
+
+def mirrored_flows(flows):
+    """The flows of the x-mirrored video: mirrored, with u negated."""
+    return flows[..., ::-1] * np.array([-1.0, 1.0])[:, None, None]
+
+
+@pytest.mark.parametrize("class_index", range(8))
+def test_hof_of_mirrored_flows_mirrors_cells_and_bins(class_index):
+    """Cell columns reverse (64 px split evenly into 4 cells) and bin j (angle 45j)
+    moves to (4 - j) mod 8 (angle 180 - 45j); only the L1 total's summation order changes, 5.6e-17 at worst
+    over classes 0-7, so the bound leaves a 10x margin."""
+    _, flows = class_video(class_index)
+    params = HofParams()
+    base = hof_from_flows(flows, params).vectors.reshape(-1, 4, 4, 8)
+    got = hof_from_flows(mirrored_flows(flows), params).vectors.reshape(-1, 4, 4, 8)
+    expected = base[:, :, ::-1][..., (4 - np.arange(8)) % 8]
+    assert np.abs(got - expected).max() <= 5.6e-16
+
+
+# u, u_y, v_x, vorticity and shear change sign under the mirror
+MIRROR_SIGNS = np.array([-1, 1, 1, 1, -1, -1, 1, 1, -1, 1, 1, -1.0])
+
+
+@pytest.mark.parametrize("class_index", range(8))
+def test_logc_of_mirrored_input_flips_the_odd_components(class_index):
+    """Each covariance entry (i, j) is multiplied by d_i * d_j, and so is its
+    matrix log; only the pixel order of the sums changes, 4.1e-12 relative at
+    worst over classes 0-7, so the bound leaves a 10x margin."""
+    frames, flows = class_video(class_index)
+    params = LogcParams(pixel_step=1)
+    base = logc_from_flows(frames, flows, params).vectors
+    got = logc_from_flows(frames[:, :, ::-1], mirrored_flows(flows), params).vectors
+    expected = base * np.outer(MIRROR_SIGNS, MIRROR_SIGNS)[np.triu_indices(12)]
+    assert np.all(np.abs(got - expected) <= 4.1e-11 * np.maximum(1.0, np.abs(expected)))

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from egoact import evaluation
+from egoact import descriptors, evaluation
 from egoact.config import RunConfig, SplitSection
 from egoact.dataio import DatasetManifest, DescriptorSet, VideoEntry
 from egoact.errors import ConfigError, ValidationError
@@ -463,9 +463,18 @@ def test_a_wrapped_package_function_keeps_ordered_map_in_this_process(many_cpus,
     assert ordered_map(lambda x: os.getpid(), range(4), 2) == [os.getpid()] * 4
 
 
+@forking
+def test_a_package_cache_does_not_keep_ordered_map_in_this_process(many_cpus):
+    """A ``functools`` cache in the package sets ``__wrapped__`` but records nothing."""
+    assert hasattr(descriptors._smoothing_matrix, "__wrapped__")
+    descriptors._smoothing_matrix(1.5, 9)
+    assert os.getpid() not in ordered_map(lambda x: os.getpid(), range(4), 2)
+
+
 def test_no_package_function_is_wrapped_at_import():
-    """A module-level ``functools.lru_cache`` or ``functools.wraps`` decorator sets
-    ``__wrapped__``, which would keep every pool in this process without a word."""
+    """Only a wrapper written outside the package keeps every pool in this process,
+    and importing the package makes none; the package's own ``functools`` cache
+    already sets ``__wrapped__``, so this also checks that it does not count."""
     import egoact
 
     for module in pkgutil.iter_modules(egoact.__path__):

@@ -385,3 +385,30 @@ def test_coefficients_not_finite_in_float32_rejected(frames, alpha):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="^flow values must be finite$"):
             sequence_flows(frames, alpha=alpha, iterations=3)
+
+
+# ---------------------------------------------------------------------------
+# mirror and transpose symmetry: the worst gaps over classes 0-7 were 4.4e-7
+# (mirror) and 4.4e-7 (transpose), so the bounds leave about a 10x margin
+
+def assert_symmetric(got, expected):
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= 4.4e-6 * np.maximum(1.0, np.abs(expected)))
+
+
+@pytest.mark.parametrize("class_index", range(8))
+def test_mirrored_video_gives_the_mirrored_flow(class_index):
+    """Mirroring in x mirrors the flow and negates u."""
+    frames = synthesize_video(SynthConfig(width=64, height=64), class_index, 0).frames
+    mirrored = sequence_flows(frames[:, :, ::-1])
+    expected = sequence_flows(frames)[..., ::-1] * np.array([-1.0, 1.0])[:, None, None]
+    assert_symmetric(mirrored, expected)
+
+
+@pytest.mark.parametrize("class_index", range(8))
+def test_transposed_video_gives_the_transposed_flow(class_index):
+    """Swapping x and y transposes the flow and swaps u and v."""
+    frames = synthesize_video(SynthConfig(width=64, height=64), class_index, 0).frames
+    transposed = sequence_flows(frames.transpose(0, 2, 1))
+    expected = sequence_flows(frames)[:, ::-1].transpose(0, 1, 3, 2)
+    assert_symmetric(transposed, expected)

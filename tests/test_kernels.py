@@ -213,6 +213,13 @@ def test_trace_normalize():
     assert np.allclose(normalized, gram * scale)
 
 
+@pytest.mark.parametrize("gram", [np.zeros((4, 4)), -np.eye(3)], ids=["all_zero", "negative_trace"])
+def test_trace_normalize_leaves_a_gram_without_positive_trace_alone(gram):
+    normalized, scale = trace_normalize(gram)
+    assert scale == 1.0
+    assert normalized is gram
+
+
 def test_combine_rows_and_kernel_rows():
     rng = np.random.default_rng(11)
     train = random_histograms(rng, 5)

@@ -412,3 +412,27 @@ WRONG_MODEL_VALUES = {
 def test_wrong_model_values_are_format_errors(artifacts, tmp_path, capsys, case):
     """Refused when the model is read, not when it first scores."""
     rejected_on_read(artifacts, tmp_path, capsys, "simple_mkl.json", WRONG_MODEL_VALUES[case])
+
+
+# a model that no writer emits, refused on read for the reason it names; the jpl_int
+# cases split the toy model's first block [0, 4] into two channels
+REFUSED_MODELS = {
+    "no_specs": ("simple_mkl.json", lambda d: d.update(specs=[]), "kernel specs"),
+    "no_trials": ("boost_mkl.json", lambda d: _mkl(d).update(trials=[]), "at least one kept trial"),
+    "gaussian_sigma_zero": ("simple_mkl.json", lambda d: _spec(d).update(kind="gaussian", sigma=0.0),
+                            "gaussian sigma must be positive"),
+    "dc_int_without_channels": ("simple_mkl.json", lambda d: _spec(d).update(kind="dc_int"),
+                                "dc_int needs a channel layout"),
+    "exponents_on_h_int": ("simple_mkl.json", lambda d: _spec(d).update(exponents=[1.0]),
+                           "exponents only apply to jpl_int"),
+    "one_exponent_for_two_channels": ("simple_mkl.json", lambda d: _spec(d).update(
+        kind="jpl_int", channels=[[0, 2], [2, 2]], exponents=[1.0]), "need one exponent per channel"),
+    "zero_exponent": ("simple_mkl.json", lambda d: _spec(d).update(
+        kind="jpl_int", channels=[[0, 2], [2, 2]], exponents=[1.0, 0.0]), "exponents must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_MODELS))
+def test_refused_models_name_their_reason(artifacts, tmp_path, capsys, case):
+    name, mutate, reason = REFUSED_MODELS[case]
+    assert reason in rejected_on_read(artifacts, tmp_path, capsys, name, mutate)
