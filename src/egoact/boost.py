@@ -15,9 +15,11 @@ sign predictions are unchanged by this scaling choice.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .dataio import json_numbers
+from .dataio import json_numbers, to_doc
 from .errors import ValidationError, check_positive
 from .kernels import check_bank
 from .svm import BinarySvmModel, decision_many, smo_train
@@ -43,27 +45,23 @@ def resample(probabilities, n: int, seed) -> np.ndarray:
     return np.searchsorted(cdf, draws, side="right").astype(np.int64)
 
 
+@dataclass(slots=True, eq=False)
 class WeakClassifier:
     """One kept trial: a kernel choice, its weak SVM, and the trial weight."""
 
-    __slots__ = ("kernel_index", "train_indices", "svm", "weight", "error")
+    kernel_index: int
+    train_indices: np.ndarray
+    svm: BinarySvmModel
+    weight: float
+    error: float
 
-    def __init__(self, kernel_index: int, train_indices, svm: BinarySvmModel,
-                 weight: float, error: float):
-        self.kernel_index = int(kernel_index)
-        self.train_indices = np.asarray(train_indices, dtype=np.int64)
-        self.svm = svm
-        self.weight = float(weight)
-        self.error = float(error)
+    def __post_init__(self):
+        self.kernel_index = int(self.kernel_index)
+        self.train_indices = np.asarray(self.train_indices, dtype=np.int64)
+        self.weight = float(self.weight)
+        self.error = float(self.error)
 
-    def to_dict(self) -> dict:
-        return {
-            "kernel_index": self.kernel_index,
-            "train_indices": self.train_indices.tolist(),
-            "svm": self.svm.to_dict(),
-            "weight": self.weight,
-            "error": self.error,
-        }
+    to_dict = to_doc
 
     @staticmethod
     def from_dict(doc: dict) -> "WeakClassifier":
@@ -74,17 +72,20 @@ class WeakClassifier:
         )
 
 
+@dataclass(slots=True, eq=False)
 class BoostedModel:
     """Kept trials, each indexing one of ``kernel_count`` kernels and ``train_size`` items."""
 
-    __slots__ = ("trials", "train_size", "kernel_count")
+    trials: list
+    train_size: int
+    kernel_count: int
 
-    def __init__(self, trials, train_size: int, kernel_count: int):
-        if not trials:
+    def __post_init__(self):
+        if not self.trials:
             raise ValidationError("a boosted model needs at least one kept trial")
-        self.trials = list(trials)
-        self.train_size = int(train_size)
-        self.kernel_count = int(kernel_count)
+        self.trials = list(self.trials)
+        self.train_size = int(self.train_size)
+        self.kernel_count = int(self.kernel_count)
         for trial in self.trials:
             idx = trial.train_indices
             if not (0 <= trial.kernel_index < self.kernel_count and 0 <= idx.min(initial=0)
@@ -92,12 +93,7 @@ class BoostedModel:
                 raise ValidationError(f"a boosting trial indexes outside {self.kernel_count} kernels "
                                       f"and {self.train_size} training vectors")
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": [t.to_dict() for t in self.trials],
-            "train_size": self.train_size,
-            "kernel_count": self.kernel_count,
-        }
+    to_dict = to_doc
 
     @staticmethod
     def from_dict(doc: dict) -> "BoostedModel":

@@ -8,10 +8,10 @@ defaults. CLI flags override the matching fields after loading.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .bow import DEFAULT_MAX_ITERS
-from .dataio import read_json
+from .dataio import read_json, to_doc
 from .descriptors import FEATURES, CuboidParams, HofParams, LogcParams, check_features
 from .errors import ConfigError, ValidationError, check_positive
 from .flow import DEFAULT_ALPHA, DEFAULT_ITERATIONS
@@ -136,15 +136,7 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "features", check_features(self.features))
 
-    def to_dict(self) -> dict:
-        doc = {"features": list(self.features)}
-        for field in fields(self)[1:]:
-            section = asdict(getattr(self, field.name))
-            for key, value in section.items():
-                if isinstance(value, tuple):
-                    section[key] = list(value)
-            doc[field.name] = section
-        return doc
+    to_dict = to_doc
 
     def replace_section(self, name: str, **changes) -> "RunConfig":
         """A copy with one section's fields replaced."""

@@ -15,10 +15,14 @@ may hold no rows).
 
 Structured artifacts (manifests, histogram collections, models, reports)
 are JSON documents carrying a top-level ``"format_version": 1`` field.
-``decode_json`` turns any defect a decoder finds in one into the one
-FormatError ``"<path>: malformed <what> file (<reason>)"``. Every writer
-goes through a write-to-temp, rename-on-success path so no partial file is
-ever left behind at the target name.
+All but histogram collections are written by ``to_doc`` from a record's
+fields in declaration order, ``kind`` first; ``MklModel.objective_history``
+stays in memory. ``decode_json`` turns any defect a decoder finds in one
+into the one FormatError ``"<path>: malformed <what> file (<reason>)"``; a
+model is also refused for a scale not above 0, a class named twice or SVM
+labels not +1 and -1. Every writer goes through a write-to-temp,
+rename-on-success path so no partial file is ever left behind at the
+target name.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numbers
 import os
 import struct
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +113,19 @@ def atomic_write_bytes(path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def to_doc(value):
+    """``value`` as a JSON document: a dataclass as the dict of its fields in
+    declaration order, less those declared ``repr=False``; an array, a tuple
+    or a list as a list; anything else as it is."""
+    if is_dataclass(value):
+        return {f.name: to_doc(getattr(value, f.name)) for f in fields(value) if f.repr}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [to_doc(item) for item in value]
+    return value
 
 
 def write_json(path, payload: dict) -> None:
@@ -320,6 +337,7 @@ class VideoEntry:
 class DatasetManifest:
     """Class names plus the labeled video files that make up a dataset."""
 
+    kind: str = field(default="dataset_manifest", init=False)
     classes: list
     videos: list
 
@@ -416,14 +434,7 @@ def read_codebook(path, descriptor_type: str = "") -> Codebook:
 # JSON artifacts
 
 def write_manifest(manifest: DatasetManifest, path) -> None:
-    write_json(
-        path,
-        {
-            "kind": "dataset_manifest",
-            "classes": manifest.classes,
-            "videos": [asdict(v) for v in manifest.videos],
-        },
-    )
+    write_json(path, to_doc(manifest))
 
 
 def manifest_from_doc(doc) -> DatasetManifest:

@@ -24,14 +24,14 @@ import os
 import sys
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, replace
+from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bow
 from .config import RunConfig, SplitSection
-from .dataio import DatasetManifest, atomic_write_bytes, read_frame_sequence, write_json
+from .dataio import DatasetManifest, atomic_write_bytes, read_frame_sequence, to_doc, write_json
 from .descriptors import (
     cuboid_descriptors,
     hof_from_flows,
@@ -225,43 +225,35 @@ def run_repeat(manifest: DatasetManifest, descriptor_cache, cfg: RunConfig, meth
 # ---------------------------------------------------------------------------
 # full experiment
 
+@dataclass(slots=True, eq=False)
 class EvalReport:
     """Aggregate of all repeats plus the configuration that produced it."""
 
-    __slots__ = ("method", "kernel", "features", "classes", "split",
-                 "per_repeat_accuracy", "mean_accuracy", "confusion",
-                 "per_class_stddev", "config_echo")
+    kind: str = field(default="eval_report", init=False)
+    method: str
+    kernel: str
+    features: list
+    classes: list
+    split: SplitSection
+    mean_accuracy: float = field(init=False)
+    per_repeat_accuracy: list
+    confusion: np.ndarray = field(init=False)
+    per_class_stddev: float = field(init=False)
+    confusion_counts: InitVar[np.ndarray]
+    config: dict
 
-    def __init__(self, method, kernel, features, classes, split,
-                 per_repeat_accuracy, confusion_counts, config_echo):
-        self.method = method
-        self.kernel = kernel
-        self.features = list(features)
-        self.classes = list(classes)
-        self.split = split
-        self.per_repeat_accuracy = [float(a) * 100.0 for a in per_repeat_accuracy]
+    def __post_init__(self, confusion_counts):
+        self.features = list(self.features)
+        self.classes = list(self.classes)
+        self.per_repeat_accuracy = [float(a) * 100.0 for a in self.per_repeat_accuracy]
         self.mean_accuracy = float(np.mean(self.per_repeat_accuracy))
         counts = np.asarray(confusion_counts, dtype=np.float64)
         row_mass = counts.sum(axis=1, keepdims=True)
         safe = np.where(row_mass > 0, row_mass, 1.0)
         self.confusion = counts / safe * 100.0
         self.per_class_stddev = per_class_accuracy_stddev(self.confusion)
-        self.config_echo = config_echo
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "eval_report",
-            "method": self.method,
-            "kernel": self.kernel,
-            "features": self.features,
-            "classes": self.classes,
-            "split": asdict(self.split),
-            "mean_accuracy": self.mean_accuracy,
-            "per_repeat_accuracy": self.per_repeat_accuracy,
-            "confusion": self.confusion.tolist(),
-            "per_class_stddev": self.per_class_stddev,
-            "config": self.config_echo,
-        }
+    to_dict = to_doc
 
     def write(self, path):
         write_json(path, self.to_dict())

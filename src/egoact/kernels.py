@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import json_numbers, json_str
+from .dataio import json_numbers, json_str, to_doc
 from .errors import ValidationError
 
 GAUSSIAN = "gaussian"
@@ -69,15 +69,7 @@ class KernelSpec:
                 raise ValidationError(f"block must be (offset >= 0, length >= 1), got {self.block}")
             object.__setattr__(self, "block", block)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sigma": self.sigma,
-            "channels": [list(c) for c in self.channels],
-            "exponents": list(self.exponents),
-            "block": list(self.block) if self.block else None,
-            "label": self.label,
-        }
+    to_dict = to_doc
 
     @staticmethod
     def from_dict(doc: dict) -> "KernelSpec":

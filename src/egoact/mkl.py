@@ -10,33 +10,32 @@ decreases that keep the weights nonnegative.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .config import MklSection
-from .dataio import json_bool, json_numbers
+from .dataio import json_bool, json_numbers, to_doc
 from .kernels import check_bank, check_simplex, combine
 from .svm import BinarySvmModel, decision_many, smo_train
 
 MAX_LINE_SEARCH = 30   # step halvings tried per outer iteration
 
 
+@dataclass(slots=True, eq=False)
 class MklModel:
     """Learned kernel weights plus the SVM trained on the combined kernel."""
 
-    __slots__ = ("weights", "svm", "converged", "objective_history")
+    weights: np.ndarray
+    svm: BinarySvmModel
+    converged: bool
+    objective_history: list = field(default_factory=list, repr=False)   # not written
 
-    def __init__(self, weights, svm: BinarySvmModel, converged: bool, objective_history=None):
-        self.weights = check_simplex(weights, len(weights))
-        self.svm = svm
-        self.converged = bool(converged)
-        self.objective_history = objective_history if objective_history is not None else []
+    def __post_init__(self):
+        self.weights = check_simplex(self.weights, len(self.weights))
+        self.converged = bool(self.converged)
 
-    def to_dict(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "svm": self.svm.to_dict(),
-            "converged": self.converged,
-        }
+    to_dict = to_doc
 
     @staticmethod
     def from_dict(doc: dict) -> "MklModel":

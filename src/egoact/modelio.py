@@ -12,7 +12,7 @@ Reading a model scores its first training vector once: that is its size check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import boost as boost_mod
 from . import kernels, mkl, svm
 from .config import RunConfig
-from .dataio import DatasetManifest, decode_json, json_numbers, json_str, read_json, write_json
+from .dataio import DatasetManifest, decode_json, json_numbers, json_str, read_json, to_doc, write_json
 from .descriptors import FEATURES, check_features
 from .errors import ConfigError, ValidationError
 
@@ -86,18 +86,24 @@ def method_entry(name: str) -> Method:
     return METHODS[name]
 
 
+@dataclass(slots=True, eq=False)
 class TrainedModel:
     """A full multiclass model plus the data needed to score new vectors."""
 
-    __slots__ = ("method", "classes", "specs", "scales", "train_vectors", "binary_models")
+    kind: str = field(default="model", init=False)
+    method: str
+    classes: list
+    specs: list
+    scales: list
+    train_vectors: np.ndarray
+    binary_models: list
 
-    def __init__(self, method, classes, specs, scales, train_vectors, binary_models):
-        self.method = method
-        self.classes = list(classes)
-        self.specs = list(specs)
-        self.scales = [float(s) for s in scales]
-        self.train_vectors = np.asarray(train_vectors, dtype=np.float64)
-        self.binary_models = list(binary_models)
+    def __post_init__(self):
+        self.classes = list(self.classes)
+        self.specs = list(self.specs)
+        self.scales = [float(s) for s in self.scales]
+        self.train_vectors = np.asarray(self.train_vectors, dtype=np.float64)
+        self.binary_models = list(self.binary_models)
 
     def score_matrix(self, vectors) -> np.ndarray:
         rows = np.stack([kernels.kernel_rows(spec, vectors, self.train_vectors) * scale
@@ -108,21 +114,12 @@ class TrainedModel:
     def predict(self, vectors) -> np.ndarray:
         return svm.ova_predict_scores(self.score_matrix(vectors))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "model",
-            "method": self.method,
-            "classes": self.classes,
-            "specs": [s.to_dict() for s in self.specs],
-            "scales": self.scales,
-            "train_vectors": self.train_vectors.tolist(),
-            "binary_models": [m.to_dict() for m in self.binary_models],
-        }
+    to_dict = to_doc
 
     @staticmethod
     def from_dict(doc: dict) -> "TrainedModel":
-        """Decode a model document; a document of another kind, a NaN or an
-        infinity in any number field, parts that disagree in size, or a kernel
+        """Decode a model document; another kind, a NaN or an infinity, parts that
+        disagree in size, a scale not above 0, a class named twice, or a kernel
         spec that cannot score the training vectors raise one of ``MALFORMED``."""
         if doc.get("kind") != "model":
             raise ValueError(f"kind is {doc.get('kind')!r}, not 'model'")
@@ -138,6 +135,10 @@ class TrainedModel:
             raise ValueError("model needs a nonempty (count, dim) train_vectors and kernel specs")
         if len(model.scales) != len(specs):
             raise ValueError(f"model has {len(model.scales)} scales for {len(specs)} kernels")
+        if min(model.scales) <= 0.0:
+            raise ValueError(f"kernel scales must be above 0, got {model.scales}")
+        if len(set(model.classes)) != len(model.classes):
+            raise ValueError(f"model names a class more than once: {model.classes}")
         if len(model.binary_models) != len(model.classes):
             raise ValueError(f"model has {len(model.binary_models)} binary models "
                              f"for {len(model.classes)} classes")

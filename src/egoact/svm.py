@@ -19,56 +19,51 @@ doubles like numpy's scalars, so the solution keeps its bytes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from .dataio import json_bool, json_numbers
+from .dataio import json_bool, json_numbers, to_doc
 from .errors import ConvergenceError, ValidationError, check_positive
 
 
+@dataclass(slots=True, eq=False)
 class BinarySvmModel:
     """Dual solution of one binary problem over a fixed Gram matrix."""
 
-    __slots__ = ("alpha", "labels", "bias", "c_reg", "box", "converged",
-                 "iterations", "objective")
+    alpha: np.ndarray
+    labels: np.ndarray
+    bias: float
+    c_reg: float
+    box: np.ndarray
+    support_indices: np.ndarray = field(init=False)
+    converged: bool = True
+    iterations: int = 0
+    objective: float = 0.0
 
-    def __init__(self, alpha, labels, bias, c_reg, box, converged=True,
-                 iterations=0, objective=0.0):
-        self.alpha = np.asarray(alpha, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.float64)
-        self.bias = float(bias)
-        self.c_reg = float(c_reg)
-        self.box = np.asarray(box, dtype=np.float64)
+    def __post_init__(self):
+        self.alpha = np.asarray(self.alpha, dtype=np.float64)
+        self.labels = np.asarray(self.labels, dtype=np.float64)
+        self.bias = float(self.bias)
+        self.c_reg = float(self.c_reg)
+        self.box = np.asarray(self.box, dtype=np.float64)
         if self.alpha.ndim != 1 or not self.alpha.shape == self.labels.shape == self.box.shape:
             raise ValidationError("alpha, labels and box must be vectors of one length")
-        self.converged = bool(converged)
-        self.iterations = int(iterations)
-        self.objective = float(objective)
+        self.support_indices = np.nonzero(self.alpha > 0.0)[0]
+        self.converged = bool(self.converged)
+        self.iterations = int(self.iterations)
+        self.objective = float(self.objective)
 
     @property
     def size(self) -> int:
         return self.alpha.size
 
-    @property
-    def support_indices(self) -> np.ndarray:
-        return np.nonzero(self.alpha > 0.0)[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha.tolist(),
-            "labels": self.labels.tolist(),
-            "bias": self.bias,
-            "c_reg": self.c_reg,
-            "box": self.box.tolist(),
-            "support_indices": self.support_indices.tolist(),
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "objective": self.objective,
-        }
+    to_dict = to_doc
 
     @staticmethod
     def from_dict(doc: dict) -> "BinarySvmModel":
         model = BinarySvmModel(
-            json_numbers(doc["alpha"]), json_numbers(doc["labels"]),
+            json_numbers(doc["alpha"]), _check_binary_labels(json_numbers(doc["labels"])),
             json_numbers(doc["bias"], 0), json_numbers(doc["c_reg"], 0), json_numbers(doc["box"]),
             converged=json_bool(doc["converged"]),
             iterations=json_numbers(doc["iterations"], 0, integer=True),

@@ -229,3 +229,39 @@ def test_synth_frames_do_not_change_with_the_pad_and_shift_smoother(monkeypatch)
     got = [synthesize_video(*video).frames.tobytes() for video in videos]
     monkeypatch.setattr(synth, "gaussian_smooth", reference_gaussian_smooth)
     assert got == [synthesize_video(*video).frames.tobytes() for video in videos]
+
+
+def described_points(seq, params):
+    """Each detected (x, y, t) with its descriptor as a (t, y, x, component) volume."""
+    vectors = cuboid_descriptors(seq, params).vectors
+    shape = (params.side_t, params.side_xy, params.side_xy, 3)
+    return {p[:3]: v.reshape(shape) for p, v in zip(cuboid_detect(seq, params), vectors)}
+
+
+@pytest.mark.parametrize("size", (32, 64))
+def test_mirrored_video_mirrors_points_responses_and_descriptors(size):
+    """Mirroring a video in x mirrors its response and its detected points, and each
+    descriptor comes back reversed in x with gx negated. Over classes 0-7, three
+    videos each, the responses matched within 6.5e-14 relative to max(1, max
+    |response|), so the bound leaves a 10x margin. The gradients of uint8 frames
+    are halves of integers, so the descriptors, normalization included, are exact;
+    points are compared as sets, as ties in response may order them differently."""
+    cfg = SynthConfig(class_count=8, width=size, height=size)
+    params = CuboidParams()
+    described = 0
+    for class_index in range(cfg.class_count):
+        for video_index in range(3):
+            seq = synthesize_video(cfg, class_index, video_index)
+            mirror = FrameSequence(seq.frames[:, :, ::-1].copy())
+            response, offset = cuboid_response(seq, params)
+            mirrored_response, mirrored_offset = cuboid_response(mirror, params)
+            assert mirrored_offset == offset
+            scale = max(1.0, np.abs(response).max())
+            assert np.abs(mirrored_response - response[:, :, ::-1]).max() <= 6.5e-13 * scale
+            base, mirrored = described_points(seq, params), described_points(mirror, params)
+            assert set(mirrored) == {(size - 1 - x, y, t) for x, y, t in base}
+            for (x, y, t), volume in base.items():
+                expected = volume[:, :, ::-1] * np.array([-1.0, 1.0, 1.0])
+                assert np.array_equal(mirrored[size - 1 - x, y, t], expected)
+            described += len(base)
+    assert described >= 100

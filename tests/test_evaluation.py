@@ -115,7 +115,7 @@ def test_experiment_resolves_its_overrides_into_one_config(tmp_path, monkeypatch
     assert seen[0].kernels.kind == "gaussian" and seen[0].features == ("hof", "cuboid")
     assert (seen[0].split.repeats, seen[0].split.base_seed) == (2, 7)
     assert seen[0].bow == cfg.bow and seen[0].split.train_n == cfg.split.train_n
-    assert report.config_echo == cfg.to_dict()
+    assert report.config == cfg.to_dict()
     assert (report.kernel, report.features, report.split) == ("gaussian", ["hof", "cuboid"],
                                                               seen[0].split)
 

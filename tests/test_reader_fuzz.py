@@ -429,6 +429,16 @@ REFUSED_MODELS = {
         kind="jpl_int", channels=[[0, 2], [2, 2]], exponents=[1.0]), "need one exponent per channel"),
     "zero_exponent": ("simple_mkl.json", lambda d: _spec(d).update(
         kind="jpl_int", channels=[[0, 2], [2, 2]], exponents=[1.0, 0.0]), "exponents must be positive"),
+    # training writes each scale as n / trace > 0, or 1.0
+    "negative_scales": ("simple_mkl.json", lambda d: d.update(scales=[-s for s in d["scales"]]),
+                        "scales must be above 0"),
+    "zero_scale": ("simple_mkl.json", lambda d: d["scales"].__setitem__(0, 0.0), "scales must be above 0"),
+    "one_class_named_twice": ("simple_mkl.json", lambda d: d.update(classes=[d["classes"][0]] * 2),
+                              "names a class more than once"),
+    "svm_labels_all_5": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(
+        labels=[5.0] * len(_mkl(d)["svm"]["labels"])), "binary labels must be +1 or -1"),
+    "boost_svm_labels_one_class": ("boost_mkl.json", lambda d: _trial(d)["svm"].update(
+        labels=[1.0] * len(_trial(d)["svm"]["labels"])), "training data must contain both classes"),
 }
 
 
