@@ -11,7 +11,8 @@ first, then the payload in row-major order (``CONTAINERS``):
 A short header or a payload of the wrong length is a CorruptionError; a
 bad magic or a zero in any field but the outermost (frames, rows) is a
 FormatError, and the decoded type rules on an empty outer axis (a ``.dsc``
-may hold no rows).
+may hold no rows). The four binary artifact types are dataclass records
+compared field by field by their one ``__eq__``, ``same_record``.
 
 Structured artifacts (manifests, histogram collections, models, reports)
 are JSON documents carrying a top-level ``"format_version": 1`` field.
@@ -164,6 +165,13 @@ def decode_json(path, doc: dict, what: str, decode):
 # ---------------------------------------------------------------------------
 # domain types
 
+def same_record(a, b) -> bool:
+    """Whether ``a`` and ``b`` are of one type and give equal documents: every
+    label, size and value alike, ``-0.0`` equal to ``0.0``."""
+    return type(a) is type(b) and to_doc(a) == to_doc(b)
+
+
+@dataclass(slots=True, eq=False)
 class FrameSequence:
     """A raw grayscale video held as a (frames, height, width) uint8 volume.
 
@@ -172,10 +180,10 @@ class FrameSequence:
     still be decoded and inspected.
     """
 
-    __slots__ = ("frames",)
+    frames: np.ndarray
 
-    def __init__(self, frames):
-        frames = np.ascontiguousarray(frames, dtype=np.uint8)
+    def __post_init__(self):
+        frames = np.ascontiguousarray(self.frames, dtype=np.uint8)
         if frames.ndim != 3:
             raise ValidationError(f"frames must be 3-d (t, y, x), got {frames.ndim}-d")
         t, h, w = frames.shape
@@ -185,6 +193,8 @@ class FrameSequence:
             raise ValidationError(f"a frame sequence needs at least 2 frames, got {t}")
         frames.flags.writeable = False
         self.frames = frames
+
+    __eq__ = same_record
 
     @property
     def width(self) -> int:
@@ -198,63 +208,50 @@ class FrameSequence:
     def frame_count(self) -> int:
         return self.frames.shape[0]
 
-    def __eq__(self, other):
-        return isinstance(other, FrameSequence) and np.array_equal(self.frames, other.frames)
 
-    def __repr__(self):
-        return f"FrameSequence({self.width}x{self.height}x{self.frame_count})"
-
-
+@dataclass(slots=True, eq=False)
 class DescriptorSet:
     """A typed collection of fixed-dimension float64 descriptor vectors."""
 
-    __slots__ = ("descriptor_type", "dim", "vectors")
+    descriptor_type: str
+    dim: int
+    vectors: np.ndarray = None
 
-    def __init__(self, descriptor_type: str, dim: int, vectors=None):
-        if dim < 1:
+    def __post_init__(self):
+        if self.dim < 1:
             raise ValidationError("descriptor dimension must be positive")
-        if vectors is None:
-            vectors = np.empty((0, dim), dtype=np.float64)
+        vectors = np.empty((0, self.dim)) if self.vectors is None else self.vectors
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[1] != dim:
-            raise ValidationError(
-                f"descriptor vectors must have shape (count, {dim}), got {vectors.shape}"
-            )
+        if vectors.ndim != 2 or vectors.shape[1] != self.dim:
+            raise ValidationError(f"descriptor vectors must have shape (count, {self.dim}), "
+                                  f"got {vectors.shape}")
         if vectors.size and not np.all(np.isfinite(vectors)):
             raise ValidationError("descriptor vectors must be finite")
-        self.descriptor_type = descriptor_type
-        self.dim = dim
         self.vectors = vectors
+
+    __eq__ = same_record
 
     @property
     def count(self) -> int:
         return self.vectors.shape[0]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DescriptorSet)
-            and self.descriptor_type == other.descriptor_type
-            and self.dim == other.dim
-            and np.array_equal(self.vectors, other.vectors)
-        )
 
-    def __repr__(self):
-        return f"DescriptorSet({self.descriptor_type!r}, dim={self.dim}, count={self.count})"
-
-
+@dataclass(slots=True, eq=False)
 class Codebook:
     """A K-means vocabulary: one centroid row per visual word."""
 
-    __slots__ = ("descriptor_type", "centroids")
+    descriptor_type: str
+    centroids: np.ndarray
 
-    def __init__(self, descriptor_type: str, centroids):
-        centroids = np.ascontiguousarray(centroids, dtype=np.float64)
+    def __post_init__(self):
+        centroids = np.ascontiguousarray(self.centroids, dtype=np.float64)
         if centroids.ndim != 2 or centroids.shape[0] < 1:
             raise ValidationError("a codebook needs at least one centroid row")
         if not np.all(np.isfinite(centroids)):
             raise ValidationError("codebook centroids must be finite")
-        self.descriptor_type = descriptor_type
         self.centroids = centroids
+
+    __eq__ = same_record
 
     @property
     def dim(self) -> int:
@@ -264,17 +261,8 @@ class Codebook:
     def word_count(self) -> int:
         return self.centroids.shape[0]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Codebook)
-            and self.descriptor_type == other.descriptor_type
-            and np.array_equal(self.centroids, other.centroids)
-        )
 
-    def __repr__(self):
-        return f"Codebook({self.descriptor_type!r}, dim={self.dim}, words={self.word_count})"
-
-
+@dataclass(slots=True, eq=False)
 class VideoHistogram:
     """Concatenated per-type visual-word histogram for one video.
 
@@ -284,11 +272,12 @@ class VideoHistogram:
     produced no descriptors of that type.
     """
 
-    __slots__ = ("video_id", "blocks")
+    video_id: str
+    blocks: list
 
-    def __init__(self, video_id: str, blocks):
+    def __post_init__(self):
         norm_blocks = []
-        for name, counts in blocks:
+        for name, counts in self.blocks:
             counts = np.ascontiguousarray(counts, dtype=np.float64)
             if counts.ndim != 1:
                 raise ValidationError("histogram blocks must be 1-d")
@@ -296,34 +285,19 @@ class VideoHistogram:
                 raise ValidationError(f"histogram block {name!r} has negative entries")
             total = counts.sum()
             if not (abs(total) <= 1e-12 or abs(total - 1.0) <= 1e-12):
-                raise ValidationError(
-                    f"histogram block {name!r} must sum to 0 or 1, got {total!r}"
-                )
+                raise ValidationError(f"histogram block {name!r} must sum to 0 or 1, got {total!r}")
             norm_blocks.append((str(name), counts))
         if not norm_blocks:
             raise ValidationError("a histogram needs at least one block")
-        self.video_id = video_id
         self.blocks = norm_blocks
+
+    __eq__ = same_record
 
     def block_order(self):
         return [name for name, _ in self.blocks]
 
     def concat(self) -> np.ndarray:
         return np.concatenate([counts for _, counts in self.blocks])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VideoHistogram)
-            and self.video_id == other.video_id
-            and self.block_order() == other.block_order()
-            and all(
-                np.array_equal(a[1], b[1]) for a, b in zip(self.blocks, other.blocks)
-            )
-        )
-
-    def __repr__(self):
-        spec = ", ".join(f"{n}:{c.size}" for n, c in self.blocks)
-        return f"VideoHistogram({self.video_id!r}, {spec})"
 
 
 @dataclass(frozen=True)

@@ -268,23 +268,37 @@ class CuboidParams:
         return self.side_xy * self.side_xy * self.side_t * 3
 
 
+def _filter_radius(width: float) -> int:
+    """The taps on each side of a filter sampled out to 3 ``width``s, at least 1."""
+    if not np.isfinite(3.0 * width):
+        raise ValidationError(f"a filter of width {width!r} has too many taps to count")
+    return max(1, _round_half_up(3.0 * width))
+
+
 def _gaussian_kernel(sigma: float) -> np.ndarray:
-    radius = max(1, _round_half_up(3.0 * sigma))
+    radius = _filter_radius(sigma)
     t = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(t * t) / (2.0 * sigma * sigma))
-    return kernel / kernel.sum()
+    with np.errstate(all="ignore"):   # a sigma near 0 gives taps that are not finite
+        kernel = np.exp(-(t * t) / (2.0 * sigma * sigma))
+        kernel /= kernel.sum()
+    if not np.isfinite(kernel).all():
+        raise ValidationError(f"cuboid sigma {sigma!r} gives a spatial filter that is not finite")
+    return kernel
 
 
 def temporal_quadrature_pair(tau: float):
     """Sampled even/odd temporal filters, mean-corrected to zero DC gain."""
-    radius = max(1, _round_half_up(3.0 * tau))
+    radius = _filter_radius(tau)
     t = np.arange(-radius, radius + 1, dtype=np.float64)
-    envelope = np.exp(-(t * t) / (tau * tau))
-    omega = 4.0 / tau
-    even = -np.cos(2.0 * np.pi * t * omega) * envelope
-    odd = -np.sin(2.0 * np.pi * t * omega) * envelope
-    even -= even.mean()
-    odd -= odd.mean()
+    with np.errstate(all="ignore"):   # a tau near 0 gives taps that are not finite
+        envelope = np.exp(-(t * t) / (tau * tau))
+        omega = 4.0 / tau
+        even = -np.cos(2.0 * np.pi * t * omega) * envelope
+        odd = -np.sin(2.0 * np.pi * t * omega) * envelope
+        even -= even.mean()
+        odd -= odd.mean()
+    if not np.isfinite([even, odd]).all():
+        raise ValidationError(f"cuboid tau {tau!r} gives a temporal filter that is not finite")
     return even, odd
 
 
@@ -318,17 +332,16 @@ def gaussian_smooth(volume: np.ndarray, sigma: float, axes) -> np.ndarray:
 
 def cuboid_response(seq: FrameSequence, params: CuboidParams):
     """Detector response volume and the frame offset of its first slice; the
-    temporal filters are matrices applied to the ``(t, h * w)`` smoothed frames."""
-    even, odd = temporal_quadrature_pair(params.tau)
-    radius = even.size // 2
-    if seq.frame_count < even.size:
-        raise ValidationError(
-            f"video has {seq.frame_count} frames but the temporal filter spans {even.size}"
-        )
-    spatial_radius = _gaussian_kernel(params.sigma).size // 2
+    temporal filters are matrices applied to the ``(t, h * w)`` smoothed frames.
+    Both filters' sizes are checked against the video before either is built."""
+    radius, spatial_radius = _filter_radius(params.tau), _filter_radius(params.sigma)
+    if seq.frame_count < 2 * radius + 1:
+        raise ValidationError(f"video has {seq.frame_count} frames but the temporal filter "
+                              f"spans {2 * radius + 1}")
     if spatial_radius >= min(seq.height, seq.width):
         raise ValidationError(f"the {seq.width}x{seq.height} frame must be larger than the "
                               f"spatial filter radius {spatial_radius}")
+    even, odd = temporal_quadrature_pair(params.tau)
     t, h, w = seq.frames.shape
     rows = gaussian_smooth(seq.frames.astype(np.float64), params.sigma, axes=(1, 2)).reshape(t, -1)
     r_even, r_odd = (_correlate_valid(np.eye(t), f) @ rows for f in (even, odd))

@@ -117,7 +117,8 @@ def _kernel_block(spec: KernelSpec, queries: np.ndarray, references: np.ndarray)
             raise ValidationError("gaussian spec has no sigma (materialize it first)")
         diff = q[:, None, :] - r[None, :, :]
         sq = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
-        return np.exp(-sq / (2.0 * spec.sigma * spec.sigma))
+        with np.errstate(all="ignore"):   # a sigma near 0 leaves NaN, which smo_train refuses
+            return np.exp(-sq / (2.0 * spec.sigma * spec.sigma))
 
     if q.min(initial=0.0) < 0.0 or r.min(initial=0.0) < 0.0:
         raise ValidationError("intersection kernels need nonnegative entries")

@@ -120,7 +120,7 @@ class TrainedModel:
     def from_dict(doc: dict) -> "TrainedModel":
         """Decode a model document; another kind, a NaN or an infinity, parts that
         disagree in size, a scale not above 0, a class named twice, or a kernel
-        spec that cannot score the training vectors raise one of ``MALFORMED``."""
+        spec that cannot score the training vectors finitely raise one of ``MALFORMED``."""
         if doc.get("kind") != "model":
             raise ValueError(f"kind is {doc.get('kind')!r}, not 'model'")
         method = method_entry(doc["method"])
@@ -142,7 +142,8 @@ class TrainedModel:
         if len(model.binary_models) != len(model.classes):
             raise ValueError(f"model has {len(model.binary_models)} binary models "
                              f"for {len(model.classes)} classes")
-        model.score_matrix(vectors[:1])   # the payload size checks: scoring makes them
+        if not np.isfinite(model.score_matrix(vectors[:1])).all():   # scoring makes the size checks
+            raise ValueError("model gives its first training vector a score that is not finite")
         return model
 
 

@@ -748,3 +748,59 @@ def test_full_boost_mkl_trains_without_notes(pipeline, tmp_path, capsys):
     assert capsys.readouterr().err == ""
     doc = json.loads(model.read_text())
     assert [len(b["trials"]) for b in doc["binary_models"]] == [3, 3]
+
+
+def one_error_line(err):
+    lines = [line for line in err.splitlines() if not line.startswith("progress: ")]
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+# config field -> the start of the one error line
+EXTREME_CUBOID_WIDTHS = {
+    "tau_1e300": ({"tau": 1e300}, "error: c00_v00: video has 24 frames but the temporal filter spans 6"),
+    "sigma_1e300": ({"sigma": 1e300}, "error: c00_v00: the 24x24 frame must be larger than the "
+                                      "spatial filter radius 3"),
+    "tau_1e308": ({"tau": 1e308}, "error: c00_v00: a filter of width 1e+308 has too many taps to count"),
+    "sigma_1e-300": ({"sigma": 1e-300}, "error: c00_v00: cuboid sigma 1e-300 gives a spatial filter "
+                                        "that is not finite"),
+    "tau_1e-300": ({"tau": 1e-300}, "error: c00_v00: cuboid tau 1e-300 gives a temporal filter "
+                                    "that is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_CUBOID_WIDTHS))
+def test_extreme_cuboid_width_exits_1_with_one_line(pipeline, tmp_path, capsys, case):
+    cuboid, shown = EXTREME_CUBOID_WIDTHS[case]
+    cfg = write_config(tmp_path, {"cuboid": cuboid})
+    out = tmp_path / "desc"
+    assert main(["extract", "--config", cfg, "--data", str(pipeline["data"]), "--features", "cuboid",
+                 "--out", str(out)]) == 1
+    assert one_error_line(capsys.readouterr().err).startswith(shown)
+    assert not out.exists()
+
+
+def test_gaussian_sigma_near_zero_exits_1_with_one_line(pipeline, tmp_path, capsys):
+    cfg = write_config(tmp_path, {"kernels": {"gaussian_sigma": 1e-300}})
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--config", cfg, "--data", str(pipeline["data"]), "--method", "single",
+                 "--kernel", "gaussian", "--features", "cuboid", "--repeats", "1",
+                 "--out", str(out)]) == 1
+    assert one_error_line(capsys.readouterr().err) == "error: repeat 0: kernel matrix must be finite"
+    assert not out.exists()
+
+
+def test_model_scoring_its_training_vector_as_nan_exits_2_with_one_line(pipeline, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert main(["train", "--config", pipeline["cfg"], "--manifest", str(pipeline["data"] / "manifest.json"),
+                 "--histograms", str(pipeline["hists"]), "--method", "single", "--kernel", "gaussian",
+                 "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    doc["specs"][0]["sigma"] = 1e-300
+    write_json(model, doc)
+    capsys.readouterr()
+    assert main(["inspect", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert one_error_line(captured.err) == (f"error: {model}: malformed model file (model gives its "
+                                            "first training vector a score that is not finite)")

@@ -233,3 +233,73 @@ def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monk
     with pytest.raises(OSError):
         dataio.atomic_write_bytes(target, b"ok")
     assert [p.name for p in tmp_path.iterdir()] == ([] if block == "refused_rename" else ["out.bin"])
+
+
+# Each record type's builder takes keyword overrides of one base value, so
+# two calls with the same overrides give equal records on separate arrays.
+
+def frame_record(values=tuple(range(24)), shape=(2, 3, 4)):
+    return dataio.FrameSequence(np.array(values, dtype=np.uint8).reshape(shape))
+
+
+def descriptor_record(dtype="hof", dim=3, values=(0.0, 1.5, -2.0, 0.25, 4.0, 0.5)):
+    return dataio.DescriptorSet(dtype, dim, np.array(values).reshape(-1, dim) if values else None)
+
+
+def codebook_record(dtype="hof", words=2, values=(0.0, 1.5, -2.0, 0.25, 4.0, 0.5)):
+    return dataio.Codebook(dtype, np.array(values).reshape(words, -1))
+
+
+def histogram_record(video_id="v0", blocks=(("hof", (0.0, 0.25, 0.75)), ("cuboid", (1.0, 0.0)))):
+    return dataio.VideoHistogram(video_id, [(name, np.array(counts)) for name, counts in blocks])
+
+
+RECORDS = {"frames": frame_record, "descriptors": descriptor_record,
+           "codebook": codebook_record, "histogram": histogram_record}
+
+# (record, base overrides, overrides that change exactly one field's content)
+ONE_FIELD_CHANGES = {
+    "frames_one_value": ("frames", {}, {"values": (1, *range(1, 24))}),
+    "frames_shape": ("frames", {}, {"shape": (2, 4, 3)}),
+    "descriptors_type_label": ("descriptors", {}, {"dtype": "logc"}),
+    "descriptors_dim_of_an_empty_set": ("descriptors", {"values": ()}, {"values": (), "dim": 4}),
+    "descriptors_shape": ("descriptors", {}, {"dim": 2}),
+    "descriptors_one_value": ("descriptors", {}, {"values": (0.0, 1.5, -2.0, 0.25, 4.0, 0.75)}),
+    "codebook_type_label": ("codebook", {}, {"dtype": "cuboid"}),
+    "codebook_shape": ("codebook", {}, {"words": 3}),
+    "codebook_one_value": ("codebook", {}, {"values": (0.0, 1.5, -2.0, 0.25, 4.0, 0.75)}),
+    "histogram_video_id": ("histogram", {}, {"video_id": "v1"}),
+    "histogram_block_order": ("histogram", {}, {"blocks": (("cuboid", (1.0, 0.0)),
+                                                           ("hof", (0.0, 0.25, 0.75)))}),
+    "histogram_block_name": ("histogram", {}, {"blocks": (("hof", (0.0, 0.25, 0.75)),
+                                                          ("logc", (1.0, 0.0)))}),
+    "histogram_one_value": ("histogram", {}, {"blocks": (("hof", (0.0, 0.75, 0.25)),
+                                                         ("cuboid", (1.0, 0.0)))}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_equal_copies_of_a_record_compare_equal_and_other_types_do_not(name):
+    record = RECORDS[name]()
+    assert record == RECORDS[name]() and not record != RECORDS[name]()
+    others = [build() for other_name, build in RECORDS.items() if other_name != name]
+    for other in [*others, object(), None, (record,)]:
+        assert record != other and not record == other
+
+
+@pytest.mark.parametrize("case", sorted(ONE_FIELD_CHANGES))
+def test_changing_one_field_makes_a_record_unequal(case):
+    name, base, changed = ONE_FIELD_CHANGES[case]
+    build = RECORDS[name]
+    assert build(**base) == build(**base)
+    assert build(**base) != build(**{**base, **changed})
+    assert not build(**{**base, **changed}) == build(**base)
+
+
+@pytest.mark.parametrize("name, signed", [
+    ("descriptors", {"values": (-0.0, 1.5, -2.0, 0.25, 4.0, 0.5)}),
+    ("codebook", {"values": (-0.0, 1.5, -2.0, 0.25, 4.0, 0.5)}),
+    ("histogram", {"blocks": (("hof", (-0.0, 0.25, 0.75)), ("cuboid", (1.0, -0.0)))}),
+])
+def test_negative_zero_equals_zero_in_a_record(name, signed):
+    assert RECORDS[name](**signed) == RECORDS[name]()
