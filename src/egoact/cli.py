@@ -1,10 +1,11 @@
 """Command-line pipeline driver.
 
 Subcommands: synth, extract, codebook, encode, train, evaluate, inspect.
-Every stage takes its seed from an explicit flag (default 0), writes
-outputs atomically, and is byte-identical across reruns with the same
-inputs and seed. Exit codes: 0 success, 1 validation or configuration
-error, 2 I/O or file-format error, 3 solver non-convergence.
+Every stage takes its seed from an explicit flag (default 0), checks its
+output paths before any work, writes outputs atomically, and is
+byte-identical across reruns with the same inputs and seed. Exit codes:
+0 success, 1 validation or configuration error, 2 I/O or file-format
+error, 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -39,6 +40,20 @@ METHOD_CHOICES = ["single", *METHODS]
 def _method(name: str) -> str:
     """A ``--method`` choice as its registry name: ``single`` is ``single_kernel``."""
     return "single_kernel" if name == "single" else name
+
+
+def _check_output(path, directory: bool) -> None:
+    """Refuse, without creating anything, an output that cannot be written:
+    a file output that is a directory, or one whose nearest existing
+    ancestor (for a directory output, counting itself) is not a directory."""
+    target = Path(path)
+    if not directory and target.is_dir():
+        raise IsADirectoryError(f"output {path} is a directory")
+    ancestor = target if directory else target.parent
+    while not ancestor.exists() and ancestor != ancestor.parent:
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        raise NotADirectoryError(f"cannot write {path}: {ancestor} is not a directory")
 
 
 def _progress(done, total):
@@ -318,6 +333,10 @@ def main(argv=None) -> int:
             check_positive("--seed", args.seed, count=True, zero=True)
         if "workers" in vars(args):
             check_positive("--workers", args.workers, count=True)
+        if "out" in vars(args):
+            _check_output(args.out, directory=args.command in ("synth", "extract"))
+        if getattr(args, "csv", None):
+            _check_output(args.csv, directory=False)
         return args.func(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,7 +50,8 @@ _SVM = dict(
     codec=svm.BinarySvmModel,
     train=lambda bank, y, cfg, seed: svm.smo_train(bank[0], y, cfg.svm.c_reg, tol=cfg.svm.tol),
     score=lambda model, rows: svm.decision_many(model, rows[0]),
-    describe=lambda model: f"{int((model.alpha > 0).sum())} support vectors, bias {model.bias:.4f}",
+    describe=lambda model: (f"{model.support_indices.size} support vectors, "
+                            f"bias {model.bias:.4f}, {model.iterations} SMO steps"),
     note=lambda model, cfg: "",
 )
 

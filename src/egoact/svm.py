@@ -4,17 +4,19 @@ plus score-based one-vs-all multiclass on top of any binary trainer.
 The solver maximizes the usual dual
 
     sum_i a_i - 1/2 sum_ij a_i a_j y_i y_j K_ij
-    s.t. 0 <= a_i <= C_i,  sum_i a_i y_i = 0
+    s.t. 0 <= a_i <= C,  sum_i a_i y_i = 0
 
 picking the maximal violating pair each step and stopping once the KKT
-violation gap falls below ``tol``. Per-item boxes C_i support weighted
-training (C_i = C * L * w_i for a probability vector w).
+violation gap falls below ``tol``. Every item shares the one box C, as in
+the paper's MKL and boosted MKL.
 
-A step changes only the pair (i, j), so the working-set masks are kept
-across steps and only their entries i and j are updated; the masked
-scores go into buffers allocated once, and an all-infinite buffer means
-no candidate is left. The pair update runs on Python floats, IEEE
-doubles like numpy's scalars, so the solution keeps its bytes.
+The up and low selections live in one (2, n) array: row 0 holds -y_i g_i
+where a_i y_i may still grow, row 1 holds y_i g_i where it may still
+shrink, and every other entry is -inf, so one argmax per row picks the
+pair and an empty row closes the gap. A step changes only the pair (i, j),
+so only their entries of the movable mask are updated. The pair update
+runs on Python floats, IEEE doubles like numpy's scalars, so the solution
+keeps its bytes.
 """
 
 from __future__ import annotations
@@ -91,13 +93,11 @@ def dual_objective(alpha, y, kernel) -> float:
     return float(alpha.sum() - 0.5 * ay @ kernel @ ay)
 
 
-def smo_train(gram, y, c_reg: float, tol: float = 1e-3, sample_weights=None,
+def smo_train(gram, y, c_reg: float, tol: float = 1e-3,
               max_iter: int | None = None) -> BinarySvmModel:
-    """Solve the dual on a precomputed kernel matrix.
-
-    When ``sample_weights`` (a probability vector) is given, item i's box
-    becomes c_reg * L * w_i. Raises ConvergenceError if the violation gap
-    has not closed after the iteration cap.
+    """Solve the dual on a precomputed kernel matrix, every item boxed by
+    ``c_reg``. Raises ConvergenceError if the violation gap has not closed
+    after the iteration cap.
     """
     kernel = np.asarray(gram, dtype=np.float64)
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
@@ -110,47 +110,36 @@ def smo_train(gram, y, c_reg: float, tol: float = 1e-3, sample_weights=None,
         raise ValidationError(f"kernel size {kernel.shape[0]} != label count {n}")
     check_positive("c_reg", c_reg)
     check_positive("tol", tol)
-
-    if sample_weights is None:
-        box = np.full(n, c_reg)
-    else:
-        weights = np.asarray(sample_weights, dtype=np.float64)
-        if weights.shape != (n,) or not (weights >= 0).all():
-            raise ValidationError("sample_weights must be nonnegative, one per item")
-        box = c_reg * n * weights
-
+    c = float(c_reg)
     if max_iter is None:
         max_iter = 100_000 + 200 * n
 
     q = np.outer(y, y) * kernel
     q_rows = np.ascontiguousarray(q.T)   # q_rows[i] is column i of q
-    neg_y = -y
+    signs = np.stack([-y, y])
     grad = -np.ones(n)  # gradient of the minimization form 1/2 aQa - sum a
     alpha = [0.0] * n
-    box_l = box.tolist()
     positive = (y > 0).tolist()
     diag = kernel.diagonal().tolist()
-    up = (y > 0) & (box > 0)   # items whose alpha_i y_i may still grow
-    low = (y < 0) & (box > 0)  # items whose alpha_i y_i may still shrink
-    neg_yg, up_score, low_score = np.empty(n), np.full(n, -np.inf), np.full(n, np.inf)
+    # row 0: items whose alpha_i y_i may still grow; row 1: may still shrink
+    movable = np.stack([y > 0, y < 0])
+    signed, scores = np.empty((2, n)), np.full((2, n), -np.inf)
 
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        np.multiply(neg_y, grad, out=neg_yg)
-        np.copyto(up_score, neg_yg, where=up)
-        np.copyto(low_score, neg_yg, where=low)
-        i = int(up_score.argmax())
-        j = int(low_score.argmin())
-        top, bottom = up_score.item(i), low_score.item(j)
-        if top == -np.inf or bottom == np.inf or top - bottom <= tol:
-            converged = True
-            iterations -= 1
+    for iterations in range(max_iter + 1):
+        np.multiply(signs, grad, out=signed)
+        np.copyto(scores, signed, where=movable)
+        i, j = scores.argmax(axis=1).tolist()
+        top, bottom = scores.item(0, i), -scores.item(1, j)
+        if top - bottom <= tol:
             break
+        if iterations == max_iter:
+            raise ConvergenceError(
+                f"SMO did not converge in {max_iter} iterations "
+                f"(n={n}, tol={tol}, violation gap={top - bottom:.3e})"
+            )
 
         old_i, old_j = ai, aj = alpha[i], alpha[j]
         gi, gj = grad.item(i), grad.item(j)
-        ci, cj = box_l[i], box_l[j]
         quad = diag[i] + diag[j] - 2.0 * kernel.item(i, j)
         if quad <= 0.0:
             quad = 1e-12
@@ -163,74 +152,56 @@ def smo_train(gram, y, c_reg: float, tol: float = 1e-3, sample_weights=None,
                 if aj < 0.0:
                     aj = 0.0
                     ai = diff
+                if ai > c:
+                    ai = c
+                    aj = c - diff
             else:
                 if ai < 0.0:
                     ai = 0.0
                     aj = -diff
-            if diff > ci - cj:
-                if ai > ci:
-                    ai = ci
-                    aj = ci - diff
-            else:
-                if aj > cj:
-                    aj = cj
-                    ai = cj + diff
+                if aj > c:
+                    aj = c
+                    ai = c + diff
         else:
             delta = (gi - gj) / quad
             total = ai + aj
             ai -= delta
             aj += delta
-            if total > ci:
-                if ai > ci:
-                    ai = ci
-                    aj = total - ci
+            if total > c:
+                if ai > c:
+                    ai = c
+                    aj = total - c
+                if aj > c:
+                    aj = c
+                    ai = total - c
             else:
                 if aj < 0.0:
                     aj = 0.0
                     ai = total
-            if total > cj:
-                if aj > cj:
-                    aj = cj
-                    ai = total - cj
-            else:
                 if ai < 0.0:
                     ai = 0.0
                     aj = total
         alpha[i], alpha[j] = ai, aj
         grad += q_rows[i] * (ai - old_i) + q_rows[j] * (aj - old_j)
-        for k, a, c in ((i, ai, ci), (j, aj, cj)):
+        for k, a in ((i, ai), (j, aj)):
             grows, shrinks = (a < c, a > 0.0) if positive[k] else (a > 0.0, a < c)
-            up[k], low[k] = grows, shrinks
+            movable[0, k], movable[1, k] = grows, shrinks
             if not grows:
-                up_score[k] = -np.inf
+                scores[0, k] = -np.inf
             if not shrinks:
-                low_score[k] = np.inf
+                scores[1, k] = -np.inf
 
     alpha = np.array(alpha, dtype=np.float64)
-    neg_yg = neg_y * grad
-    if not converged:
-        gap = float(np.max(np.where(up, neg_yg, -np.inf)) - np.min(np.where(low, neg_yg, np.inf)))
-        raise ConvergenceError(
-            f"SMO did not converge in {max_iter} iterations "
-            f"(n={n}, tol={tol}, violation gap={gap:.3e})"
-        )
-
-    return BinarySvmModel(
-        alpha, y, _solve_bias(alpha, neg_yg, box, up, low), c_reg, box,
-        converged=True, iterations=iterations,
-        objective=dual_objective(alpha, y, kernel),
-    )
-
-
-def _solve_bias(alpha, neg_yg, box, up, low) -> float:
-    # f(x_i) = sum_j a_j y_j K_ij + b and grad_i = y_i f0(x_i) - 1, so for a
-    # free vector b = y_i - f0(x_i) = -y_i * grad_i ... averaged for stability.
-    free = (alpha > 1e-12) & (alpha < box - 1e-12)
+    # f(x_i) = sum_j a_j y_j K_ij + b and grad_i = y_i f0(x_i) - 1, so a free
+    # vector gives b = -y_i * grad_i, averaged for stability; with none free,
+    # b is the midpoint of the last step's bounds (0 for an empty side)
+    free = (alpha > 1e-12) & (alpha < c - 1e-12)
     if free.any():
-        return float(np.mean(neg_yg[free]))
-    hi = np.max(np.where(up, neg_yg, -np.inf)) if up.any() else 0.0
-    lo = np.min(np.where(low, neg_yg, np.inf)) if low.any() else 0.0
-    return float((hi + lo) / 2.0)
+        bias = float(np.mean(signed[0][free]))
+    else:
+        bias = ((top if top > -np.inf else 0.0) + (bottom if bottom < np.inf else 0.0)) / 2.0
+    return BinarySvmModel(alpha, y, bias, c_reg, np.full(n, c), converged=True,
+                          iterations=iterations, objective=dual_objective(alpha, y, kernel))
 
 
 def decision_many(model: BinarySvmModel, k_rows) -> np.ndarray:

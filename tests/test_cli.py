@@ -804,3 +804,53 @@ def test_model_scoring_its_training_vector_as_nan_exits_2_with_one_line(pipeline
     assert captured.out == ""
     assert one_error_line(captured.err) == (f"error: {model}: malformed model file (model gives its "
                                             "first training vector a score that is not finite)")
+
+
+@pytest.mark.parametrize("case", ["evaluate_out_under_file", "evaluate_csv_is_dir",
+                                  "extract_out_is_file", "train_out_is_dir"])
+def test_unwritable_output_exits_2_before_any_work(pipeline, tmp_path, capsys, monkeypatch, case):
+    """A bad --out or --csv is refused with one line before the stage's work starts."""
+    from egoact import cli
+
+    def heavy(*args, **kwargs):
+        raise AssertionError("the stage ran before its outputs were checked")
+
+    for name in ("run_experiment", "extract_dataset_descriptors", "train_model"):
+        monkeypatch.setattr(cli, name, heavy)
+    a_file, a_dir = tmp_path / "file", tmp_path / "dir"
+    a_file.write_text("")
+    a_dir.mkdir()
+    report = tmp_path / "r.json"
+    evaluate = ["evaluate", "--config", pipeline["cfg"], "--data", str(pipeline["data"]),
+                "--method", "single"]
+    command, bad = {
+        "evaluate_out_under_file": (evaluate + ["--out", str(a_file / "report.json")],
+                                    str(a_file / "report.json")),
+        "evaluate_csv_is_dir": (evaluate + ["--out", str(report), "--csv", str(a_dir)], str(a_dir)),
+        "extract_out_is_file": (["extract", "--data", str(pipeline["data"]), "--out", str(a_file)],
+                                str(a_file)),
+        "train_out_is_dir": (["train", "--config", pipeline["cfg"],
+                              "--manifest", str(pipeline["data"] / "manifest.json"),
+                              "--histograms", str(pipeline["hists"]), "--method", "single",
+                              "--out", str(a_dir)], str(a_dir)),
+    }[case]
+    assert main(command) == 2
+    line = one_error_line(capsys.readouterr().err)
+    assert bad in line
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]   # no r.json
+    assert a_file.read_text() == "" and not any(a_dir.iterdir())
+
+
+def test_inspect_shows_each_svm_smo_steps(pipeline, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert main(["train", "--config", pipeline["cfg"], "--manifest", str(pipeline["data"] / "manifest.json"),
+                 "--histograms", str(pipeline["hists"]), "--method", "single", "--kernel", "h_int",
+                 "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    capsys.readouterr()
+    assert main(["inspect", str(model)]) == 0
+    shown = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  class ")]
+    assert shown == [f"  class {name}: {len(b['support_indices'])} support vectors, "
+                     f"bias {b['bias']:.4f}, {b['iterations']} SMO steps"
+                     for name, b in zip(doc["classes"], doc["binary_models"])]
+    assert all(b["iterations"] > 0 for b in doc["binary_models"])

@@ -105,18 +105,6 @@ def test_objective_is_monotone():
         assert after >= before - 1e-12
 
 
-def test_weighted_boxes():
-    rng = np.random.default_rng(8)
-    kernel, y, _ = random_svm_problem(rng, max_size=6)
-    weights = rng.random(y.size)
-    weights /= weights.sum()
-    model = smo_train(kernel, y, c_reg=2.0, sample_weights=weights)
-    assert np.allclose(model.box, 2.0 * y.size * weights)
-    assert (model.alpha <= model.box + 1e-12).all()
-    with pytest.raises(ValidationError):
-        smo_train(kernel, y, 2.0, sample_weights=-weights)
-
-
 def intersection_problem(seed, n=96, dim=48):
     """A trace-normalized histogram-intersection Gram matrix with both labels."""
     rng = np.random.default_rng(seed)
@@ -132,10 +120,8 @@ def smo_cases():
     for seed, c_reg in ((0, 1.0), (1, 10.0), (2, 100.0)):
         kernel, y, _ = intersection_problem(seed)
         yield pytest.param(kernel, y, c_reg, {}, id=f"intersection-C{c_reg:g}")
-    kernel, y, rng = intersection_problem(3)
-    weights = rng.random(y.size) * (rng.random(y.size) < 0.8)   # some items weigh nothing
-    yield pytest.param(kernel, y, 10.0, {"sample_weights": weights / weights.sum()},
-                       id="weighted-boxes")
+    kernel, y, _ = intersection_problem(3)
+    yield pytest.param(kernel, y, 10, {}, id="integer-C")            # as a JSON config gives it
     kernel, y, rng = intersection_problem(4)
     idx = rng.integers(0, y.size, y.size)                        # a boosting-style multiset
     yield pytest.param(kernel[np.ix_(idx, idx)], y[idx], 10.0, {}, id="resampled-multiset")
@@ -169,7 +155,6 @@ def test_smo_cut_off_reports_the_reference_gap():
 @pytest.mark.parametrize("kwargs", [
     {"c_reg": float("nan")}, {"c_reg": float("inf")}, {"c_reg": True}, {"c_reg": "1"},
     {"c_reg": 1.0, "tol": float("nan")}, {"c_reg": 1.0, "tol": 0.0},
-    {"c_reg": 1.0, "sample_weights": np.array([0.5, float("nan"), 0.5])},
 ])
 def test_non_finite_parameters_rejected(kwargs):
     with pytest.raises(ValidationError):
