@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import json_numbers, to_doc
+from .dataio import decoded, from_doc, json_numbers, json_records, to_doc
 from .errors import ValidationError, check_positive
 from .kernels import check_bank
 from .svm import BinarySvmModel, decision_many, smo_train
@@ -49,11 +49,11 @@ def resample(probabilities, n: int, seed) -> np.ndarray:
 class WeakClassifier:
     """One kept trial: a kernel choice, its weak SVM, and the trial weight."""
 
-    kernel_index: int
-    train_indices: np.ndarray
-    svm: BinarySvmModel
-    weight: float
-    error: float
+    kernel_index: int = decoded(json_numbers, ndim=0, integer=True)
+    train_indices: np.ndarray = decoded(json_numbers, integer=True)
+    svm: BinarySvmModel = decoded(from_doc, cls=BinarySvmModel)
+    weight: float = decoded(json_numbers, ndim=0)
+    error: float = decoded(json_numbers, ndim=0)
 
     def __post_init__(self):
         self.kernel_index = int(self.kernel_index)
@@ -63,22 +63,14 @@ class WeakClassifier:
 
     to_dict = to_doc
 
-    @staticmethod
-    def from_dict(doc: dict) -> "WeakClassifier":
-        return WeakClassifier(
-            json_numbers(doc["kernel_index"], 0, integer=True),
-            json_numbers(doc["train_indices"], integer=True), BinarySvmModel.from_dict(doc["svm"]),
-            json_numbers(doc["weight"], 0), json_numbers(doc["error"], 0),
-        )
-
 
 @dataclass(slots=True, eq=False)
 class BoostedModel:
     """Kept trials, each indexing one of ``kernel_count`` kernels and ``train_size`` items."""
 
-    trials: list
-    train_size: int
-    kernel_count: int
+    trials: list = decoded(json_records, cls=WeakClassifier)
+    train_size: int = decoded(json_numbers, ndim=0, integer=True)
+    kernel_count: int = decoded(json_numbers, ndim=0, integer=True)
 
     def __post_init__(self):
         if not self.trials:
@@ -94,14 +86,6 @@ class BoostedModel:
                                       f"and {self.train_size} training vectors")
 
     to_dict = to_doc
-
-    @staticmethod
-    def from_dict(doc: dict) -> "BoostedModel":
-        return BoostedModel(
-            [WeakClassifier.from_dict(t) for t in doc["trials"]],
-            json_numbers(doc["train_size"], 0, integer=True),
-            json_numbers(doc["kernel_count"], 0, integer=True),
-        )
 
 
 def _weak_votes(svm: BinarySvmModel, rows: np.ndarray) -> np.ndarray:

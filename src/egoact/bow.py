@@ -3,10 +3,10 @@
 One codebook is trained per descriptor type; a video is encoded as the
 concatenation of its per-type word histograms in a fixed block order.
 
-Squared distances use the expanded form |p|^2 + |c|^2 - (2p).c. The
-points' squared norms and ``2.0 * points`` are computed once per call and
-reused by every k-means++ step and Lloyd iteration, which leaves each
-distance's bytes unchanged.
+Squared distances use the expanded form |p|^2 + |c|^2 - 2(p.c). The
+points' squared norms are computed once per call and reused by every
+k-means++ step and Lloyd iteration; doubling the products is exact, so
+no doubled copy of the points is kept.
 """
 
 from __future__ import annotations
@@ -25,20 +25,18 @@ def _sq_norms(points: np.ndarray) -> np.ndarray:
     return np.sum(points * points, axis=1)
 
 
-def _sq_distances(point_norms: np.ndarray, doubled_points: np.ndarray,
-                  centroids: np.ndarray) -> np.ndarray:
-    """Squared distances from the points, given as their squared norms and
-    ``2.0 * points``, to each centroid."""
-    d2 = point_norms[:, None] + _sq_norms(centroids)[None, :] - doubled_points @ centroids.T
+def _sq_distances(points: np.ndarray, point_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distances from the points, with their squared norms, to each centroid."""
+    d2 = point_norms[:, None] + _sq_norms(centroids)[None, :] - 2.0 * (points @ centroids.T)
     return np.maximum(d2, 0.0)
 
 
-def _plusplus_init(points: np.ndarray, point_norms: np.ndarray, doubled_points: np.ndarray,
-                   word_count: int, rng: np.random.Generator) -> np.ndarray:
+def _plusplus_init(points: np.ndarray, point_norms: np.ndarray, word_count: int,
+                   rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centroids = np.empty((word_count, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    closest = _sq_distances(point_norms, doubled_points, centroids[:1]).ravel()
+    closest = _sq_distances(points, point_norms, centroids[:1]).ravel()
     for k in range(1, word_count):
         total = closest.sum()
         if total > 0.0:
@@ -48,8 +46,7 @@ def _plusplus_init(points: np.ndarray, point_norms: np.ndarray, doubled_points: 
         else:
             idx = int(rng.integers(n))
         centroids[k] = points[idx]
-        np.minimum(closest, _sq_distances(point_norms, doubled_points, centroids[k : k + 1]).ravel(),
-                   out=closest)
+        np.minimum(closest, _sq_distances(points, point_norms, centroids[k : k + 1]).ravel(), out=closest)
     return centroids
 
 
@@ -69,12 +66,11 @@ def kmeans_with_history(points: np.ndarray, word_count: int, seed: int,
 
     rng = np.random.default_rng(seed)
     point_norms = _sq_norms(points)
-    doubled_points = 2.0 * points
-    centroids = _plusplus_init(points, point_norms, doubled_points, word_count, rng)
+    centroids = _plusplus_init(points, point_norms, word_count, rng)
     assignment = None
     inertia_history = []
     for _ in range(max_iters):
-        d2 = _sq_distances(point_norms, doubled_points, centroids)
+        d2 = _sq_distances(points, point_norms, centroids)
         new_assignment = np.argmin(d2, axis=1)
         point_cost = d2[np.arange(n), new_assignment]
         inertia_history.append(float(point_cost.sum()))
@@ -111,7 +107,7 @@ def quantize_batch(vectors: np.ndarray, codebook: Codebook) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != codebook.dim:
         raise ValidationError(f"descriptors must be (count, {codebook.dim})")
-    return np.argmin(_sq_distances(_sq_norms(vectors), 2.0 * vectors, codebook.centroids), axis=1)
+    return np.argmin(_sq_distances(vectors, _sq_norms(vectors), codebook.centroids), axis=1)
 
 
 def encode_video(video_id: str, sets, codebooks) -> VideoHistogram:

@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import bow, dataio, kernels
-from .config import RunConfig
+from .config import RunConfig, SplitSection
 from .descriptors import FEATURES, check_features
 from .errors import ConfigError, ConvergenceError, FormatError, ValidationError, check_positive
-from .evaluation import extract_dataset_descriptors, run_experiment
+from .evaluation import EvalReport, extract_dataset_descriptors, run_experiment
 from .modelio import METHODS, TrainedModel, train_model, write_model
 from .synth import generate_synthetic_dataset
 
@@ -104,6 +105,7 @@ def _descriptor_listing(doc, desc_dir: Path, types=None):
     descriptor sets of the ``types`` (default: all). Every video must list
     exactly the features, ``dims`` must map them to integers >= 1 and every set
     must have its type's size; a defect raises one of ``dataio.MALFORMED``."""
+    dataio.check_fields(doc, ("kind", "features", "dims", "videos"))
     features = check_features(doc["features"])
     listing = {vid: {dtype: desc_dir / name for dtype, name in files.items()}
                for vid, files in doc["videos"].items()}
@@ -194,7 +196,7 @@ JSON_KINDS = {"dataset_manifest": "manifest", "histograms": "histograms", "model
 
 def _json_summary(path, doc, kind) -> list:
     if kind == "dataset_manifest":
-        manifest = dataio.manifest_from_doc(doc)
+        manifest = dataio.from_doc(doc, dataio.DatasetManifest)
         return [f"manifest: {len(manifest.classes)} classes, {len(manifest.videos)} videos",
                 *(f"  [{k}] {name}: {count} videos"
                   for k, (name, count) in enumerate(zip(manifest.classes, manifest.class_counts())))]
@@ -210,6 +212,8 @@ def _json_summary(path, doc, kind) -> list:
                 *(f"  class {name}: {describe(payload)}"
                   for name, payload in zip(model.classes, model.binary_models))]
     if kind == "eval_report":
+        dataio.check_fields(doc, [f.name for f in fields(EvalReport)])
+        dataio.check_fields(doc.get("split", {}), [f.name for f in fields(SplitSection)])
         method, kernel = (dataio.json_str(doc[k]) for k in ("method", "kernel"))
         features, classes = (dataio.json_str(doc[k], 1) for k in ("features", "classes"))
         confusion = dataio.json_numbers(doc["confusion"], 2)

@@ -18,12 +18,16 @@ Structured artifacts (manifests, histogram collections, models, reports)
 are JSON documents carrying a top-level ``"format_version": 1`` field.
 All but histogram collections are written by ``to_doc`` from a record's
 fields in declaration order, ``kind`` first; ``MklModel.objective_history``
-stays in memory. ``decode_json`` turns any defect a decoder finds in one
-into the one FormatError ``"<path>: malformed <what> file (<reason>)"``; a
-model is also refused for a scale not above 0, a class named twice or SVM
-labels not +1 and -1. Every writer goes through a write-to-temp,
-rename-on-success path so no partial file is ever left behind at the
-target name.
+stays in memory. ``from_doc`` is its mirror: it reads exactly the fields
+``to_doc`` writes, each with the decoder its ``decoded`` declaration names,
+and refuses a key it does not know (``unknown field '<name>'``, the one
+``check_fields`` rule the hand-read histogram, descriptor and report
+documents use too) or lacks (``missing field '<name>'``). ``decode_json``
+turns any defect a decoder finds into the one FormatError
+``"<path>: malformed <what> file (<reason>)"``; a model is also refused for
+a scale not above 0, a class named twice or SVM labels not +1 and -1.
+Every writer goes through a write-to-temp, rename-on-success path so no
+partial file is ever left behind at the target name.
 """
 
 from __future__ import annotations
@@ -34,12 +38,13 @@ import numbers
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError, ValidationError, check_positive
+from .errors import CorruptionError, FormatError, ValidationError
 
 FORMAT_VERSION = 1
 
@@ -58,11 +63,14 @@ CONTAINERS = {
 MALFORMED = (AttributeError, LookupError, TypeError, ValueError, ArithmeticError, ValidationError)
 
 
-def json_numbers(value, ndim: int = 1, integer: bool = False):
+def json_numbers(value, ndim: int = 1, integer: bool = False, nullable: bool = False):
     """A decoded JSON field of numbers nested ``ndim`` lists deep, as a float64
-    (``integer``: int64) array, or as a Python number at ``ndim`` 0. A bool,
-    a string, a null, a NaN or an infinity, a fraction where an integer
-    belongs or the wrong nesting raises one of ``MALFORMED``."""
+    (``integer``: int64) array, or as a Python number at ``ndim`` 0; with
+    ``nullable``, a null as None. A bool, a string, another null, a NaN or an
+    infinity, a fraction where an integer belongs or the wrong nesting raises
+    one of ``MALFORMED``."""
+    if nullable and value is None:
+        return None
     kind = numbers.Integral if integer else numbers.Real
     pending = [value]
     while pending:
@@ -129,6 +137,49 @@ def to_doc(value):
     return value
 
 
+def json_records(value, cls):
+    """A decoded JSON list of ``cls`` records."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return [from_doc(item, cls) for item in value]
+
+
+def decoded(decode, init: bool = True, default=MISSING, **options):
+    """A record field that ``from_doc`` reads with ``decode(value, **options)``."""
+    return field(init=init, default=default, metadata={"decode": partial(decode, **options)})
+
+
+def check_fields(doc, names) -> dict:
+    """``doc`` if it is a JSON object whose every key is in ``names``; else
+    raises one of ``MALFORMED``."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected an object, got {doc!r}")
+    for key in doc:
+        if key not in names:
+            raise ValueError(f"unknown field {key!r}")
+    return doc
+
+
+def from_doc(doc, cls, **decoders):
+    """The ``cls`` record a JSON document holds, the inverse of ``to_doc``: each
+    written field decoded by ``decoders[name]`` or else its ``decoded`` one. A
+    constant (``kind``) is compared first, then the keys; a computed field
+    (``support_indices``) must equal what the record computes. A defect raises
+    one of ``MALFORMED``."""
+    written = [f for f in fields(cls) if f.repr]
+    for f in written:
+        if not (f.init or f.default is MISSING) and doc.get(f.name) != f.default:
+            raise ValueError(f"{f.name} is {doc.get(f.name)!r}, not {f.default!r}")
+    check_fields(doc, [f.name for f in written])
+    values = {f.name: (decoders.get(f.name) or f.metadata["decode"])(doc[f.name])
+              for f in written if f.init or f.default is MISSING}
+    record = cls(**{f.name: values.pop(f.name) for f in written if f.init})
+    for name, value in values.items():
+        if not np.array_equal(value, getattr(record, name)):
+            raise ValueError(f"{name} disagrees with the fields it is computed from")
+    return record
+
+
 def write_json(path, payload: dict) -> None:
     """Serialize ``payload`` (with a format_version field) atomically."""
     doc = dict(payload)
@@ -152,10 +203,10 @@ def read_json(path) -> dict:
 
 
 def decode_json(path, doc: dict, what: str, decode):
-    """``decode(doc)`` for the document read from ``path``; a defect it raises
-    as one of ``MALFORMED`` is a FormatError naming the file and ``what`` it is."""
+    """``decode(doc)``, less its format_version, for the document read from ``path``; a
+    defect it raises as one of ``MALFORMED`` is a FormatError naming the file and ``what`` it is."""
     try:
-        return decode(doc)
+        return decode({key: value for key, value in doc.items() if key != "format_version"})
     except KeyError as exc:   # str(KeyError('x')) is "'x'"
         raise FormatError(f"{path}: malformed {what} file (missing field {exc})") from exc
     except MALFORMED as exc:
@@ -302,9 +353,9 @@ class VideoHistogram:
 
 @dataclass(frozen=True)
 class VideoEntry:
-    video_id: str
-    class_index: int
-    path: str
+    video_id: str = decoded(json_str)
+    class_index: int = decoded(json_numbers, ndim=0, integer=True)
+    path: str = decoded(json_str)
 
 
 @dataclass(slots=True)
@@ -312,8 +363,8 @@ class DatasetManifest:
     """Class names plus the labeled video files that make up a dataset."""
 
     kind: str = field(default="dataset_manifest", init=False)
-    classes: list
-    videos: list
+    classes: list = decoded(json_str, ndim=1)
+    videos: list = decoded(json_records, cls=VideoEntry)
 
     def __post_init__(self):
         classes = [str(c) for c in self.classes]
@@ -411,17 +462,8 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
     write_json(path, to_doc(manifest))
 
 
-def manifest_from_doc(doc) -> DatasetManifest:
-    """The manifest a decoded ``manifest.json`` holds; a defect raises one of ``MALFORMED``."""
-    videos = []
-    for v in doc["videos"]:
-        check_positive("class_index", v["class_index"], count=True, zero=True)
-        videos.append(VideoEntry(json_str(v["video_id"]), v["class_index"], json_str(v["path"])))
-    return DatasetManifest(json_str(doc["classes"], 1), videos)
-
-
 def read_manifest(path) -> DatasetManifest:
-    return decode_json(path, read_json(path), "manifest", manifest_from_doc)
+    return decode_json(path, read_json(path), "manifest", partial(from_doc, cls=DatasetManifest))
 
 
 def write_histograms(histograms, path) -> None:
@@ -453,13 +495,14 @@ def write_histograms(histograms, path) -> None:
 
 def histograms_from_doc(doc) -> list:
     """The histograms a decoded histograms file holds; a defect raises one of ``MALFORMED``."""
+    check_fields(doc, ("kind", "block_order", "block_sizes", "histograms"))
     order = json_str(doc["block_order"], 1)
     sizes = json_numbers(doc["block_sizes"], integer=True).tolist()
     if len(sizes) != len(order) or len(set(order)) != len(order):
         raise ValueError(f"block names {order} do not match block sizes {sizes}")
     out = {}
     for entry in doc["histograms"]:
-        video_id = json_str(entry["video_id"])
+        video_id = json_str(check_fields(entry, ("video_id", "blocks"))["video_id"])
         if video_id in out:
             raise ValueError(f"video {video_id!r} is listed twice")
         if set(entry["blocks"]) != set(order):

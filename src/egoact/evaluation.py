@@ -269,8 +269,9 @@ def run_experiment(manifest: DatasetManifest, data_dir, cfg: RunConfig, method: 
                    kernel_kind: str | None = None, features=None, repeats: int | None = None,
                    base_seed: int | None = None, workers: int = 1,
                    descriptor_cache=None, progress=None) -> EvalReport:
-    """The full protocol; descriptor extraction may be shared via the cache. The report
-    echoes ``cfg``; the overrides resolve into the config checked before extraction."""
+    """The full protocol; descriptor extraction may be shared via the cache, which must
+    hold every manifest video and requested feature. The report echoes ``cfg``; the
+    overrides resolve into the config checked before extraction."""
     echo = cfg.to_dict()
     cfg = replace(
         cfg.replace_section("kernels", kind=kernel_kind or cfg.kernels.kind)
@@ -283,6 +284,9 @@ def run_experiment(manifest: DatasetManifest, data_dir, cfg: RunConfig, method: 
     if descriptor_cache is None:
         descriptor_cache = extract_dataset_descriptors(manifest, data_dir, cfg.features, cfg,
                                                        workers=workers)
+    for vid in (v.video_id for v in manifest.videos):
+        if gap := [f for f in cfg.features if f not in descriptor_cache.get(vid, {})]:
+            raise ValidationError(f"descriptor cache has no {gap[0]} descriptors for video {vid!r}")
 
     def one(repeat_index):
         try:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import json_numbers, json_str, to_doc
+from .dataio import decoded, json_numbers, json_str, to_doc
 from .errors import ValidationError
 
 GAUSSIAN = "gaussian"
@@ -36,12 +36,17 @@ SIMPLEX_TOL = 1e-9   # slack on the weights' sign and sum
 
 @dataclass(frozen=True)
 class KernelSpec:
-    kind: str
-    sigma: float | None = None                       # gaussian width
-    channels: tuple = ()                             # ((offset, length), ...) for dc/jpl
-    exponents: tuple = ()                            # per-channel, jpl only; default 1/C
-    block: tuple | None = None                       # (offset, length) feature restriction
-    label: str = ""
+    """One kernel: a gaussian width ``sigma``, the ``((offset, length), ...)``
+    ``channels`` of dc/jpl, per-channel jpl ``exponents`` (default 1/C), and an
+    ``(offset, length)`` ``block`` restricting any kind to one feature."""
+
+    kind: str = decoded(json_str)
+    sigma: float | None = decoded(json_numbers, default=None, ndim=0, nullable=True)
+    channels: tuple = decoded(
+        lambda value: () if value == [] else json_numbers(value, 2, integer=True).tolist(), default=())
+    exponents: tuple = decoded(json_numbers, default=())
+    block: tuple | None = decoded(json_numbers, default=None, integer=True, nullable=True)
+    label: str = decoded(json_str, default="")
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
@@ -55,6 +60,7 @@ class KernelSpec:
         if self.kind not in CHANNEL_KINDS and self.channels:
             raise ValidationError(f"{self.kind} takes no channel layout")
         object.__setattr__(self, "channels", tuple((int(o), int(n)) for o, n in self.channels))
+        object.__setattr__(self, "exponents", tuple(float(b) for b in self.exponents))
         if self.exponents:
             if self.kind != JPL_INT:
                 raise ValidationError("exponents only apply to jpl_int")
@@ -62,26 +68,13 @@ class KernelSpec:
                 raise ValidationError("need one exponent per channel")
             if any(b <= 0 for b in self.exponents):
                 raise ValidationError("exponents must be positive")
-            object.__setattr__(self, "exponents", tuple(float(b) for b in self.exponents))
         if self.block is not None:
             block = tuple(int(v) for v in self.block)
             if len(block) != 2 or block[0] < 0 or block[1] < 1:
-                raise ValidationError(f"block must be (offset >= 0, length >= 1), got {self.block}")
+                raise ValidationError(f"block must be (offset >= 0, length >= 1), got {block}")
             object.__setattr__(self, "block", block)
 
     to_dict = to_doc
-
-    @staticmethod
-    def from_dict(doc: dict) -> "KernelSpec":
-        sigma, channels, block = doc["sigma"], doc["channels"], doc["block"]
-        return KernelSpec(
-            kind=doc["kind"],
-            sigma=None if sigma is None else json_numbers(sigma, 0),
-            channels=() if channels == [] else json_numbers(channels, 2, integer=True).tolist(),
-            exponents=tuple(json_numbers(doc["exponents"]).tolist()),
-            block=None if block is None else json_numbers(block, integer=True).tolist(),
-            label=json_str(doc["label"]),
-        )
 
 
 def _check_channels(channels, dim: int):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MklSection
-from .dataio import json_bool, json_numbers, to_doc
+from .dataio import decoded, from_doc, json_bool, json_numbers, to_doc
 from .kernels import check_bank, check_simplex, combine
 from .svm import BinarySvmModel, decision_many, smo_train
 
@@ -26,9 +26,9 @@ MAX_LINE_SEARCH = 30   # step halvings tried per outer iteration
 class MklModel:
     """Learned kernel weights plus the SVM trained on the combined kernel."""
 
-    weights: np.ndarray
-    svm: BinarySvmModel
-    converged: bool
+    weights: np.ndarray = decoded(json_numbers)
+    svm: BinarySvmModel = decoded(from_doc, cls=BinarySvmModel)
+    converged: bool = decoded(json_bool)
     objective_history: list = field(default_factory=list, repr=False)   # not written
 
     def __post_init__(self):
@@ -36,14 +36,6 @@ class MklModel:
         self.converged = bool(self.converged)
 
     to_dict = to_doc
-
-    @staticmethod
-    def from_dict(doc: dict) -> "MklModel":
-        return MklModel(
-            json_numbers(doc["weights"]),
-            BinarySvmModel.from_dict(doc["svm"]),
-            json_bool(doc["converged"]),
-        )
 
 
 def _weight_gradient(bank: np.ndarray, svm: BinarySvmModel) -> np.ndarray:

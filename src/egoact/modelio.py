@@ -20,7 +20,8 @@ import numpy as np
 from . import boost as boost_mod
 from . import kernels, mkl, svm
 from .config import RunConfig
-from .dataio import DatasetManifest, decode_json, json_numbers, json_str, read_json, to_doc, write_json
+from .dataio import (DatasetManifest, decode_json, decoded, from_doc, json_numbers, json_records,
+                     json_str, read_json, to_doc, write_json)
 from .descriptors import FEATURES, check_features
 from .errors import ConfigError, ValidationError
 
@@ -33,7 +34,7 @@ class Method:
 
     per_block: bool      # one kernel per feature block, else one over the whole vector
     kinds: tuple         # accepted kernel kinds
-    codec: type          # binary payload class (to_dict / from_dict)
+    codec: type          # binary payload record (to_doc / from_doc)
     train: Callable      # ((M, n, n) bank, y_pm, cfg, seed_sequence) -> payload
     score: Callable      # (payload, kernel rows (M, n, L)) -> (n,) scores; raises on a size mismatch
     describe: Callable   # payload -> one line for ``egoact inspect``
@@ -92,12 +93,12 @@ class TrainedModel:
     """A full multiclass model plus the data needed to score new vectors."""
 
     kind: str = field(default="model", init=False)
-    method: str
-    classes: list
-    specs: list
-    scales: list
-    train_vectors: np.ndarray
-    binary_models: list
+    method: str = decoded(json_str)
+    classes: list = decoded(json_str, ndim=1)
+    specs: list = decoded(json_records, cls=kernels.KernelSpec)
+    scales: list = decoded(json_numbers)
+    train_vectors: np.ndarray = decoded(json_numbers, ndim=2)
+    binary_models: list   # decoded by the method's codec
 
     def __post_init__(self):
         self.classes = list(self.classes)
@@ -119,23 +120,17 @@ class TrainedModel:
 
     @staticmethod
     def from_dict(doc: dict) -> "TrainedModel":
-        """Decode a model document; another kind, a NaN or an infinity, parts that
-        disagree in size, a scale not above 0, a class named twice, or a kernel
-        spec that cannot score the training vectors finitely raise one of ``MALFORMED``."""
-        if doc.get("kind") != "model":
-            raise ValueError(f"kind is {doc.get('kind')!r}, not 'model'")
-        method = method_entry(doc["method"])
-        specs = [kernels.KernelSpec.from_dict(s) for s in doc["specs"]]
-        model = TrainedModel(
-            doc["method"], json_str(doc["classes"], 1), specs, json_numbers(doc["scales"]),
-            json_numbers(doc["train_vectors"], 2),
-            [method.codec.from_dict(b) for b in doc["binary_models"]],
-        )
+        """Decode a model document; another kind, an unknown field, a NaN or an
+        infinity, parts that disagree in size, a scale not above 0, a class named
+        twice, or a kernel spec that cannot score the training vectors finitely
+        raise one of ``MALFORMED``."""
+        model = from_doc(doc, TrainedModel, binary_models=lambda value: json_records(
+            value, method_entry(doc["method"]).codec))
         vectors = model.train_vectors
-        if not len(vectors) or not specs:
+        if not len(vectors) or not model.specs:
             raise ValueError("model needs a nonempty (count, dim) train_vectors and kernel specs")
-        if len(model.scales) != len(specs):
-            raise ValueError(f"model has {len(model.scales)} scales for {len(specs)} kernels")
+        if len(model.scales) != len(model.specs):
+            raise ValueError(f"model has {len(model.scales)} scales for {len(model.specs)} kernels")
         if min(model.scales) <= 0.0:
             raise ValueError(f"kernel scales must be above 0, got {model.scales}")
         if len(set(model.classes)) != len(model.classes):

@@ -21,11 +21,11 @@ keeps its bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import json_bool, json_numbers, to_doc
+from .dataio import decoded, json_bool, json_numbers, to_doc
 from .errors import ConvergenceError, ValidationError, check_positive
 
 
@@ -33,15 +33,15 @@ from .errors import ConvergenceError, ValidationError, check_positive
 class BinarySvmModel:
     """Dual solution of one binary problem over a fixed Gram matrix."""
 
-    alpha: np.ndarray
-    labels: np.ndarray
-    bias: float
-    c_reg: float
-    box: np.ndarray
-    support_indices: np.ndarray = field(init=False)
-    converged: bool = True
-    iterations: int = 0
-    objective: float = 0.0
+    alpha: np.ndarray = decoded(json_numbers)
+    labels: np.ndarray = decoded(lambda value: _check_binary_labels(json_numbers(value)))
+    bias: float = decoded(json_numbers, ndim=0)
+    c_reg: float = decoded(json_numbers, ndim=0)
+    box: np.ndarray = decoded(json_numbers)
+    support_indices: np.ndarray = decoded(json_numbers, init=False, integer=True)
+    converged: bool = decoded(json_bool, default=True)
+    iterations: int = decoded(json_numbers, default=0, ndim=0, integer=True)
+    objective: float = decoded(json_numbers, default=0.0, ndim=0)
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
@@ -61,20 +61,6 @@ class BinarySvmModel:
         return self.alpha.size
 
     to_dict = to_doc
-
-    @staticmethod
-    def from_dict(doc: dict) -> "BinarySvmModel":
-        model = BinarySvmModel(
-            json_numbers(doc["alpha"]), _check_binary_labels(json_numbers(doc["labels"])),
-            json_numbers(doc["bias"], 0), json_numbers(doc["c_reg"], 0), json_numbers(doc["box"]),
-            converged=json_bool(doc["converged"]),
-            iterations=json_numbers(doc["iterations"], 0, integer=True),
-            objective=json_numbers(doc["objective"], 0),
-        )
-        support = json_numbers(doc["support_indices"], integer=True)
-        if not np.array_equal(support, model.support_indices):
-            raise ValueError("support_indices are not the indices where alpha > 0")
-        return model
 
 
 def _check_binary_labels(y) -> np.ndarray:

@@ -108,9 +108,11 @@ def test_experiment_resolves_its_overrides_into_one_config(tmp_path, monkeypatch
     monkeypatch.setattr(evaluation, "run_repeat", recording_repeat)
     manifest = toy_manifest()
     cfg = small_config().replace_section("kernels", kind="dc_int")
+    cache = {vid: {**sets, "cuboid": sets["hof"]}
+             for vid, sets in constant_descriptor_cache(manifest).items()}
     report = run_experiment(manifest, tmp_path, cfg, "simple_mkl", kernel_kind="gaussian",
                             features=("cuboid", "hof"), repeats=2, base_seed=7,
-                            descriptor_cache=constant_descriptor_cache(manifest))
+                            descriptor_cache=cache)
     assert seen[0] == seen[1] and len(seen) == 2
     assert seen[0].kernels.kind == "gaussian" and seen[0].features == ("hof", "cuboid")
     assert (seen[0].split.repeats, seen[0].split.base_seed) == (2, 7)
@@ -236,6 +238,30 @@ def test_method_and_kernel_validation(tmp_path):
     with pytest.raises(ConfigError):
         run_experiment(manifest, tmp_path, cfg, "single_kernel", kernel_kind="h_int",
                        features=("nope",), repeats=1, descriptor_cache=cache)
+
+
+PARTIAL_CACHES = {
+    "empty": (lambda cache: cache.clear(), "descriptor cache has no hof descriptors for video 'c0v0'"),
+    "one_video_missing": (lambda cache: cache.pop("c3v3"),
+                          "descriptor cache has no hof descriptors for video 'c3v3'"),
+    "one_feature_missing": (lambda cache: cache["c1v2"].clear(),
+                            "descriptor cache has no hof descriptors for video 'c1v2'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARTIAL_CACHES))
+def test_partial_descriptor_cache_is_refused_before_any_repeat(tmp_path, monkeypatch, case):
+    def no_repeat(*args):
+        raise AssertionError("ran a repeat on a partial cache")
+
+    monkeypatch.setattr(evaluation, "run_repeat", no_repeat)
+    manifest = toy_manifest()
+    cache = constant_descriptor_cache(manifest)
+    damage, message = PARTIAL_CACHES[case]
+    damage(cache)
+    with pytest.raises(ValidationError) as info:
+        run_experiment(manifest, tmp_path, small_config(), "single_kernel", descriptor_cache=cache)
+    assert str(info.value) == message
 
 
 def test_errors_carry_repeat_index(tmp_path):

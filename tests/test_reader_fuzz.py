@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from egoact import dataio
-from egoact.cli import _read_descriptor_dir, main
+from egoact.cli import _inspect_json, _read_descriptor_dir, main
 from egoact.config import RunConfig, SplitSection
 from egoact.errors import FormatError
 from egoact.evaluation import EvalReport
@@ -52,7 +52,7 @@ def artifacts(tmp_path_factory):
     dataio.write_manifest(manifest, root / "manifest.json")
     dataio.write_histograms(hists, root / "histograms.json")
     cfg = RunConfig(features=("hof", "cuboid"))
-    for method in ("simple_mkl", "boost_mkl"):
+    for method in ("single_kernel", "simple_mkl", "boost_mkl"):
         write_model(train_model(manifest, hists, cfg, method, seed=0), root / f"{method}.json")
     EvalReport("simple_mkl", "h_int", ["hof"], ["left", "right"], SplitSection(),
                [0.75, 0.5], [[3, 1], [2, 2]], {"svm": {"c_reg": 10.0}}).write(root / "report.json")
@@ -209,8 +209,16 @@ def mistyped(doc):
 JSON_READERS = {
     "manifest.json": (dataio.read_manifest, dataio.DatasetManifest),
     "histograms.json": (dataio.read_histograms, list),
+    "single_kernel.json": (read_model, TrainedModel),
     "simple_mkl.json": (read_model, TrainedModel),
     "boost_mkl.json": (read_model, TrainedModel),
+}
+
+# the reader of every JSON document: its stage's, and for a report the one in inspect
+DOCUMENT_READERS = {
+    **{name: reader for name, (reader, _) in JSON_READERS.items()},
+    "descriptors.json": lambda path: _read_descriptor_dir(path.parent),
+    "report.json": lambda path: _inspect_json(path, dataio.read_json(path)),
 }
 
 
@@ -328,8 +336,9 @@ def rejected_on_read(artifacts, tmp_path, capsys, name, mutate) -> str:
     mutate(doc)
     path = tmp_path / name
     dataio.write_json(path, doc)
+    (tmp_path / "v.dsc").write_bytes(artifacts["v.dsc"])   # the descriptor listing's one file
     with pytest.raises(FormatError, match="malformed") as info:
-        JSON_READERS[name][0](path)
+        DOCUMENT_READERS[name](path)
     if name != "histograms.json":
         assert inspect_exits_0_or_2(path, capsys) == 2
         return str(info.value)
@@ -446,3 +455,49 @@ REFUSED_MODELS = {
 def test_refused_models_name_their_reason(artifacts, tmp_path, capsys, case):
     name, mutate, reason = REFUSED_MODELS[case]
     assert reason in rejected_on_read(artifacts, tmp_path, capsys, name, mutate)
+
+
+# one key that no writer emits, at each nesting level of each JSON document
+UNKNOWN_FIELDS = {
+    "manifest": ("manifest.json", lambda d: d, "name"),
+    "manifest_video": ("manifest.json", lambda d: d["videos"][0], "label"),
+    "model": ("simple_mkl.json", lambda d: d, "notes"),
+    "model_spec": ("simple_mkl.json", _spec, "sigmaa"),
+    "svm_payload": ("single_kernel.json", _mkl, "bogus"),
+    "mkl_payload": ("simple_mkl.json", _mkl, "gap"),
+    "mkl_svm": ("simple_mkl.json", lambda d: _mkl(d)["svm"], "bogus"),
+    "boosted_payload": ("boost_mkl.json", _mkl, "selection"),
+    "boost_trial": ("boost_mkl.json", _trial, "bogus"),
+    "boost_trial_svm": ("boost_mkl.json", lambda d: _trial(d)["svm"], "bogus"),
+    "histograms": ("histograms.json", lambda d: d, "bogus"),
+    "histogram_entry": ("histograms.json", lambda d: d["histograms"][0], "label"),
+    "descriptors": ("descriptors.json", lambda d: d, "bogus"),
+    "report": ("report.json", lambda d: d, "gap"),
+    "report_split": ("report.json", lambda d: d["split"], "folds"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_FIELDS))
+def test_unknown_fields_are_format_errors(artifacts, tmp_path, capsys, case):
+    """Refused by the stage's reader and by ``inspect`` with one and the same line."""
+    name, level, key = UNKNOWN_FIELDS[case]
+    message = rejected_on_read(artifacts, tmp_path, capsys, name, lambda d: level(d).update({key: 1}))
+    assert message.endswith(f"file (unknown field '{key}')")
+    assert main(["inspect", str(tmp_path / name)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_manifest_of_another_kind_is_a_format_error(artifacts, tmp_path, capsys):
+    message = rejected_on_read(artifacts, tmp_path, capsys, "manifest.json",
+                               lambda d: d.update(kind="model"))
+    assert message.endswith("malformed manifest file (kind is 'model', not 'dataset_manifest')")
+
+
+@pytest.mark.parametrize("name, kind", [("manifest.json", "dataset_manifest"),
+                                        ("histograms.json", "histograms")])
+def test_read_model_names_the_kind_it_was_given(artifacts, tmp_path, name, kind):
+    path = tmp_path / name
+    path.write_bytes(artifacts[name])
+    with pytest.raises(FormatError) as info:
+        read_model(path)
+    assert str(info.value) == f"{path}: malformed model file (kind is '{kind}', not 'model')"
