@@ -61,8 +61,6 @@ class WeakClassifier:
         self.weight = float(self.weight)
         self.error = float(self.error)
 
-    to_dict = to_doc
-
 
 @dataclass(slots=True, eq=False)
 class BoostedModel:

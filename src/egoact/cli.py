@@ -105,7 +105,7 @@ def _descriptor_listing(doc, desc_dir: Path, types=None):
     descriptor sets of the ``types`` (default: all). Every video must list
     exactly the features, ``dims`` must map them to integers >= 1 and every set
     must have its type's size; a defect raises one of ``dataio.MALFORMED``."""
-    dataio.check_fields(doc, ("kind", "features", "dims", "videos"))
+    dataio.check_fields(doc, ("kind", "features", "dims", "videos"), kind="descriptors")
     features = check_features(doc["features"])
     listing = {vid: {dtype: desc_dir / name for dtype, name in files.items()}
                for vid, files in doc["videos"].items()}
@@ -214,6 +214,7 @@ def _json_summary(path, doc, kind) -> list:
     if kind == "eval_report":
         dataio.check_fields(doc, [f.name for f in fields(EvalReport)])
         dataio.check_fields(doc.get("split", {}), [f.name for f in fields(SplitSection)])
+        RunConfig.from_dict(doc.get("config", {}))
         method, kernel = (dataio.json_str(doc[k]) for k in ("method", "kernel"))
         features, classes = (dataio.json_str(doc[k], 1) for k in ("features", "classes"))
         confusion = dataio.json_numbers(doc["confusion"], 2)

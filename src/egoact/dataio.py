@@ -18,7 +18,8 @@ Structured artifacts (manifests, histogram collections, models, reports)
 are JSON documents carrying a top-level ``"format_version": 1`` field.
 All but histogram collections are written by ``to_doc`` from a record's
 fields in declaration order, ``kind`` first; ``MklModel.objective_history``
-stays in memory. ``from_doc`` is its mirror: it reads exactly the fields
+stays in memory. ``from_doc`` is its mirror and reads constants and fields
+only: it compares the ``kind`` constant, then reads exactly the fields
 ``to_doc`` writes, each with the decoder its ``decoded`` declaration names,
 and refuses a key it does not know (``unknown field '<name>'``, the one
 ``check_fields`` rule the hand-read histogram, descriptor and report
@@ -144,16 +145,20 @@ def json_records(value, cls):
     return [from_doc(item, cls) for item in value]
 
 
-def decoded(decode, init: bool = True, default=MISSING, **options):
+def decoded(decode, default=MISSING, **options):
     """A record field that ``from_doc`` reads with ``decode(value, **options)``."""
-    return field(init=init, default=default, metadata={"decode": partial(decode, **options)})
+    return field(default=default, metadata={"decode": partial(decode, **options)})
 
 
-def check_fields(doc, names) -> dict:
-    """``doc`` if it is a JSON object whose every key is in ``names``; else
-    raises one of ``MALFORMED``."""
+def check_fields(doc, names, **constants) -> dict:
+    """``doc`` if it is a JSON object that holds each of the ``constants``
+    (``kind="histograms"``) and whose every key is in ``names``; else raises one
+    of ``MALFORMED``."""
     if not isinstance(doc, dict):
         raise TypeError(f"expected an object, got {doc!r}")
+    for key, value in constants.items():
+        if doc.get(key) != value:
+            raise ValueError(f"{key} is {doc.get(key)!r}, not {value!r}")
     for key in doc:
         if key not in names:
             raise ValueError(f"unknown field {key!r}")
@@ -163,21 +168,13 @@ def check_fields(doc, names) -> dict:
 def from_doc(doc, cls, **decoders):
     """The ``cls`` record a JSON document holds, the inverse of ``to_doc``: each
     written field decoded by ``decoders[name]`` or else its ``decoded`` one. A
-    constant (``kind``) is compared first, then the keys; a computed field
-    (``support_indices``) must equal what the record computes. A defect raises
-    one of ``MALFORMED``."""
+    constant (``kind``, a field outside ``__init__``) is compared first, then
+    the keys. A defect raises one of ``MALFORMED``."""
     written = [f for f in fields(cls) if f.repr]
-    for f in written:
-        if not (f.init or f.default is MISSING) and doc.get(f.name) != f.default:
-            raise ValueError(f"{f.name} is {doc.get(f.name)!r}, not {f.default!r}")
-    check_fields(doc, [f.name for f in written])
-    values = {f.name: (decoders.get(f.name) or f.metadata["decode"])(doc[f.name])
-              for f in written if f.init or f.default is MISSING}
-    record = cls(**{f.name: values.pop(f.name) for f in written if f.init})
-    for name, value in values.items():
-        if not np.array_equal(value, getattr(record, name)):
-            raise ValueError(f"{name} disagrees with the fields it is computed from")
-    return record
+    check_fields(doc, [f.name for f in written],
+                 **{f.name: f.default for f in written if not f.init})
+    return cls(**{f.name: (decoders.get(f.name) or f.metadata["decode"])(doc[f.name])
+                  for f in written if f.init})
 
 
 def write_json(path, payload: dict) -> None:
@@ -495,7 +492,7 @@ def write_histograms(histograms, path) -> None:
 
 def histograms_from_doc(doc) -> list:
     """The histograms a decoded histograms file holds; a defect raises one of ``MALFORMED``."""
-    check_fields(doc, ("kind", "block_order", "block_sizes", "histograms"))
+    check_fields(doc, ("kind", "block_order", "block_sizes", "histograms"), kind="histograms")
     order = json_str(doc["block_order"], 1)
     sizes = json_numbers(doc["block_sizes"], integer=True).tolist()
     if len(sizes) != len(order) or len(set(order)) != len(order):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import decoded, json_numbers, json_str, to_doc
+from .dataio import decoded, json_numbers, json_str
 from .errors import ValidationError
 
 GAUSSIAN = "gaussian"
@@ -73,8 +73,6 @@ class KernelSpec:
             if len(block) != 2 or block[0] < 0 or block[1] < 1:
                 raise ValidationError(f"block must be (offset >= 0, length >= 1), got {block}")
             object.__setattr__(self, "block", block)
-
-    to_dict = to_doc
 
 
 def _check_channels(channels, dim: int):

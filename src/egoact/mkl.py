@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MklSection
-from .dataio import decoded, from_doc, json_bool, json_numbers, to_doc
+from .dataio import decoded, from_doc, json_bool, json_numbers
 from .kernels import check_bank, check_simplex, combine
 from .svm import BinarySvmModel, decision_many, smo_train
 
@@ -34,8 +34,6 @@ class MklModel:
     def __post_init__(self):
         self.weights = check_simplex(self.weights, len(self.weights))
         self.converged = bool(self.converged)
-
-    to_dict = to_doc
 
 
 def _weight_gradient(bank: np.ndarray, svm: BinarySvmModel) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import decoded, json_bool, json_numbers, to_doc
+from .dataio import decoded, json_numbers
 from .errors import ConvergenceError, ValidationError, check_positive
 
 
@@ -37,9 +37,6 @@ class BinarySvmModel:
     labels: np.ndarray = decoded(lambda value: _check_binary_labels(json_numbers(value)))
     bias: float = decoded(json_numbers, ndim=0)
     c_reg: float = decoded(json_numbers, ndim=0)
-    box: np.ndarray = decoded(json_numbers)
-    support_indices: np.ndarray = decoded(json_numbers, init=False, integer=True)
-    converged: bool = decoded(json_bool, default=True)
     iterations: int = decoded(json_numbers, default=0, ndim=0, integer=True)
     objective: float = decoded(json_numbers, default=0.0, ndim=0)
 
@@ -48,19 +45,14 @@ class BinarySvmModel:
         self.labels = np.asarray(self.labels, dtype=np.float64)
         self.bias = float(self.bias)
         self.c_reg = float(self.c_reg)
-        self.box = np.asarray(self.box, dtype=np.float64)
-        if self.alpha.ndim != 1 or not self.alpha.shape == self.labels.shape == self.box.shape:
-            raise ValidationError("alpha, labels and box must be vectors of one length")
-        self.support_indices = np.nonzero(self.alpha > 0.0)[0]
-        self.converged = bool(self.converged)
+        if self.alpha.ndim != 1 or self.alpha.shape != self.labels.shape:
+            raise ValidationError("alpha and labels must be vectors of one length")
         self.iterations = int(self.iterations)
         self.objective = float(self.objective)
 
     @property
     def size(self) -> int:
         return self.alpha.size
-
-    to_dict = to_doc
 
 
 def _check_binary_labels(y) -> np.ndarray:
@@ -186,8 +178,8 @@ def smo_train(gram, y, c_reg: float, tol: float = 1e-3,
         bias = float(np.mean(signed[0][free]))
     else:
         bias = ((top if top > -np.inf else 0.0) + (bottom if bottom < np.inf else 0.0)) / 2.0
-    return BinarySvmModel(alpha, y, bias, c_reg, np.full(n, c), converged=True,
-                          iterations=iterations, objective=dual_objective(alpha, y, kernel))
+    return BinarySvmModel(alpha, y, bias, c_reg, iterations=iterations,
+                          objective=dual_objective(alpha, y, kernel))
 
 
 def decision_many(model: BinarySvmModel, k_rows) -> np.ndarray:

@@ -137,8 +137,7 @@ def _manual_model(weights, votes_per_trial, n_train=4, kernels=2):
     for w, vote in zip(weights, votes_per_trial):
         # alpha zero makes the weak decision equal its bias; the bias sign
         # then fixes the vote
-        svm = BinarySvmModel(np.zeros(n_train), np.ones(n_train), bias=vote,
-                             c_reg=1.0, box=np.ones(n_train))
+        svm = BinarySvmModel(np.zeros(n_train), np.ones(n_train), bias=vote, c_reg=1.0)
         trials.append(WeakClassifier(0, np.arange(n_train), svm, w, 0.1))
     return BoostedModel(trials, n_train, kernels)
 
@@ -147,7 +146,7 @@ def _manual_model(weights, votes_per_trial, n_train=4, kernels=2):
     (2, [0, 1, 2, 3]), (-1, [0, 1, 2, 3]), (0, [0, 1, 2, 4]), (0, [-1, 1, 2, 3]),
 ])
 def test_trial_outside_the_model_is_refused(kernel_index, train_indices):
-    svm = BinarySvmModel(np.zeros(4), np.ones(4), bias=1.0, c_reg=1.0, box=np.ones(4))
+    svm = BinarySvmModel(np.zeros(4), np.ones(4), bias=1.0, c_reg=1.0)
     trial = WeakClassifier(kernel_index, train_indices, svm, 1.0, 0.1)
     with pytest.raises(ValidationError, match="outside 2 kernels and 4 training vectors"):
         BoostedModel([trial], 4, 2)

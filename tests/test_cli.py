@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -373,6 +374,26 @@ def test_malformed_train_input_exits_2_with_one_line(pipeline, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("which", ["histograms", "descriptors"])
+def test_stage_input_of_another_kind_exits_2_with_one_line(pipeline, tmp_path, capsys, which):
+    """``train`` refuses a histograms file, and ``codebook`` a descriptor listing,
+    whose ``kind`` names another artifact, as ``inspect`` does."""
+    desc, hists, out = tmp_path / "desc", tmp_path / "hists.json", tmp_path / "out"
+    shutil.copytree(pipeline["desc"], desc)
+    shutil.copy(pipeline["hists"], hists)
+    path = {"histograms": hists, "descriptors": desc / "descriptors.json"}[which]
+    write_json(path, {**json.loads(path.read_text()), "kind": "model"})
+    argv = {"histograms": ["train", "--config", pipeline["cfg"], "--manifest",
+                           str(pipeline["data"] / "manifest.json"), "--histograms", str(hists),
+                           "--method", "single", "--kernel", "h_int", "--out", str(out)],
+            "descriptors": ["codebook", "--descriptors", str(desc), "--type", "hof",
+                            "--words", "4", "--out", str(out)]}[which]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}: malformed {which} file (kind is 'model', not '{which}')\n")
+    assert not out.exists()
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code = main(["inspect", str(tmp_path / "nope.json")])
     assert code == 2
@@ -464,6 +485,17 @@ def test_inspect_intact_report(tmp_path, capsys):
     write_json(path, REPORT)
     assert main(["inspect", str(path)]) == 0
     assert "mean accuracy 75.00% over 1 repeats" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("config, reason", [
+    ({"svm": {"bogus": 1}}, "unknown keys in config section 'svm': ['bogus']"),
+    ({"typo": {}}, "unknown top-level config keys: ['typo']"),
+], ids=["section_key", "top_level_key"])
+def test_inspect_refuses_a_report_whose_config_echo_is_no_config(tmp_path, capsys, config, reason):
+    path = tmp_path / "report.json"
+    write_json(path, {**REPORT, "config": config})
+    assert main(["inspect", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: malformed eval report file ({reason})\n")
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -850,7 +882,7 @@ def test_inspect_shows_each_svm_smo_steps(pipeline, tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect", str(model)]) == 0
     shown = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  class ")]
-    assert shown == [f"  class {name}: {len(b['support_indices'])} support vectors, "
+    assert shown == [f"  class {name}: {sum(a > 0 for a in b['alpha'])} support vectors, "
                      f"bias {b['bias']:.4f}, {b['iterations']} SMO steps"
                      for name, b in zip(doc["classes"], doc["binary_models"])]
     assert all(b["iterations"] > 0 for b in doc["binary_models"])

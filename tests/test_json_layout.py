@@ -39,8 +39,8 @@ def written(tmp_path, write, value):
     return json.loads(path.read_text())
 
 
-SVM = {"alpha": [float], "labels": [float], "bias": float, "c_reg": float, "box": [float],
-       "support_indices": [int], "converged": bool, "iterations": int, "objective": float}
+SVM = {"alpha": [float], "labels": [float], "bias": float, "c_reg": float, "iterations": int,
+       "objective": float}
 PAYLOADS = {
     "single_kernel": SVM,
     "multichannel": SVM,

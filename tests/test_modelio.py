@@ -155,7 +155,7 @@ def _svm_payloads(doc):
 
 def _truncate_svms(doc, count):
     for payload in _svm_payloads(doc):
-        for key in ("alpha", "labels", "box"):
+        for key in ("alpha", "labels"):
             payload[key] = payload[key][:count]
 
 
@@ -188,7 +188,6 @@ SHAPE_DEFECTS = {
     "inf_scale": ("single_kernel", lambda d: d["scales"].__setitem__(0, INF)),
     "nan_alpha": ("single_kernel", lambda d: d["binary_models"][0]["alpha"].__setitem__(0, NAN)),
     "nan_bias": ("single_kernel", lambda d: d["binary_models"][1].update(bias=NAN)),
-    "inf_box": ("single_kernel", lambda d: d["binary_models"][0]["box"].__setitem__(0, INF)),
     "nan_mkl_scale_and_alpha": ("simple_mkl", lambda d: (
         d["scales"].__setitem__(0, NAN), _svm_payloads(d)[0]["alpha"].__setitem__(0, NAN))),
     "nan_mkl_weight": ("simple_mkl", lambda d: d["binary_models"][0]["weights"].__setitem__(0, NAN)),

@@ -298,8 +298,6 @@ MISTYPED_NUMBERS = {
     "svm_string_bias": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(bias="0.1")),
     "svm_bool_c_reg": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(c_reg=True)),
     "svm_fractional_iterations": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(iterations=3.5)),
-    "svm_string_support_indices": ("simple_mkl.json",
-                                   lambda d: _mkl(d)["svm"].update(support_indices="x")),
     "mkl_string_weights": ("simple_mkl.json", lambda d: _mkl(d).update(
         weights=[str(w) for w in _mkl(d)["weights"]])),
     "string_scale": ("simple_mkl.json", lambda d: d["scales"].__setitem__(0, "1.0")),
@@ -312,8 +310,6 @@ MISTYPED_NUMBERS = {
     "mkl_string_converged": ("simple_mkl.json", lambda d: _mkl(d).update(converged="false")),
     "mkl_number_converged": ("simple_mkl.json", lambda d: _mkl(d).update(converged=0)),
     "mkl_null_converged": ("simple_mkl.json", lambda d: _mkl(d).update(converged=None)),
-    "svm_string_converged": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(converged="false")),
-    "weak_svm_number_converged": ("boost_mkl.json", lambda d: _trial(d)["svm"].update(converged=1)),
 }
 
 
@@ -371,10 +367,8 @@ def test_repeated_histogram_video_id_is_a_format_error(artifacts, tmp_path, caps
 
 # a field that every model writer emits, deleted: the decoder has no default for it
 MISSING_FIELDS = {
-    "svm_converged": ("simple_mkl.json", lambda d: _mkl(d)["svm"].pop("converged")),
     "svm_iterations": ("simple_mkl.json", lambda d: _mkl(d)["svm"].pop("iterations")),
     "svm_objective": ("simple_mkl.json", lambda d: _mkl(d)["svm"].pop("objective")),
-    "svm_support_indices": ("simple_mkl.json", lambda d: _mkl(d)["svm"].pop("support_indices")),
     "mkl_converged": ("simple_mkl.json", lambda d: _mkl(d).pop("converged")),
     "spec_sigma": ("simple_mkl.json", lambda d: _spec(d).pop("sigma")),
     "spec_channels": ("simple_mkl.json", lambda d: _spec(d).pop("channels")),
@@ -412,8 +406,6 @@ WRONG_MODEL_VALUES = {
         kind="dc_int", channels=[[0, 3]]),
     "spec_channels_on_h_int": lambda d: _spec(d).update(channels=[[0, 99], [5, -2]]),
     "spec_sigma_on_h_int": lambda d: _spec(d).update(sigma=3.0),
-    "svm_support_indices_not_the_support": lambda d: _mkl(d)["svm"].update(support_indices=[0]),
-    "svm_support_indices_empty": lambda d: _mkl(d)["svm"].update(support_indices=[]),
 }
 
 
@@ -475,6 +467,10 @@ UNKNOWN_FIELDS = {
     "report": ("report.json", lambda d: d, "gap"),
     "report_split": ("report.json", lambda d: d["split"], "folds"),
 }
+# the three fields an SVM payload stored before it kept only what it cannot compute
+UNKNOWN_FIELDS.update({f"{level}_{key}": (*UNKNOWN_FIELDS[level][:2], key)
+                       for level in ("svm_payload", "mkl_svm", "boost_trial_svm")
+                       for key in ("box", "support_indices", "converged")})
 
 
 @pytest.mark.parametrize("case", sorted(UNKNOWN_FIELDS))

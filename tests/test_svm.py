@@ -57,8 +57,7 @@ def test_duplicating_points_keeps_decision_function():
 
 
 def test_decision_with_zero_alphas_is_bias():
-    model = BinarySvmModel(np.zeros(3), np.array([1.0, -1.0, 1.0]), bias=0.25,
-                           c_reg=1.0, box=np.ones(3))
+    model = BinarySvmModel(np.zeros(3), np.array([1.0, -1.0, 1.0]), bias=0.25, c_reg=1.0)
     assert np.array_equal(decision_many(model, np.array([[5.0, 6.0, 7.0], [1.0, 0.0, 2.0]])),
                           [0.25, 0.25])
 
@@ -69,7 +68,7 @@ def test_free_support_vectors_sit_on_margin():
     tol = 1e-6
     model = smo_train(kernel, y, c_reg=1.0, tol=tol)
     scores = decision_many(model, kernel)
-    free = (model.alpha > 1e-9) & (model.alpha < model.box - 1e-9)
+    free = (model.alpha > 1e-9) & (model.alpha < model.c_reg - 1e-9)
     assert free.any()
     assert np.abs(scores[free] - y[free]).max() <= tol * 10
 
@@ -91,7 +90,7 @@ def test_equality_constraint_and_box():
         model = smo_train(kernel, y, c_reg)
         assert abs(float(model.alpha @ model.labels)) <= 1e-8
         assert model.alpha.min() >= 0.0
-        assert (model.alpha <= model.box + 1e-12).all()
+        assert (model.alpha <= model.c_reg + 1e-12).all()
 
 
 def test_objective_is_monotone():
