@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import bow, dataio, kernels
-from .config import RunConfig, SplitSection
+from .config import RunConfig
 from .descriptors import FEATURES, check_features
 from .errors import ConfigError, ConvergenceError, FormatError, ValidationError, check_positive
 from .evaluation import EvalReport, extract_dataset_descriptors, run_experiment
@@ -212,21 +211,13 @@ def _json_summary(path, doc, kind) -> list:
                 *(f"  class {name}: {describe(payload)}"
                   for name, payload in zip(model.classes, model.binary_models))]
     if kind == "eval_report":
-        dataio.check_fields(doc, [f.name for f in fields(EvalReport)])
-        dataio.check_fields(doc.get("split", {}), [f.name for f in fields(SplitSection)])
-        RunConfig.from_dict(doc.get("config", {}))
-        method, kernel = (dataio.json_str(doc[k]) for k in ("method", "kernel"))
-        features, classes = (dataio.json_str(doc[k], 1) for k in ("features", "classes"))
-        confusion = dataio.json_numbers(doc["confusion"], 2)
-        if confusion.shape != (len(classes),) * 2:
-            raise ValueError(f"confusion of shape {confusion.shape} for {len(classes)} classes")
-        mean, stddev = (dataio.json_numbers(doc[k], 0) for k in ("mean_accuracy", "per_class_stddev"))
-        repeats = dataio.json_numbers(doc["per_repeat_accuracy"]).size
-        return [f"report: method={method} kernel={kernel} features={features}",
-                f"  mean accuracy {mean:.2f}% over {repeats} repeats; per-class stddev {stddev:.2f}",
+        report = dataio.from_doc(doc, EvalReport)
+        return [f"report: method={report.method} kernel={report.kernel} features={report.features}",
+                f"  mean accuracy {report.mean_accuracy:.2f}% over {len(report.per_repeat_accuracy)} "
+                f"repeats; per-class stddev {report.per_class_stddev:.2f}",
                 "  confusion (% rows):",
                 *(f"    {name}: " + " ".join(f"{v:5.1f}" for v in row)
-                  for name, row in zip(classes, confusion))]
+                  for name, row in zip(report.classes, report.confusion))]
     _, dims, cache = _descriptor_listing(doc, path.parent)
     return [f"descriptors: {len(cache)} videos, dims {dims}"]
 
@@ -342,6 +333,8 @@ def main(argv=None) -> int:
             _check_output(args.out, directory=args.command in ("synth", "extract"))
         if getattr(args, "csv", None):
             _check_output(args.csv, directory=False)
+            if Path(args.csv).resolve() == Path(args.out).resolve():
+                raise OSError(f"--csv {args.csv} is the --out path {args.out}")
         return args.func(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

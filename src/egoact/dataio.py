@@ -18,15 +18,15 @@ Structured artifacts (manifests, histogram collections, models, reports)
 are JSON documents carrying a top-level ``"format_version": 1`` field.
 All but histogram collections are written by ``to_doc`` from a record's
 fields in declaration order, ``kind`` first; ``MklModel.objective_history``
-stays in memory. ``from_doc`` is its mirror and reads constants and fields
-only: it compares the ``kind`` constant, then reads exactly the fields
-``to_doc`` writes, each with the decoder its ``decoded`` declaration names,
-and refuses a key it does not know (``unknown field '<name>'``, the one
-``check_fields`` rule the hand-read histogram, descriptor and report
-documents use too) or lacks (``missing field '<name>'``). ``decode_json``
-turns any defect a decoder finds into the one FormatError
-``"<path>: malformed <what> file (<reason>)"``; a model is also refused for
-a scale not above 0, a class named twice or SVM labels not +1 and -1.
+stays in memory. ``from_doc`` is its mirror: it compares the ``kind`` constant,
+then reads exactly the fields ``to_doc`` writes, each with the decoder its
+``decoded`` declaration names, refuses a key it does not know (``unknown field
+'<name>'``, the one ``check_fields`` rule of the hand-read histogram and
+descriptor documents too) or lacks (``missing field '<name>'``), and compares
+a computed field (a report's ``mean_accuracy``) with the record's own.
+``decode_json`` turns any defect into the one FormatError ``"<path>: malformed
+<what> file (<reason>)"``; a model is also refused for a scale not above 0, a
+class named twice or SVM labels not +1 and -1.
 Every writer goes through a write-to-temp, rename-on-success path so no
 partial file is ever left behind at the target name.
 """
@@ -167,14 +167,18 @@ def check_fields(doc, names, **constants) -> dict:
 
 def from_doc(doc, cls, **decoders):
     """The ``cls`` record a JSON document holds, the inverse of ``to_doc``: each
-    written field decoded by ``decoders[name]`` or else its ``decoded`` one. A
-    constant (``kind``, a field outside ``__init__``) is compared first, then
-    the keys. A defect raises one of ``MALFORMED``."""
+    written field decoded by ``decoders[name]`` or else its ``decoded`` one. The
+    constants (``kind``) are compared first, then the keys, and last each field
+    outside ``__init__`` with the record's own. A defect raises one of ``MALFORMED``."""
     written = [f for f in fields(cls) if f.repr]
     check_fields(doc, [f.name for f in written],
-                 **{f.name: f.default for f in written if not f.init})
-    return cls(**{f.name: (decoders.get(f.name) or f.metadata["decode"])(doc[f.name])
-                  for f in written if f.init})
+                 **{f.name: f.default for f in written if not f.init and f.default is not MISSING})
+    record = cls(**{f.name: (decoders.get(f.name) or f.metadata["decode"])(doc[f.name])
+                    for f in written if f.init})
+    for f in (f for f in written if not f.init):   # the constants again, then computed fields
+        if type(doc[f.name]) is not type(own := to_doc(getattr(record, f.name))) or doc[f.name] != own:
+            raise ValueError(f"{f.name} is {doc[f.name]!r}, not {own!r}")
+    return record
 
 
 def write_json(path, payload: dict) -> None:

@@ -19,19 +19,22 @@ worker count.
 
 from __future__ import annotations
 
+import csv
+import io
 import multiprocessing
 import os
 import sys
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bow
 from .config import RunConfig, SplitSection
-from .dataio import DatasetManifest, atomic_write_bytes, read_frame_sequence, to_doc, write_json
+from .dataio import (DatasetManifest, atomic_write_bytes, check_fields, decoded, json_numbers, json_str,
+                     read_frame_sequence, to_doc, write_json)
 from .descriptors import (
     cuboid_descriptors,
     hof_from_flows,
@@ -227,31 +230,35 @@ def run_repeat(manifest: DatasetManifest, descriptor_cache, cfg: RunConfig, meth
 
 @dataclass(slots=True, eq=False)
 class EvalReport:
-    """Aggregate of all repeats plus the configuration that produced it."""
+    """Each repeat's accuracy and the row-normalized confusion, in percent, of one run of ``config``."""
 
     kind: str = field(default="eval_report", init=False)
-    method: str
-    kernel: str
-    features: list
-    classes: list
-    split: SplitSection
+    method: str = decoded(json_str)
+    kernel: str = decoded(json_str)
+    features: list = decoded(json_str, ndim=1)
+    classes: list = decoded(json_str, ndim=1)
+    split: SplitSection = decoded(
+        lambda value: SplitSection(**check_fields(value, SplitSection.__match_args__)))
     mean_accuracy: float = field(init=False)
-    per_repeat_accuracy: list
-    confusion: np.ndarray = field(init=False)
+    per_repeat_accuracy: list = decoded(json_numbers)
+    confusion: np.ndarray = decoded(json_numbers, ndim=2)
     per_class_stddev: float = field(init=False)
-    confusion_counts: InitVar[np.ndarray]
-    config: dict
+    config: RunConfig = decoded(RunConfig.from_dict)
 
-    def __post_init__(self, confusion_counts):
-        self.features = list(self.features)
-        self.classes = list(self.classes)
-        self.per_repeat_accuracy = [float(a) * 100.0 for a in self.per_repeat_accuracy]
-        self.mean_accuracy = float(np.mean(self.per_repeat_accuracy))
-        counts = np.asarray(confusion_counts, dtype=np.float64)
-        row_mass = counts.sum(axis=1, keepdims=True)
-        safe = np.where(row_mass > 0, row_mass, 1.0)
-        self.confusion = counts / safe * 100.0
-        self.per_class_stddev = per_class_accuracy_stddev(self.confusion)
+    def __post_init__(self):
+        accuracy = self.per_repeat_accuracy = [float(a) for a in self.per_repeat_accuracy]
+        confusion = self.confusion = np.asarray(self.confusion, dtype=np.float64)
+        if len(accuracy) != self.split.repeats or not all(0.0 <= a <= 100.0 for a in accuracy):
+            raise ValidationError("per_repeat_accuracy must hold one percentage per repeat "
+                                  f"(split.repeats = {self.split.repeats}), got {accuracy}")
+        if confusion.shape != (len(self.classes),) * 2:
+            raise ValidationError(f"confusion of shape {confusion.shape} for {len(self.classes)} classes")
+        for name, row, total in zip(self.classes, confusion, confusion.sum(axis=1)):
+            if not (0.0 <= row.min() <= row.max() <= 100.0 and (abs(total - 100.0) <= 1e-9 or total == 0.0)):
+                raise ValidationError(f"confusion row {name!r} is not percentages summing to 100: "
+                                      f"{row.tolist()}")
+        self.mean_accuracy = float(np.mean(accuracy))
+        self.per_class_stddev = per_class_accuracy_stddev(confusion)
 
     to_dict = to_doc
 
@@ -259,10 +266,10 @@ class EvalReport:
         write_json(path, self.to_dict())
 
     def write_confusion_csv(self, path):
-        lines = ["true\\pred," + ",".join(self.classes)]
-        for name, row in zip(self.classes, self.confusion):
-            lines.append(name + "," + ",".join(f"{v:.1f}" for v in row))
-        atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([["true\\pred", *self.classes]] + [
+            [name, *(f"{v:.1f}" for v in row)] for name, row in zip(self.classes, self.confusion)])
+        atomic_write_bytes(path, text.getvalue().encode("utf-8"))
 
 
 def run_experiment(manifest: DatasetManifest, data_dir, cfg: RunConfig, method: str,
@@ -272,7 +279,7 @@ def run_experiment(manifest: DatasetManifest, data_dir, cfg: RunConfig, method: 
     """The full protocol; descriptor extraction may be shared via the cache, which must
     hold every manifest video and requested feature. The report echoes ``cfg``; the
     overrides resolve into the config checked before extraction."""
-    echo = cfg.to_dict()
+    echo = cfg
     cfg = replace(
         cfg.replace_section("kernels", kind=kernel_kind or cfg.kernels.kind)
         .replace_section("split", repeats=cfg.split.repeats if repeats is None else repeats,
@@ -298,7 +305,7 @@ def run_experiment(manifest: DatasetManifest, data_dir, cfg: RunConfig, method: 
             raise
 
     results = ordered_map(one, range(cfg.split.repeats), workers, progress)
-    accuracies = [acc for acc, _ in results]
-    counts = np.sum([conf for _, conf in results], axis=0)
-    return EvalReport(method, cfg.kernels.kind, cfg.features, manifest.classes, cfg.split,
-                      accuracies, counts, echo)
+    counts = np.sum([conf for _, conf in results], axis=0).astype(np.float64)
+    return EvalReport(method, cfg.kernels.kind, list(cfg.features), list(manifest.classes), cfg.split,
+                      [acc * 100.0 for acc, _ in results],
+                      counts / np.maximum(counts.sum(axis=1, keepdims=True), 1.0) * 100.0, echo)

@@ -432,9 +432,9 @@ def test_inspect_malformed_model_exits_2(pipeline, tmp_path, capsys, defect):
 
 
 REPORT = {"kind": "eval_report", "method": "simple_mkl", "kernel": "h_int",
-          "features": ["hof"], "classes": ["a", "b"], "mean_accuracy": 75.0,
+          "features": ["hof"], "classes": ["a", "b"], "split": {"repeats": 1}, "mean_accuracy": 75.0,
           "per_repeat_accuracy": [75.0], "per_class_stddev": 5.0,
-          "confusion": [[80.0, 20.0], [30.0, 70.0]]}
+          "confusion": [[80.0, 20.0], [30.0, 70.0]], "config": {}}
 
 JSON_DEFECTS = {
     "manifest_without_videos": ("manifest", {"kind": "dataset_manifest", "classes": ["a"]}),
@@ -462,6 +462,13 @@ JSON_DEFECTS = {
                                                                           [50.0, 50.0]]}),
     "report_repeats_as_text": ("eval report", {**REPORT, "per_repeat_accuracy": "abc"}),
     "report_features_as_number": ("eval report", {**REPORT, "features": 3}),
+    "report_without_split": ("eval report", {k: v for k, v in REPORT.items() if k != "split"}),
+    "report_without_config": ("eval report", {k: v for k, v in REPORT.items() if k != "config"}),
+    "report_mean_accuracy_edited": ("eval report", {**REPORT, "mean_accuracy": 10.0}),
+    "report_stddev_edited": ("eval report", {**REPORT, "per_class_stddev": 6.0}),
+    "report_row_sums_to_120": ("eval report", {**REPORT, "confusion": [[80.0, 40.0], [30.0, 70.0]]}),
+    "report_repeat_over_100": ("eval report", {**REPORT, "per_repeat_accuracy": [120.0]}),
+    "report_without_repeats": ("eval report", {**REPORT, "per_repeat_accuracy": []}),
     "descriptors_without_dims": ("descriptors", {"kind": "descriptors", "videos": {}}),
     "descriptors_videos_as_count": ("descriptors", {"kind": "descriptors", "videos": 3,
                                                     "dims": {}}),
@@ -485,6 +492,27 @@ def test_inspect_intact_report(tmp_path, capsys):
     write_json(path, REPORT)
     assert main(["inspect", str(path)]) == 0
     assert "mean accuracy 75.00% over 1 repeats" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit, reason", [
+    ({"mean_accuracy": 10.0}, "mean_accuracy is 10.0, not 75.0"),
+    ({"mean_accuracy": 75}, "mean_accuracy is 75, not 75.0"),
+    ({"per_class_stddev": 6.0}, "per_class_stddev is 6.0, not 5.0"),
+    ({"confusion": [[80.0, 40.0], [30.0, 70.0]]},
+     "confusion row 'a' is not percentages summing to 100: [80.0, 40.0]"),
+    ({"confusion": [[120.0, -20.0], [30.0, 70.0]]},
+     "confusion row 'a' is not percentages summing to 100: [120.0, -20.0]"),
+    ({"per_repeat_accuracy": []},
+     "per_repeat_accuracy must hold one percentage per repeat (split.repeats = 1), got []"),
+    ({"split": {"repeats": 2}},
+     "per_repeat_accuracy must hold one percentage per repeat (split.repeats = 2), got [75.0]"),
+], ids=["mean_accuracy", "mean_accuracy_as_integer", "per_class_stddev", "row_sum", "entry_range",
+        "no_repeats", "fewer_repeats_than_split"])
+def test_inspect_refuses_a_report_whose_totals_disagree(tmp_path, capsys, edit, reason):
+    path = tmp_path / "report.json"
+    write_json(path, {**REPORT, **edit})
+    assert main(["inspect", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: malformed eval report file ({reason})\n")
 
 
 @pytest.mark.parametrize("config, reason", [
@@ -839,7 +867,7 @@ def test_model_scoring_its_training_vector_as_nan_exits_2_with_one_line(pipeline
 
 
 @pytest.mark.parametrize("case", ["evaluate_out_under_file", "evaluate_csv_is_dir",
-                                  "extract_out_is_file", "train_out_is_dir"])
+                                  "evaluate_csv_is_out", "extract_out_is_file", "train_out_is_dir"])
 def test_unwritable_output_exits_2_before_any_work(pipeline, tmp_path, capsys, monkeypatch, case):
     """A bad --out or --csv is refused with one line before the stage's work starts."""
     from egoact import cli
@@ -859,6 +887,8 @@ def test_unwritable_output_exits_2_before_any_work(pipeline, tmp_path, capsys, m
         "evaluate_out_under_file": (evaluate + ["--out", str(a_file / "report.json")],
                                     str(a_file / "report.json")),
         "evaluate_csv_is_dir": (evaluate + ["--out", str(report), "--csv", str(a_dir)], str(a_dir)),
+        "evaluate_csv_is_out": (evaluate + ["--out", str(report), "--csv", str(a_dir / ".." / "r.json")],
+                                f"--csv {a_dir / '..' / 'r.json'} is the --out path {report}"),
         "extract_out_is_file": (["extract", "--data", str(pipeline["data"]), "--out", str(a_file)],
                                 str(a_file)),
         "train_out_is_dir": (["train", "--config", pipeline["cfg"],

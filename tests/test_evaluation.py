@@ -1,5 +1,7 @@
+import csv
 import functools
 import importlib
+import json
 import multiprocessing
 import os
 import pkgutil
@@ -11,7 +13,7 @@ import pytest
 
 from egoact import descriptors, evaluation
 from egoact.config import RunConfig, SplitSection
-from egoact.dataio import DatasetManifest, DescriptorSet, VideoEntry
+from egoact.dataio import DatasetManifest, DescriptorSet, VideoEntry, from_doc, to_doc
 from egoact.errors import ConfigError, ValidationError
 from egoact.evaluation import (
     EvalReport,
@@ -117,7 +119,7 @@ def test_experiment_resolves_its_overrides_into_one_config(tmp_path, monkeypatch
     assert seen[0].kernels.kind == "gaussian" and seen[0].features == ("hof", "cuboid")
     assert (seen[0].split.repeats, seen[0].split.base_seed) == (2, 7)
     assert seen[0].bow == cfg.bow and seen[0].split.train_n == cfg.split.train_n
-    assert report.config == cfg.to_dict()
+    assert report.config == cfg
     assert (report.kernel, report.features, report.split) == ("gaussian", ["hof", "cuboid"],
                                                               seen[0].split)
 
@@ -211,6 +213,29 @@ def test_mean_accuracy_matches_diagonal_mass(tmp_path):
                             base_seed=8, descriptor_cache=cache)
     diagonal_mass = float(np.mean(np.diag(report.confusion)))
     assert report.mean_accuracy == pytest.approx(diagonal_mass, abs=1e-9)
+
+
+def test_report_reads_back_as_the_document_it_wrote(tmp_path):
+    manifest = toy_manifest()
+    cache = constant_descriptor_cache(manifest)
+    cache["c0v0"]["hof"] = cache["c1v0"]["hof"]   # a class-0 video that reads as class 1: rows are not 0/100
+    report = run_experiment(manifest, tmp_path, small_config(), "simple_mkl", kernel_kind="h_int",
+                            features=("hof",), repeats=3, base_seed=4, descriptor_cache=cache)
+    doc = json.loads(json.dumps(to_doc(report)))
+    assert to_doc(from_doc(doc, EvalReport)) == doc == report.to_dict()
+
+
+def test_confusion_csv_quotes_class_names(tmp_path):
+    classes = ["walk, fast", 'say "hi"', "two\nlines"]
+    report = EvalReport("single_kernel", "h_int", ["hof"], classes, SplitSection(repeats=1), [50.0],
+                        [[50.0, 50.0, 0.0], [0.0, 100.0, 0.0], [0.0, 0.0, 0.0]], RunConfig())
+    path = tmp_path / "confusion.csv"
+    report.write_confusion_csv(path)
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert [len(row) for row in rows] == [4] * 4
+    assert rows[0] == ["true\\pred", *classes] and [row[0] for row in rows[1:]] == classes
+    assert rows[1][1:] == ["50.0", "50.0", "0.0"]
 
 
 def test_every_method_runs_on_cache(tmp_path):
@@ -328,9 +353,9 @@ def test_ordered_map_raises_the_first_failure_in_item_order(workers):
 def test_pair_confusion_helper():
     manifest = toy_manifest()
     split = SplitSection(train_n=2, test_n=2, repeats=1, base_seed=0)
-    counts = np.array([[10, 0, 0, 0], [0, 10, 0, 0], [0, 0, 5, 5], [0, 0, 5, 5]])
+    confusion = np.array([[100, 0, 0, 0], [0, 100, 0, 0], [0, 0, 50, 50], [0, 0, 50, 50]])
     report = EvalReport("single_kernel", "h_int", ["hof"], manifest.classes, split,
-                        [0.75], counts, {})
+                        [75.0], confusion, RunConfig())
     assert pair_confusion(report, 0, 1) == 100.0
     assert pair_confusion(report, 2, 3) == 50.0
 

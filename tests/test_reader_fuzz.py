@@ -54,8 +54,8 @@ def artifacts(tmp_path_factory):
     cfg = RunConfig(features=("hof", "cuboid"))
     for method in ("single_kernel", "simple_mkl", "boost_mkl"):
         write_model(train_model(manifest, hists, cfg, method, seed=0), root / f"{method}.json")
-    EvalReport("simple_mkl", "h_int", ["hof"], ["left", "right"], SplitSection(),
-               [0.75, 0.5], [[3, 1], [2, 2]], {"svm": {"c_reg": 10.0}}).write(root / "report.json")
+    EvalReport("simple_mkl", "h_int", ["hof"], ["left", "right"], SplitSection(repeats=2),
+               [75.0, 50.0], [[75.0, 25.0], [50.0, 50.0]], RunConfig()).write(root / "report.json")
     dataio.write_json(root / "descriptors.json", {
         "kind": "descriptors", "features": ["hof"], "dims": {"hof": 3},
         "videos": {"c0v0": {"hof": "v.dsc"}, "c0v1": {"hof": "v.dsc"}},
