@@ -13,42 +13,30 @@ from dataclasses import dataclass, fields, replace
 from .bow import DEFAULT_MAX_ITERS
 from .dataio import read_json, to_doc
 from .descriptors import FEATURES, CuboidParams, HofParams, LogcParams, check_features
-from .errors import ConfigError, ValidationError, check_positive
+from .errors import ConfigError, ValidationError, check_params, check_positive, param
 from .flow import DEFAULT_ALPHA, DEFAULT_ITERATIONS
 from .kernels import KERNEL_KINDS
 from .synth import SynthConfig
 
 
-def _check(count: bool = False, zero: bool = False, **values) -> None:
-    """Raise ConfigError unless every value is a finite positive number or,
-    with ``count``, an integer >= 1; ``zero`` admits 0 as well."""
-    for name, value in values.items():
-        try:
-            check_positive(name, value, count, zero)
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from None
-
-
 @dataclass(frozen=True)
 class FlowSection:
-    alpha: float = DEFAULT_ALPHA
-    iterations: int = DEFAULT_ITERATIONS
+    alpha: float = param(DEFAULT_ALPHA)
+    iterations: int = param(DEFAULT_ITERATIONS, count=True)
 
-    def __post_init__(self):
-        _check(alpha=self.alpha)
-        _check(count=True, iterations=self.iterations)
+    __post_init__ = check_params
 
 
 @dataclass(frozen=True)
 class BowSection:
     # desk-scale synthetic videos yield few descriptors per video, so the
     # experiment default is far below the bow module's 64-word default
-    words: int = 16
-    max_iters: int = DEFAULT_MAX_ITERS
+    words: int = param(16, count=True)
+    max_iters: int = param(DEFAULT_MAX_ITERS, count=True)
     adaptive_words: bool = False   # shrink words to the pool size instead of erroring
 
     def __post_init__(self):
-        _check(count=True, words=self.words, max_iters=self.max_iters)
+        check_params(self)
         if not isinstance(self.adaptive_words, bool):
             raise ConfigError(f"adaptive_words must be true or false, got {self.adaptive_words!r}")
 
@@ -63,58 +51,54 @@ class KernelsSection:
         if self.kind not in KERNEL_KINDS:
             raise ConfigError(f"kernels.kind must be one of {KERNEL_KINDS}")
         if self.gaussian_sigma is not None:
-            _check(gaussian_sigma=self.gaussian_sigma)
+            check_positive("gaussian_sigma", self.gaussian_sigma)
         object.__setattr__(self, "jpl_exponents", tuple(self.jpl_exponents))
         for b in self.jpl_exponents:
-            _check(jpl_exponents=b)
+            check_positive("jpl_exponents", b)
 
 
 @dataclass(frozen=True)
 class SvmSection:
-    c_reg: float = 10.0
-    tol: float = 1e-3
+    c_reg: float = param(10.0)
+    tol: float = param(1e-3)
 
-    def __post_init__(self):
-        _check(c_reg=self.c_reg, tol=self.tol)
+    __post_init__ = check_params
 
 
 @dataclass(frozen=True)
 class MklSection:
-    weight_tol: float = 1e-4
-    objective_tol: float = 1e-4
-    max_outer: int = 200
+    weight_tol: float = param(1e-4)
+    objective_tol: float = param(1e-4)
+    max_outer: int = param(200, count=True)
 
-    def __post_init__(self):
-        _check(weight_tol=self.weight_tol, objective_tol=self.objective_tol)
-        _check(count=True, max_outer=self.max_outer)
+    __post_init__ = check_params
 
 
 @dataclass(frozen=True)
 class BoostSection:
-    trials: int = 10
+    trials: int = param(10, count=True)
 
-    def __post_init__(self):
-        _check(count=True, trials=self.trials)
+    __post_init__ = check_params
 
 
 @dataclass(frozen=True)
 class SplitSection:
     mode: str = "per_class_counts"
-    train_n: int = 9
+    train_n: int = 9    # per class; read and checked only under per_class_counts
     test_n: int = 3
-    repeats: int = 100
-    base_seed: int = 0
+    repeats: int = param(100, count=True)
+    base_seed: int = param(0, count=True, zero=True)
 
     def __post_init__(self):
         if self.mode not in ("per_class_counts", "half_half"):
             raise ConfigError("split.mode must be per_class_counts or half_half")
         if self.mode == "per_class_counts":
             try:
-                _check(count=True, train_n=self.train_n, test_n=self.test_n)
+                check_positive("train_n", self.train_n, count=True)
+                check_positive("test_n", self.test_n, count=True)
             except ConfigError as exc:
                 raise ConfigError(f"per_class_counts needs split.train_n and split.test_n: {exc}") from None
-        _check(count=True, repeats=self.repeats)
-        _check(count=True, zero=True, base_seed=self.base_seed)
+        check_params(self)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ then reads exactly the fields ``to_doc`` writes, each with the decoder its
 ``decoded`` declaration names, refuses a key it does not know (``unknown field
 '<name>'``, the one ``check_fields`` rule of the hand-read histogram and
 descriptor documents too) or lacks (``missing field '<name>'``), and compares
-a computed field (a report's ``mean_accuracy``) with the record's own.
+every field with what the record writes back (a report's ``mean_accuracy``).
 ``decode_json`` turns any defect into the one FormatError ``"<path>: malformed
 <what> file (<reason>)"``; a model is also refused for a scale not above 0, a
 class named twice or SVM labels not +1 and -1.
@@ -168,14 +168,14 @@ def check_fields(doc, names, **constants) -> dict:
 def from_doc(doc, cls, **decoders):
     """The ``cls`` record a JSON document holds, the inverse of ``to_doc``: each
     written field decoded by ``decoders[name]`` or else its ``decoded`` one. The
-    constants (``kind``) are compared first, then the keys, and last each field
-    outside ``__init__`` with the record's own. A defect raises one of ``MALFORMED``."""
+    constants (``kind``) are compared first, then the keys, and last every field
+    with what the record writes back. A defect raises one of ``MALFORMED``."""
     written = [f for f in fields(cls) if f.repr]
     check_fields(doc, [f.name for f in written],
                  **{f.name: f.default for f in written if not f.init and f.default is not MISSING})
     record = cls(**{f.name: (decoders.get(f.name) or f.metadata["decode"])(doc[f.name])
                     for f in written if f.init})
-    for f in (f for f in written if not f.init):   # the constants again, then computed fields
+    for f in written:
         if type(doc[f.name]) is not type(own := to_doc(getattr(record, f.name))) or doc[f.name] != own:
             raise ValueError(f"{f.name} is {doc[f.name]!r}, not {own!r}")
     return record
@@ -370,8 +370,10 @@ class DatasetManifest:
     def __post_init__(self):
         classes = [str(c) for c in self.classes]
         videos = [v if isinstance(v, VideoEntry) else VideoEntry(*v) for v in self.videos]
-        if not classes or len(set(classes)) != len(classes):
-            raise ValidationError(f"manifest needs at least one class, each named once, got {classes}")
+        # csv.reader would split a confusion CSV row at a "\r" in its class name
+        if not classes or len(set(classes)) != len(classes) or any("\r" in c for c in classes):
+            raise ValidationError(f"manifest needs at least one class, each named once and none "
+                                  f"holding a carriage return, got {classes}")
         ids = [v.video_id for v in videos]
         if len(set(ids)) != len(ids):
             raise ValidationError("video ids must be unique")

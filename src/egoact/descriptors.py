@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import DescriptorSet, FrameSequence
-from .errors import ConfigError, ValidationError, check_positive
+from .errors import ConfigError, ValidationError, check_params, check_positive, param
 from .linalg import matrix_log
 
 ORIENTATION_BINS = 8
@@ -42,17 +42,12 @@ def _window_starts(frame_count: int, window_len: int, stride: int):
 
 @dataclass(frozen=True)
 class HofParams:
-    grid_size: int = 4            # s cells per side
-    window_len: int = 16          # frames per descriptor window
-    stride: int = 8
-    min_magnitude: float = 0.05   # px/frame; weaker vectors are ignored
+    grid_size: int = param(4, count=True)               # s cells per side
+    window_len: int = param(16, count=True, least=2)    # frames per descriptor window
+    stride: int = param(8, count=True)
+    min_magnitude: float = param(0.05, zero=True)       # px/frame; weaker vectors are ignored
 
-    def __post_init__(self):
-        for name in ("grid_size", "window_len", "stride"):
-            check_positive(name, getattr(self, name), count=True)
-        if self.window_len < 2:
-            raise ValidationError("window_len must be at least 2")
-        check_positive("min_magnitude", self.min_magnitude, zero=True)
+    __post_init__ = check_params
 
     @property
     def dim(self) -> int:
@@ -118,15 +113,11 @@ def hof_from_flows(flows, params: HofParams) -> DescriptorSet:
 
 @dataclass(frozen=True)
 class LogcParams:
-    window_len: int = 16          # frames per descriptor window
-    stride: int = 8
-    pixel_step: int = 2           # every n-th pixel of each pair's row-major grid is sampled
+    window_len: int = param(16, count=True, least=2)    # frames per descriptor window
+    stride: int = param(8, count=True)
+    pixel_step: int = param(2, count=True)   # every n-th pixel of each pair's row-major grid is sampled
 
-    def __post_init__(self):
-        for name in ("window_len", "stride", "pixel_step"):
-            check_positive(name, getattr(self, name), count=True)
-        if self.window_len < 2:
-            raise ValidationError("window_len must be at least 2")
+    __post_init__ = check_params
 
 
 def _kinematics(flows, frames, pixel_step: int) -> np.ndarray:
@@ -243,15 +234,13 @@ def logc_from_flows(frames, flows, params: LogcParams) -> DescriptorSet:
 
 @dataclass(frozen=True)
 class CuboidParams:
-    sigma: float = 1.5            # spatial Gaussian scale, px
-    tau: float = 2.5              # temporal scale, frames
-    threshold: float = 15.0       # minimum response at a detection
-    max_points: int = 12          # strongest detections kept per video
+    sigma: float = param(1.5)                # spatial Gaussian scale, px
+    tau: float = param(2.5)                  # temporal scale, frames
+    threshold: float = 15.0                  # minimum response at a detection
+    max_points: int = param(12, count=True)  # strongest detections kept per video
 
     def __post_init__(self):
-        check_positive("sigma", self.sigma)
-        check_positive("tau", self.tau)
-        check_positive("max_points", self.max_points, count=True)
+        check_params(self)
         if self.threshold != np.inf:   # an infinite threshold detects nothing
             check_positive("threshold", self.threshold, zero=True)
 

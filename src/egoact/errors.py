@@ -1,5 +1,6 @@
-"""Exception types shared across the pipeline, and the parameter check
-that raises them.
+"""Exception types shared across the pipeline, and the parameter checks
+that raise them: each record field declares its range with ``param`` beside
+its default, and ``check_params`` refuses a value outside it with a ConfigError.
 
 The CLI maps these onto exit codes: validation and configuration
 problems exit 1, file format and I/O problems exit 2, solver
@@ -8,6 +9,7 @@ non-convergence exits 3.
 
 import math
 import numbers
+from dataclasses import field, fields
 
 
 class PipelineError(Exception):
@@ -19,7 +21,7 @@ class ValidationError(PipelineError):
 
 
 class ConfigError(ValidationError):
-    """A configuration file or flag combination is invalid."""
+    """A parameter is out of range, or a config file or flag combination is invalid."""
 
 
 class DomainError(ValidationError):
@@ -39,7 +41,7 @@ class ConvergenceError(PipelineError):
 
 
 def check_positive(name: str, value, count: bool = False, zero: bool = False) -> None:
-    """Raise ValidationError unless ``value`` is a finite positive number or,
+    """Raise ConfigError unless ``value`` is a finite positive number or,
     with ``count``, an integer >= 1; ``zero`` admits 0 as well. A bool is
     neither."""
     if count:
@@ -48,4 +50,20 @@ def check_positive(name: str, value, count: bool = False, zero: bool = False) ->
         kind = f"a finite {'nonnegative' if zero else 'positive'} number"
         ok = isinstance(value, numbers.Real) and math.isfinite(value)
     if isinstance(value, bool) or not ok or value < 0 or (value == 0 and not zero):
-        raise ValidationError(f"{name} must be {kind}, got {value!r}")
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
+def param(default, count: bool = False, zero: bool = False, least=None):
+    """A record field holding ``default`` that ``check_params`` checks with
+    ``check_positive(name, value, count, zero)`` and, with ``least``, refuses below it."""
+    return field(default=default, metadata={"range": (count, zero, least)})
+
+
+def check_params(record) -> None:
+    """Raise ConfigError unless every ``param`` field of ``record`` is in its range."""
+    for f in fields(record):
+        if "range" in f.metadata:
+            count, zero, least = f.metadata["range"]
+            check_positive(f.name, value := getattr(record, f.name), count, zero)
+            if least is not None and value < least:
+                raise ConfigError(f"{f.name} must be at least {least}, got {value!r}")

@@ -37,7 +37,7 @@ import numpy as np
 
 from .dataio import DatasetManifest, FrameSequence, VideoEntry, write_frame_sequence, write_manifest
 from .descriptors import gaussian_smooth
-from .errors import ValidationError, check_positive
+from .errors import check_params, param
 
 PAN_SPEED = 2.0          # px/frame
 BOB_AMPLITUDE = 3.0      # px
@@ -70,27 +70,15 @@ CLASS_SIGNATURES = (
 
 @dataclass(frozen=True)
 class SynthConfig:
-    class_count: int = 4
-    videos_per_class: int = 12
-    width: int = 32
-    height: int = 32
-    frame_count: int = 24
-    noise_sigma: float = 2.0
-    seed: int = 0
+    class_count: int = param(4, count=True, least=2)
+    videos_per_class: int = param(12, count=True, least=4)
+    width: int = param(32, count=True, least=8)
+    height: int = param(32, count=True, least=8)
+    frame_count: int = param(24, count=True, least=2)
+    noise_sigma: float = param(2.0, zero=True)
+    seed: int = param(0, count=True, zero=True)
 
-    def __post_init__(self):
-        for name in ("class_count", "videos_per_class", "width", "height", "frame_count"):
-            check_positive(name, getattr(self, name), count=True)
-        check_positive("noise_sigma", self.noise_sigma, zero=True)
-        check_positive("seed", self.seed, count=True, zero=True)
-        if self.class_count < 2:
-            raise ValidationError("class_count must be at least 2")
-        if self.videos_per_class < 4:
-            raise ValidationError("videos_per_class must be at least 4")
-        if self.width < 8 or self.height < 8:
-            raise ValidationError("frames must be at least 8x8")
-        if self.frame_count < 2:
-            raise ValidationError("frame_count must be at least 2")
+    __post_init__ = check_params
 
 
 def class_signature(class_index: int):

@@ -11,6 +11,7 @@ import pytest
 from conftest import forking
 from egoact import evaluation
 from egoact.cli import main
+from egoact.config import RunConfig
 from egoact.dataio import (write_descriptor_set, write_json, write_manifest, DatasetManifest,
                            DescriptorSet, VideoEntry)
 
@@ -431,10 +432,12 @@ def test_inspect_malformed_model_exits_2(pipeline, tmp_path, capsys, defect):
     assert "malformed model file" in captured.err
 
 
+# a report holds every split key and the whole config echo, as run_experiment writes them
 REPORT = {"kind": "eval_report", "method": "simple_mkl", "kernel": "h_int",
-          "features": ["hof"], "classes": ["a", "b"], "split": {"repeats": 1}, "mean_accuracy": 75.0,
-          "per_repeat_accuracy": [75.0], "per_class_stddev": 5.0,
-          "confusion": [[80.0, 20.0], [30.0, 70.0]], "config": {}}
+          "features": ["hof"], "classes": ["a", "b"],
+          "split": {"mode": "per_class_counts", "train_n": 9, "test_n": 3, "repeats": 1, "base_seed": 0},
+          "mean_accuracy": 75.0, "per_repeat_accuracy": [75.0], "per_class_stddev": 5.0,
+          "confusion": [[80.0, 20.0], [30.0, 70.0]], "config": RunConfig().to_dict()}
 
 JSON_DEFECTS = {
     "manifest_without_videos": ("manifest", {"kind": "dataset_manifest", "classes": ["a"]}),
@@ -445,6 +448,10 @@ JSON_DEFECTS = {
         "videos": [{"video_id": "v", "class_index": 7, "path": "v.fsq"}]}),
     "manifest_class_repeated": ("manifest", {
         "kind": "dataset_manifest", "classes": ["a", "a"],
+        "videos": [{"video_id": v, "class_index": k, "path": f"{v}.fsq"}
+                   for v, k in [("v0", 0), ("v1", 0), ("v2", 1), ("v3", 1)]]}),
+    "manifest_class_with_carriage_return": ("manifest", {
+        "kind": "dataset_manifest", "classes": ["a\rb", "c"],
         "videos": [{"video_id": v, "class_index": k, "path": f"{v}.fsq"}
                    for v, k in [("v0", 0), ("v1", 0), ("v2", 1), ("v3", 1)]]}),
     "histograms_kind_only": ("histograms", {"kind": "histograms"}),
@@ -464,6 +471,9 @@ JSON_DEFECTS = {
     "report_features_as_number": ("eval report", {**REPORT, "features": 3}),
     "report_without_split": ("eval report", {k: v for k, v in REPORT.items() if k != "split"}),
     "report_without_config": ("eval report", {k: v for k, v in REPORT.items() if k != "config"}),
+    "report_split_of_repeats_only": ("eval report", {**REPORT, "split": {"repeats": 1}}),
+    "report_config_as_pairs": ("eval report", {**REPORT, "config": [["features", ["hof"]]]}),
+    "report_config_empty": ("eval report", {**REPORT, "config": {}}),
     "report_mean_accuracy_edited": ("eval report", {**REPORT, "mean_accuracy": 10.0}),
     "report_stddev_edited": ("eval report", {**REPORT, "per_class_stddev": 6.0}),
     "report_row_sums_to_120": ("eval report", {**REPORT, "confusion": [[80.0, 40.0], [30.0, 70.0]]}),

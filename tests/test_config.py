@@ -195,3 +195,27 @@ def test_unusable_sections_rejected_at_load(tmp_path, doc, message):
     write_json(path, doc)
     with pytest.raises(ConfigError, match=message):
         RunConfig.load(path)
+
+
+# every range-checked field of the config's records, with the range its ``param`` declares
+PARAM_FIELDS = [(section.name, f.name, *f.metadata["range"])
+                for section in fields(RunConfig)[1:]
+                for f in fields(section.default) if "range" in f.metadata]
+
+
+@pytest.mark.parametrize("section, name, count, zero, least", PARAM_FIELDS,
+                         ids=[f"{section}.{name}" for section, name, *_ in PARAM_FIELDS])
+def test_every_param_out_of_range_is_a_config_error(section, name, count, zero, least):
+    record = type(getattr(RunConfig(), section))
+    below = least - 1 if least is not None else -1 if zero else 0
+    # the nearest value below the range, then a value of the wrong kind
+    for value, message in [
+        (below, f"{name} must be at least {least}, got {below}" if least is not None else f"{name} must be "),
+        (2.5 if count else float("nan"), f"{name} must be "),
+    ]:
+        with pytest.raises(ConfigError) as direct:
+            record(**{name: value})
+        assert str(direct.value).startswith(message)
+        with pytest.raises(ConfigError) as loaded:
+            RunConfig.from_dict({section: {name: value}})
+        assert str(loaded.value).startswith(f"bad config section {section!r}: {message}")
