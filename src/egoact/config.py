@@ -22,7 +22,7 @@ from .synth import SynthConfig
 @dataclass(frozen=True)
 class FlowSection:
     alpha: float = param(DEFAULT_ALPHA)
-    iterations: int = param(DEFAULT_ITERATIONS, count=True)
+    iterations: int = param(DEFAULT_ITERATIONS)
 
     __post_init__ = check_params
 
@@ -31,8 +31,8 @@ class FlowSection:
 class BowSection:
     # desk-scale synthetic videos yield few descriptors per video, so the
     # experiment default is far below the bow module's 64-word default
-    words: int = param(16, count=True)
-    max_iters: int = param(DEFAULT_MAX_ITERS, count=True)
+    words: int = param(16)
+    max_iters: int = param(DEFAULT_MAX_ITERS)
     adaptive_words: bool = False   # shrink words to the pool size instead of erroring
 
     def __post_init__(self):
@@ -69,14 +69,14 @@ class SvmSection:
 class MklSection:
     weight_tol: float = param(1e-4)
     objective_tol: float = param(1e-4)
-    max_outer: int = param(200, count=True)
+    max_outer: int = param(200)
 
     __post_init__ = check_params
 
 
 @dataclass(frozen=True)
 class BoostSection:
-    trials: int = param(10, count=True)
+    trials: int = param(10)
 
     __post_init__ = check_params
 
@@ -86,8 +86,8 @@ class SplitSection:
     mode: str = "per_class_counts"
     train_n: int = 9    # per class; read and checked only under per_class_counts
     test_n: int = 3
-    repeats: int = param(100, count=True)
-    base_seed: int = param(0, count=True, zero=True)
+    repeats: int = param(100)
+    base_seed: int = param(0, least=0)
 
     def __post_init__(self):
         if self.mode not in ("per_class_counts", "half_half"):

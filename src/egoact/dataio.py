@@ -37,6 +37,7 @@ import json
 import math
 import numbers
 import os
+import reprlib
 import struct
 import tempfile
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -177,7 +178,7 @@ def from_doc(doc, cls, **decoders):
                     for f in written if f.init})
     for f in written:
         if type(doc[f.name]) is not type(own := to_doc(getattr(record, f.name))) or doc[f.name] != own:
-            raise ValueError(f"{f.name} is {doc[f.name]!r}, not {own!r}")
+            raise ValueError(f"{f.name} is {reprlib.repr(doc[f.name])}, not {reprlib.repr(own)}")
     return record
 
 

@@ -42,10 +42,10 @@ def _window_starts(frame_count: int, window_len: int, stride: int):
 
 @dataclass(frozen=True)
 class HofParams:
-    grid_size: int = param(4, count=True)               # s cells per side
-    window_len: int = param(16, count=True, least=2)    # frames per descriptor window
-    stride: int = param(8, count=True)
-    min_magnitude: float = param(0.05, zero=True)       # px/frame; weaker vectors are ignored
+    grid_size: int = param(4)                    # s cells per side
+    window_len: int = param(16, least=2)         # frames per descriptor window
+    stride: int = param(8)
+    min_magnitude: float = param(0.05, least=0)  # px/frame; weaker vectors are ignored
 
     __post_init__ = check_params
 
@@ -113,9 +113,9 @@ def hof_from_flows(flows, params: HofParams) -> DescriptorSet:
 
 @dataclass(frozen=True)
 class LogcParams:
-    window_len: int = param(16, count=True, least=2)    # frames per descriptor window
-    stride: int = param(8, count=True)
-    pixel_step: int = param(2, count=True)   # every n-th pixel of each pair's row-major grid is sampled
+    window_len: int = param(16, least=2)    # frames per descriptor window
+    stride: int = param(8)
+    pixel_step: int = param(2)              # every n-th pixel of each pair's row-major grid is sampled
 
     __post_init__ = check_params
 
@@ -237,7 +237,7 @@ class CuboidParams:
     sigma: float = param(1.5)                # spatial Gaussian scale, px
     tau: float = param(2.5)                  # temporal scale, frames
     threshold: float = 15.0                  # minimum response at a detection
-    max_points: int = param(12, count=True)  # strongest detections kept per video
+    max_points: int = param(12)              # strongest detections kept per video
 
     def __post_init__(self):
         check_params(self)

@@ -53,17 +53,17 @@ def check_positive(name: str, value, count: bool = False, zero: bool = False) ->
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
-def param(default, count: bool = False, zero: bool = False, least=None):
-    """A record field holding ``default`` that ``check_params`` checks with
-    ``check_positive(name, value, count, zero)`` and, with ``least``, refuses below it."""
-    return field(default=default, metadata={"range": (count, zero, least)})
+def param(default, least=None):
+    """A record field holding ``default``, which ``check_params`` checks as a count if it is
+    annotated ``int``, else as a finite real: positive, or with ``least`` no less than it."""
+    return field(default=default, metadata={"least": least})
 
 
 def check_params(record) -> None:
     """Raise ConfigError unless every ``param`` field of ``record`` is in its range."""
     for f in fields(record):
-        if "range" in f.metadata:
-            count, zero, least = f.metadata["range"]
-            check_positive(f.name, value := getattr(record, f.name), count, zero)
+        if "least" in f.metadata:
+            least = f.metadata["least"]
+            check_positive(f.name, value := getattr(record, f.name), f.type in ("int", int), least == 0)
             if least is not None and value < least:
                 raise ConfigError(f"{f.name} must be at least {least}, got {value!r}")

@@ -61,6 +61,7 @@ class KernelSpec:
             raise ValidationError(f"{self.kind} takes no channel layout")
         object.__setattr__(self, "channels", tuple((int(o), int(n)) for o, n in self.channels))
         object.__setattr__(self, "exponents", tuple(float(b) for b in self.exponents))
+        object.__setattr__(self, "sigma", None if self.sigma is None else float(self.sigma))
         if self.exponents:
             if self.kind != JPL_INT:
                 raise ValidationError("exponents only apply to jpl_int")

@@ -70,13 +70,13 @@ CLASS_SIGNATURES = (
 
 @dataclass(frozen=True)
 class SynthConfig:
-    class_count: int = param(4, count=True, least=2)
-    videos_per_class: int = param(12, count=True, least=4)
-    width: int = param(32, count=True, least=8)
-    height: int = param(32, count=True, least=8)
-    frame_count: int = param(24, count=True, least=2)
-    noise_sigma: float = param(2.0, zero=True)
-    seed: int = param(0, count=True, zero=True)
+    class_count: int = param(4, least=2)
+    videos_per_class: int = param(12, least=4)
+    width: int = param(32, least=8)
+    height: int = param(32, least=8)
+    frame_count: int = param(24, least=2)
+    noise_sigma: float = param(2.0, least=0)
+    seed: int = param(0, least=0)
 
     __post_init__ = check_params
 

@@ -97,6 +97,20 @@ def test_config_jpl_exponents_reach_the_specs(tmp_path, method, exponents):
     assert not np.array_equal(model.score_matrix(queries), default.score_matrix(queries))
 
 
+@pytest.mark.parametrize("method", ["single_kernel", "simple_mkl", "boost_mkl"])
+def test_integer_config_reals_write_back_as_reals(tmp_path, method):
+    # a config may give a real as an integer; the model file holds it as a real and reads back
+    manifest, hists = toy_histogram_dataset()
+    cfg = RunConfig(features=("hof", "cuboid")).replace_section("kernels", kind="gaussian", gaussian_sigma=2)
+    model = train_model(manifest, hists, cfg.replace_section("svm", c_reg=10), method, seed=0)
+    path = tmp_path / "model.json"
+    write_model(model, path)
+    reloaded = read_model(path)
+    assert [s.sigma for s in reloaded.specs] == [2.0] * len(model.specs)
+    queries = fresh_queries(np.random.default_rng(5))
+    assert np.array_equal(model.score_matrix(queries), reloaded.score_matrix(queries))
+
+
 @pytest.mark.parametrize("method,kernels,message", [
     ("multichannel", {"kind": "jpl_int", "jpl_exponents": (1.0,)},
      "jpl_exponents has 1 entries for 2 channels"),
