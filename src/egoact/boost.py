@@ -20,12 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import decoded, from_doc, json_numbers, json_records, to_doc
-from .errors import ValidationError, check_positive
+from .errors import ValidationError, check_params, check_positive, param
 from .kernels import check_bank
-from .svm import BinarySvmModel, decision_many, smo_train
+from .svm import BinarySvmModel, SvmSection, decision_many, smo_train
 
 ERROR_CLAMP = 1e-10
 MAX_REDRAWS = 10
+
+
+@dataclass(frozen=True)
+class BoostSection:
+    trials: int = param(10)
+
+    __post_init__ = check_params
 
 
 def resample(probabilities, n: int, seed) -> np.ndarray:
@@ -97,7 +104,7 @@ def reweight_probabilities(p: np.ndarray, correct: np.ndarray, weight: float) ->
 
 
 def boost_train(bank: np.ndarray, y, trials: int, c_reg: float, seed,
-                svm_tol: float = 1e-3) -> BoostedModel:
+                svm_tol: float = SvmSection.tol) -> BoostedModel:
     """Run the boosting trials over the kernels of the (M, n, n) ``bank``.
 
     Per trial: resample L items from P_t, train a weak SVM per kernel on

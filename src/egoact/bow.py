@@ -11,14 +11,29 @@ no doubled copy of the points is kept.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .dataio import Codebook, VideoHistogram
 from .descriptors import FEATURES
-from .errors import ConfigError, ValidationError, check_positive
+from .errors import ConfigError, ValidationError, check_params, check_positive, param
 
 DEFAULT_WORDS = 64
-DEFAULT_MAX_ITERS = 100
+
+
+@dataclass(frozen=True)
+class BowSection:
+    # desk-scale synthetic videos yield few descriptors per video, so the
+    # experiment default is far below the standalone 64-word default
+    words: int = param(16)
+    max_iters: int = param(100)
+    adaptive_words: bool = False   # shrink words to the pool size instead of erroring
+
+    def __post_init__(self):
+        check_params(self)
+        if not isinstance(self.adaptive_words, bool):
+            raise ConfigError(f"adaptive_words must be true or false, got {self.adaptive_words!r}")
 
 
 def _sq_norms(points: np.ndarray) -> np.ndarray:
@@ -51,7 +66,7 @@ def _plusplus_init(points: np.ndarray, point_norms: np.ndarray, word_count: int,
 
 
 def kmeans_with_history(points: np.ndarray, word_count: int, seed: int,
-                        max_iters: int = DEFAULT_MAX_ITERS):
+                        max_iters: int = BowSection.max_iters):
     """Lloyd's algorithm with k-means++ init; returns (Codebook, inertia per iteration).
 
     Runs until the assignment reaches a fixpoint or max_iters. An empty
@@ -89,7 +104,7 @@ def kmeans_with_history(points: np.ndarray, word_count: int, seed: int,
     return Codebook("", centroids), inertia_history
 
 
-def kmeans(points, word_count: int, seed: int, max_iters: int = DEFAULT_MAX_ITERS) -> Codebook:
+def kmeans(points, word_count: int, seed: int, max_iters: int = BowSection.max_iters) -> Codebook:
     codebook, _ = kmeans_with_history(points, word_count, seed, max_iters)
     return codebook
 

@@ -1,104 +1,44 @@
-"""One flat run configuration mirroring every stage's parameters.
+"""One flat run configuration assembling every stage's parameter record.
 
-Loaded from a JSON document with a ``format_version`` field; unknown keys
-anywhere in the document are rejected. Every field has a default, so an
-empty config (or none at all) runs the full pipeline with the documented
-defaults. CLI flags override the matching fields after loading.
+Each stage declares its record, defaults and ranges beside the code that
+reads it; the split's record lives here, as its reader ``evaluation``
+imports this module. Loaded from a JSON document with a ``format_version``
+field; unknown keys anywhere in the document are rejected. Every field has
+a default, so an empty config (or none at all) runs the full pipeline with
+the documented defaults. CLI flags override the matching fields after loading.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .bow import DEFAULT_MAX_ITERS
+from .boost import BoostSection
+from .bow import BowSection
 from .dataio import read_json, to_doc
 from .descriptors import FEATURES, CuboidParams, HofParams, LogcParams, check_features
-from .errors import ConfigError, ValidationError, check_params, check_positive, param
-from .flow import DEFAULT_ALPHA, DEFAULT_ITERATIONS
-from .kernels import KERNEL_KINDS
+from .errors import ConfigError, ValidationError, check_params, param
+from .flow import FlowSection
+from .kernels import KernelsSection
+from .mkl import MklSection
+from .svm import SvmSection
 from .synth import SynthConfig
-
-
-@dataclass(frozen=True)
-class FlowSection:
-    alpha: float = param(DEFAULT_ALPHA)
-    iterations: int = param(DEFAULT_ITERATIONS)
-
-    __post_init__ = check_params
-
-
-@dataclass(frozen=True)
-class BowSection:
-    # desk-scale synthetic videos yield few descriptors per video, so the
-    # experiment default is far below the bow module's 64-word default
-    words: int = param(16)
-    max_iters: int = param(DEFAULT_MAX_ITERS)
-    adaptive_words: bool = False   # shrink words to the pool size instead of erroring
-
-    def __post_init__(self):
-        check_params(self)
-        if not isinstance(self.adaptive_words, bool):
-            raise ConfigError(f"adaptive_words must be true or false, got {self.adaptive_words!r}")
-
-
-@dataclass(frozen=True)
-class KernelsSection:
-    kind: str = "h_int"
-    gaussian_sigma: float | None = None    # None: median heuristic on the train split
-    jpl_exponents: tuple = ()              # empty: 1/C per channel
-
-    def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ConfigError(f"kernels.kind must be one of {KERNEL_KINDS}")
-        if self.gaussian_sigma is not None:
-            check_positive("gaussian_sigma", self.gaussian_sigma)
-        object.__setattr__(self, "jpl_exponents", tuple(self.jpl_exponents))
-        for b in self.jpl_exponents:
-            check_positive("jpl_exponents", b)
-
-
-@dataclass(frozen=True)
-class SvmSection:
-    c_reg: float = param(10.0)
-    tol: float = param(1e-3)
-
-    __post_init__ = check_params
-
-
-@dataclass(frozen=True)
-class MklSection:
-    weight_tol: float = param(1e-4)
-    objective_tol: float = param(1e-4)
-    max_outer: int = param(200)
-
-    __post_init__ = check_params
-
-
-@dataclass(frozen=True)
-class BoostSection:
-    trials: int = param(10)
-
-    __post_init__ = check_params
 
 
 @dataclass(frozen=True)
 class SplitSection:
     mode: str = "per_class_counts"
-    train_n: int = 9    # per class; read and checked only under per_class_counts
-    test_n: int = 3
+    train_n: int = param(9, least=0)    # per class; read only under per_class_counts
+    test_n: int = param(3, least=0)
     repeats: int = param(100)
     base_seed: int = param(0, least=0)
 
     def __post_init__(self):
         if self.mode not in ("per_class_counts", "half_half"):
             raise ConfigError("split.mode must be per_class_counts or half_half")
-        if self.mode == "per_class_counts":
-            try:
-                check_positive("train_n", self.train_n, count=True)
-                check_positive("test_n", self.test_n, count=True)
-            except ConfigError as exc:
-                raise ConfigError(f"per_class_counts needs split.train_n and split.test_n: {exc}") from None
         check_params(self)
+        if self.mode == "per_class_counts" and min(self.train_n, self.test_n) < 1:
+            raise ConfigError("per_class_counts needs split.train_n and split.test_n of at least 1, "
+                              f"got {self.train_n} and {self.test_n}")
 
 
 @dataclass(frozen=True)

@@ -67,20 +67,21 @@ Alignment moves no value.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_positive
+from .errors import ValidationError, check_params, param
 
-DEFAULT_ALPHA = 10.0
-DEFAULT_ITERATIONS = 100
 BLOCK_PIXELS = 24576   # frame-pair pixels solved together in one block
 
 
-def check_params(alpha, iterations) -> None:
-    """Raise ValidationError unless alpha is a finite positive number and iterations an integer >= 1."""
-    check_positive("alpha", alpha)
-    check_positive("iterations", iterations, count=True)
+@dataclass(frozen=True)
+class FlowSection:
+    alpha: float = param(10.0)
+    iterations: int = param(100)
+
+    __post_init__ = check_params
 
 
 def _intensity_gradients(prev: np.ndarray, nxt: np.ndarray):
@@ -164,8 +165,8 @@ def _solve_block(prev: np.ndarray, nxt: np.ndarray, alpha, iterations: int) -> n
     return grid[..., :h, :w].swapaxes(0, 1)
 
 
-def sequence_flows(frames: np.ndarray, alpha: float = DEFAULT_ALPHA,
-                   iterations: int = DEFAULT_ITERATIONS) -> np.ndarray:
+def sequence_flows(frames: np.ndarray, alpha: float = FlowSection.alpha,
+                   iterations: int = FlowSection.iterations) -> np.ndarray:
     """Flows between the consecutive frames of a ``(t, y, x)`` volume.
 
     Returns one ``(t - 1, 2, y, x)`` float64 array: ``[i, 0]`` is u and
@@ -178,7 +179,7 @@ def sequence_flows(frames: np.ndarray, alpha: float = DEFAULT_ALPHA,
         raise ValidationError("need a (t, y, x) volume with at least 2 frames")
     if min(frames.shape[1:]) < 2:
         raise ValidationError(f"frames must be at least 2x2 pixels, got {frames.shape[1:]}")
-    check_params(alpha, iterations)
+    FlowSection(alpha, iterations)
     frames = frames.astype(np.float64)
     prev, nxt = frames[:-1], frames[1:]
     block = max(1, BLOCK_PIXELS // (frames.shape[1] * frames.shape[2]))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import decoded, json_numbers, json_str
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError, check_positive
 
 GAUSSIAN = "gaussian"
 H_INT = "h_int"
@@ -32,6 +32,22 @@ CHANNEL_KINDS = (DC_INT, JPL_INT)
 
 JPL_DELTA = 1e-12
 SIMPLEX_TOL = 1e-9   # slack on the weights' sign and sum
+
+
+@dataclass(frozen=True)
+class KernelsSection:
+    kind: str = H_INT
+    gaussian_sigma: float | None = None    # None: median heuristic on the train split
+    jpl_exponents: tuple = ()              # empty: 1/C per channel
+
+    def __post_init__(self):
+        if self.kind not in KERNEL_KINDS:
+            raise ConfigError(f"kernels.kind must be one of {KERNEL_KINDS}")
+        if self.gaussian_sigma is not None:
+            check_positive("gaussian_sigma", self.gaussian_sigma)
+        object.__setattr__(self, "jpl_exponents", tuple(self.jpl_exponents))
+        for b in self.jpl_exponents:
+            check_positive("jpl_exponents", b)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MklSection
 from .dataio import decoded, from_doc, json_bool, json_numbers
+from .errors import check_params, param
 from .kernels import check_bank, check_simplex, combine
-from .svm import BinarySvmModel, decision_many, smo_train
+from .svm import BinarySvmModel, SvmSection, decision_many, smo_train
 
 MAX_LINE_SEARCH = 30   # step halvings tried per outer iteration
+
+
+@dataclass(frozen=True)
+class MklSection:
+    weight_tol: float = param(1e-4)
+    objective_tol: float = param(1e-4)
+    max_outer: int = param(200)
+
+    __post_init__ = check_params
 
 
 @dataclass(slots=True, eq=False)
@@ -54,7 +63,7 @@ def _descent_direction(weights: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def simple_mkl_train(bank: np.ndarray, y, c_reg: float, params: MklSection = MklSection(),
-                     svm_tol: float = 1e-3) -> MklModel:
+                     svm_tol: float = SvmSection.tol) -> MklModel:
     """Jointly optimize simplex kernel weights over the (M, n, n) ``bank`` and
     the SVM on their combination; ``params`` holds the stopping tolerances
     and the outer iteration cap."""

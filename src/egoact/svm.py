@@ -10,13 +10,16 @@ picking the maximal violating pair each step and stopping once the KKT
 violation gap falls below ``tol``. Every item shares the one box C, as in
 the paper's MKL and boosted MKL.
 
-The up and low selections live in one (2, n) array: row 0 holds -y_i g_i
-where a_i y_i may still grow, row 1 holds y_i g_i where it may still
-shrink, and every other entry is -inf, so one argmax per row picks the
-pair and an empty row closes the gap. A step changes only the pair (i, j),
-so only their entries of the movable mask are updated. The pair update
-runs on Python floats, IEEE doubles like numpy's scalars, so the solution
-keeps its bytes.
+The solver's state is the gradient g of the minimization form as two
+signed rows, -y_i g_i and y_i g_i. A step adds the pair's precomputed
+signed columns of Q = (y_i y_j K_ij) to both, and g_i is read back as y_i
+times row 1; scaling by +-1 commutes with rounding, so this is exact.
+Masked copies select the pair: row 0 keeps the items where a_i y_i may
+still grow, row 1 those where it may still shrink, and every other entry
+is -inf, so one argmax per row picks the pair and an empty row closes the
+gap. A step changes only the pair (i, j), so only their entries of the
+movable mask are updated. The pair update runs on Python floats, IEEE
+doubles like numpy's scalars, so the solution keeps its bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import decoded, json_numbers
-from .errors import ConvergenceError, ValidationError, check_positive
+from .errors import ConvergenceError, ValidationError, check_params, param
+
+
+@dataclass(frozen=True)
+class SvmSection:
+    c_reg: float = param(10.0)
+    tol: float = param(1e-3)
+
+    __post_init__ = check_params
 
 
 @dataclass(slots=True, eq=False)
@@ -71,7 +82,7 @@ def dual_objective(alpha, y, kernel) -> float:
     return float(alpha.sum() - 0.5 * ay @ kernel @ ay)
 
 
-def smo_train(gram, y, c_reg: float, tol: float = 1e-3,
+def smo_train(gram, y, c_reg: float, tol: float = SvmSection.tol,
               max_iter: int | None = None) -> BinarySvmModel:
     """Solve the dual on a precomputed kernel matrix, every item boxed by
     ``c_reg``. Raises ConvergenceError if the violation gap has not closed
@@ -86,25 +97,25 @@ def smo_train(gram, y, c_reg: float, tol: float = 1e-3,
     n = y.size
     if kernel.shape[0] != n:
         raise ValidationError(f"kernel size {kernel.shape[0]} != label count {n}")
-    check_positive("c_reg", c_reg)
-    check_positive("tol", tol)
+    SvmSection(c_reg, tol)
     c = float(c_reg)
     if max_iter is None:
         max_iter = 100_000 + 200 * n
 
-    q = np.outer(y, y) * kernel
-    q_rows = np.ascontiguousarray(q.T)   # q_rows[i] is column i of q
     signs = np.stack([-y, y])
-    grad = -np.ones(n)  # gradient of the minimization form 1/2 aQa - sum a
+    # steps[i] is column i of Q times each row's sign
+    steps = np.ascontiguousarray(signs * (np.outer(y, y) * kernel).T[:, None, :])
+    # -y g and y g, g the gradient of the minimization form 1/2 aQa - sum a, at a = 0
+    signed = -signs
     alpha = [0.0] * n
+    labels = y.tolist()
     positive = (y > 0).tolist()
     diag = kernel.diagonal().tolist()
     # row 0: items whose alpha_i y_i may still grow; row 1: may still shrink
     movable = np.stack([y > 0, y < 0])
-    signed, scores = np.empty((2, n)), np.full((2, n), -np.inf)
+    scores = np.full((2, n), -np.inf)
 
     for iterations in range(max_iter + 1):
-        np.multiply(signs, grad, out=signed)
         np.copyto(scores, signed, where=movable)
         i, j = scores.argmax(axis=1).tolist()
         top, bottom = scores.item(0, i), -scores.item(1, j)
@@ -117,7 +128,7 @@ def smo_train(gram, y, c_reg: float, tol: float = 1e-3,
             )
 
         old_i, old_j = ai, aj = alpha[i], alpha[j]
-        gi, gj = grad.item(i), grad.item(j)
+        gi, gj = labels[i] * signed.item(1, i), labels[j] * signed.item(1, j)
         quad = diag[i] + diag[j] - 2.0 * kernel.item(i, j)
         if quad <= 0.0:
             quad = 1e-12
@@ -160,7 +171,7 @@ def smo_train(gram, y, c_reg: float, tol: float = 1e-3,
                     ai = 0.0
                     aj = total
         alpha[i], alpha[j] = ai, aj
-        grad += q_rows[i] * (ai - old_i) + q_rows[j] * (aj - old_j)
+        signed += steps[i] * (ai - old_i) + steps[j] * (aj - old_j)
         for k, a in ((i, ai), (j, aj)):
             grows, shrinks = (a < c, a > 0.0) if positive[k] else (a > 0.0, a < c)
             movable[0, k], movable[1, k] = grows, shrinks

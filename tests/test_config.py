@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +134,23 @@ def test_split_counts_rejected_when_loading_file(tmp_path, split):
     with pytest.raises(ConfigError, match="train_n"):
         RunConfig.load(path)
     assert RunConfig.from_dict({"split": {"mode": "half_half", **split}}).split.mode == "half_half"
+
+
+@pytest.mark.parametrize("split", [{"train_n": "nine"}, {"test_n": None}, {"train_n": -1}])
+def test_split_counts_checked_under_half_half(split):
+    # unread under half_half, but echoed into every report of the run
+    with pytest.raises(ConfigError, match=next(iter(split))):
+        RunConfig.from_dict({"split": {"mode": "half_half", **split}})
+
+
+@pytest.mark.parametrize("module", ["flow", "bow", "kernels", "svm", "mkl", "boost"])
+def test_stage_modules_do_not_import_config(module):
+    # each stage declares its own record; only the run config assembles them
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    probe = f"import sys, egoact.{module}; print('egoact.config' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 @pytest.mark.parametrize("doc", [

@@ -120,8 +120,13 @@ def test_numpy_scalar_params_accepted():
 
 def test_params_checked_once_per_call(monkeypatch):
     calls = []
-    real = flow_module.check_params
-    monkeypatch.setattr(flow_module, "check_params", lambda *a: calls.append(a) or real(*a))
+
+    class CountedSection(flow_module.FlowSection):
+        def __post_init__(self):
+            calls.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(flow_module, "FlowSection", CountedSection)
     sequence_flows(np.zeros((6, 8, 8)), iterations=2)
     assert len(calls) == 1
 
