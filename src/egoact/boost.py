@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import decoded, from_doc, json_numbers, json_records, to_doc
-from .errors import ValidationError, check_params, check_positive, param
+from .errors import ValidationError, check_params, param
 from .kernels import check_bank
 from .svm import BinarySvmModel, SvmSection, decision_many, smo_train
 
@@ -115,9 +115,8 @@ def boost_train(bank: np.ndarray, y, trials: int, c_reg: float, seed,
     {0, 0.5} before computing the trial weight and the probability update.
     """
     bank = check_bank(bank, y)
-    check_positive("trials", trials, count=True)
-    check_positive("c_reg", c_reg)
-    check_positive("svm_tol", svm_tol)
+    BoostSection(trials)
+    SvmSection(c_reg, svm_tol)
     y = np.asarray(y, dtype=np.float64)
     n = len(y)
     if not ((y > 0).any() and (y < 0).any()):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataio import Codebook, VideoHistogram
 from .descriptors import FEATURES
-from .errors import ConfigError, ValidationError, check_params, check_positive, param
+from .errors import ConfigError, ValidationError, check_params, param
 
 DEFAULT_WORDS = 64
 
@@ -28,12 +28,9 @@ class BowSection:
     # experiment default is far below the standalone 64-word default
     words: int = param(16)
     max_iters: int = param(100)
-    adaptive_words: bool = False   # shrink words to the pool size instead of erroring
+    adaptive_words: bool = param(False)   # shrink words to the pool size instead of erroring
 
-    def __post_init__(self):
-        check_params(self)
-        if not isinstance(self.adaptive_words, bool):
-            raise ConfigError(f"adaptive_words must be true or false, got {self.adaptive_words!r}")
+    __post_init__ = check_params
 
 
 def _sq_norms(points: np.ndarray) -> np.ndarray:
@@ -74,8 +71,7 @@ def kmeans_with_history(points: np.ndarray, word_count: int, seed: int,
     centroid. Deterministic for a fixed seed.
     """
     n = points.shape[0]
-    check_positive("word_count", word_count, count=True)
-    check_positive("max_iters", max_iters, count=True)
+    BowSection(word_count, max_iters)
     if n < word_count:
         raise ValidationError(f"{n} descriptors cannot fill {word_count} words")
 

@@ -326,9 +326,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if "seed" in vars(args):
-            check_positive("--seed", args.seed, count=True, zero=True)
+            check_positive("--seed", args.seed, "int", least=0)
         if "workers" in vars(args):
-            check_positive("--workers", args.workers, count=True)
+            check_positive("--workers", args.workers, "int")
         if "out" in vars(args):
             _check_output(args.out, directory=args.command in ("synth", "extract"))
         if getattr(args, "csv", None):

@@ -26,15 +26,13 @@ from .synth import SynthConfig
 
 @dataclass(frozen=True)
 class SplitSection:
-    mode: str = "per_class_counts"
+    mode: str = param("per_class_counts", choices=("per_class_counts", "half_half"))
     train_n: int = param(9, least=0)    # per class; read only under per_class_counts
     test_n: int = param(3, least=0)
     repeats: int = param(100)
     base_seed: int = param(0, least=0)
 
     def __post_init__(self):
-        if self.mode not in ("per_class_counts", "half_half"):
-            raise ConfigError("split.mode must be per_class_counts or half_half")
         check_params(self)
         if self.mode == "per_class_counts" and min(self.train_n, self.test_n) < 1:
             raise ConfigError("per_class_counts needs split.train_n and split.test_n of at least 1, "

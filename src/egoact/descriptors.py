@@ -130,7 +130,7 @@ def _kinematics(flows, frames, pixel_step: int) -> np.ndarray:
             f"need (pairs, 2, h, w) flows of a (pairs + 1, h, w) volume, "
             f"got {flows.shape} and {frames.shape}"
         )
-    check_positive("pixel_step", pixel_step, count=True)
+    LogcParams(pixel_step=pixel_step)
     pairs, _, h, w = flows.shape
 
     def sampled(grids):
@@ -242,7 +242,7 @@ class CuboidParams:
     def __post_init__(self):
         check_params(self)
         if self.threshold != np.inf:   # an infinite threshold detects nothing
-            check_positive("threshold", self.threshold, zero=True)
+            check_positive("threshold", self.threshold, least=0)
 
     @property
     def side_xy(self) -> int:

@@ -1,6 +1,6 @@
 """Exception types shared across the pipeline, and the parameter checks
-that raise them: each record field declares its range with ``param`` beside
-its default, and ``check_params`` refuses a value outside it with a ConfigError.
+that raise them: each record field declares its rule with ``param`` beside
+its default, and ``check_params`` alone refuses a value that breaks it with a ConfigError.
 
 The CLI maps these onto exit codes: validation and configuration
 problems exit 1, file format and I/O problems exit 2, solver
@@ -40,30 +40,39 @@ class ConvergenceError(PipelineError):
     """An iterative solver exhausted its iteration budget."""
 
 
-def check_positive(name: str, value, count: bool = False, zero: bool = False) -> None:
-    """Raise ConfigError unless ``value`` is a finite positive number or,
-    with ``count``, an integer >= 1; ``zero`` admits 0 as well. A bool is
-    neither."""
-    if count:
-        kind, ok = f"an integer >= {0 if zero else 1}", isinstance(value, numbers.Integral)
+def check_positive(name: str, value, kind: str = "float", least=None, choices=None) -> None:
+    """Raise ConfigError unless ``value`` keeps the rule that ``param`` declares for a
+    ``kind`` field, by default a finite positive number. A bool is no number."""
+    if choices is not None:
+        ok, words = value in choices, f"one of {choices}"
+    elif kind == "bool":
+        ok, words = isinstance(value, bool), "true or false"
+    elif kind == "tuple":
+        ok, words = isinstance(value, tuple), "a tuple of finite positive numbers"
+    elif kind == "int":
+        least = 1 if least is None else least
+        ok, words = isinstance(value, numbers.Integral) and value >= least, f"an integer >= {least}"
     else:
-        kind = f"a finite {'nonnegative' if zero else 'positive'} number"
+        words = "a finite positive number" if least is None else f"a finite number >= {least}"
         ok = isinstance(value, numbers.Real) and math.isfinite(value)
-    if isinstance(value, bool) or not ok or value < 0 or (value == 0 and not zero):
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        ok = ok and (value > 0 if least is None else value >= least)
+    if not ok or isinstance(value, bool) and kind != "bool":
+        raise ConfigError(f"{name} must be {words}, got {value!r}")
+    for element in value if kind == "tuple" else ():
+        check_positive(name, element)
 
 
-def param(default, least=None):
-    """A record field holding ``default``, which ``check_params`` checks as a count if it is
-    annotated ``int``, else as a finite real: positive, or with ``least`` no less than it."""
-    return field(default=default, metadata={"least": least})
+def param(default, least=None, choices=None):
+    """A record field holding ``default``, which ``check_params`` checks as one of ``choices``
+    or, by its annotation, as a switch (``bool``), finite positive reals (``tuple``), an
+    integer >= ``least`` or 1 (``int``), or else a finite real >= ``least`` or > 0; a None
+    default admits None."""
+    return field(default=default, metadata={"least": least, "choices": choices})
 
 
 def check_params(record) -> None:
-    """Raise ConfigError unless every ``param`` field of ``record`` is in its range."""
+    """Raise ConfigError unless every ``param`` field of ``record`` keeps its rule."""
     for f in fields(record):
-        if "least" in f.metadata:
-            least = f.metadata["least"]
-            check_positive(f.name, value := getattr(record, f.name), f.type in ("int", int), least == 0)
-            if least is not None and value < least:
-                raise ConfigError(f"{f.name} must be at least {least}, got {value!r}")
+        value = getattr(record, f.name)
+        if "least" in f.metadata and not (value is None and f.default is None):
+            check_positive(f.name, value, getattr(f.type, "__name__", f.type), **f.metadata)

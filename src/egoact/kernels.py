@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import decoded, json_numbers, json_str
-from .errors import ConfigError, ValidationError, check_positive
+from .errors import ValidationError, check_params, param
 
 GAUSSIAN = "gaussian"
 H_INT = "h_int"
@@ -36,18 +36,11 @@ SIMPLEX_TOL = 1e-9   # slack on the weights' sign and sum
 
 @dataclass(frozen=True)
 class KernelsSection:
-    kind: str = H_INT
-    gaussian_sigma: float | None = None    # None: median heuristic on the train split
-    jpl_exponents: tuple = ()              # empty: 1/C per channel
+    kind: str = param(H_INT, choices=KERNEL_KINDS)
+    gaussian_sigma: float | None = param(None)    # None: median heuristic on the train split
+    jpl_exponents: tuple = param(())              # empty: 1/C per channel
 
-    def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ConfigError(f"kernels.kind must be one of {KERNEL_KINDS}")
-        if self.gaussian_sigma is not None:
-            check_positive("gaussian_sigma", self.gaussian_sigma)
-        object.__setattr__(self, "jpl_exponents", tuple(self.jpl_exponents))
-        for b in self.jpl_exponents:
-            check_positive("jpl_exponents", b)
+    __post_init__ = check_params
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ from egoact.boost import (
     resample,
     reweight_probabilities,
 )
-from egoact.errors import ValidationError
+from egoact.errors import ConfigError, ValidationError
 from egoact.kernels import GAUSSIAN, H_INT, KernelSpec, gram_matrix
+from egoact.mkl import simple_mkl_train
 from egoact.svm import BinarySvmModel
 from oracles import predict_labels, training_error_bound
 
@@ -208,6 +209,18 @@ def test_non_finite_parameters_rejected(kwargs):
     args = {"trials": 2, "c_reg": 10.0, "seed": 1, **kwargs}
     with pytest.raises(ValidationError):
         boost_train(bank, y, **args)
+
+
+@pytest.mark.parametrize("train", [
+    lambda bank, y, tol: boost_train(bank, y, trials=2, c_reg=10.0, seed=1, svm_tol=tol),
+    lambda bank, y, tol: simple_mkl_train(bank, y, 10.0, svm_tol=tol),
+], ids=["boost_train", "simple_mkl_train"])
+def test_svm_tol_is_refused_under_its_section_name(train):
+    # both trainers check the SVM's fields as SvmSection names them
+    bank, y = separable_bank()
+    with pytest.raises(ConfigError) as exc:
+        train(bank, y, float("nan"))
+    assert str(exc.value).startswith("tol must be")
 
 
 @pytest.mark.parametrize("reshape", [

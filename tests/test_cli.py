@@ -346,6 +346,15 @@ def test_nonpositive_workers_flag_exits_1_with_one_line(tmp_path, capsys, worker
     assert not out.exists()
 
 
+def test_codebook_words_flag_is_refused_under_its_section_name(pipeline, tmp_path, capsys):
+    out = tmp_path / "hof.cbk"
+    assert main(["codebook", "--descriptors", str(pipeline["desc"]), "--type", "hof",
+                 "--words", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: words must be")
+    assert not out.exists()
+
+
 # (file, edit of its document) for `egoact train`
 TRAIN_INPUT_DEFECTS = {
     "histogram_block_text": ("histograms", lambda doc: doc["histograms"][0]["blocks"].update(hof="x")),

@@ -206,9 +206,9 @@ def test_seeds_nonnegative_and_flags_bool_at_load(tmp_path, section, field, valu
 
 @pytest.mark.parametrize("doc, message", [
     ({"flow": 5}, "section 'flow' must be an object"),
-    ({"hof": {"window_len": 1}}, "window_len must be at least 2"),
-    ({"logc": {"window_len": 1}}, "window_len must be at least 2"),
-    ({"synth": {"frame_count": 1}}, "frame_count must be at least 2"),
+    ({"hof": {"window_len": 1}}, "window_len must be an integer >= 2, got 1"),
+    ({"logc": {"window_len": 1}}, "window_len must be an integer >= 2, got 1"),
+    ({"synth": {"frame_count": 1}}, "frame_count must be an integer >= 2, got 1"),
 ], ids=["section_not_an_object", "hof_one_frame_window", "logc_one_frame_window",
         "synth_one_frame"])
 def test_unusable_sections_rejected_at_load(tmp_path, doc, message):
@@ -218,23 +218,53 @@ def test_unusable_sections_rejected_at_load(tmp_path, doc, message):
         RunConfig.load(path)
 
 
-# every range-checked field of the config's records: a count if annotated int, and its floor
-PARAM_FIELDS = [(section.name, f.name, f.type == "int", f.metadata["least"])
-                for section in fields(RunConfig)[1:]
+def test_a_scalar_jpl_exponents_is_refused_by_name():
+    with pytest.raises(ConfigError, match="jpl_exponents must be a tuple") as exc:
+        RunConfig.from_dict({"kernels": {"jpl_exponents": 5}})
+    assert "not iterable" not in str(exc.value)
+
+
+# every field of the config's records that declares its rule with ``param``
+PARAM_FIELDS = [(section.name, f) for section in fields(RunConfig)[1:]
                 for f in fields(section.default) if "least" in f.metadata]
+# fields that keep a check of their own: an infinite cuboid threshold detects nothing
+OWN_CHECKS = {("cuboid", "threshold")}
 
 
-@pytest.mark.parametrize("section, name, count, least", PARAM_FIELDS,
-                         ids=[f"{section}.{name}" for section, name, *_ in PARAM_FIELDS])
-def test_every_param_out_of_range_is_a_config_error(section, name, count, least):
+def test_every_section_field_declares_its_rule():
+    undeclared = {(section.name, f.name) for section in fields(RunConfig)[1:]
+                  for f in fields(section.default) if "least" not in f.metadata}
+    assert undeclared == OWN_CHECKS
+
+
+def out_of_range(f):
+    """Values that field ``f``'s declared rule refuses, each with its whole message."""
+    least, choices = f.metadata["least"], f.metadata["choices"]
+    if choices is not None:
+        return [("unknown", f"{f.name} must be one of {choices}, got 'unknown'")]
+    if f.type == "bool":
+        return [(1, f"{f.name} must be true or false, got 1")]
+    if f.type == "tuple":
+        return [((1.0, 0.0), f"{f.name} must be a finite positive number, got 0.0"),
+                (5, f"{f.name} must be a tuple of finite positive numbers, got 5")]
+    if f.type == "int":
+        floor = 1 if least is None else least
+        return [(value, f"{f.name} must be an integer >= {floor}, got {value!r}")
+                for value in (floor - 1, 2.5, True)]
+    rule = "a finite positive number" if least is None else f"a finite number >= {least}"
+    below = 0.0 if least is None else least - 1.0
+    return [(value, f"{f.name} must be {rule}, got {value!r}")
+            for value in (below, float("nan"), float("inf"), True)]
+
+
+@pytest.mark.parametrize("section, f", PARAM_FIELDS,
+                         ids=[f"{section}.{f.name}" for section, f in PARAM_FIELDS])
+def test_every_param_out_of_range_is_a_config_error(section, f):
     # built directly, as library callers do; the load path is covered by the tests above
     record = type(getattr(RunConfig(), section))
-    below = (1 if least is None else least) - 1
-    # the nearest value below the range, then a value of the wrong kind
-    for value, message in [
-        (below, f"{name} must be at least {least}, got {below}" if least else f"{name} must be "),
-        (2.5 if count else float("nan"), f"{name} must be "),
-    ]:
+    for value, message in out_of_range(f):
         with pytest.raises(ConfigError) as direct:
-            record(**{name: value})
-        assert str(direct.value).startswith(message)
+            record(**{f.name: value})
+        assert str(direct.value) == message
+    if f.default is None:
+        assert getattr(record(**{f.name: None}), f.name) is None
