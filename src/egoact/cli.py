@@ -83,46 +83,30 @@ def cmd_extract(args) -> int:
     cache = extract_dataset_descriptors(manifest, args.data, features, cfg,
                                         workers=len(manifest.videos), progress=_progress)
     out_dir = Path(args.out)
-    listing = {entry.video_id: {} for entry in manifest.videos}
-    for vid, files in listing.items():
-        for dtype, dset in cache[vid].items():
-            files[dtype] = f"{vid}.{dtype}.dsc"
-            dataio.write_descriptor_set(dset, out_dir / files[dtype])
-    dims = {dtype: dset.dim for dtype, dset in cache[manifest.videos[0].video_id].items()}
-    dataio.write_json(out_dir / DESCRIPTOR_SIDECAR, {
-        "kind": "descriptors",
-        "features": list(features),
-        "dims": dims,
-        "videos": listing,
-    })
-    print(f"extracted {sorted(dims)} descriptors for {len(manifest.videos)} videos to {out_dir}")
+    listing = dataio.DescriptorListing(
+        features, {dtype: dset.dim for dtype, dset in next(iter(cache.values())).items()},
+        {vid: {dtype: f"{vid}.{dtype}.dsc" for dtype in sets} for vid, sets in cache.items()})
+    for vid, sets in cache.items():
+        for dtype, dset in sets.items():
+            dataio.write_descriptor_set(dset, out_dir / listing.videos[vid][dtype])
+    dataio.write_json(out_dir / DESCRIPTOR_SIDECAR, listing)
+    print(f"extracted {sorted(listing.dims)} descriptors for {len(cache)} videos to {out_dir}")
     return 0
 
 
 def _descriptor_listing(doc, desc_dir: Path, types=None):
-    """A sidecar's features, its ``{type: dim}`` sizes and every listed video's
-    descriptor sets of the ``types`` (default: all). Every video must list
-    exactly the features, ``dims`` must map them to integers >= 1 and every set
-    must have its type's size; a defect raises one of ``dataio.MALFORMED``."""
-    dataio.check_fields(doc, ("kind", "features", "dims", "videos"), kind="descriptors")
-    features = check_features(doc["features"])
-    listing = {vid: {dtype: desc_dir / name for dtype, name in files.items()}
-               for vid, files in doc["videos"].items()}
-    for vid, files in listing.items():
-        if set(files) != set(features):
-            raise ValueError(f"video {vid!r} lists {sorted(files)}, not {list(features)}")
-    dims = {dtype: dataio.json_numbers(dim, 0, integer=True) for dtype, dim in doc["dims"].items()}
-    if set(dims) != set(features) or min(dims.values()) < 1:
-        raise ValueError(f"dims {doc['dims']} do not give each of {list(features)} a size >= 1")
-    cache = {vid: {dtype: dataio.read_descriptor_set(p, descriptor_type=dtype)
-                   for dtype, p in files.items() if types is None or dtype in types}
-             for vid, files in listing.items()}
+    """A listing's features, ``{type: dim}`` sizes and every video's descriptor sets of the
+    ``types`` (default: all), each of its type's size; a defect raises one of ``dataio.MALFORMED``."""
+    listing = dataio.from_doc(doc, dataio.DescriptorListing, features=check_features)
+    cache = {vid: {dtype: dataio.read_descriptor_set(desc_dir / name, descriptor_type=dtype)
+                   for dtype, name in files.items() if types is None or dtype in types}
+             for vid, files in listing.videos.items()}
     for vid, sets in cache.items():
         for dtype, dset in sets.items():
-            if dset.dim != dims[dtype]:
-                raise ValueError(f"{listing[vid][dtype].name} has dimension {dset.dim}, "
-                                 f"not {dims[dtype]}")
-    return features, dims, cache
+            if dset.dim != listing.dims[dtype]:
+                raise ValueError(f"{(desc_dir / listing.videos[vid][dtype]).name} has dimension "
+                                 f"{dset.dim}, not {listing.dims[dtype]}")
+    return listing.features, listing.dims, cache
 
 
 def _read_descriptor_dir(desc_dir, types=None):
@@ -200,9 +184,9 @@ def _json_summary(path, doc, kind) -> list:
                 *(f"  [{k}] {name}: {count} videos"
                   for k, (name, count) in enumerate(zip(manifest.classes, manifest.class_counts())))]
     if kind == "histograms":
-        histograms = dataio.histograms_from_doc(doc)
-        sizes = dict(zip(doc["block_order"], doc["block_sizes"]))
-        return [f"histograms: {len(histograms)} videos, blocks {sizes}"]
+        hists = dataio.from_doc(doc, dataio.HistogramCollection)
+        sizes = dict(zip(hists.block_order, hists.block_sizes))
+        return [f"histograms: {len(hists.histograms)} videos, blocks {sizes}"]
     if kind == "model":
         model = TrainedModel.from_dict(doc)
         describe = METHODS[model.method].describe

@@ -14,19 +14,19 @@ FormatError, and the decoded type rules on an empty outer axis (a ``.dsc``
 may hold no rows). The four binary artifact types are dataclass records
 compared field by field by their one ``__eq__``, ``same_record``.
 
-Structured artifacts (manifests, histogram collections, models, reports)
-are JSON documents carrying a top-level ``"format_version": 1`` field.
-All but histogram collections are written by ``to_doc`` from a record's
-fields in declaration order, ``kind`` first; ``MklModel.objective_history``
+Structured artifacts (manifests, descriptor listings, histogram collections,
+models, reports) are JSON documents carrying a top-level ``"format_version": 1``
+field, each written by ``to_doc`` from a record's fields in declaration order,
+``kind`` first, each by its ``decoded`` encoder; ``MklModel.objective_history``
 stays in memory. ``from_doc`` is its mirror: it compares the ``kind`` constant,
-then reads exactly the fields ``to_doc`` writes, each with the decoder its
-``decoded`` declaration names, refuses a key it does not know (``unknown field
-'<name>'``, the one ``check_fields`` rule of the hand-read histogram and
-descriptor documents too) or lacks (``missing field '<name>'``), and compares
-every field with what the record writes back (a report's ``mean_accuracy``).
-``decode_json`` turns any defect into the one FormatError ``"<path>: malformed
-<what> file (<reason>)"``; a model is also refused for a scale not above 0, a
-class named twice or SVM labels not +1 and -1.
+reads exactly the fields ``to_doc`` writes, each by its ``decoded`` decoder,
+refuses a key it does not know (``unknown field '<name>'``) or lacks (``missing
+field '<name>'``), and compares every field with what ``to_doc`` writes back as
+JSON text, less key order (a report's ``mean_accuracy``; a ``block_sizes`` of
+``4.0``, not ``4``). The record refuses what no writer emits: a descriptor
+listing or a histogram collection of no videos; a model with a scale not above
+0, a class named twice or SVM labels not +1 and -1. ``decode_json`` turns any
+defect into the one FormatError ``"<path>: malformed <what> file (<reason>)"``.
 Every writer goes through a write-to-temp, rename-on-success path so no
 partial file is ever left behind at the target name.
 """
@@ -127,11 +127,12 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 
 def to_doc(value):
-    """``value`` as a JSON document: a dataclass as the dict of its fields in
-    declaration order, less those declared ``repr=False``; an array, a tuple
-    or a list as a list; anything else as it is."""
+    """``value`` as a JSON document: a dataclass as the dict of its fields in declaration order,
+    less those declared ``repr=False``, each by its ``decoded`` encoder (default ``to_doc``); an
+    array, a tuple or a list as a list; anything else as it is."""
     if is_dataclass(value):
-        return {f.name: to_doc(getattr(value, f.name)) for f in fields(value) if f.repr}
+        return {f.name: f.metadata.get("encode", to_doc)(getattr(value, f.name))
+                for f in fields(value) if f.repr}
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (tuple, list)):
@@ -146,9 +147,14 @@ def json_records(value, cls):
     return [from_doc(item, cls) for item in value]
 
 
-def decoded(decode, default=MISSING, **options):
-    """A record field that ``from_doc`` reads with ``decode(value, **options)``."""
-    return field(default=default, metadata={"decode": partial(decode, **options)})
+def json_object(value, each):
+    """A decoded JSON object as a dict in its key order, each value decoded by ``each``."""
+    return {key: each(item) for key, item in value.items()}
+
+
+def decoded(decode, default=MISSING, encode=to_doc, **options):
+    """A field ``from_doc`` reads by ``decode(value, **options)``, ``to_doc`` writes by ``encode``."""
+    return field(default=default, metadata={"decode": partial(decode, **options), "encode": encode})
 
 
 def check_fields(doc, names, **constants) -> dict:
@@ -170,21 +176,22 @@ def from_doc(doc, cls, **decoders):
     """The ``cls`` record a JSON document holds, the inverse of ``to_doc``: each
     written field decoded by ``decoders[name]`` or else its ``decoded`` one. The
     constants (``kind``) are compared first, then the keys, and last every field
-    with what the record writes back. A defect raises one of ``MALFORMED``."""
+    with what ``to_doc`` writes back, as JSON text less key order (``4.0`` is not
+    ``4``). A defect raises one of ``MALFORMED``."""
     written = [f for f in fields(cls) if f.repr]
     check_fields(doc, [f.name for f in written],
                  **{f.name: f.default for f in written if not f.init and f.default is not MISSING})
     record = cls(**{f.name: (decoders.get(f.name) or f.metadata["decode"])(doc[f.name])
                     for f in written if f.init})
-    for f in written:
-        if type(doc[f.name]) is not type(own := to_doc(getattr(record, f.name))) or doc[f.name] != own:
-            raise ValueError(f"{f.name} is {reprlib.repr(doc[f.name])}, not {reprlib.repr(own)}")
+    for name, own in to_doc(record).items():
+        if json.dumps(doc[name], sort_keys=True) != json.dumps(own, sort_keys=True):
+            raise ValueError(f"{name} is {reprlib.repr(doc[name])}, not {reprlib.repr(own)}")
     return record
 
 
-def write_json(path, payload: dict) -> None:
-    """Serialize ``payload`` (with a format_version field) atomically."""
-    doc = dict(payload)
+def write_json(path, payload) -> None:
+    """Serialize ``to_doc(payload)``, a record's document or a dict, with a format_version field."""
+    doc = dict(to_doc(payload))
     doc.setdefault("format_version", FORMAT_VERSION)
     text = json.dumps(doc, indent=2) + "\n"
     atomic_write_bytes(path, text.encode("utf-8"))
@@ -219,9 +226,10 @@ def decode_json(path, doc: dict, what: str, decode):
 # domain types
 
 def same_record(a, b) -> bool:
-    """Whether ``a`` and ``b`` are of one type and give equal documents: every
-    label, size and value alike, ``-0.0`` equal to ``0.0``."""
-    return type(a) is type(b) and to_doc(a) == to_doc(b)
+    """Whether ``a`` and ``b`` are of one type whose fields give equal ``to_doc`` documents,
+    field by field: every label, size, value and order alike, ``-0.0`` equal to ``0.0``."""
+    return type(a) is type(b) and all(to_doc(getattr(a, f.name)) == to_doc(getattr(b, f.name))
+                                      for f in fields(a))
 
 
 @dataclass(slots=True, eq=False)
@@ -319,14 +327,15 @@ class Codebook:
 class VideoHistogram:
     """Concatenated per-type visual-word histogram for one video.
 
-    ``blocks`` is an ordered list of (descriptor_type, counts) pairs; the
-    order must be identical for every video in a dataset. Each block is
-    L1-normalized at encoding time, so its sum is 1, or 0 for a video that
-    produced no descriptors of that type.
+    ``blocks`` is an ordered list of (descriptor_type, counts) pairs, each
+    name once, written as one JSON object. Each block is L1-normalized at
+    encoding time, so its sum is 1, or 0 for a video that produced no
+    descriptors of that type.
     """
 
-    video_id: str
-    blocks: list
+    video_id: str = decoded(json_str)
+    blocks: list = decoded(lambda value: [*json_object(value, json_numbers).items()],
+                           encode=lambda blocks: dict(to_doc(blocks)))
 
     def __post_init__(self):
         norm_blocks = []
@@ -340,8 +349,8 @@ class VideoHistogram:
             if not (abs(total) <= 1e-12 or abs(total - 1.0) <= 1e-12):
                 raise ValidationError(f"histogram block {name!r} must sum to 0 or 1, got {total!r}")
             norm_blocks.append((str(name), counts))
-        if not norm_blocks:
-            raise ValidationError("a histogram needs at least one block")
+        if not norm_blocks or len(dict(norm_blocks)) < len(norm_blocks):
+            raise ValidationError("a histogram needs at least one block, each named once")
         self.blocks = norm_blocks
 
     __eq__ = same_record
@@ -351,6 +360,55 @@ class VideoHistogram:
 
     def concat(self) -> np.ndarray:
         return np.concatenate([counts for _, counts in self.blocks])
+
+
+@dataclass(slots=True)
+class HistogramCollection:
+    """At least one video's histogram, none twice, each with the blocks ``block_order`` names, of the
+    sizes ``block_sizes`` lists, put in that order whatever the key order of its JSON object."""
+
+    kind: str = field(default="histograms", init=False)
+    block_order: list = decoded(json_str, ndim=1)
+    block_sizes: list = field(init=False)
+    histograms: list = decoded(json_records, cls=VideoHistogram)
+
+    def __post_init__(self):
+        if not self.histograms:
+            raise ValidationError("a histogram collection needs at least one video")
+        layout, seen = {name: counts.size for name, counts in self.histograms[0].blocks}, set()
+        if sorted(layout) != sorted(self.block_order):
+            raise ValidationError(f"block names {self.block_order} are not {list(layout)}")
+        for h in self.histograms:
+            if (shape := {name: counts.size for name, counts in h.blocks}) != layout:
+                raise ValidationError(f"video {h.video_id!r} has blocks {shape}, not {layout}")
+            if h.video_id in seen:
+                raise ValidationError(f"video {h.video_id!r} is listed twice")
+            seen.add(h.video_id)
+        self.block_sizes = [layout[name] for name in self.block_order]
+        self.histograms = [VideoHistogram(h.video_id, [(name, dict(h.blocks)[name])
+                                                       for name in self.block_order])
+                           for h in self.histograms]
+
+
+@dataclass(slots=True)
+class DescriptorListing:
+    """The descriptor file of each of ``features`` for each of at least one video, and each
+    feature's size >= 1. A reader that knows the feature names gives ``from_doc`` their decoder."""
+
+    kind: str = field(default="descriptors", init=False)
+    features: list = decoded(json_str, ndim=1)
+    dims: dict = decoded(json_object, each=partial(json_numbers, ndim=0, integer=True))
+    videos: dict = decoded(json_object, each=partial(json_object, each=json_str))
+
+    def __post_init__(self):
+        if not self.videos:
+            raise ValidationError("a descriptor listing needs at least one video")
+        if set(self.dims) != set(self.features) or min(self.dims.values(), default=0) < 1:
+            raise ValidationError(f"dims {self.dims} do not give each of {list(self.features)} "
+                                  f"a size >= 1")
+        for vid, files in self.videos.items():
+            if set(files) != set(self.features):
+                raise ValidationError(f"video {vid!r} lists {sorted(files)}, not {list(self.features)}")
 
 
 @dataclass(frozen=True)
@@ -463,7 +521,7 @@ def read_codebook(path, descriptor_type: str = "") -> Codebook:
 # JSON artifacts
 
 def write_manifest(manifest: DatasetManifest, path) -> None:
-    write_json(path, to_doc(manifest))
+    write_json(path, manifest)
 
 
 def read_manifest(path) -> DatasetManifest:
@@ -471,53 +529,10 @@ def read_manifest(path) -> DatasetManifest:
 
 
 def write_histograms(histograms, path) -> None:
-    """Serialize a list of VideoHistogram sharing one block structure."""
-    if not histograms:
-        raise ValidationError("refusing to write an empty histogram collection")
-    order = histograms[0].block_order()
-    sizes = [c.size for _, c in histograms[0].blocks]
-    seen = set()
-    for h in histograms:
-        if h.block_order() != order or [c.size for _, c in h.blocks] != sizes:
-            raise ValidationError(f"histogram {h.video_id!r} breaks the shared block layout")
-        if h.video_id in seen:
-            raise ValidationError(f"video {h.video_id!r} is listed twice")
-        seen.add(h.video_id)
-    write_json(
-        path,
-        {
-            "kind": "histograms",
-            "block_order": order,
-            "block_sizes": sizes,
-            "histograms": [
-                {"video_id": h.video_id, "blocks": {n: c.tolist() for n, c in h.blocks}}
-                for h in histograms
-            ],
-        },
-    )
+    """Serialize a list of VideoHistogram sharing one block layout, in the first one's block order."""
+    write_json(path, HistogramCollection(histograms[0].block_order() if histograms else [], histograms))
 
 
-def histograms_from_doc(doc) -> list:
-    """The histograms a decoded histograms file holds; a defect raises one of ``MALFORMED``."""
-    check_fields(doc, ("kind", "block_order", "block_sizes", "histograms"), kind="histograms")
-    order = json_str(doc["block_order"], 1)
-    sizes = json_numbers(doc["block_sizes"], integer=True).tolist()
-    if len(sizes) != len(order) or len(set(order)) != len(order):
-        raise ValueError(f"block names {order} do not match block sizes {sizes}")
-    out = {}
-    for entry in doc["histograms"]:
-        video_id = json_str(check_fields(entry, ("video_id", "blocks"))["video_id"])
-        if video_id in out:
-            raise ValueError(f"video {video_id!r} is listed twice")
-        if set(entry["blocks"]) != set(order):
-            raise ValueError(f"video {video_id!r} has blocks {sorted(entry['blocks'])}, not {order}")
-        blocks = [(name, json_numbers(entry["blocks"][name])) for name in order]
-        for (name, counts), size in zip(blocks, sizes):
-            if counts.shape != (size,):
-                raise ValueError(f"block {name!r} has shape {counts.shape}, not ({size!r},)")
-        out[video_id] = VideoHistogram(video_id, blocks)
-    return list(out.values())
-
-
-def read_histograms(path):
-    return decode_json(path, read_json(path), "histograms", histograms_from_doc)
+def read_histograms(path) -> list:
+    return decode_json(path, read_json(path), "histograms",
+                       partial(from_doc, cls=HistogramCollection)).histograms

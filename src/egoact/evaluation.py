@@ -263,7 +263,7 @@ class EvalReport:
     to_dict = to_doc
 
     def write(self, path):
-        write_json(path, self.to_dict())
+        write_json(path, self)
 
     def write_confusion_csv(self, path):
         text = io.StringIO()

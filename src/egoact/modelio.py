@@ -144,7 +144,7 @@ class TrainedModel:
 
 
 def write_model(model: TrainedModel, path) -> None:
-    write_json(path, model.to_dict())
+    write_json(path, model)
 
 
 def read_model(path) -> TrainedModel:

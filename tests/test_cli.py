@@ -611,6 +611,32 @@ def test_malformed_descriptor_listing_exits_2(tmp_path, capsys, command, defect)
     assert captured.err.count("\n") == 1
 
 
+# (file name, document, its refusal) of each document kind that lists videos, listing none
+EMPTY_DOCUMENTS = {
+    "descriptors": ("descriptors.json", {"kind": "descriptors", "features": ["hof"], "dims": {"hof": 3},
+                                         "videos": {}}, "a descriptor listing needs at least one video"),
+    "histograms": ("hists.json", {"kind": "histograms", "block_order": ["hof"], "block_sizes": [4],
+                                  "histograms": []}, "a histogram collection needs at least one video"),
+}
+
+
+@pytest.mark.parametrize("command", ["inspect", "stage"])
+@pytest.mark.parametrize("which", sorted(EMPTY_DOCUMENTS))
+def test_a_document_of_no_videos_exits_2_with_one_line(pipeline, tmp_path, capsys, which, command):
+    """No writer emits a listing or a histogram collection of no videos, so its
+    stage and ``inspect`` refuse it rather than read 0 videos."""
+    name, doc, reason = EMPTY_DOCUMENTS[which]
+    path, out = tmp_path / name, tmp_path / "out"
+    write_json(path, doc)
+    argv = {"descriptors": ["codebook", "--descriptors", str(tmp_path), "--type", "hof",
+                            "--out", str(out)],
+            "histograms": ["train", "--manifest", str(pipeline["data"] / "manifest.json"),
+                           "--histograms", str(path), "--method", "single", "--out", str(out)]}[which]
+    assert main(["inspect", str(path)] if command == "inspect" else argv) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: malformed {which} file ({reason})\n")
+    assert not out.exists()
+
+
 def test_inspect_summarizes_an_intact_descriptor_listing(pipeline, capsys):
     assert main(["inspect", str(pipeline["desc"] / "descriptors.json")]) == 0
     assert capsys.readouterr().out.startswith("descriptors: 8 videos, dims {")

@@ -1,3 +1,5 @@
+import json
+import re
 import struct
 
 import numpy as np
@@ -180,6 +182,51 @@ def test_histograms_round_trip_exact(tmp_path):
     dataio.write_histograms(hists, path)
     back = dataio.read_histograms(path)
     assert back == hists  # exact float64 equality through JSON
+
+
+def test_histograms_read_back_equal_with_sorted_keys(tmp_path):
+    """A file re-serialized with sorted keys (``jq -S``) lists each ``blocks``
+    object's cuboid before hof; the blocks still come back in ``block_order``."""
+    hists = [dataio.VideoHistogram(f"v{i}", [("hof", np.full(4, 0.25)), ("cuboid", np.eye(3)[i])])
+             for i in range(3)]
+    path = tmp_path / "h.json"
+    dataio.write_histograms(hists, path)
+    path.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True, indent=2))
+    assert '"blocks": {\n        "cuboid"' in path.read_text()
+    back = dataio.read_histograms(path)
+    assert back == hists and back[0].block_order() == ["hof", "cuboid"]
+
+
+def test_write_histograms_puts_each_video_in_the_first_ones_block_order(tmp_path):
+    first = dataio.VideoHistogram("v0", [("hof", np.full(4, 0.25)), ("cuboid", np.eye(3)[0])])
+    second = dataio.VideoHistogram("v1", [("cuboid", np.eye(3)[1]), ("hof", np.full(4, 0.25))])
+    path = tmp_path / "h.json"
+    dataio.write_histograms([first, second], path)
+    back = dataio.read_histograms(path)
+    assert back[1] == dataio.VideoHistogram("v1", [("hof", np.full(4, 0.25)), ("cuboid", np.eye(3)[1])])
+    assert second.block_order() == ["cuboid", "hof"]   # the caller's record is left as it was
+
+
+@pytest.mark.parametrize("hists, message", [
+    ([], "a histogram collection needs at least one video"),
+    ([dataio.VideoHistogram("v0", [("hof", np.full(4, 0.25))]),
+      dataio.VideoHistogram("v1", [("hof", np.full(2, 0.5))])],
+     "video 'v1' has blocks {'hof': 2}, not {'hof': 4}"),
+], ids=["empty", "block_sizes_differ"])
+def test_write_histograms_refuses_a_collection_no_reader_accepts(tmp_path, hists, message):
+    path = tmp_path / "h.json"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        dataio.write_histograms(hists, path)
+    assert not path.exists()
+
+
+def test_histogram_numbers_read_back_as_written(tmp_path):
+    """A block entry given as the integer 1 where the writer writes the real 1.0 is refused."""
+    path = tmp_path / "h.json"
+    dataio.write_histograms([dataio.VideoHistogram("v0", [("hof", np.array([0.0, 1.0]))])], path)
+    path.write_text(path.read_text().replace("1.0", "1"))
+    with pytest.raises(FormatError, match=r"malformed histograms file \(blocks is \{'hof': \[0.0, 1\]\}"):
+        dataio.read_histograms(path)
 
 
 def test_write_histograms_refuses_a_repeated_video(tmp_path):
