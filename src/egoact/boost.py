@@ -63,10 +63,7 @@ class WeakClassifier:
     error: float = decoded(json_numbers, ndim=0)
 
     def __post_init__(self):
-        self.kernel_index = int(self.kernel_index)
         self.train_indices = np.asarray(self.train_indices, dtype=np.int64)
-        self.weight = float(self.weight)
-        self.error = float(self.error)
 
 
 @dataclass(slots=True, eq=False)
@@ -80,9 +77,6 @@ class BoostedModel:
     def __post_init__(self):
         if not self.trials:
             raise ValidationError("a boosted model needs at least one kept trial")
-        self.trials = list(self.trials)
-        self.train_size = int(self.train_size)
-        self.kernel_count = int(self.kernel_count)
         for trial in self.trials:
             idx = trial.train_indices
             if not (0 <= trial.kernel_index < self.kernel_count and 0 <= idx.min(initial=0)

@@ -19,13 +19,18 @@ models, reports) are JSON documents carrying a top-level ``"format_version": 1``
 field, each written by ``to_doc`` from a record's fields in declaration order,
 ``kind`` first, each by its ``decoded`` encoder; ``MklModel.objective_history``
 stays in memory. ``from_doc`` is its mirror: it compares the ``kind`` constant,
-reads exactly the fields ``to_doc`` writes, each by its ``decoded`` decoder,
-refuses a key it does not know (``unknown field '<name>'``) or lacks (``missing
-field '<name>'``), and compares every field with what ``to_doc`` writes back as
-JSON text, less key order (a report's ``mean_accuracy``; a ``block_sizes`` of
-``4.0``, not ``4``). The record refuses what no writer emits: a descriptor
-listing or a histogram collection of no videos; a model with a scale not above
-0, a class named twice or SVM labels not +1 and -1. ``decode_json`` turns any
+reads exactly the fields ``to_doc`` writes and refuses a key it does not know
+(``unknown field '<name>'``) or lacks (``missing field '<name>'``). A decoder only
+converts (``json_numbers`` refuses just a NaN, an infinity or the wrong nesting;
+``json_str`` is ``str``), and each field must then read back as written: its JSON
+text, less key order, is compared once with what its encoder writes of the decoded
+value (``true`` is not ``1``, ``"0.5"`` not ``0.5``, ``4.0`` not ``4``), before the
+record is built, so a mistyped value is refused under its own field's name and not by
+a later rule. Computed fields (a report's ``mean_accuracy``, a collection's
+``block_sizes``) are read back from the built record. The record refuses what no
+writer emits: a descriptor listing or a histogram collection of no videos; a class
+list that ``check_classes`` refuses; a model with a scale not above 0, a kernel kind
+its method does not take or SVM labels not +1 and -1. ``decode_json`` turns any
 defect into the one FormatError ``"<path>: malformed <what> file (<reason>)"``.
 Every writer goes through a write-to-temp, rename-on-success path so no
 partial file is ever left behind at the target name.
@@ -35,7 +40,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import reprlib
 import struct
@@ -66,44 +70,39 @@ MALFORMED = (AttributeError, LookupError, TypeError, ValueError, ArithmeticError
 
 
 def json_numbers(value, ndim: int = 1, integer: bool = False, nullable: bool = False):
-    """A decoded JSON field of numbers nested ``ndim`` lists deep, as a float64
-    (``integer``: int64) array, or as a Python number at ``ndim`` 0; with
-    ``nullable``, a null as None. A bool, a string, another null, a NaN or an
-    infinity, a fraction where an integer belongs or the wrong nesting raises
-    one of ``MALFORMED``."""
+    """A decoded JSON field of numbers nested ``ndim`` lists deep, converted to a float64
+    (``integer``: int64) array, or to a Python number at ``ndim`` 0; with ``nullable``, a null
+    as None. A NaN or an infinity (``"NaN"`` or ``1e400`` too) or the wrong nesting raises one
+    of ``MALFORMED``; any other value that converts (``true``, ``"0.5"``, ``2.5`` or ``2**70``
+    where an integer belongs) is left to ``from_doc``'s read-back."""
     if nullable and value is None:
         return None
-    kind = numbers.Integral if integer else numbers.Real
-    pending = [value]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, list):
-            pending.extend(item)
-        elif isinstance(item, bool) or not isinstance(item, kind):
-            raise TypeError(f"expected {'an integer' if integer else 'a number'}, got {item!r}")
-    array = np.asarray(value, dtype=np.int64 if integer else np.float64)
+    array = np.asarray(value, dtype=np.float64)
     if array.ndim != ndim:
         raise ValueError(f"expected numbers nested {ndim} deep, got shape {array.shape}")
     bad = array[~np.isfinite(array)]
     if bad.size:
         raise ValueError(f"expected a finite number, got {bad[0]}")
+    if integer:
+        with np.errstate(invalid="ignore"):   # a value past int64 casts to one that reads back wrong
+            array = array.astype(np.int64)
     return array.item() if ndim == 0 else array
 
 
-def json_bool(value) -> bool:
-    """A decoded JSON ``true`` or ``false``; anything else raises TypeError."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
 def json_str(value, ndim: int = 0):
-    """A decoded JSON string, or at ``ndim`` 1 a list of strings; anything
-    else (a number, a null, a string where a list belongs) raises TypeError."""
-    items = value if ndim else [value]
-    if not isinstance(items, list) or not all(isinstance(item, str) for item in items):
-        raise TypeError(f"expected {'a list of strings' if ndim else 'a string'}, got {value!r}")
-    return value
+    """A decoded JSON field converted to a ``str``, or at ``ndim`` 1 to a list of them, for
+    ``from_doc``'s read-back to refuse what was no string (``12``, ``null``, ``"lr"`` for a list)."""
+    return [str(item) for item in value] if ndim else str(value)
+
+
+def check_classes(classes) -> None:
+    """ValidationError unless ``classes`` names at least one class, each once and none holding
+    a carriage return, at which ``csv.reader`` would split a confusion CSV row."""
+    if len(set(classes)) < len(classes):
+        raise ValidationError(f"class list {classes} names a class more than once, "
+                              f"not each named once")
+    if not classes or any("\r" in c for c in classes):
+        raise ValidationError(f"class list {classes} is empty or a name holds a carriage return")
 
 
 # ---------------------------------------------------------------------------
@@ -172,20 +171,35 @@ def check_fields(doc, names, **constants) -> dict:
     return doc
 
 
+def _read_back(doc, f, value) -> None:
+    """ValueError unless the field ``f`` of ``doc`` is, as JSON text less key order, what its
+    encoder writes of ``value``."""
+    own = f.metadata.get("encode", to_doc)(value)
+    if json.dumps(doc[f.name], sort_keys=True) != json.dumps(own, sort_keys=True):
+        raise ValueError(f"{f.name} is {reprlib.repr(doc[f.name])}, not {reprlib.repr(own)}")
+
+
 def from_doc(doc, cls, **decoders):
-    """The ``cls`` record a JSON document holds, the inverse of ``to_doc``: each
-    written field decoded by ``decoders[name]`` or else its ``decoded`` one. The
-    constants (``kind``) are compared first, then the keys, and last every field
-    with what ``to_doc`` writes back, as JSON text less key order (``4.0`` is not
-    ``4``). A defect raises one of ``MALFORMED``."""
+    """The ``cls`` record a JSON document holds, the inverse of ``to_doc``. The constants
+    (``kind``) are compared first, then the keys. Each written field is then decoded by
+    ``decoders[name]`` or else its ``decoded`` one, and read back: compared with what its
+    encoder writes of the decoded value, as JSON text less key order (``4.0`` is not ``4``,
+    ``true`` not ``1``). A field declared ``decoded(from_doc)`` or ``decoded(json_records)`` is
+    not read back, its records having read their own fields. Only then is the record built,
+    and its computed fields read back from it. A defect raises one of ``MALFORMED``."""
     written = [f for f in fields(cls) if f.repr]
-    check_fields(doc, [f.name for f in written],
-                 **{f.name: f.default for f in written if not f.init and f.default is not MISSING})
-    record = cls(**{f.name: (decoders.get(f.name) or f.metadata["decode"])(doc[f.name])
-                    for f in written if f.init})
-    for name, own in to_doc(record).items():
-        if json.dumps(doc[name], sort_keys=True) != json.dumps(own, sort_keys=True):
-            raise ValueError(f"{name} is {reprlib.repr(doc[name])}, not {reprlib.repr(own)}")
+    constants = {f.name: f.default for f in written if not f.init and f.default is not MISSING}
+    check_fields(doc, [f.name for f in written], **constants)
+    values = {}
+    for f in written:
+        if f.init:
+            values[f.name] = (decoders.get(f.name) or f.metadata["decode"])(doc[f.name])
+            if f.metadata["decode"].func not in (from_doc, json_records):
+                _read_back(doc, f, values[f.name])
+    record = cls(**values)
+    for f in written:
+        if not f.init and f.name not in constants:
+            _read_back(doc, f, getattr(record, f.name))
     return record
 
 
@@ -427,24 +441,17 @@ class DatasetManifest:
     videos: list = decoded(json_records, cls=VideoEntry)
 
     def __post_init__(self):
-        classes = [str(c) for c in self.classes]
-        videos = [v if isinstance(v, VideoEntry) else VideoEntry(*v) for v in self.videos]
-        # csv.reader would split a confusion CSV row at a "\r" in its class name
-        if not classes or len(set(classes)) != len(classes) or any("\r" in c for c in classes):
-            raise ValidationError(f"manifest needs at least one class, each named once and none "
-                                  f"holding a carriage return, got {classes}")
-        ids = [v.video_id for v in videos]
+        check_classes(self.classes)
+        ids = [v.video_id for v in self.videos]
         if len(set(ids)) != len(ids):
             raise ValidationError("video ids must be unique")
-        for v in videos:
-            if not 0 <= v.class_index < len(classes):
+        for v in self.videos:
+            if not 0 <= v.class_index < len(self.classes):
                 raise ValidationError(
                     f"video {v.video_id!r} has class_index {v.class_index} "
-                    f"outside 0..{len(classes) - 1}"
+                    f"outside 0..{len(self.classes) - 1}"
                 )
-        self.classes = classes
-        self.videos = videos
-        thin = [name for name, n in zip(classes, self.class_counts()) if n < 2]
+        thin = [name for name, n in zip(self.classes, self.class_counts()) if n < 2]
         if thin:
             raise ValidationError(f"every class needs at least 2 videos; too few for {thin}")
 

@@ -33,16 +33,12 @@ import numpy as np
 
 from . import bow
 from .config import RunConfig, SplitSection
-from .dataio import (DatasetManifest, atomic_write_bytes, check_fields, decoded, json_numbers, json_str,
-                     read_frame_sequence, to_doc, write_json)
-from .descriptors import (
-    cuboid_descriptors,
-    hof_from_flows,
-    logc_from_flows,
-)
+from .dataio import (DatasetManifest, atomic_write_bytes, check_classes, check_fields, decoded,
+                     json_numbers, json_str, read_frame_sequence, to_doc, write_json)
+from .descriptors import check_features, cuboid_descriptors, hof_from_flows, logc_from_flows
 from .errors import PipelineError, ValidationError
 from .flow import sequence_flows
-from .modelio import check_run, fit, normalize_features, stack_histograms
+from .modelio import check_run, fit, method_entry, normalize_features, stack_histograms
 
 
 def split_sizes(manifest: DatasetManifest, spec: SplitSection):
@@ -230,7 +226,9 @@ def run_repeat(manifest: DatasetManifest, descriptor_cache, cfg: RunConfig, meth
 
 @dataclass(slots=True, eq=False)
 class EvalReport:
-    """Each repeat's accuracy and the row-normalized confusion, in percent, of one run of ``config``."""
+    """Each repeat's accuracy and the row-normalized confusion, in percent, of one run of ``config``
+    by a registered ``method`` with one of its ``kernel`` kinds, on ``features`` that
+    ``check_features`` and ``classes`` that ``check_classes`` takes."""
 
     kind: str = field(default="eval_report", init=False)
     method: str = decoded(json_str)
@@ -246,6 +244,9 @@ class EvalReport:
     config: RunConfig = decoded(RunConfig.from_dict)
 
     def __post_init__(self):
+        method_entry(self.method, self.kernel)
+        check_features(self.features)
+        check_classes(self.classes)
         accuracy = self.per_repeat_accuracy = [float(a) for a in self.per_repeat_accuracy]
         confusion = self.confusion = np.asarray(self.confusion, dtype=np.float64)
         if len(accuracy) != self.split.repeats or not all(0.0 <= a <= 100.0 for a in accuracy):

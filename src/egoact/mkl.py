@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import decoded, from_doc, json_bool, json_numbers
+from .dataio import decoded, from_doc, json_numbers
 from .errors import check_params, param
 from .kernels import check_bank, check_simplex, combine
 from .svm import BinarySvmModel, SvmSection, decision_many, smo_train
@@ -37,12 +37,11 @@ class MklModel:
 
     weights: np.ndarray = decoded(json_numbers)
     svm: BinarySvmModel = decoded(from_doc, cls=BinarySvmModel)
-    converged: bool = decoded(json_bool)
+    converged: bool = decoded(bool)
     objective_history: list = field(default_factory=list, repr=False)   # not written
 
     def __post_init__(self):
         self.weights = check_simplex(self.weights, len(self.weights))
-        self.converged = bool(self.converged)
 
 
 def _weight_gradient(bank: np.ndarray, svm: BinarySvmModel) -> np.ndarray:

@@ -20,8 +20,8 @@ import numpy as np
 from . import boost as boost_mod
 from . import kernels, mkl, svm
 from .config import RunConfig
-from .dataio import (DatasetManifest, decode_json, decoded, from_doc, json_numbers, json_records,
-                     json_str, read_json, to_doc, write_json)
+from .dataio import (DatasetManifest, check_classes, decode_json, decoded, from_doc, json_numbers,
+                     json_records, json_str, read_json, to_doc, write_json)
 from .descriptors import FEATURES, check_features
 from .errors import ConfigError, ValidationError
 
@@ -82,9 +82,12 @@ METHODS = {
 }
 
 
-def method_entry(name: str) -> Method:
+def method_entry(name: str, kind: str | None = None) -> Method:
+    """The method ``name``; ConfigError unless it is one, and, given a kernel ``kind``, takes it."""
     if name not in METHODS:
         raise ConfigError(f"unknown method {name!r}, expected one of {tuple(METHODS)}")
+    if kind is not None and kind not in METHODS[name].kinds:
+        raise ConfigError(f"{name} needs a {' or '.join(METHODS[name].kinds)} kernel")
     return METHODS[name]
 
 
@@ -98,14 +101,7 @@ class TrainedModel:
     specs: list = decoded(json_records, cls=kernels.KernelSpec)
     scales: list = decoded(json_numbers)
     train_vectors: np.ndarray = decoded(json_numbers, ndim=2)
-    binary_models: list   # decoded by the method's codec
-
-    def __post_init__(self):
-        self.classes = list(self.classes)
-        self.specs = list(self.specs)
-        self.scales = [float(s) for s in self.scales]
-        self.train_vectors = np.asarray(self.train_vectors, dtype=np.float64)
-        self.binary_models = list(self.binary_models)
+    binary_models: list = decoded(json_records, cls=None)   # cls: the method's codec, from from_dict
 
     def score_matrix(self, vectors) -> np.ndarray:
         rows = np.stack([kernels.kernel_rows(spec, vectors, self.train_vectors) * scale
@@ -121,9 +117,9 @@ class TrainedModel:
     @staticmethod
     def from_dict(doc: dict) -> "TrainedModel":
         """Decode a model document; another kind, an unknown field, a NaN or an
-        infinity, parts that disagree in size, a scale not above 0, a class named
-        twice, or a kernel spec that cannot score the training vectors finitely
-        raise one of ``MALFORMED``."""
+        infinity, parts that disagree in size, a scale not above 0, a class list that
+        ``check_classes`` refuses, a kernel kind its method does not take, or a kernel
+        spec that cannot score the training vectors finitely raise one of ``MALFORMED``."""
         model = from_doc(doc, TrainedModel, binary_models=lambda value: json_records(
             value, method_entry(doc["method"]).codec))
         vectors = model.train_vectors
@@ -132,9 +128,10 @@ class TrainedModel:
         if len(model.scales) != len(model.specs):
             raise ValueError(f"model has {len(model.scales)} scales for {len(model.specs)} kernels")
         if min(model.scales) <= 0.0:
-            raise ValueError(f"kernel scales must be above 0, got {model.scales}")
-        if len(set(model.classes)) != len(model.classes):
-            raise ValueError(f"model names a class more than once: {model.classes}")
+            raise ValueError(f"kernel scales must be above 0, got {to_doc(model.scales)}")
+        check_classes(model.classes)
+        for spec in model.specs:
+            method_entry(model.method, spec.kind)
         if len(model.binary_models) != len(model.classes):
             raise ValueError(f"model has {len(model.binary_models)} binary models "
                              f"for {len(model.classes)} classes")
@@ -172,10 +169,8 @@ def check_run(method: str, cfg: RunConfig) -> None:
     """ConfigError unless ``method`` trains with ``cfg.kernels.kind`` and any
     ``jpl_exponents`` give one per kernel channel: one channel per block for a
     per-block method, else one per feature."""
-    entry = method_entry(method)
+    entry = method_entry(method, cfg.kernels.kind)
     kind, exponents = cfg.kernels.kind, cfg.kernels.jpl_exponents
-    if kind not in entry.kinds:
-        raise ConfigError(f"{method} needs a {' or '.join(entry.kinds)} kernel")
     channels = 1 if entry.per_block else len(cfg.features)
     if kind == kernels.JPL_INT and exponents and len(exponents) != channels:
         raise ConfigError(f"jpl_exponents has {len(exponents)} entries for {channels} channels")

@@ -52,14 +52,9 @@ class BinarySvmModel:
     objective: float = decoded(json_numbers, default=0.0, ndim=0)
 
     def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.float64)
-        self.bias = float(self.bias)
-        self.c_reg = float(self.c_reg)
+        self.c_reg = float(self.c_reg)   # a config's integer c_reg is written as a real
         if self.alpha.ndim != 1 or self.alpha.shape != self.labels.shape:
             raise ValidationError("alpha and labels must be vectors of one length")
-        self.iterations = int(self.iterations)
-        self.objective = float(self.objective)
 
     @property
     def size(self) -> int:

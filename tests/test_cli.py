@@ -523,15 +523,37 @@ def test_inspect_intact_report(tmp_path, capsys):
      "confusion row 'a' is not percentages summing to 100: [120.0, -20.0]"),
     ({"per_repeat_accuracy": []},
      "per_repeat_accuracy must hold one percentage per repeat (split.repeats = 1), got []"),
-    ({"split": {"repeats": 2}},
+    ({"split": {**REPORT["split"], "repeats": 2}},
      "per_repeat_accuracy must hold one percentage per repeat (split.repeats = 2), got [75.0]"),
+    ({"split": {"repeats": 2}},
+     "split is {'repeats': 2}, not {'base_seed': 0, 'mode': 'per_class_counts', 'repeats': 2, "
+     "'test_n': 3, ...}"),
 ], ids=["mean_accuracy", "mean_accuracy_as_integer", "per_class_stddev", "row_sum", "entry_range",
-        "no_repeats", "fewer_repeats_than_split"])
+        "no_repeats", "fewer_repeats_than_split", "split_of_repeats_only"])
 def test_inspect_refuses_a_report_whose_totals_disagree(tmp_path, capsys, edit, reason):
     path = tmp_path / "report.json"
     write_json(path, {**REPORT, **edit})
     assert main(["inspect", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {path}: malformed eval report file ({reason})\n")
+
+
+@pytest.mark.parametrize("edit, reason", [
+    ({"method": "svm9"}, "unknown method 'svm9'"),
+    ({"kernel": "rbf"}, "simple_mkl needs a gaussian or h_int or dc_int or jpl_int kernel"),
+    ({"features": ["bogus"]}, "features must be a nonempty list of distinct names"),
+    ({"features": ["hof", "hof"]}, "features must be a nonempty list of distinct names"),
+    ({"features": []}, "features must be a nonempty list of distinct names"),
+    ({"classes": ["a", "a"]}, "class list ['a', 'a'] names a class more than once"),
+    ({"classes": ["a\rb", "b"]}, "a name holds a carriage return"),
+], ids=["method", "kernel", "unknown_feature", "repeated_feature", "no_features", "repeated_class",
+        "class_with_carriage_return"])
+def test_inspect_refuses_a_report_naming_what_no_run_writes(tmp_path, capsys, edit, reason):
+    path = tmp_path / "report.json"
+    write_json(path, {**REPORT, **edit})
+    assert main(["inspect", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}: malformed eval report file (")
+    assert reason in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("config, reason", [

@@ -7,6 +7,7 @@ line, and never a traceback.
 
 import copy
 import json
+import re
 import struct
 
 import numpy as np
@@ -269,7 +270,9 @@ def test_unparseable_json_is_a_format_error(tmp_path, capsys, text):
 
 # ---------------------------------------------------------------------------
 # JSON numbers: a string, a bool or a fraction where a number or an integer belongs,
-# and anything but true or false where a ``converged`` flag belongs
+# a NaN or an infinity (given as a string too) where a real belongs, a value past
+# int64 where an integer belongs, anything but true or false where a ``converged``
+# flag belongs, and an object or a string where a list of records belongs
 
 def _hof(doc):
     return doc["histograms"][0]["blocks"]["hof"]
@@ -310,11 +313,25 @@ MISTYPED_NUMBERS = {
     "mkl_string_converged": ("simple_mkl.json", lambda d: _mkl(d).update(converged="false")),
     "mkl_number_converged": ("simple_mkl.json", lambda d: _mkl(d).update(converged=0)),
     "mkl_null_converged": ("simple_mkl.json", lambda d: _mkl(d).update(converged=None)),
+    "svm_nan_string_bias": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(bias="NaN")),
+    "infinity_string_scale": ("simple_mkl.json", lambda d: d["scales"].__setitem__(0, "Infinity")),
+    "overflowing_string_trial_weight": ("boost_mkl.json", lambda d: _trial(d).update(weight="1e400")),
+    "bool_kernel_index": ("boost_mkl.json", lambda d: _trial(d).update(kernel_index=True)),
+    "overflowing_train_size": ("boost_mkl.json", lambda d: _mkl(d).update(train_size=1e400)),
+    "train_index_past_int64": ("boost_mkl.json", lambda d: _trial(d)["train_indices"].__setitem__(
+        0, 2**70)),
+    "svm_iterations_past_int64": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(iterations=2**70)),
+    "trials_as_object": ("boost_mkl.json", lambda d: _mkl(d).update(trials={})),
+    "specs_as_string": ("simple_mkl.json", lambda d: d.update(specs="abc")),
+    "manifest_videos_as_object": ("manifest.json", lambda d: d.update(videos={})),
 }
 
 
-# a number, a null or one string where a string or a list of strings belongs
+# a number, a null, one string or an object where a string or a list of strings belongs
 MISTYPED_STRINGS = {
+    "manifest_classes_as_object": ("manifest.json", lambda d: d.update(classes={"left": 0, "right": 1})),
+    "model_classes_as_object": ("boost_mkl.json", lambda d: d.update(classes={"left": 0, "right": 1})),
+    "report_classes_as_object": ("report.json", lambda d: d.update(classes={"left": 0, "right": 1})),
     "manifest_classes_as_one_string": ("manifest.json", lambda d: d.update(classes="lr")),
     "manifest_numeric_video_id": ("manifest.json", lambda d: d["videos"][0].update(video_id=12)),
     "manifest_null_path": ("manifest.json", lambda d: d["videos"][0].update(path=None)),
@@ -356,6 +373,16 @@ def test_mistyped_numbers_are_format_errors(artifacts, tmp_path, capsys, case):
 @pytest.mark.parametrize("case", sorted(MISTYPED_STRINGS))
 def test_mistyped_strings_are_format_errors(artifacts, tmp_path, capsys, case):
     rejected_on_read(artifacts, tmp_path, capsys, *MISTYPED_STRINGS[case])
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_NUMBERS.keys() | MISTYPED_STRINGS.keys()))
+def test_mistyped_values_name_their_field_or_the_number_or_list_rule(artifacts, tmp_path, capsys,
+                                                                     case):
+    """Each field is read back before the record is built, so no later rule speaks first."""
+    name, mutate = MISTYPED_NUMBERS.get(case) or MISTYPED_STRINGS[case]
+    message = rejected_on_read(artifacts, tmp_path, capsys, name, mutate)
+    assert re.search(r"file \((\w+ is .*, not |expected a finite number, got |expected a list, got )",
+                     message), message
 
 
 def test_repeated_histogram_video_id_is_a_format_error(artifacts, tmp_path, capsys):
@@ -438,6 +465,10 @@ REFUSED_MODELS = {
                               "names a class more than once"),
     "svm_labels_all_5": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(
         labels=[5.0] * len(_mkl(d)["svm"]["labels"])), "binary labels must be +1 or -1"),
+    "class_with_carriage_return": ("boost_mkl.json", lambda d: d["classes"].__setitem__(0, "le\rft"),
+                                   "a name holds a carriage return"),
+    "multichannel_with_an_h_int_spec": ("single_kernel.json", lambda d: d.update(method="multichannel"),
+                                        "multichannel needs a dc_int or jpl_int kernel"),
     "boost_svm_labels_one_class": ("boost_mkl.json", lambda d: _trial(d)["svm"].update(
         labels=[1.0] * len(_trial(d)["svm"]["labels"])), "training data must contain both classes"),
 }
