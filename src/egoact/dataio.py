@@ -29,9 +29,9 @@ record is built, so a mistyped value is refused under its own field's name and n
 a later rule. Computed fields (a report's ``mean_accuracy``, a collection's
 ``block_sizes``) are read back from the built record. The record refuses what no
 writer emits: a descriptor listing or a histogram collection of no videos; a class
-list that ``check_classes`` refuses; a model with a scale not above 0, a kernel kind
-its method does not take or SVM labels not +1 and -1. ``decode_json`` turns any
-defect into the one FormatError ``"<path>: malformed <what> file (<reason>)"``.
+list that ``check_classes`` refuses; a model with a scale not above 0 or a kernel kind
+its method does not take. ``decode_json`` turns any defect into the one FormatError
+``"<path>: malformed <what> file (<reason>)"``.
 Every writer goes through a write-to-temp, rename-on-success path so no
 partial file is ever left behind at the target name.
 """

@@ -136,15 +136,13 @@ def _kernel_block(spec: KernelSpec, queries: np.ndarray, references: np.ndarray)
 
 
 def gram_matrix(vectors, spec: KernelSpec) -> np.ndarray:
-    """Pairwise kernel matrix; the upper triangle is mirrored onto the lower,
-    so symmetry is exact by construction."""
+    """Pairwise kernel matrix, exactly symmetric as computed: ``np.minimum``
+    commutes and each pair's terms are summed in one order, and a Gaussian
+    difference only changes sign, which its square drops."""
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] < 1:
         raise ValidationError("need a nonempty (count, dim) array of vectors")
-    matrix = _kernel_block(spec, vectors, vectors)
-    lower = np.tril_indices(vectors.shape[0], k=-1)
-    matrix[lower] = matrix.T[lower]
-    return matrix
+    return _kernel_block(spec, vectors, vectors)
 
 
 def kernel_rows(spec: KernelSpec, queries, references) -> np.ndarray:

@@ -45,8 +45,7 @@ class MklModel:
 
 
 def _weight_gradient(bank: np.ndarray, svm: BinarySvmModel) -> np.ndarray:
-    ay = svm.alpha * svm.labels
-    return -0.5 * np.einsum("i,mij,j->m", ay, bank, ay)
+    return -0.5 * np.einsum("i,mij,j->m", svm.dual_coef, bank, svm.dual_coef)
 
 
 def _descent_direction(weights: np.ndarray, grad: np.ndarray) -> np.ndarray:

@@ -51,7 +51,7 @@ _SVM = dict(
     codec=svm.BinarySvmModel,
     train=lambda bank, y, cfg, seed: svm.smo_train(bank[0], y, cfg.svm.c_reg, tol=cfg.svm.tol),
     score=lambda model, rows: svm.decision_many(model, rows[0]),
-    describe=lambda model: (f"{np.count_nonzero(model.alpha > 0.0)} support vectors, "
+    describe=lambda model: (f"{np.count_nonzero(model.dual_coef)} support vectors, "
                             f"bias {model.bias:.4f}, {model.iterations} SMO steps"),
     note=lambda model, cfg: "",
 )

@@ -42,10 +42,11 @@ class SvmSection:
 
 @dataclass(slots=True, eq=False)
 class BinarySvmModel:
-    """Dual solution of one binary problem over a fixed Gram matrix."""
+    """Dual solution of one binary problem over a fixed Gram matrix, stored as its
+    signed coefficients alpha_i y_i; SMO keeps alpha_i >= 0, so the nonzero ones
+    are the support vectors."""
 
-    alpha: np.ndarray = decoded(json_numbers)
-    labels: np.ndarray = decoded(lambda value: _check_binary_labels(json_numbers(value)))
+    dual_coef: np.ndarray = decoded(json_numbers)
     bias: float = decoded(json_numbers, ndim=0)
     c_reg: float = decoded(json_numbers, ndim=0)
     iterations: int = decoded(json_numbers, default=0, ndim=0, integer=True)
@@ -53,12 +54,6 @@ class BinarySvmModel:
 
     def __post_init__(self):
         self.c_reg = float(self.c_reg)   # a config's integer c_reg is written as a real
-        if self.alpha.ndim != 1 or self.alpha.shape != self.labels.shape:
-            raise ValidationError("alpha and labels must be vectors of one length")
-
-    @property
-    def size(self) -> int:
-        return self.alpha.size
 
 
 def _check_binary_labels(y) -> np.ndarray:
@@ -70,11 +65,6 @@ def _check_binary_labels(y) -> np.ndarray:
     if not ((y > 0).any() and (y < 0).any()):
         raise ValidationError("training data must contain both classes")
     return y
-
-
-def dual_objective(alpha, y, kernel) -> float:
-    ay = alpha * y
-    return float(alpha.sum() - 0.5 * ay @ kernel @ ay)
 
 
 def smo_train(gram, y, c_reg: float, tol: float = SvmSection.tol,
@@ -184,17 +174,18 @@ def smo_train(gram, y, c_reg: float, tol: float = SvmSection.tol,
         bias = float(np.mean(signed[0][free]))
     else:
         bias = ((top if top > -np.inf else 0.0) + (bottom if bottom < np.inf else 0.0)) / 2.0
-    return BinarySvmModel(alpha, y, bias, c_reg, iterations=iterations,
-                          objective=dual_objective(alpha, y, kernel))
+    dual_coef = alpha * y
+    return BinarySvmModel(dual_coef, bias, c_reg, iterations=iterations,
+                          objective=float(alpha.sum() - 0.5 * dual_coef @ kernel @ dual_coef))
 
 
 def decision_many(model: BinarySvmModel, k_rows) -> np.ndarray:
     """f(x) = sum_i alpha_i y_i K(x, x_i) + b for each (n, L) query row."""
     k_rows = np.asarray(k_rows, dtype=np.float64)
-    if k_rows.ndim != 2 or k_rows.shape[1] != model.size:
-        raise ValidationError(f"an SVM of {model.size} coefficients cannot score "
+    if k_rows.ndim != 2 or k_rows.shape[1] != model.dual_coef.size:
+        raise ValidationError(f"an SVM of {model.dual_coef.size} coefficients cannot score "
                               f"kernel rows of shape {k_rows.shape}")
-    return k_rows @ (model.alpha * model.labels) + model.bias
+    return k_rows @ model.dual_coef + model.bias
 
 
 # ---------------------------------------------------------------------------

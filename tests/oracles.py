@@ -623,10 +623,11 @@ def flow_energy(flow, prev, nxt, alpha=10.0) -> float:
 def kkt_residuals(model, kernel, y) -> np.ndarray:
     """Per-item violation of the KKT margin conditions (0 when satisfied)."""
     y = np.asarray(y, dtype=np.float64)
-    margins = y * (np.asarray(kernel) @ (model.alpha * model.labels) + model.bias)
+    margins = y * (np.asarray(kernel) @ model.dual_coef + model.bias)
+    alpha = np.abs(model.dual_coef)
     slack = 1e-9 * max(model.c_reg, 1.0)
-    at_zero = model.alpha <= slack
-    at_box = model.alpha >= model.c_reg - slack
+    at_zero = alpha <= slack
+    at_box = alpha >= model.c_reg - slack
     resid = np.abs(margins - 1.0)
     resid[at_zero] = np.maximum(0.0, 1.0 - margins[at_zero])
     resid[at_box] = np.maximum(0.0, margins[at_box] - 1.0)

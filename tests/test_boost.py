@@ -78,9 +78,7 @@ def test_single_trial_is_best_weak_classifier():
     assert len(model.trials) == 1
     trial = model.trials[0]
     scores = boost_predict_many(model, bank)
-    weak_scores = bank[trial.kernel_index][:, trial.train_indices] @ (
-        trial.svm.alpha * trial.svm.labels
-    ) + trial.svm.bias
+    weak_scores = bank[trial.kernel_index][:, trial.train_indices] @ trial.svm.dual_coef + trial.svm.bias
     assert np.array_equal(predict_labels(scores), predict_labels(weak_scores))
 
 
@@ -136,9 +134,9 @@ def _manual_model(weights, votes_per_trial, n_train=4, kernels=2):
     """Assemble a BoostedModel whose weak classifiers produce fixed votes."""
     trials = []
     for w, vote in zip(weights, votes_per_trial):
-        # alpha zero makes the weak decision equal its bias; the bias sign
-        # then fixes the vote
-        svm = BinarySvmModel(np.zeros(n_train), np.ones(n_train), bias=vote, c_reg=1.0)
+        # zero coefficients make the weak decision equal its bias; the bias
+        # sign then fixes the vote
+        svm = BinarySvmModel(np.zeros(n_train), bias=vote, c_reg=1.0)
         trials.append(WeakClassifier(0, np.arange(n_train), svm, w, 0.1))
     return BoostedModel(trials, n_train, kernels)
 
@@ -147,7 +145,7 @@ def _manual_model(weights, votes_per_trial, n_train=4, kernels=2):
     (2, [0, 1, 2, 3]), (-1, [0, 1, 2, 3]), (0, [0, 1, 2, 4]), (0, [-1, 1, 2, 3]),
 ])
 def test_trial_outside_the_model_is_refused(kernel_index, train_indices):
-    svm = BinarySvmModel(np.zeros(4), np.ones(4), bias=1.0, c_reg=1.0)
+    svm = BinarySvmModel(np.zeros(4), bias=1.0, c_reg=1.0)
     trial = WeakClassifier(kernel_index, train_indices, svm, 1.0, 0.1)
     with pytest.raises(ValidationError, match="outside 2 kernels and 4 training vectors"):
         BoostedModel([trial], 4, 2)
@@ -174,7 +172,7 @@ def test_predict_matches_naive_resummation():
     manual = 0.0
     for trial in model.trials:
         row = bank[trial.kernel_index, 6, trial.train_indices]
-        weak = float(row @ (trial.svm.alpha * trial.svm.labels) + trial.svm.bias)
+        weak = float(row @ trial.svm.dual_coef + trial.svm.bias)
         manual += trial.weight * (1.0 if weak >= 0 else -1.0)
     assert boost_predict_many(model, rows)[0] == pytest.approx(manual, abs=1e-12)
 
@@ -245,3 +243,16 @@ def test_predict_validates_row_shapes():
         boost_predict_many(model, np.zeros((3, 2, len(y))))   # one kernel too many
     with pytest.raises(ValidationError):
         boost_predict_many(model, np.zeros((2, 2, len(y) + 1)))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: resample([], 3, 0), "probabilities must be a nonempty vector", id="resample_empty"),
+    pytest.param(lambda: boost_train(separable_bank(n=12)[0], np.ones(12), trials=1, c_reg=10.0, seed=0),
+                 "training data must contain both classes", id="one_class"),
+    pytest.param(lambda: boost_predict_many(_manual_model([1.0], [1.0]), np.zeros((1, 4))),
+                 "stacked kernel rows must be (M, n, L)", id="two_d_rows"),
+])
+def test_boost_refusals(call, message):
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert message in str(refused.value)

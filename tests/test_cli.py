@@ -979,7 +979,7 @@ def test_inspect_shows_each_svm_smo_steps(pipeline, tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect", str(model)]) == 0
     shown = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  class ")]
-    assert shown == [f"  class {name}: {sum(a > 0 for a in b['alpha'])} support vectors, "
+    assert shown == [f"  class {name}: {sum(c != 0 for c in b['dual_coef'])} support vectors, "
                      f"bias {b['bias']:.4f}, {b['iterations']} SMO steps"
                      for name, b in zip(doc["classes"], doc["binary_models"])]
     assert all(b["iterations"] > 0 for b in doc["binary_models"])

@@ -350,3 +350,21 @@ def test_changing_one_field_makes_a_record_unequal(case):
 ])
 def test_negative_zero_equals_zero_in_a_record(name, signed):
     assert RECORDS[name](**signed) == RECORDS[name]()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: dataio.FrameSequence(np.zeros((2, 8))), "frames must be 3-d (t, y, x), got 2-d",
+                 id="frames_2d"),
+    pytest.param(lambda: dataio.FrameSequence(np.zeros((2, 0, 8))), "frame dimensions must be nonzero",
+                 id="frames_zero_height"),
+    pytest.param(lambda: dataio.DescriptorSet("hof", 0), "descriptor dimension must be positive",
+                 id="descriptor_dim_0"),
+    pytest.param(lambda: dataio.DescriptorSet("hof", 3, np.zeros((2, 4))),
+                 "descriptor vectors must have shape (count, 3), got (2, 4)", id="descriptor_shape"),
+    pytest.param(lambda: dataio.VideoHistogram("v", [("hof", np.zeros((2, 2)))]),
+                 "histogram blocks must be 1-d", id="histogram_2d_block"),
+])
+def test_record_refusals(call, message):
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert message in str(refused.value)

@@ -333,3 +333,19 @@ def test_logc_of_mirrored_input_flips_the_odd_components(class_index):
     got = logc_from_flows(frames[:, :, ::-1], mirrored_flows(flows), params).vectors
     expected = base * np.outer(MIRROR_SIGNS, MIRROR_SIGNS)[np.triu_indices(12)]
     assert np.all(np.abs(got - expected) <= 4.1e-11 * np.maximum(1.0, np.abs(expected)))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: covariance_descriptor(np.zeros(13)), "samples must be a (count, dim) array",
+                 id="covariance_1d"),
+    pytest.param(lambda: descriptors.temporal_quadrature_pair(1e308), "has too many taps to count",
+                 id="filter_too_wide"),
+    pytest.param(lambda: descriptors.gaussian_smooth(np.zeros((4, 4)), 1e-200, axes=(0,)),
+                 "gives a spatial filter that is not finite", id="spatial_filter_not_finite"),
+    pytest.param(lambda: descriptors.temporal_quadrature_pair(1e-200),
+                 "gives a temporal filter that is not finite", id="temporal_filter_not_finite"),
+])
+def test_descriptor_refusals(call, message):
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert message in str(refused.value)

@@ -39,8 +39,7 @@ def written(tmp_path, write, value):
     return json.loads(path.read_text())
 
 
-SVM = {"alpha": [float], "labels": [float], "bias": float, "c_reg": float, "iterations": int,
-       "objective": float}
+SVM = {"dual_coef": [float], "bias": float, "c_reg": float, "iterations": int, "objective": float}
 PAYLOADS = {
     "single_kernel": SVM,
     "multichannel": SVM,

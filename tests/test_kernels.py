@@ -124,6 +124,10 @@ def test_gram_single_video():
 
 
 def test_gram_exact_symmetry_and_diagonals():
+    """The Gram matrix is the kernel block of the vectors against themselves, with
+    no mirroring, so it is bitwise symmetric only because each kind computes the
+    pair (a, b) as it does (b, a): ``np.minimum`` commutes, every pair's terms are
+    summed in the same order, and a Gaussian difference only changes sign."""
     rng = np.random.default_rng(2)
     hists = random_histograms(rng, 8)
     gauss = gram_matrix(hists, KernelSpec(GAUSSIAN, sigma=0.5))
@@ -132,6 +136,10 @@ def test_gram_exact_symmetry_and_diagonals():
     inter = gram_matrix(hists, KernelSpec(H_INT))
     assert np.array_equal(inter, inter.T)
     assert np.allclose(np.diag(inter), hists.sum(axis=1), atol=1e-12)
+    for spec in (KernelSpec(DC_INT, channels=TWO_BLOCKS), KernelSpec(JPL_INT, channels=TWO_BLOCKS),
+                 KernelSpec(GAUSSIAN, sigma=0.5, block=(1, 3))):
+        gram = gram_matrix(hists, spec)
+        assert np.array_equal(gram, gram.T), spec
 
 
 @pytest.mark.parametrize("spec", [
@@ -276,3 +284,16 @@ def test_block_kernels_match_the_pairwise_oracle_bytes(spec, n, m):
     upper = np.array([[kernel_eval(spec, queries[min(i, j)], queries[max(i, j)])
                        for j in range(n)] for i in range(n)])
     assert gram.tobytes() == upper.tobytes()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: KernelSpec("poly"), "unknown kernel kind 'poly'", id="unknown_kind"),
+    pytest.param(lambda: kernel_rows(KernelSpec(H_INT), np.ones((1, 3)), np.ones((1, 4))),
+                 "vector shapes differ: (3,) vs (4,)", id="dims_differ"),
+    pytest.param(lambda: gram_matrix(np.zeros((0, 3)), KernelSpec(H_INT)),
+                 "need a nonempty (count, dim) array of vectors", id="gram_of_none"),
+])
+def test_kernel_refusals(call, message):
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert message in str(refused.value)

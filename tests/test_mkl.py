@@ -36,7 +36,7 @@ def test_single_kernel_bank_reduces_to_plain_svm():
     model = simple_mkl_train(bank, y, 5.0)
     plain = smo_train(bank[0], y, 5.0, tol=1e-3)
     assert np.array_equal(model.weights, [1.0])
-    assert np.array_equal(model.svm.alpha, plain.alpha)
+    assert np.array_equal(model.svm.dual_coef, plain.dual_coef)
     assert model.svm.bias == plain.bias
     assert model.converged
 
@@ -104,9 +104,7 @@ def test_predict_matches_naive_resummation():
     model = simple_mkl_train(bank, y, 1.0)
     rows = bank[:, 2]
     combined = sum(w * row for w, row in zip(model.weights, rows))
-    manual = sum(
-        a * yi * k for a, yi, k in zip(model.svm.alpha, model.svm.labels, combined)
-    ) + model.svm.bias
+    manual = sum(c * k for c, k in zip(model.svm.dual_coef, combined)) + model.svm.bias
     assert mkl_predict_many(model, rows[:, None, :])[0] == pytest.approx(manual, abs=1e-12)
 
 

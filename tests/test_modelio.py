@@ -169,8 +169,7 @@ def _svm_payloads(doc):
 
 def _truncate_svms(doc, count):
     for payload in _svm_payloads(doc):
-        for key in ("alpha", "labels"):
-            payload[key] = payload[key][:count]
+        payload["dual_coef"] = payload["dual_coef"][:count]
 
 
 def _first_trial(doc):
@@ -180,8 +179,6 @@ def _first_trial(doc):
 NAN, INF = float("nan"), float("inf")
 
 SHAPE_DEFECTS = {
-    "alpha_shorter_than_labels": ("single_kernel", lambda d: d["binary_models"][0].update(
-        alpha=d["binary_models"][0]["alpha"][:3])),
     "svm_of_3_for_12_vectors": ("single_kernel", lambda d: _truncate_svms(d, 3)),
     "mkl_svm_of_3_for_12_vectors": ("simple_mkl", lambda d: _truncate_svms(d, 3)),
     "scale_per_kernel": ("single_kernel", lambda d: d["scales"].append(1.0)),
@@ -200,10 +197,10 @@ SHAPE_DEFECTS = {
     "empty_train_vectors": ("single_kernel", lambda d: d.update(train_vectors=[])),
     "nan_train_vector": ("single_kernel", lambda d: d["train_vectors"][0].__setitem__(0, NAN)),
     "inf_scale": ("single_kernel", lambda d: d["scales"].__setitem__(0, INF)),
-    "nan_alpha": ("single_kernel", lambda d: d["binary_models"][0]["alpha"].__setitem__(0, NAN)),
+    "nan_alpha": ("single_kernel", lambda d: d["binary_models"][0]["dual_coef"].__setitem__(0, NAN)),
     "nan_bias": ("single_kernel", lambda d: d["binary_models"][1].update(bias=NAN)),
     "nan_mkl_scale_and_alpha": ("simple_mkl", lambda d: (
-        d["scales"].__setitem__(0, NAN), _svm_payloads(d)[0]["alpha"].__setitem__(0, NAN))),
+        d["scales"].__setitem__(0, NAN), _svm_payloads(d)[0]["dual_coef"].__setitem__(0, NAN))),
     "nan_mkl_weight": ("simple_mkl", lambda d: d["binary_models"][0]["weights"].__setitem__(0, NAN)),
     "nan_boost_weight": ("boost_mkl", lambda d: _first_trial(d).update(weight=NAN)),
     "inf_boost_error": ("boost_mkl", lambda d: _first_trial(d).update(error=INF)),

@@ -295,9 +295,8 @@ MISTYPED_NUMBERS = {
     "histogram_bool_entries": ("histograms.json", lambda d: d["histograms"][1]["blocks"].update(
         cuboid=[False, True, False])),
     "histogram_fractional_size": ("histograms.json", lambda d: d["block_sizes"].__setitem__(0, 4.0)),
-    "svm_string_alpha_and_labels": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(
-        alpha=[str(a) for a in _mkl(d)["svm"]["alpha"]],
-        labels=[str(int(y)) for y in _mkl(d)["svm"]["labels"]])),
+    "svm_string_dual_coef": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(
+        dual_coef=[str(c) for c in _mkl(d)["svm"]["dual_coef"]])),
     "svm_string_bias": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(bias="0.1")),
     "svm_bool_c_reg": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(c_reg=True)),
     "svm_fractional_iterations": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(iterations=3.5)),
@@ -463,14 +462,10 @@ REFUSED_MODELS = {
     "zero_scale": ("simple_mkl.json", lambda d: d["scales"].__setitem__(0, 0.0), "scales must be above 0"),
     "one_class_named_twice": ("simple_mkl.json", lambda d: d.update(classes=[d["classes"][0]] * 2),
                               "names a class more than once"),
-    "svm_labels_all_5": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(
-        labels=[5.0] * len(_mkl(d)["svm"]["labels"])), "binary labels must be +1 or -1"),
     "class_with_carriage_return": ("boost_mkl.json", lambda d: d["classes"].__setitem__(0, "le\rft"),
                                    "a name holds a carriage return"),
     "multichannel_with_an_h_int_spec": ("single_kernel.json", lambda d: d.update(method="multichannel"),
                                         "multichannel needs a dc_int or jpl_int kernel"),
-    "boost_svm_labels_one_class": ("boost_mkl.json", lambda d: _trial(d)["svm"].update(
-        labels=[1.0] * len(_trial(d)["svm"]["labels"])), "training data must contain both classes"),
 }
 
 
@@ -498,10 +493,10 @@ UNKNOWN_FIELDS = {
     "report": ("report.json", lambda d: d, "gap"),
     "report_split": ("report.json", lambda d: d["split"], "folds"),
 }
-# the three fields an SVM payload stored before it kept only what it cannot compute
+# the fields an SVM payload stored before it kept only its signed dual coefficients
 UNKNOWN_FIELDS.update({f"{level}_{key}": (*UNKNOWN_FIELDS[level][:2], key)
                        for level in ("svm_payload", "mkl_svm", "boost_trial_svm")
-                       for key in ("box", "support_indices", "converged")})
+                       for key in ("box", "support_indices", "converged", "alpha", "labels")})
 
 
 @pytest.mark.parametrize("case", sorted(UNKNOWN_FIELDS))

@@ -24,7 +24,7 @@ def test_symmetric_pair():
     gram = np.array([[1.0, -1.0], [-1.0, 1.0]])  # 1-d points at +1 and -1
     y = np.array([1.0, -1.0])
     model = smo_train(gram, y, c_reg=100.0, tol=1e-9)
-    assert np.allclose(model.alpha, [0.5, 0.5], atol=1e-9)
+    assert np.allclose(model.dual_coef, [0.5, -0.5], atol=1e-9)
     assert model.bias == pytest.approx(0.0, abs=1e-9)
     # the midpoint (the origin) sits exactly on the boundary
     assert decision_many(model, np.zeros((1, 2)))[0] == pytest.approx(0.0, abs=1e-9)
@@ -57,7 +57,7 @@ def test_duplicating_points_keeps_decision_function():
 
 
 def test_decision_with_zero_alphas_is_bias():
-    model = BinarySvmModel(np.zeros(3), np.array([1.0, -1.0, 1.0]), bias=0.25, c_reg=1.0)
+    model = BinarySvmModel(np.zeros(3), bias=0.25, c_reg=1.0)
     assert np.array_equal(decision_many(model, np.array([[5.0, 6.0, 7.0], [1.0, 0.0, 2.0]])),
                           [0.25, 0.25])
 
@@ -68,7 +68,8 @@ def test_free_support_vectors_sit_on_margin():
     tol = 1e-6
     model = smo_train(kernel, y, c_reg=1.0, tol=tol)
     scores = decision_many(model, kernel)
-    free = (model.alpha > 1e-9) & (model.alpha < model.c_reg - 1e-9)
+    alpha = np.abs(model.dual_coef)
+    free = (alpha > 1e-9) & (alpha < model.c_reg - 1e-9)
     assert free.any()
     assert np.abs(scores[free] - y[free]).max() <= tol * 10
 
@@ -79,7 +80,7 @@ def test_decision_matches_naive_resummation():
     model = smo_train(kernel, y, c_reg)
     scores = decision_many(model, kernel)
     for row, score in zip(kernel, scores):
-        manual = sum(a * yi * k for a, yi, k in zip(model.alpha, model.labels, row))
+        manual = sum(c * k for c, k in zip(model.dual_coef, row))
         assert score == pytest.approx(manual + model.bias, abs=1e-12)
 
 
@@ -88,9 +89,10 @@ def test_equality_constraint_and_box():
     for _ in range(10):
         kernel, y, c_reg = random_svm_problem(rng)
         model = smo_train(kernel, y, c_reg)
-        assert abs(float(model.alpha @ model.labels)) <= 1e-8
-        assert model.alpha.min() >= 0.0
-        assert (model.alpha <= model.c_reg + 1e-12).all()
+        alpha = model.dual_coef * y    # y_i * y_i = 1
+        assert abs(float(model.dual_coef.sum())) <= 1e-8
+        assert alpha.min() >= 0.0
+        assert (alpha <= model.c_reg + 1e-12).all()
 
 
 def test_objective_is_monotone():
@@ -98,7 +100,7 @@ def test_objective_is_monotone():
     kernel, y, c_reg = random_svm_problem(rng)
     model = smo_train(kernel, y, c_reg, tol=1e-8)
     alpha, _, _, _, history = reference_smo(kernel, y, c_reg, tol=1e-8)
-    assert model.alpha.tobytes() == alpha.tobytes()
+    assert model.dual_coef.tobytes() == (alpha * y).tobytes()
     assert len(history) >= 2
     for before, after in zip(history, history[1:]):
         assert after >= before - 1e-12
@@ -136,7 +138,7 @@ def test_smo_matches_reference_bytes(kernel, y, c_reg, kwargs):
     model = smo_train(kernel, y, c_reg, **kwargs)
     alpha, bias, iterations, objective, _ = reference_smo(kernel, y, c_reg, **kwargs)
     assert iterations > 0
-    assert model.alpha.tobytes() == alpha.tobytes()
+    assert model.dual_coef.tobytes() == (alpha * y).tobytes()
     assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
     assert model.iterations == iterations
     assert np.float64(model.objective).tobytes() == np.float64(objective).tobytes()
@@ -231,3 +233,17 @@ def test_ova_requires_every_class():
         ova_train(np.array([0, 0, 1, 1]), ["a", "b", "c"], lambda y, k: None)
     with pytest.raises(ValidationError):
         ova_train(np.array([0, 0]), ["a"], lambda y, k: None)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: smo_train(np.eye(2), np.array([[1.0, -1.0]]), 1.0), "labels must be a flat vector",
+                 id="labels_2d"),
+    pytest.param(lambda: smo_train(np.ones((2, 3)), np.array([1.0, -1.0]), 1.0),
+                 "kernel matrix must be square, got (2, 3)", id="kernel_not_square"),
+    pytest.param(lambda: ova_predict_scores(np.zeros(3)), "scores must be (n_items, n_classes)",
+                 id="scores_1d"),
+])
+def test_svm_refusals(call, message):
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert message in str(refused.value)
