@@ -20,6 +20,14 @@ is -inf, so one argmax per row picks the pair and an empty row closes the
 gap. A step changes only the pair (i, j), so only their entries of the
 movable mask are updated. The pair update runs on Python floats, IEEE
 doubles like numpy's scalars, so the solution keeps its bytes.
+
+A solve may start from any feasible alpha0 (in the box, with
+sum_i a_i y_i = 0) instead of 0. The state then starts at
+signs * (Q alpha0 - 1), and the movable masks from the bounds alpha0 sits
+on; at alpha0 = 0 that is exactly the cold start, so a cold solve keeps
+its bytes. A restart from a solve's own alpha stops at iteration 0 with
+the same coefficients, though its bias, read from the recomputed
+gradient, can move in its last bits.
 """
 
 from __future__ import annotations
@@ -67,11 +75,28 @@ def _check_binary_labels(y) -> np.ndarray:
     return y
 
 
+def _check_start(alpha0, y: np.ndarray, c: float) -> np.ndarray:
+    alpha0 = np.asarray(alpha0, dtype=np.float64)
+    if alpha0.shape != y.shape:
+        raise ValidationError(f"a start of shape {alpha0.shape} cannot start {y.size} items")
+    if not np.isfinite(alpha0).all():
+        raise ValidationError("start must be finite")
+    if alpha0.min() < 0.0 or alpha0.max() > c:
+        raise ValidationError(f"start must lie in [0, {c}], got [{alpha0.min()}, {alpha0.max()}]")
+    balance = float(alpha0 @ y)
+    if abs(balance) > 1e-8 * c * y.size:
+        raise ValidationError(f"start must satisfy sum(alpha_i y_i) = 0, got {balance:.3e}")
+    return alpha0
+
+
 def smo_train(gram, y, c_reg: float, tol: float = SvmSection.tol,
-              max_iter: int | None = None) -> BinarySvmModel:
+              max_iter: int | None = None, alpha0=None) -> BinarySvmModel:
     """Solve the dual on a precomputed kernel matrix, every item boxed by
     ``c_reg``. Raises ConvergenceError if the violation gap has not closed
     after the iteration cap.
+
+    ``alpha0`` starts the solver from a feasible alpha, e.g. the ``abs(dual_coef)``
+    of an earlier solve on the same labels and ``c_reg``; None starts from 0.
     """
     kernel = np.asarray(gram, dtype=np.float64)
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
@@ -87,17 +112,21 @@ def smo_train(gram, y, c_reg: float, tol: float = SvmSection.tol,
     if max_iter is None:
         max_iter = 100_000 + 200 * n
 
+    start = np.zeros(n) if alpha0 is None else _check_start(alpha0, y, c)
+
     signs = np.stack([-y, y])
+    q = np.outer(y, y) * kernel
     # steps[i] is column i of Q times each row's sign
-    steps = np.ascontiguousarray(signs * (np.outer(y, y) * kernel).T[:, None, :])
-    # -y g and y g, g the gradient of the minimization form 1/2 aQa - sum a, at a = 0
-    signed = -signs
-    alpha = [0.0] * n
+    steps = np.ascontiguousarray(signs * q.T[:, None, :])
+    # -y g and y g, g the gradient of the minimization form 1/2 aQa - sum a;
+    # at a = 0 this is exactly -signs
+    signed = signs * (q @ start - 1.0)
+    alpha = start.tolist()
     labels = y.tolist()
     positive = (y > 0).tolist()
     diag = kernel.diagonal().tolist()
     # row 0: items whose alpha_i y_i may still grow; row 1: may still shrink
-    movable = np.stack([y > 0, y < 0])
+    movable = np.where(y > 0, [start < c, start > 0.0], [start > 0.0, start < c])
     scores = np.full((2, n), -np.inf)
 
     for iterations in range(max_iter + 1):

@@ -26,12 +26,18 @@ move in the low bits, so the tests bound them, and require the detected
 points and cuboid sets built on the oracle response to match exactly. The quantizer
 measures each centroid by direct differences instead of the expanded
 squared-distance form that ``bow.quantize_batch`` uses. ``matrix_exp`` is
-the inverse the matrix-log tests round-trip through. ``reference_smo`` and
-``reference_kmeans`` are the SMO and k-means loops the package shipped
-before their inner loops were trimmed to fewer numpy calls; the package
-must match them byte for byte. ``flow_energy``, ``kkt_residuals``,
-``predict_labels``, ``training_error_bound`` and ``pair_confusion`` are
-the measures the tests and acceptance criteria score results by.
+the inverse the matrix-log tests round-trip through. ``reference_smo`` is
+the SMO loop the package shipped before its inner loop was trimmed to
+fewer numpy calls; the package must match it byte for byte.
+``reference_kmeans`` is the k-means the package ran on the points
+themselves before it moved to the pool's Gram matrix: where no two
+distances tie, the package must give its codebook bytes, with an inertia
+history that differs only in rounding. ``reference_gram_kmeans`` is the
+Gram-matrix k-means rebuilt from per-cluster point lists; the package
+must match it byte for byte. ``flow_energy``, ``violation_gap``,
+``kkt_residuals``, ``predict_labels``, ``training_error_bound`` and
+``pair_confusion`` are the measures the tests and acceptance criteria
+score results by.
 """
 
 import numpy as np
@@ -604,6 +610,61 @@ def reference_kmeans(points, word_count, seed, max_iters=100):
     return centroids, inertia_history
 
 
+def reference_gram_kmeans(points, word_count, seed, max_iters=100):
+    """k-means++ seeding then Lloyd's iterations on the pool's Gram matrix
+    G = P P^T, each centroid held as the list of points it averages and its
+    weight vector rebuilt from that list at each distance evaluation;
+    returns (centroids, inertia history)."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    gram = points @ points.T
+    norms = gram.diagonal()
+
+    def sq_distances(clusters):
+        weights = np.zeros((len(clusters), n))
+        for k, idx in enumerate(clusters):
+            weights[k, idx] = 1.0 / len(idx)
+        products = weights @ gram
+        d2 = np.empty((n, len(clusters)))
+        for k in range(len(clusters)):
+            d2[:, k] = norms + np.sum(products[k] * weights[k]) - 2.0 * products[k]
+        return np.maximum(d2, 0.0)
+
+    rng = np.random.default_rng(seed)
+    clusters = [[int(rng.integers(n))]]
+    closest = sq_distances(clusters).ravel()
+    for _ in range(1, word_count):
+        total = closest.sum()
+        if total > 0.0:
+            target = rng.random() * total
+            idx = int(np.searchsorted(np.cumsum(closest), target, side="right"))
+            idx = min(idx, n - 1)
+        else:
+            idx = int(rng.integers(n))
+        clusters.append([idx])
+        np.minimum(closest, sq_distances([[idx]]).ravel(), out=closest)
+
+    assignment = None
+    inertia_history = []
+    for _ in range(max_iters):
+        d2 = sq_distances(clusters)
+        new_assignment = np.argmin(d2, axis=1)
+        inertia_history.append(float(d2[np.arange(n), new_assignment].sum()))
+        if assignment is not None and np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        point_cost = d2[np.arange(n), assignment].copy()
+        for k in range(word_count):
+            members = [i for i in range(n) if assignment[i] == k]
+            if members:
+                clusters[k] = members
+            else:
+                worst = int(np.argmax(point_cost))
+                clusters[k] = [worst]
+                point_cost[worst] = -1.0
+    return np.stack([points[idx].mean(axis=0) for idx in clusters]), inertia_history
+
+
 def reference_quantize_batch(vectors, codebook):
     """Nearest word per row by the expanded squared distance, all norms recomputed."""
     return np.argmin(_reference_sq_distances(np.asarray(vectors, dtype=np.float64), codebook.centroids), axis=1)
@@ -618,6 +679,16 @@ def flow_energy(flow, prev, nxt, alpha=10.0) -> float:
     data = ix * flow[0] + iy * flow[1] + (nxt - prev)
     smooth = np.sum(np.diff(flow, axis=1) ** 2) + np.sum(np.diff(flow, axis=2) ** 2)
     return float(np.sum(data * data) + alpha * alpha * smooth)
+
+
+def violation_gap(kernel, y, alpha, c_reg) -> float:
+    """SMO's stop measure at ``alpha``: the gap of the maximal violating pair,
+    from a gradient computed afresh (-inf when no pair can move)."""
+    y = np.asarray(y, dtype=np.float64)
+    neg_yg = -y * ((np.outer(y, y) * np.asarray(kernel)) @ alpha - 1.0)
+    up = ((y > 0) & (alpha < c_reg)) | ((y < 0) & (alpha > 0))
+    low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < c_reg))
+    return float(np.max(neg_yg[up], initial=-np.inf) - np.min(neg_yg[low], initial=np.inf))
 
 
 def kkt_residuals(model, kernel, y) -> np.ndarray:

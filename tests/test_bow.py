@@ -5,7 +5,7 @@ from egoact.bow import encode_video, kmeans, kmeans_with_history, pooled_descrip
 from egoact.dataio import Codebook, DescriptorSet
 from egoact.descriptors import FEATURES
 from egoact.errors import ConfigError, ValidationError
-from oracles import quantize, reference_kmeans, reference_quantize_batch
+from oracles import quantize, reference_gram_kmeans, reference_kmeans, reference_quantize_batch
 
 
 def two_clouds(rng, n=60, distance=100.0, radius=1.0):
@@ -191,21 +191,34 @@ def cuboid_like_pool(seed, count=300, dim=6171, distinct=None):
     return points[rng.integers(0, rows, count)] if distinct else points
 
 
-@pytest.mark.parametrize("seed, words, max_iters, distinct", [
-    (0, 16, 100, None),
-    (1, 5, 100, None),
-    (2, 16, 2, None),       # cut off by max_iters
-    (3, 16, 20, 12),        # fewer distinct rows than words: empty clusters get reseeded
+@pytest.mark.parametrize("seed, words, max_iters, distinct, shape", [
+    pytest.param(0, 16, 100, None, (300, 6171), id="0-16-100-None"),
+    pytest.param(1, 5, 100, None, (300, 6171), id="1-5-100-None"),
+    pytest.param(2, 16, 2, None, (300, 6171), id="2-16-2-None"),    # cut off by max_iters
+    # fewer distinct rows than words: empty clusters get reseeded, and
+    # distances tie exactly, so the two references may break ties apart
+    pytest.param(3, 16, 20, 12, (300, 6171), id="3-16-20-12"),
+    # more rows than dims: the Gram matrix is larger than the pool
+    pytest.param(4, 16, 100, None, (400, 8), id="4-16-100-None-400x8"),
 ])
-def test_kmeans_matches_reference_bytes(seed, words, max_iters, distinct):
-    points = cuboid_like_pool(seed, distinct=distinct)
+def test_kmeans_matches_reference_bytes(seed, words, max_iters, distinct, shape):
+    points = cuboid_like_pool(seed, *shape, distinct=distinct)
     codebook, history = kmeans_with_history(points, words, seed=seed, max_iters=max_iters)
-    centroids, reference_history = reference_kmeans(points, words, seed, max_iters)
+    centroids, reference_history = reference_gram_kmeans(points, words, seed, max_iters)
     assert codebook.centroids.tobytes() == centroids.tobytes()
     assert np.array(history).tobytes() == np.array(reference_history).tobytes()
-    queries = cuboid_like_pool(seed + 10, count=50)
+    queries = cuboid_like_pool(seed + 10, count=50, dim=shape[1])
     assert (quantize_batch(queries, codebook).tobytes()
             == reference_quantize_batch(queries, codebook).tobytes())
+    if distinct:
+        return
+    # without repeated rows the assignments agree with k-means on the points
+    # themselves, so the codebook keeps its bytes; the inertia is summed
+    # from other roundings of the same distances
+    centroids, reference_history = reference_kmeans(points, words, seed, max_iters)
+    assert codebook.centroids.tobytes() == centroids.tobytes()
+    assert len(history) == len(reference_history)
+    assert np.allclose(history, reference_history, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("kwargs", [{"word_count": 2.5}, {"word_count": True},

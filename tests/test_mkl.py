@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from egoact.errors import ValidationError
-from egoact.kernels import GAUSSIAN, KernelSpec, gram_matrix
+from egoact.kernels import GAUSSIAN, KernelSpec, combine, gram_matrix
 from egoact.config import MklSection
 from egoact.mkl import MklModel, mkl_predict_many, simple_mkl_train
-from egoact.svm import decision_many, ova_predict_scores, ova_train, smo_train
+from egoact.svm import SvmSection, decision_many, ova_predict_scores, ova_train, smo_train
 
 
 def informative_and_noise_bank(seed=7, n=48, sigma=8.0):
@@ -70,6 +70,22 @@ def test_informative_kernel_wins():
     history = model.objective_history
     for before, after in zip(history, history[1:]):
         assert after <= before + 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_stored_svm_meets_the_stop_rule_at_the_stored_weights(m):
+    bank, y = informative_and_noise_bank(seed=13, n=32)
+    bank = bank[:m]
+    model = simple_mkl_train(bank, y, 1.0)
+    # the line search starts each trial SVM from the current solution, so the
+    # stored SVM must be a solution of the stored weights, not of a trial's
+    again = smo_train(combine(bank, model.weights), y, 1.0, tol=SvmSection.tol,
+                      alpha0=np.abs(model.svm.dual_coef))
+    assert again.iterations == 0
+    history = model.objective_history
+    assert len(history) >= 2
+    for before, after in zip(history, history[1:]):
+        assert after < before
 
 
 def test_predict_one_hot_weights_match_single_kernel():

@@ -5,6 +5,7 @@ from egoact.errors import ConvergenceError, ValidationError
 from egoact.kernels import H_INT, KernelSpec, gram_matrix, trace_normalize
 from egoact.svm import (
     BinarySvmModel,
+    SvmSection,
     decision_many,
     ova_predict_scores,
     ova_train,
@@ -17,6 +18,7 @@ from oracles import (
     reference_smo,
     svm_dual_oracle,
     svm_dual_value,
+    violation_gap,
 )
 
 
@@ -151,6 +153,48 @@ def test_smo_cut_off_reports_the_reference_gap():
     with pytest.raises(ConvergenceError) as package:
         smo_train(kernel, y, 100.0, max_iter=25)
     assert str(reference.value) in str(package.value)
+
+
+@pytest.mark.parametrize("seed, c_reg", [(0, 1.0), (1, 10.0), (2, 100.0), (3, 10)])
+def test_restart_from_own_solution_stops_at_once(seed, c_reg):
+    kernel, y, _ = intersection_problem(seed)
+    model = smo_train(kernel, y, c_reg)
+    again = smo_train(kernel, y, c_reg, alpha0=np.abs(model.dual_coef))
+    assert again.iterations == 0
+    assert again.dual_coef.tobytes() == model.dual_coef.tobytes()
+    # the start's gradient is computed afresh, not summed step by step, so
+    # the bias, a mean of gradient entries, can move in its last bits
+    assert again.bias == pytest.approx(model.bias, rel=0, abs=1e-12)
+    assert again.objective == model.objective
+
+
+@pytest.mark.parametrize("seed, c_reg", [(0, 1.0), (1, 10.0), (2, 100.0)])
+def test_warm_start_from_another_kernel_closes_the_gap(seed, c_reg):
+    kernel, y, _ = intersection_problem(seed)
+    other, _, _ = intersection_problem(seed + 10)     # another kernel, the same y and C
+    start = np.abs(smo_train(other, y, c_reg).dual_coef)
+    tol = SvmSection.tol
+    assert violation_gap(kernel, y, start, c_reg) > tol
+    warm = smo_train(kernel, y, c_reg, alpha0=start)
+    cold = smo_train(kernel, y, c_reg)
+    assert 0 < warm.iterations
+    assert violation_gap(kernel, y, np.abs(warm.dual_coef), c_reg) <= tol + 1e-9
+    assert abs(warm.objective - cold.objective) <= tol * y.size
+    assert abs(float(warm.dual_coef.sum())) <= 1e-8
+
+
+@pytest.mark.parametrize("start, message", [
+    pytest.param([0.5, 0.5], "a start of shape (2,) cannot start 3 items", id="length"),
+    pytest.param([np.nan, 0.0, 0.0], "start must be finite", id="nan"),
+    pytest.param([-0.5, 0.0, 0.5], "start must lie in [0, 1.0]", id="below-box"),
+    pytest.param([2.0, 2.0, 0.0], "start must lie in [0, 1.0]", id="above-box"),
+    pytest.param([0.5, 0.0, 0.0], "start must satisfy sum(alpha_i y_i) = 0", id="unbalanced"),
+])
+def test_infeasible_start_refused(start, message):
+    with pytest.raises(ValidationError) as refused:
+        smo_train(np.eye(3), np.array([1.0, -1.0, 1.0]), 1.0, alpha0=np.array(start))
+    assert message in str(refused.value)
+    assert "\n" not in str(refused.value)
 
 
 @pytest.mark.parametrize("kwargs", [
