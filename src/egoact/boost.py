@@ -22,7 +22,7 @@ import numpy as np
 from .dataio import decoded, from_doc, json_numbers, json_records, to_doc
 from .errors import ValidationError, check_params, param
 from .kernels import check_bank
-from .svm import BinarySvmModel, SvmSection, decision_many, smo_train
+from .svm import BinarySvmModel, SvmSection, check_binary_labels, decision_many, smo_train
 
 ERROR_CLAMP = 1e-10
 MAX_REDRAWS = 10
@@ -110,11 +110,8 @@ def boost_train(bank: np.ndarray, y, trials: int, c_reg: float, seed,
     """
     bank = check_bank(bank, y)
     BoostSection(trials)
-    SvmSection(c_reg, svm_tol)
-    y = np.asarray(y, dtype=np.float64)
+    y = check_binary_labels(y)
     n = len(y)
-    if not ((y > 0).any() and (y < 0).any()):
-        raise ValidationError("training data must contain both classes")
 
     rng = np.random.default_rng(seed)
     p = np.full(n, 1.0 / n)

@@ -17,7 +17,8 @@ it. Each final centroid is the mean of its cluster's points, or the
 reseeded point, so a codebook keeps its bytes wherever the assignments
 agree with k-means on the points themselves. Where two distances tie
 exactly, as between repeated rows, G can break the tie the other way.
-The quantizer measures queries against the centroids themselves.
+The quantizer measures queries against the centroids themselves, with
+the squared norms each ``Codebook`` computes once.
 """
 
 from __future__ import annotations
@@ -134,9 +135,8 @@ def quantize_batch(vectors: np.ndarray, codebook: Codebook) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != codebook.dim:
         raise ValidationError(f"descriptors must be (count, {codebook.dim})")
-    centroids = codebook.centroids
-    d2 = (np.sum(vectors * vectors, axis=1)[:, None] + np.sum(centroids * centroids, axis=1)[None, :]
-          - 2.0 * (vectors @ centroids.T))
+    d2 = (np.sum(vectors * vectors, axis=1)[:, None] + codebook.sq_norms[None, :]
+          - 2.0 * (vectors @ codebook.centroids.T))
     return np.argmin(np.maximum(d2, 0.0), axis=1)
 
 

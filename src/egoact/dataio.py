@@ -317,6 +317,7 @@ class Codebook:
 
     descriptor_type: str
     centroids: np.ndarray
+    sq_norms: np.ndarray = field(init=False, repr=False)   # |c|^2 per centroid, for quantizing
 
     def __post_init__(self):
         centroids = np.ascontiguousarray(self.centroids, dtype=np.float64)
@@ -325,6 +326,7 @@ class Codebook:
         if not np.all(np.isfinite(centroids)):
             raise ValidationError("codebook centroids must be finite")
         self.centroids = centroids
+        self.sq_norms = np.sum(centroids * centroids, axis=1)
 
     __eq__ = same_record
 

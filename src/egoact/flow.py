@@ -42,8 +42,9 @@ the sweep runs in float32 and the flows are widened to float64. That is
 the same Jacobi iteration with different rounding: every flow value stays
 within 1e-5*max(1, |flow|) of the float64 sweep, and each pair's energy
 within 1e-6 relative of its energy (under 1e-6 and 2e-8 measured on
-synthetic videos). A coefficient that is not finite in float32 is
-rejected before the sweep.
+synthetic videos). Each sweep writes a pixel from its own coefficients,
+so ``sequence_flows`` refuses a coefficient that is not finite in float32
+as it refuses a sweep that overflows: by the non-finite flow it leaves.
 
 The sweep never clears the padding. There every coefficient is zero, so
 the sweep writes +0.0 or -0.0 into it. Each neighbour sum starts from
@@ -53,8 +54,8 @@ adds is -0.0, and then only in the sign of the resulting zero. The flows
 therefore equal those of the one-pair-at-a-time float32 sweep byte for
 byte, whatever the block size, except in the sign of such a zero. A
 non-finite neighbour sum turns a padding value into NaN (zero times
-infinity), which spreads and is rejected with the other non-finite flow
-values.
+infinity), which spreads, and ``sequence_flows`` refuses it with the
+other non-finite flow values.
 
 Every buffer a sweep writes starts on a 64-byte boundary, and so do its u
 and v halves: each half is rounded up to a multiple of 16 float32 values
@@ -129,7 +130,7 @@ def _solve_block(prev: np.ndarray, nxt: np.ndarray, alpha, iterations: int) -> n
         out[..., :size].reshape(grid.shape[:-2] + (h + 1, row), copy=False)[..., :h, :w] = grid
         return out
 
-    # overflow, 0/0 and inf/inf all leave a coefficient that is not finite in float32
+    # overflow, 0/0 and inf/inf leave flow values that sequence_flows refuses
     with np.errstate(all="ignore"):
         ix, iy, it = _intensity_gradients(prev, nxt)
         counts = _neighbor_counts((h, w))
@@ -141,27 +142,25 @@ def _solve_block(prev: np.ndarray, nxt: np.ndarray, alpha, iterations: int) -> n
         gain = padded(np.stack([iyy + smooth, ixx + smooth]) / scale)
         coupling = padded(ix * iy / scale)
         offset = padded(np.stack([ix * it, iy * it]) / total)
-    if not all(np.isfinite(c).all() for c in (gain, coupling, offset)):
-        raise ValidationError("flow values must be finite")
 
-    # u then v, with zeros before and at least one row of zeros after
-    field = _aligned((lead + 2 * stride + row,), np.float32)
-    uv = field[lead : lead + 2 * stride].reshape(2, stride)
-    grid = uv[:, :size].reshape(2, k, h + 1, row, copy=False)
-    # below, above, right, left: the order in which the per-pair sweep adds them
-    neighbors = [field[lead + step : lead + step + 2 * stride] for step in (row, -row, 1, -1)]
-    sums = _aligned((2, stride), np.float32)
-    flat_sums = sums.reshape(-1)
-    scratch = _aligned((2, stride), np.float32)
-    for _ in range(iterations):
-        np.add(neighbors[0], neighbors[1], out=flat_sums)
-        flat_sums += neighbors[2]
-        flat_sums += neighbors[3]
-        # u = gain_u*S_u - coupling*S_v - offset_u and v = gain_v*S_v - coupling*S_u - offset_v
-        np.multiply(gain, sums, out=uv)
-        np.multiply(coupling, sums[::-1], out=scratch)
-        uv -= scratch
-        uv -= offset
+        # u then v, with zeros before and at least one row of zeros after
+        field = _aligned((lead + 2 * stride + row,), np.float32)
+        uv = field[lead : lead + 2 * stride].reshape(2, stride)
+        grid = uv[:, :size].reshape(2, k, h + 1, row, copy=False)
+        # below, above, right, left: the order in which the per-pair sweep adds them
+        neighbors = [field[lead + step : lead + step + 2 * stride] for step in (row, -row, 1, -1)]
+        sums = _aligned((2, stride), np.float32)
+        flat_sums = sums.reshape(-1)
+        scratch = _aligned((2, stride), np.float32)
+        for _ in range(iterations):
+            np.add(neighbors[0], neighbors[1], out=flat_sums)
+            flat_sums += neighbors[2]
+            flat_sums += neighbors[3]
+            # u = gain_u*S_u - coupling*S_v - offset_u and v = gain_v*S_v - coupling*S_u - offset_v
+            np.multiply(gain, sums, out=uv)
+            np.multiply(coupling, sums[::-1], out=scratch)
+            uv -= scratch
+            uv -= offset
     return grid[..., :h, :w].swapaxes(0, 1)
 
 

@@ -73,9 +73,7 @@ def simple_mkl_train(bank: np.ndarray, y, c_reg: float, params: MklSection = Mkl
     the SVM on their combination; ``params`` holds the stopping tolerances
     and the outer iteration cap."""
     bank = check_bank(bank, y)
-    SvmSection(c_reg, svm_tol)
     m = len(bank)
-    y = np.asarray(y, dtype=np.float64)
     weights = np.full(m, 1.0 / m)
 
     svm = smo_train(combine(bank, weights), y, c_reg, tol=svm_tol)

@@ -64,7 +64,8 @@ class BinarySvmModel:
         self.c_reg = float(self.c_reg)   # a config's integer c_reg is written as a real
 
 
-def _check_binary_labels(y) -> np.ndarray:
+def check_binary_labels(y) -> np.ndarray:
+    """``y`` as a float64 vector of +1 and -1 with both classes; the trainers' one label rule."""
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1:
         raise ValidationError("labels must be a flat vector")
@@ -103,7 +104,7 @@ def smo_train(gram, y, c_reg: float, tol: float = SvmSection.tol,
         raise ValidationError(f"kernel matrix must be square, got {kernel.shape}")
     if not np.isfinite(kernel).all():
         raise ValidationError("kernel matrix must be finite")
-    y = _check_binary_labels(y)
+    y = check_binary_labels(y)
     n = y.size
     if kernel.shape[0] != n:
         raise ValidationError(f"kernel size {kernel.shape[0]} != label count {n}")

@@ -249,6 +249,9 @@ def test_predict_validates_row_shapes():
     pytest.param(lambda: resample([], 3, 0), "probabilities must be a nonempty vector", id="resample_empty"),
     pytest.param(lambda: boost_train(separable_bank(n=12)[0], np.ones(12), trials=1, c_reg=10.0, seed=0),
                  "training data must contain both classes", id="one_class"),
+    pytest.param(lambda: boost_train(separable_bank(n=12)[0], np.arange(12) % 2, trials=1,
+                                     c_reg=10.0, seed=0),
+                 "binary labels must be +1 or -1", id="zero_one_labels"),
     pytest.param(lambda: boost_predict_many(_manual_model([1.0], [1.0]), np.zeros((1, 4))),
                  "stacked kernel rows must be (M, n, L)", id="two_d_rows"),
 ])

@@ -372,7 +372,9 @@ def test_bright_frames_at_default_alpha_give_finite_flows():
 
 def bright_spot_frames():
     """A pair whose pixel (2, 3) has Ix = 1e-20 and It = 1e30, so that at
-    alpha = 1e-20 its offset Ix*It/T is about 2e49, finite in float64."""
+    alpha = 1e-20 its offset Ix*It/T is about 2e49, finite in float64 only,
+    and at alpha = 3e-15 about 2.8e38, finite in float32 but overflowing
+    in the sweep."""
     prev = np.zeros((6, 7))
     nxt = np.zeros((6, 7))
     prev[2, 3], nxt[2, 3] = -5e29, 5e29
@@ -384,7 +386,9 @@ def bright_spot_frames():
     (np.stack([np.zeros((6, 7)), np.tile(np.arange(7.0), (6, 1)) * 1e160]), 10.0),
     (np.stack([np.zeros((6, 7)), np.ones((6, 7))]), 1e-170),
     (bright_spot_frames(), 1e-20),
-], ids=["gradient_squares_overflow", "zero_over_zero", "offset_overflows_float32"])
+    (bright_spot_frames(), 3e-15),
+], ids=["gradient_squares_overflow", "zero_over_zero", "offset_overflows_float32",
+        "sweep_overflows_float32"])
 def test_coefficients_not_finite_in_float32_rejected(frames, alpha):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
