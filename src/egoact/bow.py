@@ -31,13 +31,9 @@ from .dataio import Codebook, VideoHistogram
 from .descriptors import FEATURES
 from .errors import ConfigError, ValidationError, check_params, param
 
-DEFAULT_WORDS = 64
-
 
 @dataclass(frozen=True)
 class BowSection:
-    # desk-scale synthetic videos yield few descriptors per video, so the
-    # experiment default is far below the standalone 64-word default
     words: int = param(16)
     max_iters: int = param(100)
     adaptive_words: bool = param(False)   # shrink words to the pool size instead of erroring

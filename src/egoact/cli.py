@@ -1,9 +1,9 @@
 """Command-line pipeline driver.
 
 Subcommands: synth, extract, codebook, encode, train, evaluate, inspect.
-Every stage takes its seed from an explicit flag (default 0), checks its
-output paths before any work, writes outputs atomically, and is
-byte-identical across reruns with the same inputs and seed. Exit codes:
+Every stage checks its output paths before any work, writes outputs
+atomically, and is byte-identical across reruns with the same inputs and
+seed. A flag overrides its config field only when given. Exit codes:
 0 success, 1 validation or configuration error, 2 I/O or file-format
 error, 3 solver non-convergence.
 """
@@ -65,7 +65,7 @@ def _progress(done, total):
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args.config)
-    synth_cfg = cfg.replace_section("synth", seed=args.seed).synth
+    synth_cfg = cfg.synth if args.seed is None else cfg.replace_section("synth", seed=args.seed).synth
     manifest = generate_synthetic_dataset(synth_cfg, args.out)
     print(f"wrote {len(manifest.videos)} videos in {len(manifest.classes)} classes to {args.out}")
     return 0
@@ -196,7 +196,10 @@ def _json_summary(path, doc, kind) -> list:
                   for name, payload in zip(model.classes, model.binary_models))]
     if kind == "eval_report":
         report = dataio.from_doc(doc, EvalReport)
+        split = report.split
+        sizes = f" {split.train_n}/{split.test_n} per class" if split.mode == "per_class_counts" else ""
         return [f"report: method={report.method} kernel={report.kernel} features={report.features}",
+                f"  split: {split.mode}{sizes}, {split.repeats} repeats, base_seed {split.base_seed}",
                 f"  mean accuracy {report.mean_accuracy:.2f}% over {len(report.per_repeat_accuracy)} "
                 f"repeats; per-class stddev {report.per_class_stddev:.2f}",
                 "  confusion (% rows):",
@@ -246,14 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     features_help = f"comma list from {','.join(FEATURES)}"
 
-    def add_common(p, config=True, seed=True):
+    def add_common(p, config=True, seed=True, seed_field=None):
         if config:
             p.add_argument("--config", help="JSON run configuration")
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="deterministic seed (default 0)")
+            p.add_argument("--seed", type=int, default=None if seed_field else 0,
+                           help=f"deterministic seed (default {seed_field or 0})")
 
     p = sub.add_parser("synth", help="generate the synthetic dataset")
-    add_common(p)
+    add_common(p, seed_field="synth.seed")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=cmd_synth)
 
@@ -268,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, config=False)
     p.add_argument("--descriptors", required=True, help="directory from `extract`")
     p.add_argument("--type", required=True, choices=FEATURES)
-    p.add_argument("--words", type=int, default=bow.DEFAULT_WORDS)
+    p.add_argument("--words", type=int, default=bow.BowSection.words, help="word count (default %(default)s)")
     p.add_argument("--out", required=True, help="output .cbk path")
     p.set_defaults(func=cmd_codebook)
 
@@ -288,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="run the repeated-split evaluation protocol")
-    add_common(p)
+    add_common(p, seed_field="split.base_seed")
     p.add_argument("--data", required=True, help="dataset directory with manifest.json")
     p.add_argument("--method", required=True, type=_method, choices=METHOD_CHOICES)
     p.add_argument("--kernel", choices=kernels.KERNEL_KINDS)
@@ -309,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if "seed" in vars(args):
+        if getattr(args, "seed", None) is not None:
             check_positive("--seed", args.seed, "int", least=0)
         if "workers" in vars(args):
             check_positive("--workers", args.workers, "int")

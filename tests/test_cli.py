@@ -12,8 +12,8 @@ from conftest import forking
 from egoact import evaluation
 from egoact.cli import main
 from egoact.config import RunConfig
-from egoact.dataio import (write_descriptor_set, write_json, write_manifest, DatasetManifest,
-                           DescriptorSet, VideoEntry)
+from egoact.dataio import (read_codebook, write_descriptor_set, write_json, write_manifest,
+                           DatasetManifest, DescriptorSet, VideoEntry)
 
 SMALL_SYNTH = {
     "synth": {"class_count": 2, "videos_per_class": 4, "width": 24, "height": 24,
@@ -78,6 +78,38 @@ def test_synth_reruns_are_byte_identical(tmp_path):
     assert tree_bytes(first) != tree_bytes(third)
 
 
+def test_synth_seed_defaults_to_the_config_seed(tmp_path):
+    cfg = write_config(tmp_path, {"synth": {**SMALL_SYNTH["synth"], "seed": 7}})
+    for name, flag in (("config", []), ("flag", ["--seed", "7"]), ("zero", ["--seed", "0"])):
+        assert main(["synth", "--config", cfg, *flag, "--out", str(tmp_path / name)]) == 0
+    assert tree_bytes(tmp_path / "config") == tree_bytes(tmp_path / "flag")
+    assert tree_bytes(tmp_path / "config") != tree_bytes(tmp_path / "zero")
+
+
+def test_evaluate_seed_defaults_to_the_config_base_seed(pipeline, tmp_path, capsys):
+    cfg = write_config(tmp_path, {"split": {"mode": "per_class_counts", "train_n": 2, "test_n": 2,
+                                            "repeats": 2, "base_seed": 7}})
+    for name, flag in (("from_config.json", []), ("from_flag.json", ["--seed", "7"])):
+        assert main(["evaluate", "--config", cfg, "--data", str(pipeline["data"]),
+                     "--method", "single_kernel", "--features", "hof", *flag,
+                     "--out", str(tmp_path / name)]) == 0
+    report = (tmp_path / "from_config.json").read_bytes()
+    assert report == (tmp_path / "from_flag.json").read_bytes()
+    assert json.loads(report)["split"]["base_seed"] == 7
+    capsys.readouterr()
+    assert main(["inspect", str(tmp_path / "from_config.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "  split: per_class_counts 2/2 per class, 2 repeats, base_seed 7")
+
+
+def test_codebook_words_default_to_the_bow_words_default(pipeline, tmp_path):
+    for name, flag in (("default.cbk", []), ("flag.cbk", ["--words", "16"])):
+        assert main(["codebook", "--descriptors", str(pipeline["desc"]), "--type", "cuboid",
+                     *flag, "--out", str(tmp_path / name)]) == 0
+    assert read_codebook(tmp_path / "default.cbk").word_count == 16
+    assert (tmp_path / "default.cbk").read_bytes() == (tmp_path / "flag.cbk").read_bytes()
+
+
 def test_stage_reruns_are_idempotent(pipeline, tmp_path):
     desc2 = tmp_path / "desc2"
     assert main(["extract", "--config", pipeline["cfg"], "--data", str(pipeline["data"]),
@@ -127,7 +159,9 @@ def test_evaluate_writes_confusion_csv(pipeline, tmp_path, capsys):
     assert doc["kind"] == "eval_report"
     assert doc["format_version"] == 1
     assert main(["inspect", str(out)]) == 0
-    assert "mean accuracy" in capsys.readouterr().out
+    shown = capsys.readouterr().out
+    assert "mean accuracy" in shown
+    assert "\n  split: half_half, 1 repeats, base_seed 4\n" in shown
 
 
 def test_evaluate_rejects_method_kernel_pair_before_extraction(pipeline, tmp_path, capsys,

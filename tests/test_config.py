@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -20,6 +21,14 @@ def test_defaults_are_valid():
     assert cfg.split.repeats == 100
     doc = cfg.to_dict()
     assert RunConfig.from_dict(doc).to_dict() == doc
+
+
+def test_readme_lists_every_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("All defaults shown:\n\n```json\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(block)
+    assert doc.pop("format_version") == 1
+    assert doc == json.loads(json.dumps(RunConfig().to_dict()))
 
 
 def test_config_layout_derives_from_the_feature_table():
