@@ -64,25 +64,20 @@ class WeakClassifier:
 
     def __post_init__(self):
         self.train_indices = np.asarray(self.train_indices, dtype=np.int64)
+        if min(self.kernel_index, self.train_indices.min(initial=0)) < 0:
+            raise ValidationError("a boosting trial holds a negative index")   # numpy would wrap it
 
 
 @dataclass(slots=True, eq=False)
 class BoostedModel:
-    """Kept trials, each indexing one of ``kernel_count`` kernels and ``train_size`` items."""
+    """Kept trials, each indexing one kernel of its model's bank and some of its training
+    vectors; an index past either raises IndexError when the model scores."""
 
     trials: list = decoded(json_records, cls=WeakClassifier)
-    train_size: int = decoded(json_numbers, ndim=0, integer=True)
-    kernel_count: int = decoded(json_numbers, ndim=0, integer=True)
 
     def __post_init__(self):
         if not self.trials:
             raise ValidationError("a boosted model needs at least one kept trial")
-        for trial in self.trials:
-            idx = trial.train_indices
-            if not (0 <= trial.kernel_index < self.kernel_count and 0 <= idx.min(initial=0)
-                    and idx.max(initial=0) < self.train_size):
-                raise ValidationError(f"a boosting trial indexes outside {self.kernel_count} kernels "
-                                      f"and {self.train_size} training vectors")
 
     to_dict = to_doc
 
@@ -148,19 +143,12 @@ def boost_train(bank: np.ndarray, y, trials: int, c_reg: float, seed,
             f"no boosting trial beat 0.5 weighted error after {MAX_REDRAWS} redraws "
             f"(n={n}, kernels={len(bank)})"
         )
-    return BoostedModel(kept, n, len(bank))
+    return BoostedModel(kept)
 
 
 def boost_predict_many(model: BoostedModel, k_rows) -> np.ndarray:
     """Scores for (M, n_items, L_train) stacked kernel rows."""
     k_rows = np.asarray(k_rows, dtype=np.float64)
-    if k_rows.ndim != 3:
-        raise ValidationError("stacked kernel rows must be (M, n, L)")
-    if k_rows.shape[0] != model.kernel_count or k_rows.shape[2] != model.train_size:
-        raise ValidationError(
-            f"need rows for {model.kernel_count} kernels over {model.train_size} "
-            f"training items, got {k_rows.shape}"
-        )
     scores = np.zeros(k_rows.shape[1])
     for trial in model.trials:
         rows = k_rows[trial.kernel_index][:, trial.train_indices]

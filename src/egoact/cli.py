@@ -84,7 +84,7 @@ def cmd_extract(args) -> int:
                                         workers=len(manifest.videos), progress=_progress)
     out_dir = Path(args.out)
     listing = dataio.DescriptorListing(
-        features, {dtype: dset.dim for dtype, dset in next(iter(cache.values())).items()},
+        {dtype: dset.dim for dtype, dset in next(iter(cache.values())).items()},
         {vid: {dtype: f"{vid}.{dtype}.dsc" for dtype in sets} for vid, sets in cache.items()})
     for vid, sets in cache.items():
         for dtype, dset in sets.items():
@@ -97,7 +97,8 @@ def cmd_extract(args) -> int:
 def _descriptor_listing(doc, desc_dir: Path, types=None):
     """A listing's features, ``{type: dim}`` sizes and every video's descriptor sets of the
     ``types`` (default: all), each of its type's size; a defect raises one of ``dataio.MALFORMED``."""
-    listing = dataio.from_doc(doc, dataio.DescriptorListing, features=check_features)
+    listing = dataio.from_doc(doc, dataio.DescriptorListing)
+    features = check_features(list(listing.dims))
     cache = {vid: {dtype: dataio.read_descriptor_set(desc_dir / name, descriptor_type=dtype)
                    for dtype, name in files.items() if types is None or dtype in types}
              for vid, files in listing.videos.items()}
@@ -106,7 +107,7 @@ def _descriptor_listing(doc, desc_dir: Path, types=None):
             if dset.dim != listing.dims[dtype]:
                 raise ValueError(f"{(desc_dir / listing.videos[vid][dtype]).name} has dimension "
                                  f"{dset.dim}, not {listing.dims[dtype]}")
-    return listing.features, listing.dims, cache
+    return features, listing.dims, cache
 
 
 def _read_descriptor_dir(desc_dir, types=None):
@@ -145,7 +146,7 @@ def cmd_encode(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     manifest = dataio.read_manifest(args.manifest)
-    histograms = dataio.read_histograms(args.histograms)
+    histograms = dataio.read_histograms(args.histograms, block_order=check_features)
     model = train_model(manifest, histograms, cfg, args.method, kernel_kind=args.kernel,
                         seed=args.seed)
     write_model(model, args.out)
@@ -184,8 +185,8 @@ def _json_summary(path, doc, kind) -> list:
                 *(f"  [{k}] {name}: {count} videos"
                   for k, (name, count) in enumerate(zip(manifest.classes, manifest.class_counts())))]
     if kind == "histograms":
-        hists = dataio.from_doc(doc, dataio.HistogramCollection)
-        sizes = dict(zip(hists.block_order, hists.block_sizes))
+        hists = dataio.from_doc(doc, dataio.HistogramCollection, block_order=check_features)
+        sizes = {name: counts.size for name, counts in hists.histograms[0].blocks}
         return [f"histograms: {len(hists.histograms)} videos, blocks {sizes}"]
     if kind == "model":
         model = TrainedModel.from_dict(doc)

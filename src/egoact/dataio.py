@@ -26,11 +26,11 @@ converts (``json_numbers`` refuses just a NaN, an infinity or the wrong nesting;
 text, less key order, is compared once with what its encoder writes of the decoded
 value (``true`` is not ``1``, ``"0.5"`` not ``0.5``, ``4.0`` not ``4``), before the
 record is built, so a mistyped value is refused under its own field's name and not by
-a later rule. Computed fields (a report's ``mean_accuracy``, a collection's
-``block_sizes``) are read back from the built record. The record refuses what no
-writer emits: a descriptor listing or a histogram collection of no videos; a class
-list that ``check_classes`` refuses; a model with a scale not above 0 or a kernel kind
-its method does not take. ``decode_json`` turns any defect into the one FormatError
+a later rule. Computed fields (a report's ``mean_accuracy``) are read back from the
+built record. The record refuses what no writer emits: a descriptor listing or a
+histogram collection of no videos; a class list that ``check_classes`` refuses; a
+model with a scale not above 0 or a kernel kind its method does not take.
+``decode_json`` turns any defect into the one FormatError
 ``"<path>: malformed <what> file (<reason>)"``.
 Every writer goes through a write-to-temp, rename-on-success path so no
 partial file is ever left behind at the target name.
@@ -381,11 +381,11 @@ class VideoHistogram:
 @dataclass(slots=True)
 class HistogramCollection:
     """At least one video's histogram, none twice, each with the blocks ``block_order`` names, of the
-    sizes ``block_sizes`` lists, put in that order whatever the key order of its JSON object."""
+    first one's sizes, put in that order whatever the key order of its JSON object. A reader that
+    knows the block names gives ``from_doc`` their decoder."""
 
     kind: str = field(default="histograms", init=False)
     block_order: list = decoded(json_str, ndim=1)
-    block_sizes: list = field(init=False)
     histograms: list = decoded(json_records, cls=VideoHistogram)
 
     def __post_init__(self):
@@ -393,14 +393,13 @@ class HistogramCollection:
             raise ValidationError("a histogram collection needs at least one video")
         layout, seen = {name: counts.size for name, counts in self.histograms[0].blocks}, set()
         if sorted(layout) != sorted(self.block_order):
-            raise ValidationError(f"block names {self.block_order} are not {list(layout)}")
+            raise ValidationError(f"block names {list(self.block_order)} are not {list(layout)}")
         for h in self.histograms:
             if (shape := {name: counts.size for name, counts in h.blocks}) != layout:
                 raise ValidationError(f"video {h.video_id!r} has blocks {shape}, not {layout}")
             if h.video_id in seen:
                 raise ValidationError(f"video {h.video_id!r} is listed twice")
             seen.add(h.video_id)
-        self.block_sizes = [layout[name] for name in self.block_order]
         self.histograms = [VideoHistogram(h.video_id, [(name, dict(h.blocks)[name])
                                                        for name in self.block_order])
                            for h in self.histograms]
@@ -408,23 +407,22 @@ class HistogramCollection:
 
 @dataclass(slots=True)
 class DescriptorListing:
-    """The descriptor file of each of ``features`` for each of at least one video, and each
-    feature's size >= 1. A reader that knows the feature names gives ``from_doc`` their decoder."""
+    """Each feature's size >= 1, keyed by its name, and for each of at least one video the
+    descriptor file of each of those features. A reader that knows the feature names checks
+    the keys of ``dims``."""
 
     kind: str = field(default="descriptors", init=False)
-    features: list = decoded(json_str, ndim=1)
     dims: dict = decoded(json_object, each=partial(json_numbers, ndim=0, integer=True))
     videos: dict = decoded(json_object, each=partial(json_object, each=json_str))
 
     def __post_init__(self):
         if not self.videos:
             raise ValidationError("a descriptor listing needs at least one video")
-        if set(self.dims) != set(self.features) or min(self.dims.values(), default=0) < 1:
-            raise ValidationError(f"dims {self.dims} do not give each of {list(self.features)} "
-                                  f"a size >= 1")
+        if min(self.dims.values(), default=0) < 1:
+            raise ValidationError(f"dims {self.dims} do not give at least one feature, each a size >= 1")
         for vid, files in self.videos.items():
-            if set(files) != set(self.features):
-                raise ValidationError(f"video {vid!r} lists {sorted(files)}, not {list(self.features)}")
+            if set(files) != set(self.dims):
+                raise ValidationError(f"video {vid!r} lists {sorted(files)}, not {list(self.dims)}")
 
 
 @dataclass(frozen=True)
@@ -542,6 +540,7 @@ def write_histograms(histograms, path) -> None:
     write_json(path, HistogramCollection(histograms[0].block_order() if histograms else [], histograms))
 
 
-def read_histograms(path) -> list:
+def read_histograms(path, **decoders) -> list:
+    """The histograms of a collection file, read by ``from_doc`` with the given field ``decoders``."""
     return decode_json(path, read_json(path), "histograms",
-                       partial(from_doc, cls=HistogramCollection)).histograms
+                       partial(from_doc, cls=HistogramCollection, **decoders)).histograms

@@ -424,10 +424,11 @@ FEATURES = {"hof": HofParams, "logc": LogcParams, "cuboid": CuboidParams}
 
 
 def check_features(names) -> tuple:
-    """``names`` as a tuple; ConfigError unless a nonempty list of distinct ``FEATURES`` names."""
+    """``names`` as a tuple in ``FEATURES`` (histogram block) order; ConfigError unless a nonempty
+    list of distinct ``FEATURES`` names."""
     if (not isinstance(names, (list, tuple)) or not names
             or not all(isinstance(n, str) and n in FEATURES for n in names)
             or len(set(names)) < len(names)):
         raise ConfigError(f"features must be a nonempty list of distinct names from "
                           f"{', '.join(FEATURES)}, got {names!r}")
-    return tuple(names)
+    return tuple(name for name in FEATURES if name in names)

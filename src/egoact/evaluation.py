@@ -38,7 +38,7 @@ from .dataio import (DatasetManifest, atomic_write_bytes, check_classes, check_f
 from .descriptors import check_features, cuboid_descriptors, hof_from_flows, logc_from_flows
 from .errors import PipelineError, ValidationError
 from .flow import sequence_flows
-from .modelio import check_run, fit, method_entry, normalize_features, stack_histograms
+from .modelio import check_run, fit, method_entry, stack_histograms
 
 
 def split_sizes(manifest: DatasetManifest, spec: SplitSection):
@@ -226,9 +226,11 @@ def run_repeat(manifest: DatasetManifest, descriptor_cache, cfg: RunConfig, meth
 
 @dataclass(slots=True, eq=False)
 class EvalReport:
-    """Each repeat's accuracy and the row-normalized confusion, in percent, of one run of ``config``
-    by a registered ``method`` with one of its ``kernel`` kinds, on ``features`` that
-    ``check_features`` and ``classes`` that ``check_classes`` takes."""
+    """Each repeat's accuracy and the row-normalized confusion, in percent, of one run by a
+    registered ``method`` with one of its ``kernel`` kinds, on ``features`` that ``check_features``
+    and ``classes`` that ``check_classes`` takes. ``config`` echoes the config as loaded, before
+    ``run_experiment``'s kernel, features, repeats and seed overrides (the CLI's ``--kernel``,
+    ``--features``, ``--repeats`` and ``--seed``); ``kernel``, ``features`` and ``split`` are what ran."""
 
     kind: str = field(default="eval_report", init=False)
     method: str = decoded(json_str)
@@ -285,7 +287,7 @@ def run_experiment(manifest: DatasetManifest, data_dir, cfg: RunConfig, method: 
         cfg.replace_section("kernels", kind=kernel_kind or cfg.kernels.kind)
         .replace_section("split", repeats=cfg.split.repeats if repeats is None else repeats,
                          base_seed=cfg.split.base_seed if base_seed is None else base_seed),
-        features=normalize_features(cfg.features if features is None else features),
+        features=cfg.features if features is None else features,
     )
     check_run(method, cfg)
     split_sizes(manifest, cfg.split)

@@ -22,7 +22,6 @@ from . import kernels, mkl, svm
 from .config import RunConfig
 from .dataio import (DatasetManifest, check_classes, decode_json, decoded, from_doc, json_numbers,
                      json_records, json_str, read_json, to_doc, write_json)
-from .descriptors import FEATURES, check_features
 from .errors import ConfigError, ValidationError
 
 
@@ -150,11 +149,6 @@ def read_model(path) -> TrainedModel:
 
 # ---------------------------------------------------------------------------
 # kernel bank assembly and fitting
-
-def normalize_features(features):
-    """The checked feature names in ``FEATURES`` (histogram block) order."""
-    return tuple(sorted(check_features(features), key=list(FEATURES).index))
-
 
 def stack_histograms(histograms):
     """(count, dim) concatenated vectors and the (name, offset, length) block layout."""

@@ -130,7 +130,7 @@ def test_boost_train_is_bit_deterministic():
     assert c.to_dict() != a.to_dict()
 
 
-def _manual_model(weights, votes_per_trial, n_train=4, kernels=2):
+def _manual_model(weights, votes_per_trial, n_train=4):
     """Assemble a BoostedModel whose weak classifiers produce fixed votes."""
     trials = []
     for w, vote in zip(weights, votes_per_trial):
@@ -138,17 +138,23 @@ def _manual_model(weights, votes_per_trial, n_train=4, kernels=2):
         # sign then fixes the vote
         svm = BinarySvmModel(np.zeros(n_train), bias=vote, c_reg=1.0)
         trials.append(WeakClassifier(0, np.arange(n_train), svm, w, 0.1))
-    return BoostedModel(trials, n_train, kernels)
+    return BoostedModel(trials)
 
 
 @pytest.mark.parametrize("kernel_index, train_indices", [
     (2, [0, 1, 2, 3]), (-1, [0, 1, 2, 3]), (0, [0, 1, 2, 4]), (0, [-1, 1, 2, 3]),
 ])
 def test_trial_outside_the_model_is_refused(kernel_index, train_indices):
+    """A negative index, which numpy would wrap, is refused when the trial is built; one past
+    the 2 kernels or 4 training vectors raises IndexError when the model scores."""
     svm = BinarySvmModel(np.zeros(4), bias=1.0, c_reg=1.0)
-    trial = WeakClassifier(kernel_index, train_indices, svm, 1.0, 0.1)
-    with pytest.raises(ValidationError, match="outside 2 kernels and 4 training vectors"):
-        BoostedModel([trial], 4, 2)
+    if min(kernel_index, *train_indices) < 0:
+        with pytest.raises(ValidationError, match="a boosting trial holds a negative index"):
+            WeakClassifier(kernel_index, train_indices, svm, 1.0, 0.1)
+    else:
+        with pytest.raises(IndexError):
+            boost_predict_many(BoostedModel([WeakClassifier(kernel_index, train_indices, svm, 1.0, 0.1)]),
+                               np.zeros((2, 1, 4)))
 
 
 def test_unanimous_votes_sum_weights():
@@ -235,14 +241,16 @@ def test_bank_shape_rejected(reshape):
 
 
 def test_predict_validates_row_shapes():
+    """Rows that lack a kernel or a training item some trial reads raise IndexError: the
+    model's size check when it loads."""
     bank, y = separable_bank(seed=19)
     model = boost_train(bank, y, trials=2, c_reg=10.0, seed=1)
-    with pytest.raises(ValidationError):
-        boost_predict_many(model, np.zeros((1, 2, len(y))))   # missing kernel rows
-    with pytest.raises(ValidationError):
-        boost_predict_many(model, np.zeros((3, 2, len(y))))   # one kernel too many
-    with pytest.raises(ValidationError):
-        boost_predict_many(model, np.zeros((2, 2, len(y) + 1)))
+    kernels = 1 + max(t.kernel_index for t in model.trials)
+    items = 1 + max(t.train_indices.max() for t in model.trials)
+    with pytest.raises(IndexError):
+        boost_predict_many(model, np.zeros((kernels - 1, 2, len(y))))   # missing kernel rows
+    with pytest.raises(IndexError):
+        boost_predict_many(model, np.zeros((kernels, 2, items - 1)))   # missing training items
 
 
 @pytest.mark.parametrize("call, message", [
@@ -252,8 +260,6 @@ def test_predict_validates_row_shapes():
     pytest.param(lambda: boost_train(separable_bank(n=12)[0], np.arange(12) % 2, trials=1,
                                      c_reg=10.0, seed=0),
                  "binary labels must be +1 or -1", id="zero_one_labels"),
-    pytest.param(lambda: boost_predict_many(_manual_model([1.0], [1.0]), np.zeros((1, 4))),
-                 "stacked kernel rows must be (M, n, L)", id="two_d_rows"),
 ])
 def test_boost_refusals(call, message):
     with pytest.raises(ValidationError) as refused:

@@ -344,17 +344,19 @@ def test_bad_features_flag_exits_1_with_one_line(pipeline, tmp_path, capsys, com
 def test_train_rejects_an_unknown_histogram_block(pipeline, tmp_path, capsys):
     doc = json.loads(pipeline["hists"].read_text())
     doc["block_order"].append("foo")
-    doc["block_sizes"].append(2)
     for entry in doc["histograms"]:
         entry["blocks"]["foo"] = [0.5, 0.5]
     hists = tmp_path / "hists.json"
     write_json(hists, doc)
     out = tmp_path / "model.json"
-    assert main(["train", "--config", pipeline["cfg"], "--manifest",
-                 str(pipeline["data"] / "manifest.json"), "--histograms", str(hists),
-                 "--method", "single", "--kernel", "h_int", "--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: features must be") and "'foo'" in err[0]
+    reason = ("features must be a nonempty list of distinct names from hof, logc, cuboid, "
+              "got ['hof', 'logc', 'cuboid', 'foo']")
+    for argv in (["train", "--config", pipeline["cfg"], "--manifest",
+                  str(pipeline["data"] / "manifest.json"), "--histograms", str(hists),
+                  "--method", "single", "--kernel", "h_int", "--out", str(out)],
+                 ["inspect", str(hists)]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {hists}: malformed histograms file ({reason})\n")
     assert not out.exists()
 
 
@@ -499,12 +501,16 @@ JSON_DEFECTS = {
                    for v, k in [("v0", 0), ("v1", 0), ("v2", 1), ("v3", 1)]]}),
     "histograms_kind_only": ("histograms", {"kind": "histograms"}),
     "histograms_block_outside_order": ("histograms", {
-        "kind": "histograms", "block_order": ["hof"], "block_sizes": [2],
+        "kind": "histograms", "block_order": ["hof"],
         "histograms": [{"video_id": "v0", "blocks": {"hof": [0.5, 0.5], "cuboid": [1.0]}}]}),
     "histograms_block_repeated": ("histograms", {"kind": "histograms", "block_order": ["hof", "hof"],
-                                                 "block_sizes": [2], "histograms": []}),
+                                                 "histograms": []}),
+    "histograms_blocks_out_of_order": ("histograms", {
+        "kind": "histograms", "block_order": ["cuboid", "hof"],
+        "histograms": [{"video_id": "v0", "blocks": {"hof": [0.5, 0.5], "cuboid": [1.0]}}]}),
     "histograms_sizes_not_a_list": ("histograms", {"kind": "histograms", "block_order": ["hof"],
-                                                   "block_sizes": 4, "histograms": []}),
+                                                   "histograms": [{"video_id": "v0",
+                                                                   "blocks": {"hof": 4}}]}),
     "report_method_only": ("eval report", {"kind": "eval_report", "method": "x"}),
     "report_accuracy_as_text": ("eval report", {**REPORT, "mean_accuracy": "high"}),
     "report_mean_accuracy_nan": ("eval report", {**REPORT, "mean_accuracy": float("nan")}),
@@ -619,32 +625,33 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert "mean accuracy 75.00% over 1 repeats" in good.stdout
 
 
+# the keys of dims name the listing's features; each defect is written over {"dims": {"hof": 3}}
+A_HOF = {"a": {"hof": "a.hof.dsc"}}
 LISTING_DEFECTS = {
-    "without_features": {"kind": "descriptors", "videos": {}},
-    "without_videos": {"kind": "descriptors", "features": ["hof"]},
-    "entry_not_an_object": {"kind": "descriptors", "features": ["hof"], "videos": {"a": 5}},
-    "features_not_a_list": {"kind": "descriptors", "features": "hof", "videos": {}},
-    "features_repeat": {"kind": "descriptors", "features": ["hof", "hof"], "videos": {}},
-    "features_unknown": {"kind": "descriptors", "features": ["hof", "foo"], "videos": {}},
-    "every_entry_lacks_a_feature": {"kind": "descriptors", "features": ["hof", "logc"],
+    "without_features": {"kind": "descriptors", "dims": {}, "videos": {"a": {}}},
+    "without_videos": {"kind": "descriptors"},
+    "entry_not_an_object": {"kind": "descriptors", "videos": {"a": 5}},
+    "features_not_a_list": {"kind": "descriptors", "dims": ["hof"], "videos": A_HOF},
+    # no JSON object repeats a key, so only the old features field could repeat a name
+    "features_repeat": {"kind": "descriptors", "features": ["hof", "hof"], "videos": A_HOF},
+    "features_unknown": {"kind": "descriptors", "dims": {"hof": 3, "foo": 3},
+                         "videos": {"a": {"hof": "a.hof.dsc", "foo": "a.foo.dsc"}}},
+    "every_entry_lacks_a_feature": {"kind": "descriptors", "dims": {"hof": 3, "logc": 3},
                                     "videos": {"a": {"hof": "a.hof.dsc"},
                                                "b": {"hof": "b.hof.dsc"}}},
-    "one_entry_lacks_a_feature": {"kind": "descriptors", "features": ["hof", "logc"],
+    "one_entry_lacks_a_feature": {"kind": "descriptors", "dims": {"hof": 3, "logc": 3},
                                   "videos": {"a": {"hof": "a.hof.dsc", "logc": "a.logc.dsc"},
                                              "b": {"hof": "b.hof.dsc"}}},
-    "entry_has_an_unlisted_type": {"kind": "descriptors", "features": ["hof"],
+    "entry_has_an_unlisted_type": {"kind": "descriptors",
                                    "videos": {"a": {"hof": "a.hof.dsc", "logc": "a.logc.dsc"}}},
-    "dims_lack_a_feature": {"kind": "descriptors", "features": ["hof", "logc"], "videos": {},
-                            "dims": {"hof": 3}},
-    "dims_name_an_unlisted_feature": {"kind": "descriptors", "features": ["hof"], "videos": {},
-                                      "dims": {"logc": -1}},
-    "dim_negative": {"kind": "descriptors", "features": ["hof"], "videos": {}, "dims": {"hof": -1}},
-    "dim_fractional": {"kind": "descriptors", "features": ["hof"], "videos": {},
-                       "dims": {"hof": 2.5}},
-    "dim_a_string": {"kind": "descriptors", "features": ["hof"], "videos": {},
-                     "dims": {"hof": "3"}},
-    "dsc_dim_differs": {"kind": "descriptors", "features": ["hof"],
-                        "videos": {"a": {"hof": "a.hof.dsc"}}, "dims": {"hof": 4}},
+    "dims_lack_a_feature": {"kind": "descriptors", "dims": {"hof": 3},
+                            "videos": {"a": {"hof": "a.hof.dsc", "logc": "a.logc.dsc"}}},
+    "dims_name_an_unlisted_feature": {"kind": "descriptors", "dims": {"hof": 3, "logc": 3},
+                                      "videos": A_HOF},
+    "dim_negative": {"kind": "descriptors", "videos": A_HOF, "dims": {"hof": -1}},
+    "dim_fractional": {"kind": "descriptors", "videos": A_HOF, "dims": {"hof": 2.5}},
+    "dim_a_string": {"kind": "descriptors", "videos": A_HOF, "dims": {"hof": "3"}},
+    "dsc_dim_differs": {"kind": "descriptors", "videos": A_HOF, "dims": {"hof": 4}},
 }
 
 
@@ -669,10 +676,10 @@ def test_malformed_descriptor_listing_exits_2(tmp_path, capsys, command, defect)
 
 # (file name, document, its refusal) of each document kind that lists videos, listing none
 EMPTY_DOCUMENTS = {
-    "descriptors": ("descriptors.json", {"kind": "descriptors", "features": ["hof"], "dims": {"hof": 3},
-                                         "videos": {}}, "a descriptor listing needs at least one video"),
-    "histograms": ("hists.json", {"kind": "histograms", "block_order": ["hof"], "block_sizes": [4],
-                                  "histograms": []}, "a histogram collection needs at least one video"),
+    "descriptors": ("descriptors.json", {"kind": "descriptors", "dims": {"hof": 3}, "videos": {}},
+                    "a descriptor listing needs at least one video"),
+    "histograms": ("hists.json", {"kind": "histograms", "block_order": ["hof"], "histograms": []},
+                   "a histogram collection needs at least one video"),
 }
 
 

@@ -11,7 +11,6 @@ from egoact.config import FlowSection, RunConfig
 from egoact.dataio import write_json
 from egoact.descriptors import FEATURES, check_features
 from egoact.errors import ConfigError
-from egoact.modelio import normalize_features
 
 
 def test_defaults_are_valid():
@@ -40,12 +39,11 @@ def test_config_layout_derives_from_the_feature_table():
         assert isinstance(defaults[name], params)
 
 
-def test_feature_lists_keep_their_order_until_normalized():
-    assert check_features(["cuboid", "hof"]) == ("cuboid", "hof")
-    assert RunConfig.from_dict({"features": ["cuboid", "hof"]}).features == ("cuboid", "hof")
-    assert normalize_features(["cuboid", "hof"]) == ("hof", "cuboid")
+def test_feature_lists_are_put_in_block_order():
+    assert check_features(["cuboid", "hof"]) == ("hof", "cuboid")
+    assert RunConfig.from_dict({"features": ["cuboid", "hof"]}).features == ("hof", "cuboid")
     with pytest.raises(ConfigError, match="foo"):
-        normalize_features(["hof", "foo"])
+        check_features(["hof", "foo"])
 
 
 @pytest.mark.parametrize("features", [None, 5, "hof", ["hof", "hof"], [], [["hof"]], ["HOF"]],

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from egoact import descriptors, evaluation
+from egoact.cli import main
 from egoact.config import RunConfig, SplitSection
 from egoact.dataio import DatasetManifest, DescriptorSet, VideoEntry, from_doc, to_doc
 from egoact.errors import ConfigError, ValidationError
@@ -122,6 +123,27 @@ def test_experiment_resolves_its_overrides_into_one_config(tmp_path, monkeypatch
     assert report.config == cfg
     assert (report.kernel, report.features, report.split) == ("gaussian", ["hof", "cuboid"],
                                                               seen[0].split)
+
+
+def test_report_echoes_its_features_in_block_order(tmp_path, capsys):
+    """A config that lists cuboid before hof is echoed, like every config, in histogram
+    block order; an echo in another order is no config that a run writes."""
+    manifest = toy_manifest()
+    doc = {**small_config().to_dict(), "features": ["cuboid", "hof"]}
+    cache = {vid: {**sets, "cuboid": sets["hof"]}
+             for vid, sets in constant_descriptor_cache(manifest).items()}
+    report = run_experiment(manifest, tmp_path, RunConfig.from_dict(doc), "single_kernel",
+                            descriptor_cache=cache)
+    path = tmp_path / "report.json"
+    report.write(path)
+    written = json.loads(path.read_text())
+    assert written["config"]["features"] == written["features"] == ["hof", "cuboid"]
+    assert main(["inspect", str(path)]) == 0
+    assert "features=['hof', 'cuboid']" in capsys.readouterr().out
+    written["config"]["features"] = ["cuboid", "hof"]
+    path.write_text(json.dumps(written))
+    assert main(["inspect", str(path)]) == 2
+    assert "malformed eval report file (config is {" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -188,9 +188,6 @@ SHAPE_DEFECTS = {
     "boost_kernel_index": ("boost_mkl", lambda d: _first_trial(d).update(kernel_index=2)),
     "boost_train_index": ("boost_mkl", lambda d: _first_trial(d)["train_indices"].__setitem__(0, 12)),
     "boost_train_index_count": ("boost_mkl", lambda d: _first_trial(d)["train_indices"].pop()),
-    "boost_train_size": ("boost_mkl", lambda d: d["binary_models"][0].update(train_size=11)),
-    "boost_kernel_count": ("boost_mkl", lambda d: d["binary_models"][0].update(kernel_count=3)),
-    "boost_kernel_count_low": ("boost_mkl", lambda d: d["binary_models"][0].update(kernel_count=1)),
     "boost_negative_kernel_index": ("boost_mkl", lambda d: _first_trial(d).update(kernel_index=-1)),
     "boost_negative_train_index": ("boost_mkl", lambda d: _first_trial(d)["train_indices"].__setitem__(
         0, -1)),

@@ -58,7 +58,7 @@ def artifacts(tmp_path_factory):
     EvalReport("simple_mkl", "h_int", ["hof"], ["left", "right"], SplitSection(repeats=2),
                [75.0, 50.0], [[75.0, 25.0], [50.0, 50.0]], RunConfig()).write(root / "report.json")
     dataio.write_json(root / "descriptors.json", {
-        "kind": "descriptors", "features": ["hof"], "dims": {"hof": 3},
+        "kind": "descriptors", "dims": {"hof": 3},
         "videos": {"c0v0": {"hof": "v.dsc"}, "c0v1": {"hof": "v.dsc"}},
     })
     return {path.name: path.read_bytes() for path in root.iterdir()}
@@ -294,7 +294,6 @@ MISTYPED_NUMBERS = {
     "histogram_string_entry": ("histograms.json", lambda d: _hof(d).__setitem__(0, str(_hof(d)[0]))),
     "histogram_bool_entries": ("histograms.json", lambda d: d["histograms"][1]["blocks"].update(
         cuboid=[False, True, False])),
-    "histogram_fractional_size": ("histograms.json", lambda d: d["block_sizes"].__setitem__(0, 4.0)),
     "svm_string_dual_coef": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(
         dual_coef=[str(c) for c in _mkl(d)["svm"]["dual_coef"]])),
     "svm_string_bias": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(bias="0.1")),
@@ -308,7 +307,7 @@ MISTYPED_NUMBERS = {
     "fractional_kernel_index": ("boost_mkl.json", lambda d: _trial(d).update(kernel_index=0.0)),
     "fractional_train_index": ("boost_mkl.json", lambda d: _trial(d)["train_indices"].__setitem__(0, 1.5)),
     "string_trial_weight": ("boost_mkl.json", lambda d: _trial(d).update(weight="0.3")),
-    "string_train_size": ("boost_mkl.json", lambda d: _mkl(d).update(train_size="6")),
+    "string_train_size": ("boost_mkl.json", lambda d: _trial(d)["train_indices"].__setitem__(0, "6")),
     "mkl_string_converged": ("simple_mkl.json", lambda d: _mkl(d).update(converged="false")),
     "mkl_number_converged": ("simple_mkl.json", lambda d: _mkl(d).update(converged=0)),
     "mkl_null_converged": ("simple_mkl.json", lambda d: _mkl(d).update(converged=None)),
@@ -316,7 +315,8 @@ MISTYPED_NUMBERS = {
     "infinity_string_scale": ("simple_mkl.json", lambda d: d["scales"].__setitem__(0, "Infinity")),
     "overflowing_string_trial_weight": ("boost_mkl.json", lambda d: _trial(d).update(weight="1e400")),
     "bool_kernel_index": ("boost_mkl.json", lambda d: _trial(d).update(kernel_index=True)),
-    "overflowing_train_size": ("boost_mkl.json", lambda d: _mkl(d).update(train_size=1e400)),
+    "overflowing_train_size": ("boost_mkl.json", lambda d: _trial(d)["train_indices"].__setitem__(
+        0, 1e400)),
     "train_index_past_int64": ("boost_mkl.json", lambda d: _trial(d)["train_indices"].__setitem__(
         0, 2**70)),
     "svm_iterations_past_int64": ("simple_mkl.json", lambda d: _mkl(d)["svm"].update(iterations=2**70)),
@@ -492,6 +492,11 @@ UNKNOWN_FIELDS = {
     "descriptors": ("descriptors.json", lambda d: d, "bogus"),
     "report": ("report.json", lambda d: d, "gap"),
     "report_split": ("report.json", lambda d: d["split"], "folds"),
+    # what a boosted model, a histogram collection and a descriptor listing wrote before
+    # they left their sizes and feature names to be read off the rest of the file
+    "boosted_payload_train_size": ("boost_mkl.json", _mkl, "train_size"),
+    "histograms_block_sizes": ("histograms.json", lambda d: d, "block_sizes"),
+    "descriptors_features": ("descriptors.json", lambda d: d, "features"),
 }
 # the fields an SVM payload stored before it kept only its signed dual coefficients
 UNKNOWN_FIELDS.update({f"{level}_{key}": (*UNKNOWN_FIELDS[level][:2], key)
