@@ -90,7 +90,7 @@ def cmd_extract(args) -> int:
         for dtype, dset in sets.items():
             dataio.write_descriptor_set(dset, out_dir / listing.videos[vid][dtype])
     dataio.write_json(out_dir / DESCRIPTOR_SIDECAR, listing)
-    print(f"extracted {sorted(listing.dims)} descriptors for {len(cache)} videos to {out_dir}")
+    print(f"extracted {list(listing.dims)} descriptors for {len(cache)} videos to {out_dir}")
     return 0
 
 

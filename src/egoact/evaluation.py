@@ -19,12 +19,13 @@ worker count.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import multiprocessing
 import os
 import sys
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -72,7 +73,7 @@ def per_class_accuracy_stddev(confusion) -> float:
     return float(np.std(np.diag(confusion)))
 
 
-_TASK = None   # (fn, items, started) of the pool this worker process was forked for
+_TASK = None   # (fn, items, state) of the pool this worker process was forked for
 
 
 def _adopt(*task):
@@ -81,9 +82,12 @@ def _adopt(*task):
 
 
 def _run_item(index):
-    fn, items, started = _TASK
-    started[index] = 1
-    return fn(items[index])
+    fn, items, state = _TASK
+    state[index] = 1   # started
+    try:
+        return fn(items[index])
+    finally:
+        state[index] = 2   # ended
 
 
 def usable_cpus() -> int:
@@ -114,41 +118,29 @@ def ordered_map(fn, items, workers: int = 1, progress=None) -> list:
     that dies is a ChildProcessError naming the items it may have been running."""
     items = list(items)
     workers = min(workers, len(items), usable_cpus())
-    if workers <= 1 or _wrapped_here() or "fork" not in multiprocessing.get_all_start_methods():
-        results = []
-        for item in items:
-            results.append(fn(item))
-            if progress:
-                progress(len(results), len(items))
-        return results
+    inline = workers <= 1 or _wrapped_here() or "fork" not in multiprocessing.get_all_start_methods()
     # Fork, not spawn: workers inherit fn (closures cannot be pickled),
     # items and everything they reach, such as the descriptor cache, so
     # only indices, results and exceptions are pickled. A fork copies only
     # the calling thread; the package starts no threads of its own.
-    started = multiprocessing.RawArray("b", len(items))
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                             initializer=_adopt, initargs=(fn, items, started)) as pool:
-        futures = []
-        for index in range(len(items)):
-            try:
-                futures.append(pool.submit(_run_item, index))
-            except BrokenProcessPool as exc:   # a worker died while items were being queued
-                futures.append(Future())
-                futures[-1].set_exception(exc)
-        for done, future in enumerate(futures, 1):   # in item order, as inline
-            if future.exception() is not None:
-                pool.shutdown(cancel_futures=True)   # start no further item
-                break
-            if progress:
-                progress(done, len(items))
-    broken = [not f.cancelled() and isinstance(f.exception(), BrokenProcessPool) for f in futures]
+    state = None if inline else multiprocessing.RawArray("b", len(items))
+    pool = contextlib.nullcontext() if inline else ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"), initializer=_adopt, initargs=(fn, items, state))
     results = []
-    for index, future in enumerate(futures):
-        if broken[index]:
-            running = [i for i in range(len(items)) if broken[i] and started[i]] or [index]
-            raise ChildProcessError("a worker process died while running item "
-                                    + " or ".join(map(str, running)))
-        results.append(future.result())
+    try:
+        # Executor.map yields in item order, raises the first failure in item
+        # order and cancels every item not yet started
+        with pool:
+            for result in map(fn, items) if inline else pool.map(_run_item, range(len(items))):
+                results.append(result)
+                if progress:
+                    progress(len(results), len(items))
+    except BrokenProcessPool:   # read once the pool has shut down, so no state still moves
+        # started and never ended, else the first never started, else the first not received
+        running = ([i for i, s in enumerate(state) if s == 1]
+                   or [next((i for i, s in enumerate(state) if not s), len(results))])
+        raise ChildProcessError("a worker process died while running item "
+                                + " or ".join(map(str, running))) from None
     return results
 
 

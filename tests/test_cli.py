@@ -724,6 +724,13 @@ def test_progress_prints_for_any_worker_count(pipeline, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["progress: 1/2", "progress: 2/2"]
 
 
+def test_extract_summary_lists_features_in_block_order(pipeline, tmp_path, capsys):
+    out = tmp_path / "desc"
+    assert main(["extract", "--config", pipeline["cfg"], "--data", str(pipeline["data"]),
+                 "--features", "cuboid,hof", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"extracted ['hof', 'cuboid'] descriptors for 8 videos to {out}\n"
+
+
 def test_convergence_error_exits_3(tmp_path, capsys, monkeypatch):
     import egoact.cli as cli_mod
     from egoact.errors import ConvergenceError

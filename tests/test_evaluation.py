@@ -500,14 +500,52 @@ def test_a_pool_broken_while_queueing_is_a_child_process_error(many_cpus, monkey
     from concurrent.futures.process import BrokenProcessPool
 
     class BreaksAtTheThirdSubmit(evaluation.ProcessPoolExecutor):
-        def submit(self, fn, *args):
-            if args[0] >= 2:
+        submitted = 0
+
+        def submit(self, fn, *args):   # one call per item at map's default chunk size
+            self.submitted += 1
+            if self.submitted == 3:
                 raise BrokenProcessPool("a child process terminated abruptly")
             return super().submit(fn, *args)
 
     monkeypatch.setattr(evaluation, "ProcessPoolExecutor", BreaksAtTheThirdSubmit)
     with pytest.raises(ChildProcessError, match="^a worker process died while running item 2$"):
         ordered_map(lambda x: x, range(5), 2)
+
+
+@forking
+def test_a_dead_worker_never_names_an_item_that_already_ended(many_cpus):
+    def item(x):
+        if x == 1:
+            time.sleep(0.3)
+            os._exit(3)
+        if x >= 2:
+            time.sleep(2)
+        return x
+
+    with pytest.raises(ChildProcessError) as info:
+        ordered_map(item, range(4), 2)
+    named = str(info.value).removeprefix("a worker process died while running item ").split(" or ")
+    assert "1" in named and "0" not in named and set(named) <= {"1", "2"}
+
+
+class DiesWhenSent:
+    """A result whose pickling kills the worker sending it, after its item has ended."""
+
+    def __reduce__(self):
+        os._exit(3)
+
+
+@forking
+def test_a_worker_that_dies_sending_a_result_names_that_item(many_cpus):
+    def item(x):
+        if x == 1:
+            time.sleep(0.3)   # item 0's result arrives first
+            return DiesWhenSent()
+        return x
+
+    with pytest.raises(ChildProcessError, match="^a worker process died while running item 1$"):
+        ordered_map(item, range(2), 2)
 
 
 @forking
