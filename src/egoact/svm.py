@@ -18,8 +18,13 @@ Masked copies select the pair: row 0 keeps the items where a_i y_i may
 still grow, row 1 those where it may still shrink, and every other entry
 is -inf, so one argmax per row picks the pair and an empty row closes the
 gap. A step changes only the pair (i, j), so only their entries of the
-movable mask are updated. The pair update runs on Python floats, IEEE
-doubles like numpy's scalars, so the solution keeps its bytes.
+movable mask are updated. The pair takes one step along its line
+a_i + s a_j, s = y_i y_j: a_i += y_i (top - bottom) / quad, a_j -= s times
+that, and each in turn that left [0, C] goes to its bound, the other read
+back from the line. Row 0 is exactly minus row 1, so every operation is
+LIBSVM's two label cases up to an exact sign flip, on Python floats (IEEE
+doubles like numpy's scalars). Only a step where a_i and a_j sit within
+rounding of each other and both cross C can end a last bit apart.
 
 A solve may start from any feasible alpha0 (in the box, with
 sum_i a_i y_i = 0) instead of 0. The state then starts at
@@ -142,49 +147,18 @@ def smo_train(gram, y, c_reg: float, tol: float = SvmSection.tol,
                 f"(n={n}, tol={tol}, violation gap={top - bottom:.3e})"
             )
 
-        old_i, old_j = ai, aj = alpha[i], alpha[j]
-        gi, gj = labels[i] * signed.item(1, i), labels[j] * signed.item(1, j)
+        old_i, old_j = alpha[i], alpha[j]
+        s = labels[i] * labels[j]
+        line = old_i + s * old_j
         quad = diag[i] + diag[j] - 2.0 * kernel.item(i, j)
-        if quad <= 0.0:
-            quad = 1e-12
-        if positive[i] != positive[j]:
-            delta = (-gi - gj) / quad
-            diff = ai - aj
-            ai += delta
-            aj += delta
-            if diff > 0.0:
-                if aj < 0.0:
-                    aj = 0.0
-                    ai = diff
-                if ai > c:
-                    ai = c
-                    aj = c - diff
-            else:
-                if ai < 0.0:
-                    ai = 0.0
-                    aj = -diff
-                if aj > c:
-                    aj = c
-                    ai = c + diff
-        else:
-            delta = (gi - gj) / quad
-            total = ai + aj
-            ai -= delta
-            aj += delta
-            if total > c:
-                if ai > c:
-                    ai = c
-                    aj = total - c
-                if aj > c:
-                    aj = c
-                    ai = total - c
-            else:
-                if aj < 0.0:
-                    aj = 0.0
-                    ai = total
-                if ai < 0.0:
-                    ai = 0.0
-                    aj = total
+        step = labels[i] * (top - bottom) / (quad if quad > 0.0 else 1e-12)
+        ai, aj = old_i + step, old_j - s * step
+        if not 0.0 <= ai <= c:
+            ai = c if ai > c else 0.0
+            aj = s * (line - ai)
+        if not 0.0 <= aj <= c:
+            aj = c if aj > c else 0.0
+            ai = line - s * aj
         alpha[i], alpha[j] = ai, aj
         signed += steps[i] * (ai - old_i) + steps[j] * (aj - old_j)
         for k, a in ((i, ai), (j, aj)):

@@ -28,7 +28,11 @@ measures each centroid by direct differences instead of the expanded
 squared-distance form that ``bow.quantize_batch`` uses. ``matrix_exp`` is
 the inverse the matrix-log tests round-trip through. ``reference_smo`` is
 the SMO loop the package shipped before its inner loop was trimmed to
-fewer numpy calls; the package must match it byte for byte.
+fewer numpy calls, with LIBSVM's two label cases for the pair step; the
+package's one step along the pair's line must match it byte for byte on
+every case the byte tests give it. The one known difference is a last bit:
+where a_i and a_j sit within rounding of each other and both cross C in
+one step, the reference ends at (C - 1 ulp, C) and the package at (C, C).
 ``reference_kmeans`` is the k-means the package ran on the points
 themselves before it moved to the pool's Gram matrix: where no two
 distances tie, the package must give its codebook bytes, with an inertia

@@ -155,6 +155,64 @@ def test_smo_cut_off_reports_the_reference_gap():
     assert str(reference.value) in str(package.value)
 
 
+DEGENERATE_KINDS = ("linear", "gaussian", "intersection", "repeated-rows")
+# the trials where a step ends a last bit apart from the reference's two
+# label cases: a_i and a_j within rounding of each other both cross C
+CORNER_TRIALS = (2255, 2852, 4151, 5404)
+
+
+def degenerate_problems():
+    """6,000 seeded small problems; trial t's kernel is DEGENERATE_KINDS[t % 4],
+    the last on rounded points whose first third are one point repeated."""
+    rng = np.random.default_rng(1)
+    for trial in range(6000):
+        n, d = int(rng.integers(4, 40)), int(rng.integers(1, 8))
+        x = rng.standard_normal((n, d))
+        kind = DEGENERATE_KINDS[trial % 4]
+        width = rng.uniform(0.1, 5.0) if kind == "gaussian" else None
+        y = rng.choice([-1.0, 1.0], size=n)
+        y[:2] = (1.0, -1.0)
+        c_reg = float(rng.choice([0.01, 0.1, 1.0, 10.0, 100.0]))
+        tol = float(rng.choice([1e-3, 1e-5]))
+        yield trial, kind, x, width, y, c_reg, tol
+
+
+def degenerate_kernel(kind, x, width):
+    if kind == "linear":
+        return x @ x.T
+    if kind == "gaussian":
+        return _gaussian_gram(x, x, width)
+    if kind == "intersection":
+        return np.minimum(abs(x)[:, None, :], abs(x)[None, :, :]).sum(-1)
+    x = np.round(x)
+    x[:len(x) // 3] = x[0]
+    return x @ x.T
+
+
+@pytest.mark.parametrize("kind", DEGENERATE_KINDS)
+def test_smo_stays_in_the_box_on_degenerate_problems(kind):
+    solved = corners = 0
+    for trial, drawn, x, width, y, c_reg, tol in degenerate_problems():
+        # every 10th trial of each kind, and the corner trials
+        if drawn != kind or (trial // 4 % 10 and trial not in CORNER_TRIALS):
+            continue
+        kernel = degenerate_kernel(kind, x, width)
+        try:
+            model = smo_train(kernel, y, c_reg, tol=tol, max_iter=20_000)
+        except ConvergenceError:
+            continue
+        alpha = model.dual_coef * y
+        assert alpha.min() >= 0.0 and alpha.max() <= c_reg, trial
+        assert abs(float(model.dual_coef.sum())) <= 1e-12 * c_reg * y.size, trial
+        assert violation_gap(kernel, y, alpha, c_reg) <= tol, trial
+        objective = reference_smo(kernel, y, c_reg, tol=tol, max_iter=20_000)[3]
+        assert model.objective == pytest.approx(objective, rel=1e-9, abs=0), trial
+        solved += 1
+        corners += trial in CORNER_TRIALS
+    assert solved >= 130
+    assert corners == sum(DEGENERATE_KINDS[t % 4] == kind for t in CORNER_TRIALS)
+
+
 @pytest.mark.parametrize("seed, c_reg", [(0, 1.0), (1, 10.0), (2, 100.0), (3, 10)])
 def test_restart_from_own_solution_stops_at_once(seed, c_reg):
     kernel, y, _ = intersection_problem(seed)
