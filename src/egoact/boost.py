@@ -98,10 +98,11 @@ def boost_train(bank: np.ndarray, y, trials: int, c_reg: float, seed,
 
     Per trial: resample L items from P_t, train a weak SVM per kernel on
     the resampled multiset, score each candidate's P_t-weighted error over
-    all L items, keep the argmin kernel (ties to the lowest index). Raw
-    errors >= 0.5 discard the draw; after 10 redraws the loop stops early
-    with the trials collected so far. The kept error is clamped away from
-    {0, 0.5} before computing the trial weight and the probability update.
+    all L items, keep the argmin kernel (ties to the lowest index). A draw
+    whose best raw error is >= 0.5, or that holds one class, is discarded;
+    after MAX_REDRAWS discarded draws in a row the loop stops early with the
+    trials collected so far. The kept error is clamped away from {0, 0.5}
+    before computing the trial weight and the probability update.
     """
     bank = check_bank(bank, y)
     BoostSection(trials)
@@ -113,30 +114,24 @@ def boost_train(bank: np.ndarray, y, trials: int, c_reg: float, seed,
     kept = []
 
     for _ in range(trials):
-        chosen = None
         for _ in range(MAX_REDRAWS):
             idx = resample(p, n, rng)
             y_sub = y[idx]
             if not ((y_sub > 0).any() and (y_sub < 0).any()):
                 continue
-            candidates = []
-            for m in range(len(bank)):
-                weak = smo_train(bank[m][np.ix_(idx, idx)], y_sub, c_reg, tol=svm_tol)
-                votes = _weak_votes(weak, bank[m][:, idx])
-                error = float(p[votes != y].sum())
-                candidates.append((error, m, weak, votes))
-            best_error, best_m, best_weak, best_votes = min(candidates, key=lambda c: (c[0], c[1]))
-            if best_error < 0.5:
-                chosen = (best_error, best_m, best_weak, best_votes, idx)
+            weak = [smo_train(k[np.ix_(idx, idx)], y_sub, c_reg, tol=svm_tol) for k in bank]
+            votes = [_weak_votes(svm, k[:, idx]) for svm, k in zip(weak, bank)]
+            errors = [float(p[v != y].sum()) for v in votes]
+            m_t = int(np.argmin(errors))   # the first minimum: ties go to the lowest index
+            if errors[m_t] < 0.5:
                 break
-        if chosen is None:
+        else:
             break
 
-        raw_error, m_t, weak, votes, idx = chosen
-        error = min(max(raw_error, ERROR_CLAMP), 0.5 - ERROR_CLAMP)
+        error = min(max(errors[m_t], ERROR_CLAMP), 0.5 - ERROR_CLAMP)
         weight = float(0.5 * np.log((1.0 - error) / error))
-        kept.append(WeakClassifier(m_t, idx, weak, weight, error))
-        p = reweight_probabilities(p, votes == y, weight)
+        kept.append(WeakClassifier(m_t, idx, weak[m_t], weight, error))
+        p = reweight_probabilities(p, votes[m_t] == y, weight)
 
     if not kept:
         raise ValidationError(

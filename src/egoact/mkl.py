@@ -40,7 +40,11 @@ class MklSection:
 
 @dataclass(slots=True, eq=False)
 class MklModel:
-    """Learned kernel weights plus the SVM trained on the combined kernel."""
+    """Learned kernel weights plus the SVM trained on the combined kernel.
+
+    ``converged`` is False only when ``max_outer`` ran out. A vanishing reduced gradient,
+    MAX_LINE_SEARCH halvings with no decrease, a weight step below ``weight_tol`` or a
+    relative decrease below ``objective_tol`` set it; none of the four certifies an optimum."""
 
     weights: np.ndarray = decoded(json_numbers)
     svm: BinarySvmModel = decoded(from_doc, cls=BinarySvmModel)
@@ -51,69 +55,50 @@ class MklModel:
         self.weights = check_simplex(self.weights, len(self.weights))
 
 
-def _weight_gradient(bank: np.ndarray, svm: BinarySvmModel) -> np.ndarray:
-    return -0.5 * np.einsum("i,mij,j->m", svm.dual_coef, bank, svm.dual_coef)
-
-
-def _descent_direction(weights: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    # Reduced gradient against the heaviest coordinate; zero-weight
-    # coordinates may only move up.
-    anchor = int(np.argmax(weights))
-    reduced = grad - grad[anchor]
-    direction = -reduced
-    direction[(weights <= 0.0) & (direction < 0.0)] = 0.0
-    direction[anchor] = 0.0
-    direction[anchor] = -direction.sum()
-    return direction
-
-
 def simple_mkl_train(bank: np.ndarray, y, c_reg: float, params: MklSection = MklSection(),
                      svm_tol: float = SvmSection.tol) -> MklModel:
     """Jointly optimize simplex kernel weights over the (M, n, n) ``bank`` and
     the SVM on their combination; ``params`` holds the stopping tolerances
     and the outer iteration cap."""
     bank = check_bank(bank, y)
-    m = len(bank)
-    weights = np.full(m, 1.0 / m)
-
+    weights = np.full(len(bank), 1.0 / len(bank))
     svm = smo_train(combine(bank, weights), y, c_reg, tol=svm_tol)
-    objective = svm.objective
-    history = [objective]
-    converged = False
+    history = [svm.objective]
 
     for _ in range(params.max_outer):
-        grad = _weight_gradient(bank, svm)
-        direction = _descent_direction(weights, grad)
+        grad = -0.5 * np.einsum("i,mij,j->m", svm.dual_coef, bank, svm.dual_coef)
+        # Reduced gradient against the heaviest coordinate; zero-weight
+        # coordinates may only move up.
+        anchor = int(np.argmax(weights))
+        direction = -(grad - grad[anchor])
+        direction[(weights <= 0.0) & (direction < 0.0)] = 0.0
+        direction[anchor] = 0.0
+        direction[anchor] = -direction.sum()
         if np.max(np.abs(direction)) <= 1e-14:
-            converged = True
             break
 
         negative = direction < 0.0
         step = float(np.min(-weights[negative] / direction[negative]))
-        accepted = None
         for _ in range(MAX_LINE_SEARCH):
             trial = np.maximum(weights + step * direction, 0.0)
             trial /= trial.sum()
             trial_svm = smo_train(combine(bank, trial), y, c_reg, tol=svm_tol,
                                   alpha0=np.abs(svm.dual_coef))
-            if trial_svm.objective < objective:
-                accepted = (trial, trial_svm)
+            if trial_svm.objective < svm.objective:
                 break
             step /= 2.0
-        if accepted is None:
-            converged = True
+        else:
             break
 
-        new_weights, new_svm = accepted
-        delta_w = float(np.max(np.abs(new_weights - weights)))
-        delta_obj = objective - new_svm.objective
-        weights, svm, objective = new_weights, new_svm, new_svm.objective
-        history.append(objective)
-        if delta_w < params.weight_tol or delta_obj <= params.objective_tol * abs(objective):
-            converged = True
+        delta_w = float(np.max(np.abs(trial - weights)))
+        weights, svm = trial, trial_svm
+        history.append(svm.objective)
+        if (delta_w < params.weight_tol
+                or history[-2] - history[-1] <= params.objective_tol * abs(history[-1])):
             break
-
-    return MklModel(weights, svm, converged, history)
+    else:
+        return MklModel(weights, svm, False, history)
+    return MklModel(weights, svm, True, history)
 
 
 def mkl_predict_many(model: MklModel, k_rows) -> np.ndarray:

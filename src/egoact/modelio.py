@@ -40,12 +40,6 @@ class Method:
     note: Callable       # (payload, cfg) -> why training stopped short, for ``egoact train``, or ""
 
 
-def _describe_mkl(model) -> str:
-    weights = model.weights.tolist()
-    text = " ".join(f"{w:.3f}" for w in weights)
-    return f"kernel weights [{text}] sum={sum(weights):.3f} converged={model.converged}"
-
-
 _SVM = dict(
     codec=svm.BinarySvmModel,
     train=lambda bank, y, cfg, seed: svm.smo_train(bank[0], y, cfg.svm.c_reg, tol=cfg.svm.tol),
@@ -63,7 +57,8 @@ METHODS = {
         train=lambda bank, y, cfg, seed: mkl.simple_mkl_train(
             bank, y, cfg.svm.c_reg, cfg.mkl, svm_tol=cfg.svm.tol),
         score=lambda model, rows: mkl.mkl_predict_many(model, rows),
-        describe=_describe_mkl,
+        describe=lambda model: "kernel weights [" + " ".join(f"{w:.3f}" for w in model.weights) + (
+            f"] sum={sum(model.weights.tolist()):.3f} converged={model.converged}"),
         note=lambda model, cfg: "" if model.converged else (
             f"simple_mkl stopped at mkl.max_outer={cfg.mkl.max_outer} outer steps without converging"),
     ),

@@ -33,8 +33,15 @@ package's one step along the pair's line must match it byte for byte on
 every case the byte tests give it. The one known difference is a last bit:
 where a_i and a_j sit within rounding of each other and both cross C in
 one step, the reference ends at (C - 1 ulp, C) and the package at (C, C).
-``reference_kmeans`` is the k-means the package ran on the points
-themselves before it moved to the pool's Gram matrix: where no two
+``reference_simple_mkl`` and ``reference_boost_train`` are the two trainer
+loops the package shipped before each stated a step once: SimpleMKL with
+its ``converged`` flag, ``accepted`` pair and the
+``reference_weight_gradient`` and ``reference_descent_direction`` helpers,
+and boosting with its ``(error, m)`` candidate tuples. Both run the
+package's SMO on ``random_bank`` problems; the trainers must match them bit
+for bit (``same_bits``), at every stop. ``reference_kmeans`` is the k-means
+the package ran on the points themselves before it moved to the pool's
+Gram matrix: where no two
 distances tie, the package must give its codebook bytes, with an inertia
 history that differs only in rounding. ``reference_gram_kmeans`` is the
 Gram-matrix k-means rebuilt from per-cluster point lists; the package
@@ -44,8 +51,20 @@ must match it byte for byte. ``flow_energy``, ``violation_gap``,
 score results by.
 """
 
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 
+from egoact import boost, mkl
+from egoact.boost import (
+    ERROR_CLAMP,
+    BoostedModel,
+    BoostSection,
+    WeakClassifier,
+    _weak_votes,
+    resample,
+    reweight_probabilities,
+)
 from egoact.dataio import FrameSequence
 from egoact.descriptors import (
     KINEMATIC_DIM,
@@ -55,7 +74,19 @@ from egoact.descriptors import (
     logc_window_descriptor,
     temporal_quadrature_pair,
 )
-from egoact.kernels import DC_INT, GAUSSIAN, H_INT, JPL_DELTA
+from egoact.errors import ValidationError
+from egoact.kernels import (
+    DC_INT,
+    GAUSSIAN,
+    H_INT,
+    JPL_DELTA,
+    KernelSpec,
+    check_bank,
+    combine,
+    gram_matrix,
+)
+from egoact.mkl import MklModel, MklSection
+from egoact.svm import SvmSection, check_binary_labels, smo_train
 
 
 def project_box_equality(a0, y, box):
@@ -112,6 +143,33 @@ def svm_dual_oracle(kernel, y, box, max_iters=50_000, stop_tol=1e-13):
 def svm_dual_value(alpha, y, kernel) -> float:
     ay = alpha * y
     return float(alpha.sum() - 0.5 * ay @ np.asarray(kernel) @ ay)
+
+
+def random_bank(seed, m, n):
+    """``(bank, y)``: one Gaussian kernel per 2-d block of ``n`` random points,
+    each block shifted along the labels by its own random amount, both labels
+    present."""
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    y[:2] = 1.0, -1.0
+    points = rng.normal(size=(n, 2 * m)) + rng.random(m).repeat(2) * y[:, None]
+    sigmas = 0.5 + 3.0 * rng.random(m)
+    return np.stack([gram_matrix(points, KernelSpec(GAUSSIAN, sigma=float(s), block=(2 * k, 2)))
+                     for k, s in enumerate(sigmas)]), y
+
+
+def same_bits(a, b) -> bool:
+    """Whether ``a`` and ``b`` hold the same bits: records field by field, lists
+    item by item, arrays and numbers by type, dtype, shape and bytes, so that
+    ``-0.0`` and ``0.0`` differ."""
+    if type(a) is not type(b):
+        return False
+    if is_dataclass(a):
+        return all(same_bits(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def random_svm_problem(rng, max_size=8):
@@ -562,6 +620,116 @@ def reference_smo(kernel, y, c_reg, tol=1e-3, sample_weights=None, max_iter=None
         lo = np.min(np.where(low, neg_yg, np.inf)) if low.any() else 0.0
         bias = float((hi + lo) / 2.0)
     return alpha, bias, iterations, objective_of(alpha), history
+
+
+def reference_weight_gradient(bank, svm):
+    return -0.5 * np.einsum("i,mij,j->m", svm.dual_coef, bank, svm.dual_coef)
+
+
+def reference_descent_direction(weights, grad):
+    # Reduced gradient against the heaviest coordinate; zero-weight
+    # coordinates may only move up.
+    anchor = int(np.argmax(weights))
+    reduced = grad - grad[anchor]
+    direction = -reduced
+    direction[(weights <= 0.0) & (direction < 0.0)] = 0.0
+    direction[anchor] = 0.0
+    direction[anchor] = -direction.sum()
+    return direction
+
+
+def reference_simple_mkl(bank, y, c_reg, params=MklSection(), svm_tol=SvmSection.tol):
+    """SimpleMKL's reduced-gradient walk with a ``converged`` flag and an
+    ``accepted`` pair; reads ``mkl.MAX_LINE_SEARCH`` at call time."""
+    bank = check_bank(bank, y)
+    m = len(bank)
+    weights = np.full(m, 1.0 / m)
+
+    svm = smo_train(combine(bank, weights), y, c_reg, tol=svm_tol)
+    objective = svm.objective
+    history = [objective]
+    converged = False
+
+    for _ in range(params.max_outer):
+        grad = reference_weight_gradient(bank, svm)
+        direction = reference_descent_direction(weights, grad)
+        if np.max(np.abs(direction)) <= 1e-14:
+            converged = True
+            break
+
+        negative = direction < 0.0
+        step = float(np.min(-weights[negative] / direction[negative]))
+        accepted = None
+        for _ in range(mkl.MAX_LINE_SEARCH):
+            trial = np.maximum(weights + step * direction, 0.0)
+            trial /= trial.sum()
+            trial_svm = smo_train(combine(bank, trial), y, c_reg, tol=svm_tol,
+                                  alpha0=np.abs(svm.dual_coef))
+            if trial_svm.objective < objective:
+                accepted = (trial, trial_svm)
+                break
+            step /= 2.0
+        if accepted is None:
+            converged = True
+            break
+
+        new_weights, new_svm = accepted
+        delta_w = float(np.max(np.abs(new_weights - weights)))
+        delta_obj = objective - new_svm.objective
+        weights, svm, objective = new_weights, new_svm, new_svm.objective
+        history.append(objective)
+        if delta_w < params.weight_tol or delta_obj <= params.objective_tol * abs(objective):
+            converged = True
+            break
+
+    return MklModel(weights, svm, converged, history)
+
+
+def reference_boost_train(bank, y, trials, c_reg, seed, svm_tol=SvmSection.tol):
+    """Boosting trials that keep every kernel's candidate as an ``(error, m,
+    weak, votes)`` tuple and pick the ``(error, m)`` minimum; reads
+    ``boost.MAX_REDRAWS`` at call time."""
+    bank = check_bank(bank, y)
+    BoostSection(trials)
+    y = check_binary_labels(y)
+    n = len(y)
+
+    rng = np.random.default_rng(seed)
+    p = np.full(n, 1.0 / n)
+    kept = []
+
+    for _ in range(trials):
+        chosen = None
+        for _ in range(boost.MAX_REDRAWS):
+            idx = resample(p, n, rng)
+            y_sub = y[idx]
+            if not ((y_sub > 0).any() and (y_sub < 0).any()):
+                continue
+            candidates = []
+            for m in range(len(bank)):
+                weak = smo_train(bank[m][np.ix_(idx, idx)], y_sub, c_reg, tol=svm_tol)
+                votes = _weak_votes(weak, bank[m][:, idx])
+                error = float(p[votes != y].sum())
+                candidates.append((error, m, weak, votes))
+            best_error, best_m, best_weak, best_votes = min(candidates, key=lambda c: (c[0], c[1]))
+            if best_error < 0.5:
+                chosen = (best_error, best_m, best_weak, best_votes, idx)
+                break
+        if chosen is None:
+            break
+
+        raw_error, m_t, weak, votes, idx = chosen
+        error = min(max(raw_error, ERROR_CLAMP), 0.5 - ERROR_CLAMP)
+        weight = float(0.5 * np.log((1.0 - error) / error))
+        kept.append(WeakClassifier(m_t, idx, weak, weight, error))
+        p = reweight_probabilities(p, votes == y, weight)
+
+    if not kept:
+        raise ValidationError(
+            f"no boosting trial beat 0.5 weighted error after {boost.MAX_REDRAWS} redraws "
+            f"(n={n}, kernels={len(bank)})"
+        )
+    return BoostedModel(kept)
 
 
 def _reference_sq_distances(points, centroids):

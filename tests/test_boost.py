@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from egoact import boost
 from egoact.boost import (
     BoostedModel,
     WeakClassifier,
@@ -13,7 +14,13 @@ from egoact.errors import ConfigError, ValidationError
 from egoact.kernels import GAUSSIAN, H_INT, KernelSpec, gram_matrix
 from egoact.mkl import simple_mkl_train
 from egoact.svm import BinarySvmModel
-from oracles import predict_labels, training_error_bound
+from oracles import (
+    predict_labels,
+    random_bank,
+    reference_boost_train,
+    same_bits,
+    training_error_bound,
+)
 
 
 def test_resample_degenerate_distribution():
@@ -128,6 +135,43 @@ def test_boost_train_is_bit_deterministic():
     assert a.to_dict() == b.to_dict()
     c = boost_train(bank, y, trials=4, c_reg=10.0, seed=100)
     assert c.to_dict() != a.to_dict()
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_random_banks_match_the_reference_trials_bit_for_bit(seed):
+    m, n = 1 + seed % 4, 8 + (seed * 7) % 23
+    bank, y = random_bank(200 + seed, m, n)
+    trials, c_reg = 1 + seed % 10, (0.5, 10.0)[seed // 4 % 2]
+    assert same_bits(boost_train(bank, y, trials, c_reg, seed),
+                     reference_boost_train(bank, y, trials, c_reg, seed))
+
+
+@pytest.mark.parametrize("seed, kept", [(0, 3), (2, 5), (3, 1), (5, 2), (10, 6), (1, 0), (6, 0)])
+def test_early_stops_match_the_reference_trials_bit_for_bit(seed, kept, monkeypatch):
+    # one positive item: once a trial gets it right, its probability falls and
+    # most draws hold only the negative class, so a single redraw runs out
+    monkeypatch.setattr(boost, "MAX_REDRAWS", 1)
+    m, n = 1 + seed % 4, 8 + (seed * 7) % 23
+    bank, _ = random_bank(seed, m, n)
+    y = -np.ones(n)
+    y[seed % n] = 1.0
+    if not kept:
+        with pytest.raises(ValidationError) as package:
+            boost_train(bank, y, 10, 10.0, seed)
+        with pytest.raises(ValidationError) as reference:
+            reference_boost_train(bank, y, 10, 10.0, seed)
+        assert str(package.value) == str(reference.value)
+        return
+    model = boost_train(bank, y, 10, 10.0, seed)
+    assert len(model.trials) == kept
+    assert same_bits(model, reference_boost_train(bank, y, 10, 10.0, seed))
+
+
+def test_identical_kernels_tie_to_the_first():
+    bank, y = random_bank(3, 1, 20)
+    model = boost_train(bank[[0, 0]], y, trials=10, c_reg=10.0, seed=4)
+    assert len(model.trials) > 1
+    assert [t.kernel_index for t in model.trials] == [0] * len(model.trials)
 
 
 def _manual_model(weights, votes_per_trial, n_train=4):

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
+from egoact import mkl
 from egoact.errors import ValidationError
 from egoact.kernels import GAUSSIAN, KernelSpec, combine, gram_matrix
 from egoact.config import MklSection
 from egoact.mkl import MklModel, mkl_predict_many, simple_mkl_train
 from egoact.svm import SvmSection, decision_many, ova_predict_scores, ova_train, smo_train
+from oracles import (
+    random_bank,
+    reference_descent_direction,
+    reference_simple_mkl,
+    reference_weight_gradient,
+    same_bits,
+)
 
 
 def informative_and_noise_bank(seed=7, n=48, sigma=8.0):
@@ -180,3 +188,111 @@ def test_multiclass_single_kernel_mkl_equals_svm():
     svm_scores = np.stack([decision_many(m, gram) for m in ova_svm], axis=1)
     assert np.array_equal(mkl_scores, svm_scores)
     assert np.array_equal(ova_predict_scores(mkl_scores), labels)
+
+
+def train_and_name_the_stop(bank, y, c_reg, params, monkeypatch):
+    """The trained model and the rule that ended its walk, read from the SMO
+    solves it made: a refused last solve is an exhausted line search, and a
+    stored state whose direction vanishes is a zero reduced gradient."""
+    solves = []
+
+    def recorded(*args, **kwargs):
+        solves.append(smo_train(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(mkl, "smo_train", recorded)
+    model = simple_mkl_train(bank, y, c_reg, params)
+    history = model.objective_history
+    if not model.converged:
+        return model, "max_outer"
+    if solves[-1] is not model.svm:
+        return model, "line_search"
+    grad = reference_weight_gradient(bank, model.svm)
+    if np.max(np.abs(reference_descent_direction(model.weights, grad))) <= 1e-14:
+        return model, "zero_gradient"
+    if history[-2] - history[-1] <= params.objective_tol * abs(history[-1]):
+        return model, "objective_tol"
+    return model, "weight_tol"
+
+
+# (seed, M, n, c_reg, MklSection overrides, MAX_LINE_SEARCH, stop); a tolerance of
+# 1e-300 cannot fire, so the other one is the rule that stops the walk
+STOPS = [
+    (0, 1, 8, 0.5, {}, 30, "zero_gradient"),
+    (4, 1, 13, 10.0, {}, 1, "zero_gradient"),
+    (6, 3, 27, 0.5, {}, 30, "zero_gradient"),   # after two steps, at a simplex vertex
+    (15, 4, 21, 0.5, {}, 30, "line_search"),
+    (7, 4, 11, 0.5, {}, 1, "line_search"),
+    (2, 3, 22, 10.0, {}, 1, "line_search"),
+    (1, 2, 15, 0.5, {"weight_tol": 0.05, "objective_tol": 1e-300}, 30, "weight_tol"),
+    (7, 4, 11, 10.0, {"weight_tol": 0.3, "objective_tol": 1e-300}, 1, "weight_tol"),
+    (1, 2, 15, 10.0, {"weight_tol": 1e-300, "objective_tol": 1e-3}, 30, "objective_tol"),
+    (1, 2, 15, 0.5, {"weight_tol": 1e-300, "objective_tol": 1e-3}, 1, "objective_tol"),
+    (2, 3, 22, 0.5, {"max_outer": 1}, 30, "max_outer"),
+    (2, 3, 22, 0.5, {"max_outer": 2}, 30, "max_outer"),
+    (7, 4, 11, 0.5, {"max_outer": 3}, 30, "max_outer"),
+]
+
+
+@pytest.mark.parametrize("seed, m, n, c_reg, overrides, line_search, stop", STOPS)
+def test_each_stop_matches_the_reference_loop_bit_for_bit(seed, m, n, c_reg, overrides,
+                                                          line_search, stop, monkeypatch):
+    monkeypatch.setattr(mkl, "MAX_LINE_SEARCH", line_search)
+    bank, y = random_bank(seed, m, n)
+    params = MklSection(**overrides)
+    model, seen = train_and_name_the_stop(bank, y, c_reg, params, monkeypatch)
+    assert seen == stop
+    assert same_bits(model, reference_simple_mkl(bank, y, c_reg, params))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_random_banks_match_the_reference_loop_bit_for_bit(seed):
+    m, n = 1 + seed % 4, 8 + (seed * 7) % 23
+    bank, y = random_bank(100 + seed, m, n)
+    params = MklSection(weight_tol=(1e-4, 1e-2)[seed % 2],
+                        objective_tol=(1e-4, 1e-3)[seed // 2 % 2])
+    c_reg = (0.5, 10.0)[seed // 4 % 2]
+    assert same_bits(simple_mkl_train(bank, y, c_reg, params),
+                     reference_simple_mkl(bank, y, c_reg, params))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_running_out_of_outer_steps_is_not_converged(k):
+    bank, y = random_bank(2, 3, 22)   # the default tolerances stop it after four steps
+    model = simple_mkl_train(bank, y, 0.5, MklSection(max_outer=k))
+    assert model.converged is False
+    assert len(model.objective_history) == k + 1
+
+
+@pytest.mark.parametrize("rule, of, stops", [("weight_tol", None, False),
+                                            ("objective_tol", 1, True), ("objective_tol", 0, False)])
+def test_a_first_step_exactly_at_a_tolerance_matches_the_reference_loop(rule, of, stops):
+    # the weight rule is strict; the decrease rule is inclusive and relative to
+    # the new objective, so a tolerance met exactly against the old one walks on
+    bank, y = random_bank(2, 3, 22)
+    first = simple_mkl_train(bank, y, 0.5, MklSection(max_outer=1))
+    before, after = first.objective_history
+    if rule == "weight_tol":
+        step = float(np.max(np.abs(first.weights - np.full(3, 1.0 / 3.0))))
+        params = MklSection(weight_tol=step, objective_tol=1e-300)
+    else:
+        scale = abs(first.objective_history[of])
+        tol = (before - after) / scale
+        while tol * scale < before - after:
+            tol = float(np.nextafter(tol, 1.0))
+        assert tol * scale == before - after
+        params = MklSection(weight_tol=1e-300, objective_tol=tol)
+    model = simple_mkl_train(bank, y, 0.5, params)
+    assert (len(model.objective_history) == 2) == stops
+    assert same_bits(model, reference_simple_mkl(bank, y, 0.5, params))
+
+
+@pytest.mark.parametrize("seed, steps", [(0, 1), (1, 0)])
+def test_a_reduced_gradient_above_1e_14_takes_a_step(seed, steps):
+    # two kernels 1e-13 apart in scale: a reduced gradient of 1.5e-13 (seed 0)
+    # moves the weights, one of 6e-15 (seed 1) is zero
+    bank, y = random_bank(seed, 1, 20)
+    twin = np.stack([bank[0], bank[0] * (1.0 + 1e-13)])
+    model = simple_mkl_train(twin, y, 0.5)
+    assert len(model.objective_history) == 1 + steps
+    assert same_bits(model, reference_simple_mkl(twin, y, 0.5))
