@@ -101,8 +101,9 @@ def boost_train(bank: np.ndarray, y, trials: int, c_reg: float, seed,
     all L items, keep the argmin kernel (ties to the lowest index). A draw
     whose best raw error is >= 0.5, or that holds one class, is discarded;
     after MAX_REDRAWS discarded draws in a row the loop stops early with the
-    trials collected so far. The kept error is clamped away from {0, 0.5}
-    before computing the trial weight and the probability update.
+    trials collected so far, or, with none kept, raises an error that counts
+    the one-class draws. The kept error is clamped away from {0, 0.5} before
+    computing the trial weight and the probability update.
     """
     bank = check_bank(bank, y)
     BoostSection(trials)
@@ -111,13 +112,14 @@ def boost_train(bank: np.ndarray, y, trials: int, c_reg: float, seed,
 
     rng = np.random.default_rng(seed)
     p = np.full(n, 1.0 / n)
-    kept = []
+    kept, one_class = [], 0
 
     for _ in range(trials):
         for _ in range(MAX_REDRAWS):
             idx = resample(p, n, rng)
             y_sub = y[idx]
             if not ((y_sub > 0).any() and (y_sub < 0).any()):
+                one_class += 1
                 continue
             weak = [smo_train(k[np.ix_(idx, idx)], y_sub, c_reg, tol=svm_tol) for k in bank]
             votes = [_weak_votes(svm, k[:, idx]) for svm, k in zip(weak, bank)]
@@ -135,8 +137,8 @@ def boost_train(bank: np.ndarray, y, trials: int, c_reg: float, seed,
 
     if not kept:
         raise ValidationError(
-            f"no boosting trial beat 0.5 weighted error after {MAX_REDRAWS} redraws "
-            f"(n={n}, kernels={len(bank)})"
+            f"no boosting trial beat 0.5 weighted error after {MAX_REDRAWS} redraws, {one_class} of "
+            f"which held one class and trained no SVM (n={n}, kernels={len(bank)})"
         )
     return BoostedModel(kept)
 

@@ -65,14 +65,6 @@ def random_split(manifest: DatasetManifest, spec: SplitSection, repeat_index: in
     return train_ids, test_ids
 
 
-def per_class_accuracy_stddev(confusion) -> float:
-    """Population standard deviation of the confusion-matrix diagonal."""
-    confusion = np.asarray(confusion, dtype=np.float64)
-    if confusion.ndim != 2 or confusion.shape[0] != confusion.shape[1]:
-        raise ValidationError(f"confusion matrix must be square, got {confusion.shape}")
-    return float(np.std(np.diag(confusion)))
-
-
 _TASK = None   # (fn, items, state) of the pool this worker process was forked for
 
 
@@ -253,7 +245,7 @@ class EvalReport:
                 raise ValidationError(f"confusion row {name!r} is not percentages summing to 100: "
                                       f"{row.tolist()}")
         self.mean_accuracy = float(np.mean(accuracy))
-        self.per_class_stddev = per_class_accuracy_stddev(confusion)
+        self.per_class_stddev = float(np.std(np.diag(confusion)))   # population, over classes
 
     to_dict = to_doc
 

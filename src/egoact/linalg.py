@@ -15,7 +15,7 @@ from .errors import ConvergenceError, DomainError, ValidationError
 SYMMETRY_RTOL = 1e-9
 
 
-def check_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+def check_symmetric(a: np.ndarray) -> np.ndarray:
     """Return ``a`` as float64 after verifying it is square, finite and symmetric."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -23,7 +23,7 @@ def check_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix entries must be finite")
     scale = np.linalg.norm(a)
-    if scale > 0.0 and np.linalg.norm(a - a.T) > rtol * scale:
+    if scale > 0.0 and np.linalg.norm(a - a.T) > SYMMETRY_RTOL * scale:
         raise ValidationError("matrix is not symmetric within tolerance")
     return a
 

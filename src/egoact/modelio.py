@@ -1,8 +1,10 @@
 """The method registry, fitting one-vs-all models, scoring new histograms,
 and the JSON model file format.
 
-Every method is defined once, in ``METHODS``. ``fit`` is the one training
-path, shared by ``train_model`` and the evaluation protocol.
+Every method is defined once, in ``METHODS``, as a binary trainer and scorer.
+``fit`` is the one training path, shared by ``train_model`` and the evaluation
+protocol, and the one-vs-all loop: one binary model per class, class k's items
+against the rest. ``TrainedModel.predict`` takes each vector's top-scoring class.
 
 The model file inlines everything prediction needs: kernel specs with
 materialized parameters, per-kernel trace scales, the training histogram
@@ -104,7 +106,8 @@ class TrainedModel:
         return np.stack([score(model, rows) for model in self.binary_models], axis=1)
 
     def predict(self, vectors) -> np.ndarray:
-        return svm.ova_predict_scores(self.score_matrix(vectors))
+        """The top-scoring class of each vector; a tie goes to the lowest class index."""
+        return np.argmax(self.score_matrix(vectors), axis=1)
 
     to_dict = to_doc
 
@@ -191,7 +194,9 @@ def build_bank_specs(method, layout, cfg: RunConfig, train_vectors):
 
 def fit(method, vectors, labels, classes, layout, cfg: RunConfig, seed, spawn_prefix) -> TrainedModel:
     """Build the trace-normalized kernel bank over ``vectors`` and train one
-    binary model per class, for a run that ``check_run`` passed.
+    binary model per class, class k's items against the rest, for a run that
+    ``check_run`` passed. A class with no training item, or a lone class, leaves
+    a binary problem of one class, which every trainer refuses.
 
     Class k's binary problem gets ``SeedSequence(seed, spawn_key=(*spawn_prefix, k))``;
     only boosting draws from it.
@@ -201,8 +206,9 @@ def fit(method, vectors, labels, classes, layout, cfg: RunConfig, seed, spawn_pr
                           for spec in specs))
     bank = np.stack(grams)
     train = METHODS[method].train
-    models = svm.ova_train(labels, classes, lambda y_pm, k: train(
-        bank, y_pm, cfg, np.random.SeedSequence(entropy=seed, spawn_key=(*spawn_prefix, k))))
+    models = [train(bank, np.where(labels == k, 1.0, -1.0), cfg,
+                    np.random.SeedSequence(entropy=seed, spawn_key=(*spawn_prefix, k)))
+              for k in range(len(classes))]
     return TrainedModel(method, classes, specs, scales, vectors, models)
 
 

@@ -1,5 +1,5 @@
-"""Binary soft-margin kernel SVM trained by sequential minimal optimization,
-plus score-based one-vs-all multiclass on top of any binary trainer.
+"""Binary soft-margin kernel SVM trained by sequential minimal optimization;
+``modelio.fit`` trains one per class for one-vs-all multiclass.
 
 The solver maximizes the usual dual
 
@@ -190,30 +190,3 @@ def decision_many(model: BinarySvmModel, k_rows) -> np.ndarray:
         raise ValidationError(f"an SVM of {model.dual_coef.size} coefficients cannot score "
                               f"kernel rows of shape {k_rows.shape}")
     return k_rows @ model.dual_coef + model.bias
-
-
-# ---------------------------------------------------------------------------
-# one-vs-all multiclass
-
-def ova_train(class_indices, classes, trainer) -> list:
-    """Train class-k-versus-rest models with ``trainer(y_pm, class_index)``;
-    returns them in class order.
-
-    Every class listed in ``classes`` must appear in the training labels.
-    """
-    class_indices = np.asarray(class_indices, dtype=np.int64)
-    if len(classes) < 2:
-        raise ValidationError("one-vs-all needs at least 2 classes")
-    present = set(int(k) for k in class_indices)
-    missing = [name for k, name in enumerate(classes) if k not in present]
-    if missing:
-        raise ValidationError(f"classes absent from training data: {missing}")
-    return [trainer(np.where(class_indices == k, 1.0, -1.0), k) for k in range(len(classes))]
-
-
-def ova_predict_scores(scores: np.ndarray) -> np.ndarray:
-    """Argmax class per row; ties resolve to the lowest class index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise ValidationError("scores must be (n_items, n_classes)")
-    return np.argmax(scores, axis=1)

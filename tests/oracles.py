@@ -215,10 +215,6 @@ def kernel_eval(spec, x, y) -> float:
     return float(np.prod((block_sums + JPL_DELTA) ** np.asarray(exponents)))
 
 
-def min_eigenvalue(matrix) -> float:
-    return float(np.linalg.eigvalsh(np.asarray(matrix, dtype=np.float64))[0])
-
-
 def _neighbor_sums(field):
     out = np.zeros_like(field)
     out[:-1, :] += field[1:, :]
@@ -512,7 +508,7 @@ def matrix_exp(a):
     return (mapped + mapped.T) / 2.0
 
 
-def reference_smo(kernel, y, c_reg, tol=1e-3, sample_weights=None, max_iter=None):
+def reference_smo(kernel, y, c_reg, tol=1e-3, max_iter=None):
     """Maximal-violating-pair SMO, rebuilding both working-set masks each step.
 
     Returns ``(alpha, bias, iterations, objective, history)`` where
@@ -523,10 +519,7 @@ def reference_smo(kernel, y, c_reg, tol=1e-3, sample_weights=None, max_iter=None
     kernel = np.asarray(kernel, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = y.size
-    if sample_weights is None:
-        box = np.full(n, c_reg)
-    else:
-        box = c_reg * n * np.asarray(sample_weights, dtype=np.float64)
+    box = np.full(n, c_reg)
     if max_iter is None:
         max_iter = 100_000 + 200 * n
 

@@ -156,15 +156,31 @@ def test_early_stops_match_the_reference_trials_bit_for_bit(seed, kept, monkeypa
     y = -np.ones(n)
     y[seed % n] = 1.0
     if not kept:
+        # the single redraw held only the negative class, so no weak SVM was trained
         with pytest.raises(ValidationError) as package:
             boost_train(bank, y, 10, 10.0, seed)
-        with pytest.raises(ValidationError) as reference:
+        with pytest.raises(ValidationError, match="no boosting trial beat 0.5"):
             reference_boost_train(bank, y, 10, 10.0, seed)
-        assert str(package.value) == str(reference.value)
+        assert str(package.value) == ("no boosting trial beat 0.5 weighted error after 1 redraws, "
+                                      f"1 of which held one class and trained no SVM (n={n}, kernels={m})")
         return
     model = boost_train(bank, y, 10, 10.0, seed)
     assert len(model.trials) == kept
     assert same_bits(model, reference_boost_train(bank, y, 10, 10.0, seed))
+
+
+def test_a_run_with_no_kept_trial_counts_its_one_class_draws(monkeypatch):
+    # a constant kernel votes one way for every item, so each two-class draw errs
+    # on half the weight and is discarded like the draws of one class
+    monkeypatch.setattr(boost, "MAX_REDRAWS", 10)
+    y = np.array([1.0, 1.0, -1.0, -1.0])
+    rng = np.random.default_rng(1)   # no trial is kept: all ten are the first trial's draws
+    draws = [y[resample(np.full(4, 0.25), 4, rng)] for _ in range(10)]
+    assert sum(abs(d.sum()) == 4 for d in draws) == 2
+    with pytest.raises(ValidationError) as refused:
+        boost_train(np.ones((1, 4, 4)), y, 3, 10.0, 1)
+    assert str(refused.value) == ("no boosting trial beat 0.5 weighted error after 10 redraws, 2 of "
+                                  "which held one class and trained no SVM (n=4, kernels=1)")
 
 
 def test_identical_kernels_tie_to_the_first():

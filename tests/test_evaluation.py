@@ -19,7 +19,6 @@ from egoact.errors import ConfigError, ValidationError
 from egoact.evaluation import (
     EvalReport,
     ordered_map,
-    per_class_accuracy_stddev,
     random_split,
     run_experiment,
     run_repeat,
@@ -149,24 +148,30 @@ def test_report_echoes_its_features_in_block_order(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # report arithmetic
 
+def stddev_of(confusion):
+    """The per_class_stddev of a one-repeat report with this confusion."""
+    classes = [f"class{k}" for k in range(len(confusion))]
+    return EvalReport("single_kernel", "h_int", ["hof"], classes, SplitSection(repeats=1), [50.0],
+                      np.asarray(confusion, dtype=np.float64), RunConfig()).per_class_stddev
+
+
 def test_stddev_identity_confusion():
-    assert per_class_accuracy_stddev(100.0 * np.eye(4)) == 0.0
+    assert stddev_of(100.0 * np.eye(4)) == 0.0
 
 
 def test_stddev_two_class_closed_form():
-    confusion = np.array([[100.0, 0.0], [100.0, 0.0]])
-    assert per_class_accuracy_stddev(confusion) == pytest.approx(50.0)
+    assert stddev_of([[100.0, 0.0], [100.0, 0.0]]) == pytest.approx(50.0)
 
 
 def test_stddev_three_class_hand_computed():
-    confusion = np.diag([80.0, 90.0, 100.0])
-    assert per_class_accuracy_stddev(confusion) == pytest.approx(np.sqrt(200.0 / 3.0), abs=1e-10)
-    assert per_class_accuracy_stddev(confusion) == pytest.approx(8.1650, abs=1e-4)
+    confusion = [[80.0, 20.0, 0.0], [5.0, 90.0, 5.0], [0.0, 0.0, 100.0]]
+    assert stddev_of(confusion) == pytest.approx(np.sqrt(200.0 / 3.0), abs=1e-10)
+    assert stddev_of(confusion) == pytest.approx(8.1650, abs=1e-4)
 
 
 def test_stddev_rejects_non_square():
-    with pytest.raises(ValidationError):
-        per_class_accuracy_stddev(np.zeros((2, 3)))
+    with pytest.raises(ValidationError, match=r"confusion of shape \(2, 3\) for 2 classes"):
+        stddev_of([[50.0, 50.0, 0.0], [0.0, 50.0, 50.0]])
 
 
 # ---------------------------------------------------------------------------

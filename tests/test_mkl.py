@@ -4,9 +4,10 @@ import pytest
 from egoact import mkl
 from egoact.errors import ValidationError
 from egoact.kernels import GAUSSIAN, KernelSpec, combine, gram_matrix
-from egoact.config import MklSection
+from egoact.config import MklSection, RunConfig
 from egoact.mkl import MklModel, mkl_predict_many, simple_mkl_train
-from egoact.svm import SvmSection, decision_many, ova_predict_scores, ova_train, smo_train
+from egoact.modelio import fit
+from egoact.svm import SvmSection, decision_many, smo_train
 from oracles import (
     random_bank,
     reference_descent_direction,
@@ -174,20 +175,13 @@ def test_multiclass_single_kernel_mkl_equals_svm():
     centers = [np.zeros(2), np.array([4.0, 0.0]), np.array([0.0, 4.0])]
     points = np.vstack([c + 0.4 * rng.normal(size=(6, 2)) for c in centers])
     labels = np.repeat(np.arange(3), 6)
-    spec = KernelSpec(GAUSSIAN, sigma=2.0)
-    gram = gram_matrix(points, spec)
-    bank = gram[None]
-    params = MklSection()
-
-    ova_mkl = ova_train(labels, ["a", "b", "c"],
-                        lambda y_pm, k: simple_mkl_train(bank, y_pm, 10.0, params, svm_tol=1e-3))
-    ova_svm = ova_train(labels, ["a", "b", "c"],
-                        lambda y_pm, k: smo_train(gram, y_pm, 10.0, tol=1e-3))
-    rows = gram[None]
-    mkl_scores = np.stack([mkl_predict_many(m, rows) for m in ova_mkl], axis=1)
-    svm_scores = np.stack([decision_many(m, gram) for m in ova_svm], axis=1)
-    assert np.array_equal(mkl_scores, svm_scores)
-    assert np.array_equal(ova_predict_scores(mkl_scores), labels)
+    # one feature block, so simple_mkl's bank is single_kernel's one kernel
+    cfg = RunConfig().replace_section("kernels", kind=GAUSSIAN, gaussian_sigma=2.0)
+    mkl_model, svm_model = (fit(method, points, labels, ["a", "b", "c"], [("hof", 0, 2)], cfg, 0, ())
+                            for method in ("simple_mkl", "single_kernel"))
+    queries = np.vstack([points, points + 0.5])
+    assert np.array_equal(mkl_model.score_matrix(queries), svm_model.score_matrix(queries))
+    assert np.array_equal(mkl_model.predict(points), labels)
 
 
 def train_and_name_the_stop(bank, y, c_reg, params, monkeypatch):

@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
+from egoact.config import RunConfig
 from egoact.errors import ConvergenceError, ValidationError
-from egoact.kernels import H_INT, KernelSpec, gram_matrix, trace_normalize
-from egoact.svm import (
-    BinarySvmModel,
-    SvmSection,
-    decision_many,
-    ova_predict_scores,
-    ova_train,
-    smo_train,
-)
+from egoact.kernels import GAUSSIAN, H_INT, KernelSpec, gram_matrix, trace_normalize
+from egoact.modelio import TrainedModel, fit
+from egoact.svm import BinarySvmModel, SvmSection, decision_many, smo_train
 from oracles import (
     kkt_residuals,
     predict_labels,
@@ -303,38 +298,48 @@ def _gaussian_gram(a, b, sigma=1.0):
     return np.exp(-d2 / (2 * sigma * sigma))
 
 
+def _fit(points, labels, classes):
+    """A single_kernel one-vs-all model of the points under a unit-width Gaussian kernel."""
+    cfg = RunConfig().replace_section("kernels", kind=GAUSSIAN, gaussian_sigma=1.0)
+    return fit("single_kernel", points, labels, classes, [("hof", 0, 2)], cfg, 0, ())
+
+
 def test_ova_two_class_agrees_with_binary_sign():
     rng = np.random.default_rng(9)
     points, labels = _clusters(rng, [np.array([0.0, 0.0]), np.array([3.0, 0.0])])
+    model = _fit(points, labels, ["a", "b"])
+    predicted = model.predict(points)
+    assert np.array_equal(predicted, labels)
     gram = _gaussian_gram(points, points)
-    ova = ova_train(labels, ["a", "b"], lambda y_pm, k: smo_train(gram, y_pm, 10.0))
-    scores = np.stack([decision_many(m, gram) for m in ova], axis=1)
-    predicted = ova_predict_scores(scores)
     binary = smo_train(gram, np.where(labels == 0, 1.0, -1.0), 10.0)
-    signs = decision_many(binary, gram) >= 0
-    assert np.array_equal(predicted == 0, signs)
+    assert np.array_equal(predicted == 0, decision_many(binary, gram) >= 0)
 
 
 def test_ova_three_separated_clusters():
     rng = np.random.default_rng(10)
     centers = [np.array([0.0, 0.0]), np.array([5.0, 0.0]), np.array([0.0, 5.0])]
     points, labels = _clusters(rng, centers)
-    gram = _gaussian_gram(points, points)
-    ova = ova_train(labels, ["a", "b", "c"], lambda y_pm, k: smo_train(gram, y_pm, 10.0))
-    scores = np.stack([decision_many(m, gram) for m in ova], axis=1)
-    assert np.array_equal(ova_predict_scores(scores), labels)
+    model = _fit(points, labels, ["a", "b", "c"])
+    assert np.array_equal(model.predict(points), labels)
+    assert np.array_equal(model.predict(points + 0.1), labels)   # and points it did not train on
 
 
 def test_ova_tie_breaks_to_lowest_class():
-    scores = np.zeros((3, 4))
-    assert np.array_equal(ova_predict_scores(scores), np.zeros(3, dtype=np.int64))
+    # zero coefficients score every vector with the bias, the same for each class
+    tied = BinarySvmModel(np.zeros(2), bias=0.5, c_reg=10.0)
+    model = TrainedModel("single_kernel", ["a", "b", "c", "d"], [KernelSpec(GAUSSIAN, sigma=1.0)],
+                         [1.0], np.eye(2), [tied] * 4)
+    assert np.array_equal(model.predict(np.arange(6.0).reshape(3, 2)), np.zeros(3, dtype=np.int64))
 
 
 def test_ova_requires_every_class():
-    with pytest.raises(ValidationError):
-        ova_train(np.array([0, 0, 1, 1]), ["a", "b", "c"], lambda y, k: None)
-    with pytest.raises(ValidationError):
-        ova_train(np.array([0, 0]), ["a"], lambda y, k: None)
+    # class "c" has no item, and a lone class has no rest: either way one binary
+    # problem holds one class, which the binary label rule refuses
+    points = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [3.0, 1.0]])
+    with pytest.raises(ValidationError, match="training data must contain both classes"):
+        _fit(points, np.array([0, 0, 1, 1]), ["a", "b", "c"])
+    with pytest.raises(ValidationError, match="training data must contain both classes"):
+        _fit(points, np.zeros(4, dtype=np.int64), ["a"])
 
 
 @pytest.mark.parametrize("call, message", [
@@ -342,8 +347,6 @@ def test_ova_requires_every_class():
                  id="labels_2d"),
     pytest.param(lambda: smo_train(np.ones((2, 3)), np.array([1.0, -1.0]), 1.0),
                  "kernel matrix must be square, got (2, 3)", id="kernel_not_square"),
-    pytest.param(lambda: ova_predict_scores(np.zeros(3)), "scores must be (n_items, n_classes)",
-                 id="scores_1d"),
 ])
 def test_svm_refusals(call, message):
     with pytest.raises(ValidationError) as refused:
