@@ -4,8 +4,8 @@ Subcommands: synth, extract, codebook, encode, train, evaluate, inspect.
 Every stage checks its output paths before any work, writes outputs
 atomically, and is byte-identical across reruns with the same inputs and
 seed. A flag overrides its config field only when given. Exit codes:
-0 success, 1 validation or configuration error, 2 I/O or file-format
-error, 3 solver non-convergence.
+0 success, 1 validation or configuration error or an allocation that
+cannot be met, 2 I/O or file-format error, 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -330,6 +330,9 @@ def main(argv=None) -> int:
         return 3
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

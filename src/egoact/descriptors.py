@@ -69,6 +69,9 @@ def _hof_bins(flows, params: HofParams):
     """Histogram index and weight of each vector of ``(k, 2, H, W)`` flows, as (k, H, W) arrays."""
     s = params.grid_size
     _, _, h, w = flows.shape
+    if s > min(h, w):
+        raise ValidationError(f"hof grid of {s} cells per side needs frames of at least "
+                              f"{s}x{s} pixels, got {w}x{h}")
     u, v = flows[:, 0], flows[:, 1]
     mag = np.hypot(u, v)
     weights = np.where(mag >= params.min_magnitude, mag, 0.0)

@@ -20,7 +20,8 @@ chosen so that a block holds about ``BLOCK_PIXELS`` pixels and its
 working set stays in cache. One sweep updates the whole block: u and v
 live in one flat buffer holding every pair's grid, padded with a row and
 a column after each frame so that each pixel's neighbours sit at fixed
-offsets, and the sweep writes into buffers allocated once per block.
+offsets, and the sweep writes into buffers allocated once per video,
+sized for a full block and cleared at the start of each block.
 
 Each pixel's 2x2 solve is linear in its neighbour sums S_u and S_v, so
 its inverse is folded into coefficients computed once per block. With n
@@ -46,16 +47,16 @@ synthetic videos). Each sweep writes a pixel from its own coefficients,
 so ``sequence_flows`` refuses a coefficient that is not finite in float32
 as it refuses a sweep that overflows: by the non-finite flow it leaves.
 
-The sweep never clears the padding. There every coefficient is zero, so
-the sweep writes +0.0 or -0.0 into it. Each neighbour sum starts from
-two neighbours, where a one-pair-at-a-time sweep starts from +0.0 and
-skips the missing ones. That can change a sum only when every value it
-adds is -0.0, and then only in the sign of the resulting zero. The flows
-therefore equal those of the one-pair-at-a-time float32 sweep byte for
-byte, whatever the block size, except in the sign of such a zero. A
-non-finite neighbour sum turns a padding value into NaN (zero times
-infinity), which spreads, and ``sequence_flows`` refuses it with the
-other non-finite flow values.
+The sweep never clears the padding. There, as in the frames that a short
+last block leaves unused, every coefficient is zero, so the sweep writes
++0.0 or -0.0 into it. Each neighbour sum starts from two neighbours,
+where a one-pair-at-a-time sweep starts from +0.0 and skips the missing
+ones. That can change a sum only when every value it adds is -0.0, and
+then only in the sign of the resulting zero. The flows therefore equal
+those of the one-pair-at-a-time float32 sweep byte for byte, whatever the
+block size, except in the sign of such a zero. A non-finite neighbour sum
+turns a padding value into NaN (zero times infinity), which spreads, and
+``sequence_flows`` refuses it with the other non-finite flow values.
 
 Every buffer a sweep writes starts on a 64-byte boundary, and so do its u
 and v halves: each half is rounded up to a multiple of 16 float32 values
@@ -93,75 +94,12 @@ def _intensity_gradients(prev: np.ndarray, nxt: np.ndarray):
     return ix, iy, it
 
 
-def _neighbor_counts(shape) -> np.ndarray:
-    counts = np.full(shape, 4.0)
-    counts[0, :] -= 1.0
-    counts[-1, :] -= 1.0
-    counts[:, 0] -= 1.0
-    counts[:, -1] -= 1.0
-    return counts
-
-
 def _aligned(shape, dtype) -> np.ndarray:
     """A zeroed ``dtype`` array of ``shape`` that starts on a 64-byte boundary."""
     itemsize = np.dtype(dtype).itemsize
     raw = np.zeros(math.prod(shape) + 64 // itemsize - 1, dtype)
     start = -raw.ctypes.data % 64 // itemsize
     return raw[start : start + math.prod(shape)].reshape(shape)
-
-
-def _solve_block(prev: np.ndarray, nxt: np.ndarray, alpha, iterations: int) -> np.ndarray:
-    """Flows of the k frame pairs (prev[j], nxt[j]) as a float32 (k, 2, H, W) view of (u, v).
-
-    Every grid is stored flat with a padding row and column after each
-    frame, so a pixel's four neighbours are fixed offsets into one buffer and
-    each sweep step is a single contiguous array operation. The flows equal
-    ``tests/oracles.folded_flow32``, the same sweep one pair at a time, byte
-    for byte but for the sign of a zero.
-    """
-    k, h, w = prev.shape
-    row = w + 1
-    size = k * (h + 1) * row
-    stride = -(-size // 16) * 16    # u and v each start on a 64-byte boundary
-    lead = -(-row // 16) * 16       # zeros above u, at least one row
-
-    def padded(grid):
-        out = _aligned(grid.shape[:-3] + (stride,), np.float32)
-        out[..., :size].reshape(grid.shape[:-2] + (h + 1, row), copy=False)[..., :h, :w] = grid
-        return out
-
-    # overflow, 0/0 and inf/inf leave flow values that sequence_flows refuses
-    with np.errstate(all="ignore"):
-        ix, iy, it = _intensity_gradients(prev, nxt)
-        counts = _neighbor_counts((h, w))
-        smooth = alpha * alpha * counts
-        ixx, iyy = ix * ix, iy * iy
-        total = ixx + iyy + smooth
-        scale = counts * total
-        # gain[0] = gain_u goes with u's terms and gain[1] = gain_v with v's
-        gain = padded(np.stack([iyy + smooth, ixx + smooth]) / scale)
-        coupling = padded(ix * iy / scale)
-        offset = padded(np.stack([ix * it, iy * it]) / total)
-
-        # u then v, with zeros before and at least one row of zeros after
-        field = _aligned((lead + 2 * stride + row,), np.float32)
-        uv = field[lead : lead + 2 * stride].reshape(2, stride)
-        grid = uv[:, :size].reshape(2, k, h + 1, row, copy=False)
-        # below, above, right, left: the order in which the per-pair sweep adds them
-        neighbors = [field[lead + step : lead + step + 2 * stride] for step in (row, -row, 1, -1)]
-        sums = _aligned((2, stride), np.float32)
-        flat_sums = sums.reshape(-1)
-        scratch = _aligned((2, stride), np.float32)
-        for _ in range(iterations):
-            np.add(neighbors[0], neighbors[1], out=flat_sums)
-            flat_sums += neighbors[2]
-            flat_sums += neighbors[3]
-            # u = gain_u*S_u - coupling*S_v - offset_u and v = gain_v*S_v - coupling*S_u - offset_v
-            np.multiply(gain, sums, out=uv)
-            np.multiply(coupling, sums[::-1], out=scratch)
-            uv -= scratch
-            uv -= offset
-    return grid[..., :h, :w].swapaxes(0, 1)
 
 
 def sequence_flows(frames: np.ndarray, alpha: float = FlowSection.alpha,
@@ -171,7 +109,9 @@ def sequence_flows(frames: np.ndarray, alpha: float = FlowSection.alpha,
     Returns one ``(t - 1, 2, y, x)`` float64 array: ``[i, 0]`` is u and
     ``[i, 1]`` is v of the pair (frames[i], frames[i + 1]), solved in
     blocks of consecutive pairs. Deterministic: same inputs give
-    bit-identical output.
+    bit-identical output. The flows equal ``tests/oracles.folded_flow32``,
+    the same sweep one pair at a time, byte for byte but for the sign of a
+    zero.
     """
     frames = np.asarray(frames)
     if frames.ndim != 3 or frames.shape[0] < 2:
@@ -181,11 +121,58 @@ def sequence_flows(frames: np.ndarray, alpha: float = FlowSection.alpha,
     FlowSection(alpha, iterations)
     frames = frames.astype(np.float64)
     prev, nxt = frames[:-1], frames[1:]
-    block = max(1, BLOCK_PIXELS // (frames.shape[1] * frames.shape[2]))
-    flows = np.concatenate([
-        _solve_block(prev[start : start + block], nxt[start : start + block], alpha, iterations)
-        for start in range(0, len(prev), block)
-    ], dtype=np.float64)
+    pairs, h, w = prev.shape
+    block = min(pairs, max(1, BLOCK_PIXELS // (h * w)))
+    row = w + 1
+    size = block * (h + 1) * row
+    stride = -(-size // 16) * 16    # u and v each start on a 64-byte boundary
+    lead = -(-row // 16) * 16       # zeros above u, at least one row
+
+    # gain[0] = gain_u goes with u's terms and gain[1] = gain_v with v's
+    gain, offset, sums, scratch = (_aligned((2, stride), np.float32) for _ in range(4))
+    coupling = _aligned((stride,), np.float32)
+    # u then v, with zeros before and at least one row of zeros after
+    field = _aligned((lead + 2 * stride + row,), np.float32)
+    uv = field[lead : lead + 2 * stride].reshape(2, stride)
+    # below, above, right, left: the order in which the per-pair sweep adds them
+    neighbors = [field[lead + step : lead + step + 2 * stride] for step in (row, -row, 1, -1)]
+    flat_sums = sums.reshape(-1)
+    # each buffer's (..., block, h, w) pixels, a padding row and column after each frame
+    gain_px, offset_px, coupling_px, uv_px = (
+        buffer[..., :size].reshape(*buffer.shape[:-1], block, h + 1, row, copy=False)[..., :h, :w]
+        for buffer in (gain, offset, coupling, uv))
+
+    counts = np.full((h, w), 4.0)
+    counts[[0, -1], :] -= 1.0
+    counts[:, [0, -1]] -= 1.0
+    smooth = alpha * alpha * counts
+    flows = np.empty((pairs, 2, h, w))
+    # overflow, 0/0 and inf/inf leave flow values that are refused below
+    with np.errstate(all="ignore"):
+        for start in range(0, pairs, block):
+            k = min(block, pairs - start)
+            # a short last block leaves frames k.. with zero coefficients
+            for buffer in (gain, coupling, offset, field):
+                buffer.fill(0.0)
+            ix, iy, it = _intensity_gradients(prev[start : start + k], nxt[start : start + k])
+            ixx, iyy = ix * ix, iy * iy
+            total = ixx + iyy + smooth
+            scale = counts * total
+            np.divide(iyy + smooth, scale, out=gain_px[0, :k])
+            np.divide(ixx + smooth, scale, out=gain_px[1, :k])
+            np.divide(ix * iy, scale, out=coupling_px[:k])
+            np.divide(ix * it, total, out=offset_px[0, :k])
+            np.divide(iy * it, total, out=offset_px[1, :k])
+            for _ in range(iterations):
+                np.add(neighbors[0], neighbors[1], out=flat_sums)
+                flat_sums += neighbors[2]
+                flat_sums += neighbors[3]
+                # u = gain_u*S_u - coupling*S_v - offset_u and v = gain_v*S_v - coupling*S_u - offset_v
+                np.multiply(gain, sums, out=uv)
+                np.multiply(coupling, sums[::-1], out=scratch)
+                uv -= scratch
+                uv -= offset
+            flows[start : start + k] = uv_px[:, :k].swapaxes(0, 1)
     if not np.all(np.isfinite(flows)):
         raise ValidationError("flow values must be finite")
     return flows

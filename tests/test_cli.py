@@ -853,6 +853,26 @@ def test_dead_worker_exits_2_with_one_line(pipeline, tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=forking)])
+def test_allocation_that_cannot_be_met_exits_1_with_one_line(tmp_path, capsys, monkeypatch, cpus):
+    """numpy's MemoryError, raised inline or on a forked worker, is one error line."""
+    import egoact.synth as synth
+    from numpy._core._exceptions import _ArrayMemoryError
+
+    def refused_texture(rng, height, width):
+        # the texture of 100000x100000 frames with 56 pixels of margin; nothing is allocated
+        raise _ArrayMemoryError((100112, 100112), np.dtype(np.float64))
+
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(synth, "_make_texture", refused_texture)
+    out = tmp_path / "data"
+    assert main(["synth", "--config", write_config(tmp_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: out of memory: Unable to allocate 74.7 GiB for an array with shape "
+        "(100112, 100112) and data type float64"]
+    assert not (out / "manifest.json").exists()
+
+
 def test_unconverged_simple_mkl_is_noted_by_train_and_inspect(pipeline, tmp_path, capsys):
     """A class whose SimpleMKL solver stopped at mkl.max_outer gets one stderr note
     from train and converged=False on its inspect line."""
@@ -953,6 +973,18 @@ def test_extreme_cuboid_width_exits_1_with_one_line(pipeline, tmp_path, capsys, 
     assert main(["extract", "--config", cfg, "--data", str(pipeline["data"]), "--features", "cuboid",
                  "--out", str(out)]) == 1
     assert one_error_line(capsys.readouterr().err).startswith(shown)
+    assert not out.exists()
+
+
+def test_hof_grid_finer_than_the_frame_exits_1_with_one_line(pipeline, tmp_path, capsys):
+    """A grid with more cells per side than the 24x24 frames have pixels is refused."""
+    cfg = write_config(tmp_path, {"hof": {"grid_size": 25}})
+    out = tmp_path / "desc"
+    assert main(["extract", "--config", cfg, "--data", str(pipeline["data"]), "--features", "hof",
+                 "--out", str(out)]) == 1
+    assert one_error_line(capsys.readouterr().err) == (
+        "error: c00_v00: hof grid of 25 cells per side needs frames of at least 25x25 pixels, "
+        "got 24x24")
     assert not out.exists()
 
 

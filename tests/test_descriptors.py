@@ -100,6 +100,19 @@ def test_hof_window_layout():
         hof_from_flows(flows[:10], params)  # 11 frames < window_len
 
 
+def test_hof_grid_may_be_as_fine_as_the_shorter_side_and_no_finer():
+    """On 16-row, 20-column frames a 16-cell grid gives every cell one row; a
+    17-cell grid would leave cells that no pixel reaches."""
+    flows = random_flows(np.random.default_rng(3), count=3, shape=(16, 20))
+    hist = hof_window_histogram(flows, HofParams(grid_size=16, window_len=4, min_magnitude=0.0))
+    assert (hist.reshape(16 * 16, 8).sum(axis=1) > 0.0).all()
+    for call in (hof_window_histogram, hof_from_flows):
+        with pytest.raises(ValidationError) as refused:
+            call(flows, HofParams(grid_size=17, window_len=4))
+        assert str(refused.value) == ("hof grid of 17 cells per side needs frames of at least "
+                                      "17x17 pixels, got 20x16")
+
+
 # ---------------------------------------------------------------------------
 # kinematic features
 
