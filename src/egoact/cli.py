@@ -18,7 +18,7 @@ from pathlib import Path
 from . import bow, dataio, kernels
 from .config import RunConfig
 from .descriptors import FEATURES, check_features
-from .errors import ConfigError, ConvergenceError, FormatError, ValidationError, check_positive
+from .errors import ConvergenceError, FormatError, ValidationError, check_positive
 from .evaluation import EvalReport, extract_dataset_descriptors, run_experiment
 from .modelio import METHODS, TrainedModel, train_model, write_model
 from .synth import generate_synthetic_dataset
@@ -131,8 +131,6 @@ def cmd_encode(args) -> int:
     codebooks = {}
     for dtype in features:
         path = cb_dir / f"{dtype}.cbk"
-        if not path.exists():
-            raise ConfigError(f"missing codebook {path} for descriptor type {dtype!r}")
         codebooks[dtype] = dataio.read_codebook(path, descriptor_type=dtype)
         if codebooks[dtype].dim != dims[dtype]:
             raise FormatError(f"{path}: codebook of dimension {codebooks[dtype].dim} for "
@@ -165,7 +163,7 @@ def cmd_evaluate(args) -> int:
     report = run_experiment(manifest, args.data, cfg, args.method, kernel_kind=args.kernel,
                             features=features, repeats=args.repeats, base_seed=args.seed,
                             workers=args.workers, progress=_progress)
-    report.write(args.out)
+    dataio.write_json(args.out, report)
     if args.csv:
         report.write_confusion_csv(args.csv)
     print(f"{args.method}: mean accuracy {report.mean_accuracy:.2f}% "
@@ -249,28 +247,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     features_help = f"comma list from {','.join(FEATURES)}"
-
-    def add_common(p, config=True, seed=True, seed_field=None):
-        if config:
-            p.add_argument("--config", help="JSON run configuration")
-        if seed:
-            p.add_argument("--seed", type=int, default=None if seed_field else 0,
-                           help=f"deterministic seed (default {seed_field or 0})")
+    config_help = "JSON run configuration"
 
     p = sub.add_parser("synth", help="generate the synthetic dataset")
-    add_common(p, seed_field="synth.seed")
+    p.add_argument("--config", help=config_help)
+    p.add_argument("--seed", type=int, help="deterministic seed (default synth.seed)")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="extract descriptors for a dataset")
-    add_common(p, seed=False)
+    p.add_argument("--config", help=config_help)
     p.add_argument("--data", required=True, help="dataset directory with manifest.json")
     p.add_argument("--features", help=features_help)
     p.add_argument("--out", required=True, help="output descriptor directory")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("codebook", help="train one k-means codebook")
-    add_common(p, config=False)
+    p.add_argument("--seed", type=int, default=0, help="deterministic seed (default 0)")
     p.add_argument("--descriptors", required=True, help="directory from `extract`")
     p.add_argument("--type", required=True, choices=FEATURES)
     p.add_argument("--words", type=int, default=bow.BowSection.words, help="word count (default %(default)s)")
@@ -284,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("train", help="train a model on all listed videos")
-    add_common(p)
+    p.add_argument("--config", help=config_help)
+    p.add_argument("--seed", type=int, default=0, help="deterministic seed (default 0)")
     p.add_argument("--manifest", required=True)
     p.add_argument("--histograms", required=True)
     p.add_argument("--method", required=True, type=_method, choices=METHOD_CHOICES)
@@ -293,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="run the repeated-split evaluation protocol")
-    add_common(p, seed_field="split.base_seed")
+    p.add_argument("--config", help=config_help)
+    p.add_argument("--seed", type=int, help="deterministic seed (default split.base_seed)")
     p.add_argument("--data", required=True, help="dataset directory with manifest.json")
     p.add_argument("--method", required=True, type=_method, choices=METHOD_CHOICES)
     p.add_argument("--kernel", choices=kernels.KERNEL_KINDS)

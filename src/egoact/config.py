@@ -1,11 +1,12 @@
 """One flat run configuration assembling every stage's parameter record.
 
 Each stage declares its record, defaults and ranges beside the code that
-reads it; the split's record lives here, as its reader ``evaluation``
-imports this module. Loaded from a JSON document with a ``format_version``
-field; unknown keys anywhere in the document are rejected. Every field has
-a default, so an empty config (or none at all) runs the full pipeline with
-the documented defaults. CLI flags override the matching fields after loading.
+reads it; the split's and the synthetic dataset's records live here, as
+their readers ``evaluation`` and ``synth`` import this module. Loaded from
+a JSON document with a ``format_version`` field; unknown keys anywhere in
+the document are rejected. Every field has a default, so an empty config
+(or none at all) runs the full pipeline with the documented defaults. CLI
+flags override the matching fields after loading.
 """
 
 from __future__ import annotations
@@ -21,7 +22,19 @@ from .flow import FlowSection
 from .kernels import KernelsSection
 from .mkl import MklSection
 from .svm import SvmSection
-from .synth import SynthConfig
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    class_count: int = param(4, least=2)
+    videos_per_class: int = param(12, least=4)
+    width: int = param(32, least=8)
+    height: int = param(32, least=8)
+    frame_count: int = param(24, least=2)
+    noise_sigma: float = param(2.0, least=0)
+    seed: int = param(0, least=0)
+
+    __post_init__ = check_params
 
 
 @dataclass(frozen=True)

@@ -527,10 +527,6 @@ def read_codebook(path, descriptor_type: str = "") -> Codebook:
 # ---------------------------------------------------------------------------
 # JSON artifacts
 
-def write_manifest(manifest: DatasetManifest, path) -> None:
-    write_json(path, manifest)
-
-
 def read_manifest(path) -> DatasetManifest:
     return decode_json(path, read_json(path), "manifest", partial(from_doc, cls=DatasetManifest))
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import bow
 from .config import RunConfig, SplitSection
 from .dataio import (DatasetManifest, atomic_write_bytes, check_classes, check_fields, decoded,
-                     json_numbers, json_str, read_frame_sequence, to_doc, write_json)
+                     json_numbers, json_str, read_frame_sequence, to_doc)
 from .descriptors import check_features, cuboid_descriptors, hof_from_flows, logc_from_flows
 from .errors import PipelineError, ValidationError
 from .flow import sequence_flows
@@ -248,9 +248,6 @@ class EvalReport:
         self.per_class_stddev = float(np.std(np.diag(confusion)))   # population, over classes
 
     to_dict = to_doc
-
-    def write(self, path):
-        write_json(path, self)
 
     def write_confusion_csv(self, path):
         text = io.StringIO()

@@ -30,14 +30,14 @@ seed writes byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import DatasetManifest, FrameSequence, VideoEntry, write_frame_sequence, write_manifest
+from .config import SynthConfig
+from .dataio import DatasetManifest, FrameSequence, VideoEntry, write_frame_sequence, write_json
 from .descriptors import gaussian_smooth
-from .errors import check_params, param
+from .evaluation import ordered_map
 
 PAN_SPEED = 2.0          # px/frame
 BOB_AMPLITUDE = 3.0      # px
@@ -66,19 +66,6 @@ CLASS_SIGNATURES = (
     ("pan_left", "jump"),
     ("bob", "none"),
 )
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    class_count: int = param(4, least=2)
-    videos_per_class: int = param(12, least=4)
-    width: int = param(32, least=8)
-    height: int = param(32, least=8)
-    frame_count: int = param(24, least=2)
-    noise_sigma: float = param(2.0, least=0)
-    seed: int = param(0, least=0)
-
-    __post_init__ = check_params
 
 
 def class_signature(class_index: int):
@@ -183,8 +170,6 @@ def generate_synthetic_dataset(cfg: SynthConfig, out_dir) -> DatasetManifest:
     to the usable CPUs; each seeds itself and writes its own file, so the files are
     the same for any worker count. An old manifest in ``out_dir`` is removed first
     and the new one written once every video is, so a failed run leaves none."""
-    from .evaluation import ordered_map   # evaluation imports config, which imports synth
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").unlink(missing_ok=True)
@@ -199,5 +184,5 @@ def generate_synthetic_dataset(cfg: SynthConfig, out_dir) -> DatasetManifest:
 
     count = cfg.class_count * cfg.videos_per_class
     manifest = DatasetManifest(classes, ordered_map(render, range(count), count))
-    write_manifest(manifest, out_dir / "manifest.json")
+    write_json(out_dir / "manifest.json", manifest)
     return manifest

@@ -12,8 +12,8 @@ from conftest import forking
 from egoact import evaluation
 from egoact.cli import main
 from egoact.config import RunConfig
-from egoact.dataio import (read_codebook, write_descriptor_set, write_json, write_manifest,
-                           DatasetManifest, DescriptorSet, VideoEntry)
+from egoact.dataio import (read_codebook, write_descriptor_set, write_json, DatasetManifest,
+                           DescriptorSet, VideoEntry)
 
 SMALL_SYNTH = {
     "synth": {"class_count": 2, "videos_per_class": 4, "width": 24, "height": 24,
@@ -218,6 +218,7 @@ def test_encode_rejects_a_codebook_of_the_wrong_dimension(pipeline, tmp_path, ca
 
 @pytest.mark.parametrize("missing", ["hof", "cuboid"])
 def test_encode_rejects_a_missing_codebook(pipeline, tmp_path, capsys, missing):
+    """A missing codebook is an I/O error, exit 2, like every other missing input."""
     cb = tmp_path / "cb"
     cb.mkdir()
     for dtype in ("hof", "logc", "cuboid"):
@@ -225,9 +226,9 @@ def test_encode_rejects_a_missing_codebook(pipeline, tmp_path, capsys, missing):
             (cb / f"{dtype}.cbk").write_bytes((pipeline["cb"] / f"{dtype}.cbk").read_bytes())
     out = tmp_path / "hists.json"
     assert main(["encode", "--descriptors", str(pipeline["desc"]), "--codebooks", str(cb),
-                 "--out", str(out)]) == 1
+                 "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: missing codebook {cb / f'{missing}.cbk'} for descriptor type {missing!r}"]
+        f"error: [Errno 2] No such file or directory: '{cb / f'{missing}.cbk'}'"]
     assert not out.exists()
 
 
@@ -267,7 +268,7 @@ def test_train_single_class_manifest_exits_1(pipeline, tmp_path, capsys):
         [VideoEntry(f"c00_v{v:02d}", 0, f"c00_v{v:02d}.fsq") for v in range(4)],
     )
     path = tmp_path / "single.json"
-    write_manifest(manifest, path)
+    write_json(path, manifest)
     code = main(["train", "--config", pipeline["cfg"], "--manifest", str(path),
                  "--histograms", str(pipeline["hists"]), "--method", "single_kernel",
                  "--kernel", "h_int", "--seed", "0", "--out", str(tmp_path / "m.json")])

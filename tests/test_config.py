@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -158,6 +159,17 @@ def test_stage_modules_do_not_import_config(module):
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout == "False\n"
+
+
+def test_every_intra_package_import_is_at_module_level():
+    # an import inside a function or class body is how an import cycle hides;
+    # the package has none, so each module imports what it calls at its top
+    nested = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "egoact").glob("*.py")):
+        nested |= {f"{path.name}:{node.lineno}" for scope in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   for node in ast.walk(scope) if isinstance(node, ast.ImportFrom) and node.level}
+    assert sorted(nested) == []
 
 
 @pytest.mark.parametrize("doc", [

@@ -141,7 +141,7 @@ def _manifest():
 def test_manifest_round_trip(tmp_path):
     manifest = _manifest()
     path = tmp_path / "manifest.json"
-    dataio.write_manifest(manifest, path)
+    dataio.write_json(path, manifest)
     assert dataio.read_manifest(path) == manifest
 
 

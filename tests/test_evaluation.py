@@ -14,7 +14,7 @@ import pytest
 from egoact import descriptors, evaluation
 from egoact.cli import main
 from egoact.config import RunConfig, SplitSection
-from egoact.dataio import DatasetManifest, DescriptorSet, VideoEntry, from_doc, to_doc
+from egoact.dataio import DatasetManifest, DescriptorSet, VideoEntry, from_doc, to_doc, write_json
 from egoact.errors import ConfigError, ValidationError
 from egoact.evaluation import (
     EvalReport,
@@ -134,7 +134,7 @@ def test_report_echoes_its_features_in_block_order(tmp_path, capsys):
     report = run_experiment(manifest, tmp_path, RunConfig.from_dict(doc), "single_kernel",
                             descriptor_cache=cache)
     path = tmp_path / "report.json"
-    report.write(path)
+    write_json(path, report)
     written = json.loads(path.read_text())
     assert written["config"]["features"] == written["features"] == ["hof", "cuboid"]
     assert main(["inspect", str(path)]) == 0

@@ -10,7 +10,7 @@ import numpy as np
 from egoact.cli import main
 from egoact.config import RunConfig
 from egoact.dataio import (DatasetManifest, DescriptorSet, VideoEntry, VideoHistogram, write_histograms,
-                           write_json, write_manifest)
+                           write_json)
 from egoact.evaluation import run_experiment
 from egoact.modelio import train_model, write_model
 
@@ -127,14 +127,14 @@ def test_every_json_document_keeps_its_key_order_and_value_types(tmp_path):
              for v in manifest.videos}
     report = run_experiment(manifest, tmp_path, cfg, "single_kernel", features=("hof",),
                             descriptor_cache=cache)
-    doc = written(tmp_path, lambda r, path: r.write(path), report)
+    doc = written(tmp_path, lambda r, path: write_json(path, r), report)
     check_layout(doc, REPORT, "report")
     assert doc["kind"] == "eval_report"
     assert doc["config"] == json.loads(json.dumps(cfg.to_dict()))
     check_layout(json.loads(json.dumps(RunConfig().to_dict())),
                  {**CONFIG, "svm": {"c_reg": float, "tol": float}}, "default config")
 
-    doc = written(tmp_path, write_manifest, manifest)
+    doc = written(tmp_path, lambda m, path: write_json(path, m), manifest)
     check_layout(doc, MANIFEST, "manifest")
     assert doc["kind"] == "dataset_manifest"
 

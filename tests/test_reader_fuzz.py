@@ -50,13 +50,14 @@ def artifacts(tmp_path_factory):
                                 root / "v.fsq")
     dataio.write_descriptor_set(dataio.DescriptorSet("hof", 3, rng.random((4, 3))), root / "v.dsc")
     dataio.write_codebook(dataio.Codebook("hof", rng.random((2, 3))), root / "v.cbk")
-    dataio.write_manifest(manifest, root / "manifest.json")
+    dataio.write_json(root / "manifest.json", manifest)
     dataio.write_histograms(hists, root / "histograms.json")
     cfg = RunConfig(features=("hof", "cuboid"))
     for method in ("single_kernel", "simple_mkl", "boost_mkl"):
         write_model(train_model(manifest, hists, cfg, method, seed=0), root / f"{method}.json")
-    EvalReport("simple_mkl", "h_int", ["hof"], ["left", "right"], SplitSection(repeats=2),
-               [75.0, 50.0], [[75.0, 25.0], [50.0, 50.0]], RunConfig()).write(root / "report.json")
+    dataio.write_json(root / "report.json", EvalReport(
+        "simple_mkl", "h_int", ["hof"], ["left", "right"], SplitSection(repeats=2),
+        [75.0, 50.0], [[75.0, 25.0], [50.0, 50.0]], RunConfig()))
     dataio.write_json(root / "descriptors.json", {
         "kind": "descriptors", "dims": {"hof": 3},
         "videos": {"c0v0": {"hof": "v.dsc"}, "c0v1": {"hof": "v.dsc"}},
