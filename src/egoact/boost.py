@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import decoded, from_doc, json_numbers, json_records, to_doc
+from .dataio import decoded, from_doc, json_numbers, json_records
 from .errors import ValidationError, check_params, param
 from .kernels import check_bank
 from .svm import BinarySvmModel, SvmSection, check_binary_labels, decision_many, smo_train
@@ -78,8 +78,6 @@ class BoostedModel:
     def __post_init__(self):
         if not self.trials:
             raise ValidationError("a boosted model needs at least one kept trial")
-
-    to_dict = to_doc
 
 
 def _weak_votes(svm: BinarySvmModel, rows: np.ndarray) -> np.ndarray:

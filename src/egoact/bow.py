@@ -9,16 +9,15 @@ call (kernel k-means with a linear kernel; Dhillon, Guan & Kulis, KDD
 2004). Each centroid is held as a row w of point weights, so p.c is an
 entry of wG and |c|^2 = wGw. A pool has a few hundred rows of up to 6,171
 dims, and G is n x n float64: 0.65 MB for the 285-row quickstart cuboid
-pool, 20.6 MB for 1,605 rows. On 16 words and the 6,171-dim test pools of
-``tests/test_bow.py``, k-means fell from 62-90 ms to 15-22 ms at 285 rows
-and from 0.94-1.69 s to 0.34-0.56 s at 1,605 rows (2-vCPU VM, one BLAS
-thread). G grows as n^2, so a pool of 20,000 rows would need 3.2 GB for
-it. Each final centroid is the mean of its cluster's points, or the
-reseeded point, so a codebook keeps its bytes wherever the assignments
-agree with k-means on the points themselves. Where two distances tie
-exactly, as between repeated rows, G can break the tie the other way.
-The quantizer measures queries against the centroids themselves, with
-the squared norms each ``Codebook`` computes once.
+pool, 20.6 MB for 1,605 rows. A pass then costs k n^2, not k n d, less
+whenever a pool has fewer rows than dims. G grows as n^2, so a pool of
+20,000 rows would need 3.2 GB for it. Each final centroid is the mean of
+its cluster's points, or the reseeded point, so a codebook keeps its
+bytes wherever the assignments agree with k-means on the points
+themselves. Where two distances tie exactly, as between repeated rows, G
+can break the tie the other way. The quantizer measures queries against
+the centroids themselves, with the squared norms each ``Codebook``
+computes once.
 """
 
 from __future__ import annotations

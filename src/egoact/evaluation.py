@@ -175,7 +175,8 @@ def extract_dataset_descriptors(manifest: DatasetManifest, data_dir, features,
 
 def run_repeat(manifest: DatasetManifest, descriptor_cache, cfg: RunConfig, method: str,
                repeat_index: int):
-    """One split-train-predict cycle of a resolved config; returns (accuracy, confusion counts)."""
+    """One split-train-predict cycle of a resolved config; returns its (K, K) int64
+    confusion counts, true class by row."""
     split, features = cfg.split, cfg.features
     train_ids, test_ids = random_split(manifest, split, repeat_index)
     label_of = {v.video_id: v.class_index for v in manifest.videos}
@@ -195,14 +196,12 @@ def run_repeat(manifest: DatasetManifest, descriptor_cache, cfg: RunConfig, meth
     test_x = np.stack([h.concat() for h in histograms(test_ids)])
     y_train = np.array([label_of[vid] for vid in train_ids])
     y_test = np.array([label_of[vid] for vid in test_ids])
-    classes = manifest.classes
 
-    model = fit(method, train_x, y_train, classes, layout, cfg, split.base_seed, (repeat_index, 2))
-    predicted = model.predict(test_x)
-    confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    np.add.at(confusion, (y_test, predicted), 1)
-    accuracy = float(np.mean(predicted == y_test))
-    return accuracy, confusion
+    model = fit(method, train_x, y_train, manifest.classes, layout, cfg, split.base_seed,
+                (repeat_index, 2))
+    confusion = np.zeros((len(manifest.classes),) * 2, dtype=np.int64)
+    np.add.at(confusion, (y_test, model.predict(test_x)), 1)
+    return confusion
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +288,7 @@ def run_experiment(manifest: DatasetManifest, data_dir, cfg: RunConfig, method: 
             raise
 
     results = ordered_map(one, range(cfg.split.repeats), workers, progress)
-    counts = np.sum([conf for _, conf in results], axis=0).astype(np.float64)
+    counts = np.sum(results, axis=0).astype(np.float64)
     return EvalReport(method, cfg.kernels.kind, list(cfg.features), list(manifest.classes), cfg.split,
-                      [acc * 100.0 for acc, _ in results],
+                      [np.trace(c) / c.sum() * 100.0 for c in results],
                       counts / np.maximum(counts.sum(axis=1, keepdims=True), 1.0) * 100.0, echo)

@@ -9,7 +9,8 @@ against the rest. ``TrainedModel.predict`` takes each vector's top-scoring class
 The model file inlines everything prediction needs: kernel specs with
 materialized parameters, per-kernel trace scales, the training histogram
 vectors, and one binary payload per class (plain SVM, MKL, or boosted).
-Reading a model scores its first training vector once: that is its size check.
+Building a model, by ``fit`` or by reading it, scores its first training vector
+once: that is its size check.
 """
 
 from __future__ import annotations
@@ -89,7 +90,9 @@ def method_entry(name: str, kind: str | None = None) -> Method:
 
 @dataclass(slots=True, eq=False)
 class TrainedModel:
-    """A full multiclass model plus the data needed to score new vectors."""
+    """A full multiclass model plus the data needed to score new vectors. Building one raises a
+    ValidationError on parts that disagree in size, a scale not above 0, a class list that
+    ``check_classes`` refuses, a kernel kind its method does not take, or a non-finite score."""
 
     kind: str = field(default="model", init=False)
     method: str = decoded(json_str)
@@ -98,6 +101,23 @@ class TrainedModel:
     scales: list = decoded(json_numbers)
     train_vectors: np.ndarray = decoded(json_numbers, ndim=2)
     binary_models: list = decoded(json_records, cls=None)   # cls: the method's codec, from from_dict
+
+    def __post_init__(self):
+        vectors = self.train_vectors
+        if not len(vectors) or not self.specs:
+            raise ValidationError("model needs a nonempty (count, dim) train_vectors and kernel specs")
+        if len(self.scales) != len(self.specs):
+            raise ValidationError(f"model has {len(self.scales)} scales for {len(self.specs)} kernels")
+        if min(self.scales) <= 0.0:
+            raise ValidationError(f"kernel scales must be above 0, got {to_doc(self.scales)}")
+        check_classes(self.classes)
+        for spec in self.specs:
+            method_entry(self.method, spec.kind)
+        if len(self.binary_models) != len(self.classes):
+            raise ValidationError(f"model has {len(self.binary_models)} binary models "
+                                  f"for {len(self.classes)} classes")
+        if not np.isfinite(self.score_matrix(vectors[:1])).all():   # scoring makes the size checks
+            raise ValidationError("model gives its first training vector a score that is not finite")
 
     def score_matrix(self, vectors) -> np.ndarray:
         rows = np.stack([kernels.kernel_rows(spec, vectors, self.train_vectors) * scale
@@ -109,32 +129,12 @@ class TrainedModel:
         """The top-scoring class of each vector; a tie goes to the lowest class index."""
         return np.argmax(self.score_matrix(vectors), axis=1)
 
-    to_dict = to_doc
-
     @staticmethod
     def from_dict(doc: dict) -> "TrainedModel":
-        """Decode a model document; another kind, an unknown field, a NaN or an
-        infinity, parts that disagree in size, a scale not above 0, a class list that
-        ``check_classes`` refuses, a kernel kind its method does not take, or a kernel
-        spec that cannot score the training vectors finitely raise one of ``MALFORMED``."""
-        model = from_doc(doc, TrainedModel, binary_models=lambda value: json_records(
+        """Decode a model document, its payloads by the codec its ``method`` names; another
+        kind, an unknown field, a NaN, an infinity or a broken rule raises one of ``MALFORMED``."""
+        return from_doc(doc, TrainedModel, binary_models=lambda value: json_records(
             value, method_entry(doc["method"]).codec))
-        vectors = model.train_vectors
-        if not len(vectors) or not model.specs:
-            raise ValueError("model needs a nonempty (count, dim) train_vectors and kernel specs")
-        if len(model.scales) != len(model.specs):
-            raise ValueError(f"model has {len(model.scales)} scales for {len(model.specs)} kernels")
-        if min(model.scales) <= 0.0:
-            raise ValueError(f"kernel scales must be above 0, got {to_doc(model.scales)}")
-        check_classes(model.classes)
-        for spec in model.specs:
-            method_entry(model.method, spec.kind)
-        if len(model.binary_models) != len(model.classes):
-            raise ValueError(f"model has {len(model.binary_models)} binary models "
-                             f"for {len(model.classes)} classes")
-        if not np.isfinite(model.score_matrix(vectors[:1])).all():   # scoring makes the size checks
-            raise ValueError("model gives its first training vector a score that is not finite")
-        return model
 
 
 def write_model(model: TrainedModel, path) -> None:

@@ -10,6 +10,7 @@ from egoact.boost import (
     resample,
     reweight_probabilities,
 )
+from egoact.dataio import to_doc
 from egoact.errors import ConfigError, ValidationError
 from egoact.kernels import GAUSSIAN, H_INT, KernelSpec, gram_matrix
 from egoact.mkl import simple_mkl_train
@@ -132,9 +133,9 @@ def test_boost_train_is_bit_deterministic():
     bank, y = separable_bank(seed=13)
     a = boost_train(bank, y, trials=4, c_reg=10.0, seed=99)
     b = boost_train(bank, y, trials=4, c_reg=10.0, seed=99)
-    assert a.to_dict() == b.to_dict()
+    assert to_doc(a) == to_doc(b)
     c = boost_train(bank, y, trials=4, c_reg=10.0, seed=100)
-    assert c.to_dict() != a.to_dict()
+    assert to_doc(c) != to_doc(a)
 
 
 @pytest.mark.parametrize("seed", range(16))

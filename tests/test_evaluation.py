@@ -105,7 +105,7 @@ def test_experiment_resolves_its_overrides_into_one_config(tmp_path, monkeypatch
 
     def recording_repeat(manifest, cache, cfg, method, repeat_index):
         seen.append(cfg)
-        return 1.0, np.eye(4, dtype=np.int64)
+        return np.eye(4, dtype=np.int64)
 
     monkeypatch.setattr(evaluation, "run_repeat", recording_repeat)
     manifest = toy_manifest()
@@ -196,10 +196,31 @@ def test_single_repeat_equals_manual_run(tmp_path):
                             features=("hof",), repeats=1, base_seed=5,
                             descriptor_cache=cache)
     resolved = cfg.replace_section("split", repeats=1, base_seed=5)
-    accuracy, confusion = run_repeat(manifest, cache, resolved, "single_kernel", 0)
-    assert report.per_repeat_accuracy == [accuracy * 100.0]
+    confusion = run_repeat(manifest, cache, resolved, "single_kernel", 0)
+    assert report.per_repeat_accuracy == [np.trace(confusion) / confusion.sum() * 100.0]
     row_pct = confusion / confusion.sum(axis=1, keepdims=True) * 100.0
     assert np.allclose(report.confusion, row_pct)
+
+
+def test_a_repeat_returns_its_confusion_counts(tmp_path, monkeypatch):
+    """Each class's row of a repeat's counts holds its test videos, and the report
+    takes repeat r's accuracy as the counts' trace over their total."""
+    manifest = toy_manifest()
+    cache = noisy_descriptor_cache(manifest)
+    cfg = small_config()
+    counts = run_repeat(manifest, cache, cfg, "single_kernel", 0)
+    assert counts.dtype == np.int64 and counts.shape == (4, 4)
+    assert counts.sum(axis=1).tolist() == [cfg.split.test_n] * 4
+    seen = []
+
+    def recording_repeat(*args):
+        seen.append(run_repeat(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(evaluation, "run_repeat", recording_repeat)
+    report = run_experiment(manifest, tmp_path, cfg, "single_kernel", descriptor_cache=cache)
+    assert report.per_repeat_accuracy == [np.trace(c) / c.sum() * 100.0 for c in seen]
+    assert len(seen) == cfg.split.repeats and report.mean_accuracy < 100.0
 
 
 def test_full_determinism_and_worker_independence(tmp_path):
@@ -439,16 +460,16 @@ def test_workers_see_closures_and_patched_module_attributes(tmp_path, monkeypatc
     parent = os.getpid()
 
     def patched_repeat(manifest, cache, cfg, method, repeat_index):
-        confusion = np.zeros((4, 4), dtype=np.int64)
-        confusion[repeat_index % 4, repeat_index % 4] = 1
-        return (0.5 if os.getpid() != parent else 0.0), confusion
+        confusion = np.zeros((4, 4), dtype=np.int64)   # one right count in a worker, one wrong here
+        confusion[repeat_index % 4, (repeat_index + (os.getpid() == parent)) % 4] = 1
+        return confusion
 
     monkeypatch.setattr(evaluation, "run_repeat", patched_repeat)
     manifest = toy_manifest()
     report = run_experiment(manifest, tmp_path, small_config(), "single_kernel", kernel_kind="h_int",
                             features=("hof",), repeats=4, workers=2,
                             descriptor_cache=constant_descriptor_cache(manifest))
-    assert report.per_repeat_accuracy == [50.0] * 4
+    assert report.per_repeat_accuracy == [100.0] * 4
 
 
 @forking
@@ -467,7 +488,7 @@ def test_processes_raise_the_first_failure_with_message_and_notes(tmp_path, monk
     def failing_repeat(*args):
         repeat_index = args[-1]
         if repeat_index == 0:
-            return 1.0, np.eye(4, dtype=np.int64)
+            return np.eye(4, dtype=np.int64)
         if repeat_index == 1:
             raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
         raise ValidationError("too few descriptors")

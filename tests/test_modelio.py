@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from egoact import bow, kernels
 from egoact.boost import boost_predict_many
 from egoact.config import RunConfig
-from egoact.dataio import DatasetManifest, VideoEntry, VideoHistogram, write_json
+from egoact.dataio import DatasetManifest, VideoEntry, VideoHistogram, to_doc, write_json
 from egoact.errors import ConfigError, FormatError, ValidationError
 from egoact.evaluation import extract_dataset_descriptors
 from egoact.modelio import TrainedModel, read_model, train_model, write_model
@@ -159,7 +160,7 @@ def model_docs():
     """One trained model document per payload kind over the 12-vector toy set."""
     manifest, hists = toy_histogram_dataset()
     cfg = RunConfig(features=("hof", "cuboid"))
-    return {method: train_model(manifest, hists, cfg, method, seed=1).to_dict()
+    return {method: to_doc(train_model(manifest, hists, cfg, method, seed=1))
             for method in ("single_kernel", "simple_mkl", "boost_mkl")}
 
 
@@ -233,6 +234,18 @@ def test_short_trial_message_names_both_sizes(tmp_path, model_docs):
 def test_non_finite_model_field_names_the_number(tmp_path, model_docs, defect):
     message = _load_defective(tmp_path, model_docs, defect)
     assert "expected a finite number, got " in message
+
+
+def test_a_model_whose_parts_disagree_cannot_be_built():
+    """A trained model keeps the rules a model file is read by: one scale per
+    kernel and one binary model per class."""
+    manifest, hists = toy_histogram_dataset(classes=4)
+    hists = [VideoHistogram(h.video_id, [*h.blocks, ("logc", np.full(2, 0.5))]) for h in hists]
+    model = train_model(manifest, hists, RunConfig(), "simple_mkl", seed=1)
+    with pytest.raises(ValidationError, match=r"^model has 2 scales for 3 kernels$"):
+        replace(model, scales=model.scales[:2])
+    with pytest.raises(ValidationError, match=r"^model has 3 binary models for 4 classes$"):
+        replace(model, binary_models=model.binary_models[:3])
 
 
 @pytest.fixture(scope="module")
