@@ -188,19 +188,16 @@ def run_repeat(manifest: DatasetManifest, descriptor_cache, cfg: RunConfig, meth
         seed = np.random.SeedSequence(entropy=split.base_seed, spawn_key=(repeat_index, 1, fi))
         codebooks[feature] = bow.kmeans(pooled, words, seed, max_iters=cfg.bow.max_iters)
 
-    def histograms(ids):
-        return [bow.encode_video(vid, {f: descriptor_cache[vid][f] for f in features}, codebooks)
-                for vid in ids]
+    ids, n = train_ids + test_ids, len(train_ids)
+    x, layout = stack_histograms(
+        [bow.encode_video(vid, {f: descriptor_cache[vid][f] for f in features}, codebooks)
+         for vid in ids])
+    y = np.array([label_of[vid] for vid in ids])
 
-    train_x, layout = stack_histograms(histograms(train_ids))
-    test_x = np.stack([h.concat() for h in histograms(test_ids)])
-    y_train = np.array([label_of[vid] for vid in train_ids])
-    y_test = np.array([label_of[vid] for vid in test_ids])
-
-    model = fit(method, train_x, y_train, manifest.classes, layout, cfg, split.base_seed,
+    model = fit(method, x[:n], y[:n], manifest.classes, layout, cfg, split.base_seed,
                 (repeat_index, 2))
     confusion = np.zeros((len(manifest.classes),) * 2, dtype=np.int64)
-    np.add.at(confusion, (y_test, model.predict(test_x)), 1)
+    np.add.at(confusion, (y[n:], model.predict(x[n:])), 1)
     return confusion
 
 

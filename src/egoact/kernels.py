@@ -109,7 +109,8 @@ def _kernel_block(spec: KernelSpec, queries: np.ndarray, references: np.ndarray)
     """(n, m) kernel values between two (count, dim) float64 arrays, in one
     array pass; the block view, sign and channel checks run once."""
     if queries.ndim != 2 or references.ndim != 2 or queries.shape[1] != references.shape[1]:
-        raise ValidationError(f"vector shapes differ: {queries.shape[1:]} vs {references.shape[1:]}")
+        raise ValidationError("kernel rows need two (count, dim) arrays of one dim, "
+                              f"got {queries.shape} and {references.shape}")
     q = _view(spec, queries)
     r = _view(spec, references)
 
@@ -146,10 +147,9 @@ def gram_matrix(vectors, spec: KernelSpec) -> np.ndarray:
 
 
 def kernel_rows(spec: KernelSpec, queries, references) -> np.ndarray:
-    """(n_queries, n_references) kernel values; used for test-time scoring."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    references = np.atleast_2d(np.asarray(references, dtype=np.float64))
-    return _kernel_block(spec, queries, references)
+    """(n_queries, n_references) kernel values of two (count, dim) arrays, for test-time scoring."""
+    return _kernel_block(spec, np.asarray(queries, dtype=np.float64),
+                         np.asarray(references, dtype=np.float64))
 
 
 def check_simplex(weights, count: int) -> np.ndarray:

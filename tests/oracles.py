@@ -39,7 +39,10 @@ its ``converged`` flag, ``accepted`` pair and the
 ``reference_weight_gradient`` and ``reference_descent_direction`` helpers,
 and boosting with its ``(error, m)`` candidate tuples. Both run the
 package's SMO on ``random_bank`` problems; the trainers must match them bit
-for bit (``same_bits``), at every stop. ``reference_kmeans`` is the k-means
+for bit (``same_bits``), at every stop. ``reference_repeat`` is the
+repeat the package ran before it encoded a split into one matrix: the
+training and test videos stacked apart; a repeat's confusion counts must
+equal it. ``reference_kmeans`` is the k-means
 the package ran on the points themselves before it moved to the pool's
 Gram matrix: where no two
 distances tie, the package must give its codebook bytes, with an inertia
@@ -55,7 +58,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from egoact import boost, mkl
+from egoact import boost, bow, mkl
 from egoact.boost import (
     ERROR_CLAMP,
     BoostedModel,
@@ -75,6 +78,7 @@ from egoact.descriptors import (
     temporal_quadrature_pair,
 )
 from egoact.errors import ValidationError
+from egoact.evaluation import random_split
 from egoact.kernels import (
     DC_INT,
     GAUSSIAN,
@@ -86,6 +90,7 @@ from egoact.kernels import (
     gram_matrix,
 )
 from egoact.mkl import MklModel, MklSection
+from egoact.modelio import fit, stack_histograms
 from egoact.svm import SvmSection, check_binary_labels, smo_train
 
 
@@ -723,6 +728,37 @@ def reference_boost_train(bank, y, trials, c_reg, seed, svm_tol=SvmSection.tol):
             f"(n={n}, kernels={len(bank)})"
         )
     return BoostedModel(kept)
+
+
+def reference_repeat(manifest, descriptor_cache, cfg, method, repeat_index):
+    """One repeat as the package ran it before it stacked the split once: the
+    training videos encoded and stacked, then the test videos encoded and
+    stacked on their own, with a label array for each side."""
+    split, features = cfg.split, cfg.features
+    train_ids, test_ids = random_split(manifest, split, repeat_index)
+    label_of = {v.video_id: v.class_index for v in manifest.videos}
+
+    codebooks = {}
+    for fi, feature in enumerate(features):
+        pooled = bow.pooled_descriptors((descriptor_cache[vid] for vid in train_ids), feature)
+        words = min(cfg.bow.words, pooled.shape[0]) if cfg.bow.adaptive_words else cfg.bow.words
+        seed = np.random.SeedSequence(entropy=split.base_seed, spawn_key=(repeat_index, 1, fi))
+        codebooks[feature] = bow.kmeans(pooled, words, seed, max_iters=cfg.bow.max_iters)
+
+    def histograms(ids):
+        return [bow.encode_video(vid, {f: descriptor_cache[vid][f] for f in features}, codebooks)
+                for vid in ids]
+
+    train_x, layout = stack_histograms(histograms(train_ids))
+    test_x = np.stack([h.concat() for h in histograms(test_ids)])
+    y_train = np.array([label_of[vid] for vid in train_ids])
+    y_test = np.array([label_of[vid] for vid in test_ids])
+
+    model = fit(method, train_x, y_train, manifest.classes, layout, cfg, split.base_seed,
+                (repeat_index, 2))
+    confusion = np.zeros((len(manifest.classes),) * 2, dtype=np.int64)
+    np.add.at(confusion, (y_test, model.predict(test_x)), 1)
+    return confusion
 
 
 def _reference_sq_distances(points, centroids):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import importlib
 import json
@@ -25,7 +26,7 @@ from egoact.evaluation import (
     split_sizes,
 )
 from conftest import forking
-from oracles import pair_confusion
+from oracles import pair_confusion, reference_repeat
 
 HOF_DIM = 4 * 4 * 8
 
@@ -200,6 +201,25 @@ def test_single_repeat_equals_manual_run(tmp_path):
     assert report.per_repeat_accuracy == [np.trace(confusion) / confusion.sum() * 100.0]
     row_pct = confusion / confusion.sum(axis=1, keepdims=True) * 100.0
     assert np.allclose(report.confusion, row_pct)
+
+
+@pytest.mark.parametrize("method, kind", [("single_kernel", "h_int"), ("multichannel", "dc_int"),
+                                          ("simple_mkl", "h_int"), ("boost_mkl", "h_int")])
+def test_a_repeat_counts_equal_its_split_fitted_and_scored_by_hand(method, kind):
+    """A repeat stacks its training and test videos into one matrix; its counts equal
+    ``reference_repeat``'s, which stacks and labels the two sides apart."""
+    manifest = toy_manifest()
+    cache = noisy_descriptor_cache(manifest)
+    rng = np.random.default_rng(1)
+    for entry in manifest.videos:
+        vectors = rng.random((4, 6))
+        vectors[:, entry.class_index] += 0.5
+        cache[entry.video_id]["cuboid"] = DescriptorSet("cuboid", 6, vectors)
+    cfg = dataclasses.replace(small_config(), features=("hof", "cuboid"))
+    cfg = cfg.replace_section("kernels", kind=kind)
+    for repeat in range(3):
+        counts = run_repeat(manifest, cache, cfg, method, repeat)
+        assert counts.tolist() == reference_repeat(manifest, cache, cfg, method, repeat).tolist()
 
 
 def test_a_repeat_returns_its_confusion_counts(tmp_path, monkeypatch):

@@ -20,8 +20,8 @@ TWO_BLOCKS = ((0, 2), (2, 2))
 
 
 def kernel_value(spec, x, y) -> float:
-    """One kernel value through a one-row ``kernel_rows`` call."""
-    rows = kernel_rows(spec, x, y)
+    """One kernel value through a ``kernel_rows`` call on two one-row matrices."""
+    rows = kernel_rows(spec, [x], [y])
     assert rows.shape == (1, 1)
     return float(rows[0, 0])
 
@@ -289,7 +289,14 @@ def test_block_kernels_match_the_pairwise_oracle_bytes(spec, n, m):
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: KernelSpec("poly"), "unknown kernel kind 'poly'", id="unknown_kind"),
     pytest.param(lambda: kernel_rows(KernelSpec(H_INT), np.ones((1, 3)), np.ones((1, 4))),
-                 "vector shapes differ: (3,) vs (4,)", id="dims_differ"),
+                 "kernel rows need two (count, dim) arrays of one dim, got (1, 3) and (1, 4)",
+                 id="dims_differ"),
+    pytest.param(lambda: kernel_rows(KernelSpec(H_INT), np.ones(3), np.ones((2, 3))),
+                 "kernel rows need two (count, dim) arrays of one dim, got (3,) and (2, 3)",
+                 id="query_is_a_vector"),
+    pytest.param(lambda: kernel_rows(KernelSpec(H_INT), np.ones((2, 3)), np.ones(3)),
+                 "kernel rows need two (count, dim) arrays of one dim, got (2, 3) and (3,)",
+                 id="reference_is_a_vector"),
     pytest.param(lambda: gram_matrix(np.zeros((0, 3)), KernelSpec(H_INT)),
                  "need a nonempty (count, dim) array of vectors", id="gram_of_none"),
 ])
